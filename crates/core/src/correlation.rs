@@ -12,7 +12,7 @@ use crate::model::SystemModel;
 use crate::space::SampleSpace;
 use std::collections::HashMap;
 use xlmc_gatesim::bitparallel::{evaluate_combinational, PackedTraces};
-use xlmc_gatesim::signature::{correlation, SwitchingSignature};
+use xlmc_gatesim::signature::{aligned_correlation, SwitchingSignature};
 use xlmc_netlist::GateId;
 use xlmc_soc::golden::GoldenRun;
 
@@ -31,37 +31,26 @@ impl CorrelationData {
     ///
     /// Panics when the golden run is empty.
     pub fn compute(model: &SystemModel, synthetic: &GoldenRun, space: &SampleSpace) -> Self {
-        let netlist = model.mpu.netlist();
         let cycles = synthetic.cycles as usize;
         assert!(cycles > 0, "empty golden run");
 
-        // Record register and input traces, then derive everything else.
-        let mut traces = PackedTraces::zeroed(netlist, cycles);
-        for (c, state) in synthetic.mpu_states.iter().enumerate() {
-            let vec = model.mpu.state_vector(state);
-            for (i, &dff) in netlist.dffs().iter().enumerate() {
-                traces.set_value(dff, c, vec[i]);
-            }
-            let stim = &synthetic.stimulus[c];
-            let inputs = model.mpu.input_values(stim.request, stim.cfg_write);
-            for (i, &pi) in netlist.inputs().iter().enumerate() {
-                traces.set_value(pi, c, inputs[i]);
-            }
-        }
-        evaluate_combinational(netlist, &mut traces)
-            .expect("MPU netlist is acyclic by construction");
-
+        let traces = golden_traces(model, synthetic);
         let rs = model.mpu.responding_signal();
         let rs_ss = SwitchingSignature::from_traces(&traces, rs);
 
+        // Align the responding signal once per frame; keep each cell's
+        // weight next to its signature.
         let mut corr = HashMap::new();
-        let mut cell_ss: HashMap<GateId, SwitchingSignature> = HashMap::new();
+        let mut cell_ss: HashMap<GateId, (SwitchingSignature, u32)> = HashMap::new();
         for frame_info in space.frames() {
+            let rs_aligned = rs_ss.aligned(frame_info.frame);
             for &g in &frame_info.cells {
-                let ss = cell_ss
-                    .entry(g)
-                    .or_insert_with(|| SwitchingSignature::from_traces(&traces, g));
-                let c = correlation(ss, &rs_ss, frame_info.frame);
+                let (ss, weight) = cell_ss.entry(g).or_insert_with(|| {
+                    let ss = SwitchingSignature::from_traces(&traces, g);
+                    let weight = ss.weight();
+                    (ss, weight)
+                });
+                let c = aligned_correlation(ss, *weight, &rs_aligned);
                 corr.insert((g, frame_info.frame), c);
             }
         }
@@ -79,9 +68,30 @@ impl CorrelationData {
     }
 }
 
+/// The value trace of every MPU net over the golden run: register and
+/// input values as recorded, everything else by one bit-parallel sweep.
+fn golden_traces(model: &SystemModel, golden: &GoldenRun) -> PackedTraces {
+    let netlist = model.mpu.netlist();
+    let mut traces = PackedTraces::zeroed(netlist, golden.cycles as usize);
+    for (c, state) in golden.mpu_states.iter().enumerate() {
+        let vec = model.mpu.state_vector(state);
+        for (i, &dff) in netlist.dffs().iter().enumerate() {
+            traces.set_value(dff, c, vec[i]);
+        }
+        let stim = &golden.stimulus[c];
+        let inputs = model.mpu.input_values(stim.request, stim.cfg_write);
+        for (i, &pi) in netlist.inputs().iter().enumerate() {
+            traces.set_value(pi, c, inputs[i]);
+        }
+    }
+    evaluate_combinational(netlist, &mut traces).expect("MPU netlist is acyclic by construction");
+    traces
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xlmc_gatesim::signature::correlation;
     use xlmc_soc::{workloads, MpuBit};
 
     fn setup() -> (SystemModel, GoldenRun, SampleSpace) {
@@ -124,6 +134,31 @@ mod tests {
         let min = corrs.iter().cloned().fold(1.0, f64::min);
         assert!(max > 0.2, "max corr {max} too low — stimulus too quiet");
         assert!(max - min > 0.1, "correlations should discriminate cells");
+    }
+
+    #[test]
+    fn every_pair_equals_the_direct_correlation() {
+        let model = SystemModel::with_defaults().unwrap();
+        let synth = workloads::synthetic_precharacterization();
+        let golden = GoldenRun::record(&synth.program, 20_000, 64);
+        for (t_max, halo) in [(8, 0.0), (50, 1.0)] {
+            let space = SampleSpace::build(&model, t_max, halo);
+            let data = CorrelationData::compute(&model, &golden, &space);
+            let traces = golden_traces(&model, &golden);
+            let rs_ss = SwitchingSignature::from_traces(&traces, model.mpu.responding_signal());
+            for f in space.frames() {
+                for &g in &f.cells {
+                    let ss = SwitchingSignature::from_traces(&traces, g);
+                    let direct = correlation(&ss, &rs_ss, f.frame);
+                    assert_eq!(
+                        data.corr(g, f.frame).to_bits(),
+                        direct.to_bits(),
+                        "({g}, {}) at t_max {t_max}, halo {halo}",
+                        f.frame
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -475,7 +475,7 @@ impl CampaignOptions {
                         })?
                     };
                 }
-                "--kernel" => opts.set_kernel_arg(&value),
+                "--kernel" => opts.set_kernel_arg(&value)?,
                 "--estimator" => {
                     opts.estimator = match value.as_str() {
                         "single" => EstimatorKind::Single,
@@ -563,13 +563,19 @@ impl CampaignOptions {
         Ok(opts)
     }
 
-    fn set_kernel_arg(&mut self, v: &str) {
-        match v {
-            "scalar" => self.kernel = CampaignKernel::Scalar,
-            "batched" => self.kernel = CampaignKernel::Batched,
-            "compiled" => self.kernel = CampaignKernel::Compiled,
-            other => eprintln!("ignoring unknown --kernel value {other:?}"),
-        }
+    fn set_kernel_arg(&mut self, v: &str) -> Result<(), String> {
+        self.kernel = match v {
+            "scalar" => CampaignKernel::Scalar,
+            "batched" => CampaignKernel::Batched,
+            "compiled" => CampaignKernel::Compiled,
+            _ => {
+                return Err(format!(
+                    "invalid --kernel value {v:?}: expected \"scalar\", \"batched\" or \
+                     \"compiled\""
+                ))
+            }
+        };
+        Ok(())
     }
 
     /// The concrete worker count (resolving `0` to the core count).
@@ -2311,14 +2317,19 @@ mod tests {
     fn kernel_arg_parses() {
         let mut opts = CampaignOptions::default();
         assert_eq!(opts.kernel, CampaignKernel::Compiled);
-        opts.set_kernel_arg("scalar");
+        opts.set_kernel_arg("scalar").unwrap();
         assert_eq!(opts.kernel, CampaignKernel::Scalar);
-        opts.set_kernel_arg("batched");
+        opts.set_kernel_arg("batched").unwrap();
         assert_eq!(opts.kernel, CampaignKernel::Batched);
-        opts.set_kernel_arg("compiled");
+        opts.set_kernel_arg("compiled").unwrap();
         assert_eq!(opts.kernel, CampaignKernel::Compiled);
-        opts.set_kernel_arg("bogus");
-        assert_eq!(opts.kernel, CampaignKernel::Compiled);
+        let err = opts.set_kernel_arg("bogus").unwrap_err();
+        assert!(err.contains("--kernel") && err.contains("bogus"), "{err}");
+        assert_eq!(
+            opts.kernel,
+            CampaignKernel::Compiled,
+            "a bad value changes nothing"
+        );
     }
 
     #[test]
@@ -2421,6 +2432,12 @@ mod tests {
             };
             CampaignOptions::parse_args([flag.to_owned(), value.to_owned()])
                 .unwrap_or_else(|e| panic!("{flag} rejected a valid value: {e}"));
+            // Nor may a bad value be ignored (any string is a path).
+            if value != "/tmp/x.json" {
+                let err =
+                    CampaignOptions::parse_args([flag.to_owned(), "foo".to_owned()]).unwrap_err();
+                assert!(err.contains(flag) && err.contains("foo"), "{err:?}");
+            }
             // A missing value must be a readable error, not a panic.
             let err = CampaignOptions::parse_args([flag.to_owned()]).unwrap_err();
             assert!(err.contains(flag), "{err:?} does not name {flag}");

@@ -11,7 +11,6 @@
 //! by the flow); the rest are **computation-type** (sampled).
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use xlmc_soc::golden::GoldenRun;
 use xlmc_soc::{MpuBit, Soc};
 
@@ -33,7 +32,7 @@ pub enum RegisterKind {
 }
 
 /// Measured characterization of one register bit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BitCharacter {
     /// Error lifetime: the *maximum* over the injection samples (capped at
     /// [`LIFETIME_CAP`]). The maximum measures persistence potential — an
@@ -61,73 +60,104 @@ pub struct BitCharacter {
 }
 
 /// Characterization of every MPU register bit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegisterCharacterization {
-    per_bit: HashMap<MpuBit, BitCharacter>,
+    /// Indexed by [`MpuBit::index`].
+    per_bit: Vec<BitCharacter>,
 }
+
+/// The outcome of one injection: lifetime, contamination, whether the
+/// error reached the responding signal, whether it suppressed it.
+type Injection = (u32, u32, bool, bool);
 
 fn median(values: &mut [u32]) -> u32 {
     values.sort_unstable();
     values[values.len() / 2]
 }
 
-/// Measure lifetime, contamination and responding-signal propagation of
-/// one bit flipped at the start of `cycle` of the golden run.
-fn measure_one(golden: &GoldenRun, bit: MpuBit, cycle: u64) -> (u32, u32, bool, bool) {
-    let mut soc: Soc = golden.nearest_checkpoint(cycle).clone();
-    while soc.cycle < cycle {
-        soc.step();
+/// Inject every bit of [`MpuBit::all`] at the start of `cycle` of the
+/// golden run; entry `b.index()` is the outcome for bit `b`.
+///
+/// The system state at `cycle` is replayed once and restored into one
+/// resident `Soc` per bit. Each faulty cycle is compared with the golden
+/// one as the XOR of their packed MPU states: zero means re-converged, and
+/// the OR of the XORs up to that point is the set of bits the error
+/// reached.
+fn inject_all(golden: &GoldenRun, cycle: u64) -> Vec<Injection> {
+    let mut snapshot: Soc = golden.nearest_checkpoint(cycle).clone();
+    while snapshot.cycle < cycle {
+        snapshot.step();
     }
-    soc.mpu.toggle_bit(bit);
-    let mut contaminated: std::collections::HashSet<MpuBit> = std::collections::HashSet::new();
-    let mut reached_rs = false;
-    let mut golden_viols = 0u32;
-    let mut faulty_viols = 0u32;
-    let mut lifetime = LIFETIME_CAP;
-    let mut converged = false;
-    let all_bits = MpuBit::all();
-    for k in 1..=LIFETIME_CAP {
-        let golden_idx = cycle + u64::from(k);
-        if golden_idx >= golden.cycles {
-            // Golden run ended; the error outlived the benchmark.
-            break;
-        }
-        soc.step();
-        let golden_state = &golden.mpu_states[golden_idx as usize];
-        // Violation activity is counted over the whole window (alignment-
-        // insensitive): fewer faulty violations = suppression.
-        if golden_state.bit(MpuBit::Violation) {
-            golden_viols += 1;
-        }
-        if soc.mpu.bit(MpuBit::Violation) {
-            faulty_viols += 1;
-        }
-        if !converged {
-            let mut any_diff = false;
-            for &b in &all_bits {
-                if soc.mpu.bit(b) != golden_state.bit(b) {
-                    any_diff = true;
-                    if b != bit {
-                        contaminated.insert(b);
+    // The observation window: the golden states after `cycle`, up to the
+    // cap or the end of the run (the error outlived the benchmark).
+    let end = (cycle + u64::from(LIFETIME_CAP)).min(golden.cycles - 1) as usize;
+    let window = &golden.mpu_states[cycle as usize + 1..=end];
+    let golden_packed: Vec<[u64; 3]> = window.iter().map(|s| s.packed()).collect();
+    let golden_viols = window.iter().filter(|s| s.violation).count();
+    let viol = MpuBit::Violation.index();
+    let mut soc = snapshot.clone();
+    MpuBit::all()
+        .into_iter()
+        .map(|bit| {
+            soc.restore_from(&snapshot);
+            soc.mpu.toggle_bit(bit);
+            let mut reached = [0u64; 3];
+            let mut lifetime = LIFETIME_CAP;
+            let mut converged = false;
+            let mut faulty_viols = 0;
+            for (k, golden_state) in (1..).zip(&golden_packed) {
+                soc.step();
+                // Violation activity is counted over the whole window
+                // (alignment-insensitive): fewer faulty violations =
+                // suppression.
+                faulty_viols += usize::from(soc.mpu.violation);
+                if !converged {
+                    let packed = soc.mpu.packed();
+                    let diff: [u64; 3] = std::array::from_fn(|i| packed[i] ^ golden_state[i]);
+                    if diff == [0; 3] {
+                        lifetime = k;
+                        converged = true;
                     }
-                    if b == MpuBit::Violation {
-                        reached_rs = true;
+                    for (r, d) in reached.iter_mut().zip(diff) {
+                        *r |= d;
                     }
                 }
             }
-            if !any_diff {
-                lifetime = k;
-                converged = true;
-            }
-        }
-    }
-    let suppressed_rs = faulty_viols < golden_viols;
-    (
+            let reached_rs = reached[viol / 64] >> (viol % 64) & 1 == 1;
+            reached[bit.index() / 64] &= !(1 << (bit.index() % 64));
+            let contamination = reached.iter().map(|w| w.count_ones()).sum();
+            (
+                lifetime,
+                contamination,
+                reached_rs,
+                faulty_viols < golden_viols,
+            )
+        })
+        .collect()
+}
+
+/// Summarize the injections of one bit, one per sample cycle.
+fn character(raw: &[Injection]) -> BitCharacter {
+    let samples: Vec<(u32, u32)> = raw.iter().map(|&(l, c, _, _)| (l, c)).collect();
+    let rs_flip_fraction = raw.iter().filter(|&&(_, _, r, _)| r).count() as f64 / raw.len() as f64;
+    let rs_suppress_fraction =
+        raw.iter().filter(|&&(_, _, _, su)| su).count() as f64 / raw.len() as f64;
+    let lifetime = samples.iter().map(|s| s.0).max().unwrap_or(0);
+    let mut contams: Vec<u32> = samples.iter().map(|s| s.1).collect();
+    let contamination = median(&mut contams);
+    let kind = if lifetime >= MEMORY_LIFETIME_MIN && contamination == MEMORY_CONTAMINATION_MAX {
+        RegisterKind::Memory
+    } else {
+        RegisterKind::Computation
+    };
+    BitCharacter {
         lifetime,
-        contaminated.len() as u32,
-        reached_rs,
-        suppressed_rs,
-    )
+        contamination,
+        samples,
+        rs_flip_fraction,
+        rs_suppress_fraction,
+        kind,
+    }
 }
 
 impl RegisterCharacterization {
@@ -143,65 +173,37 @@ impl RegisterCharacterization {
             sample_cycles.iter().all(|&c| c < golden.cycles),
             "sample cycle beyond the golden run"
         );
-        let mut per_bit = HashMap::new();
-        for bit in MpuBit::all() {
-            let raw: Vec<(u32, u32, bool, bool)> = sample_cycles
-                .iter()
-                .map(|&c| measure_one(golden, bit, c))
-                .collect();
-            let samples: Vec<(u32, u32)> = raw.iter().map(|&(l, c, _, _)| (l, c)).collect();
-            let rs_flip_fraction =
-                raw.iter().filter(|&&(_, _, r, _)| r).count() as f64 / raw.len() as f64;
-            let rs_suppress_fraction =
-                raw.iter().filter(|&&(_, _, _, su)| su).count() as f64 / raw.len() as f64;
-            let lifetime = samples.iter().map(|s| s.0).max().unwrap_or(0);
-            let mut contams: Vec<u32> = samples.iter().map(|s| s.1).collect();
-            let contamination = median(&mut contams);
-            let kind =
-                if lifetime >= MEMORY_LIFETIME_MIN && contamination == MEMORY_CONTAMINATION_MAX {
-                    RegisterKind::Memory
-                } else {
-                    RegisterKind::Computation
-                };
-            per_bit.insert(
-                bit,
-                BitCharacter {
-                    lifetime,
-                    contamination,
-                    samples,
-                    rs_flip_fraction,
-                    rs_suppress_fraction,
-                    kind,
-                },
-            );
-        }
+        // by_cycle[s][b]: bit b injected at sample cycle s.
+        let by_cycle: Vec<Vec<Injection>> = sample_cycles
+            .iter()
+            .map(|&c| inject_all(golden, c))
+            .collect();
+        let per_bit = (0..by_cycle[0].len())
+            .map(|b| character(&by_cycle.iter().map(|s| s[b]).collect::<Vec<_>>()))
+            .collect();
         Self { per_bit }
     }
 
     /// The characterization of one bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics for bits outside [`MpuBit::all`] (cannot happen).
     pub fn bit(&self, bit: MpuBit) -> &BitCharacter {
-        &self.per_bit[&bit]
+        &self.per_bit[bit.index()]
     }
 
     /// The classification of one bit.
     pub fn kind(&self, bit: MpuBit) -> RegisterKind {
-        self.per_bit[&bit].kind
+        self.per_bit[bit.index()].kind
     }
 
-    /// Iterate `(bit, character)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&MpuBit, &BitCharacter)> {
-        self.per_bit.iter()
+    /// Iterate `(bit, character)` pairs in [`MpuBit::all`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (MpuBit, &BitCharacter)> {
+        MpuBit::all().into_iter().zip(&self.per_bit)
     }
 
     /// Fraction of registers classified memory-type.
     pub fn memory_fraction(&self) -> f64 {
         let mem = self
             .per_bit
-            .values()
+            .iter()
             .filter(|c| c.kind == RegisterKind::Memory)
             .count();
         mem as f64 / self.per_bit.len() as f64
@@ -225,6 +227,118 @@ mod tests {
     fn golden() -> GoldenRun {
         let w = workloads::synthetic_precharacterization();
         GoldenRun::record(&w.program, 20_000, 64)
+    }
+
+    /// The straightforward per-injection measurement the packed
+    /// [`inject_all`] replaced: a fresh replay from the nearest checkpoint
+    /// for every (bit, cycle), then a bit-by-bit compare into a set.
+    fn reference_measure_one(golden: &GoldenRun, bit: MpuBit, cycle: u64) -> Injection {
+        let mut soc: Soc = golden.nearest_checkpoint(cycle).clone();
+        while soc.cycle < cycle {
+            soc.step();
+        }
+        soc.mpu.toggle_bit(bit);
+        let mut contaminated = std::collections::HashSet::new();
+        let mut reached_rs = false;
+        let mut golden_viols = 0u32;
+        let mut faulty_viols = 0u32;
+        let mut lifetime = LIFETIME_CAP;
+        let mut converged = false;
+        let all_bits = MpuBit::all();
+        for k in 1..=LIFETIME_CAP {
+            let golden_idx = cycle + u64::from(k);
+            if golden_idx >= golden.cycles {
+                break;
+            }
+            soc.step();
+            let golden_state = &golden.mpu_states[golden_idx as usize];
+            if golden_state.bit(MpuBit::Violation) {
+                golden_viols += 1;
+            }
+            if soc.mpu.bit(MpuBit::Violation) {
+                faulty_viols += 1;
+            }
+            if !converged {
+                let mut any_diff = false;
+                for &b in &all_bits {
+                    if soc.mpu.bit(b) != golden_state.bit(b) {
+                        any_diff = true;
+                        if b != bit {
+                            contaminated.insert(b);
+                        }
+                        if b == MpuBit::Violation {
+                            reached_rs = true;
+                        }
+                    }
+                }
+                if !any_diff {
+                    lifetime = k;
+                    converged = true;
+                }
+            }
+        }
+        (
+            lifetime,
+            contaminated.len() as u32,
+            reached_rs,
+            faulty_viols < golden_viols,
+        )
+    }
+
+    fn reference_measure(golden: &GoldenRun, sample_cycles: &[u64]) -> RegisterCharacterization {
+        let per_bit = MpuBit::all()
+            .into_iter()
+            .map(|bit| {
+                let raw: Vec<Injection> = sample_cycles
+                    .iter()
+                    .map(|&c| reference_measure_one(golden, bit, c))
+                    .collect();
+                character(&raw)
+            })
+            .collect();
+        RegisterCharacterization { per_bit }
+    }
+
+    #[test]
+    fn packed_measurement_equals_the_reference() {
+        let g = golden();
+        let mut cases: Vec<Vec<u64>> = [1, 4, 5, 6]
+            .iter()
+            .map(|&k| default_sample_cycles(&g, k))
+            .collect();
+        // Windows cut short by the end of the run (censoring), down to an
+        // empty one at the last cycle.
+        let near_end = g.cycles - u64::from(LIFETIME_CAP) / 2;
+        cases.push(vec![near_end, g.cycles - 1]);
+        for cycles in cases {
+            let fast = RegisterCharacterization::measure(&g, &cycles);
+            assert_eq!(
+                fast,
+                reference_measure(&g, &cycles),
+                "sample cycles {cycles:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+        #[test]
+        fn packed_measurement_equals_the_reference_at_random_cycles(
+            picks in proptest::collection::vec(0u64..u64::MAX, 1..4),
+        ) {
+            let g = golden();
+            let cycles: Vec<u64> = picks.iter().map(|p| p % g.cycles).collect();
+            let fast = RegisterCharacterization::measure(&g, &cycles);
+            proptest::prop_assert_eq!(fast, reference_measure(&g, &cycles));
+        }
+    }
+
+    #[test]
+    fn iteration_is_in_canonical_order() {
+        let g = golden();
+        let chars = RegisterCharacterization::measure(&g, &[g.cycles / 2]);
+        let bits: Vec<MpuBit> = chars.iter().map(|(b, _)| b).collect();
+        assert_eq!(bits, MpuBit::all());
     }
 
     #[test]

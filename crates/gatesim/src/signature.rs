@@ -140,12 +140,25 @@ impl SwitchingSignature {
 /// candidate never switches (the paper's formula is undefined there; a node
 /// that never toggles carries no correlation evidence).
 pub fn correlation(g_ss: &SwitchingSignature, rs_ss: &SwitchingSignature, i: i32) -> f64 {
-    let denom = g_ss.weight();
-    if denom == 0 {
+    let weight = g_ss.weight();
+    if weight == 0 {
         return 0.0;
     }
-    let num = g_ss.and_weight(&rs_ss.aligned(i));
-    f64::from(num) / f64::from(denom)
+    aligned_correlation(g_ss, weight, &rs_ss.aligned(i))
+}
+
+/// [`correlation`] with its per-frame and per-node parts precomputed:
+/// `rs_aligned` is `rs_ss.aligned(i)` and `g_weight` is `g_ss.weight()`.
+/// Sweeping many nodes over one frame builds the aligned signature once.
+pub fn aligned_correlation(
+    g_ss: &SwitchingSignature,
+    g_weight: u32,
+    rs_aligned: &SwitchingSignature,
+) -> f64 {
+    if g_weight == 0 {
+        return 0.0;
+    }
+    f64::from(g_ss.and_weight(rs_aligned)) / f64::from(g_weight)
 }
 
 #[cfg(test)]

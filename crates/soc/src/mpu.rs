@@ -230,6 +230,28 @@ impl MpuBit {
         bits
     }
 
+    /// Position of this bit in [`MpuBit::all`] (and in
+    /// [`MpuState::packed`]), computed without building the list.
+    pub fn index(self) -> usize {
+        const REGION: usize = 2 * ADDR_BITS + 4;
+        const PIPE: usize = 1 + NUM_REGIONS * REGION;
+        const STICKY: usize = PIPE + ADDR_BITS + 6;
+        match self {
+            MpuBit::Enable => 0,
+            MpuBit::Base(r, b) => 1 + r as usize * REGION + b as usize,
+            MpuBit::Limit(r, b) => 1 + r as usize * REGION + ADDR_BITS + b as usize,
+            MpuBit::Perms(r, b) => 1 + r as usize * REGION + 2 * ADDR_BITS + b as usize,
+            MpuBit::PipeAddr(b) => PIPE + b as usize,
+            MpuBit::PipeKind(b) => PIPE + ADDR_BITS + b as usize,
+            MpuBit::PipeUser => PIPE + ADDR_BITS + 2,
+            MpuBit::PipeValid => PIPE + ADDR_BITS + 3,
+            MpuBit::Violation => PIPE + ADDR_BITS + 4,
+            MpuBit::StickyViol => PIPE + ADDR_BITS + 5,
+            MpuBit::StickyAddr(b) => STICKY + b as usize,
+            MpuBit::StickyKind(b) => STICKY + ADDR_BITS + b as usize,
+        }
+    }
+
     /// Whether this bit belongs to the (memory-type) configuration state.
     pub fn is_config(self) -> bool {
         matches!(
@@ -385,6 +407,53 @@ impl MpuState {
             MpuBit::StickyAddr(b) => self.sticky_addr >> b & 1 == 1,
             MpuBit::StickyKind(b) => self.sticky_kind >> b & 1 == 1,
         }
+    }
+
+    /// Every architectural bit packed into words: bit `b.index()` equals
+    /// `self.bit(b)`. Two states differ in exactly the bits set in the XOR
+    /// of their packed forms, which is how the lifetime measurement
+    /// compares a faulty state with the golden one in three word ops.
+    pub fn packed(&self) -> [u64; 3] {
+        fn put(words: &mut [u64; 3], bit: MpuBit, width: u32, value: u64) {
+            let (i, shift) = (bit.index() / 64, bit.index() % 64);
+            let v = value & ((1u64 << width) - 1);
+            words[i] |= v << shift;
+            if shift as u32 + width > 64 {
+                words[i + 1] |= v >> (64 - shift);
+            }
+        }
+        let mut w = [0u64; 3];
+        put(&mut w, MpuBit::Enable, 1, u64::from(self.config.enable));
+        for (r, region) in self.config.regions.iter().enumerate() {
+            let r = r as u8;
+            put(&mut w, MpuBit::Base(r, 0), 16, u64::from(region.base));
+            put(&mut w, MpuBit::Limit(r, 0), 16, u64::from(region.limit));
+            put(&mut w, MpuBit::Perms(r, 0), 4, u64::from(region.perms));
+        }
+        put(&mut w, MpuBit::PipeAddr(0), 16, u64::from(self.pipe_addr));
+        put(&mut w, MpuBit::PipeKind(0), 2, u64::from(self.pipe_kind));
+        put(&mut w, MpuBit::PipeUser, 1, u64::from(self.pipe_user));
+        put(&mut w, MpuBit::PipeValid, 1, u64::from(self.pipe_valid));
+        put(&mut w, MpuBit::Violation, 1, u64::from(self.violation));
+        put(
+            &mut w,
+            MpuBit::StickyViol,
+            1,
+            u64::from(self.sticky_violation),
+        );
+        put(
+            &mut w,
+            MpuBit::StickyAddr(0),
+            16,
+            u64::from(self.sticky_addr),
+        );
+        put(
+            &mut w,
+            MpuBit::StickyKind(0),
+            2,
+            u64::from(self.sticky_kind),
+        );
+        w
     }
 
     /// Write one architectural bit.
@@ -656,6 +725,56 @@ mod tests {
         mpu.pipe_addr = 0x1000;
         mpu.pipe_kind = 3;
         assert!(mpu.viol_comb());
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        let all = MpuBit::all();
+        for &b in &all {
+            assert_eq!(all[b.index()], b);
+        }
+    }
+
+    /// An arbitrary state, including the bits above each field's
+    /// architectural width (`perms` 4 of 8, `pipe_kind`/`sticky_kind` 2 of
+    /// 8) that [`MpuState::bit`] never reads.
+    fn state_from_raw(raw: [u64; 4]) -> MpuState {
+        let mut regions = [MpuRegion::default(); NUM_REGIONS];
+        for (r, region) in regions.iter_mut().enumerate() {
+            let word = raw[r];
+            region.base = word as u16;
+            region.limit = (word >> 16) as u16;
+            region.perms = (word >> 32) as u8;
+        }
+        let bits = |i: u32| raw[0] >> (48 + i) & 1 == 1;
+        MpuState {
+            config: MpuConfig {
+                enable: bits(0),
+                regions,
+            },
+            pipe_addr: (raw[1] >> 40) as u16,
+            pipe_kind: (raw[2] >> 40) as u8,
+            pipe_user: bits(1),
+            pipe_valid: bits(2),
+            violation: bits(3),
+            sticky_violation: bits(4),
+            sticky_addr: (raw[3] >> 40) as u16,
+            sticky_kind: (raw[3] >> 56) as u8,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn packed_agrees_with_bit(raw in proptest::prelude::any::<[u64; 4]>()) {
+            let state = state_from_raw(raw);
+            let packed = state.packed();
+            for b in MpuBit::all() {
+                let i = b.index();
+                proptest::prop_assert_eq!(packed[i / 64] >> (i % 64) & 1 == 1, state.bit(b));
+            }
+            let width = MpuBit::all().len();
+            proptest::prop_assert_eq!(packed[2] >> (width - 128), 0, "bits past the last");
+        }
     }
 
     #[test]
