@@ -10,7 +10,6 @@
 
 use crate::model::SystemModel;
 use crate::space::SampleSpace;
-use std::collections::HashMap;
 use xlmc_gatesim::bitparallel::{evaluate_combinational, PackedTraces};
 use xlmc_gatesim::signature::{aligned_correlation, SwitchingSignature};
 use xlmc_netlist::GateId;
@@ -19,8 +18,18 @@ use xlmc_soc::golden::GoldenRun;
 /// Frame-aligned bit-flip correlations for every sample-space cell.
 #[derive(Debug, Clone)]
 pub struct CorrelationData {
-    corr: HashMap<(GateId, i32), f64>,
+    /// One entry per sample-space frame, ascending by frame index (the
+    /// space's frames ascend by `t`).
+    frames: Vec<FrameCorrelation>,
     cycles: usize,
+}
+
+/// The correlations of one frame, aligned with its sorted cells.
+#[derive(Debug, Clone)]
+struct FrameCorrelation {
+    frame: i32,
+    cells: Vec<GateId>,
+    corr: Vec<f64>,
 }
 
 impl CorrelationData {
@@ -39,27 +48,68 @@ impl CorrelationData {
         let rs_ss = SwitchingSignature::from_traces(&traces, rs);
 
         // Align the responding signal once per frame; keep each cell's
-        // weight next to its signature.
-        let mut corr = HashMap::new();
-        let mut cell_ss: HashMap<GateId, (SwitchingSignature, u32)> = HashMap::new();
-        for frame_info in space.frames() {
-            let rs_aligned = rs_ss.aligned(frame_info.frame);
-            for &g in &frame_info.cells {
-                let (ss, weight) = cell_ss.entry(g).or_insert_with(|| {
-                    let ss = SwitchingSignature::from_traces(&traces, g);
-                    let weight = ss.weight();
-                    (ss, weight)
-                });
-                let c = aligned_correlation(ss, *weight, &rs_aligned);
-                corr.insert((g, frame_info.frame), c);
-            }
-        }
-        Self { corr, cycles }
+        // signature and weight in a `GateId`-indexed table.
+        let mut cell_ss: Vec<Option<(SwitchingSignature, u32)>> =
+            vec![None; model.mpu.netlist().len()];
+        let frames = space
+            .frames()
+            .iter()
+            .map(|frame_info| {
+                let rs_aligned = rs_ss.aligned(frame_info.frame);
+                let corr = frame_info
+                    .cells
+                    .iter()
+                    .map(|&g| {
+                        let (ss, weight) = cell_ss[g.index()].get_or_insert_with(|| {
+                            let ss = SwitchingSignature::from_traces(&traces, g);
+                            let weight = ss.weight();
+                            (ss, weight)
+                        });
+                        aligned_correlation(ss, *weight, &rs_aligned)
+                    })
+                    .collect();
+                FrameCorrelation {
+                    frame: frame_info.frame,
+                    cells: frame_info.cells.clone(),
+                    corr,
+                }
+            })
+            .collect();
+        Self { frames, cycles }
     }
 
     /// `Corr_i(g, rs)`, 0 when the pair was not in the sample space.
     pub fn corr(&self, g: GateId, frame: i32) -> f64 {
-        self.corr.get(&(g, frame)).copied().unwrap_or(0.0)
+        self.frame(frame).map_or(0.0, |f| {
+            f.cells.binary_search(&g).map_or(0.0, |i| f.corr[i])
+        })
+    }
+
+    /// [`CorrelationData::corr`] for each of `cells` (sorted ascending) in
+    /// `frame`: one merge with the frame's stored cells instead of a search
+    /// per cell.
+    pub(crate) fn corr_sorted(&self, frame: i32, cells: &[GateId]) -> Vec<f64> {
+        let Some(f) = self.frame(frame) else {
+            return vec![0.0; cells.len()];
+        };
+        let mut k = 0;
+        cells
+            .iter()
+            .map(|&g| {
+                while k < f.cells.len() && f.cells[k] < g {
+                    k += 1;
+                }
+                match f.cells.get(k) {
+                    Some(&h) if h == g => f.corr[k],
+                    _ => 0.0,
+                }
+            })
+            .collect()
+    }
+
+    fn frame(&self, frame: i32) -> Option<&FrameCorrelation> {
+        let i = self.frames.binary_search_by_key(&frame, |f| f.frame).ok()?;
+        Some(&self.frames[i])
     }
 
     /// Number of simulated cycles the correlations are based on.
@@ -73,15 +123,19 @@ impl CorrelationData {
 fn golden_traces(model: &SystemModel, golden: &GoldenRun) -> PackedTraces {
     let netlist = model.mpu.netlist();
     let mut traces = PackedTraces::zeroed(netlist, golden.cycles as usize);
+    let mut state_bits = Vec::new();
+    let mut inputs = Vec::new();
     for (c, state) in golden.mpu_states.iter().enumerate() {
-        let vec = model.mpu.state_vector(state);
-        for (i, &dff) in netlist.dffs().iter().enumerate() {
-            traces.set_value(dff, c, vec[i]);
+        model.mpu.state_vector_into(state, &mut state_bits);
+        for (&dff, &v) in netlist.dffs().iter().zip(&state_bits) {
+            traces.set_value(dff, c, v);
         }
         let stim = &golden.stimulus[c];
-        let inputs = model.mpu.input_values(stim.request, stim.cfg_write);
-        for (i, &pi) in netlist.inputs().iter().enumerate() {
-            traces.set_value(pi, c, inputs[i]);
+        model
+            .mpu
+            .input_values_into(stim.request, stim.cfg_write, &mut inputs);
+        for (&pi, &v) in netlist.inputs().iter().zip(&inputs) {
+            traces.set_value(pi, c, v);
         }
     }
     evaluate_combinational(netlist, &mut traces).expect("MPU netlist is acyclic by construction");
@@ -157,6 +211,19 @@ mod tests {
                         f.frame
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_lookups_equal_single_lookups() {
+        let (model, golden, space) = setup();
+        let data = CorrelationData::compute(&model, &golden, &space);
+        let all = space.all_cells();
+        for frame in [-1, 0, 1, 7, 8] {
+            let got = data.corr_sorted(frame, &all);
+            for (&g, c) in all.iter().zip(got) {
+                assert_eq!(c.to_bits(), data.corr(g, frame).to_bits(), "({g}, {frame})");
             }
         }
     }

@@ -10,9 +10,9 @@
 use crate::model::SystemModel;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use xlmc_netlist::CellKind;
-use xlmc_soc::MpuBit;
+use xlmc_soc::{MpuBit, MpuBitMask};
 
 /// Electrical parameters of the hardened flip-flop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,7 +37,7 @@ impl Default for HardeningModel {
 /// The set of hardened registers plus the hardening model.
 #[derive(Debug, Clone)]
 pub struct HardenedSet {
-    bits: HashSet<MpuBit>,
+    bits: MpuBitMask,
     /// The hardening parameters.
     pub model: HardeningModel,
 }
@@ -63,12 +63,12 @@ impl HardenedSet {
 
     /// Whether a register is hardened.
     pub fn contains(&self, bit: MpuBit) -> bool {
-        self.bits.contains(&bit)
+        self.bits.contains(bit)
     }
 
     /// Whether a would-be flip on `bit` survives the hardening.
     pub fn flip_survives(&self, bit: MpuBit, rng: &mut impl Rng) -> bool {
-        if !self.bits.contains(&bit) {
+        if !self.bits.contains(bit) {
             return true;
         }
         rng.gen::<f64>() < 1.0 / self.model.resilience
@@ -94,7 +94,7 @@ impl HardenedSet {
 /// with probability `miss_rate`.
 #[derive(Debug, Clone)]
 pub struct ScfiFsm {
-    covered: HashSet<MpuBit>,
+    covered: MpuBitMask,
     /// Probability that a flip on a covered bit escapes the code check.
     pub miss_rate: f64,
     /// Cell-area multiplier of an encoded state flip-flop.
@@ -133,7 +133,7 @@ impl ScfiFsm {
 
     /// Whether a register is covered by the encoding.
     pub fn contains(&self, bit: MpuBit) -> bool {
-        self.covered.contains(&bit)
+        self.covered.contains(bit)
     }
 }
 
@@ -151,7 +151,7 @@ impl Default for ScfiFsm {
 /// draw is consumed.
 #[derive(Debug, Clone)]
 pub struct DupConfigVote {
-    covered: HashSet<MpuBit>,
+    covered: MpuBitMask,
     /// Per-bit area multiplier: two extra DFF copies plus the voter.
     pub area_multiplier: f64,
 }
@@ -180,7 +180,7 @@ impl DupConfigVote {
 
     /// Whether a register is covered by the voting.
     pub fn contains(&self, bit: MpuBit) -> bool {
-        self.covered.contains(&bit)
+        self.covered.contains(bit)
     }
 }
 
@@ -227,12 +227,12 @@ impl HardenedVariant {
         match self {
             HardenedVariant::Uniform(set) => set.flip_survives(bit, rng),
             HardenedVariant::ScfiFsm(scfi) => {
-                if !scfi.covered.contains(&bit) {
+                if !scfi.covered.contains(bit) {
                     return true;
                 }
                 rng.gen::<f64>() < scfi.miss_rate
             }
-            HardenedVariant::DupConfigVote(vote) => !vote.covered.contains(&bit),
+            HardenedVariant::DupConfigVote(vote) => !vote.covered.contains(bit),
         }
     }
 
@@ -286,6 +286,66 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn packed_masks_answer_like_hash_sets_with_the_same_draws() {
+        use rand::RngCore;
+        use std::collections::HashSet;
+        let all = MpuBit::all();
+        let mut order: Vec<MpuBit> = all.iter().chain(&all).chain(&all).copied().collect();
+        // Fisher-Yates with a fixed seed: repeats and a scrambled order.
+        let mut shuffle_rng = StdRng::seed_from_u64(9);
+        for i in (1..order.len()).rev() {
+            order.swap(i, shuffle_rng.gen_range(0..=i));
+        }
+        let picked: Vec<MpuBit> = all.iter().copied().step_by(7).collect();
+        // (variant, its covered set, survival probability of a covered
+        // flip; `None` = deterministic, no draw).
+        let cases = [
+            (
+                HardenedVariant::Uniform(HardenedSet::new(
+                    picked.clone(),
+                    HardeningModel::default(),
+                )),
+                picked.iter().copied().collect::<HashSet<_>>(),
+                Some(1.0 / HardeningModel::default().resilience),
+            ),
+            (
+                HardenedVariant::ScfiFsm(ScfiFsm::new()),
+                all.iter().copied().filter(|b| !b.is_config()).collect(),
+                Some(ScfiFsm::new().miss_rate),
+            ),
+            (
+                HardenedVariant::DupConfigVote(DupConfigVote::new()),
+                all.iter().copied().filter(|b| b.is_config()).collect(),
+                None,
+            ),
+        ];
+        for (variant, covered, p) in cases {
+            let mut rng = StdRng::seed_from_u64(17);
+            let mut reference_rng = StdRng::seed_from_u64(17);
+            for &bit in &order {
+                let want = match (covered.contains(&bit), p) {
+                    (false, _) => true,
+                    (true, Some(p)) => reference_rng.gen::<f64>() < p,
+                    (true, None) => false,
+                };
+                assert_eq!(variant.flip_survives(bit, &mut rng), want, "{bit:?}");
+            }
+            assert_eq!(
+                rng.next_u64(),
+                reference_rng.next_u64(),
+                "{}",
+                variant.name()
+            );
+        }
+        let set = HardenedSet::new(
+            picked.iter().chain(&picked).copied(),
+            HardeningModel::default(),
+        );
+        assert_eq!(set.len(), picked.len());
+        assert_eq!(ScfiFsm::new().len() + DupConfigVote::new().len(), all.len());
+    }
 
     #[test]
     fn unhardened_bits_always_flip() {

@@ -16,7 +16,6 @@ use crate::lifetime::{default_sample_cycles, RegisterCharacterization, RegisterK
 use crate::model::SystemModel;
 use crate::space::SampleSpace;
 use crate::trace::TraceSink;
-use std::collections::{HashMap, HashSet, VecDeque};
 use xlmc_netlist::{CellKind, GateId};
 use xlmc_soc::golden::GoldenRun;
 use xlmc_soc::workloads;
@@ -30,12 +29,14 @@ pub struct Precharacterization {
     pub correlation: CorrelationData,
     /// Step 3: register lifetime/contamination and classification.
     pub registers: RegisterCharacterization,
-    /// Derived `L(g)` for every sample-space cell.
-    cell_lifetime: HashMap<GateId, u32>,
+    /// Derived `L(g)` for every sample-space cell, indexed by
+    /// [`GateId::index`] (0 off the space).
+    cell_lifetime: Vec<u32>,
     /// Derived responding-signal suppression correlation for every
     /// sample-space cell (registers: their own measured fraction;
-    /// combinational cells: the maximum over their latch targets).
-    cell_suppress: HashMap<GateId, f64>,
+    /// combinational cells: the maximum over their latch targets), indexed
+    /// like `cell_lifetime`.
+    cell_suppress: Vec<f64>,
     /// Length of the synthetic golden run used.
     pub synthetic_cycles: u64,
 }
@@ -108,7 +109,7 @@ impl Precharacterization {
     /// The error lifetime `L(g)` of a sample-space cell (0 for cells whose
     /// errors reach no register).
     pub fn cell_lifetime(&self, g: GateId) -> u32 {
-        self.cell_lifetime.get(&g).copied().unwrap_or(0)
+        self.cell_lifetime.get(g.index()).copied().unwrap_or(0)
     }
 
     /// The injection-measured responding-signal *suppression* correlation
@@ -116,7 +117,7 @@ impl Precharacterization {
     /// for a combinational cell the maximum over the registers that can
     /// latch its transient (its DFF-free forward closure).
     pub fn cell_suppress(&self, g: GateId) -> f64 {
-        self.cell_suppress.get(&g).copied().unwrap_or(0.0)
+        self.cell_suppress.get(g.index()).copied().unwrap_or(0.0)
     }
 
     /// The classification of a DFF cell, `None` for non-register cells.
@@ -129,51 +130,62 @@ impl Precharacterization {
 /// registers carry their measured values; combinational cells inherit the
 /// maximum over the registers in their DFF-free forward closure (the
 /// registers their transient can latch into).
+///
+/// One memoized pass: a combinational cell's value is the maximum over its
+/// fanouts of a register fanout's measured value or a combinational
+/// fanout's own value — the same maximum over the same register set as a
+/// walk of the closure. Both tables are indexed by [`GateId::index`] and
+/// hold 0 off the sample space.
 fn derive_cell_characters(
     model: &SystemModel,
     space: &SampleSpace,
     registers: &RegisterCharacterization,
-) -> (HashMap<GateId, u32>, HashMap<GateId, f64>) {
+) -> (Vec<u32>, Vec<f64>) {
     let netlist = model.mpu.netlist();
     let fanouts = netlist.fanouts();
-    let mut lifetimes = HashMap::new();
-    let mut suppress = HashMap::new();
-    for &g in &space.all_cells() {
-        let (lifetime, supp) = if netlist.gate(g).kind == CellKind::Dff {
-            model
-                .mpu
-                .bit_of(g)
-                .map(|b| {
-                    let c = registers.bit(b);
-                    (c.lifetime, c.rs_suppress_fraction)
-                })
-                .unwrap_or((0, 0.0))
-        } else {
-            // Forward closure up to (and including) the first registers.
-            let mut best_l = 0u32;
-            let mut best_s = 0.0f64;
-            let mut seen: HashSet<GateId> = HashSet::new();
-            let mut queue: VecDeque<GateId> = VecDeque::from([g]);
-            while let Some(id) = queue.pop_front() {
-                if !seen.insert(id) {
-                    continue;
-                }
-                if netlist.gate(id).kind == CellKind::Dff {
-                    if let Some(bit) = model.mpu.bit_of(id) {
-                        let c = registers.bit(bit);
-                        best_l = best_l.max(c.lifetime);
-                        best_s = best_s.max(c.rs_suppress_fraction);
-                    }
-                    continue;
-                }
-                for &c in fanouts.of(id) {
-                    queue.push_back(c);
-                }
+    let measured = |g: GateId| {
+        model
+            .mpu
+            .bit_of(g)
+            .map(|b| {
+                let c = registers.bit(b);
+                (c.lifetime, c.rs_suppress_fraction)
+            })
+            .unwrap_or((0, 0.0))
+    };
+    let mut memo: Vec<Option<(u32, f64)>> = vec![None; netlist.len()];
+    let mut stack = Vec::new();
+    let mut lifetimes = vec![0; netlist.len()];
+    let mut suppress = vec![0.0; netlist.len()];
+    for g in space.all_cells() {
+        // Post-order over the DFF-free forward closure (the combinational
+        // graph is acyclic, so the walk ends at registers and sinks).
+        stack.push(g);
+        while let Some(&id) = stack.last() {
+            if memo[id.index()].is_some() {
+                stack.pop();
+                continue;
             }
-            (best_l, best_s)
-        };
-        lifetimes.insert(g, lifetime);
-        suppress.insert(g, supp);
+            if netlist.gate(id).kind == CellKind::Dff {
+                memo[id.index()] = Some(measured(id));
+                stack.pop();
+                continue;
+            }
+            let depth = stack.len();
+            stack.extend(fanouts.of(id).iter().filter(|c| memo[c.index()].is_none()));
+            if stack.len() > depth {
+                continue;
+            }
+            let best = fanouts.of(id).iter().fold((0u32, 0.0f64), |(l, s), c| {
+                let (cl, cs) = memo[c.index()].expect("fanouts resolved first");
+                (l.max(cl), s.max(cs))
+            });
+            memo[id.index()] = Some(best);
+            stack.pop();
+        }
+        let (l, s) = memo[g.index()].expect("resolved above");
+        lifetimes[g.index()] = l;
+        suppress[g.index()] = s;
     }
     (lifetimes, suppress)
 }
@@ -183,6 +195,77 @@ mod tests {
     use super::*;
     use crate::lifetime::LIFETIME_CAP;
     use xlmc_soc::MpuBit;
+
+    /// The per-cell closure walk the memoized pass replaces: a fresh
+    /// `HashSet` BFS from every combinational cell. Kept as the test
+    /// oracle.
+    fn reference_character(
+        model: &SystemModel,
+        registers: &RegisterCharacterization,
+        g: GateId,
+    ) -> (u32, f64) {
+        use std::collections::{HashSet, VecDeque};
+        let netlist = model.mpu.netlist();
+        let fanouts = netlist.fanouts();
+        if netlist.gate(g).kind == CellKind::Dff {
+            return model
+                .mpu
+                .bit_of(g)
+                .map(|b| {
+                    let c = registers.bit(b);
+                    (c.lifetime, c.rs_suppress_fraction)
+                })
+                .unwrap_or((0, 0.0));
+        }
+        let mut best_l = 0u32;
+        let mut best_s = 0.0f64;
+        let mut seen: HashSet<GateId> = HashSet::new();
+        let mut queue: VecDeque<GateId> = VecDeque::from([g]);
+        while let Some(id) = queue.pop_front() {
+            if !seen.insert(id) {
+                continue;
+            }
+            if netlist.gate(id).kind == CellKind::Dff {
+                if let Some(bit) = model.mpu.bit_of(id) {
+                    let c = registers.bit(bit);
+                    best_l = best_l.max(c.lifetime);
+                    best_s = best_s.max(c.rs_suppress_fraction);
+                }
+                continue;
+            }
+            for &c in fanouts.of(id) {
+                queue.push_back(c);
+            }
+        }
+        (best_l, best_s)
+    }
+
+    #[test]
+    fn memoized_characters_equal_the_per_cell_walk() {
+        let model = SystemModel::with_defaults().unwrap();
+        for (t_max, halo) in [(8, 0.0), (50, 1.0)] {
+            let p = Precharacterization::run(&model, t_max, halo);
+            let cells = p.space.all_cells();
+            for &g in &cells {
+                let (l, s) = reference_character(&model, &p.registers, g);
+                assert_eq!(
+                    (p.cell_lifetime(g), p.cell_suppress(g).to_bits()),
+                    (l, s.to_bits()),
+                    "{g} at t_max {t_max}, halo {halo}"
+                );
+            }
+            // Cells off the space keep the old map's defaults.
+            let off = model
+                .mpu
+                .netlist()
+                .iter()
+                .map(|(id, _)| id)
+                .find(|g| cells.binary_search(g).is_err())
+                .expect("the space is smaller than the netlist");
+            assert_eq!((p.cell_lifetime(off), p.cell_suppress(off)), (0, 0.0));
+            assert_eq!(p.cell_lifetime(GateId(u32::MAX)), 0);
+        }
+    }
 
     fn prechar() -> (SystemModel, Precharacterization) {
         let model = SystemModel::with_defaults().unwrap();

@@ -406,6 +406,39 @@ impl ImportanceSampling {
     ) -> Self {
         let support = spatial_support(&f);
         let smoothing_radius = radius_options.iter().cloned().fold(0.0, f64::max);
+        // A support cell's spot neighbours do not depend on the frame: list
+        // them once per (support cell, radius option), indexed like
+        // `support`, and share them across every frame.
+        let neighbours: Vec<Vec<Vec<GateId>>> = if smoothing_radius > 0.0 {
+            radius_options
+                .iter()
+                .map(|&r| {
+                    support
+                        .iter()
+                        .map(|&c| {
+                            if r > 0.0 {
+                                model.placement.cells_within(c, r)
+                            } else {
+                                Vec::new()
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        // Each support cell's position in `support`, and each frame's raw
+        // weights (`None` off the frame; reset after every frame), both
+        // indexed by `GateId::index`.
+        let mut support_slot: Vec<Option<usize>> = vec![None; model.mpu.netlist().len()];
+        for (k, g) in support.iter().enumerate() {
+            // A foreign id lies in no frame; leave it out of the table.
+            if let Some(slot) = support_slot.get_mut(g.index()) {
+                *slot = Some(k);
+            }
+        }
+        let mut raw: Vec<Option<f64>> = vec![None; model.mpu.netlist().len()];
         let frames = prechar
             .space
             .frames()
@@ -417,8 +450,7 @@ impl ImportanceSampling {
                 // signature-measured and injection-measured values
                 // (persistent state rarely toggles, so signatures alone
                 // under-weight it).
-                let raw_weight = |g: GateId| {
-                    let mut corr = prechar.correlation.corr(g, fr.frame);
+                let raw_weight = |g: GateId, mut corr: f64| {
                     // The injection-measured suppression correlation is a
                     // persistence signal: an error latched into a register
                     // acts from the *next* cycle on, so it only applies to
@@ -434,17 +466,18 @@ impl ImportanceSampling {
                 // Each cell's raw weight depends only on (cell, frame), but
                 // the smoothing pass below reads it once per (cell, radius,
                 // neighbor) triple — precompute the whole frame once. The
-                // map also answers frame membership, replacing the separate
-                // `in_frame` set.
-                let raw: std::collections::HashMap<GateId, f64> =
-                    fr.cells.iter().map(|&g| (g, raw_weight(g))).collect();
-                let mut cells: Vec<GateId> = fr
+                // table also answers frame membership.
+                let corr = prechar.correlation.corr_sorted(fr.frame, &fr.cells);
+                for (&g, &c) in fr.cells.iter().zip(&corr) {
+                    raw[g.index()] = Some(raw_weight(g, c));
+                }
+                // The frame's support cells (sorted, like both inputs),
+                // each with its position in `support`.
+                let (cells, slots): (Vec<GateId>, Vec<usize>) = fr
                     .cells
                     .iter()
-                    .copied()
-                    .filter(|g| support.binary_search(g).is_ok())
-                    .collect();
-                cells.sort_unstable();
+                    .filter_map(|&g| support_slot[g.index()].map(|k| (g, k)))
+                    .unzip();
                 // Spatial smoothing: a strike at center c impacts every
                 // cell within the sampled spot radius, so the importance of
                 // c is the radius-distribution average of the best raw
@@ -453,19 +486,18 @@ impl ImportanceSampling {
                 // of flattening the whole neighborhood.
                 let weights: Vec<f64> = cells
                     .iter()
-                    .map(|&c| {
-                        let raw_c = raw[&c];
+                    .zip(&slots)
+                    .map(|(&c, &k)| {
+                        let raw_c = raw[c.index()].expect("frame cell");
                         if smoothing_radius <= 0.0 {
                             return raw_c;
                         }
                         let mut acc = 0.0;
-                        for &r in &radius_options {
+                        for near in &neighbours {
                             let mut best = raw_c;
-                            if r > 0.0 {
-                                for g in model.placement.cells_within(c, r) {
-                                    if let Some(&w) = raw.get(&g) {
-                                        best = best.max(w);
-                                    }
+                            for g in &near[k] {
+                                if let Some(w) = raw[g.index()] {
+                                    best = best.max(w);
                                 }
                             }
                             acc += best;
@@ -473,6 +505,9 @@ impl ImportanceSampling {
                         acc / radius_options.len() as f64
                     })
                     .collect();
+                for &g in &fr.cells {
+                    raw[g.index()] = None;
+                }
                 Frame::from_weights(fr.t, cells, weights)
             })
             .filter(|fr| !fr.cells.is_empty())
@@ -521,6 +556,112 @@ mod tests {
         };
         let prechar = Precharacterization::run(&model, cfg.t_max, cfg.max_radius());
         (model, prechar, cfg)
+    }
+
+    /// The strategy build the dense one replaces: a `HashMap` of raw
+    /// weights per frame and a fresh `cells_within` call per (cell, radius)
+    /// in every frame. Kept as the test oracle.
+    fn reference_frames(
+        f: &AttackDistribution,
+        model: &SystemModel,
+        prechar: &Precharacterization,
+        alpha: f64,
+        beta: f64,
+        radius_options: &[f64],
+    ) -> Vec<Frame> {
+        let support = spatial_support(f);
+        let smoothing_radius = radius_options.iter().cloned().fold(0.0, f64::max);
+        prechar
+            .space
+            .frames()
+            .iter()
+            .map(|fr| {
+                let raw_weight = |g: GateId| {
+                    let mut corr = prechar.correlation.corr(g, fr.frame);
+                    if fr.frame >= 1 {
+                        corr = corr.max(prechar.cell_suppress(g));
+                    }
+                    let lifetime_ok = f64::from(prechar.cell_lifetime(g)) >= beta * fr.frame as f64;
+                    1.0 + alpha * corr * f64::from(u8::from(lifetime_ok))
+                };
+                let raw: std::collections::HashMap<GateId, f64> =
+                    fr.cells.iter().map(|&g| (g, raw_weight(g))).collect();
+                let mut cells: Vec<GateId> = fr
+                    .cells
+                    .iter()
+                    .copied()
+                    .filter(|g| support.binary_search(g).is_ok())
+                    .collect();
+                cells.sort_unstable();
+                let weights: Vec<f64> = cells
+                    .iter()
+                    .map(|&c| {
+                        let raw_c = raw[&c];
+                        if smoothing_radius <= 0.0 {
+                            return raw_c;
+                        }
+                        let mut acc = 0.0;
+                        for &r in radius_options {
+                            let mut best = raw_c;
+                            if r > 0.0 {
+                                for g in model.placement.cells_within(c, r) {
+                                    if let Some(&w) = raw.get(&g) {
+                                        best = best.max(w);
+                                    }
+                                }
+                            }
+                            acc += best;
+                        }
+                        acc / radius_options.len() as f64
+                    })
+                    .collect();
+                Frame::from_weights(fr.t, cells, weights)
+            })
+            .filter(|fr| !fr.cells.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn importance_frames_equal_the_reference_build_bit_for_bit() {
+        let model = SystemModel::with_defaults().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (t_max, radius_options) in [
+            (6, vec![0.0, 1.0]),
+            (50, vec![0.0, 1.0]),
+            (8, vec![0.0]),
+            (8, vec![2.0, 0.0, 1.0]),
+        ] {
+            let cfg = ExperimentConfig {
+                t_max,
+                radius_options: radius_options.clone(),
+                ..Default::default()
+            };
+            let prechar = Precharacterization::run(&model, cfg.t_max, cfg.max_radius());
+            let f = baseline_distribution(&model, &cfg);
+            let is = ImportanceSampling::new(
+                f.clone(),
+                &model,
+                &prechar,
+                cfg.alpha,
+                cfg.beta,
+                radius_options.clone(),
+            );
+            let want = reference_frames(&f, &model, &prechar, cfg.alpha, cfg.beta, &radius_options);
+            let got = &is.inner.frames;
+            assert_eq!(
+                got.len(),
+                want.len(),
+                "t_max {t_max}, radii {radius_options:?}"
+            );
+            for (g, w) in got.iter().zip(&want) {
+                let what = format!("t {} at t_max {t_max}, radii {radius_options:?}", w.t);
+                assert_eq!(g.t, w.t, "{what}");
+                assert_eq!(g.cells, w.cells, "{what}");
+                assert_eq!(bits(&g.weights), bits(&w.weights), "{what}");
+                assert_eq!(bits(&g.cum), bits(&w.cum), "{what}");
+                assert_eq!(g.total.to_bits(), w.total.to_bits(), "{what}");
+            }
+        }
     }
 
     #[test]

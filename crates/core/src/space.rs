@@ -17,7 +17,6 @@
 //! success-capable centers.
 
 use crate::model::SystemModel;
-use std::collections::HashSet;
 use xlmc_netlist::cones;
 use xlmc_netlist::{CellKind, GateId};
 
@@ -52,30 +51,34 @@ impl SampleSpace {
         let netlist = model.mpu.netlist();
         let rs = model.mpu.responding_signal();
         let cone = cones::cone_set(netlist, rs, (t_max - 1) as u32, 1);
-        let placeable: HashSet<GateId> = model.placement.placeable().iter().copied().collect();
+        let mut placeable = vec![false; netlist.len()];
+        for &g in model.placement.placeable() {
+            placeable[g.index()] = true;
+        }
+        let is_placeable = |g: &GateId| placeable[g.index()];
 
-        let mut frames = Vec::with_capacity(t_max as usize);
+        let mut frames: Vec<TimingFrame> = Vec::with_capacity(t_max as usize);
         for t in 1..=t_max {
             let frame = (t - 1) as i32;
             let mut cone_cells: Vec<GateId> = cone
                 .frame(frame)
                 .iter()
                 .copied()
-                .filter(|g| placeable.contains(g))
+                .filter(is_placeable)
                 .collect();
             if t == 1 {
                 // The fanout side: the responding-signal register (and any
                 // logic between it and the core) is attackable with t = 1.
-                cone_cells.extend(
-                    cone.frame(-1)
-                        .iter()
-                        .copied()
-                        .filter(|g| placeable.contains(g)),
-                );
+                cone_cells.extend(cone.frame(-1).iter().copied().filter(is_placeable));
                 cone_cells.sort_unstable();
                 cone_cells.dedup();
             }
-            let cells = expand_halo(model, &cone_cells, halo_radius);
+            // Deep frames repeat the steady config loop: expand each
+            // distinct cone list once.
+            let cells = match frames.last() {
+                Some(prev) if prev.cone_cells == cone_cells => prev.cells.clone(),
+                _ => expand_halo(model, &cone_cells, halo_radius),
+            };
             frames.push(TimingFrame {
                 t,
                 frame,
@@ -127,26 +130,98 @@ impl SampleSpace {
     }
 }
 
-/// Cone cells plus every placeable cell within `radius` of one of them.
+/// Cone cells plus every placeable cell within `radius` of one of them,
+/// sorted, collected through a dense `GateId`-indexed membership table.
 fn expand_halo(model: &SystemModel, cone_cells: &[GateId], radius: f64) -> Vec<GateId> {
     if radius <= 0.0 {
         return cone_cells.to_vec();
     }
-    let mut out: HashSet<GateId> = cone_cells.iter().copied().collect();
+    let mut member = vec![false; model.mpu.netlist().len()];
+    let mut out = Vec::new();
+    let mut near = Vec::new();
     for &c in cone_cells {
-        for g in model.placement.cells_within(c, radius) {
-            out.insert(g);
+        model.placement.cells_within_into(c, radius, &mut near);
+        for &g in std::iter::once(&c).chain(&near) {
+            if !std::mem::replace(&mut member[g.index()], true) {
+                out.push(g);
+            }
         }
     }
-    let mut v: Vec<GateId> = out.into_iter().collect();
-    v.sort_unstable();
-    v
+    out.sort_unstable();
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use xlmc_soc::MpuBit;
+
+    /// The per-frame build the dense, reusing one replaces: a `HashSet`
+    /// placeable filter and a fresh halo expansion for every frame. Kept
+    /// as the test oracle.
+    fn reference_build(model: &SystemModel, t_max: i64, halo_radius: f64) -> Vec<TimingFrame> {
+        let netlist = model.mpu.netlist();
+        let rs = model.mpu.responding_signal();
+        let cone = cones::cone_set(netlist, rs, (t_max - 1) as u32, 1);
+        let placeable: HashSet<GateId> = model.placement.placeable().iter().copied().collect();
+        let expand = |cone_cells: &[GateId]| {
+            if halo_radius <= 0.0 {
+                return cone_cells.to_vec();
+            }
+            let mut out: HashSet<GateId> = cone_cells.iter().copied().collect();
+            for &c in cone_cells {
+                out.extend(model.placement.cells_within(c, halo_radius));
+            }
+            let mut v: Vec<GateId> = out.into_iter().collect();
+            v.sort_unstable();
+            v
+        };
+        (1..=t_max)
+            .map(|t| {
+                let frame = (t - 1) as i32;
+                let mut cone_cells: Vec<GateId> = cone
+                    .frame(frame)
+                    .iter()
+                    .copied()
+                    .filter(|g| placeable.contains(g))
+                    .collect();
+                if t == 1 {
+                    cone_cells.extend(
+                        cone.frame(-1)
+                            .iter()
+                            .copied()
+                            .filter(|g| placeable.contains(g)),
+                    );
+                    cone_cells.sort_unstable();
+                    cone_cells.dedup();
+                }
+                let cells = expand(&cone_cells);
+                TimingFrame {
+                    t,
+                    frame,
+                    cone_cells,
+                    cells,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn build_equals_the_per_frame_reference() {
+        let m = model();
+        for (t_max, halo) in [(8, 0.0), (8, 1.0), (50, 0.0), (50, 1.0)] {
+            let space = SampleSpace::build(&m, t_max, halo);
+            let want = reference_build(&m, t_max, halo);
+            assert_eq!(space.frames().len(), want.len());
+            for (got, want) in space.frames().iter().zip(&want) {
+                let what = format!("t {} at t_max {t_max}, halo {halo}", want.t);
+                assert_eq!((got.t, got.frame), (want.t, want.frame), "{what}");
+                assert_eq!(got.cone_cells, want.cone_cells, "{what}");
+                assert_eq!(got.cells, want.cells, "{what}");
+            }
+        }
+    }
 
     fn model() -> SystemModel {
         SystemModel::with_defaults().unwrap()

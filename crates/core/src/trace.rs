@@ -33,12 +33,13 @@ use crate::json::{json_escape, json_num, JsonValue};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 use xlmc_netlist::GateId;
-use xlmc_soc::MpuBit;
+use xlmc_soc::{MpuBit, MpuBitMask};
 
 /// Format tag of the trace file (top-level `"format"` key; extra top-level
 /// keys are ignored by Perfetto, which only reads `"traceEvents"`).
@@ -398,20 +399,39 @@ impl KernelCounters {
 /// (lane-batch order folded back to run-index order) agree exactly.
 #[derive(Default)]
 pub(crate) struct CounterScratch {
-    seen_te: HashSet<u64>,
-    /// Campaign-lifetime intern table: each distinct error pattern pays one
-    /// `Box<[MpuBit]>` allocation ever; the per-chunk membership set below
-    /// stores only `(te, pattern id)` pairs, so the hot path is
-    /// allocation-free once the pattern vocabulary is warm.
-    interner: HashMap<Box<[MpuBit]>, u32>,
-    /// Conclusion keys seen this chunk, as `(te, interned pattern id)`.
-    seen: HashSet<(u64, u32)>,
+    seen_te: HashSet<u64, BuildHasherDefault<WordHasher>>,
+    /// Conclusion keys seen this chunk: the injection cycle and the error
+    /// pattern packed by [`MpuBit::index`]. Every run path hands over its
+    /// bits sorted and deduplicated, one order per set, so the packed set
+    /// separates exactly the patterns the conclusion memo separates.
+    seen: HashSet<(u64, MpuBitMask), BuildHasherDefault<WordHasher>>,
     rtl_seen: bool,
 }
 
+/// Word-multiply hasher for the counter sets, whose keys are a few `u64`
+/// words: a rotate-xor-multiply fold per word, with the high half folded
+/// down at the end so the table index sees every word.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
 impl CounterScratch {
-    /// Reset for a new chunk (keeps allocations — and the intern table,
-    /// which is chunk-independent).
+    /// Reset for a new chunk (keeps allocations).
     pub(crate) fn begin_chunk(&mut self) {
         self.seen_te.clear();
         self.seen.clear();
@@ -441,15 +461,7 @@ impl CounterScratch {
             // Masked after hardening: the conclusion memo is never consulted.
             return;
         }
-        let id = match self.interner.get(bits) {
-            Some(&id) => id,
-            None => {
-                let id = u32::try_from(self.interner.len()).expect("< 2^32 distinct patterns");
-                self.interner.insert(bits.into(), id);
-                id
-            }
-        };
-        if !self.seen.insert((te, id)) {
+        if !self.seen.insert((te, bits.iter().copied().collect())) {
             c.conclusion_memo_hits += 1;
             return;
         }

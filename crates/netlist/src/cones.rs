@@ -10,7 +10,7 @@
 
 use crate::cell::CellKind;
 use crate::netlist::{GateId, Netlist};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The set of gates belonging to one unrolled frame of a cone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -104,27 +104,26 @@ impl ConeSet {
 /// Returns `(gates_in_frame, frontier_dff_d_pins)`: the closure includes the
 /// seeds, every combinational gate reached, and every DFF whose *output* is
 /// consumed (the DFF belongs to the frame; its D-pin driver seeds the next,
-/// earlier frame).
+/// earlier frame). Visited gates are marked in a dense `GateId`-indexed
+/// table.
 fn backward_closure(netlist: &Netlist, seeds: &[GateId]) -> (Vec<GateId>, Vec<GateId>) {
-    let mut seen: HashSet<GateId> = HashSet::new();
+    let mut seen = vec![false; netlist.len()];
+    let mut gates = Vec::new();
     let mut frontier_d = Vec::new();
     let mut queue: VecDeque<GateId> = seeds.iter().copied().collect();
     while let Some(id) = queue.pop_front() {
-        if !seen.insert(id) {
+        if std::mem::replace(&mut seen[id.index()], true) {
             continue;
         }
+        gates.push(id);
         let gate = netlist.gate(id);
         match gate.kind {
             CellKind::Dff => frontier_d.push(gate.fanin[0]),
             CellKind::Input | CellKind::Const(_) => {}
-            _ => {
-                for &f in &gate.fanin {
-                    queue.push_back(f);
-                }
-            }
+            _ => queue.extend(gate.fanin.iter().copied()),
         }
     }
-    (seen.into_iter().collect(), frontier_d)
+    (gates, frontier_d)
 }
 
 /// Forward combinational closure from a seed set.
@@ -138,23 +137,26 @@ fn forward_closure(
     fanouts: &crate::netlist::FanoutAdjacency,
     seeds: &[GateId],
 ) -> (Vec<GateId>, Vec<GateId>) {
-    let mut seen: HashSet<GateId> = HashSet::new();
+    let mut is_seed = vec![false; netlist.len()];
+    for &s in seeds {
+        is_seed[s.index()] = true;
+    }
+    let mut seen = vec![false; netlist.len()];
+    let mut gates = Vec::new();
     let mut frontier_q = Vec::new();
     let mut queue: VecDeque<GateId> = seeds.iter().copied().collect();
     while let Some(id) = queue.pop_front() {
-        if !seen.insert(id) {
+        if std::mem::replace(&mut seen[id.index()], true) {
             continue;
         }
-        let gate = netlist.gate(id);
-        if gate.kind == CellKind::Dff && !seeds.contains(&id) {
+        gates.push(id);
+        if netlist.gate(id).kind == CellKind::Dff && !is_seed[id.index()] {
             frontier_q.push(id);
             continue;
         }
-        for &consumer in fanouts.of(id) {
-            queue.push_back(consumer);
-        }
+        queue.extend(fanouts.of(id).iter().copied());
     }
-    (seen.into_iter().collect(), frontier_q)
+    (gates, frontier_q)
 }
 
 /// Fanin cones of `signal` for frames `0..=max_frame`.
@@ -162,10 +164,24 @@ fn forward_closure(
 /// Frame 0 contains `signal`, its backward combinational closure and the DFFs
 /// directly feeding that logic; frame `i+1` continues from the D pins of the
 /// DFFs of frame `i`.
+///
+/// A frame is a function of its seed *set* alone, so once a frame's sorted,
+/// deduplicated seeds equal the previous frame's, every later frame repeats
+/// it (a register loop's steady state) and is copied instead of walked.
 pub fn fanin_cone(netlist: &Netlist, signal: GateId, max_frame: u32) -> ConeSet {
     let mut set = ConeSet::default();
     let mut seeds = vec![signal];
+    let mut prev_seeds: Vec<GateId> = Vec::new();
     for frame in 0..=max_frame {
+        seeds.sort_unstable();
+        seeds.dedup();
+        if frame > 0 && seeds == prev_seeds {
+            let steady = set.frame(frame as i32 - 1).clone();
+            for later in frame..=max_frame {
+                set.frames.insert(later as i32, steady.clone());
+            }
+            break;
+        }
         let (gates, frontier_d) = backward_closure(netlist, &seeds);
         if gates.is_empty() {
             break;
@@ -174,7 +190,7 @@ pub fn fanin_cone(netlist: &Netlist, signal: GateId, max_frame: u32) -> ConeSet 
         if frontier_d.is_empty() {
             break;
         }
-        seeds = frontier_d;
+        prev_seeds = std::mem::replace(&mut seeds, frontier_d);
     }
     set
 }
@@ -220,9 +236,193 @@ pub fn cone_set(
     set
 }
 
+/// The plain per-frame BFS the dense, fixed-point walks above replace:
+/// `HashSet`-marked closures, every frame walked. Kept as the test oracle.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use std::collections::HashSet;
+
+    fn backward_closure(netlist: &Netlist, seeds: &[GateId]) -> (Vec<GateId>, Vec<GateId>) {
+        let mut seen: HashSet<GateId> = HashSet::new();
+        let mut frontier_d = Vec::new();
+        let mut queue: VecDeque<GateId> = seeds.iter().copied().collect();
+        while let Some(id) = queue.pop_front() {
+            if !seen.insert(id) {
+                continue;
+            }
+            let gate = netlist.gate(id);
+            match gate.kind {
+                CellKind::Dff => frontier_d.push(gate.fanin[0]),
+                CellKind::Input | CellKind::Const(_) => {}
+                _ => {
+                    for &f in &gate.fanin {
+                        queue.push_back(f);
+                    }
+                }
+            }
+        }
+        (seen.into_iter().collect(), frontier_d)
+    }
+
+    fn forward_closure(netlist: &Netlist, seeds: &[GateId]) -> (Vec<GateId>, Vec<GateId>) {
+        let fanouts = netlist.fanouts();
+        let mut seen: HashSet<GateId> = HashSet::new();
+        let mut frontier_q = Vec::new();
+        let mut queue: VecDeque<GateId> = seeds.iter().copied().collect();
+        while let Some(id) = queue.pop_front() {
+            if !seen.insert(id) {
+                continue;
+            }
+            let gate = netlist.gate(id);
+            if gate.kind == CellKind::Dff && !seeds.contains(&id) {
+                frontier_q.push(id);
+                continue;
+            }
+            for &consumer in fanouts.of(id) {
+                queue.push_back(consumer);
+            }
+        }
+        (seen.into_iter().collect(), frontier_q)
+    }
+
+    pub(crate) fn cone_set(
+        netlist: &Netlist,
+        signal: GateId,
+        max_fanin_frame: u32,
+        max_fanout_frame: u32,
+    ) -> ConeSet {
+        let mut set = ConeSet::default();
+        let mut seeds = vec![signal];
+        for frame in 0..=max_fanin_frame {
+            let (gates, frontier_d) = backward_closure(netlist, &seeds);
+            if gates.is_empty() {
+                break;
+            }
+            set.insert(frame as i32, gates);
+            if frontier_d.is_empty() {
+                break;
+            }
+            seeds = frontier_d;
+        }
+        let mut seeds = vec![signal];
+        for frame in 1..=max_fanout_frame {
+            let (mut gates, frontier_q) = forward_closure(netlist, &seeds);
+            gates.extend(frontier_q.iter().copied());
+            if gates.is_empty() {
+                break;
+            }
+            set.insert(-(frame as i32), gates);
+            if frontier_q.is_empty() {
+                break;
+            }
+            seeds = frontier_q;
+        }
+        set
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn assert_frames_equal(got: &ConeSet, want: &ConeSet, what: &str) {
+        assert_eq!(got.frame_indices(), want.frame_indices(), "{what}");
+        for (i, cone) in want.iter() {
+            assert_eq!(got.frame(i), cone, "{what}: frame {i}");
+        }
+    }
+
+    /// A miniature MPU: a configuration bank with hold-mux self-loops
+    /// written from an input bus, request pipeline registers, a comparator
+    /// combining both into the responding signal `viol`, its register and
+    /// a sticky flag behind it.
+    fn config_loop_pipeline(regs: usize) -> (Netlist, GateId) {
+        let mut n = Netlist::new();
+        let wen = n.add_input("wen");
+        let mut terms = Vec::new();
+        for r in 0..regs {
+            let wdata = n.add_input(format!("wdata{r}"));
+            let req = n.add_input(format!("req{r}"));
+            let placeholder = n.add_const(false);
+            let cfg = n.add_dff(format!("cfg{r}"), placeholder);
+            let hold = n.add_gate(CellKind::Mux, &[wen, cfg, wdata]);
+            n.set_fanin(cfg, vec![hold]);
+            let pipe = n.add_dff(format!("pipe{r}"), req);
+            terms.push(n.add_gate(CellKind::Xor, &[cfg, pipe]));
+        }
+        let viol = n.add_gate(CellKind::Or, &terms);
+        let q = n.add_dff("viol_q", viol);
+        let placeholder = n.add_const(false);
+        let sticky = n.add_dff("sticky", placeholder);
+        let d = n.add_gate(CellKind::Or, &[sticky, q]);
+        n.set_fanin(sticky, vec![d]);
+        n.add_output("y", q);
+        (n, viol)
+    }
+
+    /// A random sequential netlist: combinational gates read earlier gates
+    /// or any register; register D pins read any gate (loops included).
+    fn random_netlist(seed: u64, inputs: usize, dffs: usize, gates: usize) -> Netlist {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut n = Netlist::new();
+        let mut pool: Vec<GateId> = (0..inputs).map(|i| n.add_input(format!("i{i}"))).collect();
+        let placeholder = n.add_const(false);
+        let regs: Vec<GateId> = (0..dffs)
+            .map(|i| n.add_dff(format!("r{i}"), placeholder))
+            .collect();
+        pool.extend(&regs);
+        for _ in 0..gates {
+            let kind =
+                [CellKind::And, CellKind::Or, CellKind::Xor, CellKind::Nand][rng.gen_range(0..4)];
+            let a = pool[rng.gen_range(0..pool.len())];
+            let b = pool[rng.gen_range(0..pool.len())];
+            pool.push(n.add_gate(kind, &[a, b]));
+        }
+        for &r in &regs {
+            let d = pool[rng.gen_range(0..pool.len())];
+            n.set_fanin(r, vec![d]);
+        }
+        n
+    }
+
+    #[test]
+    fn fixed_point_cones_equal_the_per_frame_bfs_on_a_config_loop() {
+        let (n, viol) = config_loop_pipeline(8);
+        for t_max in [8u32, 50] {
+            let got = cone_set(&n, viol, t_max - 1, 1);
+            let want = reference::cone_set(&n, viol, t_max - 1, 1);
+            assert_frames_equal(&got, &want, &format!("t_max {t_max}"));
+        }
+        // Deep frames are the steady config loop.
+        let cones = cone_set(&n, viol, 49, 1);
+        assert_eq!(cones.frame(2), cones.frame(49));
+        assert!(!cones.frame(49).is_empty());
+    }
+
+    proptest! {
+        #[test]
+        fn fixed_point_cones_equal_the_per_frame_bfs_on_random_netlists(
+            seed in any::<u64>(),
+            dffs in 1usize..12,
+            gates in 1usize..40,
+            pick in any::<usize>(),
+        ) {
+            let n = random_netlist(seed, 3, dffs, gates);
+            let signal = GateId((pick % n.len()) as u32);
+            for t_max in [8u32, 50] {
+                let got = cone_set(&n, signal, t_max - 1, 1);
+                let want = reference::cone_set(&n, signal, t_max - 1, 1);
+                prop_assert_eq!(got.frame_indices(), want.frame_indices());
+                for (i, cone) in want.iter() {
+                    prop_assert_eq!(got.frame(i), cone, "frame {}", i);
+                }
+            }
+        }
+    }
 
     /// Two-stage pipeline:
     ///   a,b -> and1 -> dff1 -> not -> dff2 -> or(out, c)

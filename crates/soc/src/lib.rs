@@ -51,7 +51,7 @@ pub mod soc;
 pub mod workloads;
 
 pub use golden::GoldenRun;
-pub use mpu::{AccessKind, AccessReq, CfgWrite, MpuBit, MpuConfig, MpuState};
+pub use mpu::{AccessKind, AccessReq, CfgWrite, MpuBit, MpuBitMask, MpuConfig, MpuState};
 pub use mpu_synth::MpuNetlist;
 pub use soc::{AccessRecord, Master, Soc, StepEvents};
 pub use workloads::{AttackGoal, Workload};

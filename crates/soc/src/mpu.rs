@@ -287,6 +287,55 @@ impl MpuBit {
     }
 }
 
+/// A set of architectural bits packed like [`MpuState::packed`]: member `b`
+/// sets bit `b.index()`. Membership is a shift and a mask, and two sets
+/// compare and hash as three words.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MpuBitMask([u64; 3]);
+
+impl MpuBitMask {
+    /// Add a bit to the set.
+    pub fn insert(&mut self, bit: MpuBit) {
+        let i = bit.index();
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Whether the set holds `bit`.
+    pub fn contains(&self, bit: MpuBit) -> bool {
+        let i = bit.index();
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Number of bits in the set.
+    pub fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0 == [0; 3]
+    }
+}
+
+impl FromIterator<MpuBit> for MpuBitMask {
+    fn from_iter<I: IntoIterator<Item = MpuBit>>(bits: I) -> Self {
+        let mut mask = Self::default();
+        for bit in bits {
+            mask.insert(bit);
+        }
+        mask
+    }
+}
+
+impl std::hash::Hash for MpuBitMask {
+    /// Three `write_u64` calls, so word hashers see whole words.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        for w in self.0 {
+            state.write_u64(w);
+        }
+    }
+}
+
 /// The full register state of the MPU (one instance per SoC).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MpuState {
@@ -496,7 +545,7 @@ impl MpuState {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn open_config() -> MpuConfig {
@@ -738,7 +787,7 @@ mod tests {
     /// An arbitrary state, including the bits above each field's
     /// architectural width (`perms` 4 of 8, `pipe_kind`/`sticky_kind` 2 of
     /// 8) that [`MpuState::bit`] never reads.
-    fn state_from_raw(raw: [u64; 4]) -> MpuState {
+    pub(crate) fn state_from_raw(raw: [u64; 4]) -> MpuState {
         let mut regions = [MpuRegion::default(); NUM_REGIONS];
         for (r, region) in regions.iter_mut().enumerate() {
             let word = raw[r];
@@ -775,6 +824,28 @@ mod tests {
             let width = MpuBit::all().len();
             proptest::prop_assert_eq!(packed[2] >> (width - 128), 0, "bits past the last");
         }
+    }
+
+    #[test]
+    fn bit_mask_holds_exactly_its_members() {
+        let all = MpuBit::all();
+        let evens: MpuBitMask = all.iter().copied().step_by(2).collect();
+        assert_eq!(evens.len(), all.len().div_ceil(2));
+        for (k, &b) in all.iter().enumerate() {
+            assert_eq!(evens.contains(b), k % 2 == 0, "{b:?}");
+        }
+        let full: MpuBitMask = all.iter().copied().collect();
+        assert_eq!(full.len(), all.len());
+        assert!(MpuBitMask::default().is_empty());
+        // Set semantics: order and repeats do not matter.
+        let a: MpuBitMask = [MpuBit::Enable, MpuBit::StickyKind(1)]
+            .into_iter()
+            .collect();
+        let b: MpuBitMask = [MpuBit::StickyKind(1), MpuBit::Enable, MpuBit::Enable]
+            .into_iter()
+            .collect();
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -15,15 +15,19 @@
 //! functional model cycle-by-cycle on random stimulus.
 
 use crate::mpu::{AccessReq, CfgWrite, MpuBit, MpuState, ADDR_BITS, CFG_ENABLE_INDEX, NUM_REGIONS};
-use std::collections::HashMap;
 use xlmc_netlist::{BusBuilder, CellKind, GateId, Netlist};
 
 /// The elaborated MPU: netlist plus the cross-level register map.
 #[derive(Debug, Clone)]
 pub struct MpuNetlist {
     netlist: Netlist,
-    dff_for_bit: HashMap<MpuBit, GateId>,
-    bit_for_dff: HashMap<GateId, MpuBit>,
+    /// The DFF of every bit, indexed by [`MpuBit::index`].
+    dff_for_bit: Vec<GateId>,
+    /// The bit of every gate, indexed by [`GateId::index`] (`None` for
+    /// non-DFF gates).
+    bit_for_dff: Vec<Option<MpuBit>>,
+    /// The bit of each DFF, in [`Netlist::dffs`] order.
+    dff_bits: Vec<MpuBit>,
     viol_comb: GateId,
     violation_q: GateId,
 }
@@ -134,21 +138,29 @@ impl MpuNetlist {
         n.validate()
             .expect("MPU elaboration produced an invalid netlist");
 
-        let mut dff_for_bit = HashMap::new();
-        let mut bit_for_dff = HashMap::new();
-        for bit in MpuBit::all() {
-            let id = n
-                .resolve(&bit.dff_name())
-                .expect("elaboration must name every architectural bit");
-            dff_for_bit.insert(bit, id);
-            bit_for_dff.insert(id, bit);
-        }
+        let mut bit_for_dff = vec![None; n.len()];
+        let dff_for_bit: Vec<GateId> = MpuBit::all()
+            .into_iter()
+            .map(|bit| {
+                let id = n
+                    .resolve(&bit.dff_name())
+                    .expect("elaboration must name every architectural bit");
+                bit_for_dff[id.index()] = Some(bit);
+                id
+            })
+            .collect();
         debug_assert_eq!(dff_for_bit.len(), n.dffs().len());
+        let dff_bits = n
+            .dffs()
+            .iter()
+            .map(|d| bit_for_dff[d.index()].expect("every DFF holds a bit"))
+            .collect();
 
         Self {
             netlist: n,
             dff_for_bit,
             bit_for_dff,
+            dff_bits,
             viol_comb,
             violation_q,
         }
@@ -176,12 +188,13 @@ impl MpuNetlist {
     ///
     /// Panics for bits not in the map (cannot happen for [`MpuBit::all`]).
     pub fn dff(&self, bit: MpuBit) -> GateId {
-        self.dff_for_bit[&bit]
+        self.dff_for_bit[bit.index()]
     }
 
-    /// The architectural bit a DFF holds, `None` for non-DFF gates.
+    /// The architectural bit a DFF holds, `None` for non-DFF gates and ids
+    /// outside the netlist.
     pub fn bit_of(&self, dff: GateId) -> Option<MpuBit> {
-        self.bit_for_dff.get(&dff).copied()
+        self.bit_for_dff.get(dff.index()).copied().flatten()
     }
 
     /// Express an [`MpuState`] as a netlist state vector in
@@ -195,12 +208,12 @@ impl MpuNetlist {
     /// [`MpuNetlist::state_vector`] into a caller-owned buffer (cleared
     /// first).
     pub fn state_vector_into(&self, state: &MpuState, out: &mut Vec<bool>) {
+        let packed = state.packed();
         out.clear();
         out.extend(
-            self.netlist
-                .dffs()
+            self.dff_bits
                 .iter()
-                .map(|&d| state.bit(self.bit_for_dff[&d])),
+                .map(|b| packed[b.index() / 64] >> (b.index() % 64) & 1 == 1),
         );
     }
 
@@ -210,10 +223,10 @@ impl MpuNetlist {
     ///
     /// Panics when the vector length does not match the DFF count.
     pub fn state_from_vector(&self, vector: &[bool]) -> MpuState {
-        assert_eq!(vector.len(), self.netlist.dffs().len());
+        assert_eq!(vector.len(), self.dff_bits.len());
         let mut state = MpuState::default();
-        for (i, &d) in self.netlist.dffs().iter().enumerate() {
-            state.set_bit(self.bit_for_dff[&d], vector[i]);
+        for (&bit, &v) in self.dff_bits.iter().zip(vector) {
+            state.set_bit(bit, v);
         }
         state
     }
@@ -270,7 +283,9 @@ impl Default for MpuNetlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mpu::tests::state_from_raw;
     use crate::mpu::{perm, AccessKind, MpuConfig, MpuRegion};
+    use proptest::prelude::*;
     use xlmc_gatesim::cycle::CycleSim;
 
     fn sample_config() -> MpuConfig {
@@ -329,6 +344,55 @@ mod tests {
         for &d in m.netlist().dffs() {
             let bit = m.bit_of(d).expect("unmapped dff");
             assert_eq!(m.dff(bit), d);
+        }
+    }
+
+    #[test]
+    fn dense_register_map_round_trips_every_bit() {
+        let m = MpuNetlist::new();
+        for bit in MpuBit::all() {
+            let d = m.dff(bit);
+            assert_eq!(m.netlist().gate(d).kind, CellKind::Dff, "{bit:?}");
+            assert_eq!(m.bit_of(d), Some(bit));
+        }
+    }
+
+    #[test]
+    fn dense_register_map_rejects_non_dff_and_foreign_ids() {
+        let m = MpuNetlist::new();
+        for (id, gate) in m.netlist().iter() {
+            if gate.kind != CellKind::Dff {
+                assert_eq!(m.bit_of(id), None, "{id}");
+            }
+        }
+        let len = m.netlist().len() as u32;
+        for id in [len, len + 1, u32::MAX] {
+            assert_eq!(m.bit_of(GateId(id)), None, "g{id}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn state_vectors_round_trip_random_states(words in any::<[u64; 4]>()) {
+            let m = MpuNetlist::new();
+            let state = state_from_raw(words);
+            let mut v = vec![true; 3];
+            m.state_vector_into(&state, &mut v);
+            // The per-DFF lookup the DFF-ordered table replaces.
+            let direct: Vec<bool> = m
+                .netlist()
+                .dffs()
+                .iter()
+                .map(|&d| state.bit(m.bit_of(d).unwrap()))
+                .collect();
+            prop_assert_eq!(&v, &direct);
+            let mut masked = state;
+            for region in masked.config.regions.iter_mut() {
+                region.perms &= perm::MASK;
+            }
+            masked.pipe_kind &= 3;
+            masked.sticky_kind &= 3;
+            prop_assert_eq!(m.state_from_vector(&v), masked);
         }
     }
 
@@ -424,6 +488,43 @@ mod tests {
         // The violation register clears once the pipeline moves on, but the
         // sticky flag records that it fired.
         assert!(rtl.sticky_violation);
+    }
+
+    /// The responding signal's 50 fanin frames obey the frame recurrence
+    /// on the stock MPU: frame `i + 1` is the union of the single-seed
+    /// closures (frame 0 of a depth-0 cone, never a copied frame) of the D
+    /// drivers of frame `i`'s registers.
+    #[test]
+    fn responding_signal_cone_frames_follow_the_register_recurrence() {
+        let m = MpuNetlist::new();
+        let n = m.netlist();
+        let cones = xlmc_netlist::cones::fanin_cone(n, m.responding_signal(), 49);
+        assert_eq!(cones.frame_indices(), (0..=49).collect::<Vec<_>>());
+        let mut last: Option<(&[GateId], Vec<GateId>)> = None;
+        for i in 0..49 {
+            let frame = cones.frame(i).as_slice();
+            let want = match last.take() {
+                Some((prev, want)) if prev == frame => want,
+                _ => {
+                    let mut want: Vec<GateId> = cones
+                        .registers_in_frame(n, i)
+                        .iter()
+                        .flat_map(|&d| {
+                            let driver = n.gate(d).fanin[0];
+                            xlmc_netlist::cones::fanin_cone(n, driver, 0)
+                                .frame(0)
+                                .as_slice()
+                                .to_vec()
+                        })
+                        .collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    want
+                }
+            };
+            assert_eq!(cones.frame(i + 1).as_slice(), &want[..], "frame {}", i + 1);
+            last = Some((frame, want));
+        }
     }
 
     #[test]
