@@ -45,12 +45,12 @@ use crate::metrics::LatencyHist;
 use crate::model::Evaluation;
 use xlmc_soc::{MpuBit, Soc};
 
-/// Byte budget for the exact-cycle snapshot cache (per worker).
-const SNAPSHOT_BUDGET_BYTES: usize = 4 << 20;
-/// Approximate bytes per snapshot: the RAM image dominates.
-const SNAPSHOT_BYTES: usize = xlmc_soc::soc::RAM_BYTES as usize + 256;
-/// LRU bound on the snapshot cache derived from the byte budget.
-const MAX_SNAPSHOTS: usize = SNAPSHOT_BUDGET_BYTES / SNAPSHOT_BYTES;
+/// LRU bound on the exact-cycle snapshot cache (per worker), as a count.
+/// Snapshots share their unwritten RAM pages with the golden checkpoints,
+/// so a snapshot costs the pages the golden run wrote since its checkpoint
+/// rather than a RAM image; the bound is the one a 4 MiB budget of full
+/// images gave, kept so evictions and [`FastForwardStats`] stay put.
+const MAX_SNAPSHOTS: usize = 127;
 /// How many cycles past the injection the reconvergence watch keeps
 /// fingerprinting before giving up: transient pipeline/status divergence
 /// either decays within a few cycles of the flip or (a spurious trap, a

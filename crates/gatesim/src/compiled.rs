@@ -112,18 +112,32 @@ impl CompiledStrikeOutcome {
 
 /// Reusable buffers for [`TransientSim::strike_compiled_with`].
 ///
-/// One scratch per worker. Pulse masks reset through the `touched` list
-/// (O(cone)); the per-lane timing pools (stride [`WIDE_LANES`]) need no
-/// reset — a slot is only read when its lane bit is set. The dirty-op
-/// bitmask is consumed back to zero by the sweep itself.
+/// One scratch per worker. Pulse and seed masks reset through the
+/// `touched` list (O(cone)); the dirty-op bitmask is consumed back to zero
+/// by the sweep itself.
+///
+/// Pulse timing is rank-indexed rather than stored per (net, lane): a
+/// seeded lane's pulse is always `(lane strike time,
+/// initial_duration_ps)`, and every other lane of net `f` was appended by
+/// `f`'s op — which runs at most once per sweep — in lane order. Lane `l`
+/// of `f` is therefore at `base[f][l / 64]` plus the number of
+/// op-propagated lanes of `f` below `l` in that word, and the timing pools
+/// hold one entry per propagated pulse instead of nets × [`WIDE_LANES`].
 #[derive(Debug, Default)]
 pub struct CompiledTransientScratch {
     /// Per net: 256-lane mask of pulses at this net.
     pulse: Vec<WideMask>,
-    /// Per (net, lane): pulse start, valid iff the lane bit is set.
-    start: Vec<f64>,
-    /// Per (net, lane): pulse duration, valid iff the lane bit is set.
-    dur: Vec<f64>,
+    /// Per net: lanes whose pulse was seeded by the strike itself.
+    seed: Vec<WideMask>,
+    /// Per lane: strike time of the current sweep.
+    lane_time: Vec<f64>,
+    /// Per net and lane word: pool index of the word's first
+    /// op-propagated lane, valid iff `pulse & !seed` is nonzero.
+    base: Vec<[u32; LANE_WORDS]>,
+    /// Pulse start of each op-propagated (net, lane), cleared per sweep.
+    pool_start: Vec<f64>,
+    /// Pulse duration, parallel to `pool_start`.
+    pool_dur: Vec<f64>,
     /// Nets whose pulse mask is nonzero (for O(cone) reset).
     touched: Vec<u32>,
     /// One bit per op: pending evaluation. Consumed in program order.
@@ -152,6 +166,19 @@ impl CompiledTransientScratch {
         self.nom[f] = w;
         self.nom_epoch[f] = self.epoch;
         w
+    }
+
+    /// `(start, duration)` of the pulse at net `f` in lane `l` (the lane
+    /// bit must be set in `pulse[f]`).
+    #[inline]
+    fn timing(&self, f: usize, l: usize, initial_duration_ps: f64) -> (f64, f64) {
+        let (k, bit) = (l / 64, 1u64 << (l % 64));
+        let (p, s) = (&self.pulse[f], &self.seed[f]);
+        if s[k] & bit != 0 {
+            return (self.lane_time[l], initial_duration_ps);
+        }
+        let i = self.base[f][k] as usize + (p[k] & !s[k] & (bit - 1)).count_ones() as usize;
+        (self.pool_start[i], self.pool_dur[i])
     }
 }
 
@@ -189,14 +216,17 @@ impl TransientSim {
         let dirty_words = ops.div_ceil(64);
         if scratch.pulse.len() < nets {
             scratch.pulse.resize(nets, [0; LANE_WORDS]);
-            scratch.start.resize(nets * WIDE_LANES, 0.0);
-            scratch.dur.resize(nets * WIDE_LANES, 0.0);
+            scratch.seed.resize(nets, [0; LANE_WORDS]);
+            scratch.base.resize(nets, [0; LANE_WORDS]);
             scratch.nom.resize(nets, [0; LANE_WORDS]);
             scratch.nom_epoch.resize(nets, 0);
         }
         if scratch.dirty.len() < dirty_words {
             scratch.dirty.resize(dirty_words, 0);
         }
+        scratch.lane_time.resize(WIDE_LANES, 0.0);
+        scratch.pool_start.clear();
+        scratch.pool_dur.clear();
         scratch.epoch += 1;
         debug_assert!(scratch.touched.is_empty());
         debug_assert!(scratch.dirty.iter().all(|&w| w == 0));
@@ -220,6 +250,7 @@ impl TransientSim {
         let cfg = *self.config();
         for (l, lane) in lanes.iter().enumerate() {
             let (word, bit) = (l / 64, 1u64 << (l % 64));
+            scratch.lane_time[l] = lane.strike_time_ps;
             for &g in lane.struck {
                 match program.net_class(g.index()) {
                     NetClass::Dff => outcome.upset[l].push(g),
@@ -234,8 +265,7 @@ impl TransientSim {
                             outcome.pulses[l] += 1;
                         }
                         pl[word] |= bit;
-                        scratch.start[gi * WIDE_LANES + l] = lane.strike_time_ps;
-                        scratch.dur[gi * WIDE_LANES + l] = cfg.initial_duration_ps;
+                        scratch.seed[gi][word] |= bit;
                     }
                 }
             }
@@ -297,9 +327,12 @@ impl TransientSim {
 
             // Electrical masking per surviving lane: the scalar kernel's
             // exact max-fold and iterated attenuation, fanins in pin order.
+            // This op runs once per sweep, so its surviving lanes are
+            // appended to the pools in lane order from `base[out]`.
             let delay = program.delay_ps(op);
             let mut new_lanes = [0u64; LANE_WORDS];
             for k in 0..LANE_WORDS {
+                scratch.base[out][k] = scratch.pool_start.len() as u32;
                 let mut fl = flips[k];
                 while fl != 0 {
                     let l = k * 64 + fl.trailing_zeros() as usize;
@@ -310,18 +343,17 @@ impl TransientSim {
                     for &f in fis {
                         let fi = f as usize;
                         if scratch.pulse[fi][k] & bit != 0 {
-                            let slot = fi * WIDE_LANES + l;
-                            max_duration = max_duration.max(scratch.dur[slot]);
-                            max_start = max_start.max(scratch.start[slot]);
+                            let (start, dur) = scratch.timing(fi, l, cfg.initial_duration_ps);
+                            max_duration = max_duration.max(dur);
+                            max_start = max_start.max(start);
                         }
                     }
                     let duration = max_duration - cfg.attenuation_ps;
                     if duration < cfg.min_duration_ps {
                         continue;
                     }
-                    let slot = out * WIDE_LANES + l;
-                    scratch.start[slot] = max_start + delay;
-                    scratch.dur[slot] = duration;
+                    scratch.pool_start.push(max_start + delay);
+                    scratch.pool_dur.push(duration);
                     new_lanes[k] |= bit;
                     outcome.pulses[l] += 1;
                 }
@@ -350,9 +382,8 @@ impl TransientSim {
                 while pl != 0 {
                     let l = k * 64 + pl.trailing_zeros() as usize;
                     pl &= pl - 1;
-                    let slot = d * WIDE_LANES + l;
-                    let pulse_lo = scratch.start[slot];
-                    let pulse_hi = pulse_lo + scratch.dur[slot];
+                    let (pulse_lo, dur) = scratch.timing(d, l, cfg.initial_duration_ps);
+                    let pulse_hi = pulse_lo + dur;
                     if pulse_lo <= window_hi && pulse_hi >= window_lo {
                         outcome.latched[l].push(dff);
                     }
@@ -365,6 +396,7 @@ impl TransientSim {
 
         for &g in &scratch.touched {
             scratch.pulse[g as usize] = [0; LANE_WORDS];
+            scratch.seed[g as usize] = [0; LANE_WORDS];
         }
         scratch.touched.clear();
     }
@@ -718,6 +750,141 @@ mod tests {
                     "round {round}"
                 );
                 assert_eq!(out.upset_dffs(l), &fresh.upset_dffs[..], "round {round}");
+            }
+        }
+    }
+
+    /// A net seeded in some lanes and reached by its op in others reads
+    /// each lane's timing from the right place: the lane strike time for
+    /// seeded lanes, the rank-indexed pool entry for propagated ones.
+    /// Lanes `l % 3 == 0` strike `n2` (0, 63, 255: seeded), `l % 3 == 1`
+    /// strike `n1` so `n2`'s op reaches them (64, 127), and `l % 3 == 2`
+    /// strike both (128), across all four lane words.
+    #[test]
+    fn seeded_and_propagated_lanes_of_one_net_match_scalar() {
+        let mut n = Netlist::new();
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let n1 = n.add_gate(CellKind::Buf, &[a]);
+        let n2 = n.add_gate(CellKind::Not, &[n1]);
+        let n3 = n.add_gate(CellKind::Buf, &[n2]);
+        let n4 = n.add_gate(CellKind::And, &[n2, b]);
+        let n5 = n.add_gate(CellKind::Or, &[n2, n1]);
+        let q2 = n.add_dff("q2", n2);
+        for (name, g) in [("q3", n3), ("q4", n4), ("q5", n5)] {
+            n.add_dff(name, g);
+        }
+        let sim = CycleSim::new(&n).unwrap();
+        let cv = sim.eval(&n, &vec![false; n.dffs().len()], &[false, true]);
+        let ts = TransientSim::new(&n, tight()).unwrap();
+
+        let strikes: Vec<(Vec<GateId>, f64)> = (0..WIDE_LANES)
+            .map(|l| {
+                let cells = match l % 3 {
+                    0 => vec![n2],
+                    1 => vec![n1],
+                    _ => vec![n1, n2],
+                };
+                (cells, ((l * 37) % 700) as f64)
+            })
+            .collect();
+        let lanes: Vec<BatchLane> = strikes
+            .iter()
+            .map(|(cells, t)| BatchLane {
+                struck: cells,
+                strike_time_ps: *t,
+            })
+            .collect();
+        let mut scratch = CompiledTransientScratch::default();
+        let mut out = CompiledStrikeOutcome::default();
+        let all: WideMask = [!0u64; LANE_WORDS];
+        ts.strike_compiled_with(
+            &n,
+            n.program().unwrap(),
+            &[(all, &cv)],
+            &lanes,
+            &mut scratch,
+            &mut out,
+        );
+
+        let mut sscratch = TransientScratch::default();
+        let mut sout = StrikeOutcome::default();
+        let mut latched_q2 = 0;
+        for (l, (cells, t)) in strikes.iter().enumerate() {
+            ts.strike_with(&n, &cv, cells, *t, &mut sscratch, &mut sout);
+            assert_eq!(
+                out.latched_dffs(l),
+                &sout.latched_dffs[..],
+                "lane {l} latched"
+            );
+            assert_eq!(out.upset_dffs(l), &sout.upset_dffs[..], "lane {l} upset");
+            assert_eq!(
+                out.pulses_propagated(l),
+                sout.pulses_propagated,
+                "lane {l} pulse count"
+            );
+            latched_q2 += usize::from(out.latched_dffs(l).contains(&q2));
+        }
+        // The strike times must straddle the latching window, or timing
+        // would not be exercised at all.
+        assert!(latched_q2 > 0 && latched_q2 < WIDE_LANES, "{latched_q2}");
+    }
+
+    /// The timing pools grow with the pulses a sweep propagates, never
+    /// with nets × lanes.
+    #[test]
+    fn timing_pools_hold_only_propagated_pulses() {
+        let n = random_netlist(0x7157, 8, 1_200);
+        assert!(n.len() >= 1_000, "{} nets", n.len());
+        let sim = CycleSim::new(&n).unwrap();
+        let mut rng = Xs(0xC0FFEE);
+        let state: Vec<bool> = (0..n.dffs().len()).map(|_| rng.next() & 1 == 1).collect();
+        let inputs: Vec<bool> = (0..8).map(|_| rng.next() & 1 == 1).collect();
+        let cv = sim.eval(&n, &state, &inputs);
+        let ts = TransientSim::new(&n, tight()).unwrap();
+        let candidates: Vec<GateId> = n.iter().map(|(id, _)| id).collect();
+        let strikes: Vec<(Vec<GateId>, f64)> = (0..WIDE_LANES)
+            .map(|_| {
+                let cells = (0..1 + rng.below(4))
+                    .map(|_| candidates[rng.below(candidates.len())])
+                    .collect();
+                (cells, rng.below(600) as f64)
+            })
+            .collect();
+        let lanes: Vec<BatchLane> = strikes
+            .iter()
+            .map(|(cells, t)| BatchLane {
+                struck: cells,
+                strike_time_ps: *t,
+            })
+            .collect();
+        let mut scratch = CompiledTransientScratch::default();
+        let mut out = CompiledStrikeOutcome::default();
+        let all: WideMask = [!0u64; LANE_WORDS];
+        // Twice on one scratch: the second sweep must not keep the first's
+        // entries.
+        for sweep in 0..2 {
+            ts.strike_compiled_with(
+                &n,
+                n.program().unwrap(),
+                &[(all, &cv)],
+                &lanes,
+                &mut scratch,
+                &mut out,
+            );
+            let pulses: usize = (0..WIDE_LANES).map(|l| out.pulses_propagated(l)).sum();
+            let entries = scratch.pool_start.len();
+            assert_eq!(entries, scratch.pool_dur.len());
+            assert!(entries > 0, "the sweep must propagate past its seeds");
+            assert!(
+                entries <= pulses,
+                "sweep {sweep}: {entries} pool entries for {pulses} pulses"
+            );
+            for cap in [scratch.pool_start.capacity(), scratch.pool_dur.capacity()] {
+                assert!(
+                    cap <= 2 * pulses,
+                    "sweep {sweep}: capacity {cap} for {pulses} pulses"
+                );
             }
         }
     }

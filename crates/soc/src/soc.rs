@@ -29,9 +29,14 @@ use crate::core::{Core, CoreAction, TrapCause};
 use crate::dma::{Dma, DmaAction};
 use crate::mpu::{AccessKind, AccessReq, CfgWrite, MpuState, CFG_ENABLE_INDEX};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Bytes of RAM (word-granular, starting at address 0).
 pub const RAM_BYTES: u32 = 0x8000;
+/// Words per copy-on-write RAM page (1 KiB).
+const PAGE_WORDS: usize = 256;
+/// Pages per RAM image.
+const RAM_PAGES: usize = RAM_BYTES as usize / 4 / PAGE_WORDS;
 /// Base byte address of the MPU configuration window.
 pub const MPU_CFG_BASE: u16 = 0x8100;
 
@@ -86,6 +91,62 @@ pub struct StepEvents {
     pub trapped: bool,
 }
 
+/// RAM as copy-on-write pages shared between clones.
+///
+/// A clone shares every page with its source; a write copies only the
+/// page it lands in, and only if the page is shared and the value
+/// changes. A clone therefore holds just the pages written since it
+/// diverged, and [`Ram::restore_from`] costs those pages, not the whole
+/// image.
+#[derive(Debug, Clone)]
+struct Ram {
+    pages: [Arc<[u32; PAGE_WORDS]>; RAM_PAGES],
+}
+
+impl Ram {
+    fn new(image: &[u32]) -> Self {
+        Self {
+            pages: std::array::from_fn(|p| {
+                let mut page = [0u32; PAGE_WORDS];
+                let chunk = image.chunks(PAGE_WORDS).nth(p).unwrap_or_default();
+                page[..chunk.len()].copy_from_slice(chunk);
+                Arc::new(page)
+            }),
+        }
+    }
+
+    #[inline]
+    fn get(&self, word: usize) -> u32 {
+        self.pages[word / PAGE_WORDS][word % PAGE_WORDS]
+    }
+
+    #[inline]
+    fn set(&mut self, word: usize, value: u32) {
+        let page = &mut self.pages[word / PAGE_WORDS];
+        if page[word % PAGE_WORDS] != value {
+            Arc::make_mut(page)[word % PAGE_WORDS] = value;
+        }
+    }
+
+    /// Share `src`'s pages, re-pointing only those not already shared.
+    fn restore_from(&mut self, src: &Ram) {
+        for (dst, page) in self.pages.iter_mut().zip(&src.pages) {
+            if !Arc::ptr_eq(dst, page) {
+                *dst = Arc::clone(page);
+            }
+        }
+    }
+}
+
+impl PartialEq for Ram {
+    fn eq(&self, other: &Self) -> bool {
+        self.pages
+            .iter()
+            .zip(&other.pages)
+            .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+    }
+}
+
 /// The full simulated system. `Clone` is the checkpoint mechanism.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Soc {
@@ -95,7 +156,7 @@ pub struct Soc {
     pub mpu: MpuState,
     /// The DMA engine.
     pub dma: Dma,
-    mem: Vec<u32>,
+    mem: Ram,
     /// Elapsed cycles since reset.
     pub cycle: u64,
     /// Access issued last cycle, now in the MPU pipeline.
@@ -115,13 +176,11 @@ impl Soc {
     pub fn new(program: &[u32]) -> Self {
         let words = (RAM_BYTES / 4) as usize;
         assert!(program.len() <= words, "program does not fit in RAM");
-        let mut mem = vec![0u32; words];
-        mem[..program.len()].copy_from_slice(program);
         Self {
             core: Core::new(),
             mpu: MpuState::default(),
             dma: Dma::new(),
-            mem,
+            mem: Ram::new(program),
             cycle: 0,
             in_pipe: None,
             resolving: None,
@@ -134,21 +193,17 @@ impl Soc {
         self.core.halted
     }
 
-    /// Overwrite this system's state from a checkpoint without reallocating.
+    /// Overwrite this system's state from a checkpoint.
     ///
-    /// Equivalent to `*self = src.clone()` except that RAM is copied into
-    /// the resident buffer — the campaign hot path restores thousands of
-    /// checkpoints per worker, so the allocation-free form matters.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two systems have different RAM sizes (they never do:
-    /// every `Soc` allocates `RAM_BYTES`).
+    /// Equivalent to `*self = src.clone()`, but RAM pages this system
+    /// already shares with `src` are kept, so the cost is proportional to
+    /// the pages written since the two diverged — the campaign hot path
+    /// restores thousands of checkpoints per worker.
     pub fn restore_from(&mut self, src: &Soc) {
         self.core = src.core.clone();
         self.mpu = src.mpu;
         self.dma = src.dma;
-        self.mem.copy_from_slice(&src.mem);
+        self.mem.restore_from(&src.mem);
         self.cycle = src.cycle;
         self.in_pipe = src.in_pipe;
         self.resolving = src.resolving;
@@ -160,7 +215,7 @@ impl Soc {
     pub fn mem_word(&self, addr: u16) -> u32 {
         let a = u32::from(addr) & !3;
         if a < RAM_BYTES {
-            self.mem[(a >> 2) as usize]
+            self.mem.get((a >> 2) as usize)
         } else {
             0
         }
@@ -170,18 +225,18 @@ impl Soc {
     pub fn set_mem_word(&mut self, addr: u16, value: u32) {
         let a = u32::from(addr) & !3;
         if a < RAM_BYTES {
-            self.mem[(a >> 2) as usize] = value;
+            self.mem.set((a >> 2) as usize, value);
         }
     }
 
     fn fetch(&self, pc: u32) -> u32 {
-        self.mem[((pc & (RAM_BYTES - 1)) >> 2) as usize]
+        self.mem.get(((pc & (RAM_BYTES - 1)) >> 2) as usize)
     }
 
     fn bus_read(&self, addr: u16) -> u32 {
         let a = addr & !3;
         if u32::from(a) < RAM_BYTES {
-            return self.mem[(a >> 2) as usize];
+            return self.mem.get((a >> 2) as usize);
         }
         if let Some(v) = self.dma.reg_read(a) {
             return v;
@@ -197,7 +252,7 @@ impl Soc {
     fn bus_write(&mut self, addr: u16, value: u32, user: bool) -> Option<CfgWrite> {
         let a = addr & !3;
         if u32::from(a) < RAM_BYTES {
-            self.mem[(a >> 2) as usize] = value;
+            self.mem.set((a >> 2) as usize, value);
             return None;
         }
         if self.dma.reg_write(a, value) {
