@@ -210,8 +210,7 @@ fn draw_and_stratify(
     let golden_cycles = runner.eval.golden.cycles;
     for i in 0..m {
         let mut rng = SplitMix64::for_run(seed, (start + i) as u64);
-        let sample = strategy.draw(&mut rng);
-        let w = strategy.weight(&sample);
+        let (sample, w) = strategy.draw_weighted(&mut rng);
         let te = sample
             .injection_cycle(runner.eval.target_cycle)
             .filter(|&te| te < golden_cycles);

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use xlmc_fault::AttackSample;
-use xlmc_soc::MpuBit;
+use xlmc_soc::{MpuBit, MpuBitMask};
 
 /// Runs per shard. Fixed — independent of the thread count and of the
 /// kernel — so the chunk partition, and therefore every merged statistic,
@@ -610,7 +610,7 @@ pub(crate) struct ChunkPartial {
     pub(crate) analytic_runs: usize,
     pub(crate) rtl_runs: usize,
     pub(crate) successes: usize,
-    pub(crate) attribution: BTreeMap<MpuBit, f64>,
+    pub(crate) attribution: ChunkAttribution,
     /// Σw over the shard's drawn weights (for the effective sample size).
     pub(crate) w_sum: f64,
     /// Σw² over the shard's drawn weights.
@@ -627,6 +627,41 @@ pub(crate) struct ChunkPartial {
     /// snapshot restores). Pure telemetry: taken out before the fold and
     /// absorbed into the merger's registry, never into the statistics.
     pub(crate) latency: LatencyShard,
+}
+
+/// One chunk's per-register SSF attribution: `Σ w` over the chunk's
+/// successful runs per faulty bit, in a slab indexed by [`MpuBit::index`].
+/// Each sum adds in run order, like the campaign map it merges into, and a
+/// success with weight 0 still creates its bit's entry.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct ChunkAttribution {
+    sums: Vec<f64>,
+    /// The bits with an entry, in first-seen order.
+    touched: Vec<MpuBit>,
+    seen: MpuBitMask,
+}
+
+impl ChunkAttribution {
+    /// Add one successful run's weight to each of its faulty bits.
+    pub(crate) fn add(&mut self, bits: &[MpuBit], w: f64) {
+        if self.sums.is_empty() {
+            self.sums.resize(MpuBitMask::CAPACITY, 0.0);
+        }
+        for &bit in bits {
+            if !self.seen.contains(bit) {
+                self.seen.insert(bit);
+                self.touched.push(bit);
+            }
+            self.sums[bit.index()] += w;
+        }
+    }
+
+    /// Fold the chunk's sums into the campaign's map.
+    fn merge_into(&self, map: &mut BTreeMap<MpuBit, f64>) {
+        for &bit in &self.touched {
+            *map.entry(bit).or_insert(0.0) += self.sums[bit.index()];
+        }
+    }
 }
 
 /// Everything `fold_run` needs to know about one executed run.
@@ -678,9 +713,7 @@ pub(crate) fn fold_run(
         if p.first_success.is_none() {
             p.first_success = Some(obs.run_index);
         }
-        for &bit in obs.faulty_bits {
-            *p.attribution.entry(bit).or_insert(0.0) += obs.w;
-        }
+        p.attribution.add(obs.faulty_bits, obs.w);
         obs.w
     } else {
         0.0
@@ -724,8 +757,7 @@ fn run_chunk(
     };
     for i in start..end {
         let mut rng = SplitMix64::for_run(seed, i as u64);
-        let sample = strategy.draw(&mut rng);
-        let w = strategy.weight(&sample);
+        let (sample, w) = strategy.draw_weighted(&mut rng);
         let outcome = runner.run_shared(&sample, &mut rng, scratch, Some(memo));
         p.kernel_counters.gates_visited += outcome.gates_visited;
         fold_run(
@@ -825,9 +857,7 @@ impl MergeState {
         self.analytic_runs += p.analytic_runs;
         self.rtl_runs += p.rtl_runs;
         self.successes += p.successes;
-        for (bit, w) in p.attribution {
-            *self.attribution.entry(bit).or_insert(0.0) += w;
-        }
+        p.attribution.merge_into(&mut self.attribution);
         self.w_sum += p.w_sum;
         self.w_sq_sum += p.w_sq_sum;
         self.counters.add(&p.counters);
@@ -2015,9 +2045,7 @@ pub fn replay_run(
     let mut rng = SplitMix64::for_run(seed, run_index);
     let (sample, w) = {
         let _draw = sink.span("replay", "draw");
-        let sample = strategy.draw(&mut rng);
-        let w = strategy.weight(&sample);
-        (sample, w)
+        strategy.draw_weighted(&mut rng)
     };
     let mut scratch = FlowScratch::default();
     let outcome = {
@@ -2085,6 +2113,69 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    proptest::proptest! {
+        /// The dense chunk attribution merges into the campaign map with
+        /// the bits of the per-chunk `BTreeMap` fold it replaces: every sum
+        /// in run order, and a zero-weight success still creates its key.
+        #[test]
+        fn dense_attribution_matches_a_btreemap_fold(
+            chunks in proptest::collection::vec(
+                proptest::collection::vec(
+                    (
+                        proptest::collection::vec(0usize..256, 0..5),
+                        0u32..4,
+                        proptest::prelude::any::<u64>(),
+                    ),
+                    0..12,
+                ),
+                1..4,
+            ),
+        ) {
+            let all = MpuBit::all();
+            let mut dense_map = BTreeMap::new();
+            let mut oracle_map: BTreeMap<MpuBit, f64> = BTreeMap::new();
+            for runs in &chunks {
+                let mut dense = ChunkAttribution::default();
+                let mut oracle: BTreeMap<MpuBit, f64> = BTreeMap::new();
+                for (picks, kind, raw) in runs {
+                    // A success's bits are sorted and deduplicated.
+                    let mut bits: Vec<MpuBit> = picks.iter().map(|&k| all[k % all.len()]).collect();
+                    bits.sort_unstable();
+                    bits.dedup();
+                    let w = match kind {
+                        0 => 0.0,
+                        1 => 1.0,
+                        _ => (*raw >> 11) as f64 / (1u64 << 40) as f64,
+                    };
+                    dense.add(&bits, w);
+                    for &bit in &bits {
+                        *oracle.entry(bit).or_insert(0.0) += w;
+                    }
+                }
+                dense.merge_into(&mut dense_map);
+                for (bit, w) in oracle {
+                    *oracle_map.entry(bit).or_insert(0.0) += w;
+                }
+            }
+            let bits = |m: &BTreeMap<MpuBit, f64>| {
+                m.iter().map(|(&b, w)| (b, w.to_bits())).collect::<Vec<_>>()
+            };
+            proptest::prop_assert_eq!(bits(&dense_map), bits(&oracle_map));
+        }
+    }
+
+    #[test]
+    fn zero_weight_success_creates_its_attribution_key() {
+        let mut dense = ChunkAttribution::default();
+        dense.add(&[MpuBit::Enable, MpuBit::Violation], 0.0);
+        dense.add(&[MpuBit::Violation], 0.5);
+        let mut map = BTreeMap::new();
+        dense.merge_into(&mut map);
+        assert_eq!(map.len(), 2);
+        assert_eq!(map[&MpuBit::Enable].to_bits(), 0.0f64.to_bits());
+        assert_eq!(map[&MpuBit::Violation], 0.5);
     }
 
     #[test]

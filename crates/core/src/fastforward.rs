@@ -23,10 +23,9 @@
 //!   sharded concurrent map shared across worker threads. The verdict is a
 //!   pure function of its key (the hardening filter consumes RNG *before*
 //!   the key is formed), so racing workers can only ever insert identical
-//!   values and sharing is result-invariant. Keys are compact: one 64-bit
-//!   hash of `(te, bits)` addresses the table, the stored entry keeps the
-//!   exact key for verification, and true hash collisions go to a spill
-//!   list — lookups never allocate.
+//!   values and sharing is result-invariant. The key is the exact
+//!   [`ConclusionKey`] — four words, no hash stands in for it — so entries
+//!   cannot collide and lookups never allocate.
 //!
 //! The chunk-local [`crate::trace::CampaignCounters`] accounting is
 //! deliberately untouched by all of this (it models a per-chunk memo so the
@@ -34,16 +33,15 @@
 //! fast-forward counters live in [`FastForwardStats`] and surface through
 //! the metrics JSON, never through `CampaignResult`.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::flow::Concluded;
 use crate::metrics::LatencyHist;
 use crate::model::Evaluation;
-use xlmc_soc::{MpuBit, Soc};
+use xlmc_soc::{MpuBit, MpuBitMask, Soc};
 
 /// LRU bound on the exact-cycle snapshot cache (per worker), as a count.
 /// Snapshots share their unwritten RAM pages with the golden checkpoints,
@@ -326,86 +324,45 @@ pub fn reference_verdict(eval: &Evaluation, te: u64, faulty_bits: &[MpuBit]) -> 
     RtlFastForward::new(false).resume(eval, te, faulty_bits)
 }
 
-/// Hasher for keys that are already well-mixed 64-bit hashes: multiply by an
-/// odd constant instead of SipHash. The byte fallback (never hit by the memo,
-/// which only writes `u64`s) is FNV-1a.
-#[derive(Debug, Default)]
-pub struct PreHashed(u64);
+/// The key every conclusion structure shares — the shared memo, the
+/// per-worker [`ConclusionFront`] and the chunk-local counter model: the
+/// injection cycle and the post-hardening error pattern packed by
+/// [`MpuBit::index`]. Every run path hands over its bits sorted and
+/// deduplicated, one order per set, so the packed set separates exactly the
+/// patterns the verdict depends on.
+pub(crate) type ConclusionKey = (u64, MpuBitMask);
 
-impl Hasher for PreHashed {
+/// The [`ConclusionKey`] of an error pattern.
+pub(crate) fn conclusion_key(te: u64, bits: &[MpuBit]) -> ConclusionKey {
+    (te, bits.iter().copied().collect())
+}
+
+/// Word-multiply hasher for keys made of a few `u64` words (the
+/// [`ConclusionKey`]): a rotate-xor-multiply fold per word, with the high
+/// half folded down at the end so the table index sees every word.
+#[derive(Debug, Default)]
+pub(crate) struct WordHasher(u64);
+
+/// The [`std::hash::BuildHasher`] of [`WordHasher`].
+pub(crate) type WordHash = BuildHasherDefault<WordHasher>;
+
+impl Hasher for WordHasher {
     fn finish(&self) -> u64 {
-        self.0
+        self.0 ^ (self.0 >> 32)
     }
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            self.write_u64(u64::from(b));
         }
     }
 
     fn write_u64(&mut self, v: u64) {
-        self.0 = v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
-/// The compact memo key: FNV-1a over the injection cycle and each bit's
-/// canonical code, finished with a SplitMix64 mix so both the shard selector
-/// (top bits) and the table index (low bits) see full entropy.
-pub(crate) fn key_hash(te: u64, bits: &[MpuBit]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    fold(te);
-    for &b in bits {
-        fold(bit_code(b));
-    }
-    let mut x = h;
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// A unique integer code per [`MpuBit`] (variant tag in the high byte shown,
-/// indices below), so hashing never allocates or walks strings.
-fn bit_code(b: MpuBit) -> u64 {
-    let (tag, r, i) = match b {
-        MpuBit::Enable => (0u64, 0, 0),
-        MpuBit::Base(r, i) => (1, r, i),
-        MpuBit::Limit(r, i) => (2, r, i),
-        MpuBit::Perms(r, i) => (3, r, i),
-        MpuBit::PipeAddr(i) => (4, 0, i),
-        MpuBit::PipeKind(i) => (5, 0, i),
-        MpuBit::PipeUser => (6, 0, 0),
-        MpuBit::PipeValid => (7, 0, 0),
-        MpuBit::Violation => (8, 0, 0),
-        MpuBit::StickyViol => (9, 0, 0),
-        MpuBit::StickyAddr(i) => (10, 0, i),
-        MpuBit::StickyKind(i) => (11, 0, i),
-    };
-    tag << 16 | u64::from(r) << 8 | u64::from(i)
-}
-
-#[derive(Debug)]
-struct MemoEntry {
-    te: u64,
-    bits: Box<[MpuBit]>,
-    verdict: Concluded,
-}
-
-impl MemoEntry {
-    fn matches(&self, te: u64, bits: &[MpuBit]) -> bool {
-        self.te == te && self.bits.as_ref() == bits
-    }
-}
-
-#[derive(Debug, Default)]
-struct MemoShard {
-    /// Primary table: one entry per distinct key hash.
-    fast: HashMap<u64, MemoEntry, BuildHasherDefault<PreHashed>>,
-    /// True 64-bit hash collisions (vanishingly rare; scanned linearly).
-    spill: HashMap<u64, Vec<MemoEntry>, BuildHasherDefault<PreHashed>>,
-}
+type MemoShard = HashMap<ConclusionKey, Concluded, WordHash>;
 
 /// Number of memo shards; locks are held only for one probe or insert, so a
 /// handful of shards keeps contention negligible at campaign thread counts.
@@ -415,66 +372,37 @@ const MEMO_SHARDS: usize = 16;
 ///
 /// The verdict is a pure function of the key (RNG is consumed before the key
 /// is formed), so concurrent duplicate computes insert identical values and
-/// every interleaving yields bit-identical campaign results. Entries are
-/// verified against the exact stored key — the hash only addresses.
+/// every interleaving yields bit-identical campaign results.
 #[derive(Debug, Default)]
 pub struct SharedConclusionMemo {
     shards: [Mutex<MemoShard>; MEMO_SHARDS],
 }
 
 impl SharedConclusionMemo {
-    fn shard(&self, hash: u64) -> &Mutex<MemoShard> {
-        &self.shards[(hash >> 60) as usize % MEMO_SHARDS]
+    fn shard(&self, key: &ConclusionKey) -> &Mutex<MemoShard> {
+        // The shard's map hashes the same key again: pick the shard from
+        // bits its table uses neither for the bucket index (the low bits)
+        // nor for the control byte (the top seven).
+        let hash = WordHash::default().hash_one(key);
+        &self.shards[(hash >> 32) as usize % MEMO_SHARDS]
     }
 
     /// Look up a concluded verdict; allocation-free.
-    pub(crate) fn get(&self, hash: u64, te: u64, bits: &[MpuBit]) -> Option<Concluded> {
+    pub(crate) fn get(&self, key: &ConclusionKey) -> Option<Concluded> {
         let shard = self
-            .shard(hash)
+            .shard(key)
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let entry = shard.fast.get(&hash)?;
-        if entry.matches(te, bits) {
-            return Some(entry.verdict);
-        }
-        shard
-            .spill
-            .get(&hash)?
-            .iter()
-            .find(|e| e.matches(te, bits))
-            .map(|e| e.verdict)
+        shard.get(key).copied()
     }
 
     /// Record a concluded verdict. Idempotent: a racing duplicate compute
-    /// re-inserts the identical value and is dropped.
-    pub(crate) fn insert(&self, hash: u64, te: u64, bits: &[MpuBit], verdict: Concluded) {
-        let mut guard = self
-            .shard(hash)
+    /// re-inserts the identical value.
+    pub(crate) fn insert(&self, key: ConclusionKey, verdict: Concluded) {
+        self.shard(&key)
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let shard = &mut *guard;
-        match shard.fast.entry(hash) {
-            Entry::Vacant(e) => {
-                e.insert(MemoEntry {
-                    te,
-                    bits: bits.into(),
-                    verdict,
-                });
-            }
-            Entry::Occupied(e) => {
-                if e.get().matches(te, bits) {
-                    return;
-                }
-                let list = shard.spill.entry(hash).or_default();
-                if !list.iter().any(|x| x.matches(te, bits)) {
-                    list.push(MemoEntry {
-                        te,
-                        bits: bits.into(),
-                        verdict,
-                    });
-                }
-            }
-        }
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .insert(key, verdict);
     }
 
     /// Total entries across all shards (tests and diagnostics).
@@ -482,8 +410,9 @@ impl SharedConclusionMemo {
         self.shards
             .iter()
             .map(|s| {
-                let s = s.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                s.fast.len() + s.spill.values().map(Vec::len).sum::<usize>()
+                s.lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .len()
             })
             .sum()
     }
@@ -506,8 +435,7 @@ impl SharedConclusionMemo {
 /// stale and results stay bit-identical with or without it.
 #[derive(Debug, Default)]
 pub struct ConclusionFront {
-    fast: HashMap<u64, MemoEntry, BuildHasherDefault<PreHashed>>,
-    spill: HashMap<u64, Vec<MemoEntry>, BuildHasherDefault<PreHashed>>,
+    seen: HashMap<ConclusionKey, Concluded, WordHash>,
     hits: u64,
     misses: u64,
 }
@@ -518,56 +446,21 @@ impl ConclusionFront {
     pub(crate) fn get_through(
         &mut self,
         shared: &SharedConclusionMemo,
-        hash: u64,
-        te: u64,
-        bits: &[MpuBit],
+        key: &ConclusionKey,
     ) -> Option<Concluded> {
-        if let Some(entry) = self.fast.get(&hash) {
-            if entry.matches(te, bits) {
-                self.hits += 1;
-                return Some(entry.verdict);
-            }
-            if let Some(v) = self
-                .spill
-                .get(&hash)
-                .and_then(|l| l.iter().find(|e| e.matches(te, bits)))
-                .map(|e| e.verdict)
-            {
-                self.hits += 1;
-                return Some(v);
-            }
+        if let Some(&verdict) = self.seen.get(key) {
+            self.hits += 1;
+            return Some(verdict);
         }
         self.misses += 1;
-        let verdict = shared.get(hash, te, bits)?;
-        self.record(hash, te, bits, verdict);
+        let verdict = shared.get(key)?;
+        self.record(*key, verdict);
         Some(verdict)
     }
 
-    /// Mirror a verdict into the front (same collision handling as the
-    /// shared memo's insert, minus the lock).
-    pub(crate) fn record(&mut self, hash: u64, te: u64, bits: &[MpuBit], verdict: Concluded) {
-        match self.fast.entry(hash) {
-            Entry::Vacant(e) => {
-                e.insert(MemoEntry {
-                    te,
-                    bits: bits.into(),
-                    verdict,
-                });
-            }
-            Entry::Occupied(e) => {
-                if e.get().matches(te, bits) {
-                    return;
-                }
-                let list = self.spill.entry(hash).or_default();
-                if !list.iter().any(|x| x.matches(te, bits)) {
-                    list.push(MemoEntry {
-                        te,
-                        bits: bits.into(),
-                        verdict,
-                    });
-                }
-            }
-        }
+    /// Mirror a verdict into the front.
+    pub(crate) fn record(&mut self, key: ConclusionKey, verdict: Concluded) {
+        self.seen.insert(key, verdict);
     }
 
     /// `(front hits, shared-memo fallbacks)` — how many probes this worker
@@ -593,36 +486,48 @@ mod tests {
     #[test]
     fn memo_round_trips_and_verifies_exact_keys() {
         let memo = SharedConclusionMemo::default();
-        let bits = [MpuBit::Violation, MpuBit::Enable];
-        let h = key_hash(5, &bits);
-        assert!(memo.get(h, 5, &bits).is_none());
-        memo.insert(h, 5, &bits, concluded(true));
-        assert!(memo.get(h, 5, &bits).unwrap().success);
-        // Same hash handed in with a different exact key must miss (and a
-        // colliding insert must land in the spill, not overwrite).
-        let other = [MpuBit::PipeValid];
-        assert!(memo.get(h, 5, &other).is_none());
-        memo.insert(h, 5, &other, concluded(false));
-        assert!(memo.get(h, 5, &bits).unwrap().success);
-        assert!(!memo.get(h, 5, &other).unwrap().success);
+        let key = conclusion_key(5, &[MpuBit::Violation, MpuBit::Enable]);
+        assert!(memo.get(&key).is_none());
+        memo.insert(key, concluded(true));
+        assert!(memo.get(&key).unwrap().success);
+        // A different pattern at the same cycle is a separate entry.
+        let other = conclusion_key(5, &[MpuBit::PipeValid]);
+        assert!(memo.get(&other).is_none());
+        memo.insert(other, concluded(false));
+        assert!(memo.get(&key).unwrap().success);
+        assert!(!memo.get(&other).unwrap().success);
         assert_eq!(memo.len(), 2);
         // Duplicate inserts are dropped.
-        memo.insert(h, 5, &bits, concluded(true));
-        memo.insert(h, 5, &other, concluded(false));
+        memo.insert(key, concluded(true));
+        memo.insert(other, concluded(false));
         assert_eq!(memo.len(), 2);
+        // The front mirrors the memo under the same key.
+        let mut front = ConclusionFront::default();
+        assert!(front.get_through(&memo, &key).unwrap().success);
+        assert!(front.get_through(&memo, &key).unwrap().success);
+        assert!(front
+            .get_through(&memo, &conclusion_key(6, &[MpuBit::Enable]))
+            .is_none());
+        assert_eq!(front.contention_stats(), (1, 2));
     }
 
     #[test]
-    fn key_hash_separates_te_and_bit_patterns() {
+    fn conclusion_key_separates_te_and_bit_patterns() {
+        let memo = SharedConclusionMemo::default();
         let a = [MpuBit::Base(0, 1)];
         let b = [MpuBit::Base(1, 0)];
-        assert_ne!(key_hash(3, &a), key_hash(3, &b));
-        assert_ne!(key_hash(3, &a), key_hash(4, &a));
-        assert_ne!(key_hash(3, &[]), key_hash(3, &a));
-        // Order matters (patterns are canonical, never reordered).
+        assert_ne!(conclusion_key(3, &a), conclusion_key(3, &b));
+        assert_ne!(conclusion_key(3, &a), conclusion_key(4, &a));
+        assert_ne!(conclusion_key(3, &[]), conclusion_key(3, &a));
+        memo.insert(conclusion_key(3, &a), concluded(true));
+        assert!(memo.get(&conclusion_key(3, &b)).is_none(), "other pattern");
+        assert!(memo.get(&conclusion_key(4, &a)).is_none(), "other cycle");
+        assert!(memo.get(&conclusion_key(3, &[])).is_none(), "empty pattern");
+        // The key is the set: the one order a path hands a set over in and
+        // any other order name the same entry.
         let ab = [MpuBit::Enable, MpuBit::Violation];
         let ba = [MpuBit::Violation, MpuBit::Enable];
-        assert_ne!(key_hash(3, &ab), key_hash(3, &ba));
+        assert_eq!(conclusion_key(3, &ab), conclusion_key(3, &ba));
     }
 
     #[test]

@@ -428,11 +428,11 @@ impl FaultRunner<'_> {
             };
         }
 
-        let key = fastforward::key_hash(te, faulty_bits);
+        let key = fastforward::conclusion_key(te, faulty_bits);
         let mut front = front;
         let hit = match front.as_deref_mut() {
-            Some(f) => f.get_through(memo, key, te, faulty_bits),
-            None => memo.get(key, te, faulty_bits),
+            Some(f) => f.get_through(memo, &key),
+            None => memo.get(&key),
         };
         if let Some(c) = hit {
             return RunView {
@@ -470,9 +470,9 @@ impl FaultRunner<'_> {
             class,
             analytic,
         };
-        memo.insert(key, te, faulty_bits, verdict);
+        memo.insert(key, verdict);
         if let Some(f) = front {
-            f.record(key, te, faulty_bits, verdict);
+            f.record(key, verdict);
         }
         RunView {
             success,

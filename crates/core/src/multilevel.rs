@@ -681,8 +681,7 @@ pub(crate) fn run_chunk_level0(
     } = scratch;
     for i in start..end {
         let mut rng = SplitMix64::for_run(seed, i as u64);
-        let sample = strategy.draw(&mut rng);
-        let w = strategy.weight(&sample);
+        let (sample, w) = strategy.draw_weighted(&mut rng);
         let view = level0_view(
             runner, map, &sample, &mut rng, struck, struck2, bits, ff, memo,
         );
@@ -767,8 +766,7 @@ pub(crate) fn run_chunk_level1(
     } = scratch;
     for i in start..end {
         let mut rng = SplitMix64::for_run(seed, i as u64);
-        let sample = strategy.draw(&mut rng);
-        let w = strategy.weight(&sample);
+        let (sample, w) = strategy.draw_weighted(&mut rng);
         // Twin streams: the gate half keeps the original (single-estimator)
         // stream, the RTL twin replays the identical post-draw state — so
         // both halves see the same hardening draws and the correction term
@@ -815,9 +813,7 @@ pub(crate) fn run_chunk_level1(
             if p.first_success.is_none() {
                 p.first_success = Some(i as u64);
             }
-            for &bit in gate.faulty_bits {
-                *p.attribution.entry(bit).or_insert(0.0) += w;
-            }
+            p.attribution.add(gate.faulty_bits, w);
         }
         p.stats.push(g - r);
         p.gate_stats.push(g);
@@ -916,8 +912,7 @@ pub fn coupled_run_with(
     memo: &SharedConclusionMemo,
 ) -> PairedRecord {
     let mut rng = SplitMix64::for_run(seed, run_index);
-    let sample = strategy.draw(&mut rng);
-    let weight = strategy.weight(&sample);
+    let (sample, weight) = strategy.draw_weighted(&mut rng);
     let mut rng_rtl = rng.clone();
     let MlmcScratch {
         struck,
@@ -965,8 +960,7 @@ pub fn replay_run_level0(
     let memo = SharedConclusionMemo::default();
     let mut scratch = MlmcScratch::default();
     let mut rng = SplitMix64::for_run(seed, run_index);
-    let sample = strategy.draw(&mut rng);
-    let weight = strategy.weight(&sample);
+    let (sample, weight) = strategy.draw_weighted(&mut rng);
     let MlmcScratch {
         struck,
         struck2,

@@ -137,6 +137,14 @@ pub trait SamplingStrategy: Send + Sync {
     fn draw(&self, rng: &mut dyn rand::RngCore) -> AttackSample;
     /// The importance weight `f(s) / g(s)` of a drawn sample.
     fn weight(&self, sample: &AttackSample) -> f64;
+    /// Draw one sample together with its weight: the campaign hot path.
+    /// Bit-identical to `draw` followed by `weight`, and leaves `rng` at the
+    /// same position; strategies override it to reuse what the draw found.
+    fn draw_weighted(&self, rng: &mut dyn rand::RngCore) -> (AttackSample, f64) {
+        let sample = self.draw(rng);
+        let w = self.weight(&sample);
+        (sample, w)
+    }
 }
 
 /// Plain Monte Carlo: sample the attacker distribution itself.
@@ -209,14 +217,13 @@ impl Frame {
         self.cells.binary_search(&g).ok().map(|i| self.weights[i])
     }
 
-    fn draw_cell(&self, mut rng: &mut dyn rand::RngCore) -> GateId {
+    /// Draw a cell; returns its index into `cells`.
+    fn draw_cell(&self, mut rng: &mut dyn rand::RngCore) -> usize {
         // Reborrow: `Rng`'s generic methods need a `Sized` receiver.
         let x = (&mut rng).gen_range(0.0..self.total);
-        let idx = self
-            .cum
+        self.cum
             .partition_point(|&c| c <= x)
-            .min(self.cells.len() - 1);
-        self.cells[idx]
+            .min(self.cells.len() - 1)
     }
 }
 
@@ -230,9 +237,15 @@ struct FramedStrategy {
     f_support: Vec<GateId>,
     /// Ascending by `t` (asserted in [`FramedStrategy::new`]).
     frames: Vec<Frame>,
+    /// Per frame, `f_T(t) · f_P(center)` when every cell of the frame lies
+    /// in `f`'s support (the center mass is then the same for all of
+    /// them); `None` sends the frame's draws to [`FramedStrategy::weight`].
+    frame_f_mass: Vec<Option<f64>>,
     frame_cum: Vec<f64>,
     grand_total: f64,
     radius: RadiusDist,
+    /// `(f_R(r), g_R(r))` per radius option, indexed like `radius.options()`.
+    radius_mass: Vec<(f64, f64)>,
 }
 
 impl FramedStrategy {
@@ -252,13 +265,33 @@ impl FramedStrategy {
             "frames must be ascending by t"
         );
         let f_support = spatial_support(&f);
+        let center_mass = match &f.spatial {
+            SpatialDist::UniformOverCells(cells) => 1.0 / cells.len() as f64,
+            SpatialDist::Delta(_) => 1.0,
+        };
+        let frame_f_mass = frames
+            .iter()
+            .map(|fr| {
+                fr.cells
+                    .iter()
+                    .all(|g| f_support.binary_search(g).is_ok())
+                    .then(|| f.temporal.pmf(fr.t) * center_mass)
+            })
+            .collect();
+        let radius_mass = radius
+            .options()
+            .iter()
+            .map(|&r| (f.radius.pmf(r), radius.pmf(r)))
+            .collect();
         Self {
             f,
             f_support,
             frames,
+            frame_f_mass,
             frame_cum,
             grand_total: acc,
             radius,
+            radius_mass,
         }
     }
 
@@ -294,19 +327,52 @@ impl FramedStrategy {
         w / self.grand_total * self.radius.pmf(s.radius) / f64::from(PHASE_BINS)
     }
 
-    fn draw(&self, mut rng: &mut dyn rand::RngCore) -> AttackSample {
+    /// The draw shared by `draw` and `draw_weighted`: the sample plus the
+    /// frame, cell and radius indices it was drawn at.
+    fn draw_indexed(&self, mut rng: &mut dyn rand::RngCore) -> (AttackSample, [usize; 3]) {
         let x = (&mut rng).gen_range(0.0..self.grand_total);
-        let idx = self
+        let fi = self
             .frame_cum
             .partition_point(|&c| c <= x)
             .min(self.frames.len() - 1);
-        let frame = &self.frames[idx];
-        AttackSample {
+        let frame = &self.frames[fi];
+        let ci = frame.draw_cell(rng);
+        let ri = self.radius.sample_index(&mut rng);
+        let sample = AttackSample {
             t: frame.t,
-            center: frame.draw_cell(rng),
-            radius: self.radius.sample(&mut rng),
+            center: frame.cells[ci],
+            radius: self.radius.options()[ri],
             phase: (&mut rng).gen_range(0..PHASE_BINS),
+        };
+        (sample, [fi, ci, ri])
+    }
+
+    fn draw(&self, rng: &mut dyn rand::RngCore) -> AttackSample {
+        self.draw_indexed(rng).0
+    }
+
+    fn draw_weighted(&self, rng: &mut dyn rand::RngCore) -> (AttackSample, f64) {
+        let (s, idx) = self.draw_indexed(rng);
+        let w = self.weight_at(&s, idx);
+        (s, w)
+    }
+
+    /// [`FramedStrategy::weight`] of a sample drawn at frame, cell and
+    /// radius indices `idx`: the same `f64` operations on the same operands
+    /// in the same order as [`FramedStrategy::f_pmf`] and
+    /// [`FramedStrategy::pmf`], without the four binary searches that
+    /// re-find them.
+    fn weight_at(&self, s: &AttackSample, [fi, ci, ri]: [usize; 3]) -> f64 {
+        let Some(f_mass) = self.frame_f_mass[fi] else {
+            return self.weight(s);
+        };
+        let (f_radius, g_radius) = self.radius_mass[ri];
+        let bins = f64::from(PHASE_BINS);
+        let g = self.frames[fi].weights[ci] / self.grand_total * g_radius / bins;
+        if g < f64::MIN_POSITIVE {
+            return 0.0;
         }
+        f_mass * f_radius / bins / g
     }
 
     fn weight(&self, s: &AttackSample) -> f64 {
@@ -384,6 +450,10 @@ impl SamplingStrategy for ConeSampling {
 
     fn weight(&self, sample: &AttackSample) -> f64 {
         self.inner.weight(sample)
+    }
+
+    fn draw_weighted(&self, rng: &mut dyn rand::RngCore) -> (AttackSample, f64) {
+        self.inner.draw_weighted(rng)
     }
 }
 
@@ -540,13 +610,17 @@ impl SamplingStrategy for ImportanceSampling {
     fn weight(&self, sample: &AttackSample) -> f64 {
         self.inner.weight(sample)
     }
+
+    fn draw_weighted(&self, rng: &mut dyn rand::RngCore) -> (AttackSample, f64) {
+        self.inner.draw_weighted(rng)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn setup() -> (SystemModel, Precharacterization, ExperimentConfig) {
         let model = SystemModel::with_defaults().unwrap();
@@ -826,6 +900,104 @@ mod tests {
         assert!(strat.f_pmf(&s) > 0.0);
         assert!(!(strat.f_pmf(&s) / g).is_finite(), "fixture must overflow");
         assert_eq!(strat.weight(&s), 0.0, "denormal g must skip, not blow up");
+        // The draw-index path has the same guard. A cell of denormal mass
+        // is never drawn, so hand it the cell's indices directly.
+        assert!(
+            strat.frame_f_mass[0].is_some(),
+            "fixture frame is on f's support"
+        );
+        assert_eq!(strat.weight_at(&s, [0, 0, 0]), 0.0, "draw-index guard");
+    }
+
+    /// The strategies of the `draw_weighted` property, built once: a
+    /// pre-characterization is too slow to rebuild per case.
+    fn weighted_fixture() -> &'static [Box<dyn SamplingStrategy>] {
+        static STRATEGIES: std::sync::OnceLock<Vec<Box<dyn SamplingStrategy>>> =
+            std::sync::OnceLock::new();
+        STRATEGIES.get_or_init(|| {
+            let (model, prechar, cfg) = setup();
+            let f = baseline_distribution(&model, &cfg);
+            vec![
+                Box::new(RandomSampling::new(f.clone())),
+                Box::new(ConeSampling::new(
+                    f.clone(),
+                    &prechar,
+                    cfg.radius_options.clone(),
+                )),
+                Box::new(ImportanceSampling::new(
+                    f,
+                    &model,
+                    &prechar,
+                    cfg.alpha,
+                    cfg.beta,
+                    cfg.radius_options.clone(),
+                )),
+            ]
+        })
+    }
+
+    proptest::proptest! {
+        /// `draw_weighted` is `draw` then `weight`: the same sample, the
+        /// same weight bits, and the RNG left at the same position.
+        #[test]
+        fn draw_weighted_is_draw_then_weight(seed in proptest::prelude::any::<u64>()) {
+            for strat in weighted_fixture() {
+                let mut a = StdRng::seed_from_u64(seed);
+                let mut b = StdRng::seed_from_u64(seed);
+                for _ in 0..32 {
+                    let want = strat.draw(&mut a);
+                    let w = strat.weight(&want);
+                    let (got, gw) = strat.draw_weighted(&mut b);
+                    proptest::prop_assert_eq!(got, want, "{}", strat.name());
+                    proptest::prop_assert_eq!(gw.to_bits(), w.to_bits(), "{}", strat.name());
+                }
+                proptest::prop_assert_eq!(a.next_u64(), b.next_u64(), "{} rng", strat.name());
+            }
+        }
+    }
+
+    /// A frame with a cell off `f`'s support has no per-frame `f` mass:
+    /// its draws fall back to `weight`, which gives the off-support cell
+    /// weight 0 and the on-support one its full weight.
+    #[test]
+    fn off_support_frame_falls_back_to_weight() {
+        let (model, _, cfg) = setup();
+        let f = baseline_distribution(&model, &cfg);
+        let support = spatial_support(&f);
+        let off = *model
+            .placement
+            .placeable()
+            .iter()
+            .find(|g| support.binary_search(g).is_err())
+            .expect("a placed cell outside the sub-block");
+        let mut cells = vec![support[0], off];
+        cells.sort_unstable();
+        let radius = RadiusDist::uniform(cfg.radius_options.clone());
+        let strat = FramedStrategy::new(
+            f.clone(),
+            vec![
+                Frame::uniform(1, vec![support[1], support[2]]),
+                Frame::from_weights(2, cells, vec![1.0, 3.0]),
+            ],
+            radius,
+        );
+        assert!(strat.frame_f_mass[0].is_some());
+        assert!(strat.frame_f_mass[1].is_none(), "off-support frame");
+        let mut seen = [false; 2];
+        for seed in 0..400u64 {
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            let want = strat.draw(&mut a);
+            let (got, w) = strat.draw_weighted(&mut b);
+            assert_eq!(got, want, "seed {seed}");
+            assert_eq!(w.to_bits(), strat.weight(&want).to_bits(), "seed {seed}");
+            if want.t == 2 {
+                let on_support = want.center != off;
+                assert_eq!(w > 0.0, on_support, "seed {seed}: {want:?} weight {w}");
+                seen[usize::from(on_support)] = true;
+            }
+        }
+        assert_eq!(seen, [true, true], "both cells of the fallback frame drawn");
     }
 
     #[test]

@@ -28,18 +28,18 @@
 //! Spans only read the clock; counters are pure functions of per-run
 //! outcomes; provenance is copied out of the fold, never fed back in.
 
+use crate::fastforward::{conclusion_key, ConclusionKey, WordHash};
 use crate::flow::StrikeClass;
 use crate::json::{json_escape, json_num, JsonValue};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 use xlmc_netlist::GateId;
-use xlmc_soc::{MpuBit, MpuBitMask};
+use xlmc_soc::MpuBit;
 
 /// Format tag of the trace file (top-level `"format"` key; extra top-level
 /// keys are ignored by Perfetto, which only reads `"traceEvents"`).
@@ -399,43 +399,42 @@ impl KernelCounters {
 /// (lane-batch order folded back to run-index order) agree exactly.
 #[derive(Default)]
 pub(crate) struct CounterScratch {
-    seen_te: HashSet<u64, BuildHasherDefault<WordHasher>>,
-    /// Conclusion keys seen this chunk: the injection cycle and the error
-    /// pattern packed by [`MpuBit::index`]. Every run path hands over its
-    /// bits sorted and deduplicated, one order per set, so the packed set
-    /// separates exactly the patterns the conclusion memo separates.
-    seen: HashSet<(u64, MpuBitMask), BuildHasherDefault<WordHasher>>,
+    /// Injection cycles seen this chunk, one bit per `T_e`.
+    seen_te: Vec<u64>,
+    /// The words of `seen_te` set this chunk (cleared at the next start).
+    te_words: Vec<usize>,
+    /// [`ConclusionKey`]s seen this chunk — the key the conclusion memo
+    /// itself uses, so the model separates exactly the patterns it does.
+    seen: HashSet<ConclusionKey, WordHash>,
     rtl_seen: bool,
-}
-
-/// Word-multiply hasher for the counter sets, whose keys are a few `u64`
-/// words: a rotate-xor-multiply fold per word, with the high half folded
-/// down at the end so the table index sees every word.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
 }
 
 impl CounterScratch {
     /// Reset for a new chunk (keeps allocations).
     pub(crate) fn begin_chunk(&mut self) {
-        self.seen_te.clear();
+        for &w in &self.te_words {
+            self.seen_te[w] = 0;
+        }
+        self.te_words.clear();
         self.seen.clear();
         self.rtl_seen = false;
+    }
+
+    /// Mark `te` seen; `true` on its first occurrence this chunk.
+    fn first_te(&mut self, te: u64) -> bool {
+        let (w, bit) = ((te / 64) as usize, 1u64 << (te % 64));
+        if w >= self.seen_te.len() {
+            self.seen_te.resize(w + 1, 0);
+        }
+        let word = &mut self.seen_te[w];
+        if *word & bit != 0 {
+            return false;
+        }
+        if *word == 0 {
+            self.te_words.push(w);
+        }
+        *word |= bit;
+        true
     }
 
     /// Fold one run's outcome into the chunk's counters.
@@ -451,7 +450,7 @@ impl CounterScratch {
             c.out_of_run += 1;
             return;
         };
-        if self.seen_te.insert(te) {
+        if self.first_te(te) {
             c.cycle_memo_misses += 1;
         } else {
             c.cycle_memo_hits += 1;
@@ -461,7 +460,7 @@ impl CounterScratch {
             // Masked after hardening: the conclusion memo is never consulted.
             return;
         }
-        if !self.seen.insert((te, bits.iter().copied().collect())) {
+        if !self.seen.insert(conclusion_key(te, bits)) {
             c.conclusion_memo_hits += 1;
             return;
         }

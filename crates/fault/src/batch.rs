@@ -1,4 +1,4 @@
-//! Batched strike construction: one spot query per lane, CSR storage.
+//! Batched strike construction: cached spot footprints, CSR storage.
 //!
 //! The 64-lane batched campaign kernel needs each lane's impacted-cell
 //! list alive at the same time. Building 64 separate `Vec`s per batch
@@ -6,24 +6,37 @@
 //! flat CSR buffer: lane `l`'s cells are
 //! `cells[offsets[l] .. offsets[l + 1]]`, and the whole structure is
 //! reused batch after batch.
+//!
+//! A campaign strikes the same few `(center, radius)` spots over and over,
+//! so each spot's footprint is queried once and kept: per distinct radius,
+//! one `(start, len)` slot per center index into a second flat buffer.
 
 use xlmc_netlist::{GateId, Placement};
 
 use crate::sample::AttackSample;
 use crate::spot::RadiationSpot;
 
+/// Marks a footprint slot that has not been queried yet.
+const UNFILLED: (u32, u32) = (u32::MAX, 0);
+
 /// The struck-cell lists of one lane batch, CSR layout, reusable.
+///
+/// The footprint cache makes an instance valid against **one placement**:
+/// keep one per worker and campaign, never move it to another model.
 #[derive(Debug, Clone, Default)]
 pub struct LaneStrikes {
     offsets: Vec<u32>,
     cells: Vec<GateId>,
     times: Vec<f64>,
     query: Vec<GateId>,
-    query2: Vec<GateId>,
+    /// Per distinct radius (by its bits), the footprint slot of each center
+    /// index: a `(start, len)` range of `footprint_cells`.
+    footprints: Vec<(u64, Vec<(u32, u32)>)>,
+    footprint_cells: Vec<GateId>,
 }
 
 impl LaneStrikes {
-    /// Drop all lanes (keeps capacity).
+    /// Drop all lanes (keeps capacity and the footprint cache).
     pub fn clear(&mut self) {
         self.offsets.clear();
         self.cells.clear();
@@ -64,16 +77,48 @@ impl LaneStrikes {
             center: sample.center,
             radius: sample.radius,
         };
-        spot.impacted_cells_into(placement, &mut self.query);
-        if let Some(extra) = second {
-            extra.impacted_cells_into(placement, &mut self.query2);
-            self.query.extend_from_slice(&self.query2);
-            self.query.sort_unstable();
-            self.query.dedup();
+        let (lo, len) = self.footprint(&spot, placement);
+        let primary = lo as usize..(lo + len) as usize;
+        match second {
+            None => self.cells.extend_from_slice(&self.footprint_cells[primary]),
+            Some(extra) => {
+                let (lo2, len2) = self.footprint(extra, placement);
+                self.query.clear();
+                self.query.extend_from_slice(&self.footprint_cells[primary]);
+                self.query
+                    .extend_from_slice(&self.footprint_cells[lo2 as usize..(lo2 + len2) as usize]);
+                self.query.sort_unstable();
+                self.query.dedup();
+                self.cells.extend_from_slice(&self.query);
+            }
         }
-        self.cells.extend_from_slice(&self.query);
         self.offsets.push(self.cells.len() as u32);
         self.times.push(sample.strike_time_ps(clock_period_ps));
+    }
+
+    /// The cached footprint slot of `spot`, filled from
+    /// [`RadiationSpot::impacted_cells_into`] on first use (so it is
+    /// sorted, like every fresh query).
+    fn footprint(&mut self, spot: &RadiationSpot, placement: &Placement) -> (u32, u32) {
+        let bits = spot.radius.to_bits();
+        let k = match self.footprints.iter().position(|(b, _)| *b == bits) {
+            Some(k) => k,
+            None => {
+                self.footprints.push((bits, Vec::new()));
+                self.footprints.len() - 1
+            }
+        };
+        let slots = &mut self.footprints[k].1;
+        let c = spot.center.index();
+        if c >= slots.len() {
+            slots.resize(c + 1, UNFILLED);
+        }
+        if slots[c] == UNFILLED {
+            spot.impacted_cells_into(placement, &mut self.query);
+            slots[c] = (self.footprint_cells.len() as u32, self.query.len() as u32);
+            self.footprint_cells.extend_from_slice(&self.query);
+        }
+        slots[c]
     }
 
     /// Lane `l`'s struck cells.
@@ -198,6 +243,71 @@ mod tests {
         }
         .impacted_cells(&p);
         assert_eq!(batch.struck(2), &solo[..]);
+    }
+
+    /// The footprint cache is invisible: over many batches that revisit
+    /// the same centers, every lane equals a fresh spot query (or the
+    /// sorted, deduplicated union of two), for each radius, with and
+    /// without a second spot, unplaced centers included.
+    #[test]
+    fn cached_footprints_equal_fresh_queries() {
+        let n = chain(40);
+        let p = Placement::new(&n);
+        let fresh = |spot: &RadiationSpot| {
+            let mut out = Vec::new();
+            spot.impacted_cells_into(&p, &mut out);
+            out
+        };
+        // Placed cells revisited across batches, plus an unplaced input.
+        let mut centers: Vec<GateId> = p.placeable().iter().step_by(4).copied().collect();
+        centers.push(n.inputs()[0]);
+        let mut batch = LaneStrikes::default();
+        for pass in 0..3 {
+            for radius in [0.0, 1.0, 2.5] {
+                for with_second in [false, true] {
+                    batch.clear();
+                    let mut want = Vec::new();
+                    for (i, &center) in centers.iter().enumerate() {
+                        let s = AttackSample {
+                            t: 1,
+                            center,
+                            radius,
+                            phase: (i % 8) as u8,
+                        };
+                        let second = with_second.then(|| RadiationSpot {
+                            center: centers[(i + pass + 1) % centers.len()],
+                            radius: [2.5, 0.0, 1.0][i % 3],
+                        });
+                        batch.push_sample_with(&s, second.as_ref(), &p, 1000.0);
+                        let mut cells = fresh(&RadiationSpot { center, radius });
+                        if let Some(extra) = &second {
+                            cells.extend(fresh(extra));
+                            cells.sort_unstable();
+                            cells.dedup();
+                        }
+                        want.push(cells);
+                    }
+                    assert_eq!(batch.lanes(), want.len());
+                    for (l, cells) in want.iter().enumerate() {
+                        let ctx = format!("pass {pass} r {radius} second {with_second} lane {l}");
+                        assert_eq!(batch.struck(l), &cells[..], "{ctx}");
+                    }
+                }
+            }
+        }
+        // The unplaced center strikes nothing, cached or not.
+        let last = centers.len() - 1;
+        batch.clear();
+        for _ in 0..2 {
+            let s = AttackSample {
+                t: 1,
+                center: centers[last],
+                radius: 2.5,
+                phase: 0,
+            };
+            batch.push_sample(&s, &p, 1000.0);
+        }
+        assert!(batch.struck(0).is_empty() && batch.struck(1).is_empty());
     }
 
     #[test]

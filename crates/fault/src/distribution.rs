@@ -123,15 +123,26 @@ impl RadiusDist {
     ///
     /// # Panics
     ///
-    /// Panics when `options` is empty.
+    /// Panics when `options` is empty or holds a negative or non-finite
+    /// radius (a spot must at least cover its center).
     pub fn uniform(options: Vec<f64>) -> Self {
         assert!(!options.is_empty(), "empty radius option set");
+        for &r in &options {
+            assert!(
+                r.is_finite() && r >= 0.0,
+                "radius {r} is not a finite non-negative number"
+            );
+        }
         Self { options }
     }
 
     /// A fixed radius.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `r` is negative or non-finite.
     pub fn fixed(r: f64) -> Self {
-        Self { options: vec![r] }
+        Self::uniform(vec![r])
     }
 
     /// The available radii.
@@ -141,7 +152,13 @@ impl RadiusDist {
 
     /// Draw a radius.
     pub fn sample(&self, rng: &mut impl Rng) -> f64 {
-        self.options[rng.gen_range(0..self.options.len())]
+        self.options[self.sample_index(rng)]
+    }
+
+    /// Draw a radius as its index into [`RadiusDist::options`] (the same
+    /// RNG consumption as [`RadiusDist::sample`]).
+    pub fn sample_index(&self, rng: &mut impl Rng) -> usize {
+        rng.gen_range(0..self.options.len())
     }
 
     /// Probability mass of a radius.
@@ -323,6 +340,23 @@ mod tests {
             (0..20).map(|_| f.sample(&mut r)).collect()
         };
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn radius_options_must_be_finite_and_non_negative() {
+        for bad in [-1.0, -1e-9, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                std::panic::catch_unwind(|| RadiusDist::uniform(vec![0.0, bad])).is_err(),
+                "uniform accepted {bad}"
+            );
+            assert!(
+                std::panic::catch_unwind(|| RadiusDist::fixed(bad)).is_err(),
+                "fixed accepted {bad}"
+            );
+        }
+        // Zero (the center alone) and positive radii stay valid.
+        assert_eq!(RadiusDist::uniform(vec![0.0, 2.5]).options(), &[0.0, 2.5]);
+        assert_eq!(RadiusDist::fixed(0.0).pmf(0.0), 1.0);
     }
 
     #[test]

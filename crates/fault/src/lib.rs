@@ -15,8 +15,9 @@
 //! * [`distribution`] — the attacker distribution `f_{T,P}` with exact
 //!   probability-mass evaluation (needed for importance-sampling weights),
 //! * [`sample`] — the concrete attack sample `(t, p)`,
-//! * [`batch`] — CSR-packed struck-cell lists for the 64-lane batched
-//!   campaign kernel (one spot query per lane, shared storage),
+//! * [`batch`] — CSR-packed struck-cell lists for the packed campaign
+//!   kernels (one spot query per distinct `(center, radius)`, cached;
+//!   shared storage),
 //! * [`multifault`] — the SoK double-glitch mode: a second spot per run,
 //!   correlated in time, independent in space, drawn from a
 //!   deterministically split child stream.

@@ -294,6 +294,10 @@ impl MpuBit {
 pub struct MpuBitMask([u64; 3]);
 
 impl MpuBitMask {
+    /// How many bits a mask holds: every [`MpuBit::index`] is below it, so
+    /// tables indexed by bit can be sized without listing [`MpuBit::all`].
+    pub const CAPACITY: usize = 3 * 64;
+
     /// Add a bit to the set.
     pub fn insert(&mut self, bit: MpuBit) {
         let i = bit.index();
@@ -836,6 +840,7 @@ pub(crate) mod tests {
         }
         let full: MpuBitMask = all.iter().copied().collect();
         assert_eq!(full.len(), all.len());
+        assert!(all.iter().all(|b| b.index() < MpuBitMask::CAPACITY));
         assert!(MpuBitMask::default().is_empty());
         // Set semantics: order and repeats do not matter.
         let a: MpuBitMask = [MpuBit::Enable, MpuBit::StickyKind(1)]
