@@ -6,13 +6,13 @@
 //!    `SplitMix64::for_run(seed, run_index)` exactly as in the scalar
 //!    engine — batching never touches the per-run random streams.
 //! 2. **Strike** (packed): in-run samples are stratified by injection
-//!    cycle (sorted by `(T_e, run_index)` so runs sharing a frame land in
+//!    cycle (in `(T_e, run_index)` order so runs sharing a frame land in
 //!    the same lane batch), grouped into batches of up to
 //!    [`LANES`](xlmc_gatesim::LANES) lanes, and propagated through
 //!    [`TransientSim::strike_batch_with`](xlmc_gatesim::transient::TransientSim)
 //!    in one worklist pass per batch.
-//! 3. **Conclude + fold** (scalar): each lane's latched pattern goes
-//!    through the unchanged hardening/classification/resume pipeline with
+//! 3. **Conclude + fold** (scalar): each lane's faulty registers, a packed
+//!    set, go through the hardening/classification/resume pipeline with
 //!    its own RNG, and the per-run results are folded into the chunk
 //!    partial **in run-index order**, so the Welford/Chan statistics are
 //!    bit-identical to the scalar engine's at any thread count and any
@@ -24,15 +24,14 @@ use std::time::Instant;
 use xlmc_fault::{AttackSample, LaneStrikes};
 use xlmc_gatesim::{
     BatchLane, BatchStrikeOutcome, BatchTransientScratch, CompiledStrikeOutcome,
-    CompiledTransientScratch, CycleValues, StrikeOutcome, TransientScratch, WideMask, LANES,
+    CompiledTransientScratch, CycleGroup, CycleValues, StrikeOutcome, TransientScratch, LANES,
     WIDE_LANES,
 };
 use xlmc_netlist::GateId;
-use xlmc_soc::MpuBit;
 
 use crate::estimator::{fold_run, CampaignKernel, ChunkPartial, RunObs};
 use crate::fastforward::{ConclusionFront, FastForwardStats, RtlFastForward, SharedConclusionMemo};
-use crate::flow::{FaultRunner, StrikeClass};
+use crate::flow::{DffMask, FaultRunner, StrikeClass};
 use crate::metrics::{LatencyHist, LatencyShard};
 use crate::rng::SplitMix64;
 use crate::sampling::SamplingStrategy;
@@ -94,40 +93,43 @@ struct RunDraw {
 }
 
 /// One run's concluded outcome, buffered until the run-order fold.
+#[derive(Clone, Copy)]
 struct RunRecord {
     success: bool,
     class: StrikeClass,
     analytic: bool,
-    bits: Vec<MpuBit>,
+    /// The post-hardening registers in error.
+    regs: DffMask,
     pulses: usize,
 }
 
 impl RunRecord {
-    fn empty() -> Self {
-        Self {
-            success: false,
-            class: StrikeClass::Masked,
-            analytic: false,
-            bits: Vec::new(),
-            pulses: 0,
-        }
-    }
+    /// The record of a run without a strike.
+    const MASKED: Self = Self {
+        success: false,
+        class: StrikeClass::Masked,
+        analytic: false,
+        regs: DffMask::EMPTY,
+        pulses: 0,
+    };
 }
 
 /// Reusable per-worker buffers for [`run_chunk_batched`]. Like
-/// [`FlowScratch`](crate::flow::FlowScratch), the RTL fast-forward state is
-/// valid against one `(model, evaluation, prechar)` triple only.
+/// [`FlowScratch`](crate::flow::FlowScratch), the RTL fast-forward state —
+/// and the compiled kernel's cycle slots, named by `T_e` — is valid against
+/// one `(model, evaluation, prechar)` triple only.
 #[derive(Default)]
 pub(crate) struct BatchChunkScratch {
     draws: Vec<RunDraw>,
     te: Vec<Option<u64>>,
-    /// In-chunk indices of in-run samples, sorted by `(T_e, index)`.
+    /// In-chunk indices of in-run samples, in `(T_e, index)` order.
     order: Vec<u32>,
+    /// Per-cycle bucket offsets of the stratification pass.
+    te_counts: Vec<u32>,
     lane_strikes: LaneStrikes,
     transient: BatchTransientScratch,
     strike_out: BatchStrikeOutcome,
     faulty_regs: Vec<GateId>,
-    faulty_bits: Vec<MpuBit>,
     records: Vec<RunRecord>,
     ff: RtlFastForward,
     /// Per-worker unlocked mirror of the shared conclusion memo.
@@ -181,16 +183,22 @@ impl BatchChunkScratch {
     /// `(success, class, analytic, faulty_bits, weight)` — the per-run
     /// observables the lane-equivalence tests compare against the scalar
     /// engine.
-    fn recorded(&self, i: usize) -> (bool, StrikeClass, bool, &[MpuBit], f64) {
+    fn recorded(
+        &self,
+        runner: &FaultRunner<'_>,
+        i: usize,
+    ) -> (bool, StrikeClass, bool, Vec<xlmc_soc::MpuBit>, f64) {
         let r = &self.records[i];
-        (r.success, r.class, r.analytic, &r.bits, self.draws[i].w)
+        let mut bits = Vec::new();
+        runner.bits_into(r.regs, &mut bits);
+        (r.success, r.class, r.analytic, bits, self.draws[i].w)
     }
 }
 
 /// Phase 1 shared by both packed kernels: scalar draws identical to the
 /// scalar engine, then stratification by injection cycle. Same-frame runs
 /// share batches (fewer value groups per batch), and the `(T_e, index)`
-/// sort key keeps the grouping a pure function of the chunk contents —
+/// order keeps the grouping a pure function of the chunk contents —
 /// independent of threads and lane assignment.
 fn draw_and_stratify(
     runner: &FaultRunner<'_>,
@@ -203,9 +211,8 @@ fn draw_and_stratify(
     let m = end - start;
     scratch.draws.clear();
     scratch.te.clear();
-    scratch.order.clear();
     if scratch.records.len() < m {
-        scratch.records.resize_with(m, RunRecord::empty);
+        scratch.records.resize(m, RunRecord::MASKED);
     }
     let golden_cycles = runner.eval.golden.cycles;
     for i in 0..m {
@@ -214,25 +221,70 @@ fn draw_and_stratify(
         let te = sample
             .injection_cycle(runner.eval.target_cycle)
             .filter(|&te| te < golden_cycles);
-        match te {
-            Some(_) => scratch.order.push(i as u32),
-            None => {
-                // Out-of-run: masked without a strike, like the scalar path.
-                let rec = &mut scratch.records[i];
-                rec.success = false;
-                rec.class = StrikeClass::Masked;
-                rec.analytic = false;
-                rec.bits.clear();
-                rec.pulses = 0;
-            }
+        if te.is_none() {
+            // Out-of-run: masked without a strike, like the scalar path.
+            scratch.records[i] = RunRecord::MASKED;
         }
         scratch.te.push(te);
         scratch.draws.push(RunDraw { sample, w, rng });
     }
-    let te = &scratch.te;
-    scratch
-        .order
-        .sort_unstable_by_key(|&i| (te[i as usize].unwrap(), i));
+    stratify(&scratch.te, &mut scratch.order, &mut scratch.te_counts);
+}
+
+/// The in-run indices of `te` in `(T_e, index)` order, by one counting
+/// pass over the chunk's `T_e` range: each run lands in its cycle's bucket
+/// in index order, which is the order a `(T_e, index)` sort gives.
+fn stratify(te: &[Option<u64>], order: &mut Vec<u32>, counts: &mut Vec<u32>) {
+    order.clear();
+    let mut in_run = te.iter().flatten();
+    let Some(&first) = in_run.next() else {
+        return;
+    };
+    let (lo, hi) = in_run.fold((first, first), |(lo, hi), &t| (lo.min(t), hi.max(t)));
+    counts.clear();
+    counts.resize((hi - lo) as usize + 2, 0);
+    for &t in te.iter().flatten() {
+        counts[(t - lo) as usize + 1] += 1;
+    }
+    for b in 1..counts.len() {
+        counts[b] += counts[b - 1];
+    }
+    order.resize(counts[counts.len() - 1] as usize, 0);
+    for (i, t) in te.iter().enumerate() {
+        if let Some(t) = t {
+            let slot = &mut counts[(t - lo) as usize];
+            order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+    }
+}
+
+/// The stable-value groups of one compiled sweep over `batch` (whose
+/// equal cycles are contiguous after [`stratify`]), named by `T_e`.
+fn cycle_groups<'c>(
+    runner: &FaultRunner<'_>,
+    cycles: &'c SharedCycleCache,
+    te: &[Option<u64>],
+    batch: &[u32],
+) -> Vec<CycleGroup<'c>> {
+    let mut groups: Vec<CycleGroup<'c>> = Vec::new();
+    for (lane, &ri) in batch.iter().enumerate() {
+        let t = te[ri as usize].expect("batched runs inject inside the run");
+        let (k, bit) = (lane / 64, 1u64 << (lane % 64));
+        match groups.last_mut() {
+            Some(g) if g.cycle == t as usize => g.lanes[k] |= bit,
+            _ => {
+                let mut lanes = [0; 4];
+                lanes[k] = bit;
+                groups.push(CycleGroup {
+                    lanes,
+                    cycle: t as usize,
+                    values: cycles.get(runner, t),
+                });
+            }
+        }
+    }
+    groups
 }
 
 /// Execute runs `start..end` through the 64-lane batched kernel.
@@ -266,7 +318,9 @@ pub(crate) fn run_chunk_batched(
     let period = runner.model.transient.config().clock_period_ps;
     let netlist = runner.model.mpu.netlist();
     let mut kc = KernelCounters::default();
-    for batch in scratch.order.chunks(LANES) {
+    for b0 in (0..scratch.order.len()).step_by(LANES) {
+        let b1 = (b0 + LANES).min(scratch.order.len());
+        let batch = &scratch.order[b0..b1];
         let strike_span = sink.span_on(tid, "chunk", "strike");
         scratch.lane_strikes.clear();
         for &ri in batch {
@@ -274,7 +328,7 @@ pub(crate) fn run_chunk_batched(
             // The second-spot entropy word comes off the run's own stream
             // here — the same stream position as the scalar engine, which
             // draws it right after the primary spot query and before the
-            // hardening draws in `conclude_with`.
+            // hardening draws in `FaultRunner::harden`.
             let spot2 = runner
                 .multi_fault
                 .map(|mf| mf.second_spot(scratch.draws[ri].rng.next_u64()));
@@ -321,45 +375,48 @@ pub(crate) fn run_chunk_batched(
         drop(strike_span);
 
         let _conclude_span = sink.span_on(tid, "chunk", "conclude");
-        for (lane, &ri) in batch.iter().enumerate() {
-            let ri = ri as usize;
-            let te = scratch.te[ri].unwrap();
+        for lane in 0..b1 - b0 {
+            let ri = scratch.order[b0 + lane];
             scratch
                 .strike_out
                 .faulty_registers_into(lane, &mut scratch.faulty_regs);
-            scratch.faulty_bits.clear();
-            scratch.faulty_bits.extend(
-                scratch
-                    .faulty_regs
-                    .iter()
-                    .filter_map(|&d| runner.model.mpu.bit_of(d)),
-            );
-            let view = runner.conclude_with(
-                te,
-                &mut scratch.draws[ri].rng,
-                &mut scratch.faulty_bits,
-                &mut scratch.ff,
-                memo,
-                Some(&mut scratch.front),
-            );
-            let rec = &mut scratch.records[ri];
-            rec.success = view.success;
-            rec.class = view.class;
-            rec.analytic = view.analytic;
-            rec.bits.clear();
-            rec.bits.extend_from_slice(view.faulty_bits);
-            rec.pulses = scratch.strike_out.pulses_propagated(lane);
+            let regs = runner.dff_mask(&scratch.faulty_regs);
+            let pulses = scratch.strike_out.pulses_propagated(lane);
+            conclude_lane(runner, scratch, memo, ri as usize, regs, pulses);
         }
     }
 
     // Fold in run-index order: the Welford push sequence — and the counter
     // fold — must match the scalar engine exactly.
     let _fold_span = sink.span_on(tid, "chunk", "fold");
-    fold_records(scratch, ctr, start, m, kc, record_provenance)
+    fold_records(runner, scratch, ctr, start, m, kc, record_provenance)
+}
+
+/// Harden and conclude run `ri`'s strike — its registers in error `regs`
+/// and the pulses it propagated — into its record.
+fn conclude_lane(
+    runner: &FaultRunner<'_>,
+    scratch: &mut BatchChunkScratch,
+    memo: &SharedConclusionMemo,
+    ri: usize,
+    mut regs: DffMask,
+    pulses: usize,
+) {
+    let te = scratch.te[ri].expect("struck runs inject inside the run");
+    runner.harden(&mut regs, &mut scratch.draws[ri].rng);
+    let c = runner.conclude_with(te, regs, &mut scratch.ff, memo, Some(&mut scratch.front));
+    scratch.records[ri] = RunRecord {
+        success: c.success,
+        class: c.class,
+        analytic: c.analytic,
+        regs,
+        pulses,
+    };
 }
 
 /// Fold the chunk's buffered records into a partial, in run-index order.
 fn fold_records(
+    runner: &FaultRunner<'_>,
     scratch: &mut BatchChunkScratch,
     ctr: &mut CounterScratch,
     start: usize,
@@ -386,7 +443,8 @@ fn fold_records(
                 analytic: rec.analytic,
                 success: rec.success,
                 w: scratch.draws[i].w,
-                faulty_bits: &rec.bits,
+                regs: rec.regs,
+                dff_bits: runner.model.mpu.dff_bits(),
             },
             record_provenance,
         );
@@ -429,7 +487,9 @@ pub(crate) fn run_chunk_compiled(
         .program()
         .expect("model netlist was levelized at construction");
     let mut kc = KernelCounters::default();
-    for batch in scratch.order.chunks(WIDE_LANES) {
+    for b0 in (0..scratch.order.len()).step_by(WIDE_LANES) {
+        let b1 = (b0 + WIDE_LANES).min(scratch.order.len());
+        let batch = &scratch.order[b0..b1];
         let strike_span = sink.span_on(tid, "chunk", "strike");
         scratch.lane_strikes.clear();
         for &ri in batch {
@@ -437,7 +497,7 @@ pub(crate) fn run_chunk_compiled(
             // The second-spot entropy word comes off the run's own stream
             // here — the same stream position as the scalar engine, which
             // draws it right after the primary spot query and before the
-            // hardening draws in `conclude_with`.
+            // hardening draws in `FaultRunner::harden`.
             let spot2 = runner
                 .multi_fault
                 .map(|mf| mf.second_spot(scratch.draws[ri].rng.next_u64()));
@@ -448,21 +508,7 @@ pub(crate) fn run_chunk_compiled(
                 period,
             );
         }
-        // Consecutive-`T_e` lane groups as 256-wide masks (the stratify
-        // sort made equal cycles contiguous).
-        let mut groups: Vec<(WideMask, &CycleValues)> = Vec::new();
-        let mut cur_te = scratch.te[batch[0] as usize].unwrap();
-        let mut mask: WideMask = [0; 4];
-        for (lane, &ri) in batch.iter().enumerate() {
-            let te = scratch.te[ri as usize].unwrap();
-            if te != cur_te {
-                groups.push((mask, cycles.get(runner, cur_te)));
-                cur_te = te;
-                mask = [0; 4];
-            }
-            mask[lane / 64] |= 1u64 << (lane % 64);
-        }
-        groups.push((mask, cycles.get(runner, cur_te)));
+        let groups = cycle_groups(runner, cycles, &scratch.te, batch);
         let lanes: Vec<BatchLane<'_>> = (0..batch.len())
             .map(|l| BatchLane {
                 struck: scratch.lane_strikes.struck(l),
@@ -487,40 +533,17 @@ pub(crate) fn run_chunk_compiled(
         drop(strike_span);
 
         let _conclude_span = sink.span_on(tid, "chunk", "conclude");
-        for (lane, &ri) in batch.iter().enumerate() {
-            let ri = ri as usize;
-            let te = scratch.te[ri].unwrap();
-            scratch
-                .cstrike_out
-                .faulty_registers_into(lane, &mut scratch.faulty_regs);
-            scratch.faulty_bits.clear();
-            scratch.faulty_bits.extend(
-                scratch
-                    .faulty_regs
-                    .iter()
-                    .filter_map(|&d| runner.model.mpu.bit_of(d)),
-            );
-            let view = runner.conclude_with(
-                te,
-                &mut scratch.draws[ri].rng,
-                &mut scratch.faulty_bits,
-                &mut scratch.ff,
-                memo,
-                Some(&mut scratch.front),
-            );
-            let rec = &mut scratch.records[ri];
-            rec.success = view.success;
-            rec.class = view.class;
-            rec.analytic = view.analytic;
-            rec.bits.clear();
-            rec.bits.extend_from_slice(view.faulty_bits);
-            rec.pulses = scratch.cstrike_out.pulses_propagated(lane);
+        for lane in 0..b1 - b0 {
+            let ri = scratch.order[b0 + lane];
+            let regs = DffMask::from_words(scratch.cstrike_out.faulty_words(lane));
+            let pulses = scratch.cstrike_out.pulses_propagated(lane);
+            conclude_lane(runner, scratch, memo, ri as usize, regs, pulses);
         }
     }
 
     // Fold in run-index order, exactly like the other kernels.
     let _fold_span = sink.span_on(tid, "chunk", "fold");
-    fold_records(scratch, ctr, start, m, kc, record_provenance)
+    fold_records(runner, scratch, ctr, start, m, kc, record_provenance)
 }
 
 /// One gate-level-path measurement: the strike phase alone — stratified
@@ -678,19 +701,7 @@ pub fn gate_path_bench(
                             period,
                         );
                     }
-                    let mut groups: Vec<(WideMask, &CycleValues)> = Vec::new();
-                    let mut cur_te = scratch.te[batch[0] as usize].unwrap();
-                    let mut mask: WideMask = [0; 4];
-                    for (lane, &ri) in batch.iter().enumerate() {
-                        let te = scratch.te[ri as usize].unwrap();
-                        if te != cur_te {
-                            groups.push((mask, cycles.get(runner, cur_te)));
-                            cur_te = te;
-                            mask = [0; 4];
-                        }
-                        mask[lane / 64] |= 1u64 << (lane % 64);
-                    }
-                    groups.push((mask, cycles.get(runner, cur_te)));
+                    let groups = cycle_groups(runner, &cycles, &scratch.te, batch);
                     let lanes: Vec<BatchLane<'_>> = (0..batch.len())
                         .map(|l| BatchLane {
                             struck: scratch.lane_strikes.struck(l),
@@ -711,7 +722,7 @@ pub fn gate_path_bench(
                         pulses += scratch.cstrike_out.pulses_propagated(lane) as u64;
                         scratch
                             .cstrike_out
-                            .faulty_registers_into(lane, &mut faulty_regs);
+                            .faulty_registers_into(netlist, lane, &mut faulty_regs);
                         faulty += faulty_regs
                             .iter()
                             .map(|g| g.index() as u64 + 1)
@@ -741,7 +752,7 @@ pub fn gate_path_bench(
 mod tests {
     use super::*;
     use crate::flow::FlowScratch;
-    use crate::harden::{HardenedSet, HardenedVariant, HardeningModel};
+    use crate::harden::{DupConfigVote, HardenedSet, HardenedVariant, HardeningModel, ScfiFsm};
     use crate::model::{Evaluation, SystemModel};
     use crate::precharacterize::Precharacterization;
     use crate::sampling::{
@@ -790,6 +801,29 @@ mod tests {
                 f.cfg.radius_options.clone(),
             )),
         ]
+    }
+
+    proptest::proptest! {
+        /// The counting pass orders in-run indices exactly like the
+        /// `(T_e, index)` comparison sort it replaced, out-of-run entries
+        /// left out, on random `T_e` vectors with repeats and wide spans.
+        #[test]
+        fn stratify_matches_the_comparison_sort(
+            draws in proptest::collection::vec((0u32..4, 0u64..40), 0..200),
+            base in 0u64..1_000,
+        ) {
+            let te: Vec<Option<u64>> = draws
+                .iter()
+                .map(|&(kind, t)| (kind != 0).then_some(base + t * u64::from(kind)))
+                .collect();
+            let mut want: Vec<u32> = (0..te.len() as u32)
+                .filter(|&i| te[i as usize].is_some())
+                .collect();
+            want.sort_unstable_by_key(|&i| (te[i as usize].unwrap(), i));
+            let (mut order, mut counts) = (vec![7], Vec::new());
+            stratify(&te, &mut order, &mut counts);
+            proptest::prop_assert_eq!(order, want);
+        }
     }
 
     /// The lane-equivalence property at system level: for every run of a
@@ -841,7 +875,7 @@ mod tests {
                         let sample = strat.draw(&mut rng);
                         let w = strat.weight(&sample);
                         let out = runner.run_with(&sample, &mut rng, &mut flow);
-                        let (bs, bc, ba, bbits, bw) = bscratch.recorded(i);
+                        let (bs, bc, ba, bbits, bw) = bscratch.recorded(&runner, i);
                         let ctx = format!(
                             "strategy {} seed {seed} run {i} hardened {}",
                             strat.name(),
@@ -976,7 +1010,7 @@ mod tests {
                     let sample = strat.draw(&mut rng);
                     let w = strat.weight(&sample);
                     let out = runner.run_with(&sample, &mut rng, &mut flow);
-                    let (cs, cc, ca, cbits, cw) = cscratch.recorded(i);
+                    let (cs, cc, ca, cbits, cw) = cscratch.recorded(&runner, i);
                     let ctx = format!(
                         "workload {} run {i} hardened {}",
                         runner.eval.workload.name,
@@ -1060,7 +1094,7 @@ mod tests {
                     let sample = strat.draw(&mut rng);
                     let w = strat.weight(&sample);
                     let out = runner.run_with(&sample, &mut rng, &mut flow);
-                    let (bs, bc, ba, bbits, bw) = scratch.recorded(i);
+                    let (bs, bc, ba, bbits, bw) = scratch.recorded(&runner, i);
                     let ctx = format!(
                         "compiled={compiled} hardened={} run {i}",
                         hardening.is_some()
@@ -1073,6 +1107,109 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The compiled engine reproduces the scalar engine run by run on all
+    /// five goals under the deterministic voter (the sweep grid's defense)
+    /// and the stochastic SCFI code, with one and two glitch spots. Both
+    /// keep the hardening filter's draw order: one `flip_survives` per
+    /// candidate bit in ascending DFF `GateId` order, checked against that
+    /// filter applied to the unhardened strike's bits.
+    #[test]
+    fn compiled_hardening_order_matches_scalar_on_every_goal() {
+        let model = SystemModel::with_defaults().unwrap();
+        let cfg = ExperimentConfig {
+            t_max: 20,
+            ..Default::default()
+        };
+        let prechar = Precharacterization::run(&model, cfg.t_max, cfg.max_radius());
+        let fd = baseline_distribution(&model, &cfg);
+        let glitch = xlmc_fault::DoubleGlitch::new(fd.spatial.clone(), fd.radius.clone());
+        let defenses = [
+            HardenedVariant::DupConfigVote(DupConfigVote::new()),
+            HardenedVariant::ScfiFsm(ScfiFsm::with_miss_rate(0.5)),
+        ];
+        let mut multi_bit_candidates = 0;
+        for workload in [
+            workloads::illegal_write(),
+            workloads::illegal_read(),
+            workloads::dma_exfiltration(),
+            workloads::trap_escalation(),
+            workloads::instruction_skip(),
+        ] {
+            let eval = Evaluation::new(workload).unwrap();
+            for defense in &defenses {
+                for multi_fault in [None, Some(&glitch)] {
+                    let runner = FaultRunner {
+                        model: &model,
+                        eval: &eval,
+                        prechar: &prechar,
+                        hardening: Some(defense),
+                        multi_fault,
+                    };
+                    let strat = RandomSampling::new(fd.clone());
+                    let (seed, n) = (57u64, 300);
+                    let cache = SharedCycleCache::new(runner.eval.golden.cycles);
+                    let memo = SharedConclusionMemo::default();
+                    let mut cscratch = BatchChunkScratch::default();
+                    let mut ctr = CounterScratch::default();
+                    let sink = TraceSink::disabled();
+                    run_chunk_compiled(
+                        &runner,
+                        &strat,
+                        seed,
+                        0,
+                        n,
+                        &mut cscratch,
+                        &cache,
+                        &memo,
+                        &mut ctr,
+                        false,
+                        &sink,
+                        0,
+                    );
+                    let bare = FaultRunner {
+                        hardening: None,
+                        ..runner
+                    };
+                    let mut flow = FlowScratch::default();
+                    for i in 0..n {
+                        let mut rng = SplitMix64::for_run(seed, i as u64);
+                        let sample = strat.draw(&mut rng);
+                        let w = strat.weight(&sample);
+                        // The filter's oracle: the unhardened strike's bits
+                        // by DFF gate id, one survival draw per candidate
+                        // right after the strike's own stream use.
+                        let mut filter_rng = rng.clone();
+                        let mut want = bare
+                            .run_with(&sample, &mut filter_rng, &mut flow)
+                            .faulty_bits
+                            .to_vec();
+                        want.sort_by_key(|&b| model.mpu.dff(b));
+                        multi_bit_candidates += usize::from(want.len() > 1);
+                        want.retain(|&b| defense.flip_survives(b, &mut filter_rng));
+                        let out = runner.run_with(&sample, &mut rng, &mut flow);
+                        let (cs, cc, ca, cbits, cw) = cscratch.recorded(&runner, i);
+                        let ctx = format!(
+                            "workload {} {} double={} run {i}",
+                            runner.eval.workload.name,
+                            defense.name(),
+                            multi_fault.is_some()
+                        );
+                        assert_eq!(cc, out.class, "{ctx}");
+                        assert_eq!(cs, out.success, "{ctx}");
+                        assert_eq!(ca, out.analytic, "{ctx}");
+                        assert_eq!(cbits, out.faulty_bits, "{ctx}");
+                        assert_eq!(cbits, want, "{ctx}");
+                        assert!(cw == w, "{ctx}: weight {cw} != {w}");
+                    }
+                }
+            }
+        }
+        assert!(
+            multi_bit_candidates > 0,
+            "some run must put several registers through the filter"
+        );
     }
 
     /// The compiled partial equals the scalar partial field by field at

@@ -17,7 +17,7 @@
 pub use crate::batch::{gate_path_bench, GatePathBench};
 use crate::batch::{run_chunk_batched, run_chunk_compiled, BatchChunkScratch, SharedCycleCache};
 use crate::fastforward::{FastForwardStats, SharedConclusionMemo};
-use crate::flow::{FaultRunner, FlowScratch, StrikeClass};
+use crate::flow::{DffMask, FaultRunner, FlowScratch, StrikeClass};
 use crate::json::{bits_str, json_num};
 use crate::metrics::{self, EventLog, LatencyShard, MetricsRegistry, MlmcProgress, StallWatchdog};
 use crate::multilevel::{
@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use xlmc_fault::AttackSample;
-use xlmc_soc::{MpuBit, MpuBitMask};
+use xlmc_soc::MpuBit;
 
 /// Runs per shard. Fixed — independent of the thread count and of the
 /// kernel — so the chunk partition, and therefore every merged statistic,
@@ -630,36 +630,37 @@ pub(crate) struct ChunkPartial {
 }
 
 /// One chunk's per-register SSF attribution: `Σ w` over the chunk's
-/// successful runs per faulty bit, in a slab indexed by [`MpuBit::index`].
+/// successful runs per faulty register, in a slab indexed by DFF index.
 /// Each sum adds in run order, like the campaign map it merges into, and a
-/// success with weight 0 still creates its bit's entry.
+/// success with weight 0 still creates its register's entry.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct ChunkAttribution {
     sums: Vec<f64>,
-    /// The bits with an entry, in first-seen order.
-    touched: Vec<MpuBit>,
-    seen: MpuBitMask,
+    /// The registers with an entry, in first-seen order, with their bits.
+    touched: Vec<(usize, MpuBit)>,
+    seen: DffMask,
 }
 
 impl ChunkAttribution {
-    /// Add one successful run's weight to each of its faulty bits.
-    pub(crate) fn add(&mut self, bits: &[MpuBit], w: f64) {
+    /// Add one successful run's weight to each of its faulty registers;
+    /// `dff_bits` names the bit of each DFF index.
+    pub(crate) fn add(&mut self, regs: DffMask, w: f64, dff_bits: &[MpuBit]) {
         if self.sums.is_empty() {
-            self.sums.resize(MpuBitMask::CAPACITY, 0.0);
+            self.sums.resize(DffMask::CAPACITY, 0.0);
         }
-        for &bit in bits {
-            if !self.seen.contains(bit) {
-                self.seen.insert(bit);
-                self.touched.push(bit);
+        for i in regs.iter() {
+            if !self.seen.contains(i) {
+                self.seen.insert(i);
+                self.touched.push((i, dff_bits[i]));
             }
-            self.sums[bit.index()] += w;
+            self.sums[i] += w;
         }
     }
 
     /// Fold the chunk's sums into the campaign's map.
     fn merge_into(&self, map: &mut BTreeMap<MpuBit, f64>) {
-        for &bit in &self.touched {
-            *map.entry(bit).or_insert(0.0) += self.sums[bit.index()];
+        for &(i, bit) in &self.touched {
+            *map.entry(bit).or_insert(0.0) += self.sums[i];
         }
     }
 }
@@ -674,7 +675,10 @@ pub(crate) struct RunObs<'a> {
     pub(crate) analytic: bool,
     pub(crate) success: bool,
     pub(crate) w: f64,
-    pub(crate) faulty_bits: &'a [MpuBit],
+    /// The post-hardening registers in error.
+    pub(crate) regs: DffMask,
+    /// The bit of each DFF index ([`xlmc_soc::MpuNetlist::dff_bits`]).
+    pub(crate) dff_bits: &'a [MpuBit],
 }
 
 /// Fold one run's outcome into a shard partial. Both kernels route every
@@ -699,13 +703,7 @@ pub(crate) fn fold_run(
             p.rtl_runs += 1;
         }
     }
-    ctr.record_run(
-        &mut p.counters,
-        obs.te,
-        obs.faulty_bits,
-        obs.analytic,
-        obs.pulses,
-    );
+    ctr.record_run(&mut p.counters, obs.te, obs.regs, obs.analytic, obs.pulses);
     p.w_sum += obs.w;
     p.w_sq_sum += obs.w * obs.w;
     let x = if obs.success {
@@ -713,7 +711,7 @@ pub(crate) fn fold_run(
         if p.first_success.is_none() {
             p.first_success = Some(obs.run_index);
         }
-        p.attribution.add(obs.faulty_bits, obs.w);
+        p.attribution.add(obs.regs, obs.w, obs.dff_bits);
         obs.w
     } else {
         0.0
@@ -772,7 +770,8 @@ fn run_chunk(
                 analytic: outcome.analytic,
                 success: outcome.success,
                 w,
-                faulty_bits: outcome.faulty_bits,
+                regs: outcome.regs,
+                dff_bits: runner.model.mpu.dff_bits(),
             },
             record_provenance,
         );
@@ -2133,23 +2132,22 @@ mod tests {
                 1..4,
             ),
         ) {
-            let all = MpuBit::all();
+            // Any bijection serves as the DFF-to-bit table.
+            let dff_bits: Vec<MpuBit> = MpuBit::all().into_iter().rev().collect();
             let mut dense_map = BTreeMap::new();
             let mut oracle_map: BTreeMap<MpuBit, f64> = BTreeMap::new();
             for runs in &chunks {
                 let mut dense = ChunkAttribution::default();
                 let mut oracle: BTreeMap<MpuBit, f64> = BTreeMap::new();
                 for (picks, kind, raw) in runs {
-                    // A success's bits are sorted and deduplicated.
-                    let mut bits: Vec<MpuBit> = picks.iter().map(|&k| all[k % all.len()]).collect();
-                    bits.sort_unstable();
-                    bits.dedup();
+                    let regs: DffMask = picks.iter().map(|&k| k % dff_bits.len()).collect();
+                    let bits: Vec<MpuBit> = regs.iter().map(|i| dff_bits[i]).collect();
                     let w = match kind {
                         0 => 0.0,
                         1 => 1.0,
                         _ => (*raw >> 11) as f64 / (1u64 << 40) as f64,
                     };
-                    dense.add(&bits, w);
+                    dense.add(regs, w, &dff_bits);
                     for &bit in &bits {
                         *oracle.entry(bit).or_insert(0.0) += w;
                     }
@@ -2168,9 +2166,11 @@ mod tests {
 
     #[test]
     fn zero_weight_success_creates_its_attribution_key() {
+        let dff_bits = MpuBit::all();
+        let (enable, violation) = (MpuBit::Enable.index(), MpuBit::Violation.index());
         let mut dense = ChunkAttribution::default();
-        dense.add(&[MpuBit::Enable, MpuBit::Violation], 0.0);
-        dense.add(&[MpuBit::Violation], 0.5);
+        dense.add(DffMask::from_iter([enable, violation]), 0.0, &dff_bits);
+        dense.add(DffMask::from_iter([violation]), 0.5, &dff_bits);
         let mut map = BTreeMap::new();
         dense.merge_into(&mut map);
         assert_eq!(map.len(), 2);

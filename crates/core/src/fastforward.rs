@@ -38,10 +38,10 @@ use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::flow::Concluded;
+use crate::flow::{Concluded, DffMask};
 use crate::metrics::LatencyHist;
 use crate::model::Evaluation;
-use xlmc_soc::{MpuBit, MpuBitMask, Soc};
+use xlmc_soc::{MpuBit, Soc};
 
 /// LRU bound on the exact-cycle snapshot cache (per worker), as a count.
 /// Snapshots share their unwritten RAM pages with the golden checkpoints,
@@ -142,6 +142,9 @@ pub struct RtlFastForward {
     /// restore on a hit, checkpoint restore + replay on a miss) — pure
     /// telemetry, harvested per chunk by the campaign engine.
     restore_hist: LatencyHist,
+    /// The bits of the pattern a conclusion-memo miss evaluates (a reused
+    /// buffer).
+    pub(crate) bits: Vec<MpuBit>,
 }
 
 impl Default for RtlFastForward {
@@ -167,6 +170,7 @@ impl RtlFastForward {
                 ..FastForwardStats::default()
             },
             restore_hist: LatencyHist::default(),
+            bits: Vec::new(),
         }
     }
 
@@ -326,16 +330,9 @@ pub fn reference_verdict(eval: &Evaluation, te: u64, faulty_bits: &[MpuBit]) -> 
 
 /// The key every conclusion structure shares — the shared memo, the
 /// per-worker [`ConclusionFront`] and the chunk-local counter model: the
-/// injection cycle and the post-hardening error pattern packed by
-/// [`MpuBit::index`]. Every run path hands over its bits sorted and
-/// deduplicated, one order per set, so the packed set separates exactly the
-/// patterns the verdict depends on.
-pub(crate) type ConclusionKey = (u64, MpuBitMask);
-
-/// The [`ConclusionKey`] of an error pattern.
-pub(crate) fn conclusion_key(te: u64, bits: &[MpuBit]) -> ConclusionKey {
-    (te, bits.iter().copied().collect())
-}
+/// injection cycle and the post-hardening registers as a [`DffMask`], so the
+/// key separates exactly the patterns the verdict depends on.
+pub(crate) type ConclusionKey = (u64, DffMask);
 
 /// Word-multiply hasher for keys made of a few `u64` words (the
 /// [`ConclusionKey`]): a rotate-xor-multiply fold per word, with the high
@@ -475,6 +472,11 @@ mod tests {
     use super::*;
     use crate::flow::StrikeClass;
 
+    /// The key of the registers with DFF indices `regs` at cycle `te`.
+    fn key_of(te: u64, regs: &[usize]) -> ConclusionKey {
+        (te, regs.iter().copied().collect())
+    }
+
     fn concluded(success: bool) -> Concluded {
         Concluded {
             success,
@@ -486,12 +488,12 @@ mod tests {
     #[test]
     fn memo_round_trips_and_verifies_exact_keys() {
         let memo = SharedConclusionMemo::default();
-        let key = conclusion_key(5, &[MpuBit::Violation, MpuBit::Enable]);
+        let key = key_of(5, &[170, 0]);
         assert!(memo.get(&key).is_none());
         memo.insert(key, concluded(true));
         assert!(memo.get(&key).unwrap().success);
         // A different pattern at the same cycle is a separate entry.
-        let other = conclusion_key(5, &[MpuBit::PipeValid]);
+        let other = key_of(5, &[19]);
         assert!(memo.get(&other).is_none());
         memo.insert(other, concluded(false));
         assert!(memo.get(&key).unwrap().success);
@@ -505,29 +507,27 @@ mod tests {
         let mut front = ConclusionFront::default();
         assert!(front.get_through(&memo, &key).unwrap().success);
         assert!(front.get_through(&memo, &key).unwrap().success);
-        assert!(front
-            .get_through(&memo, &conclusion_key(6, &[MpuBit::Enable]))
-            .is_none());
+        assert!(front.get_through(&memo, &key_of(6, &[0])).is_none());
         assert_eq!(front.contention_stats(), (1, 2));
     }
 
     #[test]
     fn conclusion_key_separates_te_and_bit_patterns() {
         let memo = SharedConclusionMemo::default();
-        let a = [MpuBit::Base(0, 1)];
-        let b = [MpuBit::Base(1, 0)];
-        assert_ne!(conclusion_key(3, &a), conclusion_key(3, &b));
-        assert_ne!(conclusion_key(3, &a), conclusion_key(4, &a));
-        assert_ne!(conclusion_key(3, &[]), conclusion_key(3, &a));
-        memo.insert(conclusion_key(3, &a), concluded(true));
-        assert!(memo.get(&conclusion_key(3, &b)).is_none(), "other pattern");
-        assert!(memo.get(&conclusion_key(4, &a)).is_none(), "other cycle");
-        assert!(memo.get(&conclusion_key(3, &[])).is_none(), "empty pattern");
+        let a = [21];
+        let b = [63, 64];
+        assert_ne!(key_of(3, &a), key_of(3, &b));
+        assert_ne!(key_of(3, &a), key_of(4, &a));
+        assert_ne!(key_of(3, &[]), key_of(3, &a));
+        memo.insert(key_of(3, &a), concluded(true));
+        assert!(memo.get(&key_of(3, &b)).is_none(), "other pattern");
+        assert!(memo.get(&key_of(4, &a)).is_none(), "other cycle");
+        assert!(memo.get(&key_of(3, &[])).is_none(), "empty pattern");
         // The key is the set: the one order a path hands a set over in and
         // any other order name the same entry.
-        let ab = [MpuBit::Enable, MpuBit::Violation];
-        let ba = [MpuBit::Violation, MpuBit::Enable];
-        assert_eq!(conclusion_key(3, &ab), conclusion_key(3, &ba));
+        let ab = [0, 170];
+        let ba = [170, 0];
+        assert_eq!(key_of(3, &ab), key_of(3, &ba));
     }
 
     #[test]

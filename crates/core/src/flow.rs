@@ -15,11 +15,10 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use crate::analytic::{self, AnalyticVerdict};
-use crate::fastforward::{
-    self, ConclusionFront, FastForwardStats, RtlFastForward, SharedConclusionMemo,
-};
+use crate::fastforward::{ConclusionFront, FastForwardStats, RtlFastForward, SharedConclusionMemo};
 use crate::harden::HardenedVariant;
 use crate::lifetime::RegisterKind;
 use crate::model::{Evaluation, SystemModel};
@@ -28,7 +27,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use xlmc_fault::{AttackSample, DoubleGlitch, RadiationSpot};
 use xlmc_gatesim::{CycleValues, StrikeOutcome, TransientScratch};
-use xlmc_netlist::GateId;
+use xlmc_netlist::{GateId, GateProgram};
 use xlmc_soc::MpuBit;
 
 /// The classification of one strike by where its errors landed
@@ -115,6 +114,136 @@ impl RunView<'_> {
             injection_cycle: self.injection_cycle,
             pulses_propagated: self.pulses_propagated,
             gates_visited: self.gates_visited,
+        }
+    }
+}
+
+/// The registers in error after a strike, packed by DFF index: the
+/// position in [`xlmc_netlist::Netlist::dffs`], which ascends with
+/// [`GateId`]. Member `i` sets bit `i % 64` of word `i / 64`, so walking the
+/// members visits the registers in the order of the sorted `Vec<GateId>`
+/// the scalar kernel reports, and two sets compare and hash as three words.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct DffMask([u64; 3]);
+
+impl DffMask {
+    /// How many DFFs a mask holds (the MPU has fewer).
+    pub(crate) const CAPACITY: usize = 3 * 64;
+
+    /// The empty set.
+    pub(crate) const EMPTY: Self = Self([0; 3]);
+
+    /// The set of a packed register mask; words past the capacity must be
+    /// zero.
+    pub(crate) fn from_words(words: impl IntoIterator<Item = u64>) -> Self {
+        let mut mask = Self::default();
+        for (k, w) in words.into_iter().enumerate() {
+            match mask.0.get_mut(k) {
+                Some(slot) => *slot = w,
+                None => assert_eq!(w, 0, "DFF index past DffMask::CAPACITY"),
+            }
+        }
+        mask
+    }
+
+    /// Add DFF `i` to the set.
+    pub(crate) fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Whether the set holds DFF `i`.
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Whether the set is empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0 == [0; 3]
+    }
+
+    /// The members, ascending.
+    pub(crate) fn iter(self) -> impl Iterator<Item = usize> {
+        let (mut words, mut k) = (self.0, 0);
+        std::iter::from_fn(move || {
+            while k < words.len() {
+                if words[k] != 0 {
+                    let i = words[k].trailing_zeros() as usize;
+                    words[k] &= words[k] - 1;
+                    return Some(k * 64 + i);
+                }
+                k += 1;
+            }
+            None
+        })
+    }
+
+    /// Keep the members `keep` accepts, asking in ascending order.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for i in self.iter() {
+            if !keep(i) {
+                self.0[i / 64] &= !(1 << (i % 64));
+            }
+        }
+    }
+}
+
+impl FromIterator<usize> for DffMask {
+    fn from_iter<I: IntoIterator<Item = usize>>(indices: I) -> Self {
+        let mut mask = Self::default();
+        for i in indices {
+            mask.insert(i);
+        }
+        mask
+    }
+}
+
+impl Hash for DffMask {
+    /// Three `write_u64` calls, so word hashers see whole words.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for w in self.0 {
+            state.write_u64(w);
+        }
+    }
+}
+
+/// One run's outcome on the campaign path: a [`RunView`] that keeps the
+/// post-hardening registers as a packed set. Bits are named only where a
+/// caller asks for them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunVerdict {
+    pub(crate) success: bool,
+    pub(crate) class: StrikeClass,
+    pub(crate) analytic: bool,
+    pub(crate) regs: DffMask,
+    pub(crate) injection_cycle: Option<u64>,
+    pub(crate) pulses_propagated: usize,
+    pub(crate) gates_visited: usize,
+}
+
+impl RunVerdict {
+    /// The verdict of a sample that injects outside the golden run.
+    pub(crate) fn out_of_run() -> Self {
+        Self {
+            success: false,
+            class: StrikeClass::Masked,
+            analytic: false,
+            regs: DffMask::EMPTY,
+            injection_cycle: None,
+            pulses_propagated: 0,
+            gates_visited: 0,
+        }
+    }
+
+    /// The verdict of `regs` concluded as `c` at cycle `te`.
+    pub(crate) fn concluded(te: u64, regs: DffMask, c: Concluded) -> Self {
+        Self {
+            success: c.success,
+            class: c.class,
+            analytic: c.analytic,
+            regs,
+            injection_cycle: Some(te),
+            pulses_propagated: 0,
+            gates_visited: 0,
         }
     }
 }
@@ -254,7 +383,17 @@ impl FaultRunner<'_> {
         rng: &mut impl Rng,
         scratch: &'s mut FlowScratch,
     ) -> RunView<'s> {
-        self.run_shared(sample, rng, scratch, None)
+        let v = self.run_shared(sample, rng, scratch, None);
+        self.bits_into(v.regs, &mut scratch.faulty_bits);
+        RunView {
+            success: v.success,
+            class: v.class,
+            faulty_bits: &scratch.faulty_bits,
+            analytic: v.analytic,
+            injection_cycle: v.injection_cycle,
+            pulses_propagated: v.pulses_propagated,
+            gates_visited: v.gates_visited,
+        }
     }
 
     /// [`FaultRunner::run_with`] against a campaign-shared conclusion memo
@@ -262,28 +401,17 @@ impl FaultRunner<'_> {
     /// verdict is a pure function of `(T_e, post-hardening bits)` — the
     /// hardening filter consumes RNG before the key is formed — so sharing
     /// the memo across workers never changes a result bit.
-    pub(crate) fn run_shared<'s>(
+    pub(crate) fn run_shared(
         &self,
         sample: &AttackSample,
         rng: &mut impl Rng,
-        scratch: &'s mut FlowScratch,
+        scratch: &mut FlowScratch,
         memo: Option<&SharedConclusionMemo>,
-    ) -> RunView<'s> {
+    ) -> RunVerdict {
         let golden = &self.eval.golden;
         let te = match sample.injection_cycle(self.eval.target_cycle) {
             Some(te) if te < golden.cycles => te,
-            _ => {
-                scratch.faulty_bits.clear();
-                return RunView {
-                    success: false,
-                    class: StrikeClass::Masked,
-                    faulty_bits: &scratch.faulty_bits,
-                    analytic: false,
-                    injection_cycle: None,
-                    pulses_propagated: 0,
-                    gates_visited: 0,
-                };
-            }
+            _ => return RunVerdict::out_of_run(),
         };
         let FlowScratch {
             cycle_cache,
@@ -294,7 +422,7 @@ impl FaultRunner<'_> {
             transient,
             strike_out,
             faulty_regs,
-            faulty_bits,
+            faulty_bits: _,
             ff,
             local_memo,
         } = scratch;
@@ -346,14 +474,14 @@ impl FaultRunner<'_> {
             strike_out,
         );
         strike_out.faulty_registers_into(faulty_regs);
-        faulty_bits.clear();
-        faulty_bits.extend(faulty_regs.iter().filter_map(|&d| self.model.mpu.bit_of(d)));
-        let pulses = strike_out.pulses_propagated;
-        let gates = strike_out.gates_visited;
-        let mut view = self.conclude_with(te, rng, faulty_bits, ff, memo, None);
-        view.pulses_propagated = pulses;
-        view.gates_visited = gates;
-        view
+        let mut regs = self.dff_mask(faulty_regs);
+        self.harden(&mut regs, rng);
+        let concluded = self.conclude_with(te, regs, ff, memo, None);
+        RunVerdict {
+            pulses_propagated: strike_out.pulses_propagated,
+            gates_visited: strike_out.gates_visited,
+            ..RunVerdict::concluded(te, regs, concluded)
+        }
     }
 
     /// Execute one clock-glitch attack: shorten the capture period of the
@@ -380,72 +508,112 @@ impl FaultRunner<'_> {
             .model
             .glitch
             .glitch(netlist, &prev, &cur, glitch_period_ps);
-        let faulty_bits: Vec<MpuBit> = flipped
-            .iter()
-            .filter_map(|&d| self.model.mpu.bit_of(d))
-            .collect();
-        self.conclude(te, faulty_bits, rng)
-    }
-
-    /// Shared downstream half of the flow: hardening filter, memory /
-    /// computation classification, analytic evaluation or RTL resume.
-    fn conclude(&self, te: u64, mut faulty_bits: Vec<MpuBit>, rng: &mut impl Rng) -> AttackOutcome {
+        let mut regs = self.dff_mask(&flipped);
+        self.harden(&mut regs, rng);
         let mut ff = RtlFastForward::default();
-        let memo = SharedConclusionMemo::default();
-        self.conclude_with(te, rng, &mut faulty_bits, &mut ff, &memo, None)
-            .to_outcome()
+        let c = self.conclude_with(te, regs, &mut ff, &SharedConclusionMemo::default(), None);
+        let mut faulty_bits = Vec::new();
+        self.bits_into(regs, &mut faulty_bits);
+        AttackOutcome {
+            success: c.success,
+            class: c.class,
+            faulty_bits,
+            analytic: c.analytic,
+            injection_cycle: Some(te),
+            pulses_propagated: 0,
+            gates_visited: 0,
+        }
     }
 
-    /// [`FaultRunner::conclude`] writing into scratch-owned storage.
+    /// The packed set of a list of MPU flip-flops.
+    pub(crate) fn dff_mask(&self, dffs: &[GateId]) -> DffMask {
+        let program = self.program();
+        dffs.iter()
+            .map(|&d| {
+                program
+                    .dff_index(d.index())
+                    .expect("a faulty register is a DFF")
+            })
+            .collect()
+    }
+
+    /// The packed set of a list of architectural bits.
+    pub(crate) fn bits_mask(&self, bits: &[MpuBit]) -> DffMask {
+        let program = self.program();
+        bits.iter()
+            .map(|&b| {
+                program
+                    .dff_index(self.model.mpu.dff(b).index())
+                    .expect("every bit has a DFF")
+            })
+            .collect()
+    }
+
+    fn program(&self) -> &GateProgram {
+        self.model
+            .mpu
+            .netlist()
+            .program()
+            .expect("model netlist was levelized at construction")
+    }
+
+    /// The architectural bits of a packed set, in ascending DFF order
+    /// (`out` is cleared first).
+    pub(crate) fn bits_into(&self, regs: DffMask, out: &mut Vec<MpuBit>) {
+        let dff_bits = self.model.mpu.dff_bits();
+        out.clear();
+        out.extend(regs.iter().map(|i| dff_bits[i]));
+    }
+
+    /// The hardening filter of the strike paths: one `flip_survives` per
+    /// candidate register in ascending DFF index — ascending `GateId`, the
+    /// order of the scalar kernel's sorted register list — so every kernel
+    /// consumes the same survival draws from a run's stream.
+    pub(crate) fn harden(&self, regs: &mut DffMask, rng: &mut impl Rng) {
+        if let Some(h) = self.hardening {
+            let dff_bits = self.model.mpu.dff_bits();
+            regs.retain(|i| h.flip_survives(dff_bits[i], rng));
+        }
+    }
+
+    /// Shared downstream half of the flow, after the hardening filter:
+    /// memory / computation classification, analytic evaluation or RTL
+    /// resume of the post-hardening registers `regs` at cycle `te`.
     ///
-    /// RNG consumption (the hardening filter) happens *before* the memo key
-    /// is formed, so caching never perturbs the per-run random stream.
-    /// `front`, when present, is a per-worker unlocked mirror of `memo`:
-    /// probes hit it first and fresh verdicts are recorded into both, so
-    /// repeat patterns skip the shard mutex. Because the verdict is a pure
-    /// function of `(T_e, bits)`, the mirror cannot change any result.
-    pub(crate) fn conclude_with<'s>(
+    /// Memoized on `(te, regs)`: `front`, when present, is a per-worker
+    /// unlocked mirror of `memo`: probes hit it first and fresh verdicts are
+    /// recorded into both, so repeat patterns skip the shard mutex. Because
+    /// the verdict is a pure function of `(T_e, bits)`, neither can change
+    /// any result. Only a miss names the architectural bits.
+    pub(crate) fn conclude_with(
         &self,
         te: u64,
-        rng: &mut impl Rng,
-        faulty_bits: &'s mut Vec<MpuBit>,
+        regs: DffMask,
         ff: &mut RtlFastForward,
         memo: &SharedConclusionMemo,
         front: Option<&mut ConclusionFront>,
-    ) -> RunView<'s> {
-        if let Some(h) = self.hardening {
-            faulty_bits.retain(|&b| h.flip_survives(b, rng));
-        }
-        if faulty_bits.is_empty() {
-            return RunView {
+    ) -> Concluded {
+        if regs.is_empty() {
+            return Concluded {
                 success: false,
                 class: StrikeClass::Masked,
-                faulty_bits,
                 analytic: false,
-                injection_cycle: Some(te),
-                pulses_propagated: 0,
-                gates_visited: 0,
             };
         }
 
-        let key = fastforward::conclusion_key(te, faulty_bits);
+        let key = (te, regs);
         let mut front = front;
         let hit = match front.as_deref_mut() {
             Some(f) => f.get_through(memo, &key),
             None => memo.get(&key),
         };
         if let Some(c) = hit {
-            return RunView {
-                success: c.success,
-                class: c.class,
-                faulty_bits,
-                analytic: c.analytic,
-                injection_cycle: Some(te),
-                pulses_propagated: 0,
-                gates_visited: 0,
-            };
+            return c;
         }
 
+        // Only a miss names the architectural bits.
+        let mut faulty_bits = std::mem::take(&mut ff.bits);
+        self.bits_into(regs, &mut faulty_bits);
         let class = if faulty_bits
             .iter()
             .all(|&b| self.prechar.registers.kind(b) == RegisterKind::Memory)
@@ -459,12 +627,13 @@ impl FaultRunner<'_> {
         // it declines (and every computation-touching strike) goes through
         // the RTL resume from the nearest golden checkpoint.
         let (success, analytic) = match class {
-            StrikeClass::MemoryOnly => match analytic::evaluate(self.eval, faulty_bits, te) {
-                AnalyticVerdict::NotApplicable => (ff.resume(self.eval, te, faulty_bits), false),
+            StrikeClass::MemoryOnly => match analytic::evaluate(self.eval, &faulty_bits, te) {
+                AnalyticVerdict::NotApplicable => (ff.resume(self.eval, te, &faulty_bits), false),
                 verdict => (verdict == AnalyticVerdict::Success, true),
             },
-            _ => (ff.resume(self.eval, te, faulty_bits), false),
+            _ => (ff.resume(self.eval, te, &faulty_bits), false),
         };
+        ff.bits = faulty_bits;
         let verdict = Concluded {
             success,
             class,
@@ -474,15 +643,7 @@ impl FaultRunner<'_> {
         if let Some(f) = front {
             f.record(key, verdict);
         }
-        RunView {
-            success,
-            class,
-            faulty_bits,
-            analytic,
-            injection_cycle: Some(te),
-            pulses_propagated: 0,
-            gates_visited: 0,
-        }
+        verdict
     }
 }
 
@@ -520,6 +681,36 @@ mod tests {
             hardening,
             multi_fault: None,
         }
+    }
+
+    #[test]
+    fn dff_mask_walks_members_in_ascending_order() {
+        let f = fixture();
+        let r = runner(&f, None);
+        let dffs = f.model.mpu.netlist().dffs();
+        assert!(dffs.len() <= DffMask::CAPACITY, "{} DFFs", dffs.len());
+        let regs: DffMask = [130, 5, 64, 63, 5].into_iter().collect();
+        assert_eq!(regs.iter().collect::<Vec<_>>(), [5, 63, 64, 130]);
+        assert_eq!(DffMask::from_words([1 << 5 | 1 << 63, 1, 1 << 2]), regs);
+        // The filter asks about every member once, ascending.
+        let mut asked = Vec::new();
+        let mut kept = regs;
+        kept.retain(|i| {
+            asked.push(i);
+            i != 63
+        });
+        assert_eq!(asked, [5, 63, 64, 130]);
+        assert_eq!(kept.iter().collect::<Vec<_>>(), [5, 64, 130]);
+        // Gate ids, bits and DFF indices name the same registers.
+        assert_eq!(r.dff_mask(&[dffs[64], dffs[5], dffs[130], dffs[63]]), regs);
+        let mut bits = Vec::new();
+        r.bits_into(regs, &mut bits);
+        assert_eq!(bits.len(), 4);
+        assert_eq!(r.bits_mask(&bits), regs);
+        assert!(bits
+            .iter()
+            .zip(regs.iter())
+            .all(|(&b, i)| f.model.mpu.dff(b) == dffs[i]));
     }
 
     #[test]

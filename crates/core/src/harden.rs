@@ -193,10 +193,10 @@ impl Default for DupConfigVote {
 /// A hardening countermeasure the fault flow understands.
 ///
 /// Every variant answers the same two questions the flow asks: does a
-/// would-be flip on a bit survive the countermeasure (applied in
-/// `conclude_with` *before* classification, so the analytic/RTL split sees
-/// the post-hardening error set), and what does the countermeasure cost in
-/// area.
+/// would-be flip on a bit survive the countermeasure (applied by
+/// `FaultRunner::harden` *before* classification, so the analytic/RTL split
+/// sees the post-hardening error set), and what does the countermeasure
+/// cost in area.
 #[derive(Debug, Clone)]
 pub enum HardenedVariant {
     /// The paper's §6 study: uniformly resilient DFFs on selected bits.

@@ -44,7 +44,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use crate::estimator::ChunkPartial;
 use crate::fastforward::{FastForwardStats, RtlFastForward, SharedConclusionMemo};
-use crate::flow::{FaultRunner, FlowScratch, RunView, StrikeClass};
+use crate::flow::{FaultRunner, FlowScratch, RunVerdict, StrikeClass};
 use crate::model::{Evaluation, SystemModel};
 use crate::precharacterize::Precharacterization;
 use crate::rng::SplitMix64;
@@ -595,34 +595,24 @@ impl MlmcScratch {
 /// The level-0 evaluation of one sample: map the spot to its multi-bit SEU
 /// set and run only the downstream conclusion machinery — no gatesim, no
 /// transient arithmetic. RNG discipline matches the gate path (hardening
-/// draws happen inside `conclude_with`, after the strategy's draw), so a
-/// clone of the post-draw stream couples the two levels.
+/// draws happen after the strategy's draw, before the conclusion), so a
+/// clone of the post-draw stream couples the two levels. The map's bits
+/// come sorted as [`MpuBit`]s and the survival draws follow that order.
 #[allow(clippy::too_many_arguments)]
-fn level0_view<'s>(
+fn level0_view(
     runner: &FaultRunner<'_>,
     map: &SetToSeuMap,
     sample: &AttackSample,
     rng: &mut impl Rng,
     struck: &mut Vec<GateId>,
     struck2: &mut Vec<GateId>,
-    bits: &'s mut Vec<MpuBit>,
+    bits: &mut Vec<MpuBit>,
     ff: &mut RtlFastForward,
     memo: &SharedConclusionMemo,
-) -> RunView<'s> {
+) -> RunVerdict {
     let te = match sample.injection_cycle(runner.eval.target_cycle) {
         Some(te) if te < runner.eval.golden.cycles => te,
-        _ => {
-            bits.clear();
-            return RunView {
-                success: false,
-                class: StrikeClass::Masked,
-                faulty_bits: bits,
-                analytic: false,
-                injection_cycle: None,
-                pulses_propagated: 0,
-                gates_visited: 0,
-            };
-        }
+        _ => return RunVerdict::out_of_run(),
     };
     let spot = RadiationSpot {
         center: sample.center,
@@ -641,7 +631,11 @@ fn level0_view<'s>(
     }
     let strike_time = sample.strike_time_ps(map.clock_period_ps());
     map.seu_bits_into(struck, te, strike_time, bits);
-    runner.conclude_with(te, rng, bits, ff, memo, None)
+    if let Some(h) = runner.hardening {
+        bits.retain(|&b| h.flip_survives(b, rng));
+    }
+    let regs = runner.bits_mask(bits);
+    RunVerdict::concluded(te, regs, runner.conclude_with(te, regs, ff, memo, None))
 }
 
 /// Execute runs `start..end` at level 0. Shares the campaign conclusion
@@ -714,7 +708,7 @@ pub(crate) fn run_chunk_level0(
         ctr.record_run(
             &mut p.counters,
             view.injection_cycle,
-            view.faulty_bits,
+            view.regs,
             view.analytic,
             0,
         );
@@ -799,7 +793,7 @@ pub(crate) fn run_chunk_level1(
         ctr.record_run(
             &mut p.counters,
             gate.injection_cycle,
-            gate.faulty_bits,
+            gate.regs,
             gate.analytic,
             gate.pulses_propagated,
         );
@@ -813,7 +807,7 @@ pub(crate) fn run_chunk_level1(
             if p.first_success.is_none() {
                 p.first_success = Some(i as u64);
             }
-            p.attribution.add(gate.faulty_bits, w);
+            p.attribution.add(gate.regs, w, runner.model.mpu.dff_bits());
         }
         p.stats.push(g - r);
         p.gate_stats.push(g);

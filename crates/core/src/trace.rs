@@ -28,7 +28,8 @@
 //! Spans only read the clock; counters are pure functions of per-run
 //! outcomes; provenance is copied out of the fold, never fed back in.
 
-use crate::fastforward::{conclusion_key, ConclusionKey, WordHash};
+use crate::fastforward::{ConclusionKey, WordHash};
+use crate::flow::DffMask;
 use crate::flow::StrikeClass;
 use crate::json::{json_escape, json_num, JsonValue};
 use serde::{Deserialize, Serialize};
@@ -39,7 +40,6 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 use xlmc_netlist::GateId;
-use xlmc_soc::MpuBit;
 
 /// Format tag of the trace file (top-level `"format"` key; extra top-level
 /// keys are ignored by Perfetto, which only reads `"traceEvents"`).
@@ -442,7 +442,7 @@ impl CounterScratch {
         &mut self,
         c: &mut CampaignCounters,
         te: Option<u64>,
-        bits: &[MpuBit],
+        regs: DffMask,
         analytic: bool,
         pulses: usize,
     ) {
@@ -456,11 +456,11 @@ impl CounterScratch {
             c.cycle_memo_hits += 1;
         }
         c.pulses_propagated += pulses;
-        if bits.is_empty() {
+        if regs.is_empty() {
             // Masked after hardening: the conclusion memo is never consulted.
             return;
         }
-        if !self.seen.insert(conclusion_key(te, bits)) {
+        if !self.seen.insert((te, regs)) {
             c.conclusion_memo_hits += 1;
             return;
         }
@@ -731,21 +731,22 @@ mod tests {
     fn counter_scratch_models_chunk_local_memos() {
         let mut ctr = CounterScratch::default();
         let mut c = CampaignCounters::default();
-        let bits_a = [MpuBit::Enable];
-        let bits_b = [MpuBit::Base(0, 1)];
+        let bits_a = DffMask::from_iter([0]);
+        let bits_b = DffMask::from_iter([21]);
+        let none = DffMask::default();
         ctr.begin_chunk();
         // Out of run.
-        ctr.record_run(&mut c, None, &[], false, 0);
+        ctr.record_run(&mut c, None, none, false, 0);
         // First strike at cycle 7, masked after hardening.
-        ctr.record_run(&mut c, Some(7), &[], false, 3);
+        ctr.record_run(&mut c, Some(7), none, false, 3);
         // Same cycle, distinct bits -> conclusion miss (rtl) + soc clone.
-        ctr.record_run(&mut c, Some(7), &bits_a, false, 2);
+        ctr.record_run(&mut c, Some(7), bits_a, false, 2);
         // Repeat key -> conclusion hit.
-        ctr.record_run(&mut c, Some(7), &bits_a, false, 2);
+        ctr.record_run(&mut c, Some(7), bits_a, false, 2);
         // New bits, same cycle -> miss, analytic.
-        ctr.record_run(&mut c, Some(7), &bits_b, true, 1);
+        ctr.record_run(&mut c, Some(7), bits_b, true, 1);
         // New cycle, rtl -> restore (soc already resident this chunk).
-        ctr.record_run(&mut c, Some(9), &bits_a, false, 4);
+        ctr.record_run(&mut c, Some(9), bits_a, false, 4);
         assert_eq!(c.out_of_run, 1);
         assert_eq!(c.cycle_memo_misses, 2);
         assert_eq!(c.cycle_memo_hits, 3);
@@ -760,7 +761,7 @@ mod tests {
         // A new chunk forgets everything.
         let mut c2 = CampaignCounters::default();
         ctr.begin_chunk();
-        ctr.record_run(&mut c2, Some(7), &bits_a, false, 2);
+        ctr.record_run(&mut c2, Some(7), bits_a, false, 2);
         assert_eq!(c2.cycle_memo_misses, 1);
         assert_eq!(c2.conclusion_memo_misses, 1);
         assert_eq!(c2.soc_clones, 1);
@@ -770,13 +771,14 @@ mod tests {
     fn counter_totals_are_order_independent_within_a_chunk() {
         // The multiset of (te, bits, analytic) keys determines the totals;
         // permuting the fold order must not change them.
-        let runs: Vec<(Option<u64>, Vec<MpuBit>, bool, usize)> = vec![
-            (Some(3), vec![], false, 1),
-            (Some(3), vec![MpuBit::Enable], false, 2),
-            (Some(5), vec![MpuBit::Enable], true, 3),
-            (None, vec![], false, 0),
-            (Some(3), vec![MpuBit::Enable], false, 2),
-            (Some(5), vec![MpuBit::Base(1, 2)], false, 4),
+        let regs = |i: &[usize]| i.iter().copied().collect::<DffMask>();
+        let runs: Vec<(Option<u64>, DffMask, bool, usize)> = vec![
+            (Some(3), regs(&[]), false, 1),
+            (Some(3), regs(&[0]), false, 2),
+            (Some(5), regs(&[0]), true, 3),
+            (None, regs(&[]), false, 0),
+            (Some(3), regs(&[0]), false, 2),
+            (Some(5), regs(&[39]), false, 4),
         ];
         let fold = |order: &[usize]| {
             let mut ctr = CounterScratch::default();
@@ -784,7 +786,7 @@ mod tests {
             ctr.begin_chunk();
             for &i in order {
                 let (te, bits, analytic, pulses) = &runs[i];
-                ctr.record_run(&mut c, *te, bits, *analytic, *pulses);
+                ctr.record_run(&mut c, *te, *bits, *analytic, *pulses);
             }
             c
         };

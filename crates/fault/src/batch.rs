@@ -83,13 +83,12 @@ impl LaneStrikes {
             None => self.cells.extend_from_slice(&self.footprint_cells[primary]),
             Some(extra) => {
                 let (lo2, len2) = self.footprint(extra, placement);
-                self.query.clear();
-                self.query.extend_from_slice(&self.footprint_cells[primary]);
-                self.query
-                    .extend_from_slice(&self.footprint_cells[lo2 as usize..(lo2 + len2) as usize]);
-                self.query.sort_unstable();
-                self.query.dedup();
-                self.cells.extend_from_slice(&self.query);
+                let secondary = lo2 as usize..(lo2 + len2) as usize;
+                merge_union(
+                    &self.footprint_cells[primary],
+                    &self.footprint_cells[secondary],
+                    &mut self.cells,
+                );
             }
         }
         self.offsets.push(self.cells.len() as u32);
@@ -134,10 +133,65 @@ impl LaneStrikes {
     }
 }
 
+/// Append the union of the sorted lists `a` and `b` to `out`, sorted and
+/// deduplicated: one linear merge in place of concatenate, sort, dedup.
+fn merge_union(a: &[GateId], b: &[GateId], out: &mut Vec<GateId>) {
+    let start = out.len();
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let next = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) if x <= y => {
+                i += 1;
+                x
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                y
+            }
+            (Some(&x), None) => {
+                i += 1;
+                x
+            }
+            (None, None) => break,
+        };
+        if out.len() == start || out[out.len() - 1] != next {
+            out.push(next);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use xlmc_netlist::{CellKind, Netlist};
+
+    proptest::proptest! {
+        /// The linear merge appends exactly what concatenate, sort and
+        /// dedup produced, for random sorted footprint pairs (overlapping,
+        /// disjoint, empty, with repeats) behind an existing prefix.
+        #[test]
+        fn merge_union_is_sort_and_dedup_of_the_concatenation(
+            a in proptest::collection::vec(0u32..64, 0..24),
+            b in proptest::collection::vec(0u32..64, 0..24),
+            prefix in proptest::collection::vec(0u32..64, 0..3),
+        ) {
+            let sorted = |v: &[u32]| {
+                let mut v: Vec<GateId> = v.iter().map(|&g| GateId(g)).collect();
+                v.sort_unstable();
+                v
+            };
+            let (a, b, prefix) = (sorted(&a), sorted(&b), sorted(&prefix));
+            let mut query = a.clone();
+            query.extend_from_slice(&b);
+            query.sort_unstable();
+            query.dedup();
+            let mut want = prefix.clone();
+            want.extend_from_slice(&query);
+            let mut got = prefix.clone();
+            merge_union(&a, &b, &mut got);
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
 
     fn chain(cells: usize) -> Netlist {
         let mut n = Netlist::new();

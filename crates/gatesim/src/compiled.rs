@@ -22,6 +22,8 @@
 //! the electrical max-fold runs over the fanins in pin order with the
 //! identical `fold(0.0, f64::max)` seed and iterated attenuation. Only
 //! the batch-shape counters (`gates_visited`) depend on the kernel.
+//! Registers come out as sets (bit masks over DFF indices), so a lane's
+//! direct upsets match the scalar list as a set, not as a sequence.
 
 use xlmc_netlist::{GateProgram, NetClass, Netlist, Opcode};
 
@@ -44,14 +46,29 @@ fn is_zero(m: &WideMask) -> bool {
     m.iter().all(|&w| w == 0)
 }
 
+/// The lanes of one compiled sweep that inject in the same cycle.
+#[derive(Debug, Clone, Copy)]
+pub struct CycleGroup<'a> {
+    /// The group's lanes; groups of one sweep are disjoint.
+    pub lanes: WideMask,
+    /// A small dense id of the cycle (the injection cycle number). One
+    /// scratch must only ever see one set of values under one id.
+    pub cycle: usize,
+    /// The cycle's stable net values.
+    pub values: &'a CycleValues,
+}
+
 /// Per-lane results of one compiled strike sweep.
 ///
-/// Indexable by lane; lanes beyond the batch size report empty results.
-/// Warm outcomes allocate nothing (per-lane vectors are retained).
+/// Registers are bit masks over DFF indices (bit `i` is
+/// [`Netlist::dffs`]`[i]`), `dff_words` words per lane. Results are
+/// defined for the lanes of the last sweep; a warm outcome allocates
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct CompiledStrikeOutcome {
-    latched: Vec<Vec<GateId>>,
-    upset: Vec<Vec<GateId>>,
+    latched: Vec<u64>,
+    upset: Vec<u64>,
+    dff_words: usize,
     pulses: Vec<usize>,
     gates_visited: usize,
 }
@@ -59,8 +76,9 @@ pub struct CompiledStrikeOutcome {
 impl Default for CompiledStrikeOutcome {
     fn default() -> Self {
         Self {
-            latched: (0..WIDE_LANES).map(|_| Vec::new()).collect(),
-            upset: (0..WIDE_LANES).map(|_| Vec::new()).collect(),
+            latched: Vec::new(),
+            upset: Vec::new(),
+            dff_words: 0,
             pulses: vec![0; WIDE_LANES],
             gates_visited: 0,
         }
@@ -68,14 +86,36 @@ impl Default for CompiledStrikeOutcome {
 }
 
 impl CompiledStrikeOutcome {
-    /// DFFs whose next-state bit lane `l`'s transient flipped (sorted).
-    pub fn latched_dffs(&self, lane: usize) -> &[GateId] {
-        &self.latched[lane]
+    /// DFFs whose next-state bit lane `l`'s transient flipped, as a mask.
+    pub fn latched_mask(&self, lane: usize) -> &[u64] {
+        &self.latched[lane * self.dff_words..(lane + 1) * self.dff_words]
     }
 
-    /// DFFs lane `l` struck directly (SEU).
-    pub fn upset_dffs(&self, lane: usize) -> &[GateId] {
-        &self.upset[lane]
+    /// DFFs lane `l` struck directly (SEU), as a mask.
+    pub fn upset_mask(&self, lane: usize) -> &[u64] {
+        &self.upset[lane * self.dff_words..(lane + 1) * self.dff_words]
+    }
+
+    /// Lane `l`'s registers in error (latched ∪ upset), word by word.
+    pub fn faulty_words(&self, lane: usize) -> impl Iterator<Item = u64> + '_ {
+        self.latched_mask(lane)
+            .iter()
+            .zip(self.upset_mask(lane))
+            .map(|(l, u)| l | u)
+    }
+
+    /// DFFs whose next-state bit lane `l`'s transient flipped (sorted).
+    pub fn latched_dffs(&self, netlist: &Netlist, lane: usize) -> Vec<GateId> {
+        let mut out = Vec::new();
+        push_dffs(netlist, self.latched_mask(lane).iter().copied(), &mut out);
+        out
+    }
+
+    /// DFFs lane `l` struck directly (SEU), sorted and deduplicated.
+    pub fn upset_dffs(&self, netlist: &Netlist, lane: usize) -> Vec<GateId> {
+        let mut out = Vec::new();
+        push_dffs(netlist, self.upset_mask(lane).iter().copied(), &mut out);
+        out
     }
 
     /// Number of gates that carried a propagating pulse in lane `l`.
@@ -92,21 +132,38 @@ impl CompiledStrikeOutcome {
 
     /// Lane `l`'s registers in error (deduplicated, sorted), identical to
     /// [`crate::transient::StrikeOutcome::faulty_registers_into`].
-    pub fn faulty_registers_into(&self, lane: usize, out: &mut Vec<GateId>) {
+    pub fn faulty_registers_into(&self, netlist: &Netlist, lane: usize, out: &mut Vec<GateId>) {
         out.clear();
-        out.extend_from_slice(&self.latched[lane]);
-        out.extend_from_slice(&self.upset[lane]);
-        out.sort_unstable();
-        out.dedup();
+        push_dffs(netlist, self.faulty_words(lane), out);
     }
 
-    fn clear(&mut self, lanes: usize) {
-        for l in 0..lanes.max(1) {
-            self.latched[l].clear();
-            self.upset[l].clear();
+    fn clear(&mut self, lanes: usize, dffs: usize) {
+        self.dff_words = dffs.div_ceil(64);
+        let words = WIDE_LANES * self.dff_words;
+        if self.latched.len() != words {
+            self.latched.resize(words, 0);
+            self.upset.resize(words, 0);
         }
+        let used = lanes.max(1) * self.dff_words;
+        self.latched[..used].fill(0);
+        self.upset[..used].fill(0);
         self.pulses.iter_mut().for_each(|p| *p = 0);
         self.gates_visited = 0;
+    }
+
+    #[inline]
+    fn mark(mask: &mut [u64], dff_words: usize, lane: usize, dff: usize) {
+        mask[lane * dff_words + dff / 64] |= 1u64 << (dff % 64);
+    }
+}
+
+/// Append the DFFs of a mask over DFF indices to `out`, ascending.
+fn push_dffs(netlist: &Netlist, words: impl Iterator<Item = u64>, out: &mut Vec<GateId>) {
+    for (k, mut w) in words.enumerate() {
+        while w != 0 {
+            out.push(netlist.dffs()[k * 64 + w.trailing_zeros() as usize]);
+            w &= w - 1;
+        }
     }
 }
 
@@ -123,6 +180,13 @@ impl CompiledStrikeOutcome {
 /// of `f` is therefore at `base[f][l / 64]` plus the number of
 /// op-propagated lanes of `f` below `l` in that word, and the timing pools
 /// hold one entry per propagated pulse instead of nets × [`WIDE_LANES`].
+///
+/// Nominal values are packed per cycle *slot*: the first sweep that names
+/// a [`CycleGroup::cycle`] gives it the next slot and writes its values
+/// into one bit per net, 64 slots per word. A net's nominal word in a
+/// sweep is then the OR of the lane masks of its set, active slots. A
+/// scratch is therefore valid against one set of cycle values per id:
+/// keep one per worker and campaign.
 #[derive(Debug, Default)]
 pub struct CompiledTransientScratch {
     /// Per net: 256-lane mask of pulses at this net.
@@ -142,29 +206,78 @@ pub struct CompiledTransientScratch {
     touched: Vec<u32>,
     /// One bit per op: pending evaluation. Consumed in program order.
     dirty: Vec<u64>,
-    /// Per net: cached packed nominal words, valid iff `nom_epoch`
-    /// matches `epoch` (assembled from the value groups once per sweep).
-    nom: Vec<WideMask>,
-    nom_epoch: Vec<u64>,
-    epoch: u64,
+    /// Nets the slot words were written for.
+    slot_nets: usize,
+    /// Per block of 64 slots, per net: bit `s % 64` of
+    /// `slot_words[(s / 64) * slot_nets + f]` is net `f`'s value in slot `s`.
+    slot_words: Vec<u64>,
+    /// Slot of each cycle id, `u32::MAX` before the id's first sweep.
+    slot_of: Vec<u32>,
+    /// Per slot: the current sweep's lanes in that slot.
+    slot_lanes: Vec<WideMask>,
+    /// Per block of 64 slots: the slots the current sweep uses.
+    active: Vec<u64>,
+    /// Per block of 64 slots: the current sweep's lanes in its slots.
+    block_lanes: Vec<WideMask>,
 }
 
 impl CompiledTransientScratch {
-    #[inline]
-    fn nominal(&mut self, f: usize, te_groups: &[(WideMask, &CycleValues)]) -> WideMask {
-        if self.nom_epoch[f] == self.epoch {
-            return self.nom[f];
+    /// The slot of `group`'s cycle, writing its values into the slot words
+    /// on first sight.
+    fn slot(&mut self, group: &CycleGroup<'_>) -> usize {
+        if group.cycle >= self.slot_of.len() {
+            self.slot_of.resize(group.cycle + 1, u32::MAX);
         }
-        let mut w = [0u64; LANE_WORDS];
-        for (mask, cv) in te_groups {
-            if cv.value(GateId(f as u32)) {
-                for k in 0..LANE_WORDS {
-                    w[k] |= mask[k];
+        if self.slot_of[group.cycle] == u32::MAX {
+            let s = self.slot_lanes.len();
+            if s.is_multiple_of(64) {
+                self.slot_words
+                    .resize(self.slot_words.len() + self.slot_nets, 0);
+                self.active.push(0);
+                self.block_lanes.push([0; LANE_WORDS]);
+            }
+            self.slot_lanes.push([0; LANE_WORDS]);
+            let block = &mut self.slot_words[(s / 64) * self.slot_nets..][..self.slot_nets];
+            let bit = 1u64 << (s % 64);
+            for (w, &v) in block.iter_mut().zip(group.values.values()) {
+                if v {
+                    *w |= bit;
                 }
             }
+            self.slot_of[group.cycle] = s as u32;
         }
-        self.nom[f] = w;
-        self.nom_epoch[f] = self.epoch;
+        self.slot_of[group.cycle] as usize
+    }
+
+    /// Net `f`'s nominal value in every lane of the current sweep.
+    #[inline]
+    fn nominal(&self, f: usize) -> WideMask {
+        let mut w = [0u64; LANE_WORDS];
+        for (b, &act) in self.active.iter().enumerate() {
+            let word = self.slot_words[b * self.slot_nets + f];
+            let (set, unset) = (word & act, !word & act);
+            // Slots hold disjoint lanes, so the set slots' lanes are the
+            // block's lanes minus the unset slots' lanes: walk the shorter
+            // list (none at all for a net constant across the sweep).
+            let (mut slots, base) = if set == 0 {
+                continue;
+            } else if unset != 0 && set.count_ones() <= unset.count_ones() {
+                (set, [0; LANE_WORDS])
+            } else {
+                (unset, self.block_lanes[b])
+            };
+            let mut acc = [0u64; LANE_WORDS];
+            while slots != 0 {
+                let m = &self.slot_lanes[b * 64 + slots.trailing_zeros() as usize];
+                slots &= slots - 1;
+                for k in 0..LANE_WORDS {
+                    acc[k] |= m[k];
+                }
+            }
+            for k in 0..LANE_WORDS {
+                w[k] |= base[k] ^ acc[k];
+            }
+        }
         w
     }
 
@@ -187,7 +300,7 @@ impl TransientSim {
     /// straight-line sweep over `program`.
     ///
     /// `program` must be the compiled program of `netlist` (normally
-    /// `netlist.program()`); `te_groups` supplies the stable cycle values
+    /// `netlist.program()`); `groups` supplies the stable cycle values
     /// as disjoint 256-lane masks. Per-lane results are bit-identical to
     /// the scalar [`TransientSim::strike_with`] per the module contract.
     ///
@@ -198,7 +311,7 @@ impl TransientSim {
         &self,
         netlist: &Netlist,
         program: &GateProgram,
-        te_groups: &[(WideMask, &CycleValues)],
+        groups: &[CycleGroup<'_>],
         lanes: &[BatchLane<'_>],
         scratch: &mut CompiledTransientScratch,
         outcome: &mut CompiledStrikeOutcome,
@@ -209,7 +322,8 @@ impl TransientSim {
             netlist.len(),
             "program was compiled from a different netlist"
         );
-        outcome.clear(lanes.len());
+        outcome.clear(lanes.len(), netlist.dffs().len());
+        let dff_words = outcome.dff_words;
 
         let nets = program.nets();
         let ops = program.len();
@@ -218,8 +332,14 @@ impl TransientSim {
             scratch.pulse.resize(nets, [0; LANE_WORDS]);
             scratch.seed.resize(nets, [0; LANE_WORDS]);
             scratch.base.resize(nets, [0; LANE_WORDS]);
-            scratch.nom.resize(nets, [0; LANE_WORDS]);
-            scratch.nom_epoch.resize(nets, 0);
+        }
+        if scratch.slot_nets != nets {
+            scratch.slot_nets = nets;
+            scratch.slot_words.clear();
+            scratch.slot_of.clear();
+            scratch.slot_lanes.clear();
+            scratch.active.clear();
+            scratch.block_lanes.clear();
         }
         if scratch.dirty.len() < dirty_words {
             scratch.dirty.resize(dirty_words, 0);
@@ -227,14 +347,13 @@ impl TransientSim {
         scratch.lane_time.resize(WIDE_LANES, 0.0);
         scratch.pool_start.clear();
         scratch.pool_dur.clear();
-        scratch.epoch += 1;
         debug_assert!(scratch.touched.is_empty());
         debug_assert!(scratch.dirty.iter().all(|&w| w == 0));
         debug_assert!(
             {
-                let covered = te_groups.iter().fold([0u64; LANE_WORDS], |mut m, (g, _)| {
-                    for k in 0..LANE_WORDS {
-                        m[k] |= g[k];
+                let covered = groups.iter().fold([0u64; LANE_WORDS], |mut m, g| {
+                    for (w, lanes) in m.iter_mut().zip(g.lanes) {
+                        *w |= lanes;
                     }
                     m
                 });
@@ -244,6 +363,15 @@ impl TransientSim {
             },
             "a striking lane has no cycle-value group"
         );
+        for group in groups {
+            let s = scratch.slot(group);
+            for k in 0..LANE_WORDS {
+                debug_assert_eq!(scratch.block_lanes[s / 64][k] & group.lanes[k], 0);
+                scratch.slot_lanes[s][k] |= group.lanes[k];
+                scratch.block_lanes[s / 64][k] |= group.lanes[k];
+            }
+            scratch.active[s / 64] |= 1u64 << (s % 64);
+        }
 
         // Seed every lane's struck cells (same rules as the scalar kernel:
         // DFFs upset, source/marker cells inert, combinational cells pulse).
@@ -253,7 +381,10 @@ impl TransientSim {
             scratch.lane_time[l] = lane.strike_time_ps;
             for &g in lane.struck {
                 match program.net_class(g.index()) {
-                    NetClass::Dff => outcome.upset[l].push(g),
+                    NetClass::Dff => {
+                        let i = program.dff_index(g.index()).expect("a Dff net is a DFF");
+                        CompiledStrikeOutcome::mark(&mut outcome.upset, dff_words, l, i);
+                    }
                     NetClass::Inert => {}
                     NetClass::Comb => {
                         let gi = g.index();
@@ -315,7 +446,7 @@ impl TransientSim {
             // Logical masking, all 256 lanes at once: flip each fanin
             // exactly in the lanes where it pulses and compare the packed
             // outputs (same fold identities as `CellKind::eval_words`).
-            let mut flips = eval_flips(program.opcode(op), fis, te_groups, scratch);
+            let mut flips = eval_flips(program.opcode(op), fis, scratch);
             let mut have = 0u64;
             for k in 0..LANE_WORDS {
                 flips[k] &= candidates[k];
@@ -375,7 +506,7 @@ impl TransientSim {
         // Latching-window masking at each DFF's D pin, per lane.
         let window_lo = cfg.clock_period_ps - cfg.setup_ps;
         let window_hi = cfg.clock_period_ps + cfg.hold_ps;
-        for &(dff, d) in program.dff_d() {
+        for (i, &(_, d)) in program.dff_d().iter().enumerate() {
             let d = d as usize;
             for k in 0..LANE_WORDS {
                 let mut pl = scratch.pulse[d][k];
@@ -385,13 +516,10 @@ impl TransientSim {
                     let (pulse_lo, dur) = scratch.timing(d, l, cfg.initial_duration_ps);
                     let pulse_hi = pulse_lo + dur;
                     if pulse_lo <= window_hi && pulse_hi >= window_lo {
-                        outcome.latched[l].push(dff);
+                        CompiledStrikeOutcome::mark(&mut outcome.latched, dff_words, l, i);
                     }
                 }
             }
-        }
-        for v in outcome.latched.iter_mut().take(lanes.len()) {
-            v.sort_unstable();
         }
 
         for &g in &scratch.touched {
@@ -399,6 +527,14 @@ impl TransientSim {
             scratch.seed[g as usize] = [0; LANE_WORDS];
         }
         scratch.touched.clear();
+        for b in 0..scratch.active.len() {
+            scratch.block_lanes[b] = [0; LANE_WORDS];
+            let mut slots = std::mem::take(&mut scratch.active[b]);
+            while slots != 0 {
+                scratch.slot_lanes[b * 64 + slots.trailing_zeros() as usize] = [0; LANE_WORDS];
+                slots &= slots - 1;
+            }
+        }
     }
 }
 
@@ -406,20 +542,11 @@ impl TransientSim {
 /// the fanins in pin order with the identities of
 /// [`CellKind::eval_words`].
 #[inline]
-fn eval_flips(
-    op: Opcode,
-    fis: &[u32],
-    te_groups: &[(WideMask, &CycleValues)],
-    scratch: &mut CompiledTransientScratch,
-) -> WideMask {
+fn eval_flips(op: Opcode, fis: &[u32], scratch: &CompiledTransientScratch) -> WideMask {
     #[inline]
-    fn operand(
-        scratch: &mut CompiledTransientScratch,
-        f: u32,
-        te_groups: &[(WideMask, &CycleValues)],
-    ) -> (WideMask, WideMask) {
+    fn operand(scratch: &CompiledTransientScratch, f: u32) -> (WideMask, WideMask) {
         let fi = f as usize;
-        let nom = scratch.nominal(fi, te_groups);
+        let nom = scratch.nominal(fi);
         let p = scratch.pulse[fi];
         let mut flip = nom;
         for k in 0..LANE_WORDS {
@@ -431,18 +558,22 @@ fn eval_flips(
     match op {
         // Inversions at the output cancel in the XOR of nominal and
         // flipped, so Buf/Not, And/Nand, Or/Nor and Xor/Xnor share flip
-        // computations.
-        Opcode::Buf | Opcode::Not => {
-            let (nom, flip) = operand(scratch, fis[0], te_groups);
-            for k in 0..LANE_WORDS {
-                out[k] = nom[k] ^ flip[k];
+        // computations. A one-input cell flips exactly where its fanin
+        // pulses, and nominal ^ flipped of a parity tree is the parity of
+        // the per-fanin flips, i.e. the XOR of the pulse masks.
+        Opcode::Buf | Opcode::Not | Opcode::Xor | Opcode::Xnor => {
+            for &f in fis {
+                let p = &scratch.pulse[f as usize];
+                for k in 0..LANE_WORDS {
+                    out[k] ^= p[k];
+                }
             }
         }
         Opcode::And | Opcode::Nand => {
             let mut nacc = [!0u64; LANE_WORDS];
             let mut facc = [!0u64; LANE_WORDS];
             for &f in fis {
-                let (nom, flip) = operand(scratch, f, te_groups);
+                let (nom, flip) = operand(scratch, f);
                 for k in 0..LANE_WORDS {
                     nacc[k] &= nom[k];
                     facc[k] &= flip[k];
@@ -456,7 +587,7 @@ fn eval_flips(
             let mut nacc = [0u64; LANE_WORDS];
             let mut facc = [0u64; LANE_WORDS];
             for &f in fis {
-                let (nom, flip) = operand(scratch, f, te_groups);
+                let (nom, flip) = operand(scratch, f);
                 for k in 0..LANE_WORDS {
                     nacc[k] |= nom[k];
                     facc[k] |= flip[k];
@@ -466,20 +597,10 @@ fn eval_flips(
                 out[k] = nacc[k] ^ facc[k];
             }
         }
-        Opcode::Xor | Opcode::Xnor => {
-            // nominal ^ flipped of a parity tree is the parity of the
-            // per-fanin flips, i.e. the XOR of the pulse masks.
-            for &f in fis {
-                let p = &scratch.pulse[f as usize];
-                for k in 0..LANE_WORDS {
-                    out[k] ^= p[k];
-                }
-            }
-        }
         Opcode::Mux => {
-            let (sn, sf) = operand(scratch, fis[0], te_groups);
-            let (an, af) = operand(scratch, fis[1], te_groups);
-            let (bn, bf) = operand(scratch, fis[2], te_groups);
+            let (sn, sf) = operand(scratch, fis[0]);
+            let (an, af) = operand(scratch, fis[1]);
+            let (bn, bf) = operand(scratch, fis[2]);
             for k in 0..LANE_WORDS {
                 let nom = (!sn[k] & an[k]) | (sn[k] & bn[k]);
                 let flip = (!sf[k] & af[k]) | (sf[k] & bf[k]);
@@ -546,6 +667,14 @@ mod tests {
         n
     }
 
+    /// A strike's register list as the kernel reports it: a set.
+    fn as_set(dffs: &[GateId]) -> Vec<GateId> {
+        let mut v = dffs.to_vec();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
     fn tight() -> TransientConfig {
         TransientConfig {
             clock_period_ps: 600.0,
@@ -607,7 +736,18 @@ mod tests {
             ts.strike_compiled_with(
                 &n,
                 program,
-                &[(mask_a, &cv_a), (mask_b, &cv_b)],
+                &[
+                    CycleGroup {
+                        lanes: mask_a,
+                        cycle: 0,
+                        values: &cv_a,
+                    },
+                    CycleGroup {
+                        lanes: mask_b,
+                        cycle: 1,
+                        values: &cv_b,
+                    },
+                ],
                 &lanes,
                 &mut cscratch,
                 &mut cout,
@@ -623,13 +763,13 @@ mod tests {
                 };
                 ts.strike_with(&n, cv, cells, *t, &mut sscratch, &mut sout);
                 assert_eq!(
-                    cout.latched_dffs(l),
+                    cout.latched_dffs(&n, l),
                     &sout.latched_dffs[..],
                     "seed {seed} lane {l} latched"
                 );
                 assert_eq!(
-                    cout.upset_dffs(l),
-                    &sout.upset_dffs[..],
+                    cout.upset_dffs(&n, l),
+                    as_set(&sout.upset_dffs),
                     "seed {seed} lane {l} upset"
                 );
                 assert_eq!(
@@ -640,7 +780,7 @@ mod tests {
                 let mut want = Vec::new();
                 sout.faulty_registers_into(&mut want);
                 let mut got = Vec::new();
-                cout.faulty_registers_into(l, &mut got);
+                cout.faulty_registers_into(&n, l, &mut got);
                 assert_eq!(got, want, "seed {seed} lane {l} faulty registers");
             }
         }
@@ -687,7 +827,11 @@ mod tests {
             ts.strike_compiled_with(
                 &n,
                 program,
-                &[(wide_mask, &cv)],
+                &[CycleGroup {
+                    lanes: wide_mask,
+                    cycle: 0,
+                    values: &cv,
+                }],
                 &lanes,
                 &mut cscratch,
                 &mut cout,
@@ -695,13 +839,13 @@ mod tests {
 
             for l in 0..64 {
                 assert_eq!(
-                    cout.latched_dffs(l),
+                    cout.latched_dffs(&n, l),
                     bout.latched_dffs(l),
                     "seed {seed} lane {l}"
                 );
                 assert_eq!(
-                    cout.upset_dffs(l),
-                    bout.upset_dffs(l),
+                    cout.upset_dffs(&n, l),
+                    as_set(bout.upset_dffs(l)),
                     "seed {seed} lane {l}"
                 );
                 assert_eq!(
@@ -741,15 +885,24 @@ mod tests {
                 })
                 .collect();
             let all: WideMask = [!0u64; LANE_WORDS];
-            ts.strike_compiled_with(&n, program, &[(all, &cv)], &lanes, &mut scratch, &mut out);
+            let groups = [CycleGroup {
+                lanes: all,
+                cycle: 0,
+                values: &cv,
+            }];
+            ts.strike_compiled_with(&n, program, &groups, &lanes, &mut scratch, &mut out);
             for (l, cells) in strikes.iter().enumerate() {
                 let fresh = ts.strike(&n, &cv, cells, 500.0);
                 assert_eq!(
-                    out.latched_dffs(l),
+                    out.latched_dffs(&n, l),
                     &fresh.latched_dffs[..],
                     "round {round}"
                 );
-                assert_eq!(out.upset_dffs(l), &fresh.upset_dffs[..], "round {round}");
+                assert_eq!(
+                    out.upset_dffs(&n, l),
+                    as_set(&fresh.upset_dffs),
+                    "round {round}"
+                );
             }
         }
     }
@@ -801,7 +954,11 @@ mod tests {
         ts.strike_compiled_with(
             &n,
             n.program().unwrap(),
-            &[(all, &cv)],
+            &[CycleGroup {
+                lanes: all,
+                cycle: 0,
+                values: &cv,
+            }],
             &lanes,
             &mut scratch,
             &mut out,
@@ -813,17 +970,21 @@ mod tests {
         for (l, (cells, t)) in strikes.iter().enumerate() {
             ts.strike_with(&n, &cv, cells, *t, &mut sscratch, &mut sout);
             assert_eq!(
-                out.latched_dffs(l),
+                out.latched_dffs(&n, l),
                 &sout.latched_dffs[..],
                 "lane {l} latched"
             );
-            assert_eq!(out.upset_dffs(l), &sout.upset_dffs[..], "lane {l} upset");
+            assert_eq!(
+                out.upset_dffs(&n, l),
+                as_set(&sout.upset_dffs),
+                "lane {l} upset"
+            );
             assert_eq!(
                 out.pulses_propagated(l),
                 sout.pulses_propagated,
                 "lane {l} pulse count"
             );
-            latched_q2 += usize::from(out.latched_dffs(l).contains(&q2));
+            latched_q2 += usize::from(out.latched_dffs(&n, l).contains(&q2));
         }
         // The strike times must straddle the latching window, or timing
         // would not be exercised at all.
@@ -867,7 +1028,11 @@ mod tests {
             ts.strike_compiled_with(
                 &n,
                 n.program().unwrap(),
-                &[(all, &cv)],
+                &[CycleGroup {
+                    lanes: all,
+                    cycle: 0,
+                    values: &cv,
+                }],
                 &lanes,
                 &mut scratch,
                 &mut out,
@@ -885,6 +1050,78 @@ mod tests {
                     cap <= 2 * pulses,
                     "sweep {sweep}: capacity {cap} for {pulses} pulses"
                 );
+            }
+        }
+    }
+
+    /// Cycle slots are packed 64 to a word: sweeps on one scratch that
+    /// name more than 64 cycles, revisit earlier ones and put several
+    /// groups in one lane word all read each lane's own cycle values.
+    #[test]
+    fn cycle_slots_past_one_word_match_scalar() {
+        let n = random_netlist(0x5107, 6, 150);
+        let program = n.program().unwrap();
+        let sim = CycleSim::new(&n).unwrap();
+        let mut rng = Xs(0xD1CE);
+        let cycles: Vec<CycleValues> = (0..150)
+            .map(|_| {
+                let state: Vec<bool> = (0..n.dffs().len()).map(|_| rng.next() & 1 == 1).collect();
+                let inputs: Vec<bool> = (0..6).map(|_| rng.next() & 1 == 1).collect();
+                sim.eval(&n, &state, &inputs)
+            })
+            .collect();
+        let ts = TransientSim::new(&n, tight()).unwrap();
+        let candidates: Vec<GateId> = n.iter().map(|(id, _)| id).collect();
+        let mut scratch = CompiledTransientScratch::default();
+        let mut out = CompiledStrikeOutcome::default();
+        let mut sscratch = TransientScratch::default();
+        let mut sout = StrikeOutcome::default();
+        // First sweep: cycles 0..90 (two slot words); second: 60..150, half
+        // of them already slotted; third: every lane on one old cycle.
+        for (sweep, (first, spread)) in [(0usize, 90usize), (60, 90), (7, 1)].iter().enumerate() {
+            let cycle_of: Vec<usize> = (0..WIDE_LANES)
+                .map(|l| first + l * spread / WIDE_LANES)
+                .collect();
+            let mut groups: Vec<CycleGroup> = Vec::new();
+            for (l, &c) in cycle_of.iter().enumerate() {
+                if groups.last().is_none_or(|g| g.cycle != c) {
+                    groups.push(CycleGroup {
+                        lanes: [0; LANE_WORDS],
+                        cycle: c,
+                        values: &cycles[c],
+                    });
+                }
+                groups.last_mut().unwrap().lanes[l / 64] |= 1u64 << (l % 64);
+            }
+            let strikes: Vec<(Vec<GateId>, f64)> = (0..WIDE_LANES)
+                .map(|_| {
+                    let cells = (0..1 + rng.below(3))
+                        .map(|_| candidates[rng.below(candidates.len())])
+                        .collect();
+                    (cells, rng.below(600) as f64)
+                })
+                .collect();
+            let lanes: Vec<BatchLane> = strikes
+                .iter()
+                .map(|(cells, t)| BatchLane {
+                    struck: cells,
+                    strike_time_ps: *t,
+                })
+                .collect();
+            ts.strike_compiled_with(&n, program, &groups, &lanes, &mut scratch, &mut out);
+            for (l, (cells, t)) in strikes.iter().enumerate() {
+                ts.strike_with(
+                    &n,
+                    &cycles[cycle_of[l]],
+                    cells,
+                    *t,
+                    &mut sscratch,
+                    &mut sout,
+                );
+                let ctx = format!("sweep {sweep} lane {l}");
+                assert_eq!(out.latched_dffs(&n, l), &sout.latched_dffs[..], "{ctx}");
+                assert_eq!(out.upset_dffs(&n, l), as_set(&sout.upset_dffs), "{ctx}");
+                assert_eq!(out.pulses_propagated(l), sout.pulses_propagated, "{ctx}");
             }
         }
     }
@@ -913,7 +1150,11 @@ mod tests {
         ts.strike_compiled_with(
             &n,
             n.program().unwrap(),
-            &[(one, &cv)],
+            &[CycleGroup {
+                lanes: one,
+                cycle: 0,
+                values: &cv,
+            }],
             &[BatchLane {
                 struck: &[g],
                 strike_time_ps: 0.0,
@@ -921,8 +1162,8 @@ mod tests {
             &mut scratch,
             &mut out,
         );
-        assert_eq!(out.latched_dffs(0), &[q]);
-        assert!(out.upset_dffs(0).is_empty());
+        assert_eq!(out.latched_dffs(&n, 0), &[q]);
+        assert!(out.upset_dffs(&n, 0).is_empty());
         assert_eq!(out.pulses_propagated(0), 1);
     }
 }

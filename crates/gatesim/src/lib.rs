@@ -58,7 +58,7 @@ pub mod transient;
 
 pub use batch::{BatchLane, BatchStrikeOutcome, BatchTransientScratch, LANES};
 pub use compiled::{
-    CompiledStrikeOutcome, CompiledTransientScratch, WideMask, LANE_WORDS, WIDE_LANES,
+    CompiledStrikeOutcome, CompiledTransientScratch, CycleGroup, WideMask, LANE_WORDS, WIDE_LANES,
 };
 pub use cycle::{CycleSim, CycleValues};
 pub use glitch::GlitchSim;

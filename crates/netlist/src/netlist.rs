@@ -201,7 +201,8 @@ impl Netlist {
         &self.outputs
     }
 
-    /// All DFF gate ids, in declaration order.
+    /// All DFF gate ids, in declaration order — which is ascending id
+    /// order, since ids are handed out in declaration order.
     pub fn dffs(&self) -> &[GateId] {
         &self.dffs
     }
@@ -454,6 +455,17 @@ mod tests {
             n.resolve("nope"),
             Err(NetlistError::UnknownName(_))
         ));
+    }
+
+    #[test]
+    fn dffs_ascend_with_gate_id() {
+        let mut n = tiny();
+        let g = n.find("q").unwrap();
+        let a = n.add_input("late");
+        let q2 = n.add_dff("q2", g);
+        n.add_dff("q3", a);
+        assert_eq!(n.dffs()[1], q2);
+        assert!(n.dffs().windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -118,6 +118,9 @@ pub struct GateProgram {
     consumer_ops: Vec<u32>,
     /// `(dff gate, d-pin net)` pairs in [`Netlist::dffs`] order.
     dff_d: Vec<(GateId, u32)>,
+    /// Per net: its position in [`Netlist::dffs`], `u32::MAX` for nets
+    /// that are not DFFs.
+    dff_pos: Vec<u32>,
     /// Per-net seeding role.
     net_class: Vec<NetClass>,
     nets: u32,
@@ -191,6 +194,10 @@ impl GateProgram {
             .iter()
             .map(|&dff| (dff, netlist.gate(dff).fanin[0].0))
             .collect();
+        p.dff_pos = vec![u32::MAX; nets as usize];
+        for (i, &(dff, _)) in p.dff_d.iter().enumerate() {
+            p.dff_pos[dff.index()] = i as u32;
+        }
         p.net_class = netlist
             .iter()
             .map(|(_, gate)| match gate.kind {
@@ -260,6 +267,14 @@ impl GateProgram {
     /// `(dff gate, d-pin net index)` pairs in [`Netlist::dffs`] order.
     pub fn dff_d(&self) -> &[(GateId, u32)] {
         &self.dff_d
+    }
+
+    /// The position of net `f` in [`Netlist::dffs`] (and in
+    /// [`GateProgram::dff_d`]), `None` when `f` is not a DFF.
+    #[inline]
+    pub fn dff_index(&self, f: usize) -> Option<usize> {
+        let i = self.dff_pos[f];
+        (i != u32::MAX).then_some(i as usize)
     }
 
     /// Seeding role of net `f`.
@@ -345,6 +360,8 @@ mod tests {
         let p = GateProgram::build(&n).unwrap();
         assert_eq!(p.dff_d().len(), 1);
         let (dff, d) = p.dff_d()[0];
+        assert_eq!(p.dff_index(dff.index()), Some(0));
+        assert_eq!(p.dff_index(d as usize), None);
         assert_eq!(n.dffs()[0], dff);
         assert_eq!(n.gate(dff).fanin[0].0, d);
     }

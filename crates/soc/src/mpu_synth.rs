@@ -197,6 +197,11 @@ impl MpuNetlist {
         self.bit_for_dff.get(dff.index()).copied().flatten()
     }
 
+    /// The bit of each DFF, in [`Netlist::dffs`] order.
+    pub fn dff_bits(&self) -> &[MpuBit] {
+        &self.dff_bits
+    }
+
     /// Express an [`MpuState`] as a netlist state vector in
     /// [`Netlist::dffs`] order.
     pub fn state_vector(&self, state: &MpuState) -> Vec<bool> {
