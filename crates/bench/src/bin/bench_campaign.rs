@@ -254,7 +254,7 @@ fn main() {
         ));
     }
     // The fast-forward ablation: same engine, same kernel, checkpoint
-    // cache + early exit + shared memo disabled.
+    // cache and early exit disabled.
     let noff_opts = CampaignOptions {
         fast_forward: false,
         ..base_opts.clone()

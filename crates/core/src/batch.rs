@@ -30,7 +30,7 @@ use xlmc_gatesim::{
 use xlmc_netlist::GateId;
 
 use crate::estimator::{fold_run, CampaignKernel, ChunkPartial, RunObs};
-use crate::fastforward::{ConclusionFront, FastForwardStats, RtlFastForward, SharedConclusionMemo};
+use crate::fastforward::{ConclusionMemo, FastForwardStats, RtlFastForward};
 use crate::flow::{DffMask, FaultRunner, StrikeClass};
 use crate::metrics::{LatencyHist, LatencyShard};
 use crate::rng::SplitMix64;
@@ -101,6 +101,8 @@ struct RunRecord {
     /// The post-hardening registers in error.
     regs: DffMask,
     pulses: usize,
+    /// Whether the conclusion was its chunk's first probe of the key.
+    first_in_chunk: bool,
 }
 
 impl RunRecord {
@@ -111,6 +113,7 @@ impl RunRecord {
         analytic: false,
         regs: DffMask::EMPTY,
         pulses: 0,
+        first_in_chunk: false,
     };
 }
 
@@ -132,8 +135,6 @@ pub(crate) struct BatchChunkScratch {
     faulty_regs: Vec<GateId>,
     records: Vec<RunRecord>,
     ff: RtlFastForward,
-    /// Per-worker unlocked mirror of the shared conclusion memo.
-    front: ConclusionFront,
     /// Compiled-kernel buffers (used by [`run_chunk_compiled`] only).
     ctransient: CompiledTransientScratch,
     cstrike_out: CompiledStrikeOutcome,
@@ -152,11 +153,6 @@ impl BatchChunkScratch {
     /// The fast-forward counters accumulated by chunks on this scratch.
     pub(crate) fn fast_forward_stats(&self) -> FastForwardStats {
         self.ff.stats()
-    }
-
-    /// `(front hits, shared-memo fallbacks)` of this worker's memo front.
-    pub(crate) fn memo_front_stats(&self) -> (u64, u64) {
-        self.front.contention_stats()
     }
 
     /// Drain the latency observations accumulated since the last call
@@ -302,7 +298,8 @@ pub(crate) fn run_chunk_batched(
     end: usize,
     scratch: &mut BatchChunkScratch,
     cycles: &SharedCycleCache,
-    memo: &SharedConclusionMemo,
+    memo: &mut ConclusionMemo,
+    chunk: u32,
     ctr: &mut CounterScratch,
     record_provenance: bool,
     sink: &TraceSink,
@@ -382,7 +379,7 @@ pub(crate) fn run_chunk_batched(
                 .faulty_registers_into(lane, &mut scratch.faulty_regs);
             let regs = runner.dff_mask(&scratch.faulty_regs);
             let pulses = scratch.strike_out.pulses_propagated(lane);
-            conclude_lane(runner, scratch, memo, ri as usize, regs, pulses);
+            conclude_lane(runner, scratch, memo, chunk, ri as usize, regs, pulses);
         }
     }
 
@@ -397,20 +394,22 @@ pub(crate) fn run_chunk_batched(
 fn conclude_lane(
     runner: &FaultRunner<'_>,
     scratch: &mut BatchChunkScratch,
-    memo: &SharedConclusionMemo,
+    memo: &mut ConclusionMemo,
+    chunk: u32,
     ri: usize,
     mut regs: DffMask,
     pulses: usize,
 ) {
     let te = scratch.te[ri].expect("struck runs inject inside the run");
     runner.harden(&mut regs, &mut scratch.draws[ri].rng);
-    let c = runner.conclude_with(te, regs, &mut scratch.ff, memo, Some(&mut scratch.front));
+    let (c, first_in_chunk) = runner.conclude_with(te, regs, &mut scratch.ff, memo, Some(chunk));
     scratch.records[ri] = RunRecord {
         success: c.success,
         class: c.class,
         analytic: c.analytic,
         regs,
         pulses,
+        first_in_chunk,
     };
 }
 
@@ -444,6 +443,7 @@ fn fold_records(
                 success: rec.success,
                 w: scratch.draws[i].w,
                 regs: rec.regs,
+                first_in_chunk: rec.first_in_chunk,
                 dff_bits: runner.model.mpu.dff_bits(),
             },
             record_provenance,
@@ -469,7 +469,8 @@ pub(crate) fn run_chunk_compiled(
     end: usize,
     scratch: &mut BatchChunkScratch,
     cycles: &SharedCycleCache,
-    memo: &SharedConclusionMemo,
+    memo: &mut ConclusionMemo,
+    chunk: u32,
     ctr: &mut CounterScratch,
     record_provenance: bool,
     sink: &TraceSink,
@@ -537,7 +538,7 @@ pub(crate) fn run_chunk_compiled(
             let ri = scratch.order[b0 + lane];
             let regs = DffMask::from_words(scratch.cstrike_out.faulty_words(lane));
             let pulses = scratch.cstrike_out.pulses_propagated(lane);
-            conclude_lane(runner, scratch, memo, ri as usize, regs, pulses);
+            conclude_lane(runner, scratch, memo, chunk, ri as usize, regs, pulses);
         }
     }
 
@@ -850,7 +851,7 @@ mod tests {
                 for seed in [3u64, 77] {
                     let n = 200;
                     let cache = SharedCycleCache::new(runner.eval.golden.cycles);
-                    let memo = SharedConclusionMemo::default();
+                    let mut memo = ConclusionMemo::default();
                     let mut bscratch = BatchChunkScratch::default();
                     let mut ctr = CounterScratch::default();
                     let sink = TraceSink::disabled();
@@ -862,7 +863,8 @@ mod tests {
                         n,
                         &mut bscratch,
                         &cache,
-                        &memo,
+                        &mut memo,
+                        0,
                         &mut ctr,
                         false,
                         &sink,
@@ -907,13 +909,17 @@ mod tests {
         };
         let strat = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
         let cache = SharedCycleCache::new(runner.eval.golden.cycles);
-        let memo = SharedConclusionMemo::default();
+        let mut memo = ConclusionMemo::default();
         let mut bscratch = BatchChunkScratch::default();
         let mut flow = FlowScratch::default();
         let mut ctr = CounterScratch::default();
         let sink = TraceSink::disabled();
         // Also covers partial batches: 1, 63, 64, 65 runs.
-        for (start, len) in [(0usize, 1usize), (1, 63), (64, 64), (128, 65), (193, 128)] {
+        // One memo across the chunks, as a worker keeps it.
+        for (chunk, (start, len)) in [(0usize, 1usize), (1, 63), (64, 64), (128, 65), (193, 128)]
+            .into_iter()
+            .enumerate()
+        {
             let b = run_chunk_batched(
                 &runner,
                 &strat,
@@ -922,7 +928,8 @@ mod tests {
                 start + len,
                 &mut bscratch,
                 &cache,
-                &memo,
+                &mut memo,
+                chunk as u32,
                 &mut ctr,
                 false,
                 &sink,
@@ -986,7 +993,7 @@ mod tests {
                 // 300 runs crosses the 256-lane boundary.
                 let n = 300;
                 let cache = SharedCycleCache::new(runner.eval.golden.cycles);
-                let memo = SharedConclusionMemo::default();
+                let mut memo = ConclusionMemo::default();
                 let mut cscratch = BatchChunkScratch::default();
                 let mut ctr = CounterScratch::default();
                 let sink = TraceSink::disabled();
@@ -998,7 +1005,8 @@ mod tests {
                     n,
                     &mut cscratch,
                     &cache,
-                    &memo,
+                    &mut memo,
+                    0,
                     &mut ctr,
                     false,
                     &sink,
@@ -1053,7 +1061,7 @@ mod tests {
             let n = 300;
             for compiled in [false, true] {
                 let cache = SharedCycleCache::new(runner.eval.golden.cycles);
-                let memo = SharedConclusionMemo::default();
+                let mut memo = ConclusionMemo::default();
                 let mut scratch = BatchChunkScratch::default();
                 let mut ctr = CounterScratch::default();
                 let sink = TraceSink::disabled();
@@ -1066,7 +1074,8 @@ mod tests {
                         n,
                         &mut scratch,
                         &cache,
-                        &memo,
+                        &mut memo,
+                        0,
                         &mut ctr,
                         false,
                         &sink,
@@ -1081,7 +1090,8 @@ mod tests {
                         n,
                         &mut scratch,
                         &cache,
-                        &memo,
+                        &mut memo,
+                        0,
                         &mut ctr,
                         false,
                         &sink,
@@ -1150,7 +1160,7 @@ mod tests {
                     let strat = RandomSampling::new(fd.clone());
                     let (seed, n) = (57u64, 300);
                     let cache = SharedCycleCache::new(runner.eval.golden.cycles);
-                    let memo = SharedConclusionMemo::default();
+                    let mut memo = ConclusionMemo::default();
                     let mut cscratch = BatchChunkScratch::default();
                     let mut ctr = CounterScratch::default();
                     let sink = TraceSink::disabled();
@@ -1162,7 +1172,8 @@ mod tests {
                         n,
                         &mut cscratch,
                         &cache,
-                        &memo,
+                        &mut memo,
+                        0,
                         &mut ctr,
                         false,
                         &sink,
@@ -1226,12 +1237,13 @@ mod tests {
         };
         let strat = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
         let cache = SharedCycleCache::new(runner.eval.golden.cycles);
-        let memo = SharedConclusionMemo::default();
+        let mut memo = ConclusionMemo::default();
         let mut cscratch = BatchChunkScratch::default();
         let mut flow = FlowScratch::default();
         let mut ctr = CounterScratch::default();
         let sink = TraceSink::disabled();
-        for (start, len) in [
+        // One memo across the chunks, as a worker keeps it.
+        for (chunk, (start, len)) in [
             (0usize, 1usize),
             (1, 63),
             (64, 64),
@@ -1239,7 +1251,10 @@ mod tests {
             (0, 255),
             (7, 256),
             (11, 257),
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let c = run_chunk_compiled(
                 &runner,
                 &strat,
@@ -1248,7 +1263,8 @@ mod tests {
                 start + len,
                 &mut cscratch,
                 &cache,
-                &memo,
+                &mut memo,
+                chunk as u32,
                 &mut ctr,
                 false,
                 &sink,

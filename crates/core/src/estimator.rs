@@ -16,7 +16,7 @@
 
 pub use crate::batch::{gate_path_bench, GatePathBench};
 use crate::batch::{run_chunk_batched, run_chunk_compiled, BatchChunkScratch, SharedCycleCache};
-use crate::fastforward::{FastForwardStats, SharedConclusionMemo};
+use crate::fastforward::{ConclusionMemo, FastForwardStats};
 use crate::flow::{DffMask, FaultRunner, FlowScratch, StrikeClass};
 use crate::json::{bits_str, json_num};
 use crate::metrics::{self, EventLog, LatencyShard, MetricsRegistry, MlmcProgress, StallWatchdog};
@@ -411,7 +411,7 @@ impl CampaignOptions {
             "  --target-confidence C  confidence for --target-eps, in (0, 1)\n",
             "                         (default 0.95)\n",
             "  --metrics PATH         write the campaign metrics JSON\n",
-            "                         (xlmc-metrics-v5, schemas/metrics.schema.json)\n",
+            "                         (xlmc-metrics-v6, schemas/metrics.schema.json)\n",
             "  --events PATH          stream the lifecycle event log as JSONL\n",
             "                         (schemas/events.schema.json), one flushed line\n",
             "                         per event; results are bit-identical on or off\n",
@@ -677,6 +677,9 @@ pub(crate) struct RunObs<'a> {
     pub(crate) w: f64,
     /// The post-hardening registers in error.
     pub(crate) regs: DffMask,
+    /// Whether the run's conclusion was its chunk's first probe of the
+    /// `(te, regs)` key ([`ConclusionMemo::get_or_conclude`]).
+    pub(crate) first_in_chunk: bool,
     /// The bit of each DFF index ([`xlmc_soc::MpuNetlist::dff_bits`]).
     pub(crate) dff_bits: &'a [MpuBit],
 }
@@ -703,7 +706,14 @@ pub(crate) fn fold_run(
             p.rtl_runs += 1;
         }
     }
-    ctr.record_run(&mut p.counters, obs.te, obs.regs, obs.analytic, obs.pulses);
+    ctr.record_run(
+        &mut p.counters,
+        obs.te,
+        obs.regs,
+        obs.first_in_chunk,
+        obs.analytic,
+        obs.pulses,
+    );
     p.w_sum += obs.w;
     p.w_sq_sum += obs.w * obs.w;
     let x = if obs.success {
@@ -744,7 +754,8 @@ fn run_chunk(
     start: usize,
     end: usize,
     scratch: &mut FlowScratch,
-    memo: &SharedConclusionMemo,
+    memo: &mut ConclusionMemo,
+    chunk: u32,
     ctr: &mut CounterScratch,
     record_provenance: bool,
 ) -> ChunkPartial {
@@ -756,7 +767,7 @@ fn run_chunk(
     for i in start..end {
         let mut rng = SplitMix64::for_run(seed, i as u64);
         let (sample, w) = strategy.draw_weighted(&mut rng);
-        let outcome = runner.run_shared(&sample, &mut rng, scratch, Some(memo));
+        let outcome = runner.run_shared(&sample, &mut rng, scratch, Some(memo), Some(chunk));
         p.kernel_counters.gates_visited += outcome.gates_visited;
         fold_run(
             &mut p,
@@ -771,6 +782,7 @@ fn run_chunk(
                 success: outcome.success,
                 w,
                 regs: outcome.regs,
+                first_in_chunk: outcome.first_in_chunk,
                 dff_bits: runner.model.mpu.dff_bits(),
             },
             record_provenance,
@@ -791,10 +803,31 @@ pub(crate) fn scalar_chunk_for_tests(
     scratch: &mut FlowScratch,
 ) -> ChunkPartial {
     let mut ctr = CounterScratch::default();
-    let memo = SharedConclusionMemo::default();
+    let mut memo = ConclusionMemo::default();
     run_chunk(
-        runner, strategy, seed, start, end, scratch, &memo, &mut ctr, false,
+        runner, strategy, seed, start, end, scratch, &mut memo, 0, &mut ctr, false,
     )
+}
+
+/// One campaign worker's state: the scratch of every chunk executor, the
+/// worker's conclusion memo and its chunk-counter scratch.
+#[derive(Default)]
+struct Worker {
+    flow: FlowScratch,
+    batch: BatchChunkScratch,
+    mlmc: MlmcScratch,
+    memo: ConclusionMemo,
+    ctr: CounterScratch,
+}
+
+impl Worker {
+    fn new(fast_forward: bool) -> Self {
+        let mut w = Self::default();
+        w.flow.set_fast_forward(fast_forward);
+        w.batch.set_fast_forward(fast_forward);
+        w.mlmc.set_fast_forward(fast_forward);
+        w
+    }
 }
 
 /// The merged campaign prefix: every statistic folded from chunks
@@ -1474,8 +1507,8 @@ pub fn run_campaign_observed(
     // Schedule-dependent fast-forward counters, folded in from every worker
     // scratch at thread exit; they surface in the metrics JSON only.
     let ff_total = Mutex::new(FastForwardStats::default());
-    // Conclusion-memo front totals (hits, shared fallbacks), same lifecycle.
-    let front_total = Mutex::new((0u64, 0u64));
+    // Conclusion-memo totals (hits, misses), same lifecycle.
+    let memo_total = Mutex::new((0u64, 0u64));
     // Merge-path scheduling observability; all schedule-dependent.
     let mut merge_wait_s = 0.0f64;
     let mut reorder_peak = 0usize;
@@ -1494,12 +1527,6 @@ pub fn run_campaign_observed(
             CampaignKernel::Scalar => None,
             _ => Some(SharedCycleCache::new(runner.eval.golden.cycles)),
         };
-        // All workers share one conclusion memo: the verdict is a pure
-        // function of `(T_e, post-hardening bits)`, so a pattern concluded
-        // on any thread is a hit everywhere and sharing never changes a
-        // result bit (racing duplicate computes insert identical values).
-        let memo = SharedConclusionMemo::default();
-        let memo = &memo;
         let ff_total = &ff_total;
         let sink = &sink;
         let seu_map = &seu_map;
@@ -1509,14 +1536,16 @@ pub fn run_campaign_observed(
         // is never published and waiting workers must bail instead.
         let stop_flag = AtomicBool::new(false);
         let stop_flag = &stop_flag;
-        let run_one = |c: usize,
-                       flow: &mut FlowScratch,
-                       batch: &mut BatchChunkScratch,
-                       mlmc: &mut MlmcScratch,
-                       ctr: &mut CounterScratch,
-                       tid: u32|
-         -> ChunkPartial {
+        let run_one = |c: usize, w: &mut Worker, tid: u32| -> ChunkPartial {
+            let Worker {
+                flow,
+                batch,
+                mlmc,
+                memo,
+                ctr,
+            } = w;
             let (start, end) = chunk_bounds(c);
+            let chunk = u32::try_from(c).expect("chunk index fits a memo stamp");
             let _span = sink.span_args(tid, "campaign", "chunk", &[("chunk", c as f64)]);
             let chunk_t0 = Instant::now();
             let mut p = if let Some(map) = seu_map {
@@ -1550,6 +1579,7 @@ pub fn run_campaign_observed(
                         end,
                         mlmc,
                         memo,
+                        chunk,
                         ctr,
                         options.replay,
                     )
@@ -1563,6 +1593,7 @@ pub fn run_campaign_observed(
                         end,
                         mlmc,
                         memo,
+                        chunk,
                         ctr,
                         record_provenance,
                     )
@@ -1578,6 +1609,7 @@ pub fn run_campaign_observed(
                         batch,
                         cache,
                         memo,
+                        chunk,
                         ctr,
                         record_provenance,
                         sink,
@@ -1592,6 +1624,7 @@ pub fn run_campaign_observed(
                         batch,
                         cache,
                         memo,
+                        chunk,
                         ctr,
                         record_provenance,
                         sink,
@@ -1605,6 +1638,7 @@ pub fn run_campaign_observed(
                         end,
                         flow,
                         memo,
+                        chunk,
                         ctr,
                         record_provenance,
                     ),
@@ -1622,33 +1656,27 @@ pub fn run_campaign_observed(
                 .record(chunk_t0.elapsed().as_secs_f64());
             p
         };
-        let front_total = &front_total;
-        let fold_ff = |flow: &FlowScratch, batch: &BatchChunkScratch, mlmc: &MlmcScratch| {
+        let memo_total = &memo_total;
+        let fold_worker = |w: &Worker| {
             let mut total = ff_total
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            total.add(&flow.fast_forward_stats());
-            total.add(&batch.fast_forward_stats());
-            total.add(&mlmc.fast_forward_stats());
-            let (h, m) = batch.memo_front_stats();
-            let mut ft = front_total
+            total.add(&w.flow.fast_forward_stats());
+            total.add(&w.batch.fast_forward_stats());
+            total.add(&w.mlmc.fast_forward_stats());
+            let (h, m) = w.memo.probe_stats();
+            let mut mt = memo_total
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            ft.0 += h;
-            ft.1 += m;
+            mt.0 += h;
+            mt.1 += m;
         };
 
         workers = threads;
         if threads <= 1 {
-            let mut flow = FlowScratch::default();
-            let mut batch = BatchChunkScratch::default();
-            let mut mlmc_scratch = MlmcScratch::default();
-            flow.set_fast_forward(options.fast_forward);
-            batch.set_fast_forward(options.fast_forward);
-            mlmc_scratch.set_fast_forward(options.fast_forward);
-            let mut ctr = CounterScratch::default();
+            let mut worker = Worker::new(options.fast_forward);
             for c in start_chunk..chunks {
-                let mut p = run_one(c, &mut flow, &mut batch, &mut mlmc_scratch, &mut ctr, 0);
+                let mut p = run_one(c, &mut worker, 0);
                 let prov = std::mem::take(&mut p.provenance);
                 let level = p.level;
                 let lat = std::mem::take(&mut p.latency);
@@ -1675,7 +1703,7 @@ pub fn run_campaign_observed(
                     break;
                 }
             }
-            fold_ff(&flow, &batch, &mlmc_scratch);
+            fold_worker(&worker);
         } else {
             // Arm the stall watchdog only where stalls are observable:
             // the threaded merge loop, which can wait on recv while
@@ -1701,15 +1729,9 @@ pub fn run_campaign_observed(
                     let run_one = &run_one;
                     let next = &next;
                     let tid = (w + 1) as u32;
-                    let fold_ff = &fold_ff;
+                    let fold_worker = &fold_worker;
                     s.spawn(move || {
-                        let mut flow = FlowScratch::default();
-                        let mut batch = BatchChunkScratch::default();
-                        let mut mlmc_scratch = MlmcScratch::default();
-                        flow.set_fast_forward(options.fast_forward);
-                        batch.set_fast_forward(options.fast_forward);
-                        mlmc_scratch.set_fast_forward(options.fast_forward);
-                        let mut ctr = CounterScratch::default();
+                        let mut worker = Worker::new(options.fast_forward);
                         loop {
                             if stop_flag.load(Ordering::Relaxed) {
                                 break;
@@ -1721,14 +1743,13 @@ pub fn run_campaign_observed(
                             my_chunk.store(c, Ordering::Relaxed);
                             // A send fails only when the merger has
                             // stopped and dropped the receiver.
-                            let p =
-                                run_one(c, &mut flow, &mut batch, &mut mlmc_scratch, &mut ctr, tid);
+                            let p = run_one(c, &mut worker, tid);
                             my_chunk.store(usize::MAX, Ordering::Relaxed);
                             if tx.send((c, p)).is_err() {
                                 break;
                             }
                         }
-                        fold_ff(&flow, &batch, &mlmc_scratch);
+                        fold_worker(&worker);
                     });
                 }
                 drop(tx);
@@ -1826,15 +1847,15 @@ pub fn run_campaign_observed(
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     fast_forward.enabled = options.fast_forward;
-    let (front_hits, front_misses) = front_total
+    let (memo_hits, memo_misses) = memo_total
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let scheduler = SchedulerStats {
         workers,
         merge_wait_s,
         reorder_peak,
-        memo_front_hits: front_hits,
-        memo_front_misses: front_misses,
+        memo_hits,
+        memo_misses,
     };
     let program = match runner.model.mpu.netlist().program() {
         Ok(p) => ProgramStats {
@@ -1955,12 +1976,12 @@ pub fn run_campaign_observed(
         );
         eprintln!(
             "[scheduler] {} workers | merge wait {:.3}s | reorder peak {} | \
-             memo front hits {} / shared fallbacks {}",
+             memo hits {} / misses {}",
             meta.scheduler.workers,
             meta.scheduler.merge_wait_s,
             meta.scheduler.reorder_peak,
-            meta.scheduler.memo_front_hits,
-            meta.scheduler.memo_front_misses,
+            meta.scheduler.memo_hits,
+            meta.scheduler.memo_misses,
         );
         let ring: Vec<ProvenanceRecord> = ring.into_iter().collect();
         if let Err(e) = trace::write_trace(

@@ -19,23 +19,23 @@
 //!   RAM), concludes immediately with the golden verdict — determinism
 //!   makes everything after a state match a replay of the golden run.
 //!
-//! * [`SharedConclusionMemo`] — the `(te, faulty_bits) → verdict` memo as a
-//!   sharded concurrent map shared across worker threads. The verdict is a
-//!   pure function of its key (the hardening filter consumes RNG *before*
-//!   the key is formed), so racing workers can only ever insert identical
-//!   values and sharing is result-invariant. The key is the exact
+//! * [`ConclusionMemo`] — the `(te, faulty_bits) → verdict` memo, one per
+//!   campaign worker. The verdict is a pure function of its key (the
+//!   hardening filter consumes RNG *before* the key is formed), so private
+//!   per-worker memos are result-invariant. The key is the exact
 //!   [`ConclusionKey`] — four words, no hash stands in for it — so entries
 //!   cannot collide and lookups never allocate.
 //!
-//! The chunk-local [`crate::trace::CampaignCounters`] accounting is
-//! deliberately untouched by all of this (it models a per-chunk memo so the
-//! counters stay kernel/thread-invariant); the schedule-dependent
-//! fast-forward counters live in [`FastForwardStats`] and surface through
-//! the metrics JSON, never through `CampaignResult`.
+//! Each memo entry is also stamped with the chunk that last probed it,
+//! which is all the chunk-local [`crate::trace::CampaignCounters`] model
+//! needs (a key's first probe in a chunk is that chunk's miss), so the
+//! counters stay kernel/thread-invariant without a second key set; the
+//! schedule-dependent fast-forward counters live in [`FastForwardStats`]
+//! and surface through the metrics JSON, never through `CampaignResult`.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
-use std::sync::Mutex;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 use crate::flow::{Concluded, DffMask};
@@ -328,10 +328,9 @@ pub fn reference_verdict(eval: &Evaluation, te: u64, faulty_bits: &[MpuBit]) -> 
     RtlFastForward::new(false).resume(eval, te, faulty_bits)
 }
 
-/// The key every conclusion structure shares — the shared memo, the
-/// per-worker [`ConclusionFront`] and the chunk-local counter model: the
-/// injection cycle and the post-hardening registers as a [`DffMask`], so the
-/// key separates exactly the patterns the verdict depends on.
+/// The key of the [`ConclusionMemo`]: the injection cycle and the
+/// post-hardening registers as a [`DffMask`], so the key separates exactly
+/// the patterns the verdict depends on.
 pub(crate) type ConclusionKey = (u64, DffMask);
 
 /// Word-multiply hasher for keys made of a few `u64` words (the
@@ -359,110 +358,74 @@ impl Hasher for WordHasher {
     }
 }
 
-type MemoShard = HashMap<ConclusionKey, Concluded, WordHash>;
+/// The stamp of an entry no counted probe has touched yet.
+const UNSTAMPED: u32 = u32::MAX;
 
-/// Number of memo shards; locks are held only for one probe or insert, so a
-/// handful of shards keeps contention negligible at campaign thread counts.
-const MEMO_SHARDS: usize = 16;
-
-/// The cross-thread `(te, faulty_bits) → verdict` memo.
+/// A worker's `(te, faulty_bits) → verdict` conclusion memo, each entry
+/// stamped with the chunk that last probed it.
 ///
-/// The verdict is a pure function of the key (RNG is consumed before the key
-/// is formed), so concurrent duplicate computes insert identical values and
-/// every interleaving yields bit-identical campaign results.
+/// The verdict is a pure function of the key (RNG is consumed before the
+/// key is formed), so every worker keeping its own memo yields the same
+/// campaign results as any sharing would; a worker only recomputes the
+/// misses another worker already paid. The stamp makes the memo serve the
+/// chunk-local counter model too: a probe is the chunk's first for its key
+/// when the entry is fresh or its stamp names another chunk, and the
+/// per-chunk totals that flag feeds depend only on the multiset of keys in
+/// the chunk — not on the order lanes are concluded in, nor on which
+/// entries earlier chunks left behind.
 #[derive(Debug, Default)]
-pub struct SharedConclusionMemo {
-    shards: [Mutex<MemoShard>; MEMO_SHARDS],
-}
-
-impl SharedConclusionMemo {
-    fn shard(&self, key: &ConclusionKey) -> &Mutex<MemoShard> {
-        // The shard's map hashes the same key again: pick the shard from
-        // bits its table uses neither for the bucket index (the low bits)
-        // nor for the control byte (the top seven).
-        let hash = WordHash::default().hash_one(key);
-        &self.shards[(hash >> 32) as usize % MEMO_SHARDS]
-    }
-
-    /// Look up a concluded verdict; allocation-free.
-    pub(crate) fn get(&self, key: &ConclusionKey) -> Option<Concluded> {
-        let shard = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        shard.get(key).copied()
-    }
-
-    /// Record a concluded verdict. Idempotent: a racing duplicate compute
-    /// re-inserts the identical value.
-    pub(crate) fn insert(&self, key: ConclusionKey, verdict: Concluded) {
-        self.shard(&key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, verdict);
-    }
-
-    /// Total entries across all shards (tests and diagnostics).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .sum()
-    }
-
-    /// Whether the memo holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A per-worker, lock-free front for the [`SharedConclusionMemo`].
-///
-/// Probing the shared memo takes a shard mutex even when the pattern was
-/// concluded long ago; under multiple workers those acquisitions serialize
-/// on the hottest shards. The front is an unlocked per-worker mirror:
-/// probes hit it first, shared-memo hits are copied in, and fresh verdicts
-/// are recorded in both — so each worker pays the lock at most once per
-/// distinct `(te, bits)` pattern plus once per fresh conclusion. The
-/// verdict is a pure function of the key, so the mirror can never go
-/// stale and results stay bit-identical with or without it.
-#[derive(Debug, Default)]
-pub struct ConclusionFront {
-    seen: HashMap<ConclusionKey, Concluded, WordHash>,
+pub struct ConclusionMemo {
+    map: HashMap<ConclusionKey, (Concluded, u32), WordHash>,
     hits: u64,
     misses: u64,
 }
 
-impl ConclusionFront {
-    /// Probe the front, falling back to (and replenishing from) the shared
-    /// memo.
-    pub(crate) fn get_through(
+impl ConclusionMemo {
+    /// The verdict of `key`, computed by `conclude` on a miss, and whether
+    /// this is the first probe of `key` in chunk `chunk`. Probes with
+    /// `chunk` `None` (the MLMC level-1 twin, solo replays) feed no
+    /// counter: they leave stamps alone and report `false`.
+    pub(crate) fn get_or_conclude(
         &mut self,
-        shared: &SharedConclusionMemo,
-        key: &ConclusionKey,
-    ) -> Option<Concluded> {
-        if let Some(&verdict) = self.seen.get(key) {
-            self.hits += 1;
-            return Some(verdict);
+        key: ConclusionKey,
+        chunk: Option<u32>,
+        conclude: impl FnOnce() -> Concluded,
+    ) -> (Concluded, bool) {
+        let stamp = chunk.map_or(UNSTAMPED, |c| {
+            assert_ne!(c, UNSTAMPED, "chunk index out of stamp range");
+            c
+        });
+        match self.map.entry(key) {
+            Entry::Occupied(e) => {
+                self.hits += 1;
+                let (verdict, last) = e.into_mut();
+                let first = stamp != UNSTAMPED && *last != stamp;
+                if first {
+                    *last = stamp;
+                }
+                (*verdict, first)
+            }
+            Entry::Vacant(e) => {
+                self.misses += 1;
+                let verdict = conclude();
+                e.insert((verdict, stamp));
+                (verdict, stamp != UNSTAMPED)
+            }
         }
-        self.misses += 1;
-        let verdict = shared.get(key)?;
-        self.record(*key, verdict);
-        Some(verdict)
     }
 
-    /// Mirror a verdict into the front.
-    pub(crate) fn record(&mut self, key: ConclusionKey, verdict: Concluded) {
-        self.seen.insert(key, verdict);
+    /// Number of concluded patterns held.
+    pub fn len(&self) -> usize {
+        self.map.len()
     }
 
-    /// `(front hits, shared-memo fallbacks)` — how many probes this worker
-    /// resolved without touching a shard mutex.
-    pub(crate) fn contention_stats(&self) -> (u64, u64) {
+    /// Whether the memo holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// `(hits, misses)` over every probe of this memo.
+    pub(crate) fn probe_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 }
@@ -485,49 +448,75 @@ mod tests {
         }
     }
 
+    /// Probe `key` for chunk `chunk`, concluding `success` on a miss;
+    /// `(verdict success, first in chunk, whether it was computed)`.
+    fn probe(
+        memo: &mut ConclusionMemo,
+        key: ConclusionKey,
+        chunk: Option<u32>,
+        success: bool,
+    ) -> (bool, bool, bool) {
+        let mut computed = false;
+        let (c, first) = memo.get_or_conclude(key, chunk, || {
+            computed = true;
+            concluded(success)
+        });
+        (c.success, first, computed)
+    }
+
     #[test]
     fn memo_round_trips_and_verifies_exact_keys() {
-        let memo = SharedConclusionMemo::default();
+        let mut memo = ConclusionMemo::default();
         let key = key_of(5, &[170, 0]);
-        assert!(memo.get(&key).is_none());
-        memo.insert(key, concluded(true));
-        assert!(memo.get(&key).unwrap().success);
+        assert_eq!(probe(&mut memo, key, Some(0), true), (true, true, true));
+        assert_eq!(probe(&mut memo, key, Some(0), false), (true, false, false));
         // A different pattern at the same cycle is a separate entry.
         let other = key_of(5, &[19]);
-        assert!(memo.get(&other).is_none());
-        memo.insert(other, concluded(false));
-        assert!(memo.get(&key).unwrap().success);
-        assert!(!memo.get(&other).unwrap().success);
+        assert_eq!(probe(&mut memo, other, Some(0), false), (false, true, true));
+        assert_eq!(probe(&mut memo, key, Some(0), false), (true, false, false));
         assert_eq!(memo.len(), 2);
-        // Duplicate inserts are dropped.
-        memo.insert(key, concluded(true));
-        memo.insert(other, concluded(false));
-        assert_eq!(memo.len(), 2);
-        // The front mirrors the memo under the same key.
-        let mut front = ConclusionFront::default();
-        assert!(front.get_through(&memo, &key).unwrap().success);
-        assert!(front.get_through(&memo, &key).unwrap().success);
-        assert!(front.get_through(&memo, &key_of(6, &[0])).is_none());
-        assert_eq!(front.contention_stats(), (1, 2));
+        // The next chunk's first probe of a held key is a first again, but
+        // never a recompute.
+        assert_eq!(probe(&mut memo, key, Some(1), false), (true, true, false));
+        assert_eq!(probe(&mut memo, key, Some(1), false), (true, false, false));
+        // Uncounted probes neither report nor move a stamp.
+        assert_eq!(probe(&mut memo, other, None, true), (false, false, false));
+        assert_eq!(probe(&mut memo, other, Some(1), true), (false, true, false));
+        let fresh = key_of(6, &[0]);
+        assert_eq!(probe(&mut memo, fresh, None, true), (true, false, true));
+        assert_eq!(probe(&mut memo, fresh, Some(1), true), (true, true, false));
+        assert_eq!(memo.len(), 3);
+        assert_eq!(memo.probe_stats(), (7, 3));
     }
 
     #[test]
     fn conclusion_key_separates_te_and_bit_patterns() {
-        let memo = SharedConclusionMemo::default();
+        let mut memo = ConclusionMemo::default();
         let a = [21];
         let b = [63, 64];
         assert_ne!(key_of(3, &a), key_of(3, &b));
         assert_ne!(key_of(3, &a), key_of(4, &a));
         assert_ne!(key_of(3, &[]), key_of(3, &a));
-        memo.insert(key_of(3, &a), concluded(true));
-        assert!(memo.get(&key_of(3, &b)).is_none(), "other pattern");
-        assert!(memo.get(&key_of(4, &a)).is_none(), "other cycle");
-        assert!(memo.get(&key_of(3, &[])).is_none(), "empty pattern");
+        probe(&mut memo, key_of(3, &a), Some(0), true);
+        assert!(
+            probe(&mut memo, key_of(3, &b), Some(0), false).2,
+            "other pattern"
+        );
+        assert!(
+            probe(&mut memo, key_of(4, &a), Some(0), false).2,
+            "other cycle"
+        );
+        assert!(
+            probe(&mut memo, key_of(3, &[]), Some(0), false).2,
+            "empty pattern"
+        );
         // The key is the set: the one order a path hands a set over in and
         // any other order name the same entry.
         let ab = [0, 170];
         let ba = [170, 0];
         assert_eq!(key_of(3, &ab), key_of(3, &ba));
+        assert!(probe(&mut memo, key_of(3, &ab), Some(0), true).2);
+        assert!(!probe(&mut memo, key_of(3, &ba), Some(0), false).2);
     }
 
     #[test]

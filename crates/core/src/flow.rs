@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use crate::analytic::{self, AnalyticVerdict};
-use crate::fastforward::{ConclusionFront, FastForwardStats, RtlFastForward, SharedConclusionMemo};
+use crate::fastforward::{ConclusionMemo, FastForwardStats, RtlFastForward};
 use crate::harden::HardenedVariant;
 use crate::lifetime::RegisterKind;
 use crate::model::{Evaluation, SystemModel};
@@ -218,6 +218,8 @@ pub(crate) struct RunVerdict {
     pub(crate) injection_cycle: Option<u64>,
     pub(crate) pulses_propagated: usize,
     pub(crate) gates_visited: usize,
+    /// Whether this was its chunk's first probe of the `(te, regs)` key.
+    pub(crate) first_in_chunk: bool,
 }
 
 impl RunVerdict {
@@ -231,11 +233,17 @@ impl RunVerdict {
             injection_cycle: None,
             pulses_propagated: 0,
             gates_visited: 0,
+            first_in_chunk: false,
         }
     }
 
-    /// The verdict of `regs` concluded as `c` at cycle `te`.
-    pub(crate) fn concluded(te: u64, regs: DffMask, c: Concluded) -> Self {
+    /// The verdict of `regs` concluded as `c` at cycle `te`, with the
+    /// memo's first-in-chunk flag.
+    pub(crate) fn concluded(
+        te: u64,
+        regs: DffMask,
+        (c, first_in_chunk): (Concluded, bool),
+    ) -> Self {
         Self {
             success: c.success,
             class: c.class,
@@ -244,6 +252,7 @@ impl RunVerdict {
             injection_cycle: Some(te),
             pulses_propagated: 0,
             gates_visited: 0,
+            first_in_chunk,
         }
     }
 }
@@ -269,7 +278,7 @@ pub(crate) struct Concluded {
 /// function of `T_e`), the RTL fast-forward state (the exact-cycle snapshot
 /// cache, the resident resume system and the reconvergence scratch — see
 /// [`RtlFastForward`]), and a fallback conclusion memo used when the caller
-/// does not supply a campaign-shared one. Never move one scratch between
+/// does not supply its own. Never move one scratch between
 /// runners with different models, evaluations or pre-characterizations;
 /// within one campaign the engine keeps a scratch per worker.
 #[derive(Debug, Default)]
@@ -284,7 +293,7 @@ pub struct FlowScratch {
     faulty_regs: Vec<GateId>,
     faulty_bits: Vec<MpuBit>,
     ff: RtlFastForward,
-    local_memo: SharedConclusionMemo,
+    local_memo: ConclusionMemo,
 }
 
 impl FlowScratch {
@@ -383,7 +392,7 @@ impl FaultRunner<'_> {
         rng: &mut impl Rng,
         scratch: &'s mut FlowScratch,
     ) -> RunView<'s> {
-        let v = self.run_shared(sample, rng, scratch, None);
+        let v = self.run_shared(sample, rng, scratch, None, None);
         self.bits_into(v.regs, &mut scratch.faulty_bits);
         RunView {
             success: v.success,
@@ -396,17 +405,19 @@ impl FaultRunner<'_> {
         }
     }
 
-    /// [`FaultRunner::run_with`] against a campaign-shared conclusion memo
-    /// (falls back to the scratch-local one when `memo` is `None`). The
-    /// verdict is a pure function of `(T_e, post-hardening bits)` — the
-    /// hardening filter consumes RNG before the key is formed — so sharing
-    /// the memo across workers never changes a result bit.
+    /// [`FaultRunner::run_with`] against a worker's conclusion memo (falls
+    /// back to the scratch-local one when `memo` is `None`), probing it for
+    /// chunk `chunk` (see [`ConclusionMemo::get_or_conclude`]). The verdict
+    /// is a pure function of `(T_e, post-hardening bits)` — the hardening
+    /// filter consumes RNG before the key is formed — so which memo serves
+    /// a run never changes a result bit.
     pub(crate) fn run_shared(
         &self,
         sample: &AttackSample,
         rng: &mut impl Rng,
         scratch: &mut FlowScratch,
-        memo: Option<&SharedConclusionMemo>,
+        memo: Option<&mut ConclusionMemo>,
+        chunk: Option<u32>,
     ) -> RunVerdict {
         let golden = &self.eval.golden;
         let te = match sample.injection_cycle(self.eval.target_cycle) {
@@ -476,7 +487,7 @@ impl FaultRunner<'_> {
         strike_out.faulty_registers_into(faulty_regs);
         let mut regs = self.dff_mask(faulty_regs);
         self.harden(&mut regs, rng);
-        let concluded = self.conclude_with(te, regs, ff, memo, None);
+        let concluded = self.conclude_with(te, regs, ff, memo, chunk);
         RunVerdict {
             pulses_propagated: strike_out.pulses_propagated,
             gates_visited: strike_out.gates_visited,
@@ -511,7 +522,7 @@ impl FaultRunner<'_> {
         let mut regs = self.dff_mask(&flipped);
         self.harden(&mut regs, rng);
         let mut ff = RtlFastForward::default();
-        let c = self.conclude_with(te, regs, &mut ff, &SharedConclusionMemo::default(), None);
+        let (c, _) = self.conclude_with(te, regs, &mut ff, &mut ConclusionMemo::default(), None);
         let mut faulty_bits = Vec::new();
         self.bits_into(regs, &mut faulty_bits);
         AttackOutcome {
@@ -580,37 +591,33 @@ impl FaultRunner<'_> {
     /// memory / computation classification, analytic evaluation or RTL
     /// resume of the post-hardening registers `regs` at cycle `te`.
     ///
-    /// Memoized on `(te, regs)`: `front`, when present, is a per-worker
-    /// unlocked mirror of `memo`: probes hit it first and fresh verdicts are
-    /// recorded into both, so repeat patterns skip the shard mutex. Because
-    /// the verdict is a pure function of `(T_e, bits)`, neither can change
-    /// any result. Only a miss names the architectural bits.
+    /// Memoized on `(te, regs)` in `memo`, probed for chunk `chunk`: returns
+    /// the verdict and whether this was the chunk's first probe of the key
+    /// (see [`ConclusionMemo::get_or_conclude`]). Because the verdict is a
+    /// pure function of `(T_e, bits)`, the memo cannot change any result.
+    /// Only a miss names the architectural bits.
     pub(crate) fn conclude_with(
         &self,
         te: u64,
         regs: DffMask,
         ff: &mut RtlFastForward,
-        memo: &SharedConclusionMemo,
-        front: Option<&mut ConclusionFront>,
-    ) -> Concluded {
+        memo: &mut ConclusionMemo,
+        chunk: Option<u32>,
+    ) -> (Concluded, bool) {
         if regs.is_empty() {
-            return Concluded {
+            let masked = Concluded {
                 success: false,
                 class: StrikeClass::Masked,
                 analytic: false,
             };
+            return (masked, false);
         }
+        memo.get_or_conclude((te, regs), chunk, || self.conclude_miss(te, regs, ff))
+    }
 
-        let key = (te, regs);
-        let mut front = front;
-        let hit = match front.as_deref_mut() {
-            Some(f) => f.get_through(memo, &key),
-            None => memo.get(&key),
-        };
-        if let Some(c) = hit {
-            return c;
-        }
-
+    /// A memo miss of [`FaultRunner::conclude_with`]: classify the registers
+    /// and evaluate them analytically or by RTL resume.
+    fn conclude_miss(&self, te: u64, regs: DffMask, ff: &mut RtlFastForward) -> Concluded {
         // Only a miss names the architectural bits.
         let mut faulty_bits = std::mem::take(&mut ff.bits);
         self.bits_into(regs, &mut faulty_bits);
@@ -634,16 +641,11 @@ impl FaultRunner<'_> {
             _ => (ff.resume(self.eval, te, &faulty_bits), false),
         };
         ff.bits = faulty_bits;
-        let verdict = Concluded {
+        Concluded {
             success,
             class,
             analytic,
-        };
-        memo.insert(key, verdict);
-        if let Some(f) = front {
-            f.record(key, verdict);
         }
-        verdict
     }
 }
 

@@ -43,7 +43,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::estimator::ChunkPartial;
-use crate::fastforward::{FastForwardStats, RtlFastForward, SharedConclusionMemo};
+use crate::fastforward::{ConclusionMemo, FastForwardStats, RtlFastForward};
 use crate::flow::{FaultRunner, FlowScratch, RunVerdict, StrikeClass};
 use crate::model::{Evaluation, SystemModel};
 use crate::precharacterize::Precharacterization;
@@ -558,24 +558,30 @@ impl MlmcSummary {
 /// only valid against one `(model, evaluation, prechar)` triple.
 #[derive(Debug, Default)]
 pub struct MlmcScratch {
+    level0: Level0Scratch,
+    flow: FlowScratch,
+}
+
+/// The buffers and resume state of the level-0 path ([`level0_view`]).
+#[derive(Debug, Default)]
+struct Level0Scratch {
     struck: Vec<GateId>,
     struck2: Vec<GateId>,
     bits: Vec<MpuBit>,
     ff: RtlFastForward,
-    flow: FlowScratch,
 }
 
 impl MlmcScratch {
     /// Enable or disable the RTL fast-forward accelerations on both the
     /// level-0 resume state and the gate-path scratch.
     pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff.set_enabled(enabled);
+        self.level0.ff.set_enabled(enabled);
         self.flow.set_fast_forward(enabled);
     }
 
     /// Combined fast-forward counters of both paths.
     pub fn fast_forward_stats(&self) -> FastForwardStats {
-        let mut s = self.ff.stats();
+        let mut s = self.level0.ff.stats();
         s.add(&self.flow.fast_forward_stats());
         s
     }
@@ -584,7 +590,7 @@ impl MlmcScratch {
     /// the nested gate-path scratch into one shard for the chunk partial.
     pub(crate) fn take_latency(&mut self) -> crate::metrics::LatencyShard {
         let mut shard = crate::metrics::LatencyShard {
-            snapshot_restore: self.ff.take_restore_latency(),
+            snapshot_restore: self.level0.ff.take_restore_latency(),
             ..crate::metrics::LatencyShard::default()
         };
         shard.absorb(&self.flow.take_latency());
@@ -598,18 +604,23 @@ impl MlmcScratch {
 /// draws happen after the strategy's draw, before the conclusion), so a
 /// clone of the post-draw stream couples the two levels. The map's bits
 /// come sorted as [`MpuBit`]s and the survival draws follow that order.
-#[allow(clippy::too_many_arguments)]
+/// `chunk` names the chunk whose counters see the probe, `None` when none
+/// do (the level-1 twin, solo replays).
 fn level0_view(
     runner: &FaultRunner<'_>,
     map: &SetToSeuMap,
     sample: &AttackSample,
     rng: &mut impl Rng,
-    struck: &mut Vec<GateId>,
-    struck2: &mut Vec<GateId>,
-    bits: &mut Vec<MpuBit>,
-    ff: &mut RtlFastForward,
-    memo: &SharedConclusionMemo,
+    scratch: &mut Level0Scratch,
+    memo: &mut ConclusionMemo,
+    chunk: Option<u32>,
 ) -> RunVerdict {
+    let Level0Scratch {
+        struck,
+        struck2,
+        bits,
+        ff,
+    } = scratch;
     let te = match sample.injection_cycle(runner.eval.target_cycle) {
         Some(te) if te < runner.eval.golden.cycles => te,
         _ => return RunVerdict::out_of_run(),
@@ -635,10 +646,10 @@ fn level0_view(
         bits.retain(|&b| h.flip_survives(b, rng));
     }
     let regs = runner.bits_mask(bits);
-    RunVerdict::concluded(te, regs, runner.conclude_with(te, regs, ff, memo, None))
+    RunVerdict::concluded(te, regs, runner.conclude_with(te, regs, ff, memo, chunk))
 }
 
-/// Execute runs `start..end` at level 0. Shares the campaign conclusion
+/// Execute runs `start..end` at level 0. Shares the worker's conclusion
 /// memo with every other chunk (the verdict is a pure function of
 /// `(T_e, bits)`, whichever level asked first).
 ///
@@ -657,7 +668,8 @@ pub(crate) fn run_chunk_level0(
     start: usize,
     end: usize,
     scratch: &mut MlmcScratch,
-    memo: &SharedConclusionMemo,
+    memo: &mut ConclusionMemo,
+    chunk: u32,
     ctr: &mut CounterScratch,
     replay: Option<u64>,
 ) -> ChunkPartial {
@@ -666,18 +678,17 @@ pub(crate) fn run_chunk_level0(
         level: LEVEL_RTL,
         ..ChunkPartial::default()
     };
-    let MlmcScratch {
-        struck,
-        struck2,
-        bits,
-        ff,
-        ..
-    } = scratch;
     for i in start..end {
         let mut rng = SplitMix64::for_run(seed, i as u64);
         let (sample, w) = strategy.draw_weighted(&mut rng);
         let view = level0_view(
-            runner, map, &sample, &mut rng, struck, struck2, bits, ff, memo,
+            runner,
+            map,
+            &sample,
+            &mut rng,
+            &mut scratch.level0,
+            memo,
+            Some(chunk),
         );
         if replay == Some(i as u64) {
             p.provenance.push(ProvenanceRecord {
@@ -709,6 +720,7 @@ pub(crate) fn run_chunk_level0(
             &mut p.counters,
             view.injection_cycle,
             view.regs,
+            view.first_in_chunk,
             view.analytic,
             0,
         );
@@ -742,7 +754,8 @@ pub(crate) fn run_chunk_level1(
     start: usize,
     end: usize,
     scratch: &mut MlmcScratch,
-    memo: &SharedConclusionMemo,
+    memo: &mut ConclusionMemo,
+    chunk: u32,
     ctr: &mut CounterScratch,
     record_provenance: bool,
 ) -> ChunkPartial {
@@ -751,13 +764,7 @@ pub(crate) fn run_chunk_level1(
         level: LEVEL_GATE,
         ..ChunkPartial::default()
     };
-    let MlmcScratch {
-        struck,
-        struck2,
-        bits,
-        ff,
-        flow,
-    } = scratch;
+    let MlmcScratch { level0, flow } = scratch;
     for i in start..end {
         let mut rng = SplitMix64::for_run(seed, i as u64);
         let (sample, w) = strategy.draw_weighted(&mut rng);
@@ -766,18 +773,10 @@ pub(crate) fn run_chunk_level1(
         // both halves see the same hardening draws and the correction term
         // isolates the genuine cross-level model gap.
         let mut rng_rtl = rng.clone();
-        let gate = runner.run_shared(&sample, &mut rng, flow, Some(memo));
-        let rtl = level0_view(
-            runner,
-            map,
-            &sample,
-            &mut rng_rtl,
-            struck,
-            struck2,
-            bits,
-            ff,
-            memo,
-        );
+        let gate = runner.run_shared(&sample, &mut rng, flow, Some(&mut *memo), Some(chunk));
+        // The twin's probe stays out of the chunk's counters, which count
+        // the gate half's keys only.
+        let rtl = level0_view(runner, map, &sample, &mut rng_rtl, level0, memo, None);
         match gate.class {
             StrikeClass::Masked => p.class_counts.masked += 1,
             StrikeClass::MemoryOnly => p.class_counts.memory_only += 1,
@@ -794,6 +793,7 @@ pub(crate) fn run_chunk_level1(
             &mut p.counters,
             gate.injection_cycle,
             gate.regs,
+            gate.first_in_chunk,
             gate.analytic,
             gate.pulses_propagated,
         );
@@ -881,7 +881,6 @@ pub fn coupled_run(
     seed: u64,
     run_index: u64,
 ) -> PairedRecord {
-    let memo = SharedConclusionMemo::default();
     coupled_run_with(
         runner,
         map,
@@ -889,7 +888,7 @@ pub fn coupled_run(
         seed,
         run_index,
         &mut MlmcScratch::default(),
-        &memo,
+        &mut ConclusionMemo::default(),
     )
 }
 
@@ -903,33 +902,16 @@ pub fn coupled_run_with(
     seed: u64,
     run_index: u64,
     scratch: &mut MlmcScratch,
-    memo: &SharedConclusionMemo,
+    memo: &mut ConclusionMemo,
 ) -> PairedRecord {
     let mut rng = SplitMix64::for_run(seed, run_index);
     let (sample, weight) = strategy.draw_weighted(&mut rng);
     let mut rng_rtl = rng.clone();
-    let MlmcScratch {
-        struck,
-        struck2,
-        bits,
-        ff,
-        flow,
-    } = scratch;
+    let MlmcScratch { level0, flow } = scratch;
     let gate_success = runner
-        .run_shared(&sample, &mut rng, flow, Some(memo))
+        .run_shared(&sample, &mut rng, flow, Some(&mut *memo), None)
         .success;
-    let rtl_success = level0_view(
-        runner,
-        map,
-        &sample,
-        &mut rng_rtl,
-        struck,
-        struck2,
-        bits,
-        ff,
-        memo,
-    )
-    .success;
+    let rtl_success = level0_view(runner, map, &sample, &mut rng_rtl, level0, memo, None).success;
     PairedRecord {
         run_index,
         weight,
@@ -951,19 +933,16 @@ pub fn replay_run_level0(
     seed: u64,
     run_index: u64,
 ) -> ProvenanceRecord {
-    let memo = SharedConclusionMemo::default();
-    let mut scratch = MlmcScratch::default();
     let mut rng = SplitMix64::for_run(seed, run_index);
     let (sample, weight) = strategy.draw_weighted(&mut rng);
-    let MlmcScratch {
-        struck,
-        struck2,
-        bits,
-        ff,
-        ..
-    } = &mut scratch;
     let view = level0_view(
-        runner, map, &sample, &mut rng, struck, struck2, bits, ff, &memo,
+        runner,
+        map,
+        &sample,
+        &mut rng,
+        &mut Level0Scratch::default(),
+        &mut ConclusionMemo::default(),
+        None,
     );
     ProvenanceRecord {
         run_index,
@@ -1173,7 +1152,7 @@ mod tests {
             cfg.radius_options.clone(),
         );
         let mut scratch = MlmcScratch::default();
-        let memo = SharedConclusionMemo::default();
+        let mut memo = ConclusionMemo::default();
         let mut checked = 0usize;
         for i in 0..600u64 {
             let mut rng = SplitMix64::for_run(77, i);
@@ -1181,7 +1160,7 @@ mod tests {
             if !map.exactly_representable(&sample) {
                 continue;
             }
-            let rec = coupled_run_with(&runner, &map, &strategy, 77, i, &mut scratch, &memo);
+            let rec = coupled_run_with(&runner, &map, &strategy, 77, i, &mut scratch, &mut memo);
             assert_eq!(
                 rec.gate_success, rec.rtl_success,
                 "run {i}: sample {sample:?}"
@@ -1215,11 +1194,63 @@ mod tests {
             cfg.radius_options.clone(),
         );
         let mut scratch = MlmcScratch::default();
-        let memo = SharedConclusionMemo::default();
+        let mut memo = ConclusionMemo::default();
         for i in [0u64, 3, 17, 400] {
             let fresh = coupled_run(&runner, &map, &strategy, 9, i);
-            let reused = coupled_run_with(&runner, &map, &strategy, 9, i, &mut scratch, &memo);
+            let reused = coupled_run_with(&runner, &map, &strategy, 9, i, &mut scratch, &mut memo);
             assert_eq!(fresh, reused, "run {i}");
+        }
+    }
+
+    /// A coupled chunk counts its gate half's conclusion keys only: its
+    /// counters equal the gate-only scalar chunk's, whatever keys the RTL
+    /// twin probes in between on the same memo. Uniform sampling hits
+    /// combinational cells, whose SEU-map sets differ from the gate
+    /// strike's, so the twin's keys are not the gate half's.
+    #[test]
+    fn coupled_chunk_counters_match_the_gate_only_chunk() {
+        let (model, eval, prechar, cfg) = fixture();
+        let map = SetToSeuMap::build(&model, &eval, &prechar);
+        let fd = baseline_distribution(&model, &cfg);
+        let glitch = xlmc_fault::DoubleGlitch::new(fd.spatial.clone(), fd.radius.clone());
+        let strategy = crate::sampling::RandomSampling::new(fd);
+        for multi_fault in [None, Some(&glitch)] {
+            let runner = FaultRunner {
+                model: &model,
+                eval: &eval,
+                prechar: &prechar,
+                hardening: None,
+                multi_fault,
+            };
+            let mut scratch = MlmcScratch::default();
+            let mut memo = ConclusionMemo::default();
+            let mut ctr = CounterScratch::default();
+            let mut flow = FlowScratch::default();
+            for (chunk, start) in [0usize, 512, 1024].into_iter().enumerate() {
+                let end = start + 512;
+                let coupled = run_chunk_level1(
+                    &runner,
+                    &strategy,
+                    &map,
+                    5,
+                    start,
+                    end,
+                    &mut scratch,
+                    &mut memo,
+                    chunk as u32,
+                    &mut ctr,
+                    false,
+                );
+                let gate = crate::estimator::scalar_chunk_for_tests(
+                    &runner, &strategy, 5, start, end, &mut flow,
+                );
+                assert_eq!(
+                    coupled.counters,
+                    gate.counters,
+                    "chunk {chunk}, double glitch {}",
+                    multi_fault.is_some()
+                );
+            }
         }
     }
 }

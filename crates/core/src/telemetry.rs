@@ -567,8 +567,10 @@ impl CampaignCheckpoint {
 /// contention object; `v4` added `estimator` and the nullable `mlmc`
 /// per-level variance/cost/allocation object; `v5` moved `elapsed_s` and
 /// `runs_per_sec` under a `timing` object that also carries the quantile
-/// digests of the five engine latency histograms.
-pub const METRICS_FORMAT: &str = "xlmc-metrics-v5";
+/// digests of the five engine latency histograms; `v6` renamed the
+/// `scheduler` object's memo-front counters to `memo_hits`/`memo_misses`,
+/// the probes of the per-worker conclusion memos.
+pub const METRICS_FORMAT: &str = "xlmc-metrics-v6";
 
 /// Shape of the compiled gate program driving the campaign (all zeros
 /// when the model netlist could not be levelized — never the case for the
@@ -597,11 +599,12 @@ pub struct SchedulerStats {
     /// Peak size of the chunk reorder buffer (partials ahead of the merge
     /// cursor).
     pub reorder_peak: usize,
-    /// Conclusion-memo probes answered by a worker-local front without
-    /// touching a shard mutex.
-    pub memo_front_hits: u64,
-    /// Probes that fell through to the locked shared memo.
-    pub memo_front_misses: u64,
+    /// Conclusion-memo probes answered by the probing worker's memo,
+    /// summed over workers.
+    pub memo_hits: u64,
+    /// Conclusion-memo probes that had to conclude the pattern, summed
+    /// over workers.
+    pub memo_misses: u64,
 }
 
 /// Campaign-level context the metrics file records alongside the result.
@@ -732,12 +735,12 @@ pub fn metrics_json(result: &CampaignResult, meta: &MetricsMeta) -> String {
     let _ = writeln!(
         s,
         "  \"scheduler\": {{\"workers\": {}, \"merge_wait_s\": {}, \"reorder_peak\": {}, \
-         \"memo_front_hits\": {}, \"memo_front_misses\": {}}},",
+         \"memo_hits\": {}, \"memo_misses\": {}}},",
         sc.workers,
         json_num(sc.merge_wait_s),
         sc.reorder_peak,
-        sc.memo_front_hits,
-        sc.memo_front_misses,
+        sc.memo_hits,
+        sc.memo_misses,
     );
     let ff = &meta.fast_forward;
     let _ = writeln!(
@@ -983,8 +986,8 @@ mod tests {
                 workers: 2,
                 merge_wait_s: 0.25,
                 reorder_peak: 3,
-                memo_front_hits: 10,
-                memo_front_misses: 14,
+                memo_hits: 10,
+                memo_misses: 14,
             },
             latency: {
                 let mut shard = crate::metrics::LatencyShard::default();
@@ -1036,7 +1039,7 @@ mod tests {
         let sched = doc.get("scheduler").unwrap();
         assert_eq!(sched.get("workers").and_then(JsonValue::as_u64), Some(2));
         assert_eq!(
-            sched.get("memo_front_misses").and_then(JsonValue::as_u64),
+            sched.get("memo_misses").and_then(JsonValue::as_u64),
             Some(14)
         );
         let ff = doc.get("fast_forward").unwrap();

@@ -14,11 +14,13 @@
 //!    merged in chunk order. To keep results and counters bit-identical
 //!    across kernels and thread counts, the memo counters are defined
 //!    *chunk-locally* via [`CounterScratch`]: the first occurrence of a key
-//!    within a chunk is a miss, every repeat a hit. Totals then depend only
-//!    on the multiset of per-run keys inside each chunk — independent of
-//!    batch order, worker schedule, and cross-chunk cache warmth — so they
-//!    are schedule-invariant lower bounds the real caches (which persist
-//!    across chunks and workers) only improve on.
+//!    within a chunk is a miss, every repeat a hit. The conclusion memo
+//!    itself tells a run whether its key is the chunk's first (each entry
+//!    is stamped with the chunk that last probed it). Totals then depend
+//!    only on the multiset of per-run keys inside each chunk — independent
+//!    of batch order, worker schedule, and cross-chunk cache warmth — so
+//!    they are schedule-invariant lower bounds the real caches (which
+//!    persist across chunks) only improve on.
 //! 3. **Per-run provenance** — a [`ProvenanceRecord`] per run (ring buffer
 //!    of the last [`PROVENANCE_RING_CAP`] plus every successful run) written
 //!    into the trace file, and re-derivable solo from
@@ -28,12 +30,11 @@
 //! Spans only read the clock; counters are pure functions of per-run
 //! outcomes; provenance is copied out of the fold, never fed back in.
 
-use crate::fastforward::{ConclusionKey, WordHash};
 use crate::flow::DffMask;
 use crate::flow::StrikeClass;
 use crate::json::{json_escape, json_num, JsonValue};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -396,16 +397,16 @@ impl KernelCounters {
 /// each chunk start, then fed every run in fold order. First occurrence of
 /// a key within the chunk is a miss, repeats are hits — a pure function of
 /// the chunk's run outcomes, so scalar (run-index order) and batched
-/// (lane-batch order folded back to run-index order) agree exactly.
+/// (lane-batch order folded back to run-index order) agree exactly. Which
+/// run is a conclusion key's first in the chunk comes from the conclusion
+/// memo's stamp ([`crate::fastforward::ConclusionMemo`]); this scratch
+/// tracks the injection cycles and whether an RTL conclusion was met.
 #[derive(Default)]
 pub(crate) struct CounterScratch {
     /// Injection cycles seen this chunk, one bit per `T_e`.
     seen_te: Vec<u64>,
     /// The words of `seen_te` set this chunk (cleared at the next start).
     te_words: Vec<usize>,
-    /// [`ConclusionKey`]s seen this chunk — the key the conclusion memo
-    /// itself uses, so the model separates exactly the patterns it does.
-    seen: HashSet<ConclusionKey, WordHash>,
     rtl_seen: bool,
 }
 
@@ -416,7 +417,6 @@ impl CounterScratch {
             self.seen_te[w] = 0;
         }
         self.te_words.clear();
-        self.seen.clear();
         self.rtl_seen = false;
     }
 
@@ -437,12 +437,14 @@ impl CounterScratch {
         true
     }
 
-    /// Fold one run's outcome into the chunk's counters.
+    /// Fold one run's outcome into the chunk's counters; `first_in_chunk`
+    /// says whether its `(te, regs)` conclusion key is the chunk's first.
     pub(crate) fn record_run(
         &mut self,
         c: &mut CampaignCounters,
         te: Option<u64>,
         regs: DffMask,
+        first_in_chunk: bool,
         analytic: bool,
         pulses: usize,
     ) {
@@ -460,7 +462,7 @@ impl CounterScratch {
             // Masked after hardening: the conclusion memo is never consulted.
             return;
         }
-        if !self.seen.insert((te, regs)) {
+        if !first_in_chunk {
             c.conclusion_memo_hits += 1;
             return;
         }
@@ -682,6 +684,113 @@ pub fn write_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fastforward::{ConclusionKey, ConclusionMemo, WordHash};
+    use crate::flow::Concluded;
+    use std::collections::HashSet;
+
+    /// The chunk-counter model before the memo carried stamps, kept as the
+    /// oracle of the stamped one: a per-chunk set of injection cycles and
+    /// of conclusion keys, a key's first insert being the chunk's miss.
+    #[derive(Default)]
+    struct SeenSetCounters {
+        seen_te: HashSet<u64>,
+        seen: HashSet<ConclusionKey, WordHash>,
+        rtl_seen: bool,
+    }
+
+    impl SeenSetCounters {
+        fn begin_chunk(&mut self) {
+            self.seen_te.clear();
+            self.seen.clear();
+            self.rtl_seen = false;
+        }
+
+        fn record_run(
+            &mut self,
+            c: &mut CampaignCounters,
+            te: Option<u64>,
+            regs: DffMask,
+            analytic: bool,
+            pulses: usize,
+        ) {
+            let Some(te) = te else {
+                c.out_of_run += 1;
+                return;
+            };
+            if self.seen_te.insert(te) {
+                c.cycle_memo_misses += 1;
+            } else {
+                c.cycle_memo_hits += 1;
+            }
+            c.pulses_propagated += pulses;
+            if regs.is_empty() {
+                return;
+            }
+            if !self.seen.insert((te, regs)) {
+                c.conclusion_memo_hits += 1;
+                return;
+            }
+            c.conclusion_memo_misses += 1;
+            if analytic {
+                c.conclusions_analytic += 1;
+            } else {
+                c.conclusions_rtl += 1;
+                if self.rtl_seen {
+                    c.soc_restores += 1;
+                } else {
+                    self.rtl_seen = true;
+                    c.soc_clones += 1;
+                }
+            }
+        }
+    }
+
+    /// The engine's model: a worker's conclusion memo flags each run's
+    /// first probe in the chunk, the [`CounterScratch`] folds the flags.
+    #[derive(Default)]
+    struct StampedCounters {
+        memo: ConclusionMemo,
+        ctr: CounterScratch,
+        chunk: u32,
+    }
+
+    impl StampedCounters {
+        fn begin_chunk(&mut self, chunk: u32) {
+            self.chunk = chunk;
+            self.ctr.begin_chunk();
+        }
+
+        /// Conclude a run's key as a kernel does: the memo is consulted
+        /// only for in-run, unmasked strikes. Returns the first flag.
+        fn conclude(&mut self, te: Option<u64>, regs: DffMask, analytic: bool) -> bool {
+            match te {
+                Some(te) if !regs.is_empty() => {
+                    let verdict = Concluded {
+                        success: false,
+                        class: StrikeClass::Mixed,
+                        analytic,
+                    };
+                    self.memo
+                        .get_or_conclude((te, regs), Some(self.chunk), || verdict)
+                        .1
+                }
+                _ => false,
+            }
+        }
+
+        /// Conclude and fold one run, in the scalar engine's order.
+        fn record_run(
+            &mut self,
+            c: &mut CampaignCounters,
+            te: Option<u64>,
+            regs: DffMask,
+            analytic: bool,
+            pulses: usize,
+        ) {
+            let first = self.conclude(te, regs, analytic);
+            self.ctr.record_run(c, te, regs, first, analytic, pulses);
+        }
+    }
 
     #[test]
     fn disabled_sink_records_nothing() {
@@ -729,12 +838,12 @@ mod tests {
 
     #[test]
     fn counter_scratch_models_chunk_local_memos() {
-        let mut ctr = CounterScratch::default();
+        let mut ctr = StampedCounters::default();
         let mut c = CampaignCounters::default();
         let bits_a = DffMask::from_iter([0]);
         let bits_b = DffMask::from_iter([21]);
         let none = DffMask::default();
-        ctr.begin_chunk();
+        ctr.begin_chunk(0);
         // Out of run.
         ctr.record_run(&mut c, None, none, false, 0);
         // First strike at cycle 7, masked after hardening.
@@ -760,7 +869,7 @@ mod tests {
 
         // A new chunk forgets everything.
         let mut c2 = CampaignCounters::default();
-        ctr.begin_chunk();
+        ctr.begin_chunk(1);
         ctr.record_run(&mut c2, Some(7), bits_a, false, 2);
         assert_eq!(c2.cycle_memo_misses, 1);
         assert_eq!(c2.conclusion_memo_misses, 1);
@@ -781,9 +890,9 @@ mod tests {
             (Some(5), regs(&[39]), false, 4),
         ];
         let fold = |order: &[usize]| {
-            let mut ctr = CounterScratch::default();
+            let mut ctr = StampedCounters::default();
             let mut c = CampaignCounters::default();
-            ctr.begin_chunk();
+            ctr.begin_chunk(0);
             for &i in order {
                 let (te, bits, analytic, pulses) = &runs[i];
                 ctr.record_run(&mut c, *te, *bits, *analytic, *pulses);
@@ -795,6 +904,91 @@ mod tests {
         let shuffled = fold(&[2, 5, 0, 3, 1, 4]);
         assert_eq!(forward, reversed);
         assert_eq!(forward, shuffled);
+    }
+
+    /// One run of a generated stream: `(te, DFF indices, pulses)`; `None`
+    /// is out of run, an empty index list a strike masked by hardening.
+    type StreamRun = (Option<u64>, Vec<usize>, usize);
+
+    /// Whether a generated key concludes analytically: a function of the
+    /// key, as the real verdict is.
+    fn analytic_of(te: u64, regs: DffMask) -> bool {
+        (te + regs.iter().sum::<usize>() as u64).is_multiple_of(3)
+    }
+
+    fn stream_run() -> impl proptest::Strategy<Value = StreamRun> {
+        use proptest::prelude::*;
+        (
+            prop_oneof![1 => Just(None), 7 => (0u64..5).prop_map(Some)],
+            proptest::collection::vec(0usize..5, 0..3),
+            0usize..4,
+        )
+    }
+
+    proptest::proptest! {
+        /// The stamped memo and the seen-set oracle agree on every counter
+        /// of every chunk: several chunks over one memo (repeats within and
+        /// across chunks), masked and out-of-run runs, both conclusion
+        /// kinds, lanes concluded in an order other than the fold's,
+        /// uncounted probes (the MLMC twin's) in between, and a first
+        /// chunk past 0, as a resumed campaign has.
+        #[test]
+        fn stamped_memo_counters_match_the_seen_set_oracle(
+            first_chunk in 0u32..3,
+            chunks in proptest::collection::vec(
+                proptest::collection::vec(
+                    (
+                        stream_run(),
+                        proptest::prelude::any::<u32>(),
+                        proptest::prop_oneof![
+                            proptest::prelude::Just(None),
+                            proptest::Strategy::prop_map(stream_run(), Some),
+                        ],
+                    ),
+                    0..40,
+                ),
+                1..5,
+            ),
+        ) {
+            let mut stamped = StampedCounters::default();
+            let mut oracle = SeenSetCounters::default();
+            for (k, runs) in chunks.iter().enumerate() {
+                let mask = |idx: &[usize]| idx.iter().copied().collect::<DffMask>();
+                stamped.begin_chunk(first_chunk + k as u32);
+                // Conclude in a shuffled lane order, probing a twin key
+                // without a stamp after each lane.
+                let mut lanes: Vec<usize> = (0..runs.len()).collect();
+                lanes.sort_by_key(|&i| runs[i].1);
+                let mut first = vec![false; runs.len()];
+                for &i in &lanes {
+                    let ((te, idx, _), _, twin) = &runs[i];
+                    let regs = mask(idx);
+                    let analytic = te.is_some_and(|te| analytic_of(te, regs));
+                    first[i] = stamped.conclude(*te, regs, analytic);
+                    if let Some((Some(tt), tidx, _)) = twin {
+                        let tregs = mask(tidx);
+                        if !tregs.is_empty() {
+                            let verdict = Concluded {
+                                success: false,
+                                class: StrikeClass::Mixed,
+                                analytic: analytic_of(*tt, tregs),
+                            };
+                            stamped.memo.get_or_conclude((*tt, tregs), None, || verdict);
+                        }
+                    }
+                }
+                // Fold in run order.
+                let (mut got, mut want) = (CampaignCounters::default(), CampaignCounters::default());
+                oracle.begin_chunk();
+                for (i, ((te, idx, pulses), _, _)) in runs.iter().enumerate() {
+                    let regs = mask(idx);
+                    let analytic = te.is_some_and(|te| analytic_of(te, regs));
+                    stamped.ctr.record_run(&mut got, *te, regs, first[i], analytic, *pulses);
+                    oracle.record_run(&mut want, *te, regs, analytic, *pulses);
+                }
+                proptest::prop_assert_eq!(got, want, "chunk {}", k);
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! Chan merge shows up as a bit-level diff — not as a silent statistical
 //! drift that a tolerance-based assertion would absorb.
 //!
+//! Next to each `(ssf, sample_variance)` pair sit the campaign's hot-path
+//! [`CampaignCounters`], which are kernel-, thread- and fast-forward
+//! invariant too, so one pinned row covers every configuration.
+//!
 //! The goldens were recorded from this tree at the pinned seed. A change
 //! that *intends* to alter the streams (new RNG layout, different chunk
 //! partition, resampled distributions) must re-record them; the assertion
@@ -20,6 +24,7 @@ use xlmc::sampling::{
     baseline_distribution, ConeSampling, ExperimentConfig, ImportanceSampling, RandomSampling,
     SamplingStrategy,
 };
+use xlmc::trace::CampaignCounters;
 use xlmc::{Evaluation, Precharacterization, SystemModel};
 use xlmc_soc::workloads;
 
@@ -58,7 +63,37 @@ fn fixture() -> &'static Fixture {
 /// kernel, the batched kernel *and* the scalar reference, which keeps the
 /// recording itself honest (a golden that only one kernel reproduces means
 /// the equivalence contract broke, not the statistics).
-fn check(strategy: &dyn SamplingStrategy, golden_ssf: u64, golden_var: u64) {
+/// The pinned counters of a golden campaign. Every fixture campaign meets
+/// all 16 injection cycles of its `t_max` window in each of its 8 chunks,
+/// lands no sample out of run and clones one SoC per chunk, so the rows
+/// differ in the conclusion split and the pulses only.
+fn golden_counters(
+    conclusion_memo_hits: usize,
+    conclusion_memo_misses: usize,
+    conclusions_analytic: usize,
+    conclusions_rtl: usize,
+    pulses_propagated: usize,
+) -> CampaignCounters {
+    CampaignCounters {
+        cycle_memo_hits: 3872,
+        cycle_memo_misses: 128,
+        conclusion_memo_hits,
+        conclusion_memo_misses,
+        conclusions_analytic,
+        conclusions_rtl,
+        soc_clones: 8,
+        soc_restores: conclusions_rtl - 8,
+        pulses_propagated,
+        out_of_run: 0,
+    }
+}
+
+fn check(
+    strategy: &dyn SamplingStrategy,
+    golden_ssf: u64,
+    golden_var: u64,
+    golden_ctr: CampaignCounters,
+) {
     let f = fixture();
     let runner = FaultRunner {
         model: &f.model,
@@ -91,6 +126,12 @@ fn check(strategy: &dyn SamplingStrategy, golden_ssf: u64, golden_var: u64) {
                 r.sample_variance,
                 r.sample_variance.to_bits(),
             );
+            assert_eq!(
+                r.counters,
+                golden_ctr,
+                "{} ({kernel:?}, fast_forward {fast_forward}): hot-path counters",
+                strategy.name(),
+            );
         }
     }
     // Tracing must be a pure observer: the same campaign run with span
@@ -111,6 +152,12 @@ fn check(strategy: &dyn SamplingStrategy, golden_ssf: u64, golden_var: u64) {
         "{} (traced): tracing changed the campaign result",
         strategy.name(),
     );
+    assert_eq!(
+        r.counters,
+        golden_ctr,
+        "{} (traced): hot-path counters",
+        strategy.name(),
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -119,7 +166,12 @@ fn uniform_random_campaign_matches_golden() {
     let f = fixture();
     // ssf 0.017999999999999995, variance 1.768042e-2
     let strategy = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
-    check(&strategy, 0x3f926e978d4fdf3a, 0x3f921ad0e885c382);
+    check(
+        &strategy,
+        0x3f926e978d4fdf3a,
+        0x3f921ad0e885c382,
+        golden_counters(178, 1939, 1378, 561, 71440),
+    );
 }
 
 #[test]
@@ -131,7 +183,12 @@ fn correlation_cone_campaign_matches_golden() {
         f.cfg.radius_options.clone(),
     );
     // ssf 0.018433593750000008, variance 1.089590e-2
-    check(&strategy, 0x3f92e04189374bc9, 0x3f865096a541acff);
+    check(
+        &strategy,
+        0x3f92e04189374bc9,
+        0x3f865096a541acff,
+        golden_counters(345, 2616, 1748, 868, 41511),
+    );
 }
 
 /// MLMC golden: the multilevel estimator's per-level executors are scalar,
@@ -165,6 +222,9 @@ fn mlmc_importance_campaign_matches_golden() {
     const GOLDEN_SSF: u64 = 0x3f92972a4f36d16e;
     const GOLDEN_VAR: u64 = 0x3f7d53b8375bf36d;
     const GOLDEN_MEAN1_DIFF: u64 = 0x0000000000000000;
+    // The gate-path keys of the coupled chunks and the SEU-map keys of the
+    // level-0 chunks; only the coupled chunks strike the netlist.
+    let golden_ctr = golden_counters(610, 2037, 1228, 809, 9385);
     for kernel in [
         CampaignKernel::Compiled,
         CampaignKernel::Batched,
@@ -199,6 +259,11 @@ fn mlmc_importance_campaign_matches_golden() {
                     m.mean1_diff,
                     m.mean1_diff.to_bits(),
                 );
+                assert_eq!(
+                    r.counters, golden_ctr,
+                    "mlmc ({kernel:?}, fast_forward {fast_forward}, threads {threads}): \
+                     hot-path counters"
+                );
             }
         }
     }
@@ -216,7 +281,12 @@ fn full_importance_campaign_matches_golden() {
         f.cfg.radius_options.clone(),
     );
     // ssf 0.01776518304420538, variance 5.365679e-3
-    check(&strategy, 0x3f92310940bab100, 0x3f75fa526b7cde96);
+    check(
+        &strategy,
+        0x3f92310940bab100,
+        0x3f75fa526b7cde96,
+        golden_counters(610, 2037, 1228, 809, 38161),
+    );
 }
 
 /// The double-glitch campaign keeps the engine's determinism contract:
@@ -245,6 +315,7 @@ fn double_glitch_campaign_is_bit_identical_across_kernels_and_threads() {
         hardening: None,
         multi_fault: Some(&glitch),
     };
+    let golden_ctr = golden_counters(245, 3123, 1742, 1381, 101833);
     let mut reference: Option<(u64, u64, usize)> = None;
     for kernel in [
         CampaignKernel::Compiled,
@@ -258,6 +329,10 @@ fn double_glitch_campaign_is_bit_identical_across_kernels_and_threads() {
             };
             let r = run_campaign_with(&runner, &strategy, RUNS, SEED, &opts);
             assert!(r.ssf.is_finite() && r.sample_variance.is_finite());
+            assert_eq!(
+                r.counters, golden_ctr,
+                "double glitch ({kernel:?}, threads {threads}): hot-path counters"
+            );
             let triple = (r.ssf.to_bits(), r.sample_variance.to_bits(), r.successes);
             match reference {
                 None => reference = Some(triple),

@@ -18,7 +18,8 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 use xlmc::estimator::{replay_run, run_campaign_with, CampaignKernel, CampaignOptions};
 use xlmc::flow::FaultRunner;
-use xlmc::sampling::{baseline_distribution, ExperimentConfig, RandomSampling};
+use xlmc::harden::{DupConfigVote, HardenedVariant};
+use xlmc::sampling::{baseline_distribution, ExperimentConfig, ImportanceSampling, RandomSampling};
 use xlmc::telemetry::{validate_against_schema, JsonValue};
 use xlmc::trace::TraceSink;
 use xlmc::{Evaluation, Precharacterization, SystemModel};
@@ -141,6 +142,65 @@ fn counter_totals_are_kernel_and_thread_invariant() {
     );
     assert!(batched.kernel_counters.frame_groups >= batched.kernel_counters.lane_batches);
     assert!(batched.kernel_counters.mean_lane_occupancy() > 1.0);
+}
+
+/// The counter invariance where the memo is busiest: importance sampling
+/// concentrates strikes, the voter masks most configuration flips and the
+/// second glitch spot widens the error sets, so keys repeat within and
+/// across chunks. Counters, estimate bits and attribution must not depend
+/// on the kernel or on how the chunks are spread over per-worker memos.
+#[test]
+fn counters_stay_invariant_under_hardening_and_double_glitch() {
+    let f = fixture();
+    let fd = baseline_distribution(&f.model, &f.cfg);
+    let glitch = xlmc_fault::DoubleGlitch::new(fd.spatial.clone(), fd.radius.clone());
+    let vote = HardenedVariant::DupConfigVote(DupConfigVote::new());
+    let r = FaultRunner {
+        hardening: Some(&vote),
+        multi_fault: Some(&glitch),
+        ..runner(f)
+    };
+    let strategy = ImportanceSampling::new(
+        fd,
+        &f.model,
+        &f.prechar,
+        f.cfg.alpha,
+        f.cfg.beta,
+        f.cfg.radius_options.clone(),
+    );
+    let runs = 4 * RUNS; // eight chunks, so four workers each take two
+    let mut results = Vec::new();
+    for kernel in [CampaignKernel::Scalar, CampaignKernel::Compiled] {
+        for threads in [1usize, 2, 4] {
+            let opts = CampaignOptions {
+                threads,
+                ..CampaignOptions::with_kernel(kernel)
+            };
+            let res = run_campaign_with(&r, &strategy, runs, SEED, &opts);
+            results.push((format!("{kernel:?} t{threads}"), res));
+        }
+    }
+    let (ref first_tag, ref first) = results[0];
+    assert!(
+        first.counters.conclusion_memo_hits > 0 && first.counters.conclusion_memo_misses > 0,
+        "the campaign must both repeat and conclude keys: {:?}",
+        first.counters
+    );
+    for (tag, res) in &results[1..] {
+        assert_eq!(
+            res.counters, first.counters,
+            "hot-path counters diverged between {first_tag} and {tag}"
+        );
+        assert_eq!(
+            (res.ssf.to_bits(), res.sample_variance.to_bits()),
+            (first.ssf.to_bits(), first.sample_variance.to_bits()),
+            "estimate diverged between {first_tag} and {tag}"
+        );
+        assert_eq!(
+            res.attribution, first.attribution,
+            "attribution diverged between {first_tag} and {tag}"
+        );
+    }
 }
 
 #[test]

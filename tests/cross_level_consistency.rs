@@ -174,7 +174,7 @@ fn responding_signal_suppression_is_the_canonical_attack() {
 ///    representable — the runs whose MLMC correction term is provably zero.
 #[test]
 fn three_level_verdict_matrix_stays_pinned() {
-    use xlmc::fastforward::SharedConclusionMemo;
+    use xlmc::fastforward::ConclusionMemo;
     use xlmc::flow::{FaultRunner, FlowScratch};
     use xlmc::multilevel::{coupled_run_with, MlmcScratch, SetToSeuMap};
     use xlmc::rng::SplitMix64;
@@ -207,7 +207,7 @@ fn three_level_verdict_matrix_stays_pinned() {
         hardening: None,
         multi_fault: None,
     };
-    let memo = SharedConclusionMemo::default();
+    let mut memo = ConclusionMemo::default();
     let mut coupled = MlmcScratch::default();
     let mut halt = FlowScratch::default();
     halt.set_fast_forward(false);
@@ -230,7 +230,7 @@ fn three_level_verdict_matrix_stays_pinned() {
         // Level 0 (analytic multi-SEU) and the gate level come from the
         // coupled pair; the RTL level is an independent run-to-halt resume
         // of the identical per-run stream.
-        let rec = coupled_run_with(&runner, &map, &strategy, SEED, i, &mut coupled, &memo);
+        let rec = coupled_run_with(&runner, &map, &strategy, SEED, i, &mut coupled, &mut memo);
         let out = runner.run_with(&sample, &mut rng, &mut halt);
 
         exact_runs += exact as usize;

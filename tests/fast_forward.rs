@@ -1,5 +1,5 @@
 //! RTL fast-forward soundness: the checkpoint cache, the golden-
-//! reconvergence early exit and the shared conclusion memo are pure
+//! reconvergence early exit and the per-worker conclusion memo are pure
 //! accelerations — for any strike, on any workload, the concluded verdict
 //! must be bit-identical to the plain run-to-halt reference.
 //!

@@ -17,7 +17,7 @@
 use std::sync::OnceLock;
 
 use xlmc::estimator::{run_campaign_with, CampaignOptions, EstimatorKind, CHUNK_RUNS};
-use xlmc::fastforward::SharedConclusionMemo;
+use xlmc::fastforward::ConclusionMemo;
 use xlmc::flow::FaultRunner;
 use xlmc::harden::{HardenedSet, HardenedVariant, HardeningModel};
 use xlmc::multilevel::{coupled_run_with, MlmcScratch, SetToSeuMap};
@@ -208,7 +208,7 @@ fn replay_of_a_level0_run_compares_at_level_zero() {
 
     // Pilot level-0 chunks are the odd pilot indices: chunks 1 and 3.
     let map = SetToSeuMap::build(&f.model, &eval, &f.prechar);
-    let memo = SharedConclusionMemo::default();
+    let mut memo = ConclusionMemo::default();
     let mut scratch = MlmcScratch::default();
     let target = [1usize, 3]
         .iter()
@@ -221,7 +221,7 @@ fn replay_of_a_level0_run_compares_at_level_zero() {
                 SEED,
                 i as u64,
                 &mut scratch,
-                &memo,
+                &mut memo,
             );
             rec.gate_success != rec.rtl_success
         })
@@ -262,7 +262,7 @@ fn correction_term_reproduces_from_raw_paired_records() {
     assert_eq!(m.chunk_levels.len(), RUNS.div_ceil(CHUNK_RUNS));
 
     let map = SetToSeuMap::build(&f.model, &eval, &f.prechar);
-    let memo = SharedConclusionMemo::default();
+    let mut memo = ConclusionMemo::default();
     let mut scratch = MlmcScratch::default();
     let mut diff = RunningStats::new();
     let mut gate = RunningStats::new();
@@ -283,7 +283,7 @@ fn correction_term_reproduces_from_raw_paired_records() {
                 SEED,
                 i as u64,
                 &mut scratch,
-                &memo,
+                &mut memo,
             );
             chunk_diff.push(rec.diff());
             chunk_gate.push(rec.gate_term());

@@ -433,7 +433,7 @@ proptest! {
         strategy_idx in 0usize..3,
     ) {
         use std::sync::OnceLock;
-        use xlmc::fastforward::SharedConclusionMemo;
+        use xlmc::fastforward::ConclusionMemo;
         use xlmc::flow::FaultRunner;
         use xlmc::multilevel::{coupled_run_with, MlmcScratch, SetToSeuMap};
         use xlmc::rng::SplitMix64;
@@ -449,7 +449,7 @@ proptest! {
             multi_fault: None,
         };
         let strategy = strategy_for(f, strategy_idx);
-        let memo = SharedConclusionMemo::default();
+        let mut memo = ConclusionMemo::default();
         let mut scratch = MlmcScratch::default();
         let mut checked = 0usize;
         for i in 0..192u64 {
@@ -467,7 +467,7 @@ proptest! {
                 seed,
                 i,
                 &mut scratch,
-                &memo,
+                &mut memo,
             );
             prop_assert_eq!(
                 rec.gate_success, rec.rtl_success,
