@@ -488,6 +488,7 @@ pub(crate) fn run_chunk_compiled(
         .program()
         .expect("model netlist was levelized at construction");
     let mut kc = KernelCounters::default();
+    let mut pulses = 0usize;
     for b0 in (0..scratch.order.len()).step_by(WIDE_LANES) {
         let b1 = (b0 + WIDE_LANES).min(scratch.order.len());
         let batch = &scratch.order[b0..b1];
@@ -531,20 +532,26 @@ pub(crate) fn run_chunk_compiled(
         kc.lanes_occupied += batch.len();
         kc.frame_groups += groups.len();
         kc.gates_visited += scratch.cstrike_out.gates_visited();
+        kc.timed_lanes += scratch.cstrike_out.timed_lanes();
+        kc.resimulated_lanes += scratch.cstrike_out.resimulated_lanes();
+        pulses += scratch.cstrike_out.pulses_total();
         drop(strike_span);
 
         let _conclude_span = sink.span_on(tid, "chunk", "conclude");
         for lane in 0..b1 - b0 {
             let ri = scratch.order[b0 + lane];
             let regs = DffMask::from_words(scratch.cstrike_out.faulty_words(lane));
-            let pulses = scratch.cstrike_out.pulses_propagated(lane);
-            conclude_lane(runner, scratch, memo, chunk, ri as usize, regs, pulses);
+            conclude_lane(runner, scratch, memo, chunk, ri as usize, regs, 0);
         }
     }
 
-    // Fold in run-index order, exactly like the other kernels.
+    // Fold in run-index order, exactly like the other kernels. The pulse
+    // counter is a chunk sum, so it takes the sweeps' totals rather than
+    // per-lane counts.
     let _fold_span = sink.span_on(tid, "chunk", "fold");
-    fold_records(runner, scratch, ctr, start, m, kc, record_provenance)
+    let mut p = fold_records(runner, scratch, ctr, start, m, kc, record_provenance);
+    p.counters.pulses_propagated += pulses;
+    p
 }
 
 /// One gate-level-path measurement: the strike phase alone — stratified
@@ -719,8 +726,8 @@ pub fn gate_path_bench(
                     );
                     drop(lanes);
                     sweeps += 1;
+                    pulses += scratch.cstrike_out.pulses_total() as u64;
                     for lane in 0..batch.len() {
-                        pulses += scratch.cstrike_out.pulses_propagated(lane) as u64;
                         scratch
                             .cstrike_out
                             .faulty_registers_into(netlist, lane, &mut faulty_regs);

@@ -34,7 +34,6 @@ use crate::trace::{
     self, CampaignCounters, CounterScratch, KernelCounters, ProvenanceRecord, TraceSink,
     PROVENANCE_RING_CAP,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -65,7 +64,7 @@ pub const EARLY_STOP_MIN_RUNS: usize = 2 * CHUNK_RUNS;
 pub const DEFAULT_CHECKPOINT_EVERY_RUNS: usize = 8 * CHUNK_RUNS;
 
 /// Counts of strike outcomes by class (paper Figure 10(a)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassCounts {
     /// Strikes with no latched error.
     pub masked: usize,
@@ -99,7 +98,7 @@ impl ClassCounts {
 }
 
 /// Why a campaign returned.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StopReason {
     /// All requested runs were executed.
     #[default]
@@ -122,7 +121,7 @@ impl StopReason {
 }
 
 /// The result of one sampling campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     /// Strategy name.
     pub strategy: String,
@@ -190,7 +189,7 @@ impl CampaignResult {
 /// through the levelized straight-line
 /// [`GateProgram`](xlmc_netlist::GateProgram) instead of per-cell
 /// worklist dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CampaignKernel {
     /// One run at a time through [`FaultRunner::run_with`].
     Scalar,
@@ -234,7 +233,7 @@ impl CampaignKernel {
 /// `--target-eps` goal with far fewer gate-level runs. MLMC results are
 /// bit-identical at any thread count and — because its per-level executors
 /// are scalar — under all three kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EstimatorKind {
     /// Gate-accurate flow on every run (the paper's estimator).
     #[default]
@@ -263,7 +262,7 @@ impl EstimatorKind {
 /// `target_eps` changes only *where* the campaign stops, and it does so
 /// deterministically (the stopping decision is a function of the merged
 /// chunk prefix, which is schedule-independent).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignOptions {
     /// Worker threads; `0` means one per available core.
     pub threads: usize,
@@ -411,7 +410,7 @@ impl CampaignOptions {
             "  --target-confidence C  confidence for --target-eps, in (0, 1)\n",
             "                         (default 0.95)\n",
             "  --metrics PATH         write the campaign metrics JSON\n",
-            "                         (xlmc-metrics-v6, schemas/metrics.schema.json)\n",
+            "                         (xlmc-metrics-v7, schemas/metrics.schema.json)\n",
             "  --events PATH          stream the lifecycle event log as JSONL\n",
             "                         (schemas/events.schema.json), one flushed line\n",
             "                         per event; results are bit-identical on or off\n",
@@ -1967,12 +1966,15 @@ pub fn run_campaign_observed(
             ff.checkpoint_cache_evictions,
         );
         eprintln!(
-            "[kernel] {}: {} levels x {} gates, {} lanes/sweep, {} sweeps",
+            "[kernel] {}: {} levels x {} gates, {} lanes/sweep, {} sweeps | \
+             timed lanes {} | re-simulated lanes {}",
             meta.kernel.as_arg(),
             meta.program.levels,
             meta.program.gates,
             meta.program.lane_width,
             meta.program.sweeps,
+            result.kernel_counters.timed_lanes,
+            result.kernel_counters.resimulated_lanes,
         );
         eprintln!(
             "[scheduler] {} workers | merge wait {:.3}s | reorder peak {} | \

@@ -24,7 +24,6 @@ use crate::lifetime::RegisterKind;
 use crate::model::{Evaluation, SystemModel};
 use crate::precharacterize::Precharacterization;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use xlmc_fault::{AttackSample, DoubleGlitch, RadiationSpot};
 use xlmc_gatesim::{CycleValues, StrikeOutcome, TransientScratch};
 use xlmc_netlist::{GateId, GateProgram};
@@ -32,7 +31,7 @@ use xlmc_soc::MpuBit;
 
 /// The classification of one strike by where its errors landed
 /// (paper Figure 10(a)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrikeClass {
     /// No register captured an error.
     Masked,
@@ -43,7 +42,7 @@ pub enum StrikeClass {
 }
 
 /// The result of one attack run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttackOutcome {
     /// The success indicator `e(t, p)`.
     pub success: bool,

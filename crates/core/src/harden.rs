@@ -9,13 +9,12 @@
 
 use crate::model::SystemModel;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use xlmc_netlist::CellKind;
 use xlmc_soc::{MpuBit, MpuBitMask};
 
 /// Electrical parameters of the hardened flip-flop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardeningModel {
     /// Upset-rate improvement: a flip survives with probability
     /// `1 / resilience`.

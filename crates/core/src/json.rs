@@ -4,9 +4,8 @@
 //! writer helpers, and the mini schema validator CI runs over all of
 //! them.
 //!
-//! The vendored `serde` is a no-op stub (no format crate in the offline
-//! build), so everything here is written by hand and kept deliberately
-//! small: the parser accepts exactly the JSON the writers emit plus
+//! The offline build has no serialization crate, so everything here is
+//! written by hand and kept deliberately small: the parser accepts exactly the JSON the writers emit plus
 //! standard interchange documents, and the validator covers the
 //! JSON-Schema subset the checked-in `schemas/*.json` use.
 //!

@@ -10,7 +10,6 @@
 //! non-contaminating registers are **memory-type** (evaluated analytically
 //! by the flow); the rest are **computation-type** (sampled).
 
-use serde::{Deserialize, Serialize};
 use xlmc_soc::golden::GoldenRun;
 use xlmc_soc::{MpuBit, Soc};
 
@@ -22,7 +21,7 @@ pub const MEMORY_LIFETIME_MIN: u32 = 100;
 pub const MEMORY_CONTAMINATION_MAX: u32 = 0;
 
 /// The paper's register classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegisterKind {
     /// Errors persist locally: long lifetime, no contamination. Evaluated
     /// analytically.
@@ -32,7 +31,7 @@ pub enum RegisterKind {
 }
 
 /// Measured characterization of one register bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BitCharacter {
     /// Error lifetime: the *maximum* over the injection samples (capped at
     /// [`LIFETIME_CAP`]). The maximum measures persistence potential — an
@@ -60,7 +59,7 @@ pub struct BitCharacter {
 }
 
 /// Characterization of every MPU register bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegisterCharacterization {
     /// Indexed by [`MpuBit::index`].
     per_bit: Vec<BitCharacter>,

@@ -51,7 +51,6 @@ use crate::rng::SplitMix64;
 use crate::sampling::SamplingStrategy;
 use crate::trace::{CounterScratch, ProvenanceRecord};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use xlmc_fault::{AttackSample, RadiationSpot};
 use xlmc_netlist::{CellKind, GateId, Topology};
 use xlmc_soc::MpuBit;
@@ -486,7 +485,7 @@ impl MlmcPlan {
 /// [`crate::estimator::CampaignResult`]. Every field is — like the rest of
 /// the result — a pure function of `(seed, n, strategy)`: bit-identical at
 /// any thread count and under every kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlmcSummary {
     /// Level-0 (pure-RTL) runs folded.
     pub n0: u64,

@@ -1,9 +1,7 @@
 //! Running statistics and histogram helpers for the Monte Carlo estimators.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable running mean/variance (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
@@ -95,7 +93,7 @@ impl RunningStats {
 
 /// An equal-width histogram over `[0, max]` with an overflow-free layout:
 /// values above `max` land in the last bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Bin counts.
     pub counts: Vec<u64>,

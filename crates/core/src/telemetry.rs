@@ -23,9 +23,8 @@
 //!   bit-identical. Writes go through a temp file + rename, so a crash
 //!   mid-write leaves the previous snapshot intact.
 //!
-//! The vendored `serde` is a no-op stub (no format crate in the offline
-//! build), so serialization here goes through the hand-rolled JSON
-//! writer helpers and recursive-descent parser in [`crate::json`]
+//! The offline build has no serialization crate, so serialization here
+//! goes through the hand-rolled JSON writer helpers and recursive-descent parser in [`crate::json`]
 //! (re-exported below for compatibility).
 
 pub use crate::json::{json_escape, validate_against_schema, JsonValue};
@@ -570,7 +569,7 @@ impl CampaignCheckpoint {
 /// digests of the five engine latency histograms; `v6` renamed the
 /// `scheduler` object's memo-front counters to `memo_hits`/`memo_misses`,
 /// the probes of the per-worker conclusion memos.
-pub const METRICS_FORMAT: &str = "xlmc-metrics-v6";
+pub const METRICS_FORMAT: &str = "xlmc-metrics-v7";
 
 /// Shape of the compiled gate program driving the campaign (all zeros
 /// when the model netlist could not be levelized — never the case for the
@@ -847,6 +846,8 @@ mod tests {
                 lanes_occupied: 1500,
                 frame_groups: 70,
                 gates_visited: 123456,
+                timed_lanes: 321,
+                resimulated_lanes: 9,
             },
             first_success: Some(777),
             estimator: EstimatorKind::Mlmc,

@@ -33,7 +33,6 @@
 use crate::flow::DffMask;
 use crate::flow::StrikeClass;
 use crate::json::{json_escape, json_num, JsonValue};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
@@ -289,7 +288,7 @@ fn summarize(events: &[TraceEvent]) -> Vec<SpanSummary> {
 /// Kernel-invariant hot-path counters, defined chunk-locally (see the
 /// module docs) so scalar and batched kernels at any thread count produce
 /// identical totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignCounters {
     /// Runs whose injection cycle repeated within the chunk (the
     /// cycle-values memo serves them).
@@ -361,7 +360,7 @@ impl CampaignCounters {
 /// exist for the batched kernel, and the gate-visit count depends on how
 /// strikes are grouped. These are *not* part of the cross-kernel equality
 /// contract.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// 64-lane batches dispatched (batched kernel only).
     pub lane_batches: usize,
@@ -370,8 +369,15 @@ pub struct KernelCounters {
     pub lanes_occupied: usize,
     /// Frame strata (distinct injection cycles per batch) encountered.
     pub frame_groups: usize,
-    /// Gates popped from the transient-propagation worklist.
+    /// Gates popped from the transient-propagation worklist (the compiled
+    /// kernel's logical pass).
     pub gates_visited: usize,
+    /// Compiled-kernel lanes whose pulse timing was replayed: they pulsed
+    /// at a D pin or travelled far enough to possibly fade.
+    pub timed_lanes: usize,
+    /// Timed lanes the scalar kernel re-simulated (a pulse faded next to a
+    /// live one at some op).
+    pub resimulated_lanes: usize,
 }
 
 impl KernelCounters {
@@ -381,6 +387,8 @@ impl KernelCounters {
         self.lanes_occupied += o.lanes_occupied;
         self.frame_groups += o.frame_groups;
         self.gates_visited += o.gates_visited;
+        self.timed_lanes += o.timed_lanes;
+        self.resimulated_lanes += o.resimulated_lanes;
     }
 
     /// Mean lanes occupied per batch, 0 before any batch (scalar kernel).
@@ -486,7 +494,7 @@ impl CounterScratch {
 // ---------------------------------------------------------------------------
 
 /// Everything needed to name, reproduce and audit one campaign run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProvenanceRecord {
     /// Run index `i`; the run's RNG is `SplitMix64::for_run(seed, i)`.
     pub run_index: u64,
@@ -536,7 +544,8 @@ pub(crate) fn counters_json(c: &CampaignCounters, k: &KernelCounters) -> String 
             "\"soc_clones\": {}, \"soc_restores\": {}, ",
             "\"pulses_propagated\": {}, \"out_of_run\": {}, ",
             "\"kernel\": {{\"lane_batches\": {}, \"lanes_occupied\": {}, ",
-            "\"frame_groups\": {}, \"gates_visited\": {}}}}}"
+            "\"frame_groups\": {}, \"gates_visited\": {}, ",
+            "\"timed_lanes\": {}, \"resimulated_lanes\": {}}}}}"
         ),
         c.cycle_memo_hits,
         c.cycle_memo_misses,
@@ -552,6 +561,8 @@ pub(crate) fn counters_json(c: &CampaignCounters, k: &KernelCounters) -> String 
         k.lanes_occupied,
         k.frame_groups,
         k.gates_visited,
+        k.timed_lanes,
+        k.resimulated_lanes,
     )
 }
 
@@ -587,6 +598,10 @@ pub(crate) fn counters_from_json(
         lanes_occupied: u_field(kv, "lanes_occupied")?,
         frame_groups: u_field(kv, "frame_groups")?,
         gates_visited: u_field(kv, "gates_visited")?,
+        // Absent from checkpoints written before the compiled kernel timed
+        // only some lanes.
+        timed_lanes: u_field(kv, "timed_lanes").unwrap_or(0),
+        resimulated_lanes: u_field(kv, "resimulated_lanes").unwrap_or(0),
     };
     Ok((c, k))
 }
@@ -1005,6 +1020,8 @@ mod tests {
         let k = KernelCounters {
             lane_batches: 8,
             lanes_occupied: 512,
+            timed_lanes: 37,
+            resimulated_lanes: 2,
             ..Default::default()
         };
         let rec = ProvenanceRecord {
@@ -1065,6 +1082,22 @@ mod tests {
         );
         let ring = prov.get("ring").and_then(JsonValue::as_arr).unwrap();
         assert!(ring[0].get("te").is_some());
+    }
+
+    /// Counters written before the lane-timing counters existed still
+    /// parse, with those two at zero.
+    #[test]
+    fn counters_without_lane_timing_parse_as_zero() {
+        let k = KernelCounters {
+            lane_batches: 3,
+            gates_visited: 99,
+            ..Default::default()
+        };
+        let old = counters_json(&CampaignCounters::default(), &k)
+            .replace(", \"timed_lanes\": 0, \"resimulated_lanes\": 0", "");
+        assert!(!old.contains("timed_lanes"), "{old}");
+        let (_, rk) = counters_from_json(&JsonValue::parse(&old).unwrap()).unwrap();
+        assert_eq!(rk, k);
     }
 
     #[test]

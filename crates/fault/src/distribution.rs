@@ -9,11 +9,10 @@
 
 use crate::sample::{AttackSample, PHASE_BINS};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use xlmc_netlist::GateId;
 
 /// Distribution of the timing distance `T` (discrete uniform over cycles).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TemporalDist {
     min: i64,
     max: i64,
@@ -66,7 +65,7 @@ impl TemporalDist {
 }
 
 /// Distribution of the spot center (the spatial accuracy of Figure 11(b)).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpatialDist {
     /// Uniform over a candidate cell set (worst spatial accuracy: "uniform
     /// distribution over all the gates").
@@ -113,7 +112,7 @@ impl SpatialDist {
 }
 
 /// Distribution of the spot radius (discrete uniform over options).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadiusDist {
     options: Vec<f64>,
 }
@@ -175,7 +174,7 @@ impl RadiusDist {
 ///
 /// The strike phase within the cycle is always uniform over
 /// [`PHASE_BINS`] bins — the attacker has no sub-cycle aim.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackDistribution {
     /// Timing-distance distribution.
     pub temporal: TemporalDist,

@@ -1,6 +1,5 @@
 //! Concrete attack samples `(t, p)`.
 
-use serde::{Deserialize, Serialize};
 use xlmc_netlist::GateId;
 
 /// Number of discrete strike-phase bins within a clock cycle.
@@ -13,7 +12,7 @@ use xlmc_netlist::GateId;
 pub const PHASE_BINS: u8 = 8;
 
 /// One sampled fault attack: timing distance plus technique parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackSample {
     /// Timing distance `t = T_t − T_e` in cycles. The attack is injected
     /// `t` cycles before the target cycle.

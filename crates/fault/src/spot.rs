@@ -5,11 +5,10 @@
 //! \[18\] to determine all the impacted gates based on g and r." On our
 //! placed netlist that is a Euclidean radius query around the center cell.
 
-use serde::{Deserialize, Serialize};
 use xlmc_netlist::{GateId, Placement};
 
 /// A radiated spot: the technique parameter vector `p` of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadiationSpot {
     /// Center cell of the radiation.
     pub center: GateId,

@@ -11,6 +11,22 @@
 //! instead of heap pushes and pops, while still visiting only the union
 //! fanout cone of the struck cells.
 //!
+//! # Logical first, timing only where it matters
+//!
+//! A sweep is a bit-parallel *logical* pass followed by an exact per-lane
+//! *replay*. The logical pass propagates pulse masks for all lanes with
+//! no float work, as if no pulse ever faded, and logs each visited op's
+//! new-pulse mask. Only a pulse at a DFF D pin can latch, and a pulse's
+//! duration is bounded by its hop count (`d_{k+1} = d_k − attenuation_ps`,
+//! the fold's own steps), so a lane needs timing only when it pulses at a
+//! D pin or reaches an op more than [`max_hops`] levels above its
+//! shallowest seed. Those *timed* lanes replay the log with the scalar
+//! kernel's fold. A pulse that fades there is dropped together with the
+//! logged pulses that hung on it alone; if a dropped pulse shared an op
+//! with a live one, the logical verdict there may no longer hold and the
+//! lane goes to the scalar kernel. Every other lane's logical result is
+//! already exact.
+//!
 //! # Equivalence contract
 //!
 //! Lane `l` of a compiled sweep is **bit-identical** to
@@ -19,17 +35,22 @@
 //! (see `crate::batch`): the program order is a topological refinement of
 //! the worklist's rank induction, seeding follows the same cell rules,
 //! logical masking is the same packed nominal-vs-flipped comparison, and
-//! the electrical max-fold runs over the fanins in pin order with the
-//! identical `fold(0.0, f64::max)` seed and iterated attenuation. Only
-//! the batch-shape counters (`gates_visited`) depend on the kernel.
-//! Registers come out as sets (bit masks over DFF indices), so a lane's
-//! direct upsets match the scalar list as a set, not as a sequence.
+//! the replay's electrical max-fold runs over the fanins in pin order with
+//! the identical `fold(0.0, f64::max)` seed and iterated attenuation. Up to
+//! a lane's first fade the logical pass and the scalar kernel agree net for
+//! net, so the replay sees that fade; past it, a net loses its pulse
+//! exactly when it faded or all its pulsing fanins did, as long as no op
+//! (logged or not) sees a lost fanin next to a pulsing one, which the
+//! replay checks. Only the batch-shape counters
+//! (`gates_visited`, `timed_lanes`, `resimulated_lanes`) depend on the
+//! kernel. Registers come out as sets (bit masks over DFF indices), so a
+//! lane's direct upsets match the scalar list as a set, not as a sequence.
 
 use xlmc_netlist::{GateProgram, NetClass, Netlist, Opcode};
 
 use crate::batch::BatchLane;
 use crate::cycle::CycleValues;
-use crate::transient::TransientSim;
+use crate::transient::{StrikeOutcome, TransientConfig, TransientScratch, TransientSim};
 use xlmc_netlist::GateId;
 
 /// Runs per compiled sweep: the lanes of a `[u64; 4]`.
@@ -69,8 +90,20 @@ pub struct CompiledStrikeOutcome {
     latched: Vec<u64>,
     upset: Vec<u64>,
     dff_words: usize,
-    pulses: Vec<usize>,
+    /// Per lane: the combinational nets its strike seeded, or, for a
+    /// `settled` lane, its whole pulse count.
+    lane_pulses: Vec<usize>,
+    /// Lanes some of whose logged pulses are gone in the exact run: their
+    /// pulse count is in `lane_pulses`, not in the log.
+    settled: WideMask,
+    /// Each op that made a new pulse, in program order.
+    log_ops: Vec<u32>,
+    /// Per lane word: the new-pulse lanes of each `log_ops` entry.
+    log_lanes: [Vec<u64>; LANE_WORDS],
+    pulses: usize,
     gates_visited: usize,
+    timed_lanes: usize,
+    resimulated_lanes: usize,
 }
 
 impl Default for CompiledStrikeOutcome {
@@ -79,8 +112,14 @@ impl Default for CompiledStrikeOutcome {
             latched: Vec::new(),
             upset: Vec::new(),
             dff_words: 0,
-            pulses: vec![0; WIDE_LANES],
+            lane_pulses: vec![0; WIDE_LANES],
+            settled: [0; LANE_WORDS],
+            log_ops: Vec::new(),
+            log_lanes: Default::default(),
+            pulses: 0,
             gates_visited: 0,
+            timed_lanes: 0,
+            resimulated_lanes: 0,
         }
     }
 }
@@ -118,16 +157,42 @@ impl CompiledStrikeOutcome {
         out
     }
 
-    /// Number of gates that carried a propagating pulse in lane `l`.
+    /// Number of gates that carried a propagating pulse in lane `l`,
+    /// counted from the op log (a scan per call: campaign totals come from
+    /// [`CompiledStrikeOutcome::pulses_total`]).
     pub fn pulses_propagated(&self, lane: usize) -> usize {
-        self.pulses[lane]
+        let (k, bit) = (lane / 64, 1u64 << (lane % 64));
+        if self.settled[k] & bit != 0 {
+            return self.lane_pulses[lane];
+        }
+        self.lane_pulses[lane] + self.log_lanes[k].iter().filter(|&&w| w & bit != 0).count()
     }
 
-    /// Ops popped from the dirty-op scan for the whole sweep (an op
-    /// serving many lanes is visited once). Kernel-shape: comparable to
-    /// the worklist pop count, not to the scalar kernel's per-run visits.
+    /// [`CompiledStrikeOutcome::pulses_propagated`] summed over the
+    /// sweep's lanes.
+    pub fn pulses_total(&self) -> usize {
+        self.pulses
+    }
+
+    /// Ops popped from the logical pass's dirty-op scan for the whole
+    /// sweep (an op serving many lanes is visited once). Kernel-shape:
+    /// comparable to the worklist pop count, not to the scalar kernel's
+    /// per-run visits.
     pub fn gates_visited(&self) -> usize {
         self.gates_visited
+    }
+
+    /// Lanes whose pulse timing was replayed: they pulsed at a D pin or
+    /// travelled far enough that a pulse might have faded.
+    pub fn timed_lanes(&self) -> usize {
+        self.timed_lanes
+    }
+
+    /// Timed lanes the scalar kernel re-simulated: a pulse of theirs faded
+    /// next to a live one at some op, where the logical verdict may not
+    /// hold.
+    pub fn resimulated_lanes(&self) -> usize {
+        self.resimulated_lanes
     }
 
     /// Lane `l`'s registers in error (deduplicated, sorted), identical to
@@ -147,8 +212,21 @@ impl CompiledStrikeOutcome {
         let used = lanes.max(1) * self.dff_words;
         self.latched[..used].fill(0);
         self.upset[..used].fill(0);
-        self.pulses.iter_mut().for_each(|p| *p = 0);
+        self.lane_pulses.iter_mut().for_each(|p| *p = 0);
+        self.settled = [0; LANE_WORDS];
+        self.log_ops.clear();
+        self.log_lanes.iter_mut().for_each(Vec::clear);
+        self.pulses = 0;
         self.gates_visited = 0;
+        self.timed_lanes = 0;
+        self.resimulated_lanes = 0;
+    }
+
+    /// Replace lane `l`'s pulse count, `logical` so far, by `exact`.
+    fn settle(&mut self, l: usize, logical: usize, exact: usize) {
+        self.pulses = self.pulses - logical + exact;
+        self.lane_pulses[l] = exact;
+        self.settled[l / 64] |= 1u64 << (l % 64);
     }
 
     #[inline]
@@ -167,19 +245,38 @@ fn push_dffs(netlist: &Netlist, words: impl Iterator<Item = u64>, out: &mut Vec<
     }
 }
 
+/// The most ops any pulse can traverse without a chance of fading, or
+/// `None` when the model's durations do not strictly shrink per op.
+///
+/// A seeded pulse lasts `d_0 = initial_duration_ps` and each op subtracts
+/// `attenuation_ps` from the longest fanin pulse, so with `d_{k+1} = d_k −
+/// attenuation_ps` (the fold's own `f64` steps) a pulse `k` ops from its
+/// nearest seed lasts at least `d_k`. This is the largest `h ≤ levels`
+/// with `d_k ≥ min_duration_ps` for every `1 ≤ k ≤ h`. A zero, negative or
+/// NaN attenuation (or an infinite duration) breaks that bound, and the
+/// caller then times every lane.
+fn max_hops(cfg: &TransientConfig, levels: usize) -> Option<usize> {
+    let mut d = cfg.initial_duration_ps;
+    for k in 0..levels {
+        let next = d - cfg.attenuation_ps;
+        if next.partial_cmp(&d) != Some(std::cmp::Ordering::Less) {
+            return None;
+        }
+        if next < cfg.min_duration_ps {
+            return Some(k);
+        }
+        d = next;
+    }
+    Some(levels)
+}
+
 /// Reusable buffers for [`TransientSim::strike_compiled_with`].
 ///
-/// One scratch per worker. Pulse and seed masks reset through the
-/// `touched` list (O(cone)); the dirty-op bitmask is consumed back to zero
-/// by the sweep itself.
-///
-/// Pulse timing is rank-indexed rather than stored per (net, lane): a
-/// seeded lane's pulse is always `(lane strike time,
-/// initial_duration_ps)`, and every other lane of net `f` was appended by
-/// `f`'s op — which runs at most once per sweep — in lane order. Lane `l`
-/// of `f` is therefore at `base[f][l / 64]` plus the number of
-/// op-propagated lanes of `f` below `l` in that word, and the timing pools
-/// hold one entry per propagated pulse instead of nets × [`WIDE_LANES`].
+/// One scratch per worker. Pulse masks reset through the `touched` list
+/// (O(cone)); the dirty-op bitmask is consumed back to zero by the sweep
+/// itself. No state is kept per (net, lane): the replay reuses one timing
+/// slot per net for each timed lane in turn, and the op log lives in the
+/// outcome.
 ///
 /// Nominal values are packed per cycle *slot*: the first sweep that names
 /// a [`CycleGroup::cycle`] gives it the next slot and writes its values
@@ -191,21 +288,26 @@ fn push_dffs(netlist: &Netlist, words: impl Iterator<Item = u64>, out: &mut Vec<
 pub struct CompiledTransientScratch {
     /// Per net: 256-lane mask of pulses at this net.
     pulse: Vec<WideMask>,
-    /// Per net: lanes whose pulse was seeded by the strike itself.
-    seed: Vec<WideMask>,
-    /// Per lane: strike time of the current sweep.
-    lane_time: Vec<f64>,
-    /// Per net and lane word: pool index of the word's first
-    /// op-propagated lane, valid iff `pulse & !seed` is nonzero.
-    base: Vec<[u32; LANE_WORDS]>,
-    /// Pulse start of each op-propagated (net, lane), cleared per sweep.
-    pool_start: Vec<f64>,
-    /// Pulse duration, parallel to `pool_start`.
-    pool_dur: Vec<f64>,
     /// Nets whose pulse mask is nonzero (for O(cone) reset).
     touched: Vec<u32>,
     /// One bit per op: pending evaluation. Consumed in program order.
     dirty: Vec<u64>,
+    /// Per logic level: the lanes an op of that level must time, because
+    /// it lies more than [`max_hops`] levels above the lane's shallowest
+    /// seed.
+    reach: Vec<WideMask>,
+    /// `(DFF index, D net)` of every D pin that pulses in some lane.
+    hits: Vec<(u32, u32)>,
+    /// Per net: `(start, duration)` of the replayed lane's pulse.
+    timing: Vec<(f64, f64)>,
+    /// Per net: the replayed lane's logged pulse here is gone in the exact
+    /// run (it faded, or every pulsing fanin's did). Each replay resets it
+    /// through `dead_nets`.
+    dead: Vec<bool>,
+    dead_nets: Vec<u32>,
+    /// Scalar-kernel buffers for lanes that meet a fading pulse.
+    exact: TransientScratch,
+    exact_out: StrikeOutcome,
     /// Nets the slot words were written for.
     slot_nets: usize,
     /// Per block of 64 slots, per net: bit `s % 64` of
@@ -280,19 +382,6 @@ impl CompiledTransientScratch {
         }
         w
     }
-
-    /// `(start, duration)` of the pulse at net `f` in lane `l` (the lane
-    /// bit must be set in `pulse[f]`).
-    #[inline]
-    fn timing(&self, f: usize, l: usize, initial_duration_ps: f64) -> (f64, f64) {
-        let (k, bit) = (l / 64, 1u64 << (l % 64));
-        let (p, s) = (&self.pulse[f], &self.seed[f]);
-        if s[k] & bit != 0 {
-            return (self.lane_time[l], initial_duration_ps);
-        }
-        let i = self.base[f][k] as usize + (p[k] & !s[k] & (bit - 1)).count_ones() as usize;
-        (self.pool_start[i], self.pool_dur[i])
-    }
 }
 
 impl TransientSim {
@@ -317,6 +406,51 @@ impl TransientSim {
         outcome: &mut CompiledStrikeOutcome,
     ) {
         assert!(lanes.len() <= WIDE_LANES, "batch of {} lanes", lanes.len());
+        let faded = self.sweep(netlist, program, groups, lanes, scratch, outcome);
+
+        // Lanes whose replay could not settle a fade: run each through the
+        // scalar kernel. Upsets were already marked at seeding; the latched
+        // set and the pulse count become the exact ones.
+        for_each_lane(faded, |l| {
+            let (k, bit) = (l / 64, 1u64 << (l % 64));
+            let values = groups
+                .iter()
+                .find(|g| g.lanes[k] & bit != 0)
+                .expect("a striking lane has a cycle-value group")
+                .values;
+            let lane = &lanes[l];
+            let logical = outcome.pulses_propagated(l);
+            self.strike_with(
+                netlist,
+                values,
+                lane.struck,
+                lane.strike_time_ps,
+                &mut scratch.exact,
+                &mut scratch.exact_out,
+            );
+            for &dff in &scratch.exact_out.latched_dffs {
+                let i = program
+                    .dff_index(dff.index())
+                    .expect("latched nets are DFFs");
+                CompiledStrikeOutcome::mark(&mut outcome.latched, outcome.dff_words, l, i);
+            }
+            outcome.settle(l, logical, scratch.exact_out.pulses_propagated);
+            outcome.resimulated_lanes += 1;
+        });
+    }
+
+    /// One sweep: seed, run the logical pass, then replay the lanes that
+    /// need timing and apply the latching window. Returns the timed lanes
+    /// whose replay could not settle a fade; their results are not final.
+    fn sweep(
+        &self,
+        netlist: &Netlist,
+        program: &GateProgram,
+        groups: &[CycleGroup<'_>],
+        lanes: &[BatchLane<'_>],
+        scratch: &mut CompiledTransientScratch,
+        outcome: &mut CompiledStrikeOutcome,
+    ) -> WideMask {
         debug_assert_eq!(
             program.nets(),
             netlist.len(),
@@ -330,8 +464,8 @@ impl TransientSim {
         let dirty_words = ops.div_ceil(64);
         if scratch.pulse.len() < nets {
             scratch.pulse.resize(nets, [0; LANE_WORDS]);
-            scratch.seed.resize(nets, [0; LANE_WORDS]);
-            scratch.base.resize(nets, [0; LANE_WORDS]);
+            scratch.timing.resize(nets, (0.0, 0.0));
+            scratch.dead.resize(nets, false);
         }
         if scratch.slot_nets != nets {
             scratch.slot_nets = nets;
@@ -344,9 +478,6 @@ impl TransientSim {
         if scratch.dirty.len() < dirty_words {
             scratch.dirty.resize(dirty_words, 0);
         }
-        scratch.lane_time.resize(WIDE_LANES, 0.0);
-        scratch.pool_start.clear();
-        scratch.pool_dur.clear();
         debug_assert!(scratch.touched.is_empty());
         debug_assert!(scratch.dirty.iter().all(|&w| w == 0));
         debug_assert!(
@@ -374,11 +505,17 @@ impl TransientSim {
         }
 
         // Seed every lane's struck cells (same rules as the scalar kernel:
-        // DFFs upset, source/marker cells inert, combinational cells pulse).
+        // DFFs upset, source/marker cells inert, combinational cells pulse)
+        // and mark, from the lane's shallowest seed, the level where its
+        // pulses may start to fade.
         let cfg = *self.config();
+        let levels = program.levels();
+        let hops = max_hops(&cfg, levels);
+        scratch.reach.clear();
+        scratch.reach.resize(levels + 1, [0; LANE_WORDS]);
         for (l, lane) in lanes.iter().enumerate() {
             let (word, bit) = (l / 64, 1u64 << (l % 64));
-            scratch.lane_time[l] = lane.strike_time_ps;
+            let mut shallowest = usize::MAX;
             for &g in lane.struck {
                 match program.net_class(g.index()) {
                     NetClass::Dff => {
@@ -393,19 +530,34 @@ impl TransientSim {
                             scratch.touched.push(gi as u32);
                         }
                         if pl[word] & bit == 0 {
-                            outcome.pulses[l] += 1;
+                            outcome.lane_pulses[l] += 1;
                         }
                         pl[word] |= bit;
-                        scratch.seed[gi][word] |= bit;
+                        shallowest = shallowest.min(program.level(gi) as usize);
                     }
                 }
             }
+            if shallowest != usize::MAX {
+                let from = hops.map_or(0, |h| shallowest + h + 1);
+                if from <= levels {
+                    scratch.reach[from][word] |= bit;
+                }
+            }
+            outcome.pulses += outcome.lane_pulses[l];
+        }
+        for level in 1..scratch.reach.len() {
+            let below = scratch.reach[level - 1];
+            for (w, b) in scratch.reach[level].iter_mut().zip(below) {
+                *w |= b;
+            }
         }
 
-        // Mark the consumers of every seeded net, then sweep the dirty ops
-        // in program order. Consumers always sit at higher op indices than
-        // their producers (topological order), so a pulse created mid-sweep
-        // only ever marks ops the scan has not yet consumed.
+        // Logical pass: mark the consumers of every seeded net, then sweep
+        // the dirty ops in program order. Consumers always sit at higher op
+        // indices than their producers (topological order), so a pulse
+        // created mid-sweep only ever marks ops the scan has not yet
+        // consumed, and each op runs at most once.
+        let mut timed = [0u64; LANE_WORDS];
         for i in 0..scratch.touched.len() {
             for &c in program.consumers(scratch.touched[i] as usize) {
                 scratch.dirty[(c / 64) as usize] |= 1u64 << (c % 64);
@@ -446,56 +598,32 @@ impl TransientSim {
             // Logical masking, all 256 lanes at once: flip each fanin
             // exactly in the lanes where it pulses and compare the packed
             // outputs (same fold identities as `CellKind::eval_words`).
-            let mut flips = eval_flips(program.opcode(op), fis, scratch);
+            let mut new = eval_flips(program.opcode(op), fis, scratch);
             let mut have = 0u64;
             for k in 0..LANE_WORDS {
-                flips[k] &= candidates[k];
-                have |= flips[k];
+                new[k] &= candidates[k];
+                have |= new[k];
             }
             if have == 0 {
                 continue;
             }
 
-            // Electrical masking per surviving lane: the scalar kernel's
-            // exact max-fold and iterated attenuation, fanins in pin order.
-            // This op runs once per sweep, so its surviving lanes are
-            // appended to the pools in lane order from `base[out]`.
-            let delay = program.delay_ps(op);
-            let mut new_lanes = [0u64; LANE_WORDS];
+            // A pulse is at most as many ops from its nearest seed as their
+            // levels differ, so it may have faded only at an op more than
+            // `max_hops` levels above its lane's shallowest seed.
+            let risky = &scratch.reach[program.level(out) as usize];
             for k in 0..LANE_WORDS {
-                scratch.base[out][k] = scratch.pool_start.len() as u32;
-                let mut fl = flips[k];
-                while fl != 0 {
-                    let l = k * 64 + fl.trailing_zeros() as usize;
-                    fl &= fl - 1;
-                    let bit = 1u64 << (l % 64);
-                    let mut max_duration = 0.0f64;
-                    let mut max_start = 0.0f64;
-                    for &f in fis {
-                        let fi = f as usize;
-                        if scratch.pulse[fi][k] & bit != 0 {
-                            let (start, dur) = scratch.timing(fi, l, cfg.initial_duration_ps);
-                            max_duration = max_duration.max(dur);
-                            max_start = max_start.max(start);
-                        }
-                    }
-                    let duration = max_duration - cfg.attenuation_ps;
-                    if duration < cfg.min_duration_ps {
-                        continue;
-                    }
-                    scratch.pool_start.push(max_start + delay);
-                    scratch.pool_dur.push(duration);
-                    new_lanes[k] |= bit;
-                    outcome.pulses[l] += 1;
-                }
+                timed[k] |= new[k] & risky[k];
+                outcome.pulses += new[k].count_ones() as usize;
             }
-            if is_zero(&new_lanes) {
-                continue;
+            outcome.log_ops.push(op as u32);
+            for (column, &nl) in outcome.log_lanes.iter_mut().zip(&new) {
+                column.push(nl);
             }
-            if is_zero(&scratch.pulse[out]) {
+            if is_zero(&existing) {
                 scratch.touched.push(out as u32);
             }
-            for (k, &nl) in new_lanes.iter().enumerate() {
+            for (k, &nl) in new.iter().enumerate() {
                 scratch.pulse[out][k] |= nl;
             }
             for &c in program.consumers(out) {
@@ -503,28 +631,51 @@ impl TransientSim {
             }
         }
 
-        // Latching-window masking at each DFF's D pin, per lane.
-        let window_lo = cfg.clock_period_ps - cfg.setup_ps;
-        let window_hi = cfg.clock_period_ps + cfg.hold_ps;
+        // Every lane that pulses at a D pin needs its timing for the
+        // latching window.
+        scratch.hits.clear();
         for (i, &(_, d)) in program.dff_d().iter().enumerate() {
-            let d = d as usize;
-            for k in 0..LANE_WORDS {
-                let mut pl = scratch.pulse[d][k];
-                while pl != 0 {
-                    let l = k * 64 + pl.trailing_zeros() as usize;
-                    pl &= pl - 1;
-                    let (pulse_lo, dur) = scratch.timing(d, l, cfg.initial_duration_ps);
-                    let pulse_hi = pulse_lo + dur;
-                    if pulse_lo <= window_hi && pulse_hi >= window_lo {
-                        CompiledStrikeOutcome::mark(&mut outcome.latched, dff_words, l, i);
-                    }
+            let p = scratch.pulse[d as usize];
+            if !is_zero(&p) {
+                scratch.hits.push((i as u32, d));
+                for k in 0..LANE_WORDS {
+                    timed[k] |= p[k];
                 }
             }
         }
+        for word in timed {
+            outcome.timed_lanes += word.count_ones() as usize;
+        }
+
+        // Replay each timed lane exactly, then apply latching-window
+        // masking at its pulsing D pins.
+        let window_lo = cfg.clock_period_ps - cfg.setup_ps;
+        let window_hi = cfg.clock_period_ps + cfg.hold_ps;
+        let mut faded = [0u64; LANE_WORDS];
+        for_each_lane(timed, |l| {
+            let (k, bit) = (l / 64, 1u64 << (l % 64));
+            let Some(lost) = replay(program, &cfg, &lanes[l], l, outcome, scratch) else {
+                faded[k] |= bit;
+                return;
+            };
+            if lost > 0 {
+                let logical = outcome.pulses_propagated(l);
+                outcome.settle(l, logical, logical - lost);
+            }
+            for &(i, d) in &scratch.hits {
+                let d = d as usize;
+                if scratch.pulse[d][k] & bit != 0 && !scratch.dead[d] {
+                    let (pulse_lo, dur) = scratch.timing[d];
+                    let pulse_hi = pulse_lo + dur;
+                    if pulse_lo <= window_hi && pulse_hi >= window_lo {
+                        CompiledStrikeOutcome::mark(&mut outcome.latched, dff_words, l, i as usize);
+                    }
+                }
+            }
+        });
 
         for &g in &scratch.touched {
             scratch.pulse[g as usize] = [0; LANE_WORDS];
-            scratch.seed[g as usize] = [0; LANE_WORDS];
         }
         scratch.touched.clear();
         for b in 0..scratch.active.len() {
@@ -535,7 +686,100 @@ impl TransientSim {
                 slots &= slots - 1;
             }
         }
+        faded
     }
+}
+
+/// Call `f` on every lane of `mask`, ascending.
+#[inline]
+fn for_each_lane(mask: WideMask, mut f: impl FnMut(usize)) {
+    for (k, mut word) in mask.into_iter().enumerate() {
+        while word != 0 {
+            f(k * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+    }
+}
+
+/// Replay lane `l`'s pulses through the logged ops in program order with
+/// the scalar kernel's fold (fanins in pin order, `fold(0.0, f64::max)`),
+/// leaving each pulsing net's `(start, duration)` in `scratch.timing`.
+///
+/// A pulse that fades is marked dead, and so is a logged pulse whose
+/// pulsing fanins are all dead: in the exact run neither net pulses, and
+/// the logical pass's verdict for every other net still holds as long as
+/// no op mixes dead and live pulsing fanins. Returns the number of dead
+/// pulses, or `None` at the first op where that fails (the flip may then
+/// differ, so the lane needs the scalar kernel).
+fn replay(
+    program: &GateProgram,
+    cfg: &TransientConfig,
+    lane: &BatchLane<'_>,
+    l: usize,
+    outcome: &CompiledStrikeOutcome,
+    scratch: &mut CompiledTransientScratch,
+) -> Option<usize> {
+    for &n in &scratch.dead_nets {
+        scratch.dead[n as usize] = false;
+    }
+    scratch.dead_nets.clear();
+    for &g in lane.struck {
+        if program.net_class(g.index()) == NetClass::Comb {
+            scratch.timing[g.index()] = (lane.strike_time_ps, cfg.initial_duration_ps);
+        }
+    }
+    let (k, bit) = (l / 64, 1u64 << (l % 64));
+    let pulses = |scratch: &CompiledTransientScratch, f: usize| scratch.pulse[f][k] & bit != 0;
+    for (&new, &op) in outcome.log_lanes[k].iter().zip(&outcome.log_ops) {
+        if new & bit == 0 {
+            continue;
+        }
+        let op = op as usize;
+        let (mut live, mut lost) = (false, false);
+        let mut max_duration = 0.0f64;
+        let mut max_start = 0.0f64;
+        for &f in program.fanins(op) {
+            let fi = f as usize;
+            if !pulses(scratch, fi) {
+                continue;
+            }
+            if scratch.dead[fi] {
+                lost = true;
+                continue;
+            }
+            live = true;
+            let (start, dur) = scratch.timing[fi];
+            max_duration = max_duration.max(dur);
+            max_start = max_start.max(start);
+        }
+        if live && lost {
+            return None;
+        }
+        let out = program.out(op);
+        let duration = max_duration - cfg.attenuation_ps;
+        let gone = !live || duration < cfg.min_duration_ps;
+        if !gone {
+            scratch.timing[out] = (max_start + program.delay_ps(op), duration);
+            continue;
+        }
+        // `out` carries no pulse in the exact run. A consumer the logical
+        // pass left without a pulse keeps none unless another fanin
+        // pulses there too (then losing this one may unmask it).
+        for &c in program.consumers(out) {
+            let c = c as usize;
+            if !pulses(scratch, program.out(c))
+                && program
+                    .fanins(c)
+                    .iter()
+                    .any(|&f| f as usize != out && pulses(scratch, f as usize))
+            {
+                return None;
+            }
+        }
+        scratch.dead[out] = true;
+        scratch.dead_nets.push(out as u32);
+    }
+    Some(scratch.dead_nets.len())
 }
 
 /// `(nominal_out ^ flipped_out)` for one op over all 256 lanes, folding
@@ -909,7 +1153,7 @@ mod tests {
 
     /// A net seeded in some lanes and reached by its op in others reads
     /// each lane's timing from the right place: the lane strike time for
-    /// seeded lanes, the rank-indexed pool entry for propagated ones.
+    /// seeded lanes, the replay of `n2`'s op for propagated ones.
     /// Lanes `l % 3 == 0` strike `n2` (0, 63, 255: seeded), `l % 3 == 1`
     /// strike `n1` so `n2`'s op reaches them (64, 127), and `l % 3 == 2`
     /// strike both (128), across all four lane words.
@@ -991,12 +1235,14 @@ mod tests {
         assert!(latched_q2 > 0 && latched_q2 < WIDE_LANES, "{latched_q2}");
     }
 
-    /// The timing pools grow with the pulses a sweep propagates, never
-    /// with nets × lanes.
+    /// The replay keeps one timing slot per net and the op log one entry
+    /// per visited op that made a pulse: the sweep's state grows with the
+    /// ops it visits, never with nets × lanes.
     #[test]
-    fn timing_pools_hold_only_propagated_pulses() {
+    fn replay_state_is_per_net_and_log_holds_visited_ops() {
         let n = random_netlist(0x7157, 8, 1_200);
         assert!(n.len() >= 1_000, "{} nets", n.len());
+        let program = n.program().unwrap();
         let sim = CycleSim::new(&n).unwrap();
         let mut rng = Xs(0xC0FFEE);
         let state: Vec<bool> = (0..n.dffs().len()).map(|_| rng.next() & 1 == 1).collect();
@@ -1027,7 +1273,7 @@ mod tests {
         for sweep in 0..2 {
             ts.strike_compiled_with(
                 &n,
-                n.program().unwrap(),
+                program,
                 &[CycleGroup {
                     lanes: all,
                     cycle: 0,
@@ -1037,21 +1283,325 @@ mod tests {
                 &mut scratch,
                 &mut out,
             );
-            let pulses: usize = (0..WIDE_LANES).map(|l| out.pulses_propagated(l)).sum();
-            let entries = scratch.pool_start.len();
-            assert_eq!(entries, scratch.pool_dur.len());
+            let visited = out.gates_visited();
+            let entries = out.log_ops.len();
+            assert!(out.log_lanes.iter().all(|column| column.len() == entries));
             assert!(entries > 0, "the sweep must propagate past its seeds");
             assert!(
-                entries <= pulses,
-                "sweep {sweep}: {entries} pool entries for {pulses} pulses"
+                entries <= visited,
+                "sweep {sweep}: {entries} log entries for {visited} visited ops"
             );
-            for cap in [scratch.pool_start.capacity(), scratch.pool_dur.capacity()] {
+            for cap in std::iter::once(out.log_ops.capacity())
+                .chain(out.log_lanes.iter().map(Vec::capacity))
+            {
                 assert!(
-                    cap <= 2 * pulses,
-                    "sweep {sweep}: capacity {cap} for {pulses} pulses"
+                    cap <= 2 * visited,
+                    "sweep {sweep}: log capacity {cap} for {visited} visited ops"
                 );
             }
+            assert!(out.timed_lanes() > 0, "sweep {sweep}: nothing was timed");
+            for (what, len, cap) in [
+                ("pulse", scratch.pulse.len(), scratch.pulse.capacity()),
+                ("timing", scratch.timing.len(), scratch.timing.capacity()),
+            ] {
+                assert_eq!(len, n.len(), "sweep {sweep}: {what} is per net");
+                assert!(cap <= 2 * n.len(), "sweep {sweep}: {what} capacity {cap}");
+            }
+            assert_eq!(scratch.reach.len(), program.levels() + 1);
+            assert!(scratch.hits.len() <= n.dffs().len());
         }
+    }
+
+    /// Strike `strikes` in one sweep on `cv` and assert every lane equals
+    /// the scalar kernel; returns the outcome for counter checks.
+    fn assert_matches_scalar(
+        n: &Netlist,
+        cfg: TransientConfig,
+        cv: &CycleValues,
+        strikes: &[(Vec<GateId>, f64)],
+    ) -> CompiledStrikeOutcome {
+        let ts = TransientSim::new(n, cfg).unwrap();
+        let lanes: Vec<BatchLane> = strikes
+            .iter()
+            .map(|(cells, t)| BatchLane {
+                struck: cells,
+                strike_time_ps: *t,
+            })
+            .collect();
+        let mut scratch = CompiledTransientScratch::default();
+        let mut out = CompiledStrikeOutcome::default();
+        ts.strike_compiled_with(
+            n,
+            n.program().unwrap(),
+            &[CycleGroup {
+                lanes: [!0u64; LANE_WORDS],
+                cycle: 0,
+                values: cv,
+            }],
+            &lanes,
+            &mut scratch,
+            &mut out,
+        );
+        let mut sscratch = TransientScratch::default();
+        let mut sout = StrikeOutcome::default();
+        let mut total = 0;
+        for (l, (cells, t)) in strikes.iter().enumerate() {
+            ts.strike_with(n, cv, cells, *t, &mut sscratch, &mut sout);
+            assert_eq!(
+                out.latched_dffs(n, l),
+                &sout.latched_dffs[..],
+                "lane {l} latched"
+            );
+            assert_eq!(
+                out.upset_dffs(n, l),
+                as_set(&sout.upset_dffs),
+                "lane {l} upset"
+            );
+            assert_eq!(
+                out.pulses_propagated(l),
+                sout.pulses_propagated,
+                "lane {l} pulses"
+            );
+            total += sout.pulses_propagated;
+        }
+        assert_eq!(out.pulses_total(), total, "sweep pulse total");
+        out
+    }
+
+    /// 256 random strikes of up to four cells on a random netlist.
+    fn random_strikes(n: &Netlist, seed: u64) -> (CycleValues, Vec<(Vec<GateId>, f64)>) {
+        let sim = CycleSim::new(n).unwrap();
+        let mut rng = Xs(seed | 1);
+        let state: Vec<bool> = (0..n.dffs().len()).map(|_| rng.next() & 1 == 1).collect();
+        let inputs: Vec<bool> = (0..n.inputs().len()).map(|_| rng.next() & 1 == 1).collect();
+        let cv = sim.eval(n, &state, &inputs);
+        let candidates: Vec<GateId> = n.iter().map(|(id, _)| id).collect();
+        let strikes = (0..WIDE_LANES)
+            .map(|_| {
+                let cells = (0..1 + rng.below(4))
+                    .map(|_| candidates[rng.below(candidates.len())])
+                    .collect();
+                (cells, rng.below(700) as f64)
+            })
+            .collect();
+        (cv, strikes)
+    }
+
+    /// `max_hops` walks the fold's own `f64` steps and refuses any config
+    /// whose durations do not strictly shrink.
+    #[test]
+    fn max_hops_follows_the_fold_steps() {
+        // 120 − 9k ≥ 15 holds up to k = 11.
+        assert_eq!(max_hops(&tight(), 100), Some(11));
+        assert_eq!(max_hops(&tight(), 4), Some(4));
+        let fades_at_once = TransientConfig {
+            initial_duration_ps: 100.0,
+            attenuation_ps: 10.0,
+            min_duration_ps: 95.0,
+            ..tight()
+        };
+        assert_eq!(max_hops(&fades_at_once, 100), Some(0));
+        let never_fades = TransientConfig {
+            min_duration_ps: f64::NAN,
+            ..tight()
+        };
+        assert_eq!(max_hops(&never_fades, 100), Some(100));
+        for attenuation_ps in [0.0, -5.0, f64::NAN, 1e-300] {
+            let cfg = TransientConfig {
+                attenuation_ps,
+                ..tight()
+            };
+            assert_eq!(max_hops(&cfg, 100), None, "attenuation {attenuation_ps}");
+        }
+        let endless = TransientConfig {
+            initial_duration_ps: f64::INFINITY,
+            ..tight()
+        };
+        assert_eq!(max_hops(&endless, 100), None);
+    }
+
+    /// Without attenuation durations never shrink, so every lane that
+    /// propagates is timed (and none fades).
+    #[test]
+    fn zero_attenuation_times_every_propagating_lane() {
+        let n = random_netlist(0xA77E, 6, 150);
+        let (cv, strikes) = random_strikes(&n, 0x2E20);
+        let cfg = TransientConfig {
+            attenuation_ps: 0.0,
+            ..tight()
+        };
+        let out = assert_matches_scalar(&n, cfg, &cv, &strikes);
+        let propagating = (0..WIDE_LANES)
+            .filter(|&l| out.pulses_propagated(l) > out.lane_pulses[l])
+            .count();
+        assert!(propagating > 0);
+        assert!(out.timed_lanes() >= propagating, "{}", out.timed_lanes());
+        assert_eq!(out.resimulated_lanes(), 0);
+    }
+
+    /// When the first op already kills every pulse, every lane keeps only
+    /// its seeds: the replay settles a lane whose dead pulses unmask
+    /// nothing, and the scalar kernel re-simulates the others.
+    #[test]
+    fn every_propagated_pulse_fading_matches_scalar() {
+        let n = random_netlist(0xFADE, 6, 150);
+        let (cv, strikes) = random_strikes(&n, 0xFAD1);
+        let cfg = TransientConfig {
+            initial_duration_ps: 100.0,
+            attenuation_ps: 10.0,
+            min_duration_ps: 95.0,
+            ..tight()
+        };
+        let out = assert_matches_scalar(&n, cfg, &cv, &strikes);
+        let settled: u32 = out.settled.iter().map(|w| w.count_ones()).sum();
+        let resimulated = out.resimulated_lanes();
+        assert!(
+            resimulated > 0 && settled as usize > resimulated,
+            "{settled} {resimulated}"
+        );
+        for l in 0..WIDE_LANES {
+            assert_eq!(out.pulses_propagated(l), out.lane_pulses[l], "lane {l}");
+        }
+    }
+
+    /// A D pin 13 levels deep: `kind(tail, short)`, where `tail` ends a
+    /// 12-buffer chain from input `a` and `short` buffers input `b` (both
+    /// inputs 0). With 8 safe hops, lanes `l % 3` strike `short`, the chain
+    /// `head`, or both, at strike times spread over the clock period.
+    /// Returns the netlist, `q` and the sweep, checked against the scalar
+    /// kernel lane for lane.
+    fn deep_chain_sweep(kind: CellKind) -> (Netlist, GateId, CompiledStrikeOutcome) {
+        let mut n = Netlist::new();
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let head = n.add_gate(CellKind::Buf, &[a]);
+        let mut tail = head;
+        for _ in 1..12 {
+            tail = n.add_gate(CellKind::Buf, &[tail]);
+        }
+        let short = n.add_gate(CellKind::Buf, &[b]);
+        let g = n.add_gate(kind, &[tail, short]);
+        let q = n.add_dff("q", g);
+        let program = n.program().unwrap();
+        assert_eq!(program.level(g.index()), 13);
+        let sim = CycleSim::new(&n).unwrap();
+        let cv = sim.eval(&n, &[false], &[false, false]);
+        let cfg = TransientConfig {
+            initial_duration_ps: 100.0,
+            attenuation_ps: 10.0,
+            min_duration_ps: 15.0,
+            ..tight()
+        };
+        assert_eq!(max_hops(&cfg, program.levels()), Some(8));
+        let strikes: Vec<(Vec<GateId>, f64)> = (0..WIDE_LANES)
+            .map(|l| {
+                let cells = match l % 3 {
+                    0 => vec![short],
+                    1 => vec![head],
+                    _ => vec![head, short],
+                };
+                (cells, ((l * 37) % 700) as f64)
+            })
+            .collect();
+        let out = assert_matches_scalar(&n, cfg, &cv, &strikes);
+        (n, q, out)
+    }
+
+    /// Through an XOR, a strike on the short side is timed (D pin, and its
+    /// level lies past the bound) yet never fades, and its pulse straddles
+    /// the window across strike times. A strike at the chain head fades on
+    /// the way, which the replay settles (the dead chain leaves the XOR
+    /// without a pulse). A strike on both sides cancels in the logical
+    /// pass's XOR but latches once the chain pulse has faded, so the scalar
+    /// kernel re-simulates it.
+    #[test]
+    fn deep_chain_into_a_straddled_d_pin_matches_scalar() {
+        let (n, q, out) = deep_chain_sweep(CellKind::Xor);
+        assert_eq!(out.timed_lanes(), WIDE_LANES);
+        let chain_lanes = (0..WIDE_LANES).filter(|l| l % 3 != 0).count();
+        let both_lanes = (0..WIDE_LANES).filter(|l| l % 3 == 2).count();
+        assert_eq!(out.resimulated_lanes(), both_lanes);
+        let settled: u32 = out.settled.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(settled as usize, chain_lanes);
+        let latched = |rem: usize| {
+            (0..WIDE_LANES)
+                .filter(|l| l % 3 == rem && out.latched_dffs(&n, *l).contains(&q))
+                .count()
+        };
+        let short_lanes = WIDE_LANES - chain_lanes;
+        assert!(latched(0) > 0 && latched(0) < short_lanes, "{}", latched(0));
+        assert_eq!(latched(1), 0);
+        assert!(latched(2) > 0, "the faded chain must unmask the XOR");
+    }
+
+    /// Through an AND of two 0s, only a strike on both sides flips the
+    /// output in the logical pass. Once the chain pulse has faded, that op
+    /// has a dead and a live pulsing fanin, and the live one alone cannot
+    /// flip it, so the scalar kernel re-simulates those lanes and nothing
+    /// latches.
+    #[test]
+    fn mixed_dead_and_live_fanins_go_to_the_scalar_kernel() {
+        let (n, _, out) = deep_chain_sweep(CellKind::And);
+        let both_lanes = (0..WIDE_LANES).filter(|l| l % 3 == 2).count();
+        assert_eq!(out.resimulated_lanes(), both_lanes);
+        assert!((0..WIDE_LANES).all(|l| out.latched_dffs(&n, l).is_empty()));
+    }
+
+    /// Negative or NaN attenuation breaks the hop bound: every propagating
+    /// lane is replayed, and each still equals the scalar kernel.
+    #[test]
+    fn negative_or_nan_attenuation_takes_the_exact_path() {
+        let n = random_netlist(0x0E6A, 6, 150);
+        let (cv, strikes) = random_strikes(&n, 0x0E6B);
+        for attenuation_ps in [-5.0, f64::NAN] {
+            let cfg = TransientConfig {
+                attenuation_ps,
+                ..tight()
+            };
+            let out = assert_matches_scalar(&n, cfg, &cv, &strikes);
+            let propagating = (0..WIDE_LANES)
+                .filter(|&l| out.pulses_propagated(l) > out.lane_pulses[l])
+                .count();
+            assert!(propagating > 0, "attenuation {attenuation_ps}");
+            assert!(
+                out.timed_lanes() >= propagating,
+                "attenuation {attenuation_ps}"
+            );
+        }
+    }
+
+    /// Double-glitch lanes strike two separate spots, one shallow and one
+    /// deep: the shallow one sets the lane's hop bound for both.
+    #[test]
+    fn double_glitch_lanes_match_scalar() {
+        let n = random_netlist(0xD0B1, 6, 400);
+        let (cv, _) = random_strikes(&n, 0xD0B2);
+        let gates: Vec<GateId> = n
+            .iter()
+            .filter(|(_, g)| g.kind.is_combinational())
+            .map(|(id, _)| id)
+            .collect();
+        let mut rng = Xs(0xD0B3);
+        let spot = |r: &mut Xs, from: usize, to: usize| -> Vec<GateId> {
+            let c = from + r.below(to - from);
+            (0..1 + r.below(3))
+                .map(|d| gates[(c + d).min(gates.len() - 1)])
+                .collect()
+        };
+        let third = gates.len() / 3;
+        let strikes: Vec<(Vec<GateId>, f64)> = (0..WIDE_LANES)
+            .map(|_| {
+                let mut cells = spot(&mut rng, 0, third);
+                cells.extend(spot(&mut rng, 2 * third, gates.len()));
+                (cells, rng.below(700) as f64)
+            })
+            .collect();
+        let out = assert_matches_scalar(&n, tight(), &cv, &strikes);
+        assert!(out.timed_lanes() > 0);
+        let latched = (0..WIDE_LANES)
+            .filter(|&l| !out.latched_dffs(&n, l).is_empty())
+            .count();
+        assert!(latched > 0, "no double-glitch lane latched");
     }
 
     /// Cycle slots are packed 64 to a word: sweeps on one scratch that

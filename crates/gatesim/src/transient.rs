@@ -20,13 +20,12 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
 use xlmc_netlist::{CellKind, GateId, Netlist, NetlistError, Topology};
 
 use crate::cycle::CycleValues;
 
 /// Electrical and timing parameters of the transient model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientConfig {
     /// Clock period in picoseconds.
     pub clock_period_ps: f64,

@@ -1,7 +1,5 @@
 //! The standard-cell library: gate kinds, evaluation, area and delay models.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of a gate in the netlist.
 ///
 /// Logic gates (`And`, `Or`, ...) accept two or more fanins; `Buf` and `Not`
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// [`CellKind::Dff`] is the sequential boundary: its single fanin is the `D`
 /// pin, and its "output value" during a cycle is the register state latched
 /// at the previous clock edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// Primary input; no fanins.
     Input,

@@ -2,7 +2,6 @@
 
 use crate::cell::CellKind;
 use crate::program::GateProgram;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -11,7 +10,7 @@ use std::sync::OnceLock;
 ///
 /// The output net of a gate is identified with the gate itself (every gate
 /// drives exactly one net), so a `GateId` doubles as a signal identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GateId(pub u32);
 
 impl GateId {
@@ -28,7 +27,7 @@ impl fmt::Display for GateId {
 }
 
 /// One gate instance: a cell kind plus its fanin nets and optional name.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gate {
     /// The cell kind.
     pub kind: CellKind,
@@ -81,7 +80,7 @@ impl fmt::Display for NetlistError {
 impl std::error::Error for NetlistError {}
 
 /// Aggregate statistics of a netlist (gate counts and total cell area).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NetlistStats {
     /// Number of primary inputs.
     pub inputs: usize,
@@ -101,7 +100,7 @@ pub struct NetlistStats {
 /// netlist is mutable during construction; analyses ([`crate::Topology`],
 /// cones, placement) are built as separate immutable views so a validated
 /// netlist is never silently invalidated.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Netlist {
     gates: Vec<Gate>,
     names: HashMap<String, GateId>,

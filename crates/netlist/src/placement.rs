@@ -11,11 +11,10 @@
 
 use crate::cell::CellKind;
 use crate::netlist::{GateId, Netlist};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A cell location in placement units (grid pitch = 1.0).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,

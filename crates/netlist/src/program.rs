@@ -123,6 +123,8 @@ pub struct GateProgram {
     dff_pos: Vec<u32>,
     /// Per-net seeding role.
     net_class: Vec<NetClass>,
+    /// Per net: logic level (0 for sources and registers).
+    level: Vec<u32>,
     nets: u32,
 }
 
@@ -206,6 +208,7 @@ impl GateProgram {
                 _ => NetClass::Comb,
             })
             .collect();
+        p.level = netlist.iter().map(|(id, _)| topo.level(id)).collect();
         Ok(p)
     }
 
@@ -282,6 +285,15 @@ impl GateProgram {
     pub fn net_class(&self, f: usize) -> NetClass {
         self.net_class[f]
     }
+
+    /// Logic level of net `f`: the longest combinational path to it from
+    /// a source or register, so a consumer's level always exceeds each of
+    /// its fanins' (0 for sources and registers; op `i` lies in
+    /// [`GateProgram::level_ops`]`(level - 1)`).
+    #[inline]
+    pub fn level(&self, f: usize) -> u32 {
+        self.level[f]
+    }
 }
 
 #[cfg(test)]
@@ -323,6 +335,14 @@ mod tests {
         // Levels partition the ops and are non-decreasing.
         let total: usize = (0..p.levels()).map(|l| p.level_ops(l).len()).sum();
         assert_eq!(total, p.len());
+        // Per-net levels rise along every fanin edge and name the op's run.
+        for i in 0..p.len() {
+            let level = p.level(p.out(i));
+            assert!(p.level_ops(level as usize - 1).contains(&i), "op {i}");
+            for &f in p.fanins(i) {
+                assert!(p.level(f as usize) < level, "op {i} fanin {f}");
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! `access_violation` signal, or synchronously from `ecall`.
 
 use crate::isa::{Csr, Instr, Reg};
-use serde::{Deserialize, Serialize};
 
 /// Why the core most recently trapped ([`Csr::Cause`] values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrapCause {
     /// No trap has occurred.
     None,
@@ -53,7 +52,7 @@ pub enum CoreAction {
 }
 
 /// The architectural state of the core.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Core {
     /// General registers; `regs[0]` reads as zero.
     pub regs: [u32; 16],

@@ -7,7 +7,6 @@
 //! goes through the MPU pipeline as an (untrusted) user-mode request.
 
 use crate::mpu::{AccessKind, AccessReq};
-use serde::{Deserialize, Serialize};
 
 /// Byte address of the DMA source register.
 pub const DMA_SRC: u16 = 0x8000;
@@ -19,7 +18,7 @@ pub const DMA_LEN: u16 = 0x8008;
 pub const DMA_CTRL: u16 = 0x800c;
 
 /// Transfer phase of the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Next bus turn: read `src + 4 * progress`.
     Read,
@@ -28,7 +27,7 @@ enum Phase {
 }
 
 /// The DMA engine state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dma {
     /// Source byte address.
     pub src: u32,

@@ -15,10 +15,9 @@
 
 use crate::mpu::{AccessReq, CfgWrite, MpuState};
 use crate::soc::{AccessRecord, Soc};
-use serde::{Deserialize, Serialize};
 
 /// Per-cycle stimulus seen by the MPU (drives the gate-level netlist).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CycleStimulus {
     /// The request issued this cycle (latched into the MPU pipeline at the
     /// end of the cycle).
@@ -30,7 +29,7 @@ pub struct CycleStimulus {
 }
 
 /// The recorded golden run of one benchmark.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GoldenRun {
     /// Cycles between checkpoints.
     pub interval: u64,

@@ -15,11 +15,10 @@
 //! [17:0]  imm18 (sign-extended) -- R-type ops use [17:14] as rs2
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A general-purpose register index (`r0`..`r15`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u8);
 
 impl Reg {
@@ -39,7 +38,7 @@ impl fmt::Display for Reg {
 }
 
 /// Control and status registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Csr {
     /// Machine status (bit 0: privileged mode).
     Status,
@@ -84,7 +83,7 @@ impl Csr {
 }
 
 /// A decoded instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
     /// `rd = rs1 + rs2`
     Add(Reg, Reg, Reg),

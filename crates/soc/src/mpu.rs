@@ -32,8 +32,6 @@
 //! elaboration in [`crate::mpu_synth`]; an equivalence test cross-checks
 //! the two on random stimulus.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of protection regions.
 pub const NUM_REGIONS: usize = 4;
 /// Width of the checked address in bits.
@@ -42,7 +40,7 @@ pub const ADDR_BITS: usize = 16;
 pub const CFG_ENABLE_INDEX: u8 = (NUM_REGIONS * 3) as u8;
 
 /// Kind of a memory access presented to the MPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Data read.
     Read,
@@ -88,7 +86,7 @@ pub mod perm {
 }
 
 /// One protection region: an inclusive address range plus permissions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MpuRegion {
     /// Inclusive lower bound.
     pub base: u16,
@@ -117,7 +115,7 @@ impl MpuRegion {
 }
 
 /// The MPU configuration: global enable plus [`NUM_REGIONS`] regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MpuConfig {
     /// Global enable; a disabled MPU allows everything.
     pub enable: bool,
@@ -141,7 +139,7 @@ impl MpuConfig {
 }
 
 /// A memory access request presented to the MPU this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessReq {
     /// The accessed address.
     pub addr: u16,
@@ -156,7 +154,7 @@ pub struct AccessReq {
 ///
 /// `index` selects the word: `region * 3 + 0/1/2` for base/limit/perms, or
 /// [`CFG_ENABLE_INDEX`] for the enable bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CfgWrite {
     /// Configuration word index.
     pub index: u8,
@@ -169,7 +167,7 @@ pub struct CfgWrite {
 /// Fault injection flips these bits; the gate-level [`crate::mpu_synth`]
 /// elaboration names its DFFs so that [`MpuBit::dff_name`] matches exactly,
 /// giving the cross-level register map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MpuBit {
     /// Global enable flip-flop.
     Enable,
@@ -341,7 +339,7 @@ impl std::hash::Hash for MpuBitMask {
 }
 
 /// The full register state of the MPU (one instance per SoC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MpuState {
     /// Configuration registers (memory-type).
     pub config: MpuConfig,

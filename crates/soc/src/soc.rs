@@ -28,7 +28,6 @@
 use crate::core::{Core, CoreAction, TrapCause};
 use crate::dma::{Dma, DmaAction};
 use crate::mpu::{AccessKind, AccessReq, CfgWrite, MpuState, CFG_ENABLE_INDEX};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Bytes of RAM (word-granular, starting at address 0).
@@ -41,7 +40,7 @@ const RAM_PAGES: usize = RAM_BYTES as usize / 4 / PAGE_WORDS;
 pub const MPU_CFG_BASE: u16 = 0x8100;
 
 /// Which bus master performed an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Master {
     /// The CPU core.
     Core,
@@ -49,14 +48,14 @@ pub enum Master {
     Dma,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PendingOp {
     Write(u32),
     ReadToCore,
     ReadToDma,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pending {
     master: Master,
     req: AccessReq,
@@ -64,7 +63,7 @@ struct Pending {
 }
 
 /// One resolved (committed or blocked) data access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessRecord {
     /// Cycle in which the access resolved.
     pub cycle: u64,
@@ -148,7 +147,7 @@ impl PartialEq for Ram {
 }
 
 /// The full simulated system. `Clone` is the checkpoint mechanism.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Soc {
     /// The CPU core.
     pub core: Core,

@@ -11,7 +11,6 @@
 
 use crate::asm::assemble;
 use crate::soc::Soc;
-use serde::{Deserialize, Serialize};
 
 /// Address of the user scratch buffer (inside the user region).
 pub const USER_BUF: u16 = 0x4000;
@@ -29,7 +28,7 @@ pub const DUMP_ADDR: u16 = 0x4c00;
 pub const GUARD_ADDR: u16 = 0x5c00;
 
 /// What the attacker is trying to achieve (paper §3.1, scenario 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackGoal {
     /// Plant [`ATTACK_VALUE`] at the protected address without being
     /// isolated.
