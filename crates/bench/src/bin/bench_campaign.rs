@@ -1,21 +1,19 @@
-//! Campaign-engine throughput benchmark: runs/sec of the compiled,
-//! batched and scalar kernels against a sequential seed-style baseline.
+//! Campaign-engine throughput benchmark: runs/sec of the compiled and
+//! scalar kernels against a sequential seed-style baseline.
 //!
 //! The baseline reproduces the pre-sharding engine: one shared `StdRng`,
 //! the allocating [`FaultRunner::run`] per attack (fresh cycle values,
 //! fresh strike buffers, cloned checkpoint on every RTL resume). The
 //! `scalar_threads_1` row is the sharded engine with the one-run-at-a-time
-//! kernel; the `engine_threads_N` rows are the 64-lane batched kernel at
-//! 1, 2 and 4 worker threads; the `engine_compiled_threads_N` rows are
-//! the default 256-wide compiled-program kernel at the same thread
-//! counts; `engine_threads_1_noff` repeats the single-thread batched row
-//! with the RTL fast-forward layer disabled (`--fast-forward off`) to
-//! isolate its contribution — same number of runs, same flow, per-run
-//! `SplitMix64` streams, bit-identical results across every row but the
-//! baseline (whose RNG scheme predates per-run streams). The
-//! `engine_mlmc_threads_{1,4}` rows run the two-level MLMC estimator
-//! (`--estimator mlmc`): its estimate is asserted bit-identical across
-//! threads {1,4} and all three kernels.
+//! kernel; the `engine_compiled_threads_N` rows are the default 256-wide
+//! compiled-program kernel at 1, 2 and 4 worker threads;
+//! `engine_threads_1_noff` repeats the single-thread compiled row with the
+//! RTL fast-forward layer disabled (`--fast-forward off`) to isolate its
+//! contribution — same number of runs, same flow, per-run `SplitMix64`
+//! streams, bit-identical results across every row but the baseline (whose
+//! RNG scheme predates per-run streams). The `engine_mlmc_threads_{1,4}`
+//! rows run the two-level MLMC estimator (`--estimator mlmc`): its estimate
+//! is asserted bit-identical across threads {1,4} and both kernels.
 //!
 //! Every row reports the fastest of three repeats (scheduler
 //! interference on a shared host is one-sided, so max-of-N estimates
@@ -38,16 +36,16 @@
 //! band around the gate-accurate reference (both gates are deterministic
 //! run-count comparisons, never wall-clock).
 //!
-//! `--smoke` runs a reduced campaign and **fails** (exit 1) if the batched
-//! kernel's single-thread throughput drops below the scalar kernel's, if
-//! the compiled kernel's gate path drops below 1.2x the batched kernel's
-//! (or its end-to-end rate below 0.9x batched), if the fast-forwarding
-//! row falls behind its fast-forward-off twin, or — on a host with 4+
-//! CPUs — if two compiled workers fall below 0.7x one worker (the
-//! threads-scaling regression gate). With `--trace` the
-//! throughput gates are reported but not enforced: span recording adds
-//! per-batch overhead only the packed kernels pay, so the comparison is
-//! unfair.
+//! `--smoke` runs a reduced campaign and **fails** (exit 1) if the compiled
+//! kernel's single-thread throughput drops below [`END_TO_END_VS_SCALAR`]x
+//! the scalar kernel's, if its gate path drops below
+//! [`GATE_PATH_VS_SCALAR`]x the scalar kernel's, if the fast-forwarding
+//! row falls behind its fast-forward-off twin, if telemetry costs more
+//! than 5% of compiled throughput, or — on a host with 4+ CPUs — if two
+//! compiled workers fall below 0.7x one worker (the threads-scaling
+//! regression gate). With `--trace` the throughput gates are reported but
+//! not enforced: span recording adds per-sweep overhead only the compiled
+//! kernel pays, so the comparison is unfair.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,6 +71,21 @@ const SEED: u64 = 0xBE7C;
 /// gates guard, and interference is one-sided — it only ever slows a
 /// run down — so max-of-N is the honest throughput estimator.
 const REPEATS: usize = 3;
+/// The smoke gate on the strike-only gate path: compiled lanes/s over
+/// scalar lanes/s. The gate used to require compiled >= 1.2x the removed
+/// 64-lane kernel; it keeps that absolute strength as 1.2 * r, where
+/// r = 2.82 is the median 64-lane/scalar lanes/s ratio over twelve
+/// `--smoke` runs of the last revision that had the 64-lane kernel (2-CPU
+/// shared host; r ranged 2.22..3.71, compiled/scalar 5.74..8.89, median
+/// 7.18).
+const GATE_PATH_VS_SCALAR: f64 = 1.2 * 2.82;
+/// The smoke gate on end-to-end single-thread throughput: compiled runs/s
+/// over scalar runs/s. It used to be two gates, 64-lane >= scalar and
+/// compiled >= 0.9x the 64-lane kernel; the second keeps its absolute
+/// strength as 0.9 * e, where e = 1.75 is the median 64-lane/scalar
+/// runs/s ratio over twenty `--smoke` runs of the last revision that had
+/// that kernel (same host; e ranged 0.98..2.25), and implies the first.
+const END_TO_END_VS_SCALAR: f64 = 0.9 * 1.75;
 
 struct Row {
     label: String,
@@ -237,17 +250,6 @@ fn main() {
             &strategy,
             runs,
             threads,
-            CampaignKernel::Batched,
-            format!("engine_threads_{threads}"),
-            &base_opts,
-        ));
-    }
-    for threads in [1, 2, 4] {
-        rows.push(engine_best(
-            &runner,
-            &strategy,
-            runs,
-            threads,
             CampaignKernel::Compiled,
             format!("engine_compiled_threads_{threads}"),
             &base_opts,
@@ -264,7 +266,7 @@ fn main() {
         &strategy,
         runs,
         1,
-        CampaignKernel::Batched,
+        CampaignKernel::Compiled,
         "engine_threads_1_noff".into(),
         &noff_opts,
     ));
@@ -326,19 +328,16 @@ fn main() {
     let gp_runs = runs.min(50_000);
     let gp = |kernel| gate_path_bench(&runner, &strategy, gp_runs, SEED, kernel, REPEATS);
     let gp_scalar: GatePathBench = gp(CampaignKernel::Scalar);
-    let gp_batched = gp(CampaignKernel::Batched);
     let gp_compiled = gp(CampaignKernel::Compiled);
-    for (a, b) in [(&gp_scalar, &gp_batched), (&gp_batched, &gp_compiled)] {
-        assert!(
-            a.pulses == b.pulses && a.faulty == b.faulty,
-            "gate-path checksums diverged: {}/{} pulses, {}/{} faulty-reg sums",
-            a.pulses,
-            b.pulses,
-            a.faulty,
-            b.faulty
-        );
-    }
-    let gp_ratio = gp_compiled.lanes_per_sec() / gp_batched.lanes_per_sec();
+    assert!(
+        gp_scalar.pulses == gp_compiled.pulses && gp_scalar.faulty == gp_compiled.faulty,
+        "gate-path checksums diverged: {}/{} pulses, {}/{} faulty-reg sums",
+        gp_scalar.pulses,
+        gp_compiled.pulses,
+        gp_scalar.faulty,
+        gp_compiled.faulty
+    );
+    let gp_ratio = gp_compiled.lanes_per_sec() / gp_scalar.lanes_per_sec();
 
     let base_rate = rows[0].runs_per_sec;
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -364,14 +363,11 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"gate_path\": {{\"runs\": {}, \"sweep_lanes\": [1, 64, 256], \
-         \"scalar_lanes_per_sec\": {:.2}, \"batched_lanes_per_sec\": {:.2}, \
-         \"compiled_lanes_per_sec\": {:.2}, \"compiled_vs_batched\": {:.3}}}",
+        "  \"gate_path\": {{\"runs\": {}, \"sweep_lanes\": [1, 256], \
+         \"scalar_lanes_per_sec\": {:.2}, \"compiled_lanes_per_sec\": {:.2}}}",
         gp_scalar.lanes,
         gp_scalar.lanes_per_sec(),
-        gp_batched.lanes_per_sec(),
         gp_compiled.lanes_per_sec(),
-        gp_ratio
     );
     json.push_str("}\n");
     if !smoke {
@@ -406,11 +402,7 @@ fn main() {
         "\n== gate-level path ({} in-run lanes, strike only, best of {REPEATS}) ==",
         gp_scalar.lanes
     );
-    for (label, b) in [
-        ("scalar", &gp_scalar),
-        ("batched_64", &gp_batched),
-        ("compiled_256", &gp_compiled),
-    ] {
+    for (label, b) in [("scalar", &gp_scalar), ("compiled_256", &gp_compiled)] {
         println!(
             "  {:14} {:>10.1} lanes/s  ({} sweeps, {:.2}x scalar)",
             label,
@@ -419,16 +411,11 @@ fn main() {
             b.lanes_per_sec() / gp_scalar.lanes_per_sec()
         );
     }
-    println!("  compiled vs batched: {gp_ratio:.2}x");
 
     let scalar = rows
         .iter()
         .find(|r| r.label == "scalar_threads_1")
         .expect("scalar row");
-    let batched = rows
-        .iter()
-        .find(|r| r.label == "engine_threads_1")
-        .expect("batched row");
     let noff = rows
         .iter()
         .find(|r| r.label == "engine_threads_1_noff")
@@ -442,12 +429,6 @@ fn main() {
         .find(|r| r.label == "engine_compiled_threads_2")
         .expect("compiled threads-2 row");
     assert!(
-        scalar.ssf == batched.ssf,
-        "kernel results diverged: scalar ssf {} != batched ssf {}",
-        scalar.ssf,
-        batched.ssf
-    );
-    assert!(
         scalar.ssf == compiled.ssf && compiled.ssf == compiled_t2.ssf,
         "kernel results diverged: scalar ssf {} != compiled ssf {} / {}",
         scalar.ssf,
@@ -455,9 +436,9 @@ fn main() {
         compiled_t2.ssf
     );
     assert!(
-        batched.ssf == noff.ssf,
+        compiled.ssf == noff.ssf,
         "fast-forward changed the result: ssf {} != {} with it off",
-        batched.ssf,
+        compiled.ssf,
         noff.ssf
     );
     let telemetry = rows
@@ -485,24 +466,27 @@ fn main() {
         mlmc_t4.ssf
     );
     // The MLMC executors are scalar at every level, so the estimate must
-    // be bit-identical under all three kernels (one untimed check each).
-    for kernel in [CampaignKernel::Scalar, CampaignKernel::Batched] {
-        let opts = CampaignOptions {
-            kernel,
+    // be bit-identical under the scalar kernel too (one untimed check).
+    let mlmc_scalar = run_campaign_with(
+        &runner,
+        &strategy,
+        runs,
+        SEED,
+        &CampaignOptions {
+            kernel: CampaignKernel::Scalar,
             threads: 1,
             metrics_path: None,
             checkpoint_path: None,
             trace_path: None,
             ..mlmc_base.clone()
-        };
-        let r = run_campaign_with(&runner, &strategy, runs, SEED, &opts);
-        assert!(
-            r.ssf == mlmc_t1.ssf,
-            "mlmc result diverged under the {kernel:?} kernel: {} != {}",
-            r.ssf,
-            mlmc_t1.ssf
-        );
-    }
+        },
+    );
+    assert!(
+        mlmc_scalar.ssf == mlmc_t1.ssf,
+        "mlmc result diverged under the scalar kernel: {} != {}",
+        mlmc_scalar.ssf,
+        mlmc_t1.ssf
+    );
     if smoke {
         // MLMC budget gate (deterministic — run counts, never wall-clock):
         // at the same --target-eps/--target-confidence goal the MLMC
@@ -578,44 +562,33 @@ fn main() {
             std::process::exit(1);
         }
         // The throughput gate only means something untraced: span recording
-        // sits inside the batched kernel's per-batch loop (the scalar kernel
-        // records no inner spans), so a traced smoke run systematically
-        // penalizes exactly the kernel the gate protects.
+        // sits inside the compiled kernel's per-sweep loop (the scalar
+        // kernel records no inner spans), so a traced smoke run
+        // systematically penalizes exactly the kernel the gate protects.
         if base_opts.trace_path.is_some() {
             println!(
-                "smoke ok (traced; throughput gate skipped): batched {:.0} runs/s, \
+                "smoke ok (traced; throughput gate skipped): compiled {:.0} runs/s, \
                  scalar {:.0} runs/s",
-                batched.runs_per_sec, scalar.runs_per_sec
+                compiled.runs_per_sec, scalar.runs_per_sec
             );
-        } else if batched.runs_per_sec < scalar.runs_per_sec {
+        } else if compiled.runs_per_sec < END_TO_END_VS_SCALAR * scalar.runs_per_sec {
             eprintln!(
-                "SMOKE FAIL: batched kernel ({:.0} runs/s) slower than scalar ({:.0} runs/s)",
-                batched.runs_per_sec, scalar.runs_per_sec
+                "SMOKE FAIL: compiled kernel ({:.0} runs/s) below {END_TO_END_VS_SCALAR:.2}x \
+                 scalar ({:.0} runs/s) end to end",
+                compiled.runs_per_sec, scalar.runs_per_sec
             );
             std::process::exit(1);
-        } else if gp_ratio < 1.2 {
+        } else if gp_ratio < GATE_PATH_VS_SCALAR {
             // The speedup claim is about the gate-level path: the strike
             // kernel itself, measured without the draw/conclude/fold work
             // that every kernel pays identically (both kernels propagate
             // the exact same pulse set, so that scalar work dilutes any
             // end-to-end ratio toward 1.0).
             eprintln!(
-                "SMOKE FAIL: compiled gate path ({:.0} lanes/s) below 1.2x batched ({:.0} lanes/s)",
+                "SMOKE FAIL: compiled gate path ({:.0} lanes/s) below {GATE_PATH_VS_SCALAR:.2}x \
+                 scalar ({:.0} lanes/s)",
                 gp_compiled.lanes_per_sec(),
-                gp_batched.lanes_per_sec()
-            );
-            std::process::exit(1);
-        } else if compiled.runs_per_sec < 0.9 * batched.runs_per_sec {
-            // End-to-end sanity companion to the gate-path gate: compiled
-            // shares every phase but the strike with batched, so it must
-            // not be slower end to end. The 10% allowance matches the
-            // fast-forward gate below: at smoke scale a row lasts tens of
-            // milliseconds and scheduler noise on a shared host exceeds
-            // the strike-phase delta even with best-of-3.
-            eprintln!(
-                "SMOKE FAIL: compiled kernel ({:.0} runs/s) slower end-to-end than batched \
-                 ({:.0} runs/s)",
-                compiled.runs_per_sec, batched.runs_per_sec
+                gp_scalar.lanes_per_sec()
             );
             std::process::exit(1);
         } else if host_cpus >= 4 && compiled_t2.runs_per_sec < 0.7 * compiled.runs_per_sec {
@@ -645,7 +618,7 @@ fn main() {
                 telemetry.runs_per_sec, compiled.runs_per_sec
             );
             std::process::exit(1);
-        } else if batched.runs_per_sec < 0.85 * noff.runs_per_sec {
+        } else if compiled.runs_per_sec < 0.85 * noff.runs_per_sec {
             // A 15% allowance: at smoke scale the conclusion memo only
             // skips a few percent of the RTL resumes, so the true
             // fast-forward delta is near zero while the campaign finishes
@@ -657,18 +630,17 @@ fn main() {
             eprintln!(
                 "SMOKE FAIL: fast-forward made the engine slower ({:.0} runs/s \
                  vs {:.0} runs/s with it off)",
-                batched.runs_per_sec, noff.runs_per_sec
+                compiled.runs_per_sec, noff.runs_per_sec
             );
             std::process::exit(1);
         } else {
             println!(
-                "smoke ok: gate path compiled {gp_ratio:.2}x batched (>= 1.2x), end-to-end \
-                 compiled {:.0} / batched {:.0} / scalar {:.0} runs/s, fast-forward {:.0} \
-                 runs/s >= {:.0} runs/s without it, telemetry {:.2}x compiled",
+                "smoke ok: gate path compiled {gp_ratio:.2}x scalar (>= \
+                 {GATE_PATH_VS_SCALAR:.2}x), end-to-end compiled {:.0} / scalar {:.0} runs/s, \
+                 fast-forward {:.0} runs/s >= {:.0} runs/s without it, telemetry {:.2}x compiled",
                 compiled.runs_per_sec,
-                batched.runs_per_sec,
                 scalar.runs_per_sec,
-                batched.runs_per_sec,
+                compiled.runs_per_sec,
                 noff.runs_per_sec,
                 telemetry.runs_per_sec / compiled.runs_per_sec
             );

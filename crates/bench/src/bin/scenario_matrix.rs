@@ -2,9 +2,9 @@
 //!
 //! Sweeps every attack workload against every defense variant under both
 //! fault modes (single-spot and SoK double-glitch). Each cell's
-//! single-estimator campaign is executed under **all three kernels ×
+//! single-estimator campaign is executed under **both kernels ×
 //! threads {1, 4}** plus a fast-forward-off twin; the binary exits 1 if any
-//! of those seven configurations disagrees on a single ssf/variance bit —
+//! of those five configurations disagrees on a single ssf/variance bit —
 //! the engine's determinism contract, enforced per grid cell. Each cell
 //! also runs the two-level MLMC estimator over the same streams for the
 //! cross-estimator view (its correction term quantifies the cross-level
@@ -35,11 +35,7 @@ use xlmc::{Evaluation, Precharacterization, SystemModel};
 use xlmc_fault::DoubleGlitch;
 use xlmc_soc::{workloads, MpuBit, Workload};
 
-const KERNELS: &[CampaignKernel] = &[
-    CampaignKernel::Scalar,
-    CampaignKernel::Batched,
-    CampaignKernel::Compiled,
-];
+const KERNELS: &[CampaignKernel] = &[CampaignKernel::Scalar, CampaignKernel::Compiled];
 const THREADS: &[usize] = &[1, 4];
 
 struct Args {
@@ -87,7 +83,7 @@ fn parse_args() -> Args {
                 println!(
                     "scenario_matrix [--smoke] [--out PATH] [--runs N] [--seed S]\n\
                      sweep SSF over the attack x defense x fault-mode grid;\n\
-                     every cell is bit-checked across scalar|batched|compiled\n\
+                     every cell is bit-checked across scalar|compiled\n\
                      kernels and threads 1|4 before the report is written"
                 );
                 std::process::exit(0);

@@ -15,7 +15,7 @@
 //! the thread count or kernel.
 
 pub use crate::batch::{gate_path_bench, GatePathBench};
-use crate::batch::{run_chunk_batched, run_chunk_compiled, BatchChunkScratch, SharedCycleCache};
+use crate::batch::{run_chunk_compiled, BatchChunkScratch, SharedCycleCache};
 use crate::fastforward::{ConclusionMemo, FastForwardStats};
 use crate::flow::{DffMask, FaultRunner, FlowScratch, StrikeClass};
 use crate::json::{bits_str, json_num};
@@ -44,10 +44,10 @@ use xlmc_soc::MpuBit;
 
 /// Runs per shard. Fixed — independent of the thread count and of the
 /// kernel — so the chunk partition, and therefore every merged statistic,
-/// is a pure function of `(seed, n, strategy)`. Eight full 64-lane batches
-/// per shard: the batched kernel stratifies a shard's runs by injection
+/// is a pure function of `(seed, n, strategy)`. Two full 256-lane sweeps
+/// per shard: the compiled kernel stratifies a shard's runs by injection
 /// frame before packing lanes, so a bigger shard means longer same-frame
-/// stretches and fewer cycle-value groups per batch. The trace stays usable
+/// stretches and fewer cycle-value groups per sweep. The trace stays usable
 /// because `trace_points` caps its resolution anyway.
 ///
 /// Public so acceptance harnesses can re-derive each chunk's run range
@@ -156,7 +156,7 @@ pub struct CampaignResult {
     /// [`crate::trace`]). Identical across kernels and thread counts.
     pub counters: CampaignCounters,
     /// Kernel-shape counters (lane occupancy, frame strata, gate visits).
-    /// These legitimately differ between the scalar and batched kernels.
+    /// These legitimately differ between the scalar and compiled kernels.
     pub kernel_counters: KernelCounters,
     /// Index of the first successful run, `None` when no run succeeded.
     /// Like every statistic, a pure function of `(seed, n, strategy)`.
@@ -183,19 +183,17 @@ impl CampaignResult {
 
 /// Which per-chunk executor the campaign engine uses.
 ///
-/// All kernels produce bit-identical [`CampaignResult`]s (the lane
-/// batching is transparent down to the last `f64` ulp); `Compiled` is the
+/// Both kernels produce bit-identical [`CampaignResult`]s (the lane
+/// packing is transparent down to the last `f64` ulp); `Compiled` is the
 /// default because it amortizes each transient sweep over up to 256 runs
 /// through the levelized straight-line
 /// [`GateProgram`](xlmc_netlist::GateProgram) instead of per-cell
-/// worklist dispatch.
+/// worklist dispatch. `Scalar` is the readable reference the compiled
+/// kernel is tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CampaignKernel {
     /// One run at a time through [`FaultRunner::run_with`].
     Scalar,
-    /// Up to 64 runs per packed transient pass
-    /// (`TransientSim::strike_batch_with`).
-    Batched,
     /// Up to 256 runs per compiled straight-line sweep
     /// (`TransientSim::strike_compiled_with`).
     #[default]
@@ -207,7 +205,6 @@ impl CampaignKernel {
     pub fn as_arg(&self) -> &'static str {
         match self {
             CampaignKernel::Scalar => "scalar",
-            CampaignKernel::Batched => "batched",
             CampaignKernel::Compiled => "compiled",
         }
     }
@@ -216,7 +213,6 @@ impl CampaignKernel {
     pub fn lane_width(&self) -> usize {
         match self {
             CampaignKernel::Scalar => 1,
-            CampaignKernel::Batched => xlmc_gatesim::LANES,
             CampaignKernel::Compiled => xlmc_gatesim::WIDE_LANES,
         }
     }
@@ -232,7 +228,7 @@ impl CampaignKernel {
 /// level's bias. Both estimators are unbiased; MLMC reaches the same
 /// `--target-eps` goal with far fewer gate-level runs. MLMC results are
 /// bit-identical at any thread count and — because its per-level executors
-/// are scalar — under all three kernels.
+/// are scalar — under both kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EstimatorKind {
     /// Gate-accurate flow on every run (the paper's estimator).
@@ -398,9 +394,9 @@ impl CampaignOptions {
             "campaign engine flags (shared by every figure/bench binary):\n",
             "  --threads N|auto       worker threads; 0 or \"auto\" = one per core\n",
             "                         (default 1)\n",
-            "  --kernel scalar|batched|compiled\n",
+            "  --kernel scalar|compiled\n",
             "                         per-chunk executor (default compiled); results\n",
-            "                         are bit-identical under all three\n",
+            "                         are bit-identical under both\n",
             "  --estimator single|mlmc\n",
             "                         gate-accurate single-level estimator, or the\n",
             "                         two-level RTL-cheap/gate-accurate multilevel\n",
@@ -438,7 +434,7 @@ impl CampaignOptions {
     }
 
     /// Parse the engine flags — `--threads N|auto`, `--kernel
-    /// scalar|batched|compiled`, `--target-eps X`, `--target-confidence C`,
+    /// scalar|compiled`, `--target-eps X`, `--target-confidence C`,
     /// `--metrics PATH`, `--checkpoint PATH`, `--checkpoint-every N`,
     /// `--trace PATH`, `--replay N`, `--fast-forward on|off` (each also
     /// accepting the `--flag=value` spelling) — from an argument list,
@@ -565,12 +561,10 @@ impl CampaignOptions {
     fn set_kernel_arg(&mut self, v: &str) -> Result<(), String> {
         self.kernel = match v {
             "scalar" => CampaignKernel::Scalar,
-            "batched" => CampaignKernel::Batched,
             "compiled" => CampaignKernel::Compiled,
             _ => {
                 return Err(format!(
-                    "invalid --kernel value {v:?}: expected \"scalar\", \"batched\" or \
-                     \"compiled\""
+                    "invalid --kernel value {v:?}: expected \"scalar\" or \"compiled\""
                 ))
             }
         };
@@ -686,7 +680,7 @@ pub(crate) struct RunObs<'a> {
 /// Fold one run's outcome into a shard partial. Both kernels route every
 /// run through this single accumulator (in run-index order), so the
 /// Welford push sequence — and with it every campaign statistic and
-/// counter — cannot drift between the scalar and batched engines.
+/// counter — cannot drift between the scalar and compiled engines.
 pub(crate) fn fold_run(
     p: &mut ChunkPartial,
     ctr: &mut CounterScratch,
@@ -1514,17 +1508,17 @@ pub fn run_campaign_observed(
     let mut workers = 0usize;
     if start_chunk < chunks {
         let threads = options.effective_threads().clamp(1, chunks - start_chunk);
-        // Workers of the batched kernel share one lazily-filled cycle-value
+        // Workers of the compiled kernel share one lazily-filled cycle-value
         // cache (the values are a pure function of the injection cycle), so
         // adding threads no longer multiplies the warmup work. The MLMC
         // executors are scalar by design (the correction level is sampled
         // rarely, the cheap level never strikes the netlist), so they skip
         // the cache — which is also what makes `--estimator mlmc` results
-        // trivially identical under all three kernels.
+        // trivially identical under both kernels.
         let cycle_cache = match options.kernel {
             _ if mlmc_on => None,
             CampaignKernel::Scalar => None,
-            _ => Some(SharedCycleCache::new(runner.eval.golden.cycles)),
+            CampaignKernel::Compiled => Some(SharedCycleCache::new(runner.eval.golden.cycles)),
         };
         let ff_total = &ff_total;
         let sink = &sink;
@@ -1598,8 +1592,8 @@ pub fn run_campaign_observed(
                     )
                 }
             } else {
-                match (options.kernel, &cycle_cache) {
-                    (CampaignKernel::Compiled, Some(cache)) => run_chunk_compiled(
+                match &cycle_cache {
+                    Some(cache) => run_chunk_compiled(
                         runner,
                         strategy,
                         seed,
@@ -1614,22 +1608,7 @@ pub fn run_campaign_observed(
                         sink,
                         tid,
                     ),
-                    (_, Some(cache)) => run_chunk_batched(
-                        runner,
-                        strategy,
-                        seed,
-                        start,
-                        end,
-                        batch,
-                        cache,
-                        memo,
-                        chunk,
-                        ctr,
-                        record_provenance,
-                        sink,
-                        tid,
-                    ),
-                    (_, None) => run_chunk(
+                    None => run_chunk(
                         runner,
                         strategy,
                         seed,
@@ -2348,7 +2327,7 @@ mod tests {
     fn kernel_choice_does_not_change_the_result() {
         // The full campaign result — estimate, variance, trace, class
         // split, attribution — is bit-identical between the scalar and the
-        // 64-lane batched kernel, for every strategy and thread count.
+        // compiled kernel, for every strategy and thread count.
         let f = fixture();
         let r = runner(&f);
         let fd = baseline_distribution(&f.model, &f.cfg);
@@ -2376,25 +2355,22 @@ mod tests {
                 17,
                 &CampaignOptions::with_kernel(CampaignKernel::Scalar),
             );
-            for kernel in [CampaignKernel::Batched, CampaignKernel::Compiled] {
-                for threads in [1usize, 2, 4] {
-                    let opts = CampaignOptions {
-                        threads,
-                        ..CampaignOptions::with_kernel(kernel)
-                    };
-                    let packed = run_campaign_with(&r, strat.as_ref(), 500, 17, &opts);
-                    // Kernel-shape counters (lane occupancy, batch-wide
-                    // worklist visits) legitimately differ between kernels;
-                    // everything else must be bit-identical.
-                    let mut packed = packed;
-                    packed.kernel_counters = scalar.kernel_counters;
-                    assert_eq!(
-                        scalar,
-                        packed,
-                        "strategy {} kernel {kernel:?} threads {threads}",
-                        strat.name()
-                    );
-                }
+            for threads in [1usize, 2, 4] {
+                let opts = CampaignOptions {
+                    threads,
+                    ..CampaignOptions::with_kernel(CampaignKernel::Compiled)
+                };
+                let mut packed = run_campaign_with(&r, strat.as_ref(), 500, 17, &opts);
+                // Kernel-shape counters (lane occupancy, sweep-wide gate
+                // visits) legitimately differ between kernels; everything
+                // else must be bit-identical.
+                packed.kernel_counters = scalar.kernel_counters;
+                assert_eq!(
+                    scalar,
+                    packed,
+                    "strategy {} threads {threads}",
+                    strat.name()
+                );
             }
         }
     }
@@ -2402,9 +2378,9 @@ mod tests {
     #[test]
     fn packed_kernels_handle_partial_tail_batches() {
         // runs not divisible by the lane width must not drop or duplicate
-        // runs: each packed kernel equals the scalar reference at every
-        // tail shape (64-lane boundaries for batched, 256-lane boundaries
-        // for compiled, plus odd tails around both).
+        // runs: the compiled kernel equals the scalar reference at every
+        // tail shape (around the 64-bit word boundaries inside a sweep and
+        // the 256-lane sweep boundary).
         let f = fixture();
         let r = runner(&f);
         let strat = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
@@ -2418,12 +2394,15 @@ mod tests {
             );
             assert_eq!(scalar.n, n);
             assert_eq!(scalar.class_counts.total(), n, "n = {n}");
-            for kernel in [CampaignKernel::Batched, CampaignKernel::Compiled] {
-                let mut packed =
-                    run_campaign_with(&r, &strat, n, 23, &CampaignOptions::with_kernel(kernel));
-                packed.kernel_counters = scalar.kernel_counters;
-                assert_eq!(scalar, packed, "kernel {kernel:?} n = {n}");
-            }
+            let mut packed = run_campaign_with(
+                &r,
+                &strat,
+                n,
+                23,
+                &CampaignOptions::with_kernel(CampaignKernel::Compiled),
+            );
+            packed.kernel_counters = scalar.kernel_counters;
+            assert_eq!(scalar, packed, "n = {n}");
         }
     }
 
@@ -2433,17 +2412,22 @@ mod tests {
         assert_eq!(opts.kernel, CampaignKernel::Compiled);
         opts.set_kernel_arg("scalar").unwrap();
         assert_eq!(opts.kernel, CampaignKernel::Scalar);
-        opts.set_kernel_arg("batched").unwrap();
-        assert_eq!(opts.kernel, CampaignKernel::Batched);
         opts.set_kernel_arg("compiled").unwrap();
         assert_eq!(opts.kernel, CampaignKernel::Compiled);
-        let err = opts.set_kernel_arg("bogus").unwrap_err();
-        assert!(err.contains("--kernel") && err.contains("bogus"), "{err}");
-        assert_eq!(
-            opts.kernel,
-            CampaignKernel::Compiled,
-            "a bad value changes nothing"
-        );
+        // The removed 64-lane kernel's spelling is an unknown value like
+        // any other, with the same message.
+        for bad in ["bogus", "batched"] {
+            let err = opts.set_kernel_arg(bad).unwrap_err();
+            assert_eq!(
+                err,
+                format!("invalid --kernel value \"{bad}\": expected \"scalar\" or \"compiled\"")
+            );
+            assert_eq!(
+                opts.kernel,
+                CampaignKernel::Compiled,
+                "a bad value changes nothing"
+            );
+        }
     }
 
     #[test]
@@ -2693,11 +2677,7 @@ mod tests {
         let strat = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
         let n = 6 * CHUNK_RUNS;
         let base = run_campaign_with(&r, &strat, n, 57, &mlmc_opts());
-        for kernel in [
-            CampaignKernel::Scalar,
-            CampaignKernel::Batched,
-            CampaignKernel::Compiled,
-        ] {
+        for kernel in [CampaignKernel::Scalar, CampaignKernel::Compiled] {
             for threads in [1usize, 4] {
                 let opts = CampaignOptions {
                     kernel,

@@ -221,7 +221,7 @@ impl HardenedVariant {
     ///
     /// Deterministic variants must not consume survival draws, and
     /// stochastic variants must consume exactly one per covered bit — the
-    /// per-run stream discipline all three kernels rely on.
+    /// per-run stream discipline both kernels rely on.
     pub fn flip_survives(&self, bit: MpuBit, rng: &mut impl Rng) -> bool {
         match self {
             HardenedVariant::Uniform(set) => set.flip_survives(bit, rng),

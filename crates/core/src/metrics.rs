@@ -203,7 +203,7 @@ pub struct LatencyShard {
     /// RTL fast-forward positioning: snapshot-cache restore on a hit, or
     /// checkpoint restore + replay on a miss.
     pub snapshot_restore: LatencyHist,
-    /// One packed transient sweep of the batched/compiled kernel (empty
+    /// One packed transient sweep of the compiled kernel (empty
     /// under `--kernel scalar`, which strikes per run).
     pub kernel_sweep: LatencyHist,
     /// One crash-safe checkpoint write (temp file + rename).

@@ -36,8 +36,8 @@
 //!
 //! The per-chunk executors here are deliberately scalar: the correction
 //! level is sampled rarely and the cheap level never touches the netlist,
-//! so `--kernel` has nothing to batch — which also makes MLMC results
-//! trivially identical across all three kernels.
+//! so `--kernel` has nothing to pack — which also makes MLMC results
+//! trivially identical across both kernels.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};

@@ -396,7 +396,6 @@ impl CampaignCheckpoint {
         }
         let kernel = match doc.get("kernel").and_then(JsonValue::as_str) {
             Some("scalar") => CampaignKernel::Scalar,
-            Some("batched") => CampaignKernel::Batched,
             Some("compiled") => CampaignKernel::Compiled,
             other => return Err(format!("invalid checkpoint kernel {other:?}")),
         };
@@ -814,7 +813,7 @@ mod tests {
             requested_runs: 4096,
             chunk_runs: 512,
             strategy: "importance".to_owned(),
-            kernel: CampaignKernel::Batched,
+            kernel: CampaignKernel::Scalar,
             merged_chunks: 3,
             stats,
             w_sum: 1234.5678901234567,
@@ -897,6 +896,21 @@ mod tests {
         assert!(CampaignCheckpoint::from_json("{}").is_err());
         assert!(CampaignCheckpoint::from_json("{\"format\": \"something-else\"}").is_err());
         assert!(CampaignCheckpoint::from_json("not json at all").is_err());
+    }
+
+    /// A checkpoint written by the removed 64-lane kernel names a kernel
+    /// this build does not have: reading it is an error naming the value,
+    /// not a silent fallback to another kernel.
+    #[test]
+    fn checkpoint_rejects_the_removed_batched_kernel() {
+        let doc = |kernel: &str| {
+            format!("{{\"format\": \"{CHECKPOINT_FORMAT}\", \"kernel\": \"{kernel}\"}}")
+        };
+        let err = CampaignCheckpoint::from_json(&doc("batched")).unwrap_err();
+        assert_eq!(err, "invalid checkpoint kernel Some(\"batched\")");
+        // A kernel this build has gets past the kernel field.
+        let err = CampaignCheckpoint::from_json(&doc("compiled")).unwrap_err();
+        assert!(!err.contains("kernel"), "{err}");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!    itself tells a run whether its key is the chunk's first (each entry
 //!    is stamped with the chunk that last probed it). Totals then depend
 //!    only on the multiset of per-run keys inside each chunk — independent
-//!    of batch order, worker schedule, and cross-chunk cache warmth — so
+//!    of lane order, worker schedule, and cross-chunk cache warmth — so
 //!    they are schedule-invariant lower bounds the real caches (which
 //!    persist across chunks) only improve on.
 //! 3. **Per-run provenance** — a [`ProvenanceRecord`] per run (ring buffer
@@ -286,8 +286,8 @@ fn summarize(events: &[TraceEvent]) -> Vec<SpanSummary> {
 // ---------------------------------------------------------------------------
 
 /// Kernel-invariant hot-path counters, defined chunk-locally (see the
-/// module docs) so scalar and batched kernels at any thread count produce
-/// identical totals.
+/// module docs) so the scalar and compiled kernels at any thread count
+/// produce identical totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignCounters {
     /// Runs whose injection cycle repeated within the chunk (the
@@ -357,17 +357,17 @@ impl CampaignCounters {
 }
 
 /// Kernel-shape counters: lane occupancy and frame stratification only
-/// exist for the batched kernel, and the gate-visit count depends on how
+/// exist for the compiled kernel, and the gate-visit count depends on how
 /// strikes are grouped. These are *not* part of the cross-kernel equality
 /// contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
-    /// 64-lane batches dispatched (batched kernel only).
+    /// 256-lane sweeps dispatched (compiled kernel only).
     pub lane_batches: usize,
-    /// Lanes occupied across all batches; mean occupancy is
+    /// Lanes occupied across all sweeps; mean occupancy is
     /// `lanes_occupied / lane_batches`.
     pub lanes_occupied: usize,
-    /// Frame strata (distinct injection cycles per batch) encountered.
+    /// Frame strata (distinct injection cycles per sweep) encountered.
     pub frame_groups: usize,
     /// Gates popped from the transient-propagation worklist (the compiled
     /// kernel's logical pass).
@@ -404,8 +404,8 @@ impl KernelCounters {
 /// Per-worker scratch implementing the chunk-local counter model: reset at
 /// each chunk start, then fed every run in fold order. First occurrence of
 /// a key within the chunk is a miss, repeats are hits — a pure function of
-/// the chunk's run outcomes, so scalar (run-index order) and batched
-/// (lane-batch order folded back to run-index order) agree exactly. Which
+/// the chunk's run outcomes, so scalar (run-index order) and compiled
+/// (lane order folded back to run-index order) agree exactly. Which
 /// run is a conclusion key's first in the chunk comes from the conclusion
 /// memo's stamp ([`crate::fastforward::ConclusionMemo`]); this scratch
 /// tracks the injection cycles and whether an RTL conclusion was met.

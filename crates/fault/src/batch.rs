@@ -1,11 +1,10 @@
-//! Batched strike construction: cached spot footprints, CSR storage.
+//! Packed strike construction: cached spot footprints, CSR storage.
 //!
-//! The 64-lane batched campaign kernel needs each lane's impacted-cell
-//! list alive at the same time. Building 64 separate `Vec`s per batch
-//! would put the allocator back on the hot path, so the lanes share one
-//! flat CSR buffer: lane `l`'s cells are
-//! `cells[offsets[l] .. offsets[l + 1]]`, and the whole structure is
-//! reused batch after batch.
+//! The compiled campaign kernel needs each lane's impacted-cell list alive
+//! at the same time. Building 256 separate `Vec`s per sweep would put the
+//! allocator back on the hot path, so the lanes share one flat CSR buffer:
+//! lane `l`'s cells are `cells[offsets[l] .. offsets[l + 1]]`, and the
+//! whole structure is reused sweep after sweep.
 //!
 //! A campaign strikes the same few `(center, radius)` spots over and over,
 //! so each spot's footprint is queried once and kept: per distinct radius,

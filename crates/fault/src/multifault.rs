@@ -16,8 +16,8 @@
 //!
 //! The campaign engine owns one SplitMix64 stream per run and demands
 //! bit-identical results across kernels and thread counts, so the second
-//! spot cannot simply share the primary stream: the scalar, batched and
-//! compiled kernels interleave their draws differently. Instead the engine
+//! spot cannot simply share the primary stream: the scalar and compiled
+//! kernels interleave their draws differently. Instead the engine
 //! draws **exactly one** `u64` of entropy from the per-run stream and
 //! hands it here; [`DoubleGlitch::second_spot`] expands it into a private
 //! child SplitMix64 stream (same Stafford mix13 finalizer as the engine's

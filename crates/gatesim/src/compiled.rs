@@ -1,15 +1,19 @@
 //! Compiled-program transient kernel: 256 strikes per straight-line sweep.
 //!
-//! Where [`crate::batch`] interprets the netlist gate-by-gate through a
-//! rank-ordered worklist (`BinaryHeap`, `Gate` pointer chases,
-//! `CellKind::eval_words` dispatch), this kernel evaluates the netlist's
-//! pre-compiled [`GateProgram`]: a structure-of-arrays straight-line
-//! program in topological order. Lanes widen from 64 to
-//! [`WIDE_LANES`] = 256 (`[u64; 4]` per net), packing four times as many
-//! Monte Carlo runs into every sweep, and the worklist becomes a dirty-op
-//! bitmask scanned in program order — set-bit iteration over a few words
-//! instead of heap pushes and pops, while still visiting only the union
-//! fanout cone of the struck cells.
+//! The campaign's Monte Carlo runs are independent trials over the *same*
+//! netlist, so their transient propagation packs into bit lanes exactly
+//! like the pre-characterization's bit-parallel logic evaluation
+//! ([`crate::bitparallel`]): lane `l` of every packed word belongs to run
+//! `l` of the sweep. Where the scalar kernel
+//! ([`TransientSim::strike_with`]) interprets the netlist one strike at a
+//! time, gate by gate through a rank-ordered worklist (`BinaryHeap`,
+//! `Gate` pointer chases, `CellKind` dispatch), this kernel evaluates the
+//! netlist's pre-compiled [`GateProgram`]: a structure-of-arrays
+//! straight-line program in topological order, with [`WIDE_LANES`] = 256
+//! lanes (`[u64; 4]` per net). The worklist becomes a dirty-op bitmask
+//! scanned in program order — set-bit iteration over a few words instead
+//! of heap pushes and pops, while still visiting only the union fanout
+//! cone of the struck cells.
 //!
 //! # Logical first, timing only where it matters
 //!
@@ -31,27 +35,45 @@
 //!
 //! Lane `l` of a compiled sweep is **bit-identical** to
 //! [`TransientSim::strike_with`] with that lane's strike list, stable
-//! values and strike time, by the same argument as the 64-lane kernel
-//! (see `crate::batch`): the program order is a topological refinement of
-//! the worklist's rank induction, seeding follows the same cell rules,
-//! logical masking is the same packed nominal-vs-flipped comparison, and
-//! the replay's electrical max-fold runs over the fanins in pin order with
-//! the identical `fold(0.0, f64::max)` seed and iterated attenuation. Up to
-//! a lane's first fade the logical pass and the scalar kernel agree net for
-//! net, so the replay sees that fade; past it, a net loses its pulse
-//! exactly when it faded or all its pulsing fanins did, as long as no op
-//! (logged or not) sees a lost fanin next to a pulsing one, which the
-//! replay checks. Only the batch-shape counters
-//! (`gates_visited`, `timed_lanes`, `resimulated_lanes`) depend on the
-//! kernel. Registers come out as sets (bit masks over DFF indices), so a
-//! lane's direct upsets match the scalar list as a set, not as a sequence.
+//! values and strike time:
+//!
+//! * the program order is a topological refinement of the scalar
+//!   worklist's rank induction (an op runs only after every producer's
+//!   pulses are final), and a visited op is a no-op in lanes the scalar
+//!   kernel would not have reached,
+//! * seeding follows the same cell rules, with the same initial pulse,
+//! * logical masking is the identical predicate: packed nominal fanin
+//!   words are XOR-flipped by each fanin's pulsing-lane mask, so bit `l`
+//!   of `eval(flipped) ^ eval(nominal)` equals the scalar
+//!   `flipped != nominal` test of lane `l`,
+//! * the replay's electrical max-fold runs over the fanins in pin order
+//!   with the identical `fold(0.0, f64::max)` seed and the same *iterated*
+//!   attenuation subtraction (never an algebraically equal closed form).
+//!
+//! Up to a lane's first fade the logical pass and the scalar kernel agree
+//! net for net, so the replay sees that fade; past it, a net loses its
+//! pulse exactly when it faded or all its pulsing fanins did, as long as
+//! no op (logged or not) sees a lost fanin next to a pulsing one, which the
+//! replay checks. Only the batch-shape counters (`gates_visited`,
+//! `timed_lanes`, `resimulated_lanes`) depend on the kernel. Registers come
+//! out as sets (bit masks over DFF indices), so a lane's direct upsets
+//! match the scalar list as a set, not as a sequence.
 
 use xlmc_netlist::{GateProgram, NetClass, Netlist, Opcode};
 
-use crate::batch::BatchLane;
 use crate::cycle::CycleValues;
 use crate::transient::{StrikeOutcome, TransientConfig, TransientScratch, TransientSim};
 use xlmc_netlist::GateId;
+
+/// One lane's strike: the impacted cells and the particle-hit moment.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchLane<'a> {
+    /// The struck cells of this lane's run (the radiation spot's disc).
+    pub struck: &'a [GateId],
+    /// The particle-hit moment within the cycle, ps after the launching
+    /// clock edge.
+    pub strike_time_ps: f64,
+}
 
 /// Runs per compiled sweep: the lanes of a `[u64; 4]`.
 pub const WIDE_LANES: usize = 256;
@@ -858,7 +880,6 @@ fn eval_flips(op: Opcode, fis: &[u32], scratch: &CompiledTransientScratch) -> Wi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchStrikeOutcome, BatchTransientScratch};
     use crate::cycle::CycleSim;
     use crate::transient::{StrikeOutcome, TransientConfig, TransientScratch};
     use xlmc_netlist::{CellKind, GateId, Netlist};
@@ -1030,10 +1051,11 @@ mod tests {
         }
     }
 
-    /// Compiled and 64-lane batched kernels agree lane-for-lane when both
-    /// can run the batch (≤ 64 lanes).
+    /// One full lane word of a single-cycle sweep (64 lanes of 0–3 struck
+    /// cells, all at 450 ps, the other three words empty) agrees with the
+    /// scalar kernel lane for lane on three random netlists.
     #[test]
-    fn compiled_matches_batched_kernel() {
+    fn compiled_one_word_sweep_matches_scalar_strikes() {
         for seed in [11u64, 29, 47] {
             let n = random_netlist(seed * 0x51F0, 5, 90);
             let program = n.program().unwrap();
@@ -1061,10 +1083,6 @@ mod tests {
                 })
                 .collect();
 
-            let mut bscratch = BatchTransientScratch::default();
-            let mut bout = BatchStrikeOutcome::default();
-            ts.strike_batch_with(&n, &[(!0u64, &cv)], &lanes, &mut bscratch, &mut bout);
-
             let mut cscratch = CompiledTransientScratch::default();
             let mut cout = CompiledStrikeOutcome::default();
             let wide_mask: WideMask = [!0u64, 0, 0, 0];
@@ -1081,20 +1099,23 @@ mod tests {
                 &mut cout,
             );
 
-            for l in 0..64 {
+            let mut sscratch = TransientScratch::default();
+            let mut sout = StrikeOutcome::default();
+            for (l, cells) in strikes.iter().enumerate() {
+                ts.strike_with(&n, &cv, cells, 450.0, &mut sscratch, &mut sout);
                 assert_eq!(
                     cout.latched_dffs(&n, l),
-                    bout.latched_dffs(l),
+                    &sout.latched_dffs[..],
                     "seed {seed} lane {l}"
                 );
                 assert_eq!(
                     cout.upset_dffs(&n, l),
-                    as_set(bout.upset_dffs(l)),
+                    as_set(&sout.upset_dffs),
                     "seed {seed} lane {l}"
                 );
                 assert_eq!(
                     cout.pulses_propagated(l),
-                    bout.pulses_propagated(l),
+                    sout.pulses_propagated,
                     "seed {seed} lane {l}"
                 );
             }

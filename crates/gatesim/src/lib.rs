@@ -15,9 +15,6 @@
 //! * [`transient`] — single-event-transient injection at struck cells,
 //!   propagation with logical/electrical masking, and latching-window
 //!   analysis at the flip-flops (paper §5.3, Figure 6),
-//! * [`batch`] — the 64-lane batched form of [`transient`]: up to 64
-//!   independent strikes packed into `u64` lanes and propagated in one
-//!   worklist pass, bit-identical per lane to the scalar kernel,
 //! * [`compiled`] — the 256-lane compiled-program form of [`transient`]:
 //!   the netlist's levelized SoA [`xlmc_netlist::GateProgram`] evaluated
 //!   as a straight-line opcode loop with `[u64; 4]` lanes, bit-identical
@@ -47,7 +44,6 @@
 //! # }
 //! ```
 
-pub mod batch;
 pub mod bitparallel;
 pub mod compiled;
 pub mod cycle;
@@ -56,9 +52,9 @@ pub mod signature;
 pub mod sta;
 pub mod transient;
 
-pub use batch::{BatchLane, BatchStrikeOutcome, BatchTransientScratch, LANES};
 pub use compiled::{
-    CompiledStrikeOutcome, CompiledTransientScratch, CycleGroup, WideMask, LANE_WORDS, WIDE_LANES,
+    BatchLane, CompiledStrikeOutcome, CompiledTransientScratch, CycleGroup, WideMask, LANE_WORDS,
+    WIDE_LANES,
 };
 pub use cycle::{CycleSim, CycleValues};
 pub use glitch::GlitchSim;

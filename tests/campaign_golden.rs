@@ -57,12 +57,6 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Run the pinned campaign and compare against the recorded golden.
-///
-/// Runs all three kernels: the goldens must hold for the default compiled
-/// kernel, the batched kernel *and* the scalar reference, which keeps the
-/// recording itself honest (a golden that only one kernel reproduces means
-/// the equivalence contract broke, not the statistics).
 /// The pinned counters of a golden campaign. Every fixture campaign meets
 /// all 16 injection cycles of its `t_max` window in each of its 8 chunks,
 /// lands no sample out of run and clones one SoC per chunk, so the rows
@@ -88,6 +82,12 @@ fn golden_counters(
     }
 }
 
+/// Run the pinned campaign and compare against the recorded golden.
+///
+/// Runs both kernels: the goldens must hold for the default compiled
+/// kernel *and* the scalar reference, which keeps the recording itself
+/// honest (a golden that only one kernel reproduces means the equivalence
+/// contract broke, not the statistics).
 fn check(
     strategy: &dyn SamplingStrategy,
     golden_ssf: u64,
@@ -102,11 +102,7 @@ fn check(
         hardening: None,
         multi_fault: None,
     };
-    for kernel in [
-        CampaignKernel::Compiled,
-        CampaignKernel::Batched,
-        CampaignKernel::Scalar,
-    ] {
+    for kernel in [CampaignKernel::Compiled, CampaignKernel::Scalar] {
         for fast_forward in [true, false] {
             let opts = CampaignOptions {
                 fast_forward,
@@ -225,11 +221,7 @@ fn mlmc_importance_campaign_matches_golden() {
     // The gate-path keys of the coupled chunks and the SEU-map keys of the
     // level-0 chunks; only the coupled chunks strike the netlist.
     let golden_ctr = golden_counters(610, 2037, 1228, 809, 9385);
-    for kernel in [
-        CampaignKernel::Compiled,
-        CampaignKernel::Batched,
-        CampaignKernel::Scalar,
-    ] {
+    for kernel in [CampaignKernel::Compiled, CampaignKernel::Scalar] {
         for fast_forward in [true, false] {
             for threads in [1, 4] {
                 let opts = CampaignOptions {
@@ -292,7 +284,7 @@ fn full_importance_campaign_matches_golden() {
 /// The double-glitch campaign keeps the engine's determinism contract:
 /// the secondary strike's entropy word is split off each run's own stream,
 /// so the full `(ssf, variance, successes)` triple is bit-identical across
-/// all three kernels and both thread counts. The first configuration acts
+/// both kernels and both thread counts. The first configuration acts
 /// as the reference — a kernel- or thread-dependent divergence in either
 /// strike draw shows up as a bit diff here.
 #[test]
@@ -317,11 +309,7 @@ fn double_glitch_campaign_is_bit_identical_across_kernels_and_threads() {
     };
     let golden_ctr = golden_counters(245, 3123, 1742, 1381, 101833);
     let mut reference: Option<(u64, u64, usize)> = None;
-    for kernel in [
-        CampaignKernel::Compiled,
-        CampaignKernel::Batched,
-        CampaignKernel::Scalar,
-    ] {
+    for kernel in [CampaignKernel::Compiled, CampaignKernel::Scalar] {
         for threads in [1usize, 4] {
             let opts = CampaignOptions {
                 threads,

@@ -202,15 +202,6 @@ fn resume_is_bit_identical_scalar_kernel() {
 }
 
 #[test]
-fn resume_is_bit_identical_batched_kernel() {
-    let f = fixture();
-    let strategy = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
-    for threads in [1, 4] {
-        check_resume_equivalence(&strategy, CampaignKernel::Batched, threads);
-    }
-}
-
-#[test]
 fn resume_is_bit_identical_compiled_kernel() {
     let f = fixture();
     let strategy = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
@@ -234,7 +225,6 @@ fn resume_is_bit_identical_under_importance_sampling() {
         f.cfg.radius_options.clone(),
     );
     check_resume_equivalence(&strategy, CampaignKernel::Compiled, 4);
-    check_resume_equivalence(&strategy, CampaignKernel::Batched, 4);
     check_resume_equivalence(&strategy, CampaignKernel::Scalar, 1);
 }
 
@@ -349,11 +339,7 @@ fn target_eps_stop_is_deterministic_across_threads_and_kernels() {
     let eps = 0.05;
 
     let mut results: Vec<(String, CampaignResult)> = Vec::new();
-    for kernel in [
-        CampaignKernel::Scalar,
-        CampaignKernel::Batched,
-        CampaignKernel::Compiled,
-    ] {
+    for kernel in [CampaignKernel::Scalar, CampaignKernel::Compiled] {
         for threads in [1, 4] {
             let metrics = scratch(&format!("earlystop-{kernel:?}-t{threads}.json"));
             let _ = std::fs::remove_file(&metrics);
@@ -387,7 +373,7 @@ fn target_eps_stop_is_deterministic_across_threads_and_kernels() {
     }
     let (ref first_tag, ref first) = results[0];
     for (tag, res) in &results[1..] {
-        // Kernel-shape counters (lane occupancy, batch-wide worklist
+        // Kernel-shape counters (lane occupancy, sweep-wide gate
         // visits) legitimately differ between kernels; everything else —
         // including the kernel-invariant hot-path counters — must match.
         let mut res = res.clone();

@@ -5,7 +5,7 @@
 //! capture enabled returns the bit-identical `CampaignResult` of an
 //! untraced run. Second, the hot-path counters are **schedule-invariant**:
 //! defined chunk-locally, their totals are a pure function of
-//! `(seed, n, strategy)` — identical between the scalar and batched kernels
+//! `(seed, n, strategy)` — identical between the scalar and compiled kernels
 //! and at any thread count (only the kernel-shape counters differ by
 //! kernel). Third, provenance **replays**: any recorded run, re-derived
 //! solo from `SplitMix64::for_run(seed, i)`, reproduces the campaign's
@@ -106,11 +106,7 @@ fn counter_totals_are_kernel_and_thread_invariant() {
     let r = runner(f);
     let strategy = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
     let mut results = Vec::new();
-    for kernel in [
-        CampaignKernel::Scalar,
-        CampaignKernel::Batched,
-        CampaignKernel::Compiled,
-    ] {
+    for kernel in [CampaignKernel::Scalar, CampaignKernel::Compiled] {
         for threads in [1usize, 4] {
             let opts = CampaignOptions {
                 threads,
@@ -131,17 +127,17 @@ fn counter_totals_are_kernel_and_thread_invariant() {
             "first_success diverged between {first_tag} and {tag}"
         );
     }
-    // The kernel-shape counters DO describe the batched kernel: a full
-    // batched campaign packs lanes and groups frames.
-    let batched = &results.last().unwrap().1;
-    assert!(batched.kernel_counters.lane_batches > 0);
+    // The kernel-shape counters DO describe the compiled kernel: a full
+    // compiled campaign packs lanes and groups frames.
+    let compiled_t4 = &results.last().unwrap().1;
+    assert!(compiled_t4.kernel_counters.lane_batches > 0);
     // Every run that lands inside the benchmark occupies a lane.
     assert_eq!(
-        batched.kernel_counters.lanes_occupied + batched.counters.out_of_run,
+        compiled_t4.kernel_counters.lanes_occupied + compiled_t4.counters.out_of_run,
         RUNS
     );
-    assert!(batched.kernel_counters.frame_groups >= batched.kernel_counters.lane_batches);
-    assert!(batched.kernel_counters.mean_lane_occupancy() > 1.0);
+    assert!(compiled_t4.kernel_counters.frame_groups >= compiled_t4.kernel_counters.lane_batches);
+    assert!(compiled_t4.kernel_counters.mean_lane_occupancy() > 1.0);
 }
 
 /// The counter invariance where the memo is busiest: importance sampling
@@ -231,7 +227,7 @@ fn tracing_is_a_pure_observer_and_the_file_validates() {
     validate_against_schema(&doc, &schema).expect("trace matches schema");
 
     let events = doc.get("traceEvents").and_then(JsonValue::as_arr).unwrap();
-    // One chunk span per chunk, plus the per-batch phase spans inside.
+    // One chunk span per chunk, plus the per-sweep phase spans inside.
     let chunk_spans = events
         .iter()
         .filter(|e| e.get("name").and_then(JsonValue::as_str) == Some("chunk"))

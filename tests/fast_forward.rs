@@ -179,11 +179,7 @@ fn campaign_results_match_with_fast_forward_off() {
         multi_fault: None,
     };
     let strategy = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
-    for kernel in [
-        CampaignKernel::Compiled,
-        CampaignKernel::Batched,
-        CampaignKernel::Scalar,
-    ] {
+    for kernel in [CampaignKernel::Compiled, CampaignKernel::Scalar] {
         let mut on = CampaignOptions::with_kernel(kernel);
         on.threads = 2;
         let off = CampaignOptions {
