@@ -6,14 +6,14 @@
 //! fresh strike buffers, cloned checkpoint on every RTL resume). The
 //! `scalar_threads_1` row is the sharded engine with the one-run-at-a-time
 //! kernel; the `engine_compiled_threads_N` rows are the default 256-wide
-//! compiled-program kernel at 1, 2 and 4 worker threads;
-//! `engine_threads_1_noff` repeats the single-thread compiled row with the
-//! RTL fast-forward layer disabled (`--fast-forward off`) to isolate its
-//! contribution — same number of runs, same flow, per-run `SplitMix64`
-//! streams, bit-identical results across every row but the baseline (whose
-//! RNG scheme predates per-run streams). The `engine_mlmc_threads_{1,4}`
-//! rows run the two-level MLMC estimator (`--estimator mlmc`): its estimate
-//! is asserted bit-identical across threads {1,4} and both kernels.
+//! compiled-program kernel at 1, 2 and 4 worker threads — same number of
+//! runs, same flow, per-run `SplitMix64` streams, bit-identical results
+//! across every row but the baseline (whose RNG scheme predates per-run
+//! streams). The `engine_mlmc_threads_{1,4}` rows run the two-level MLMC
+//! estimator (`--estimator mlmc`): its estimate is asserted bit-identical
+//! across threads {1,4} and both kernels. The telemetry ablation pair,
+//! `engine_compiled_threads_1_long` and `engine_telemetry_threads_1` (events
+//! + Prometheus on), runs [`TELEMETRY_RUNS`] each in every mode.
 //!
 //! Every row reports the fastest of three repeats (scheduler
 //! interference on a shared host is one-sided, so max-of-N estimates
@@ -39,11 +39,10 @@
 //! `--smoke` runs a reduced campaign and **fails** (exit 1) if the compiled
 //! kernel's single-thread throughput drops below [`END_TO_END_VS_SCALAR`]x
 //! the scalar kernel's, if its gate path drops below
-//! [`GATE_PATH_VS_SCALAR`]x the scalar kernel's, if the fast-forwarding
-//! row falls behind its fast-forward-off twin, if telemetry costs more
-//! than 5% of compiled throughput, or — on a host with 4+ CPUs — if two
-//! compiled workers fall below 0.7x one worker (the threads-scaling
-//! regression gate). With `--trace` the throughput gates are reported but
+//! [`GATE_PATH_VS_SCALAR`]x the scalar kernel's, if telemetry costs more
+//! than 5% of the long compiled row's throughput, or — on a host with 4+
+//! CPUs — if two compiled workers fall below 0.7x one worker (the
+//! threads-scaling regression gate). With `--trace` the throughput gates are reported but
 //! not enforced: span recording adds per-sweep overhead only the compiled
 //! kernel pays, so the comparison is unfair.
 
@@ -64,6 +63,11 @@ use xlmc_bench::{tagged_path, ExperimentContext};
 
 const RUNS: usize = 100_000;
 const SMOKE_RUNS: usize = 20_000;
+/// Runs of the telemetry ablation pair, in every mode: enough that each
+/// row lasts over 0.5 s on a 2-CPU Xeon host (2.4-3.5M runs/s once the
+/// conclusion memo is warm), so the 5% overhead gate measures more than
+/// scheduler noise.
+const TELEMETRY_RUNS: usize = 2_000_000;
 const SEED: u64 = 0xBE7C;
 /// Every row is measured `REPEATS` times and the fastest repeat is kept.
 /// On a shared host the scheduler noise at these durations (tens of
@@ -89,6 +93,7 @@ const END_TO_END_VS_SCALAR: f64 = 0.9 * 1.75;
 
 struct Row {
     label: String,
+    runs: usize,
     runs_per_sec: f64,
     elapsed_s: f64,
     ssf: f64,
@@ -109,33 +114,40 @@ fn baseline(runner: &FaultRunner<'_>, strategy: &dyn SamplingStrategy, runs: usi
     let elapsed = start.elapsed().as_secs_f64();
     Row {
         label: "baseline_sequential".into(),
+        runs,
         runs_per_sec: runs as f64 / elapsed,
         elapsed_s: elapsed,
         ssf: stats.mean(),
     }
 }
 
-fn engine(
-    runner: &FaultRunner<'_>,
-    strategy: &dyn SamplingStrategy,
-    runs: usize,
-    threads: usize,
-    kernel: CampaignKernel,
+/// One engine row to measure: `runs` runs under `opts`.
+struct RowSpec {
     label: String,
-    base: &CampaignOptions,
-) -> Row {
-    let mut opts = CampaignOptions {
-        threads,
-        kernel,
-        ..base.clone()
-    };
+    runs: usize,
+    opts: CampaignOptions,
+}
+
+fn engine(runner: &FaultRunner<'_>, strategy: &dyn SamplingStrategy, spec: &RowSpec) -> Row {
+    let label = spec.label.clone();
+    let runs = spec.runs;
+    let mut opts = spec.opts.clone();
     // Tag the output paths per row so configurations don't clobber each
     // other (same scheme as run_observed_campaign).
     if let Some(p) = &opts.metrics_path {
         opts.metrics_path = Some(tagged_path(p, &label));
     }
     if let Some(p) = &opts.checkpoint_path {
-        opts.checkpoint_path = Some(tagged_path(p, &label));
+        // Every repeat times the whole campaign: a checkpoint left by an
+        // earlier repeat or invocation would be resumed, timing no work.
+        let p = tagged_path(p, &label);
+        match std::fs::remove_file(&p) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                panic!("remove stale checkpoint {}: {e}", p.display())
+            }
+            _ => {}
+        }
+        opts.checkpoint_path = Some(p);
     }
     if let Some(p) = &opts.trace_path {
         opts.trace_path = Some(tagged_path(p, &label));
@@ -162,45 +174,47 @@ fn engine(
     }
     Row {
         label,
+        runs,
         runs_per_sec: runs as f64 / elapsed,
         elapsed_s: elapsed,
         ssf: r.ssf,
     }
 }
 
-/// Best-of-[`REPEATS`] wrapper around [`engine`]: keeps the fastest
-/// repeat and checks the result stayed bit-identical across repeats.
-#[allow(clippy::too_many_arguments)]
+/// Measures every spec [`REPEATS`] times and keeps each spec's fastest
+/// repeat, checking its result stayed bit-identical across repeats. The
+/// specs alternate — repeat `r` of every spec runs before repeat `r + 1`
+/// of any — so drift of a shared host weighs on all rows alike instead of
+/// on whichever rows ran last.
 fn engine_best(
     runner: &FaultRunner<'_>,
     strategy: &dyn SamplingStrategy,
-    runs: usize,
-    threads: usize,
-    kernel: CampaignKernel,
-    label: String,
-    base: &CampaignOptions,
-) -> Row {
-    let mut best: Option<Row> = None;
+    specs: &[RowSpec],
+) -> Vec<Row> {
+    let mut best: Vec<Option<Row>> = specs.iter().map(|_| None).collect();
     for _ in 0..REPEATS {
-        let row = engine(runner, strategy, runs, threads, kernel, label.clone(), base);
-        best = Some(match best {
-            None => row,
-            Some(b) => {
-                assert!(
-                    b.ssf == row.ssf,
-                    "{label}: ssf changed across repeats: {} != {}",
-                    b.ssf,
-                    row.ssf
-                );
-                if row.runs_per_sec > b.runs_per_sec {
-                    row
-                } else {
-                    b
+        for (spec, best) in specs.iter().zip(&mut best) {
+            let row = engine(runner, strategy, spec);
+            *best = Some(match best.take() {
+                None => row,
+                Some(b) => {
+                    assert!(
+                        b.ssf == row.ssf,
+                        "{}: ssf changed across repeats: {} != {}",
+                        spec.label,
+                        b.ssf,
+                        row.ssf
+                    );
+                    if row.runs_per_sec > b.runs_per_sec {
+                        row
+                    } else {
+                        b
+                    }
                 }
-            }
-        });
+            });
+        }
     }
-    best.expect("REPEATS >= 1")
+    best.into_iter().map(|b| b.expect("REPEATS >= 1")).collect()
 }
 
 fn main() {
@@ -232,44 +246,29 @@ fn main() {
         .map(|_| baseline(&runner, &strategy, runs))
         .max_by(|a, b| a.runs_per_sec.total_cmp(&b.runs_per_sec))
         .expect("REPEATS >= 1");
-    let mut rows = vec![
-        base_row,
-        engine_best(
-            &runner,
-            &strategy,
-            runs,
-            1,
-            CampaignKernel::Scalar,
-            "scalar_threads_1".into(),
-            &base_opts,
-        ),
-    ];
+    let row = |label: String, runs, threads, kernel| RowSpec {
+        label,
+        runs,
+        opts: CampaignOptions {
+            threads,
+            kernel,
+            ..base_opts.clone()
+        },
+    };
+    let mut specs = vec![row(
+        "scalar_threads_1".into(),
+        runs,
+        1,
+        CampaignKernel::Scalar,
+    )];
     for threads in [1, 2, 4] {
-        rows.push(engine_best(
-            &runner,
-            &strategy,
+        specs.push(row(
+            format!("engine_compiled_threads_{threads}"),
             runs,
             threads,
             CampaignKernel::Compiled,
-            format!("engine_compiled_threads_{threads}"),
-            &base_opts,
         ));
     }
-    // The fast-forward ablation: same engine, same kernel, checkpoint
-    // cache and early exit disabled.
-    let noff_opts = CampaignOptions {
-        fast_forward: false,
-        ..base_opts.clone()
-    };
-    rows.push(engine_best(
-        &runner,
-        &strategy,
-        runs,
-        1,
-        CampaignKernel::Compiled,
-        "engine_threads_1_noff".into(),
-        &noff_opts,
-    ));
     // The two-level MLMC estimator: the cheap level maps each SET to a
     // multi-bit SEU and skips the netlist, the coupled correction level
     // re-evaluates the same (seed, run-index) faults gate-accurately.
@@ -278,47 +277,49 @@ fn main() {
         ..base_opts.clone()
     };
     for threads in [1, 4] {
-        rows.push(engine_best(
-            &runner,
-            &strategy,
+        let mut spec = row(
+            format!("engine_mlmc_threads_{threads}"),
             runs,
             threads,
             CampaignKernel::Compiled,
-            format!("engine_mlmc_threads_{threads}"),
-            &mlmc_base,
-        ));
+        );
+        spec.opts.estimator = EstimatorKind::Mlmc;
+        specs.push(spec);
     }
 
     // The telemetry ablation: compiled kernel with the event stream and
-    // the Prometheus exposition forced on. Telemetry is specified as a
-    // pure observer, so the overhead gate below holds its throughput
-    // against the bare compiled row.
+    // the Prometheus exposition forced on, against a bare twin of the same
+    // [`TELEMETRY_RUNS`] length. Telemetry is specified as a pure
+    // observer, so the overhead gate below holds the pair within 5%.
     let tmp = std::env::temp_dir();
     let pid = std::process::id();
-    let telemetry_opts = CampaignOptions {
-        events_path: Some(
-            base_opts
-                .events_path
-                .clone()
-                .unwrap_or_else(|| tmp.join(format!("bench_campaign_{pid}.events.jsonl"))),
-        ),
-        prom_path: Some(
-            base_opts
-                .prom_path
-                .clone()
-                .unwrap_or_else(|| tmp.join(format!("bench_campaign_{pid}.prom"))),
-        ),
-        ..base_opts.clone()
-    };
-    rows.push(engine_best(
-        &runner,
-        &strategy,
-        runs,
+    specs.push(row(
+        "engine_compiled_threads_1_long".into(),
+        TELEMETRY_RUNS,
         1,
         CampaignKernel::Compiled,
-        "engine_telemetry_threads_1".into(),
-        &telemetry_opts,
     ));
+    let mut telemetry_spec = row(
+        "engine_telemetry_threads_1".into(),
+        TELEMETRY_RUNS,
+        1,
+        CampaignKernel::Compiled,
+    );
+    telemetry_spec.opts.events_path = Some(
+        base_opts
+            .events_path
+            .clone()
+            .unwrap_or_else(|| tmp.join(format!("bench_campaign_{pid}.events.jsonl"))),
+    );
+    telemetry_spec.opts.prom_path = Some(
+        base_opts
+            .prom_path
+            .clone()
+            .unwrap_or_else(|| tmp.join(format!("bench_campaign_{pid}.prom"))),
+    );
+    specs.push(telemetry_spec);
+    let mut rows = vec![base_row];
+    rows.extend(engine_best(&runner, &strategy, &specs));
 
     // The gate-level path in isolation: strike-only passes over one
     // stratified draw, per kernel. This is the comparison the compiled
@@ -350,9 +351,10 @@ fn main() {
         let sep = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"label\": \"{}\", \"runs_per_sec\": {:.2}, \"elapsed_s\": {:.4}, \
-             \"speedup_vs_baseline\": {:.3}, \"ssf\": {:.6}}}{}",
+            "    {{\"label\": \"{}\", \"runs\": {}, \"runs_per_sec\": {:.2}, \
+             \"elapsed_s\": {:.4}, \"speedup_vs_baseline\": {:.3}, \"ssf\": {:.6}}}{}",
             r.label,
+            r.runs,
             r.runs_per_sec,
             r.elapsed_s,
             r.runs_per_sec / base_rate,
@@ -388,12 +390,13 @@ fn main() {
         }
     }
 
-    println!("\n== campaign throughput ({runs} runs, importance sampling) ==");
+    println!("\n== campaign throughput (importance sampling) ==");
     for r in &rows {
         println!(
-            "  {:22} {:>9.1} runs/s  ({:.2}s, {:.2}x baseline)",
+            "  {:22} {:>9.1} runs/s  ({} runs, {:.2}s, {:.2}x baseline)",
             r.label,
             r.runs_per_sec,
+            r.runs,
             r.elapsed_s,
             r.runs_per_sec / base_rate
         );
@@ -416,10 +419,6 @@ fn main() {
         .iter()
         .find(|r| r.label == "scalar_threads_1")
         .expect("scalar row");
-    let noff = rows
-        .iter()
-        .find(|r| r.label == "engine_threads_1_noff")
-        .expect("fast-forward-off row");
     let compiled = rows
         .iter()
         .find(|r| r.label == "engine_compiled_threads_1")
@@ -435,21 +434,19 @@ fn main() {
         compiled.ssf,
         compiled_t2.ssf
     );
-    assert!(
-        compiled.ssf == noff.ssf,
-        "fast-forward changed the result: ssf {} != {} with it off",
-        compiled.ssf,
-        noff.ssf
-    );
+    let bare_long = rows
+        .iter()
+        .find(|r| r.label == "engine_compiled_threads_1_long")
+        .expect("long compiled row");
     let telemetry = rows
         .iter()
         .find(|r| r.label == "engine_telemetry_threads_1")
         .expect("telemetry row");
     assert!(
-        telemetry.ssf == compiled.ssf,
+        telemetry.ssf == bare_long.ssf,
         "telemetry changed the result: ssf {} with events+prom != {} without",
         telemetry.ssf,
-        compiled.ssf
+        bare_long.ssf
     );
     let mlmc_t1 = rows
         .iter()
@@ -604,7 +601,7 @@ fn main() {
             );
             std::process::exit(1);
         } else if base_opts.events_path.is_none()
-            && telemetry.runs_per_sec < 0.95 * compiled.runs_per_sec
+            && telemetry.runs_per_sec < 0.95 * bare_long.runs_per_sec
         {
             // Telemetry-overhead gate, armed only when the base options
             // leave events off (with --events set every row already pays
@@ -615,34 +612,17 @@ fn main() {
             eprintln!(
                 "SMOKE FAIL: telemetry (events + prom) cost more than 5% of compiled \
                  throughput ({:.0} runs/s vs {:.0} runs/s without it)",
-                telemetry.runs_per_sec, compiled.runs_per_sec
-            );
-            std::process::exit(1);
-        } else if compiled.runs_per_sec < 0.85 * noff.runs_per_sec {
-            // A 15% allowance: at smoke scale the conclusion memo only
-            // skips a few percent of the RTL resumes, so the true
-            // fast-forward delta is near zero while the campaign finishes
-            // in tens of milliseconds — run-to-run noise on a shared
-            // runner (see host_cpus in the artifact) exceeds it even with
-            // best-of-3 rows. The gate catches a real regression —
-            // fast-forward systematically behind its ablation — not
-            // scheduler jitter.
-            eprintln!(
-                "SMOKE FAIL: fast-forward made the engine slower ({:.0} runs/s \
-                 vs {:.0} runs/s with it off)",
-                compiled.runs_per_sec, noff.runs_per_sec
+                telemetry.runs_per_sec, bare_long.runs_per_sec
             );
             std::process::exit(1);
         } else {
             println!(
                 "smoke ok: gate path compiled {gp_ratio:.2}x scalar (>= \
                  {GATE_PATH_VS_SCALAR:.2}x), end-to-end compiled {:.0} / scalar {:.0} runs/s, \
-                 fast-forward {:.0} runs/s >= {:.0} runs/s without it, telemetry {:.2}x compiled",
+                 telemetry {:.2}x compiled",
                 compiled.runs_per_sec,
                 scalar.runs_per_sec,
-                compiled.runs_per_sec,
-                noff.runs_per_sec,
-                telemetry.runs_per_sec / compiled.runs_per_sec
+                telemetry.runs_per_sec / bare_long.runs_per_sec
             );
         }
     } else {

@@ -3,8 +3,8 @@
 //! Sweeps every attack workload against every defense variant under both
 //! fault modes (single-spot and SoK double-glitch). Each cell's
 //! single-estimator campaign is executed under **both kernels ×
-//! threads {1, 4}** plus a fast-forward-off twin; the binary exits 1 if any
-//! of those five configurations disagrees on a single ssf/variance bit —
+//! threads {1, 4}**; the binary exits 1 if any of those four
+//! configurations disagrees on a single ssf/variance bit —
 //! the engine's determinism contract, enforced per grid cell. Each cell
 //! also runs the two-level MLMC estimator over the same streams for the
 //! cross-estimator view (its correction term quantifies the cross-level
@@ -195,8 +195,8 @@ fn main() {
                     hardening: hardening.as_ref(),
                     multi_fault: (fault_mode == "double").then_some(&glitch),
                 };
-                // The determinism gate: all kernel x thread combinations,
-                // plus a fast-forward-off twin, must agree bit for bit.
+                // The determinism gate: all kernel x thread combinations
+                // must agree bit for bit.
                 let mut reference: Option<CampaignResult> = None;
                 let mut run_config = |opts: CampaignOptions, what: String| {
                     let r = run_campaign_with(&runner, &strategy, args.runs, args.seed, &opts);
@@ -231,13 +231,6 @@ fn main() {
                         );
                     }
                 }
-                run_config(
-                    CampaignOptions {
-                        fast_forward: false,
-                        ..CampaignOptions::default()
-                    },
-                    "fast-forward=off".to_owned(),
-                );
                 let reference = reference.expect("at least one configuration ran");
 
                 let mlmc = run_campaign_with(

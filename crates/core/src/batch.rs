@@ -140,12 +140,6 @@ pub(crate) struct BatchChunkScratch {
 }
 
 impl BatchChunkScratch {
-    /// Enable or disable the RTL fast-forward accelerations for this
-    /// worker's resumes.
-    pub(crate) fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff.set_enabled(enabled);
-    }
-
     /// The fast-forward counters accumulated by chunks on this scratch.
     pub(crate) fn fast_forward_stats(&self) -> FastForwardStats {
         self.ff.stats()

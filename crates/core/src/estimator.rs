@@ -290,10 +290,6 @@ pub struct CampaignOptions {
     /// full span tracing, asserting its verdict matches the campaign's
     /// provenance record.
     pub replay: Option<u64>,
-    /// RTL fast-forward accelerations — exact-cycle snapshot cache and
-    /// golden-reconvergence early exit (`--fast-forward on|off`). A pure
-    /// scheduling choice: results are bit-identical either way.
-    pub fast_forward: bool,
     /// Where to append the streaming lifecycle event log (`--events`):
     /// one JSON object per line, flushed per line, pinned by
     /// `schemas/events.schema.json`. A pure observer — results are
@@ -324,7 +320,6 @@ impl Default for CampaignOptions {
             checkpoint_every_runs: DEFAULT_CHECKPOINT_EVERY_RUNS,
             trace_path: None,
             replay: None,
-            fast_forward: true,
             events_path: None,
             prom_path: None,
             stall_timeout_s: 30.0,
@@ -382,11 +377,15 @@ impl CampaignOptions {
         "--checkpoint-every",
         "--trace",
         "--replay",
-        "--fast-forward",
         "--events",
         "--prom",
         "--stall-timeout",
     ];
+
+    /// Flags the engine no longer has. They are rejected rather than
+    /// skipped, since a skipped flag would leave its value to the caller as
+    /// a positional argument.
+    pub const REMOVED_FLAGS: &'static [&'static str] = &["--fast-forward"];
 
     /// The `--help` flag table: every flag the campaign engine owns.
     pub fn usage() -> String {
@@ -406,18 +405,16 @@ impl CampaignOptions {
             "  --target-confidence C  confidence for --target-eps, in (0, 1)\n",
             "                         (default 0.95)\n",
             "  --metrics PATH         write the campaign metrics JSON\n",
-            "                         (xlmc-metrics-v7, schemas/metrics.schema.json)\n",
+            "                         (xlmc-metrics-v8, schemas/metrics.schema.json)\n",
             "  --events PATH          stream the lifecycle event log as JSONL\n",
             "                         (schemas/events.schema.json), one flushed line\n",
             "                         per event; results are bit-identical on or off\n",
             "  --prom PATH            write the Prometheus text exposition, rewritten\n",
-            "                         atomically at checkpoint cadence and at the end\n",
+            "                         atomically at checkpoint cadence (at most\n",
+            "                         once a second) and at the end\n",
             "  --stall-timeout SECS   emit a worker_stalled event when the threaded\n",
             "                         merge loop sees no chunk for SECS seconds\n",
             "                         (needs --events; 0 disables; default 30)\n",
-            "  --fast-forward on|off  RTL fast-forward (exact-cycle snapshot cache +\n",
-            "                         golden-reconvergence early exit); results are\n",
-            "                         bit-identical either way (default on)\n",
             "  --checkpoint PATH      read/write the campaign checkpoint; an\n",
             "                         existing file resumes the campaign\n",
             "  --checkpoint-every N   checkpoint cadence in runs, rounded up to\n",
@@ -436,9 +433,10 @@ impl CampaignOptions {
     /// Parse the engine flags — `--threads N|auto`, `--kernel
     /// scalar|compiled`, `--target-eps X`, `--target-confidence C`,
     /// `--metrics PATH`, `--checkpoint PATH`, `--checkpoint-every N`,
-    /// `--trace PATH`, `--replay N`, `--fast-forward on|off` (each also
-    /// accepting the `--flag=value` spelling) — from an argument list,
-    /// skipping flags it does not own.
+    /// `--trace PATH`, `--replay N`, `--events PATH`, `--prom PATH`,
+    /// `--stall-timeout SECS` (each also accepting the `--flag=value`
+    /// spelling) — from an argument list, skipping flags it does not own
+    /// and rejecting the [`REMOVED_FLAGS`](Self::REMOVED_FLAGS).
     pub fn parse_args<I>(args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = String>,
@@ -450,6 +448,9 @@ impl CampaignOptions {
                 Some((f, v)) => (f.to_owned(), Some(v.to_owned())),
                 None => (arg, None),
             };
+            if Self::REMOVED_FLAGS.contains(&flag.as_str()) {
+                return Err(format!("unknown flag {flag}"));
+            }
             if !Self::VALUE_FLAGS.contains(&flag.as_str()) {
                 continue;
             }
@@ -525,18 +526,6 @@ impl CampaignOptions {
                     opts.replay = Some(value.parse().map_err(|_| {
                         format!("invalid --replay value {value:?}: expected a run index")
                     })?);
-                }
-                "--fast-forward" => {
-                    opts.fast_forward = match value.as_str() {
-                        "on" => true,
-                        "off" => false,
-                        _ => {
-                            return Err(format!(
-                                "invalid --fast-forward value {value:?}: expected \"on\" or \
-                                 \"off\""
-                            ))
-                        }
-                    };
                 }
                 "--events" => opts.events_path = Some(PathBuf::from(value)),
                 "--prom" => opts.prom_path = Some(PathBuf::from(value)),
@@ -811,16 +800,6 @@ struct Worker {
     mlmc: MlmcScratch,
     memo: ConclusionMemo,
     ctr: CounterScratch,
-}
-
-impl Worker {
-    fn new(fast_forward: bool) -> Self {
-        let mut w = Self::default();
-        w.flow.set_fast_forward(fast_forward);
-        w.batch.set_fast_forward(fast_forward);
-        w.mlmc.set_fast_forward(fast_forward);
-        w
-    }
 }
 
 /// The merged campaign prefix: every statistic folded from chunks
@@ -1126,6 +1105,12 @@ struct ChunkMergeInfo {
     stats: RunningStats,
 }
 
+/// Least wall time between two cadence-boundary rewrites of the `--prom`
+/// exposition. A rewrite (temp file + rename) costs ~0.2 ms on a 2-CPU
+/// Xeon host: at every checkpoint-cadence boundary that was ~17% of a warm
+/// compiled campaign, while a textfile scraper polls every few seconds.
+const PROM_MIN_INTERVAL: Duration = Duration::from_secs(1);
+
 /// The merger-side telemetry fan-out: one [`MetricsRegistry`] feeding the
 /// streaming event log (`--events`), the Prometheus exposition (`--prom`)
 /// and the stall watchdog (`--stall-timeout`). A pure observer — it only
@@ -1136,6 +1121,8 @@ struct TelemetryHub {
     events: Option<EventLog>,
     prom_path: Option<PathBuf>,
     prom_labels: Vec<(&'static str, String)>,
+    /// When the exposition was last rewritten.
+    prom_written: Option<Instant>,
     watchdog: Option<StallWatchdog>,
     plan_emitted: bool,
 }
@@ -1156,6 +1143,7 @@ impl TelemetryHub {
                 ("kernel", options.kernel.as_arg().to_owned()),
                 ("estimator", options.estimator.as_arg().to_owned()),
             ],
+            prom_written: None,
             watchdog: None,
             plan_emitted: plan_already_frozen,
         }
@@ -1175,11 +1163,23 @@ impl TelemetryHub {
     }
 
     /// Rewrite the Prometheus exposition (no-op without `--prom`).
-    fn write_prom(&self) {
+    fn write_prom(&mut self) {
         if let Some(path) = &self.prom_path {
             if let Err(e) = metrics::write_prom(path, &self.registry, &self.prom_labels) {
                 eprintln!("failed to write prom exposition {}: {e}", path.display());
             }
+            self.prom_written = Some(Instant::now());
+        }
+    }
+
+    /// [`write_prom`](Self::write_prom) at a cadence boundary, unless the
+    /// last rewrite is younger than [`PROM_MIN_INTERVAL`].
+    fn write_prom_at_boundary(&mut self) {
+        if self
+            .prom_written
+            .is_none_or(|t| t.elapsed() >= PROM_MIN_INTERVAL)
+        {
+            self.write_prom();
         }
     }
 }
@@ -1475,9 +1475,10 @@ pub fn run_campaign_observed(
                     ),
                 );
             }
-            // Durability point: events pushed to the OS, prom rewritten.
+            // Durability point: events pushed to the OS, prom rewritten
+            // (at most once per PROM_MIN_INTERVAL).
             hub.flush_events();
-            hub.write_prom();
+            hub.write_prom_at_boundary();
         }
         None
     };
@@ -1497,7 +1498,7 @@ pub fn run_campaign_observed(
     let mut replay_capture: Option<ProvenanceRecord> = None;
 
     let mut stop = StopReason::Completed;
-    // Schedule-dependent fast-forward counters, folded in from every worker
+    // Schedule-dependent snapshot-cache counters, folded in from every worker
     // scratch at thread exit; they surface in the metrics JSON only.
     let ff_total = Mutex::new(FastForwardStats::default());
     // Conclusion-memo totals (hits, misses), same lifecycle.
@@ -1652,7 +1653,7 @@ pub fn run_campaign_observed(
 
         workers = threads;
         if threads <= 1 {
-            let mut worker = Worker::new(options.fast_forward);
+            let mut worker = Worker::default();
             for c in start_chunk..chunks {
                 let mut p = run_one(c, &mut worker, 0);
                 let prov = std::mem::take(&mut p.provenance);
@@ -1709,7 +1710,7 @@ pub fn run_campaign_observed(
                     let tid = (w + 1) as u32;
                     let fold_worker = &fold_worker;
                     s.spawn(move || {
-                        let mut worker = Worker::new(options.fast_forward);
+                        let mut worker = Worker::default();
                         loop {
                             if stop_flag.load(Ordering::Relaxed) {
                                 break;
@@ -1821,10 +1822,9 @@ pub fn run_campaign_observed(
 
     let elapsed_s = start_time.elapsed().as_secs_f64();
     let fresh = (state.runs_merged() - resumed_runs) as f64;
-    let mut fast_forward = ff_total
+    let fast_forward_stats = ff_total
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    fast_forward.enabled = options.fast_forward;
     let (memo_hits, memo_misses) = memo_total
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -1861,7 +1861,7 @@ pub fn run_campaign_observed(
         host_cpus: std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1),
-        fast_forward,
+        fast_forward_stats,
         kernel: options.kernel,
         program,
         scheduler,
@@ -1928,20 +1928,14 @@ pub fn run_campaign_observed(
 
     if let Some(path) = &options.trace_path {
         sink.print_self_time(strategy.name());
-        let ff = &meta.fast_forward;
+        let ff = &meta.fast_forward_stats;
         eprintln!(
-            "[fast-forward] {}: resumes {} | snapshot hits {} / misses {} (hit rate {:.1}%) | \
-             early exits {} ({:.1}% of resumes, {} cycles skipped) | confirm failures {} | \
+            "[fast-forward] resumes {} | snapshot hits {} / misses {} (hit rate {:.1}%) | \
              evictions {}",
-            if ff.enabled { "on" } else { "off" },
             ff.rtl_resumes,
             ff.checkpoint_cache_hits,
             ff.checkpoint_cache_misses,
             100.0 * ff.checkpoint_hit_rate(),
-            ff.early_exits,
-            100.0 * ff.early_exit_rate(),
-            ff.cycles_skipped,
-            ff.confirm_failures,
             ff.checkpoint_cache_evictions,
         );
         eprintln!(
@@ -2490,6 +2484,26 @@ mod tests {
     }
 
     #[test]
+    fn removed_flags_are_unknown_not_skipped() {
+        for &flag in CampaignOptions::REMOVED_FLAGS {
+            assert!(!CampaignOptions::VALUE_FLAGS.contains(&flag), "{flag}");
+            assert!(
+                !CampaignOptions::usage().contains(flag),
+                "{flag} is still in the help table"
+            );
+        }
+        for argv in [
+            args(&["--fast-forward", "on"]),
+            args(&["--fast-forward", "off"]),
+            args(&["--fast-forward=off"]),
+            args(&["--threads", "2", "--fast-forward", "on"]),
+        ] {
+            let err = CampaignOptions::parse_args(argv.clone()).unwrap_err();
+            assert_eq!(err, "unknown flag --fast-forward", "argv {argv:?}");
+        }
+    }
+
+    #[test]
     fn trace_and_replay_args_parse_and_validate() {
         let opts = CampaignOptions::parse_args(args(&["--trace", "out/trace.json", "--replay=42"]))
             .unwrap();
@@ -2521,7 +2535,6 @@ mod tests {
             let value = match flag {
                 "--kernel" => "scalar",
                 "--estimator" => "mlmc",
-                "--fast-forward" => "off",
                 "--target-eps" => "0.01",
                 "--target-confidence" => "0.9",
                 "--stall-timeout" => "2.5",

@@ -19,9 +19,9 @@
 //!   ([`EventLog`], `schemas/events.schema.json`), flushed per line so a
 //!   killed campaign leaves a readable record.
 //! * `--prom PATH` — a Prometheus text-format snapshot
-//!   ([`prom_render`]), rewritten atomically (temp + rename) at every
-//!   checkpoint cadence boundary, for scraping by a node-exporter-style
-//!   textfile collector.
+//!   ([`prom_render`]), rewritten atomically (temp + rename) at
+//!   checkpoint cadence boundaries at most once a second and at campaign
+//!   end, for scraping by a node-exporter-style textfile collector.
 //! * The metrics JSON `timing` object and the stderr progress line fold
 //!   in p50/p90/p99 of the tracked latency distributions.
 //!

@@ -571,13 +571,6 @@ struct Level0Scratch {
 }
 
 impl MlmcScratch {
-    /// Enable or disable the RTL fast-forward accelerations on both the
-    /// level-0 resume state and the gate-path scratch.
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.level0.ff.set_enabled(enabled);
-        self.flow.set_fast_forward(enabled);
-    }
-
     /// Combined fast-forward counters of both paths.
     pub fn fast_forward_stats(&self) -> FastForwardStats {
         let mut s = self.level0.ff.stats();

@@ -567,8 +567,12 @@ impl CampaignCheckpoint {
 /// `runs_per_sec` under a `timing` object that also carries the quantile
 /// digests of the five engine latency histograms; `v6` renamed the
 /// `scheduler` object's memo-front counters to `memo_hits`/`memo_misses`,
-/// the probes of the per-worker conclusion memos.
-pub const METRICS_FORMAT: &str = "xlmc-metrics-v7";
+/// the probes of the per-worker conclusion memos; `v7` added the kernel
+/// counters `timed_lanes` and `resimulated_lanes`; `v8` dropped the
+/// on/off flag and the three counters of the removed reconvergence early
+/// exit from `fast_forward`, which now holds only the snapshot-cache
+/// counters.
+pub const METRICS_FORMAT: &str = "xlmc-metrics-v8";
 
 /// Shape of the compiled gate program driving the campaign (all zeros
 /// when the model netlist could not be levelized — never the case for the
@@ -623,9 +627,10 @@ pub struct MetricsMeta {
     pub runs_per_sec: f64,
     /// Logical CPUs available on the host that ran the campaign.
     pub host_cpus: usize,
-    /// RTL fast-forward counters (schedule-dependent — that is why they
-    /// live here and not in the kernel/thread-invariant `CampaignResult`).
-    pub fast_forward: FastForwardStats,
+    /// RTL snapshot-cache counters, rendered as the `fast_forward` object
+    /// (schedule-dependent — that is why they live here and not in the
+    /// kernel/thread-invariant `CampaignResult`).
+    pub fast_forward_stats: FastForwardStats,
     /// The `--kernel` spelling of the per-chunk executor.
     pub kernel: CampaignKernel,
     /// Shape of the compiled gate program / lane packing.
@@ -740,21 +745,15 @@ pub fn metrics_json(result: &CampaignResult, meta: &MetricsMeta) -> String {
         sc.memo_hits,
         sc.memo_misses,
     );
-    let ff = &meta.fast_forward;
+    let ff = &meta.fast_forward_stats;
     let _ = writeln!(
         s,
-        "  \"fast_forward\": {{\"enabled\": {}, \"rtl_resumes\": {}, \
-         \"checkpoint_cache_hits\": {}, \"checkpoint_cache_misses\": {}, \
-         \"checkpoint_cache_evictions\": {}, \"early_exits\": {}, \"confirm_failures\": {}, \
-         \"cycles_skipped\": {}}},",
-        ff.enabled,
+        "  \"fast_forward\": {{\"rtl_resumes\": {}, \"checkpoint_cache_hits\": {}, \
+         \"checkpoint_cache_misses\": {}, \"checkpoint_cache_evictions\": {}}},",
         ff.rtl_resumes,
         ff.checkpoint_cache_hits,
         ff.checkpoint_cache_misses,
         ff.checkpoint_cache_evictions,
-        ff.early_exits,
-        ff.confirm_failures,
-        ff.cycles_skipped,
     );
     let _ = writeln!(
         s,
@@ -980,15 +979,11 @@ mod tests {
             elapsed_s: 1.5,
             runs_per_sec: 682.6,
             host_cpus: 8,
-            fast_forward: FastForwardStats {
-                enabled: true,
+            fast_forward_stats: FastForwardStats {
                 rtl_resumes: 24,
                 checkpoint_cache_hits: 20,
                 checkpoint_cache_misses: 4,
-                checkpoint_cache_evictions: 0,
-                early_exits: 11,
-                confirm_failures: 1,
-                cycles_skipped: 4321,
+                checkpoint_cache_evictions: 1,
             },
             kernel: CampaignKernel::Compiled,
             program: ProgramStats {
@@ -1057,12 +1052,19 @@ mod tests {
             sched.get("memo_misses").and_then(JsonValue::as_u64),
             Some(14)
         );
-        let ff = doc.get("fast_forward").unwrap();
-        assert_eq!(ff.get("enabled"), Some(&JsonValue::Bool(true)));
-        assert_eq!(ff.get("early_exits").and_then(JsonValue::as_u64), Some(11));
+        let Some(JsonValue::Obj(ff)) = doc.get("fast_forward") else {
+            panic!("fast_forward must be an object");
+        };
+        let ff: Vec<(&str, Option<u64>)> =
+            ff.iter().map(|(k, v)| (k.as_str(), v.as_u64())).collect();
         assert_eq!(
-            ff.get("cycles_skipped").and_then(JsonValue::as_u64),
-            Some(4321)
+            ff,
+            [
+                ("rtl_resumes", Some(24)),
+                ("checkpoint_cache_hits", Some(20)),
+                ("checkpoint_cache_misses", Some(4)),
+                ("checkpoint_cache_evictions", Some(1)),
+            ]
         );
         let timing = doc.get("timing").unwrap();
         assert_eq!(

@@ -104,25 +104,6 @@ impl Core {
         self.load_wait.is_some()
     }
 
-    /// Fold the core's full architectural state — including the private
-    /// load-wait latch — into a fingerprint accumulator.
-    pub(crate) fn fold_fingerprint(&self, fold: &mut impl FnMut(u64)) {
-        for &r in &self.regs {
-            fold(u64::from(r));
-        }
-        fold(u64::from(self.pc));
-        fold(u64::from(self.privileged) | (u64::from(self.halted) << 1));
-        fold(u64::from(self.epc));
-        fold(u64::from(self.cause));
-        fold(u64::from(self.tvec));
-        fold(u64::from(self.isolated));
-        fold(u64::from(self.scratch));
-        fold(match self.load_wait {
-            Some(r) => 1 + u64::from(r.0),
-            None => 0,
-        });
-    }
-
     /// Deliver load data requested on a previous cycle.
     pub fn deliver_load(&mut self, value: u32) {
         if let Some(rd) = self.load_wait.take() {

@@ -74,19 +74,6 @@ impl Dma {
         }
     }
 
-    /// Fold the engine's full state — including the private transfer phase
-    /// and read buffer — into a fingerprint accumulator.
-    pub(crate) fn fold_fingerprint(&self, fold: &mut impl FnMut(u64)) {
-        fold(u64::from(self.src));
-        fold(u64::from(self.dst));
-        fold(u64::from(self.len));
-        fold(u64::from(self.busy) | (u64::from(self.progress) << 1));
-        fold(match self.phase {
-            Phase::Read => u64::from(self.buffer) << 1,
-            Phase::Write => (u64::from(self.buffer) << 1) | 1,
-        });
-    }
-
     /// Handle a register write from the bus. Returns `true` when the
     /// address belongs to the DMA register window.
     pub fn reg_write(&mut self, addr: u16, value: u32) -> bool {

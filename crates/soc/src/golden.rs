@@ -38,12 +38,6 @@ pub struct GoldenRun {
     pub checkpoints: Vec<Soc>,
     /// The MPU register state at the start of every cycle.
     pub mpu_states: Vec<MpuState>,
-    /// [`Soc::arch_fingerprint`] at the start of every cycle — the
-    /// comparison track for the campaign's golden-reconvergence early exit
-    /// (a faulty resume whose fingerprint matches is a candidate for having
-    /// re-joined the golden trajectory; RAM divergence is caught by the
-    /// mandatory exact state compare).
-    pub fingerprints: Vec<u64>,
     /// Per-cycle MPU stimulus.
     pub stimulus: Vec<CycleStimulus>,
     /// Every resolved data access.
@@ -72,7 +66,6 @@ impl GoldenRun {
             interval,
             checkpoints: Vec::new(),
             mpu_states: Vec::new(),
-            fingerprints: Vec::new(),
             stimulus: Vec::new(),
             access_trace: Vec::new(),
             violation_cycles: Vec::new(),
@@ -85,7 +78,6 @@ impl GoldenRun {
                 run.checkpoints.push(soc.clone());
             }
             run.mpu_states.push(soc.mpu);
-            run.fingerprints.push(soc.arch_fingerprint());
             let cycle = soc.cycle;
             let ev = soc.step();
             run.stimulus.push(CycleStimulus {
@@ -155,7 +147,6 @@ mod tests {
         );
         assert!(run.cycles > 100);
         assert_eq!(run.mpu_states.len() as u64, run.cycles);
-        assert_eq!(run.fingerprints.len() as u64, run.cycles);
         assert_eq!(run.stimulus.len() as u64, run.cycles);
         assert_eq!(run.checkpoints.len() as u64, run.cycles.div_ceil(16));
         assert!(run.final_soc.halted());
@@ -195,9 +186,8 @@ mod tests {
         let mut replay = run.nearest_checkpoint(40).clone();
         while !replay.halted() {
             assert_eq!(
-                replay.arch_fingerprint(),
-                run.fingerprints[replay.cycle as usize],
-                "fingerprint track must match a faithful replay at cycle {}",
+                replay.mpu, run.mpu_states[replay.cycle as usize],
+                "MPU track must match a faithful replay at cycle {}",
                 replay.cycle
             );
             replay.step();

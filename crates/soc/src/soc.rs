@@ -407,72 +407,6 @@ impl Soc {
         }
         self.cycle
     }
-
-    /// A cheap fingerprint of the full architectural state **excluding RAM**.
-    ///
-    /// FNV-1a over every register-like field of the system: the core
-    /// (including its load-wait latch), the MPU, the DMA engine (including
-    /// its transfer latch), both bus pipeline slots, the DMA-outstanding
-    /// flag and the cycle counter. RAM is deliberately left out — hashing
-    /// 8 Ki words per cycle would cost more than the simulation step the
-    /// fingerprint is meant to short-circuit — so equal fingerprints only
-    /// make two systems *candidates* for equality and must be confirmed by
-    /// an exact [`PartialEq`] compare (which does include RAM) before
-    /// anything is concluded. Used by the campaign's golden-reconvergence
-    /// early exit.
-    pub fn arch_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |v: u64| h = (h ^ v).wrapping_mul(PRIME);
-        self.core.fold_fingerprint(&mut fold);
-        let m = &self.mpu;
-        fold(u64::from(m.config.enable));
-        for r in &m.config.regions {
-            fold(u64::from(r.base) | u64::from(r.limit) << 16 | u64::from(r.perms) << 32);
-        }
-        fold(
-            u64::from(m.pipe_addr)
-                | u64::from(m.pipe_kind) << 16
-                | u64::from(m.pipe_user) << 24
-                | u64::from(m.pipe_valid) << 25
-                | u64::from(m.violation) << 26
-                | u64::from(m.sticky_violation) << 27,
-        );
-        fold(u64::from(m.sticky_addr) | u64::from(m.sticky_kind) << 16);
-        self.dma.fold_fingerprint(&mut fold);
-        fold_pending(self.in_pipe, &mut fold);
-        fold_pending(self.resolving, &mut fold);
-        fold(u64::from(self.dma_outstanding));
-        fold(self.cycle);
-        h
-    }
-}
-
-/// Fold one bus pipeline slot into a fingerprint accumulator (two words:
-/// tag+request and data, with empty slots distinguishable from any access).
-fn fold_pending(p: Option<Pending>, fold: &mut impl FnMut(u64)) {
-    let Some(p) = p else {
-        fold(0);
-        fold(0);
-        return;
-    };
-    let (op, data) = match p.op {
-        PendingOp::Write(v) => (1u64, u64::from(v)),
-        PendingOp::ReadToCore => (2, 0),
-        PendingOp::ReadToDma => (3, 0),
-    };
-    let master = match p.master {
-        Master::Core => 0u64,
-        Master::Dma => 1,
-    };
-    fold(
-        op | master << 2
-            | u64::from(p.req.addr) << 3
-            | u64::from(p.req.kind.code()) << 19
-            | u64::from(p.req.user) << 21,
-    );
-    fold(data | 1 << 32);
 }
 
 /// Map a byte address in the MPU configuration window to its word index.
@@ -887,39 +821,6 @@ mod tests {
         a.run_until_halt(10_000);
         b.run_until_halt(10_000);
         assert_eq!(a, b, "restored run must be cycle-identical");
-    }
-
-    #[test]
-    fn fingerprint_follows_state_and_detects_divergence() {
-        let src = "
-            li r1, 20
-            li r2, 0
-        loop:
-            addi r2, r2, 1
-            sw r2, 0x4000(r0)
-            lw r3, 0x4000(r0)
-            bne r2, r1, loop
-            halt
-            ";
-        let mut a = soc_from(src);
-        let mut b = soc_from(src);
-        for _ in 0..40 {
-            assert_eq!(a.arch_fingerprint(), b.arch_fingerprint());
-            a.step();
-            b.step();
-        }
-        // Any architectural flip must perturb the fingerprint, and undoing
-        // it must restore the exact value.
-        let clean = a.arch_fingerprint();
-        a.core.regs[2] ^= 1;
-        assert_ne!(a.arch_fingerprint(), clean);
-        a.core.regs[2] ^= 1;
-        assert_eq!(a.arch_fingerprint(), clean);
-        a.mpu.violation = !a.mpu.violation;
-        assert_ne!(a.arch_fingerprint(), clean);
-        a.mpu.violation = !a.mpu.violation;
-        a.dma.busy = !a.dma.busy;
-        assert_ne!(a.arch_fingerprint(), clean);
     }
 
     #[test]

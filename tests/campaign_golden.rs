@@ -9,8 +9,8 @@
 //! drift that a tolerance-based assertion would absorb.
 //!
 //! Next to each `(ssf, sample_variance)` pair sit the campaign's hot-path
-//! [`CampaignCounters`], which are kernel-, thread- and fast-forward
-//! invariant too, so one pinned row covers every configuration.
+//! [`CampaignCounters`], which are kernel- and thread-invariant too, so
+//! one pinned row covers every configuration.
 //!
 //! The goldens were recorded from this tree at the pinned seed. A change
 //! that *intends* to alter the streams (new RNG layout, different chunk
@@ -103,32 +103,26 @@ fn check(
         multi_fault: None,
     };
     for kernel in [CampaignKernel::Compiled, CampaignKernel::Scalar] {
-        for fast_forward in [true, false] {
-            let opts = CampaignOptions {
-                fast_forward,
-                ..CampaignOptions::with_kernel(kernel)
-            };
-            let r = run_campaign_with(&runner, strategy, RUNS, SEED, &opts);
-            assert!(r.ssf.is_finite() && r.sample_variance.is_finite());
-            assert_eq!(
-                (r.ssf.to_bits(), r.sample_variance.to_bits()),
-                (golden_ssf, golden_var),
-                "{} ({kernel:?}, fast_forward {fast_forward}): got ssf {} ({:#018x}), \
-                 variance {:.6e} ({:#018x}) \
-                 — if the sampling streams changed intentionally, re-record the goldens",
-                strategy.name(),
-                r.ssf,
-                r.ssf.to_bits(),
-                r.sample_variance,
-                r.sample_variance.to_bits(),
-            );
-            assert_eq!(
-                r.counters,
-                golden_ctr,
-                "{} ({kernel:?}, fast_forward {fast_forward}): hot-path counters",
-                strategy.name(),
-            );
-        }
+        let opts = CampaignOptions::with_kernel(kernel);
+        let r = run_campaign_with(&runner, strategy, RUNS, SEED, &opts);
+        assert!(r.ssf.is_finite() && r.sample_variance.is_finite());
+        assert_eq!(
+            (r.ssf.to_bits(), r.sample_variance.to_bits()),
+            (golden_ssf, golden_var),
+            "{} ({kernel:?}): got ssf {} ({:#018x}), variance {:.6e} ({:#018x}) \
+             — if the sampling streams changed intentionally, re-record the goldens",
+            strategy.name(),
+            r.ssf,
+            r.ssf.to_bits(),
+            r.sample_variance,
+            r.sample_variance.to_bits(),
+        );
+        assert_eq!(
+            r.counters,
+            golden_ctr,
+            "{} ({kernel:?}): hot-path counters",
+            strategy.name(),
+        );
     }
     // Tracing must be a pure observer: the same campaign run with span
     // recording and provenance capture enabled reproduces the golden bits.
@@ -188,8 +182,8 @@ fn correlation_cone_campaign_matches_golden() {
 }
 
 /// MLMC golden: the multilevel estimator's per-level executors are scalar,
-/// so the same pinned bits must hold under every kernel, fast-forward
-/// setting *and* thread count — and the folded correction term is pinned
+/// so the same pinned bits must hold under every kernel *and* thread
+/// count — and the folded correction term is pinned
 /// alongside the point estimate, so a drift hidden inside the telescoped
 /// sum (level-0 bias moving one way, correction the other) still trips.
 #[test]
@@ -222,41 +216,37 @@ fn mlmc_importance_campaign_matches_golden() {
     // level-0 chunks; only the coupled chunks strike the netlist.
     let golden_ctr = golden_counters(610, 2037, 1228, 809, 9385);
     for kernel in [CampaignKernel::Compiled, CampaignKernel::Scalar] {
-        for fast_forward in [true, false] {
-            for threads in [1, 4] {
-                let opts = CampaignOptions {
-                    fast_forward,
-                    threads,
-                    estimator: EstimatorKind::Mlmc,
-                    ..CampaignOptions::with_kernel(kernel)
-                };
-                let r = run_campaign_with(&runner, &strategy, RUNS, SEED, &opts);
-                let m = r.mlmc.as_ref().expect("mlmc summary present");
-                assert!(r.ssf.is_finite() && r.sample_variance.is_finite());
-                assert_eq!(
-                    (
-                        r.ssf.to_bits(),
-                        r.sample_variance.to_bits(),
-                        m.mean1_diff.to_bits(),
-                    ),
-                    (GOLDEN_SSF, GOLDEN_VAR, GOLDEN_MEAN1_DIFF),
-                    "mlmc ({kernel:?}, fast_forward {fast_forward}, threads {threads}): \
-                     got ssf {} ({:#018x}), variance {:.6e} ({:#018x}), \
-                     mean1_diff {:.6e} ({:#018x}) \
-                     — if the sampling streams changed intentionally, re-record the goldens",
-                    r.ssf,
+        for threads in [1, 4] {
+            let opts = CampaignOptions {
+                threads,
+                estimator: EstimatorKind::Mlmc,
+                ..CampaignOptions::with_kernel(kernel)
+            };
+            let r = run_campaign_with(&runner, &strategy, RUNS, SEED, &opts);
+            let m = r.mlmc.as_ref().expect("mlmc summary present");
+            assert!(r.ssf.is_finite() && r.sample_variance.is_finite());
+            assert_eq!(
+                (
                     r.ssf.to_bits(),
-                    r.sample_variance,
                     r.sample_variance.to_bits(),
-                    m.mean1_diff,
                     m.mean1_diff.to_bits(),
-                );
-                assert_eq!(
-                    r.counters, golden_ctr,
-                    "mlmc ({kernel:?}, fast_forward {fast_forward}, threads {threads}): \
-                     hot-path counters"
-                );
-            }
+                ),
+                (GOLDEN_SSF, GOLDEN_VAR, GOLDEN_MEAN1_DIFF),
+                "mlmc ({kernel:?}, threads {threads}): \
+                 got ssf {} ({:#018x}), variance {:.6e} ({:#018x}), \
+                 mean1_diff {:.6e} ({:#018x}) \
+                 — if the sampling streams changed intentionally, re-record the goldens",
+                r.ssf,
+                r.ssf.to_bits(),
+                r.sample_variance,
+                r.sample_variance.to_bits(),
+                m.mean1_diff,
+                m.mean1_diff.to_bits(),
+            );
+            assert_eq!(
+                r.counters, golden_ctr,
+                "mlmc ({kernel:?}, threads {threads}): hot-path counters"
+            );
         }
     }
 }

@@ -163,18 +163,19 @@ fn responding_signal_suppression_is_the_canonical_attack() {
 
 /// All three levels of the estimator hierarchy pinned against each other on
 /// one batch of coupled campaign runs: the analytic level-0 multi-SEU
-/// verdict (SetToSeuMap, no netlist), the run-to-halt RTL resume, and the
-/// gate-accurate fast-forward flow. Two invariants hold for every run, and
-/// a violation fails with the full per-level diff table rather than a bare
-/// assert:
+/// verdict (SetToSeuMap, no netlist), the uncached run-to-halt RTL
+/// reference, and the gate-accurate flow (conclusion memo, analytic
+/// evaluation and snapshot-cached resumes). Two invariants hold for every
+/// run, and a violation fails with the full per-level diff table rather
+/// than a bare assert:
 ///
-/// 1. gate (fast-forward) == RTL (run-to-halt): fast-forward is an exact
-///    scheduling optimization, never an approximation;
+/// 1. gate == RTL (run-to-halt): the flow's accelerations are exact
+///    scheduling optimizations, never approximations;
 /// 2. analytic == gate wherever the map declares the sample exactly
 ///    representable — the runs whose MLMC correction term is provably zero.
 #[test]
 fn three_level_verdict_matrix_stays_pinned() {
-    use xlmc::fastforward::ConclusionMemo;
+    use xlmc::fastforward::{reference_verdict, ConclusionMemo};
     use xlmc::flow::{FaultRunner, FlowScratch};
     use xlmc::multilevel::{coupled_run_with, MlmcScratch, SetToSeuMap};
     use xlmc::rng::SplitMix64;
@@ -209,8 +210,7 @@ fn three_level_verdict_matrix_stays_pinned() {
     };
     let mut memo = ConclusionMemo::default();
     let mut coupled = MlmcScratch::default();
-    let mut halt = FlowScratch::default();
-    halt.set_fast_forward(false);
+    let mut flow = FlowScratch::default();
 
     struct Row {
         run: u64,
@@ -228,17 +228,20 @@ fn three_level_verdict_matrix_stays_pinned() {
         let exact = map.exactly_representable(&sample);
 
         // Level 0 (analytic multi-SEU) and the gate level come from the
-        // coupled pair; the RTL level is an independent run-to-halt resume
-        // of the identical per-run stream.
+        // coupled pair; the RTL level is the uncached run-to-halt reference
+        // of the error set the identical per-run stream latches.
         let rec = coupled_run_with(&runner, &map, &strategy, SEED, i, &mut coupled, &mut memo);
-        let out = runner.run_with(&sample, &mut rng, &mut halt);
+        let out = runner.run_with(&sample, &mut rng, &mut flow);
+        let rtl_halt = out.injection_cycle.map_or(out.success, |te| {
+            reference_verdict(&eval, te, out.faulty_bits)
+        });
 
         exact_runs += exact as usize;
-        successes += out.success as usize;
+        successes += rtl_halt as usize;
         let row = Row {
             run: i,
             analytic: rec.rtl_success,
-            rtl_halt: out.success,
+            rtl_halt,
             gate: rec.gate_success,
             exact,
         };

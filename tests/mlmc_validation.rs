@@ -5,9 +5,8 @@
 //! 1. **Unbiasedness (3σ z-test).** On every workload × hardening variant,
 //!    the MLMC point estimate must sit within three combined standard
 //!    errors of a run-to-halt oracle campaign over the *same* `(seed, n)`
-//!    sample stream — the single estimator with the fast-forward
-//!    accelerations disabled, so every non-analytic verdict comes from an
-//!    RTL resume that runs to halt.
+//!    sample stream — the single estimator, whose every non-analytic
+//!    verdict comes from an RTL resume that runs to halt.
 //! 2. **Correction-term provenance.** The folded level-1 statistics must
 //!    reproduce *bit-exactly* from the raw paired records: re-derive the
 //!    coupled run indices from `MlmcSummary::chunk_levels`, re-evaluate
@@ -74,14 +73,10 @@ fn mlmc_options() -> CampaignOptions {
     }
 }
 
-/// The run-to-halt oracle: the paper's single estimator with every
-/// fast-forward acceleration off, so nothing short-circuits the RTL
-/// resume.
+/// The run-to-halt oracle: the paper's single estimator, whose RTL
+/// resumes always run to halt.
 fn oracle_options() -> CampaignOptions {
-    CampaignOptions {
-        fast_forward: false,
-        ..CampaignOptions::with_threads(2)
-    }
+    CampaignOptions::with_threads(2)
 }
 
 /// Paired-sample z-test of the MLMC estimate against the oracle on one
