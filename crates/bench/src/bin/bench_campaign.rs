@@ -160,7 +160,11 @@ fn engine(runner: &FaultRunner<'_>, strategy: &dyn SamplingStrategy, spec: &RowS
     }
     let mut progress = StderrProgress::new(&label);
     let start = Instant::now();
-    let r = run_campaign_observed(runner, strategy, runs, SEED, &opts, &mut progress);
+    let r = run_campaign_observed(runner, strategy, runs, SEED, &opts, &mut progress)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        });
     let elapsed = start.elapsed().as_secs_f64();
     // Provenance check: re-derive the campaign's first successful run
     // solo from (seed, index) and require the same verdict.
@@ -305,21 +309,26 @@ fn main() {
         1,
         CampaignKernel::Compiled,
     );
-    telemetry_spec.opts.events_path = Some(
-        base_opts
-            .events_path
-            .clone()
-            .unwrap_or_else(|| tmp.join(format!("bench_campaign_{pid}.events.jsonl"))),
-    );
-    telemetry_spec.opts.prom_path = Some(
-        base_opts
-            .prom_path
-            .clone()
-            .unwrap_or_else(|| tmp.join(format!("bench_campaign_{pid}.prom"))),
-    );
+    // Without --events / --prom the row writes into the temp dir: those
+    // files are this run's own and are removed once the rows finish.
+    let label = telemetry_spec.label.clone();
+    let mut own_files = Vec::new();
+    for (path, ext) in [
+        (&mut telemetry_spec.opts.events_path, "events.jsonl"),
+        (&mut telemetry_spec.opts.prom_path, "prom"),
+    ] {
+        if path.is_none() {
+            let p = tmp.join(format!("bench_campaign_{pid}.{ext}"));
+            own_files.push(tagged_path(&p, &label));
+            *path = Some(p);
+        }
+    }
     specs.push(telemetry_spec);
     let mut rows = vec![base_row];
     rows.extend(engine_best(&runner, &strategy, &specs));
+    for p in &own_files {
+        let _ = std::fs::remove_file(p);
+    }
 
     // The gate-level path in isolation: strike-only passes over one
     // stratified draw, per kernel. This is the comparison the compiled

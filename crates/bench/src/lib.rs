@@ -134,6 +134,10 @@ pub fn tagged_path(path: &Path, tag: &str) -> PathBuf {
 /// combined with the strategy name and inserted into the metrics and
 /// checkpoint file names, so campaigns neither clobber nor cross-resume
 /// each other's files.
+///
+/// A checkpoint that cannot be read, does not match the campaign or cannot
+/// be written ends the process with one line naming the path and exit
+/// status 2, like a bad flag.
 pub fn run_observed_campaign(
     runner: &FaultRunner<'_>,
     strategy: &dyn SamplingStrategy,
@@ -160,7 +164,10 @@ pub fn run_observed_campaign(
         opts.prom_path = Some(tagged_path(p, &tag));
     }
     let mut progress = StderrProgress::new(tag);
-    run_campaign_observed(runner, strategy, n, seed, &opts, &mut progress)
+    run_campaign_observed(runner, strategy, n, seed, &opts, &mut progress).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Print a fixed-width table with a title.

@@ -2,7 +2,8 @@
 //! removed 64-lane kernel's `batched` included — is rejected before any
 //! work starts, with a message naming the flag, the value and the valid
 //! spellings, and exit status 2. The removed `--fast-forward` flag is
-//! rejected the same way, as an unknown flag.
+//! rejected the same way, as an unknown flag. A corrupt `--checkpoint`
+//! file also exits 2, with one line naming it, once the campaign reads it.
 
 use std::process::Command;
 
@@ -42,4 +43,32 @@ fn removed_fast_forward_flag_exits_two_as_unknown() {
         assert_eq!(err.trim_end(), "error: unknown flag --fast-forward");
         assert!(out.stdout.is_empty(), "{argv:?}: no work may start");
     }
+}
+
+/// A corrupt `--checkpoint` file ends the binary with one line naming the
+/// path and exit status 2, not a panic.
+#[test]
+fn corrupt_checkpoint_exits_two_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("xlmc-cli-ck-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ck = dir.join("ck.json");
+    // The binary's first campaign resumes from its tagged path.
+    let tagged = dir.join("ck.fig10a-comb-random.json");
+    std::fs::write(&tagged, "{\"format\": \"xlmc-checkpoint-v3\", \"seed\": ").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fig10_outcome_split"))
+        .args(["--checkpoint".as_ref(), ck.as_os_str()])
+        .output()
+        .expect("spawn fig10_outcome_split");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(!err.contains("panicked at"), "stderr: {err}");
+    let last = err.lines().last().unwrap_or_default();
+    assert!(
+        last.starts_with(&format!(
+            "error: checkpoint {} is not a valid checkpoint",
+            tagged.display()
+        )),
+        "stderr: {err}"
+    );
 }

@@ -16,6 +16,7 @@
 
 pub use crate::batch::{gate_path_bench, GatePathBench};
 use crate::batch::{run_chunk_compiled, BatchChunkScratch, SharedCycleCache};
+use crate::checkpoint::{CampaignCheckpoint, MergeState};
 use crate::fastforward::{ConclusionMemo, FastForwardStats};
 use crate::flow::{DffMask, FaultRunner, FlowScratch, StrikeClass};
 use crate::json::{bits_str, json_num};
@@ -27,17 +28,18 @@ use crate::rng::SplitMix64;
 use crate::sampling::SamplingStrategy;
 use crate::stats::RunningStats;
 use crate::telemetry::{
-    self, CampaignCheckpoint, CampaignObserver, MetricsMeta, NullObserver, ObserverAction,
-    ProgramStats, ProgressEvent, SchedulerStats,
+    self, CampaignObserver, MetricsMeta, NullObserver, ObserverAction, ProgramStats, ProgressEvent,
+    SchedulerStats,
 };
 use crate::trace::{
     self, CampaignCounters, CounterScratch, KernelCounters, ProvenanceRecord, TraceSink,
     PROVENANCE_RING_CAP,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::mpsc::RecvTimeoutError;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use xlmc_fault::AttackSample;
 use xlmc_soc::MpuBit;
@@ -90,7 +92,7 @@ impl ClassCounts {
         )
     }
 
-    fn add(&mut self, other: &ClassCounts) {
+    pub(crate) fn add(&mut self, other: &ClassCounts) {
         self.masked += other.masked;
         self.memory_only += other.memory_only;
         self.mixed += other.mixed;
@@ -119,6 +121,40 @@ impl StopReason {
         }
     }
 }
+
+/// Why a campaign ended without a result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CampaignError {
+    /// The `--checkpoint` file cannot be read, is not a valid checkpoint,
+    /// was written by a different campaign, or cannot be written.
+    Checkpoint {
+        /// The checkpoint path.
+        path: PathBuf,
+        /// What is wrong with it.
+        reason: String,
+    },
+}
+
+impl CampaignError {
+    pub(crate) fn checkpoint(path: &Path, reason: String) -> Self {
+        CampaignError::Checkpoint {
+            path: path.to_owned(),
+            reason,
+        }
+    }
+}
+
+impl std::fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CampaignError::Checkpoint { path, reason } => {
+                write!(f, "checkpoint {} {reason}", path.display())
+            }
+        }
+    }
+}
+
+impl std::error::Error for CampaignError {}
 
 /// The result of one sampling campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -640,7 +676,7 @@ impl ChunkAttribution {
     }
 
     /// Fold the chunk's sums into the campaign's map.
-    fn merge_into(&self, map: &mut BTreeMap<MpuBit, f64>) {
+    pub(crate) fn merge_into(&self, map: &mut BTreeMap<MpuBit, f64>) {
         for &(i, bit) in &self.touched {
             *map.entry(bit).or_insert(0.0) += self.sums[i];
         }
@@ -802,307 +838,15 @@ struct Worker {
     ctr: CounterScratch,
 }
 
-/// The merged campaign prefix: every statistic folded from chunks
-/// `0..merged_chunks`, in chunk order. This is exactly what a checkpoint
-/// snapshots — restoring it and folding the remaining chunks reproduces an
-/// uninterrupted campaign bit-for-bit.
-#[derive(Debug, Default)]
-struct MergeState {
-    /// Which estimator the accumulators below serve.
-    estimator: EstimatorKind,
-    /// The single-estimator stream (untouched under MLMC).
-    stats: RunningStats,
-    /// MLMC level-0 stream of `w·e_rtl` (empty under `Single`).
-    level0: RunningStats,
-    /// MLMC level-1 stream of the signed correction `w·(e_gate − e_rtl)`.
-    level1_diff: RunningStats,
-    /// MLMC level-1 gate marginal `w·e_gate`.
-    level1_gate: RunningStats,
-    /// MLMC level-1 RTL marginal `w·e_rtl`.
-    level1_rtl: RunningStats,
-    /// The published post-pilot level-1 chunk share, set when the pilot
-    /// finishes merging (carried through checkpoints so a resumed campaign
-    /// replays the identical schedule).
-    plan_ratio: Option<f64>,
-    /// Level tag of every merged chunk, in chunk order.
-    chunk_levels: Vec<u8>,
-    class_counts: ClassCounts,
-    analytic_runs: usize,
-    rtl_runs: usize,
-    successes: usize,
-    attribution: BTreeMap<MpuBit, f64>,
-    w_sum: f64,
-    w_sq_sum: f64,
-    counters: CampaignCounters,
-    kernel_counters: KernelCounters,
-    first_success: Option<u64>,
-    /// Running estimate at each merged chunk boundary, undownsampled.
-    boundaries: Vec<(usize, f64)>,
-    /// Chunks folded so far — also the index of the next chunk to fold.
-    merged_chunks: usize,
-}
-
-impl MergeState {
-    fn fold(&mut self, p: ChunkPartial, chunk_end: usize) {
-        match self.estimator {
-            EstimatorKind::Single => self.stats.merge(&p.stats),
-            EstimatorKind::Mlmc => {
-                self.chunk_levels.push(p.level);
-                if p.level == LEVEL_RTL {
-                    self.level0.merge(&p.stats);
-                } else {
-                    self.level1_diff.merge(&p.stats);
-                    self.level1_gate.merge(&p.gate_stats);
-                    self.level1_rtl.merge(&p.rtl_stats);
-                }
-            }
-        }
-        self.class_counts.add(&p.class_counts);
-        self.analytic_runs += p.analytic_runs;
-        self.rtl_runs += p.rtl_runs;
-        self.successes += p.successes;
-        p.attribution.merge_into(&mut self.attribution);
-        self.w_sum += p.w_sum;
-        self.w_sq_sum += p.w_sq_sum;
-        self.counters.add(&p.counters);
-        self.kernel_counters.add(&p.kernel_counters);
-        // Chunks fold in order, so the first Some seen is the global first.
-        if self.first_success.is_none() {
-            self.first_success = p.first_success;
-        }
-        self.merged_chunks += 1;
-        // Freeze the MLMC sample-allocation plan the moment the pilot is
-        // fully merged: a pure function of the pilot variances, so every
-        // schedule — threads, kernels, resume — derives the same ratio.
-        if self.estimator == EstimatorKind::Mlmc
-            && self.plan_ratio.is_none()
-            && self.merged_chunks == MlmcEstimator::PILOT_CHUNKS
-        {
-            let est = MlmcEstimator::default();
-            self.plan_ratio =
-                Some(est.optimal_share1(self.level0.variance(), self.level1_diff.variance()));
-        }
-        self.boundaries.push((chunk_end, self.current_ssf()));
+impl Worker {
+    /// The worker's schedule-dependent totals: its snapshot-cache counters
+    /// and its conclusion memo's (hits, misses).
+    fn totals(&self) -> (FastForwardStats, (u64, u64)) {
+        let mut ff = self.flow.fast_forward_stats();
+        ff.add(&self.batch.fast_forward_stats());
+        ff.add(&self.mlmc.fast_forward_stats());
+        (ff, self.memo.probe_stats())
     }
-
-    fn runs_merged(&self) -> usize {
-        self.boundaries.last().map_or(0, |&(runs, _)| runs)
-    }
-
-    /// The running point estimate of the merged prefix: the plain Welford
-    /// mean under `Single`, the telescoped `mean₀ + mean₁(diff)` under
-    /// MLMC (degenerating to the coupled gate marginal while no level-0
-    /// chunk has merged).
-    fn current_ssf(&self) -> f64 {
-        match self.estimator {
-            EstimatorKind::Single => self.stats.mean(),
-            EstimatorKind::Mlmc => {
-                if self.level0.count() == 0 {
-                    self.level1_gate.mean()
-                } else {
-                    self.level0.mean() + self.level1_diff.mean()
-                }
-            }
-        }
-    }
-
-    /// The per-sample variance scale of the estimate: defined so that
-    /// `sample_variance / n` is the variance of the point estimate under
-    /// either estimator, keeping the LLN bound and the metrics schema
-    /// uniform. For MLMC that is `n · (s₀²/n₀ + s₁²/n₁)` (a zero-count
-    /// level drops out; with no level-0 chunks it reduces to the gate
-    /// marginal's plain sample variance).
-    fn current_sample_variance(&self) -> f64 {
-        match self.estimator {
-            EstimatorKind::Single => self.stats.variance(),
-            EstimatorKind::Mlmc => {
-                let n0 = self.level0.count();
-                let n1 = self.level1_diff.count();
-                let mut v = 0.0;
-                if n0 > 0 {
-                    v += self.level0.variance() / n0 as f64;
-                }
-                if n1 > 0 {
-                    if self.level0.count() == 0 {
-                        v += self.level1_gate.variance() / n1 as f64;
-                    } else {
-                        v += self.level1_diff.variance() / n1 as f64;
-                    }
-                }
-                (n0 + n1) as f64 * v
-            }
-        }
-    }
-
-    /// Samples folded across every stream.
-    fn total_count(&self) -> u64 {
-        match self.estimator {
-            EstimatorKind::Single => self.stats.count(),
-            EstimatorKind::Mlmc => self.level0.count() + self.level1_diff.count(),
-        }
-    }
-
-    /// The LLN bound `Pr[|ŜSF − SSF| ≥ eps] ≤ Var(ŜSF)/eps²` of the merged
-    /// prefix, capped at 1.
-    fn lln_bound(&self, eps: f64) -> f64 {
-        let n = self.total_count();
-        if n == 0 {
-            return 1.0;
-        }
-        (self.current_sample_variance() / (n as f64 * eps * eps)).min(1.0)
-    }
-
-    /// Whether the stopping rule may fire: MLMC additionally requires both
-    /// levels sampled, so the variance terms it bounds are both live (the
-    /// alternating pilot guarantees this from the second chunk on).
-    fn levels_ready(&self) -> bool {
-        match self.estimator {
-            EstimatorKind::Single => true,
-            EstimatorKind::Mlmc => self.level0.count() > 0 && self.level1_diff.count() > 0,
-        }
-    }
-
-    /// Effective sample size `(Σw)²/Σw²` (0 when no runs folded).
-    fn ess(&self) -> f64 {
-        if self.w_sq_sum > 0.0 {
-            self.w_sum * self.w_sum / self.w_sq_sum
-        } else {
-            0.0
-        }
-    }
-
-    fn to_checkpoint(
-        &self,
-        seed: u64,
-        requested_runs: usize,
-        strategy: &str,
-        kernel: CampaignKernel,
-    ) -> CampaignCheckpoint {
-        CampaignCheckpoint {
-            seed,
-            requested_runs,
-            chunk_runs: CHUNK_RUNS,
-            strategy: strategy.to_owned(),
-            kernel,
-            estimator: self.estimator,
-            mlmc: match self.estimator {
-                EstimatorKind::Single => None,
-                EstimatorKind::Mlmc => Some(telemetry::MlmcCheckpointState {
-                    plan_ratio: self.plan_ratio,
-                    level0: self.level0,
-                    level1_diff: self.level1_diff,
-                    level1_gate: self.level1_gate,
-                    level1_rtl: self.level1_rtl,
-                    chunk_levels: self.chunk_levels.clone(),
-                }),
-            },
-            merged_chunks: self.merged_chunks,
-            stats: self.stats,
-            w_sum: self.w_sum,
-            w_sq_sum: self.w_sq_sum,
-            class_counts: self.class_counts,
-            analytic_runs: self.analytic_runs,
-            rtl_runs: self.rtl_runs,
-            successes: self.successes,
-            attribution: self.attribution.clone(),
-            counters: self.counters,
-            kernel_counters: self.kernel_counters,
-            first_success: self.first_success,
-            boundaries: self.boundaries.clone(),
-        }
-    }
-
-    fn from_checkpoint(ck: CampaignCheckpoint) -> Self {
-        let m = ck.mlmc.unwrap_or_default();
-        Self {
-            estimator: ck.estimator,
-            stats: ck.stats,
-            level0: m.level0,
-            level1_diff: m.level1_diff,
-            level1_gate: m.level1_gate,
-            level1_rtl: m.level1_rtl,
-            plan_ratio: m.plan_ratio,
-            chunk_levels: m.chunk_levels,
-            class_counts: ck.class_counts,
-            analytic_runs: ck.analytic_runs,
-            rtl_runs: ck.rtl_runs,
-            successes: ck.successes,
-            attribution: ck.attribution,
-            w_sum: ck.w_sum,
-            w_sq_sum: ck.w_sq_sum,
-            counters: ck.counters,
-            kernel_counters: ck.kernel_counters,
-            first_success: ck.first_success,
-            boundaries: ck.boundaries,
-            merged_chunks: ck.merged_chunks,
-        }
-    }
-
-    fn into_result(self, strategy: &str, stop: StopReason, trace_points: usize) -> CampaignResult {
-        // Downsample boundaries to at most `trace_points`, always keeping
-        // the final `(n, ŜSF)` point exactly once.
-        let stride = self.boundaries.len().div_ceil(trace_points.max(1)).max(1);
-        let mut trace: Vec<(usize, f64)> = self
-            .boundaries
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| (i + 1) % stride == 0)
-            .map(|(_, &b)| b)
-            .collect();
-        if trace.last() != self.boundaries.last() {
-            if let Some(&last) = self.boundaries.last() {
-                trace.push(last);
-            }
-        }
-        let costs = MlmcEstimator::default();
-        let mlmc = match self.estimator {
-            EstimatorKind::Single => None,
-            EstimatorKind::Mlmc => Some(MlmcSummary {
-                n0: self.level0.count(),
-                n1: self.level1_diff.count(),
-                mean0: self.level0.mean(),
-                var0: self.level0.variance(),
-                mean1_diff: self.level1_diff.mean(),
-                var1_diff: self.level1_diff.variance(),
-                mean1_gate: self.level1_gate.mean(),
-                mean1_rtl: self.level1_rtl.mean(),
-                cost0: costs.cost0,
-                cost1: costs.cost1,
-                plan_ratio: self.plan_ratio,
-                chunk_levels: self.chunk_levels.clone(),
-            }),
-        };
-        CampaignResult {
-            strategy: strategy.to_owned(),
-            n: self.runs_merged(),
-            ssf: self.current_ssf(),
-            sample_variance: self.current_sample_variance(),
-            ess: self.ess(),
-            successes: self.successes,
-            trace,
-            class_counts: self.class_counts,
-            analytic_runs: self.analytic_runs,
-            rtl_runs: self.rtl_runs,
-            attribution: self.attribution,
-            stop,
-            counters: self.counters,
-            kernel_counters: self.kernel_counters,
-            first_success: self.first_success,
-            estimator: self.estimator,
-            mlmc,
-        }
-    }
-}
-
-/// What the telemetry fan-out needs to know about one just-merged chunk,
-/// captured before the fold consumes the partial.
-struct ChunkMergeInfo {
-    /// The merged chunk's index.
-    chunk: usize,
-    /// Its level tag ([`LEVEL_GATE`] for single-estimator chunks).
-    level: u8,
-    /// Its primary Welford stream, exactly as folded.
-    stats: RunningStats,
 }
 
 /// Least wall time between two cadence-boundary rewrites of the `--prom`
@@ -1184,62 +928,6 @@ impl TelemetryHub {
     }
 }
 
-fn validate_checkpoint(
-    ck: &CampaignCheckpoint,
-    path: &std::path::Path,
-    seed: u64,
-    n: usize,
-    strategy: &str,
-    kernel: CampaignKernel,
-    estimator: EstimatorKind,
-) {
-    let mut mismatches = Vec::new();
-    if ck.seed != seed {
-        mismatches.push(format!("seed {} != {}", ck.seed, seed));
-    }
-    if ck.requested_runs != n {
-        mismatches.push(format!("requested runs {} != {}", ck.requested_runs, n));
-    }
-    if ck.chunk_runs != CHUNK_RUNS {
-        mismatches.push(format!("chunk size {} != {}", ck.chunk_runs, CHUNK_RUNS));
-    }
-    if ck.strategy != strategy {
-        mismatches.push(format!("strategy {:?} != {:?}", ck.strategy, strategy));
-    }
-    if ck.kernel != kernel {
-        mismatches.push(format!(
-            "kernel {:?} != {:?}",
-            ck.kernel.as_arg(),
-            kernel.as_arg()
-        ));
-    }
-    if ck.estimator != estimator {
-        mismatches.push(format!(
-            "estimator {:?} != {:?}",
-            ck.estimator.as_arg(),
-            estimator.as_arg()
-        ));
-    }
-    if ck.estimator == EstimatorKind::Mlmc && ck.mlmc.is_none() {
-        mismatches.push("corrupt mlmc checkpoint: per-level state missing".to_owned());
-    }
-    if ck.boundaries.len() != ck.merged_chunks {
-        mismatches.push(format!(
-            "corrupt cursor: {} boundaries for {} merged chunks",
-            ck.boundaries.len(),
-            ck.merged_chunks
-        ));
-    }
-    if !mismatches.is_empty() {
-        panic!(
-            "checkpoint {} does not match this campaign ({}); delete it or point \
-             --checkpoint elsewhere",
-            path.display(),
-            mismatches.join(", ")
-        );
-    }
-}
-
 /// Run a campaign of `n` attacks with the given strategy and seed
 /// (sequential; see [`run_campaign_with`] for the threaded form).
 pub fn run_campaign(
@@ -1259,6 +947,12 @@ pub fn run_campaign(
 /// ([`RunningStats::merge`]). Because each run's RNG derives from
 /// `(seed, run_index)` and the partition never depends on the schedule, the
 /// returned result is bit-identical at any thread count.
+///
+/// # Panics
+///
+/// Panics with the [`CampaignError`] when `options.checkpoint_path` names
+/// a checkpoint that cannot be read, does not match this campaign or
+/// cannot be written; [`run_campaign_observed`] returns it instead.
 pub fn run_campaign_with(
     runner: &FaultRunner<'_>,
     strategy: &dyn SamplingStrategy,
@@ -1267,128 +961,130 @@ pub fn run_campaign_with(
     options: &CampaignOptions,
 ) -> CampaignResult {
     run_campaign_observed(runner, strategy, n, seed, options, &mut NullObserver)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_campaign_with`] plus a [`CampaignObserver`] receiving a
-/// [`ProgressEvent`] at every merged chunk boundary.
-///
-/// The merge loop is incremental: as soon as the next in-order chunk
-/// partial is available it is folded, the observer is notified, the
-/// `--target-eps` stopping rule is evaluated, and (when due) a checkpoint
-/// is written. Out-of-order partials from faster workers wait in a small
-/// reorder buffer. Because all of that happens on the merged *prefix* —
-/// which is a pure function of `(seed, n, strategy)` — the event stream,
-/// the stopping point, and any checkpoint are identical at any thread
-/// count and under either kernel; only the wall-clock fields differ.
-pub fn run_campaign_observed(
-    runner: &FaultRunner<'_>,
-    strategy: &dyn SamplingStrategy,
-    n: usize,
-    seed: u64,
-    options: &CampaignOptions,
-    observer: &mut dyn CampaignObserver,
-) -> CampaignResult {
-    let start_time = Instant::now();
-    let chunks = n.div_ceil(CHUNK_RUNS);
-    let chunk_bounds = |c: usize| (c * CHUNK_RUNS, ((c + 1) * CHUNK_RUNS).min(n));
+/// The merge side of a campaign: the checkpoint it folds into (header and
+/// merged prefix), the telemetry fan-out and the provenance sinks. Every
+/// chunk partial, at every thread count, goes through [`Merger::merge`] in
+/// chunk order.
+struct Merger<'a> {
+    ck: CampaignCheckpoint,
+    options: &'a CampaignOptions,
+    /// Where the merge step publishes the MLMC plan once the pilot is
+    /// folded; workers claiming a post-pilot chunk wait on it.
+    plan_cell: &'a OnceLock<MlmcPlan>,
+    hub: TelemetryHub,
+    start_time: Instant,
+    /// The merged prefix this invocation resumed from, in chunks and runs.
+    start_chunk: usize,
+    resumed_runs: usize,
+    ring: VecDeque<ProvenanceRecord>,
+    success_log: Vec<ProvenanceRecord>,
+    replay_capture: Option<ProvenanceRecord>,
+}
 
-    let mut state = MergeState {
-        estimator: options.estimator,
-        ..MergeState::default()
-    };
-    if let Some(path) = &options.checkpoint_path {
-        match CampaignCheckpoint::load(path) {
-            Ok(Some(ck)) => {
-                validate_checkpoint(
-                    &ck,
-                    path,
-                    seed,
-                    n,
-                    strategy.name(),
-                    options.kernel,
-                    options.estimator,
-                );
-                state = MergeState::from_checkpoint(ck);
-            }
-            Ok(None) => {}
-            Err(e) => panic!("failed to read checkpoint {}: {e}", path.display()),
+impl Merger<'_> {
+    /// Merge the partial of `chunk`, the next chunk in order: fold its
+    /// statistics, absorb its latency, publish the MLMC plan once the pilot
+    /// is folded, absorb its provenance and run the boundary. Returns why
+    /// the campaign stops at this boundary, if it does.
+    fn merge(
+        &mut self,
+        chunk: usize,
+        mut p: ChunkPartial,
+        observer: &mut dyn CampaignObserver,
+    ) -> Result<Option<StopReason>, CampaignError> {
+        debug_assert_eq!(chunk, self.ck.state.merged_chunks, "chunks merge in order");
+        let prov = std::mem::take(&mut p.provenance);
+        let latency = std::mem::take(&mut p.latency);
+        let (level, stats) = (p.level, p.stats);
+        let end = ((chunk + 1) * CHUNK_RUNS).min(self.ck.requested_runs);
+        self.ck.state.fold(p, end);
+        self.hub.registry.latency.absorb(&latency);
+        if let Some(ratio) = self.ck.state.plan_ratio {
+            let _ = self.plan_cell.set(MlmcPlan { ratio });
         }
+        absorb_provenance(
+            prov,
+            level,
+            self.options.replay,
+            &mut self.ring,
+            &mut self.success_log,
+            &mut self.replay_capture,
+        );
+        self.boundary(chunk, level, stats, observer)
     }
-    // MLMC machinery: the SET → multi-bit-SEU map the cheap level injects
-    // through, and the chunk-level plan cell. The pilot chunks use the
-    // fixed alternating schedule; the post-pilot schedule is published by
-    // the merger the moment the pilot is fully merged (or restored from a
-    // checkpoint). Workers claiming a post-pilot chunk spin on the cell —
-    // deadlock-free because chunk indices are claimed in order, so the
-    // pilot chunks are always in flight before any worker needs the plan.
-    let mlmc_on = options.estimator == EstimatorKind::Mlmc;
-    let seu_map = mlmc_on.then(|| SetToSeuMap::build(runner.model, runner.eval, runner.prechar));
-    let plan_cell: OnceLock<MlmcPlan> = OnceLock::new();
-    if let Some(ratio) = state.plan_ratio {
-        let _ = plan_cell.set(MlmcPlan { ratio });
-    }
-    let start_chunk = state.merged_chunks;
-    let resumed_runs = state.runs_merged();
-    let checkpoint_every_chunks = options.checkpoint_every_runs.div_ceil(CHUNK_RUNS).max(1);
 
-    let mut hub = TelemetryHub::new(options, strategy.name(), state.plan_ratio.is_some());
-    hub.emit(
-        "campaign_started",
-        0.0,
-        &format!(
-            ", \"seed\": {seed}, \"requested_runs\": {n}, \"kernel\": \"{}\", \
-             \"estimator\": \"{}\", \"threads\": {}, \"resumed_runs\": {resumed_runs}",
-            options.kernel.as_arg(),
-            options.estimator.as_arg(),
-            options.effective_threads(),
-        ),
-    );
-
-    // Everything that happens at a merged chunk boundary, after the fold:
-    // update the telemetry registry, stream the chunk_merged event, notify
-    // the observer, evaluate the stopping rule, write a checkpoint (and at
-    // the same cadence, flush the event log and rewrite the prom
-    // exposition). Ordering matters for resume determinism — a stop
-    // decision precedes the checkpoint write, so a checkpoint's cursor
-    // never passes the first stopping boundary and a resumed campaign
-    // re-derives the exact same stop point.
-    let boundary = |state: &MergeState,
-                    observer: &mut dyn CampaignObserver,
-                    hub: &mut TelemetryHub,
-                    info: ChunkMergeInfo|
-     -> Option<StopReason> {
+    /// Everything that happens at a merged chunk boundary, after the fold.
+    /// One [`ProgressEvent`] is built first; the registry, the
+    /// `chunk_merged` and `early_stop` events, the observer and the
+    /// stopping rule all read it. Then a due checkpoint is written (and at
+    /// the same cadence the event log is flushed and the prom exposition
+    /// rewritten). A stop decision precedes the checkpoint write, so a
+    /// checkpoint's cursor never passes the first stopping boundary and a
+    /// resumed campaign re-derives the exact same stop point.
+    fn boundary(
+        &mut self,
+        chunk: usize,
+        level: u8,
+        stats: RunningStats,
+        observer: &mut dyn CampaignObserver,
+    ) -> Result<Option<StopReason>, CampaignError> {
+        let options = self.options;
+        let state = &self.ck.state;
+        let hub = &mut self.hub;
+        let elapsed_s = self.start_time.elapsed().as_secs_f64();
         let runs_done = state.runs_merged();
-        let elapsed_s = start_time.elapsed().as_secs_f64();
-        let fresh = (runs_done - resumed_runs) as f64;
-        let runs_per_sec = if elapsed_s > 0.0 {
-            fresh / elapsed_s
-        } else {
-            0.0
+        let sample_variance = state.current_sample_variance();
+        let event = ProgressEvent {
+            runs_done,
+            total_runs: self.ck.requested_runs,
+            ssf: state.current_ssf(),
+            sample_variance,
+            ess: state.ess(),
+            target_eps: options.target_eps,
+            lln_bound: options
+                .target_eps
+                .map(|eps| state.lln_bound(sample_variance, eps)),
+            class_counts: state.class_counts,
+            counters: state.counters,
+            kernel_counters: state.kernel_counters,
+            elapsed_s,
+            runs_per_sec: if elapsed_s > 0.0 {
+                (runs_done - self.resumed_runs) as f64 / elapsed_s
+            } else {
+                0.0
+            },
+            mlmc: (state.estimator == EstimatorKind::Mlmc).then(|| MlmcProgress {
+                level,
+                n0: state.level0.count(),
+                n1: state.level1_diff.count(),
+            }),
+            chunk_wall: hub.registry.latency.chunk_wall.summary(),
         };
         let reg = &mut hub.registry;
         reg.counter_set("runs_total", runs_done as u64);
         reg.counter_set("chunks_merged_total", state.merged_chunks as u64);
         reg.counter_set("successes_total", state.successes as u64);
-        reg.gauge_set("ssf", state.current_ssf());
-        reg.gauge_set("sample_variance", state.current_sample_variance());
-        reg.gauge_set("ess", state.ess());
+        reg.gauge_set("ssf", event.ssf);
+        reg.gauge_set("sample_variance", event.sample_variance);
+        reg.gauge_set("ess", event.ess);
         reg.gauge_set("elapsed_seconds", elapsed_s);
-        reg.gauge_set("runs_per_sec", runs_per_sec);
-        if let Some(eps) = options.target_eps {
-            reg.gauge_set("lln_bound", state.lln_bound(eps));
+        reg.gauge_set("runs_per_sec", event.runs_per_sec);
+        if let Some(bound) = event.lln_bound {
+            reg.gauge_set("lln_bound", bound);
         }
         if hub.events.is_some() {
             // The chunk's exact Welford triple rides along as IEEE-754
             // bits, so the final SSF is rebuildable from the log alone.
-            let (count, mean, m2) = info.stats.to_raw();
+            let (count, mean, m2) = stats.to_raw();
             let extra = format!(
-                ", \"chunk\": {}, \"level\": {}, \"runs_done\": {runs_done}, \
+                ", \"chunk\": {chunk}, \"level\": {level}, \"runs_done\": {runs_done}, \
                  \"count\": {count}, \"mean_bits\": {}, \"m2_bits\": {}, \"ssf_bits\": {}",
-                info.chunk,
-                info.level,
                 bits_str(mean),
                 bits_str(m2),
-                bits_str(state.current_ssf()),
+                bits_str(event.ssf),
             );
             hub.emit("chunk_merged", elapsed_s, &extra);
         }
@@ -1409,58 +1105,33 @@ pub fn run_campaign_observed(
         if let Some(wd) = hub.watchdog.as_mut() {
             wd.note_progress(Instant::now());
         }
-        let event = ProgressEvent {
-            runs_done,
-            total_runs: n,
-            ssf: state.current_ssf(),
-            sample_variance: state.current_sample_variance(),
-            ess: state.ess(),
-            target_eps: options.target_eps,
-            lln_bound: options.target_eps.map(|eps| state.lln_bound(eps)),
-            class_counts: state.class_counts,
-            counters: state.counters,
-            kernel_counters: state.kernel_counters,
-            elapsed_s,
-            runs_per_sec,
-            mlmc: (options.estimator == EstimatorKind::Mlmc).then(|| MlmcProgress {
-                level: info.level,
-                n0: state.level0.count(),
-                n1: state.level1_diff.count(),
-            }),
-            chunk_wall: hub.registry.latency.chunk_wall.summary(),
-        };
         if observer.on_progress(&event) == ObserverAction::Abort {
-            return Some(StopReason::Aborted);
+            return Ok(Some(StopReason::Aborted));
         }
-        if let Some(eps) = options.target_eps {
+        if let (Some(eps), Some(bound)) = (options.target_eps, event.lln_bound) {
             if runs_done >= EARLY_STOP_MIN_RUNS
                 && state.levels_ready()
-                && state.lln_bound(eps) <= 1.0 - options.target_confidence
+                && bound <= 1.0 - options.target_confidence
             {
                 hub.emit(
                     "early_stop",
                     elapsed_s,
                     &format!(
                         ", \"runs_done\": {runs_done}, \"lln_bound\": {}, \"target_eps\": {}",
-                        json_num(state.lln_bound(eps)),
+                        json_num(bound),
                         json_num(eps)
                     ),
                 );
-                return Some(StopReason::TargetEps);
+                return Ok(Some(StopReason::TargetEps));
             }
         }
-        let merged_since_start = state.merged_chunks - start_chunk;
-        if merged_since_start.is_multiple_of(checkpoint_every_chunks)
-            || state.merged_chunks == chunks
+        let every = options.checkpoint_every_runs.div_ceil(CHUNK_RUNS).max(1);
+        if (state.merged_chunks - self.start_chunk).is_multiple_of(every)
+            || runs_done == self.ck.requested_runs
         {
             if let Some(path) = &options.checkpoint_path {
                 let t_ck = Instant::now();
-                state
-                    .to_checkpoint(seed, n, strategy.name(), options.kernel)
-                    .save(path)
-                    .unwrap_or_else(|e| {
-                        panic!("failed to write checkpoint {}: {e}", path.display())
-                    });
+                self.ck.save(path)?;
                 hub.registry
                     .latency
                     .checkpoint_write
@@ -1468,7 +1139,7 @@ pub fn run_campaign_observed(
                 hub.registry.counter_add("checkpoints_written_total", 1);
                 hub.emit(
                     "checkpoint_written",
-                    start_time.elapsed().as_secs_f64(),
+                    self.start_time.elapsed().as_secs_f64(),
                     &format!(
                         ", \"runs_done\": {runs_done}, \"merged_chunks\": {}",
                         state.merged_chunks
@@ -1480,8 +1151,85 @@ pub fn run_campaign_observed(
             hub.flush_events();
             hub.write_prom_at_boundary();
         }
-        None
+        Ok(None)
+    }
+}
+
+/// [`run_campaign_with`] plus a [`CampaignObserver`] receiving a
+/// [`ProgressEvent`] at every merged chunk boundary.
+///
+/// The merge is incremental: as soon as the next in-order chunk partial
+/// is available it is folded, the observer is notified, the
+/// `--target-eps` stopping rule is evaluated, and (when due) a checkpoint
+/// is written. With one worker the driver runs each chunk inline and
+/// merges it at once; with more, out-of-order partials from faster
+/// workers wait in a small reorder buffer. Because all of that happens on
+/// the merged *prefix* — which is a pure function of `(seed, n, strategy)`
+/// — the event stream, the stopping point, and any checkpoint are
+/// identical at any thread count and under either kernel; only the
+/// wall-clock fields differ.
+///
+/// # Errors
+///
+/// [`CampaignError::Checkpoint`], naming the path, when the
+/// `options.checkpoint_path` file cannot be read, is not a valid
+/// checkpoint, was written by a different campaign, or cannot be written.
+/// A write failure stops the workers; the error returns once they have
+/// exited.
+pub fn run_campaign_observed(
+    runner: &FaultRunner<'_>,
+    strategy: &dyn SamplingStrategy,
+    n: usize,
+    seed: u64,
+    options: &CampaignOptions,
+    observer: &mut dyn CampaignObserver,
+) -> Result<CampaignResult, CampaignError> {
+    let start_time = Instant::now();
+    let chunks = n.div_ceil(CHUNK_RUNS);
+    let chunk_bounds = |c: usize| (c * CHUNK_RUNS, ((c + 1) * CHUNK_RUNS).min(n));
+
+    let mut ck = CampaignCheckpoint {
+        seed,
+        requested_runs: n,
+        chunk_runs: CHUNK_RUNS,
+        strategy: strategy.name().to_owned(),
+        kernel: options.kernel,
+        state: MergeState {
+            estimator: options.estimator,
+            ..MergeState::default()
+        },
     };
+    if let Some(path) = &options.checkpoint_path {
+        ck.resume(path)?;
+    }
+    // MLMC machinery: the SET → multi-bit-SEU map the cheap level injects
+    // through, and the chunk-level plan cell. The pilot chunks use the
+    // fixed alternating schedule; the post-pilot schedule is published by
+    // the merge step the moment the pilot is fully merged (or restored from
+    // a checkpoint). Workers claiming a post-pilot chunk spin on the cell —
+    // deadlock-free because chunk indices are claimed in order, so the
+    // pilot chunks are always in flight before any worker needs the plan.
+    let mlmc_on = options.estimator == EstimatorKind::Mlmc;
+    let seu_map = mlmc_on.then(|| SetToSeuMap::build(runner.model, runner.eval, runner.prechar));
+    let plan_cell: OnceLock<MlmcPlan> = OnceLock::new();
+    if let Some(ratio) = ck.state.plan_ratio {
+        let _ = plan_cell.set(MlmcPlan { ratio });
+    }
+    let start_chunk = ck.state.merged_chunks;
+    let resumed_runs = ck.state.runs_merged();
+
+    let mut hub = TelemetryHub::new(options, strategy.name(), ck.state.plan_ratio.is_some());
+    hub.emit(
+        "campaign_started",
+        0.0,
+        &format!(
+            ", \"seed\": {seed}, \"requested_runs\": {n}, \"kernel\": \"{}\", \
+             \"estimator\": \"{}\", \"threads\": {}, \"resumed_runs\": {resumed_runs}",
+            options.kernel.as_arg(),
+            options.estimator.as_arg(),
+            options.effective_threads(),
+        ),
+    );
 
     // Span tracing never feeds the statistics (it only reads the clock),
     // and provenance is copied *out* of the fold — so neither can change a
@@ -1493,17 +1241,25 @@ pub fn run_campaign_observed(
         TraceSink::disabled()
     };
     let record_provenance = options.trace_path.is_some() || options.replay.is_some();
-    let mut ring: VecDeque<ProvenanceRecord> = VecDeque::new();
-    let mut success_log: Vec<ProvenanceRecord> = Vec::new();
-    let mut replay_capture: Option<ProvenanceRecord> = None;
+    let mut merger = Merger {
+        ck,
+        options,
+        plan_cell: &plan_cell,
+        hub,
+        start_time,
+        start_chunk,
+        resumed_runs,
+        ring: VecDeque::new(),
+        success_log: Vec::new(),
+        replay_capture: None,
+    };
 
-    let mut stop = StopReason::Completed;
-    // Schedule-dependent snapshot-cache counters, folded in from every worker
-    // scratch at thread exit; they surface in the metrics JSON only.
-    let ff_total = Mutex::new(FastForwardStats::default());
-    // Conclusion-memo totals (hits, misses), same lifecycle.
-    let memo_total = Mutex::new((0u64, 0u64));
-    // Merge-path scheduling observability; all schedule-dependent.
+    // Where the merge loop ended: `Ok(None)` once every chunk is merged.
+    let mut outcome: Result<Option<StopReason>, CampaignError> = Ok(None);
+    // Schedule-dependent totals of every worker (snapshot-cache counters,
+    // conclusion-memo hits and misses) and merge-path scheduling
+    // observability; they surface in the metrics JSON only.
+    let mut worker_totals = Vec::new();
     let mut merge_wait_s = 0.0f64;
     let mut reorder_peak = 0usize;
     let mut workers = 0usize;
@@ -1521,13 +1277,9 @@ pub fn run_campaign_observed(
             CampaignKernel::Scalar => None,
             CampaignKernel::Compiled => Some(SharedCycleCache::new(runner.eval.golden.cycles)),
         };
-        let ff_total = &ff_total;
-        let sink = &sink;
-        let seu_map = &seu_map;
-        let plan_cell = &plan_cell;
-        // Shared with the plan-cell spin below: an aborting merger can
-        // exit before the pilot is fully folded, in which case the plan
-        // is never published and waiting workers must bail instead.
+        // Shared with the plan-cell spin below: a merge loop that stops
+        // early can exit before the pilot is fully folded, in which case
+        // the plan is never published and waiting workers must bail instead.
         let stop_flag = AtomicBool::new(false);
         let stop_flag = &stop_flag;
         let run_one = |c: usize, w: &mut Worker, tid: u32| -> ChunkPartial {
@@ -1542,15 +1294,15 @@ pub fn run_campaign_observed(
             let chunk = u32::try_from(c).expect("chunk index fits a memo stamp");
             let _span = sink.span_args(tid, "campaign", "chunk", &[("chunk", c as f64)]);
             let chunk_t0 = Instant::now();
-            let mut p = if let Some(map) = seu_map {
+            let mut p = if let Some(map) = &seu_map {
                 let level = if c < MlmcEstimator::PILOT_CHUNKS {
                     MlmcEstimator::pilot_level(c)
                 } else {
-                    // The plan is published by the merger once the pilot
-                    // prefix is folded; chunk indices are claimed in order,
-                    // so the pilot is always in flight ahead of this wait.
-                    // The wait can only end without a plan when an observer
-                    // aborted mid-pilot and the merger left — the returned
+                    // The plan is published by the merge step once the
+                    // pilot prefix is folded; chunk indices are claimed in
+                    // order, so the pilot is always in flight ahead of this
+                    // wait. The wait can only end without a plan when the
+                    // merge loop stopped mid-pilot — the returned
                     // placeholder is behind the merge cursor and never folds.
                     let plan = loop {
                         if let Some(p) = plan_cell.get() {
@@ -1606,7 +1358,7 @@ pub fn run_campaign_observed(
                         chunk,
                         ctr,
                         record_provenance,
-                        sink,
+                        &sink,
                         tid,
                     ),
                     None => run_chunk(
@@ -1635,59 +1387,24 @@ pub fn run_campaign_observed(
                 .record(chunk_t0.elapsed().as_secs_f64());
             p
         };
-        let memo_total = &memo_total;
-        let fold_worker = |w: &Worker| {
-            let mut total = ff_total
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            total.add(&w.flow.fast_forward_stats());
-            total.add(&w.batch.fast_forward_stats());
-            total.add(&w.mlmc.fast_forward_stats());
-            let (h, m) = w.memo.probe_stats();
-            let mut mt = memo_total
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            mt.0 += h;
-            mt.1 += m;
-        };
 
         workers = threads;
         if threads <= 1 {
+            // One worker: no thread, each chunk runs inline and merges at once.
             let mut worker = Worker::default();
             for c in start_chunk..chunks {
-                let mut p = run_one(c, &mut worker, 0);
-                let prov = std::mem::take(&mut p.provenance);
-                let level = p.level;
-                let lat = std::mem::take(&mut p.latency);
-                let info = ChunkMergeInfo {
-                    chunk: c,
-                    level,
-                    stats: p.stats,
-                };
-                state.fold(p, chunk_bounds(c).1);
-                hub.registry.latency.absorb(&lat);
-                if let Some(ratio) = state.plan_ratio {
-                    let _ = plan_cell.set(MlmcPlan { ratio });
-                }
-                absorb_provenance(
-                    prov,
-                    level,
-                    options.replay,
-                    &mut ring,
-                    &mut success_log,
-                    &mut replay_capture,
-                );
-                if let Some(reason) = boundary(&state, observer, &mut hub, info) {
-                    stop = reason;
+                outcome = merger.merge(c, run_one(c, &mut worker, 0), observer);
+                if !matches!(outcome, Ok(None)) {
                     break;
                 }
             }
-            fold_worker(&worker);
+            worker_totals.push(worker.totals());
         } else {
             // Arm the stall watchdog only where stalls are observable:
             // the threaded merge loop, which can wait on recv while
             // workers grind. Needs the event log (the stall report is an
             // event) and a positive budget.
+            let hub = &mut merger.hub;
             if hub.events.is_some() && options.stall_timeout_s > 0.0 {
                 hub.watchdog = Some(StallWatchdog::new(
                     Duration::from_secs_f64(options.stall_timeout_s),
@@ -1703,131 +1420,126 @@ pub fn run_campaign_observed(
             let next = AtomicUsize::new(start_chunk);
             let (tx, rx) = std::sync::mpsc::channel::<(usize, ChunkPartial)>();
             std::thread::scope(|s| {
-                for (w, my_chunk) in worker_states.iter().enumerate() {
-                    let tx = tx.clone();
-                    let run_one = &run_one;
-                    let next = &next;
-                    let tid = (w + 1) as u32;
-                    let fold_worker = &fold_worker;
-                    s.spawn(move || {
-                        let mut worker = Worker::default();
-                        loop {
-                            if stop_flag.load(Ordering::Relaxed) {
-                                break;
+                let handles: Vec<_> = worker_states
+                    .iter()
+                    .enumerate()
+                    .map(|(w, my_chunk)| {
+                        let tx = tx.clone();
+                        let run_one = &run_one;
+                        let next = &next;
+                        let tid = (w + 1) as u32;
+                        s.spawn(move || {
+                            let mut worker = Worker::default();
+                            while !stop_flag.load(Ordering::Relaxed) {
+                                let c = next.fetch_add(1, Ordering::Relaxed);
+                                if c >= chunks {
+                                    break;
+                                }
+                                my_chunk.store(c, Ordering::Relaxed);
+                                let p = run_one(c, &mut worker, tid);
+                                my_chunk.store(usize::MAX, Ordering::Relaxed);
+                                // A send fails only when the merge loop
+                                // has stopped and dropped the receiver.
+                                if tx.send((c, p)).is_err() {
+                                    break;
+                                }
                             }
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= chunks {
-                                break;
-                            }
-                            my_chunk.store(c, Ordering::Relaxed);
-                            // A send fails only when the merger has
-                            // stopped and dropped the receiver.
-                            let p = run_one(c, &mut worker, tid);
-                            my_chunk.store(usize::MAX, Ordering::Relaxed);
-                            if tx.send((c, p)).is_err() {
-                                break;
-                            }
-                        }
-                        fold_worker(&worker);
-                    });
-                }
+                            worker.totals()
+                        })
+                    })
+                    .collect();
                 drop(tx);
                 // Reorder buffer for partials that arrive ahead of the
-                // merge cursor; folds always happen in chunk order.
+                // merge cursor; merges always happen in chunk order.
                 let mut pending: BTreeMap<usize, ChunkPartial> = BTreeMap::new();
-                'merge: while state.merged_chunks < chunks {
+                'merge: while merger.ck.state.merged_chunks < chunks {
                     let wait = Instant::now();
                     // With a watchdog armed, wait in budget-sized slices
                     // so a silent worker pool is reported instead of
-                    // blocking forever unobserved.
+                    // blocking forever unobserved (`Duration::MAX` waits
+                    // like `recv`).
                     let received = loop {
-                        match hub.watchdog.as_ref().map(StallWatchdog::budget) {
-                            None => break rx.recv().ok(),
-                            Some(budget) => match rx.recv_timeout(budget) {
-                                Ok(msg) => break Some(msg),
-                                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                                    let now = Instant::now();
-                                    let stalled =
-                                        hub.watchdog.as_mut().and_then(|wd| wd.check(now));
-                                    if let Some(stalled_for) = stalled {
-                                        hub.registry.counter_add("stalls_total", 1);
-                                        let dump: Vec<String> = worker_states
-                                            .iter()
-                                            .map(|st| match st.load(Ordering::Relaxed) {
-                                                usize::MAX => "null".to_owned(),
-                                                c => c.to_string(),
-                                            })
-                                            .collect();
-                                        let extra = format!(
-                                            ", \"stalled_for_s\": {}, \"budget_s\": {}, \
-                                             \"merge_cursor\": {}, \"worker_chunks\": [{}]",
-                                            json_num(stalled_for.as_secs_f64()),
-                                            json_num(options.stall_timeout_s),
-                                            state.merged_chunks,
-                                            dump.join(", "),
-                                        );
-                                        hub.emit(
-                                            "worker_stalled",
-                                            start_time.elapsed().as_secs_f64(),
-                                            &extra,
-                                        );
-                                        hub.flush_events();
-                                    }
+                        let hub = &mut merger.hub;
+                        let budget = hub
+                            .watchdog
+                            .as_ref()
+                            .map_or(Duration::MAX, StallWatchdog::budget);
+                        let stalled_for = match rx.recv_timeout(budget) {
+                            Ok(msg) => break Some(msg),
+                            Err(RecvTimeoutError::Disconnected) => break None,
+                            Err(RecvTimeoutError::Timeout) => {
+                                match hub
+                                    .watchdog
+                                    .as_mut()
+                                    .and_then(|wd| wd.check(Instant::now()))
+                                {
+                                    Some(stalled_for) => stalled_for,
+                                    None => continue,
                                 }
-                                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break None,
-                            },
-                        }
+                            }
+                        };
+                        hub.registry.counter_add("stalls_total", 1);
+                        let dump: Vec<String> = worker_states
+                            .iter()
+                            .map(|st| match st.load(Ordering::Relaxed) {
+                                usize::MAX => "null".to_owned(),
+                                c => c.to_string(),
+                            })
+                            .collect();
+                        let extra = format!(
+                            ", \"stalled_for_s\": {}, \"budget_s\": {}, \"merge_cursor\": {}, \
+                             \"worker_chunks\": [{}]",
+                            json_num(stalled_for.as_secs_f64()),
+                            json_num(options.stall_timeout_s),
+                            merger.ck.state.merged_chunks,
+                            dump.join(", "),
+                        );
+                        hub.emit("worker_stalled", start_time.elapsed().as_secs_f64(), &extra);
+                        hub.flush_events();
                     };
                     let Some((c, p)) = received else { break };
                     let waited = wait.elapsed().as_secs_f64();
                     merge_wait_s += waited;
-                    hub.registry.latency.merge_wait.record(waited);
+                    merger.hub.registry.latency.merge_wait.record(waited);
                     pending.insert(c, p);
                     reorder_peak = reorder_peak.max(pending.len());
-                    while let Some(mut p) = pending.remove(&state.merged_chunks) {
-                        let chunk = state.merged_chunks;
-                        let end = chunk_bounds(chunk).1;
-                        let prov = std::mem::take(&mut p.provenance);
-                        let level = p.level;
-                        let lat = std::mem::take(&mut p.latency);
-                        let info = ChunkMergeInfo {
-                            chunk,
-                            level,
-                            stats: p.stats,
-                        };
-                        state.fold(p, end);
-                        hub.registry.latency.absorb(&lat);
-                        if let Some(ratio) = state.plan_ratio {
-                            let _ = plan_cell.set(MlmcPlan { ratio });
-                        }
-                        absorb_provenance(
-                            prov,
-                            level,
-                            options.replay,
-                            &mut ring,
-                            &mut success_log,
-                            &mut replay_capture,
-                        );
-                        if let Some(reason) = boundary(&state, observer, &mut hub, info) {
-                            stop = reason;
+                    while let Some(p) = pending.remove(&merger.ck.state.merged_chunks) {
+                        outcome = merger.merge(merger.ck.state.merged_chunks, p, observer);
+                        if !matches!(outcome, Ok(None)) {
                             stop_flag.store(true, Ordering::Relaxed);
                             break 'merge;
                         }
                     }
                 }
                 drop(rx);
+                for handle in handles {
+                    match handle.join() {
+                        Ok(totals) => worker_totals.push(totals),
+                        Err(panic) => std::panic::resume_unwind(panic),
+                    }
+                }
             });
         }
     }
+    let stop = outcome?.unwrap_or(StopReason::Completed);
+    let Merger {
+        ck,
+        mut hub,
+        ring,
+        success_log,
+        replay_capture,
+        ..
+    } = merger;
 
     let elapsed_s = start_time.elapsed().as_secs_f64();
-    let fresh = (state.runs_merged() - resumed_runs) as f64;
-    let fast_forward_stats = ff_total
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let (memo_hits, memo_misses) = memo_total
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let fresh = (ck.state.runs_merged() - resumed_runs) as f64;
+    let mut fast_forward_stats = FastForwardStats::default();
+    let (mut memo_hits, mut memo_misses) = (0, 0);
+    for (ff, (hits, misses)) in &worker_totals {
+        fast_forward_stats.add(ff);
+        memo_hits += hits;
+        memo_misses += misses;
+    }
     let scheduler = SchedulerStats {
         workers,
         merge_wait_s,
@@ -1840,7 +1552,7 @@ pub fn run_campaign_observed(
             levels: p.levels(),
             gates: p.len(),
             lane_width: options.kernel.lane_width(),
-            sweeps: state.kernel_counters.lane_batches,
+            sweeps: ck.state.kernel_counters.lane_batches,
         },
         Err(_) => ProgramStats {
             lane_width: options.kernel.lane_width(),
@@ -1867,7 +1579,9 @@ pub fn run_campaign_observed(
         scheduler,
         latency: hub.registry.latency.summaries(),
     };
-    let result = state.into_result(strategy.name(), stop, options.trace_points);
+    let result = ck
+        .state
+        .into_result(strategy.name(), stop, options.trace_points);
     observer.on_finish(&result);
 
     // Replay before writing the trace so the replay spans land in the file.
@@ -1991,7 +1705,7 @@ pub fn run_campaign_observed(
             eprintln!("failed to write metrics {}: {e}", path.display());
         }
     }
-    result
+    Ok(result)
 }
 
 /// Absorb one merged chunk's provenance: keep the trailing
@@ -2585,7 +2299,8 @@ mod tests {
         let n = 3 * CHUNK_RUNS + 100;
         let mut obs = Collect(Vec::new(), 0);
         let result =
-            run_campaign_observed(&r, &strat, n, 31, &CampaignOptions::default(), &mut obs);
+            run_campaign_observed(&r, &strat, n, 31, &CampaignOptions::default(), &mut obs)
+                .unwrap();
         assert_eq!(obs.1, 1, "on_finish fires once");
         assert_eq!(obs.0.len(), 4, "one event per chunk");
         assert_eq!(
@@ -2617,7 +2332,8 @@ mod tests {
             31,
             &CampaignOptions::default(),
             &mut AbortImmediately,
-        );
+        )
+        .unwrap();
         assert_eq!(result.stop, StopReason::Aborted);
         assert_eq!(result.n, CHUNK_RUNS);
         assert_eq!(result.class_counts.total(), CHUNK_RUNS);
@@ -2757,8 +2473,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "estimator")]
-    fn checkpoint_estimator_mismatch_panics() {
+    fn checkpoint_estimator_mismatch_is_an_error() {
         let f = fixture();
         let r = runner(&f);
         let strat = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
@@ -2774,9 +2489,14 @@ mod tests {
         run_campaign_with(&r, &strat, 2 * CHUNK_RUNS, 3, &opts);
         assert!(ck.is_file(), "single-estimator checkpoint written");
         let resume = CampaignOptions {
-            checkpoint_path: Some(ck),
+            checkpoint_path: Some(ck.clone()),
             ..mlmc_opts()
         };
-        run_campaign_with(&r, &strat, 2 * CHUNK_RUNS, 3, &resume);
+        let err = run_campaign_observed(&r, &strat, 2 * CHUNK_RUNS, 3, &resume, &mut NullObserver)
+            .unwrap_err();
+        let CampaignError::Checkpoint { path, reason } = &err;
+        assert_eq!(path, &ck);
+        assert!(reason.contains("estimator"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -64,6 +64,7 @@
 
 pub mod analytic;
 mod batch;
+mod checkpoint;
 pub mod correlation;
 pub mod estimator;
 pub mod fastforward;

@@ -1,7 +1,8 @@
-//! Campaign telemetry: structured progress events, convergence metrics,
-//! and crash-safe checkpoint/resume for the Monte Carlo engine.
+//! Campaign telemetry: structured progress events and convergence
+//! metrics for the Monte Carlo engine.
 //!
-//! Three consumers hang off the campaign driver's in-order merge loop:
+//! Two consumers hang off the campaign driver's in-order merge step (the
+//! third, the checkpoint, is the merge state itself: [`crate::checkpoint`]):
 //!
 //! * **Observers** ([`CampaignObserver`]) receive a [`ProgressEvent`] at
 //!   every merged chunk boundary — running SSF, Welford variance, the
@@ -14,14 +15,6 @@
 //!   driver serializes a summary of the finished campaign (stop reason,
 //!   final `n`, ESS, convergence trace, …) as JSON; the format is pinned
 //!   by `schemas/metrics.schema.json` and [`validate_against_schema`].
-//! * **Checkpoints** — when `CampaignOptions::checkpoint_path` is set,
-//!   the driver periodically snapshots the merged prefix (exact Welford
-//!   state, class counts, attribution, chunk cursor). Every `f64` is
-//!   stored as its IEEE-754 bit pattern, so a resumed campaign folds the
-//!   same bits the uninterrupted one would and the final
-//!   [`CampaignResult`](crate::estimator::CampaignResult) is
-//!   bit-identical. Writes go through a temp file + rename, so a crash
-//!   mid-write leaves the previous snapshot intact.
 //!
 //! The offline build has no serialization crate, so serialization here
 //! goes through the hand-rolled JSON writer helpers and recursive-descent parser in [`crate::json`]
@@ -29,19 +22,14 @@
 
 pub use crate::json::{json_escape, validate_against_schema, JsonValue};
 
-use crate::estimator::{CampaignKernel, CampaignResult, ClassCounts, EstimatorKind};
+use crate::estimator::{CampaignKernel, CampaignResult, ClassCounts};
 use crate::fastforward::FastForwardStats;
-use crate::json::{bits_str, f64_from_bits_str, get_u64, json_num};
+use crate::json::json_num;
 use crate::metrics::{LatencySummaries, LatencySummary, MlmcProgress};
-use crate::stats::RunningStats;
-use crate::trace::{counters_from_json, counters_json, CampaignCounters, KernelCounters};
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use crate::trace::{counters_json, CampaignCounters, KernelCounters};
 use std::io;
 use std::path::Path;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-use xlmc_soc::MpuBit;
 
 // ---------------------------------------------------------------------------
 // Progress events and observers
@@ -197,361 +185,6 @@ impl CampaignObserver for StderrProgress {
             );
         }
         ObserverAction::Continue
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoints
-// ---------------------------------------------------------------------------
-
-const CHECKPOINT_FORMAT: &str = "xlmc-checkpoint-v3";
-
-fn bit_names() -> &'static HashMap<String, MpuBit> {
-    static NAMES: OnceLock<HashMap<String, MpuBit>> = OnceLock::new();
-    NAMES.get_or_init(|| {
-        MpuBit::all()
-            .into_iter()
-            .map(|b| (b.dff_name(), b))
-            .collect()
-    })
-}
-
-/// The multilevel half of a checkpoint: the exact per-level Welford
-/// states plus the frozen sample-allocation plan, so a resumed MLMC
-/// campaign schedules the same chunk levels and folds the same bits as
-/// an uninterrupted one (`xlmc-checkpoint-v3`).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct MlmcCheckpointState {
-    /// The frozen post-pilot level-1 share, `None` while still piloting.
-    pub(crate) plan_ratio: Option<f64>,
-    /// Level-0 stream `w·f_rtl`.
-    pub(crate) level0: RunningStats,
-    /// Level-1 correction stream `w·(f_gate − f_rtl)`.
-    pub(crate) level1_diff: RunningStats,
-    /// Level-1 gate marginal `w·f_gate`.
-    pub(crate) level1_gate: RunningStats,
-    /// Level-1 RTL marginal `w·f_rtl`.
-    pub(crate) level1_rtl: RunningStats,
-    /// Level tag of every merged chunk, in merge order.
-    pub(crate) chunk_levels: Vec<u8>,
-}
-
-/// A crash-safe snapshot of a campaign's merged prefix.
-///
-/// The campaign driver merges chunk partials strictly in chunk order, so
-/// the merged prefix plus the chunk cursor fully determine the rest of
-/// the campaign: per-run RNG streams derive from `(seed, run_index)`
-/// alone (the seed is part of the header — the "SplitMix64 stream seeds"
-/// need no further state), and re-running chunks `cursor..` folds exactly
-/// the bits an uninterrupted campaign would.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CampaignCheckpoint {
-    pub(crate) seed: u64,
-    pub(crate) requested_runs: usize,
-    pub(crate) chunk_runs: usize,
-    pub(crate) strategy: String,
-    pub(crate) kernel: CampaignKernel,
-    pub(crate) merged_chunks: usize,
-    pub(crate) stats: RunningStats,
-    pub(crate) w_sum: f64,
-    pub(crate) w_sq_sum: f64,
-    pub(crate) class_counts: ClassCounts,
-    pub(crate) analytic_runs: usize,
-    pub(crate) rtl_runs: usize,
-    pub(crate) successes: usize,
-    pub(crate) attribution: BTreeMap<MpuBit, f64>,
-    pub(crate) boundaries: Vec<(usize, f64)>,
-    pub(crate) counters: CampaignCounters,
-    pub(crate) kernel_counters: KernelCounters,
-    pub(crate) first_success: Option<u64>,
-    pub(crate) estimator: EstimatorKind,
-    pub(crate) mlmc: Option<MlmcCheckpointState>,
-}
-
-/// A Welford state as its exact on-disk JSON object.
-fn stats_json(st: &RunningStats) -> String {
-    let (count, mean, m2) = st.to_raw();
-    format!(
-        "{{\"count\": {count}, \"mean_bits\": {}, \"m2_bits\": {}}}",
-        bits_str(mean),
-        bits_str(m2)
-    )
-}
-
-fn stats_from_json(v: &JsonValue, what: &str) -> Result<RunningStats, String> {
-    Ok(RunningStats::from_raw(
-        get_u64(v, "count").map_err(|e| format!("{what}: {e}"))?,
-        f64_from_bits_str(
-            v.get("mean_bits")
-                .ok_or_else(|| format!("{what}: missing mean_bits"))?,
-            "mean",
-        )?,
-        f64_from_bits_str(
-            v.get("m2_bits")
-                .ok_or_else(|| format!("{what}: missing m2_bits"))?,
-            "m2",
-        )?,
-    ))
-}
-
-impl CampaignCheckpoint {
-    /// Serialize to the on-disk JSON form.
-    pub(crate) fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let (count, mean, m2) = self.stats.to_raw();
-        let mut s = String::with_capacity(1024 + 32 * self.boundaries.len());
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"format\": \"{CHECKPOINT_FORMAT}\",");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"requested_runs\": {},", self.requested_runs);
-        let _ = writeln!(s, "  \"chunk_runs\": {},", self.chunk_runs);
-        let _ = writeln!(s, "  \"strategy\": \"{}\",", json_escape(&self.strategy));
-        let _ = writeln!(s, "  \"kernel\": \"{}\",", self.kernel.as_arg());
-        let _ = writeln!(s, "  \"estimator\": \"{}\",", self.estimator.as_arg());
-        match &self.mlmc {
-            Some(m) => {
-                let mut levels = String::with_capacity(4 * m.chunk_levels.len() + 2);
-                levels.push('[');
-                for (i, lvl) in m.chunk_levels.iter().enumerate() {
-                    if i > 0 {
-                        levels.push_str(", ");
-                    }
-                    let _ = write!(levels, "{lvl}");
-                }
-                levels.push(']');
-                let _ = writeln!(
-                    s,
-                    "  \"mlmc\": {{\"plan_ratio_bits\": {}, \"level0\": {}, \
-                     \"level1_diff\": {}, \"level1_gate\": {}, \"level1_rtl\": {}, \
-                     \"chunk_levels\": {levels}}},",
-                    m.plan_ratio.map_or("null".to_owned(), bits_str),
-                    stats_json(&m.level0),
-                    stats_json(&m.level1_diff),
-                    stats_json(&m.level1_gate),
-                    stats_json(&m.level1_rtl),
-                );
-            }
-            None => s.push_str("  \"mlmc\": null,\n"),
-        }
-        let _ = writeln!(s, "  \"merged_chunks\": {},", self.merged_chunks);
-        let _ = writeln!(
-            s,
-            "  \"stats\": {{\"count\": {count}, \"mean_bits\": {}, \"m2_bits\": {}}},",
-            bits_str(mean),
-            bits_str(m2)
-        );
-        let _ = writeln!(s, "  \"w_sum_bits\": {},", bits_str(self.w_sum));
-        let _ = writeln!(s, "  \"w_sq_sum_bits\": {},", bits_str(self.w_sq_sum));
-        let _ = writeln!(
-            s,
-            "  \"class_counts\": {{\"masked\": {}, \"memory_only\": {}, \"mixed\": {}}},",
-            self.class_counts.masked, self.class_counts.memory_only, self.class_counts.mixed
-        );
-        let _ = writeln!(s, "  \"analytic_runs\": {},", self.analytic_runs);
-        let _ = writeln!(s, "  \"rtl_runs\": {},", self.rtl_runs);
-        let _ = writeln!(s, "  \"successes\": {},", self.successes);
-        s.push_str("  \"attribution\": [");
-        for (i, (bit, w)) in self.attribution.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "{{\"bit\": \"{}\", \"w_bits\": {}}}",
-                json_escape(&bit.dff_name()),
-                bits_str(*w)
-            );
-        }
-        s.push_str("],\n  \"boundaries\": [");
-        for (i, (runs, mean)) in self.boundaries.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "[{runs}, {}]", bits_str(*mean));
-        }
-        s.push_str("],\n");
-        let _ = writeln!(
-            s,
-            "  \"counters\": {},",
-            counters_json(&self.counters, &self.kernel_counters)
-        );
-        match self.first_success {
-            Some(i) => {
-                let _ = writeln!(s, "  \"first_success\": {i}");
-            }
-            None => s.push_str("  \"first_success\": null\n"),
-        }
-        s.push_str("}\n");
-        s
-    }
-
-    /// Deserialize the on-disk JSON form.
-    pub(crate) fn from_json(src: &str) -> Result<Self, String> {
-        let doc = JsonValue::parse(src)?;
-        let format = doc.get("format").and_then(JsonValue::as_str).unwrap_or("");
-        if format != CHECKPOINT_FORMAT {
-            return Err(format!(
-                "unsupported checkpoint format {format:?} (expected {CHECKPOINT_FORMAT:?})"
-            ));
-        }
-        let kernel = match doc.get("kernel").and_then(JsonValue::as_str) {
-            Some("scalar") => CampaignKernel::Scalar,
-            Some("compiled") => CampaignKernel::Compiled,
-            other => return Err(format!("invalid checkpoint kernel {other:?}")),
-        };
-        let estimator = match doc.get("estimator").and_then(JsonValue::as_str) {
-            Some("single") => EstimatorKind::Single,
-            Some("mlmc") => EstimatorKind::Mlmc,
-            other => return Err(format!("invalid checkpoint estimator {other:?}")),
-        };
-        let mlmc = match doc.get("mlmc") {
-            Some(JsonValue::Null) => None,
-            Some(m) => {
-                let plan_ratio = match m.get("plan_ratio_bits") {
-                    Some(JsonValue::Null) => None,
-                    Some(v) => Some(f64_from_bits_str(v, "plan_ratio")?),
-                    None => return Err("mlmc state missing plan_ratio_bits".to_owned()),
-                };
-                let chunk_levels = m
-                    .get("chunk_levels")
-                    .and_then(JsonValue::as_arr)
-                    .ok_or("mlmc state missing chunk_levels")?
-                    .iter()
-                    .map(|e| {
-                        e.as_u64()
-                            .filter(|&x| x <= 1)
-                            .map(|x| x as u8)
-                            .ok_or_else(|| "invalid chunk_levels entry".to_owned())
-                    })
-                    .collect::<Result<Vec<u8>, String>>()?;
-                Some(MlmcCheckpointState {
-                    plan_ratio,
-                    level0: stats_from_json(m.get("level0").ok_or("missing level0")?, "level0")?,
-                    level1_diff: stats_from_json(
-                        m.get("level1_diff").ok_or("missing level1_diff")?,
-                        "level1_diff",
-                    )?,
-                    level1_gate: stats_from_json(
-                        m.get("level1_gate").ok_or("missing level1_gate")?,
-                        "level1_gate",
-                    )?,
-                    level1_rtl: stats_from_json(
-                        m.get("level1_rtl").ok_or("missing level1_rtl")?,
-                        "level1_rtl",
-                    )?,
-                    chunk_levels,
-                })
-            }
-            None => return Err("missing mlmc field".to_owned()),
-        };
-        let stats_obj = doc.get("stats").ok_or("missing stats object")?;
-        let stats = RunningStats::from_raw(
-            get_u64(stats_obj, "count")?,
-            f64_from_bits_str(
-                stats_obj.get("mean_bits").ok_or("missing mean_bits")?,
-                "mean",
-            )?,
-            f64_from_bits_str(stats_obj.get("m2_bits").ok_or("missing m2_bits")?, "m2")?,
-        );
-        let counts_obj = doc.get("class_counts").ok_or("missing class_counts")?;
-        let class_counts = ClassCounts {
-            masked: get_u64(counts_obj, "masked")? as usize,
-            memory_only: get_u64(counts_obj, "memory_only")? as usize,
-            mixed: get_u64(counts_obj, "mixed")? as usize,
-        };
-        let mut attribution = BTreeMap::new();
-        for entry in doc
-            .get("attribution")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing attribution array")?
-        {
-            let name = entry
-                .get("bit")
-                .and_then(JsonValue::as_str)
-                .ok_or("attribution entry missing bit name")?;
-            let bit = *bit_names()
-                .get(name)
-                .ok_or_else(|| format!("unknown register bit {name:?}"))?;
-            let w = f64_from_bits_str(
-                entry
-                    .get("w_bits")
-                    .ok_or("attribution entry missing w_bits")?,
-                "attribution weight",
-            )?;
-            attribution.insert(bit, w);
-        }
-        let mut boundaries = Vec::new();
-        for entry in doc
-            .get("boundaries")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing boundaries array")?
-        {
-            let pair = entry.as_arr().ok_or("boundary entry is not a pair")?;
-            if pair.len() != 2 {
-                return Err("boundary entry is not a pair".to_owned());
-            }
-            let runs = pair[0].as_u64().ok_or("boundary run count")? as usize;
-            boundaries.push((runs, f64_from_bits_str(&pair[1], "boundary mean")?));
-        }
-        let (counters, kernel_counters) =
-            counters_from_json(doc.get("counters").ok_or("missing counters object")?)?;
-        let first_success = match doc.get("first_success") {
-            Some(JsonValue::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or("first_success: expected an integer or null")?,
-            ),
-            None => return Err("missing first_success".to_owned()),
-        };
-        Ok(Self {
-            seed: get_u64(&doc, "seed")?,
-            requested_runs: get_u64(&doc, "requested_runs")? as usize,
-            chunk_runs: get_u64(&doc, "chunk_runs")? as usize,
-            strategy: doc
-                .get("strategy")
-                .and_then(JsonValue::as_str)
-                .ok_or("missing strategy")?
-                .to_owned(),
-            kernel,
-            merged_chunks: get_u64(&doc, "merged_chunks")? as usize,
-            stats,
-            w_sum: f64_from_bits_str(doc.get("w_sum_bits").ok_or("missing w_sum_bits")?, "w_sum")?,
-            w_sq_sum: f64_from_bits_str(
-                doc.get("w_sq_sum_bits").ok_or("missing w_sq_sum_bits")?,
-                "w_sq_sum",
-            )?,
-            class_counts,
-            analytic_runs: get_u64(&doc, "analytic_runs")? as usize,
-            rtl_runs: get_u64(&doc, "rtl_runs")? as usize,
-            successes: get_u64(&doc, "successes")? as usize,
-            attribution,
-            boundaries,
-            counters,
-            kernel_counters,
-            first_success,
-            estimator,
-            mlmc,
-        })
-    }
-
-    /// Write the checkpoint crash-safely: temp file in the same
-    /// directory, then an atomic rename over the target.
-    pub(crate) fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Load a checkpoint; `Ok(None)` when the file does not exist yet.
-    pub(crate) fn load(path: &Path) -> io::Result<Option<Self>> {
-        let src = match std::fs::read_to_string(path) {
-            Ok(src) => src,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        Self::from_json(&src)
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -796,121 +429,8 @@ pub fn write_metrics(path: &Path, result: &CampaignResult, meta: &MetricsMeta) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::StopReason;
-
-    #[test]
-    fn json_round_trips_checkpoint_bits_exactly() {
-        let mut attribution = BTreeMap::new();
-        attribution.insert(MpuBit::Enable, 0.1 + 0.2); // a value with ugly bits
-        attribution.insert(MpuBit::Base(1, 3), f64::MIN_POSITIVE);
-        let mut stats = RunningStats::new();
-        for x in [0.0, 1.25, 1.0 / 3.0, 7e-300] {
-            stats.push(x);
-        }
-        let ck = CampaignCheckpoint {
-            seed: 0xDEAD_BEEF,
-            requested_runs: 4096,
-            chunk_runs: 512,
-            strategy: "importance".to_owned(),
-            kernel: CampaignKernel::Scalar,
-            merged_chunks: 3,
-            stats,
-            w_sum: 1234.5678901234567,
-            w_sq_sum: 9.87654321e-12,
-            class_counts: ClassCounts {
-                masked: 100,
-                memory_only: 20,
-                mixed: 7,
-            },
-            analytic_runs: 20,
-            rtl_runs: 7,
-            successes: 5,
-            attribution,
-            boundaries: vec![(512, 0.001953125), (1024, 0.1 / 3.0), (1536, 0.25)],
-            counters: CampaignCounters {
-                cycle_memo_hits: 12,
-                cycle_memo_misses: 34,
-                conclusion_memo_hits: 5,
-                conclusion_memo_misses: 6,
-                conclusions_analytic: 20,
-                conclusions_rtl: 7,
-                soc_clones: 3,
-                soc_restores: 4,
-                pulses_propagated: 9000,
-                out_of_run: 2,
-            },
-            kernel_counters: KernelCounters {
-                lane_batches: 24,
-                lanes_occupied: 1500,
-                frame_groups: 70,
-                gates_visited: 123456,
-                timed_lanes: 321,
-                resimulated_lanes: 9,
-            },
-            first_success: Some(777),
-            estimator: EstimatorKind::Mlmc,
-            mlmc: Some(MlmcCheckpointState {
-                plan_ratio: Some(0.1 + 0.2),
-                level0: {
-                    let mut st = RunningStats::new();
-                    st.push(1.0 / 7.0);
-                    st.push(0.0);
-                    st
-                },
-                level1_diff: {
-                    let mut st = RunningStats::new();
-                    st.push(-1.0 / 3.0);
-                    st
-                },
-                level1_gate: RunningStats::new(),
-                level1_rtl: RunningStats::new(),
-                chunk_levels: vec![1, 0, 1, 0, 0, 0, 1],
-            }),
-        };
-        let round = CampaignCheckpoint::from_json(&ck.to_json()).unwrap();
-        assert_eq!(round, ck);
-        let m = round.mlmc.as_ref().unwrap();
-        assert_eq!(
-            m.plan_ratio.unwrap().to_bits(),
-            (0.1f64 + 0.2).to_bits(),
-            "plan ratio must round-trip bit-exactly"
-        );
-        let (_, d0, _) = m.level1_diff.to_raw();
-        assert_eq!(d0.to_bits(), (-1.0f64 / 3.0).to_bits());
-        // Bit-exactness of the Welford state, not just PartialEq.
-        let (n0, m0, s0) = ck.stats.to_raw();
-        let (n1, m1, s1) = round.stats.to_raw();
-        assert_eq!(
-            (n0, m0.to_bits(), s0.to_bits()),
-            (n1, m1.to_bits(), s1.to_bits())
-        );
-        assert_eq!(round.w_sum.to_bits(), ck.w_sum.to_bits());
-        for ((_, a), (_, b)) in round.boundaries.iter().zip(&ck.boundaries) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn checkpoint_rejects_foreign_formats_and_bad_bits() {
-        assert!(CampaignCheckpoint::from_json("{}").is_err());
-        assert!(CampaignCheckpoint::from_json("{\"format\": \"something-else\"}").is_err());
-        assert!(CampaignCheckpoint::from_json("not json at all").is_err());
-    }
-
-    /// A checkpoint written by the removed 64-lane kernel names a kernel
-    /// this build does not have: reading it is an error naming the value,
-    /// not a silent fallback to another kernel.
-    #[test]
-    fn checkpoint_rejects_the_removed_batched_kernel() {
-        let doc = |kernel: &str| {
-            format!("{{\"format\": \"{CHECKPOINT_FORMAT}\", \"kernel\": \"{kernel}\"}}")
-        };
-        let err = CampaignCheckpoint::from_json(&doc("batched")).unwrap_err();
-        assert_eq!(err, "invalid checkpoint kernel Some(\"batched\")");
-        // A kernel this build has gets past the kernel field.
-        let err = CampaignCheckpoint::from_json(&doc("compiled")).unwrap_err();
-        assert!(!err.contains("kernel"), "{err}");
-    }
+    use crate::estimator::{EstimatorKind, StopReason};
+    use std::collections::BTreeMap;
 
     #[test]
     fn parser_handles_nesting_escapes_and_numbers() {

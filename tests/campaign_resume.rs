@@ -155,7 +155,8 @@ fn check_resume_equivalence(
         SEED,
         &ck_opts,
         &mut AbortAt { at_runs: 1_536 },
-    );
+    )
+    .expect("first leg");
     assert_eq!(partial.stop, StopReason::Aborted, "{tag}");
     assert!(
         partial.n < n,
@@ -169,7 +170,8 @@ fn check_resume_equivalence(
 
     // Second leg: same options, no abort — resumes from the file and must
     // land exactly where the uninterrupted run did.
-    let resumed = run_campaign_observed(&r, strategy, n, SEED, &ck_opts, &mut NullObserver);
+    let resumed = run_campaign_observed(&r, strategy, n, SEED, &ck_opts, &mut NullObserver)
+        .expect("resumed leg");
     assert_eq!(
         resumed, reference,
         "{tag}: resumed result differs from the uninterrupted run"
@@ -285,7 +287,8 @@ fn mlmc_resume_is_bit_identical_across_levels() {
                 SEED,
                 &ck_opts,
                 &mut AbortAt { at_runs: abort_at },
-            );
+            )
+            .expect("first leg");
             assert_eq!(partial.stop, StopReason::Aborted, "{tag}");
             assert!(ck.exists(), "{tag}: checkpoint file missing after abort");
             let ck_doc = check_checkpoint_schema(&ck);
@@ -308,7 +311,8 @@ fn mlmc_resume_is_bit_identical_across_levels() {
             }
 
             let resumed =
-                run_campaign_observed(&r, &strategy, n, SEED, &ck_opts, &mut NullObserver);
+                run_campaign_observed(&r, &strategy, n, SEED, &ck_opts, &mut NullObserver)
+                    .expect("resumed leg");
             assert_eq!(
                 resumed, reference,
                 "{tag}: resumed result differs from the uninterrupted run"

@@ -450,7 +450,8 @@ fn aborted_campaign_leaves_a_valid_events_stream() {
         SEED,
         &opts,
         &mut AbortAt { at_runs: 1_024 },
-    );
+    )
+    .expect("campaign");
     assert_eq!(result.stop, StopReason::Aborted);
     assert!(result.n < 4_096);
 
