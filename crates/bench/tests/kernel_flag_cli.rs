@@ -3,7 +3,9 @@
 //! work starts, with a message naming the flag, the value and the valid
 //! spellings, and exit status 2. The removed `--fast-forward` flag is
 //! rejected the same way, as an unknown flag. A corrupt `--checkpoint`
-//! file also exits 2, with one line naming it, once the campaign reads it.
+//! file also exits 2, with one line naming it, once the campaign reads it,
+//! and so does a `--metrics` path in a missing directory, before the first
+//! campaign runs a chunk.
 
 use std::process::Command;
 
@@ -71,4 +73,31 @@ fn corrupt_checkpoint_exits_two_without_a_panic() {
         )),
         "stderr: {err}"
     );
+}
+
+/// A `--metrics` path in a missing directory ends the binary with one line
+/// naming the (tagged) path and exit status 2, not a panic, before the
+/// first campaign runs a chunk.
+#[test]
+fn metrics_in_a_missing_directory_exits_two_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("xlmc-cli-metrics-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let metrics = dir.join("m.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig10_outcome_split"))
+        .args(["--metrics".as_ref(), metrics.as_os_str()])
+        .output()
+        .expect("spawn fig10_outcome_split");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(!err.contains("panicked at"), "stderr: {err}");
+    let tagged = dir.join("m.fig10a-comb-random.json");
+    let last = err.lines().last().unwrap_or_default();
+    assert!(
+        last.starts_with(&format!(
+            "error: metrics {} cannot be written",
+            tagged.display()
+        )),
+        "stderr: {err}"
+    );
+    assert!(!dir.exists(), "nothing may be written");
 }

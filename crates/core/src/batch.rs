@@ -19,10 +19,10 @@
 //!    bit-identical to the scalar engine's at any thread count and any
 //!    lane assignment.
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use xlmc_fault::{AttackSample, LaneStrikes};
+use xlmc_gatesim::bitparallel::CycleWindow;
 use xlmc_gatesim::{
     BatchLane, CompiledStrikeOutcome, CompiledTransientScratch, CycleGroup, CycleValues,
     StrikeOutcome, TransientScratch, WIDE_LANES,
@@ -37,51 +37,6 @@ use crate::rng::SplitMix64;
 use crate::sampling::SamplingStrategy;
 use crate::trace::{CounterScratch, KernelCounters, TraceSink};
 use rand::RngCore;
-
-/// Campaign-wide memo of the per-cycle stable netlist values.
-///
-/// The injection-cycle values are a pure function of `T_e` on the golden
-/// run, so every worker shares one lazily-filled slot per cycle instead of
-/// re-deriving its own copy — the duplicated per-worker warmup was the
-/// main multi-thread overhead of the scalar engine.
-pub(crate) struct SharedCycleCache {
-    slots: Vec<OnceLock<CycleValues>>,
-}
-
-impl SharedCycleCache {
-    /// An empty cache covering `cycles` golden cycles.
-    pub(crate) fn new(cycles: u64) -> Self {
-        Self {
-            slots: (0..cycles).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// The stable values of injection cycle `te` (computed once per
-    /// campaign, whichever worker gets there first).
-    fn get<'c>(&'c self, runner: &FaultRunner<'_>, te: u64) -> &'c CycleValues {
-        self.slots[te as usize].get_or_init(|| {
-            let golden = &runner.eval.golden;
-            let netlist = runner.model.mpu.netlist();
-            let mut state = Vec::new();
-            let mut inputs = Vec::new();
-            runner
-                .model
-                .mpu
-                .state_vector_into(&golden.mpu_states[te as usize], &mut state);
-            let stim = &golden.stimulus[te as usize];
-            runner
-                .model
-                .mpu
-                .input_values_into(stim.request, stim.cfg_write, &mut inputs);
-            let mut cv = CycleValues::default();
-            runner
-                .model
-                .cycle_sim
-                .eval_into(netlist, &state, &inputs, &mut cv);
-            cv
-        })
-    }
-}
 
 /// One run's scalar-phase products: the drawn sample, its importance
 /// weight, and the RNG state *after* the draw (the only later consumer is
@@ -248,8 +203,7 @@ fn stratify(te: &[Option<u64>], order: &mut Vec<u32>, counts: &mut Vec<u32>) {
 /// The stable-value groups of one compiled sweep over `batch` (whose
 /// equal cycles are contiguous after [`stratify`]), named by `T_e`.
 fn cycle_groups<'c>(
-    runner: &FaultRunner<'_>,
-    cycles: &'c SharedCycleCache,
+    cycles: &'c CycleWindow,
     te: &[Option<u64>],
     batch: &[u32],
 ) -> Vec<CycleGroup<'c>> {
@@ -262,11 +216,7 @@ fn cycle_groups<'c>(
             _ => {
                 let mut lanes = [0; 4];
                 lanes[k] = bit;
-                groups.push(CycleGroup {
-                    lanes,
-                    cycle: t as usize,
-                    values: cycles.get(runner, t),
-                });
+                groups.push(cycles.group(t as usize, lanes));
             }
         }
     }
@@ -352,7 +302,7 @@ pub(crate) fn run_chunk_compiled(
     start: usize,
     end: usize,
     scratch: &mut BatchChunkScratch,
-    cycles: &SharedCycleCache,
+    cycles: &CycleWindow,
     memo: &mut ConclusionMemo,
     chunk: u32,
     ctr: &mut CounterScratch,
@@ -391,16 +341,12 @@ pub(crate) fn run_chunk_compiled(
                 &scratch.draws[ri].sample,
                 spot2.as_ref(),
                 &runner.model.placement,
+                program,
                 period,
             );
         }
-        let groups = cycle_groups(runner, cycles, &scratch.te, batch);
-        let lanes: Vec<BatchLane<'_>> = (0..batch.len())
-            .map(|l| BatchLane {
-                struck: scratch.lane_strikes.struck(l),
-                strike_time_ps: scratch.lane_strikes.strike_time_ps(l),
-            })
-            .collect();
+        let groups = cycle_groups(cycles, &scratch.te, batch);
+        let lanes = batch_lanes(&scratch.lane_strikes);
         let t_sweep = Instant::now();
         runner.model.transient.strike_compiled_with(
             netlist,
@@ -438,6 +384,20 @@ pub(crate) fn run_chunk_compiled(
     p
 }
 
+/// The kernel lanes of the strikes in `strikes`.
+fn batch_lanes(strikes: &LaneStrikes) -> Vec<BatchLane<'_>> {
+    (0..strikes.lanes())
+        .map(|l| {
+            let (primary, secondary) = strikes.footprints(l);
+            BatchLane {
+                primary,
+                secondary,
+                strike_time_ps: strikes.strike_time_ps(l),
+            }
+        })
+        .collect()
+}
+
 /// One gate-level-path measurement: the strike phase alone — stratified
 /// lane batches through the selected kernel — with the draw, conclude and
 /// fold phases (which are kernel-invariant) excluded. This is what the
@@ -466,10 +426,11 @@ impl GatePathBench {
 }
 
 /// Benchmark the gate-level path of `kernel`: draw and stratify `runs`
-/// samples once (seeded exactly like a campaign chunk), warm the shared
-/// cycle-value cache and the kernel scratch with one untimed pass, then
-/// time `passes` strike-only passes and keep the fastest (interference on
-/// a shared host only ever slows a pass down).
+/// samples once (seeded exactly like a campaign chunk), derive the golden
+/// window (and, for the scalar kernel, the injection cycles' values), warm
+/// the kernel scratch with one untimed pass, then time `passes`
+/// strike-only passes and keep the fastest (interference on a shared host
+/// only ever slows a pass down).
 pub fn gate_path_bench(
     runner: &FaultRunner<'_>,
     strategy: &dyn SamplingStrategy,
@@ -480,15 +441,26 @@ pub fn gate_path_bench(
 ) -> GatePathBench {
     let mut scratch = BatchChunkScratch::default();
     draw_and_stratify(runner, strategy, seed, 0, runs, &mut scratch);
-    let cycles = SharedCycleCache::new(runner.eval.golden.cycles);
-    for &ri in &scratch.order {
-        cycles.get(runner, scratch.te[ri as usize].unwrap());
-    }
+    let cycles = runner.model.golden_window(&runner.eval.golden);
 
     let period = runner.model.transient.config().clock_period_ps;
     let netlist = runner.model.mpu.netlist();
+    let program = netlist
+        .program()
+        .expect("model netlist was levelized at construction");
+    let mut scalar_values: Vec<Option<CycleValues>> = vec![None; cycles.cycles()];
+    if kernel == CampaignKernel::Scalar {
+        for &ri in &scratch.order {
+            let te = scratch.te[ri as usize].unwrap() as usize;
+            let (words, bit) = cycles.block(te);
+            scalar_values[te]
+                .get_or_insert_with(CycleValues::default)
+                .unpack_into(netlist, words, bit);
+        }
+    }
     let mut stransient = TransientScratch::default();
     let mut sout = StrikeOutcome::default();
+    let mut struck: Vec<GateId> = Vec::new();
     let mut faulty_regs: Vec<GateId> = Vec::new();
     let mut bench = GatePathBench {
         lanes: scratch.order.len(),
@@ -511,12 +483,16 @@ pub fn gate_path_bench(
                     scratch.lane_strikes.push_sample(
                         &scratch.draws[ri].sample,
                         &runner.model.placement,
+                        program,
                         period,
                     );
+                    scratch.lane_strikes.struck_into(0, program, &mut struck);
                     runner.model.transient.strike_with(
                         netlist,
-                        cycles.get(runner, te),
-                        scratch.lane_strikes.struck(0),
+                        scalar_values[te as usize]
+                            .as_ref()
+                            .expect("the scalar pass unpacked every injection cycle"),
+                        &struck,
                         scratch.lane_strikes.strike_time_ps(0),
                         &mut stransient,
                         &mut sout,
@@ -531,25 +507,18 @@ pub fn gate_path_bench(
                 }
             }
             CampaignKernel::Compiled => {
-                let program = netlist
-                    .program()
-                    .expect("model netlist was levelized at construction");
                 for batch in scratch.order.chunks(WIDE_LANES) {
                     scratch.lane_strikes.clear();
                     for &ri in batch {
                         scratch.lane_strikes.push_sample(
                             &scratch.draws[ri as usize].sample,
                             &runner.model.placement,
+                            program,
                             period,
                         );
                     }
-                    let groups = cycle_groups(runner, &cycles, &scratch.te, batch);
-                    let lanes: Vec<BatchLane<'_>> = (0..batch.len())
-                        .map(|l| BatchLane {
-                            struck: scratch.lane_strikes.struck(l),
-                            strike_time_ps: scratch.lane_strikes.strike_time_ps(l),
-                        })
-                        .collect();
+                    let groups = cycle_groups(&cycles, &scratch.te, batch);
+                    let lanes = batch_lanes(&scratch.lane_strikes);
                     runner.model.transient.strike_compiled_with(
                         netlist,
                         program,
@@ -691,7 +660,7 @@ mod tests {
             for strat in strategies(&f) {
                 for seed in [3u64, 77] {
                     let n = 200;
-                    let cache = SharedCycleCache::new(runner.eval.golden.cycles);
+                    let cache = runner.model.golden_window(&runner.eval.golden);
                     let mut memo = ConclusionMemo::default();
                     let mut cscratch = BatchChunkScratch::default();
                     let mut ctr = CounterScratch::default();
@@ -770,7 +739,7 @@ mod tests {
                 let seed = 41u64;
                 // 300 runs crosses the 256-lane boundary.
                 let n = 300;
-                let cache = SharedCycleCache::new(runner.eval.golden.cycles);
+                let cache = runner.model.golden_window(&runner.eval.golden);
                 let mut memo = ConclusionMemo::default();
                 let mut cscratch = BatchChunkScratch::default();
                 let mut ctr = CounterScratch::default();
@@ -837,7 +806,7 @@ mod tests {
             let strat = RandomSampling::new(fd.clone());
             let seed = 23u64;
             let n = 300;
-            let cache = SharedCycleCache::new(runner.eval.golden.cycles);
+            let cache = runner.model.golden_window(&runner.eval.golden);
             let mut memo = ConclusionMemo::default();
             let mut scratch = BatchChunkScratch::default();
             let mut ctr = CounterScratch::default();
@@ -914,7 +883,7 @@ mod tests {
                     };
                     let strat = RandomSampling::new(fd.clone());
                     let (seed, n) = (57u64, 300);
-                    let cache = SharedCycleCache::new(runner.eval.golden.cycles);
+                    let cache = runner.model.golden_window(&runner.eval.golden);
                     let mut memo = ConclusionMemo::default();
                     let mut cscratch = BatchChunkScratch::default();
                     let mut ctr = CounterScratch::default();
@@ -991,7 +960,7 @@ mod tests {
             multi_fault: None,
         };
         let strat = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
-        let cache = SharedCycleCache::new(runner.eval.golden.cycles);
+        let cache = runner.model.golden_window(&runner.eval.golden);
         let mut memo = ConclusionMemo::default();
         let mut cscratch = BatchChunkScratch::default();
         let mut flow = FlowScratch::default();

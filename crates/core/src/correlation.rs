@@ -10,7 +10,6 @@
 
 use crate::model::SystemModel;
 use crate::space::SampleSpace;
-use xlmc_gatesim::bitparallel::{evaluate_combinational, PackedTraces};
 use xlmc_gatesim::signature::{aligned_correlation, SwitchingSignature};
 use xlmc_netlist::GateId;
 use xlmc_soc::golden::GoldenRun;
@@ -43,7 +42,7 @@ impl CorrelationData {
         let cycles = synthetic.cycles as usize;
         assert!(cycles > 0, "empty golden run");
 
-        let traces = golden_traces(model, synthetic);
+        let traces = model.golden_traces(synthetic, 0..cycles);
         let rs = model.mpu.responding_signal();
         let rs_ss = SwitchingSignature::from_traces(&traces, rs);
 
@@ -118,30 +117,6 @@ impl CorrelationData {
     }
 }
 
-/// The value trace of every MPU net over the golden run: register and
-/// input values as recorded, everything else by one bit-parallel sweep.
-fn golden_traces(model: &SystemModel, golden: &GoldenRun) -> PackedTraces {
-    let netlist = model.mpu.netlist();
-    let mut traces = PackedTraces::zeroed(netlist, golden.cycles as usize);
-    let mut state_bits = Vec::new();
-    let mut inputs = Vec::new();
-    for (c, state) in golden.mpu_states.iter().enumerate() {
-        model.mpu.state_vector_into(state, &mut state_bits);
-        for (&dff, &v) in netlist.dffs().iter().zip(&state_bits) {
-            traces.set_value(dff, c, v);
-        }
-        let stim = &golden.stimulus[c];
-        model
-            .mpu
-            .input_values_into(stim.request, stim.cfg_write, &mut inputs);
-        for (&pi, &v) in netlist.inputs().iter().zip(&inputs) {
-            traces.set_value(pi, c, v);
-        }
-    }
-    evaluate_combinational(netlist, &mut traces).expect("MPU netlist is acyclic by construction");
-    traces
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,7 +173,7 @@ mod tests {
         for (t_max, halo) in [(8, 0.0), (50, 1.0)] {
             let space = SampleSpace::build(&model, t_max, halo);
             let data = CorrelationData::compute(&model, &golden, &space);
-            let traces = golden_traces(&model, &golden);
+            let traces = model.golden_traces(&golden, 0..golden.cycles as usize);
             let rs_ss = SwitchingSignature::from_traces(&traces, model.mpu.responding_signal());
             for f in space.frames() {
                 for &g in &f.cells {

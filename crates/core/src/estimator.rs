@@ -15,7 +15,7 @@
 //! the thread count or kernel.
 
 pub use crate::batch::{gate_path_bench, GatePathBench};
-use crate::batch::{run_chunk_compiled, BatchChunkScratch, SharedCycleCache};
+use crate::batch::{run_chunk_compiled, BatchChunkScratch};
 use crate::checkpoint::{CampaignCheckpoint, MergeState};
 use crate::fastforward::{ConclusionMemo, FastForwardStats};
 use crate::flow::{DffMask, FaultRunner, FlowScratch, StrikeClass};
@@ -133,6 +133,16 @@ pub enum CampaignError {
         /// What is wrong with it.
         reason: String,
     },
+    /// A `--metrics`, `--trace`, `--prom` or `--events` file cannot be
+    /// written.
+    Artifact {
+        /// Which artifact: `metrics`, `trace`, `prom` or `events`.
+        what: &'static str,
+        /// Its path.
+        path: PathBuf,
+        /// What went wrong.
+        reason: String,
+    },
 }
 
 impl CampaignError {
@@ -140,6 +150,14 @@ impl CampaignError {
         CampaignError::Checkpoint {
             path: path.to_owned(),
             reason,
+        }
+    }
+
+    fn artifact(what: &'static str, path: &Path, e: &std::io::Error) -> Self {
+        CampaignError::Artifact {
+            what,
+            path: path.to_owned(),
+            reason: format!("cannot be written: {e}"),
         }
     }
 }
@@ -150,11 +168,61 @@ impl std::fmt::Display for CampaignError {
             CampaignError::Checkpoint { path, reason } => {
                 write!(f, "checkpoint {} {reason}", path.display())
             }
+            CampaignError::Artifact { what, path, reason } => {
+                write!(f, "{what} {} {reason}", path.display())
+            }
         }
     }
 }
 
 impl std::error::Error for CampaignError {}
+
+/// Whether a temp-and-rename write of `path` can start: its temp file
+/// (`path` with extension `tmp`, as every artifact writer uses) can be
+/// created, after creating the missing directories above it when
+/// `create_dirs` (the trace writer does so itself). The probe never
+/// truncates a file, and removes the temp file only when it made it.
+fn probe_writable(path: &Path, create_dirs: bool) -> std::io::Result<()> {
+    if let Some(dir) = path
+        .parent()
+        .filter(|d| create_dirs && !d.as_os_str().is_empty())
+    {
+        std::fs::create_dir_all(dir)?;
+    }
+    let tmp = path.with_extension("tmp");
+    let existed = tmp.symlink_metadata().is_ok();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&tmp)?;
+    if !existed {
+        std::fs::remove_file(&tmp)?;
+    }
+    Ok(())
+}
+
+/// Check every artifact path of `options` before the first chunk runs, so
+/// an unwritable one ends the campaign at once with an error naming it
+/// (the events log is created by [`TelemetryHub::new`], also before the
+/// first chunk).
+fn check_artifact_paths(options: &CampaignOptions) -> Result<(), CampaignError> {
+    if let Some(path) = &options.checkpoint_path {
+        probe_writable(path, false)
+            .map_err(|e| CampaignError::checkpoint(path, format!("cannot be written: {e}")))?;
+    }
+    for (what, path) in [
+        ("metrics", &options.metrics_path),
+        ("trace", &options.trace_path),
+        ("prom", &options.prom_path),
+    ] {
+        if let Some(path) = path {
+            probe_writable(path, what == "trace")
+                .map_err(|e| CampaignError::artifact(what, path, &e))?;
+        }
+    }
+    Ok(())
+}
 
 /// The result of one sampling campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -872,13 +940,18 @@ struct TelemetryHub {
 }
 
 impl TelemetryHub {
-    fn new(options: &CampaignOptions, strategy: &str, plan_already_frozen: bool) -> Self {
-        let events = options.events_path.as_deref().and_then(|p| {
-            EventLog::create(p)
-                .map_err(|e| eprintln!("failed to create events log {}: {e}", p.display()))
-                .ok()
-        });
-        Self {
+    fn new(
+        options: &CampaignOptions,
+        strategy: &str,
+        plan_already_frozen: bool,
+    ) -> Result<Self, CampaignError> {
+        let events = match options.events_path.as_deref() {
+            Some(p) => {
+                Some(EventLog::create(p).map_err(|e| CampaignError::artifact("events", p, &e))?)
+            }
+            None => None,
+        };
+        Ok(Self {
             registry: MetricsRegistry::new(),
             events,
             prom_path: options.prom_path.clone(),
@@ -890,7 +963,7 @@ impl TelemetryHub {
             prom_written: None,
             watchdog: None,
             plan_emitted: plan_already_frozen,
-        }
+        })
     }
 
     /// Append one event line (no-op without `--events`).
@@ -907,24 +980,25 @@ impl TelemetryHub {
     }
 
     /// Rewrite the Prometheus exposition (no-op without `--prom`).
-    fn write_prom(&mut self) {
+    fn write_prom(&mut self) -> Result<(), CampaignError> {
         if let Some(path) = &self.prom_path {
-            if let Err(e) = metrics::write_prom(path, &self.registry, &self.prom_labels) {
-                eprintln!("failed to write prom exposition {}: {e}", path.display());
-            }
+            metrics::write_prom(path, &self.registry, &self.prom_labels)
+                .map_err(|e| CampaignError::artifact("prom", path, &e))?;
             self.prom_written = Some(Instant::now());
         }
+        Ok(())
     }
 
     /// [`write_prom`](Self::write_prom) at a cadence boundary, unless the
     /// last rewrite is younger than [`PROM_MIN_INTERVAL`].
-    fn write_prom_at_boundary(&mut self) {
+    fn write_prom_at_boundary(&mut self) -> Result<(), CampaignError> {
         if self
             .prom_written
             .is_none_or(|t| t.elapsed() >= PROM_MIN_INTERVAL)
         {
-            self.write_prom();
+            self.write_prom()?;
         }
+        Ok(())
     }
 }
 
@@ -952,7 +1026,8 @@ pub fn run_campaign(
 ///
 /// Panics with the [`CampaignError`] when `options.checkpoint_path` names
 /// a checkpoint that cannot be read, does not match this campaign or
-/// cannot be written; [`run_campaign_observed`] returns it instead.
+/// cannot be written, or when an artifact file cannot be written;
+/// [`run_campaign_observed`] returns it instead.
 pub fn run_campaign_with(
     runner: &FaultRunner<'_>,
     strategy: &dyn SamplingStrategy,
@@ -1149,7 +1224,7 @@ impl Merger<'_> {
             // Durability point: events pushed to the OS, prom rewritten
             // (at most once per PROM_MIN_INTERVAL).
             hub.flush_events();
-            hub.write_prom_at_boundary();
+            hub.write_prom_at_boundary()?;
         }
         Ok(None)
     }
@@ -1173,9 +1248,11 @@ impl Merger<'_> {
 ///
 /// [`CampaignError::Checkpoint`], naming the path, when the
 /// `options.checkpoint_path` file cannot be read, is not a valid
-/// checkpoint, was written by a different campaign, or cannot be written.
-/// A write failure stops the workers; the error returns once they have
-/// exited.
+/// checkpoint, was written by a different campaign, or cannot be written;
+/// [`CampaignError::Artifact`], naming the path, when a metrics, trace,
+/// prom or events file cannot be written. Every artifact path is checked
+/// before the first chunk runs. A later write failure stops the workers;
+/// the error returns once they have exited.
 pub fn run_campaign_observed(
     runner: &FaultRunner<'_>,
     strategy: &dyn SamplingStrategy,
@@ -1202,6 +1279,7 @@ pub fn run_campaign_observed(
     if let Some(path) = &options.checkpoint_path {
         ck.resume(path)?;
     }
+    check_artifact_paths(options)?;
     // MLMC machinery: the SET → multi-bit-SEU map the cheap level injects
     // through, and the chunk-level plan cell. The pilot chunks use the
     // fixed alternating schedule; the post-pilot schedule is published by
@@ -1218,7 +1296,7 @@ pub fn run_campaign_observed(
     let start_chunk = ck.state.merged_chunks;
     let resumed_runs = ck.state.runs_merged();
 
-    let mut hub = TelemetryHub::new(options, strategy.name(), ck.state.plan_ratio.is_some());
+    let mut hub = TelemetryHub::new(options, strategy.name(), ck.state.plan_ratio.is_some())?;
     hub.emit(
         "campaign_started",
         0.0,
@@ -1265,17 +1343,17 @@ pub fn run_campaign_observed(
     let mut workers = 0usize;
     if start_chunk < chunks {
         let threads = options.effective_threads().clamp(1, chunks - start_chunk);
-        // Workers of the compiled kernel share one lazily-filled cycle-value
-        // cache (the values are a pure function of the injection cycle), so
-        // adding threads no longer multiplies the warmup work. The MLMC
-        // executors are scalar by design (the correction level is sampled
-        // rarely, the cheap level never strikes the netlist), so they skip
-        // the cache — which is also what makes `--estimator mlmc` results
-        // trivially identical under both kernels.
-        let cycle_cache = match options.kernel {
+        // Workers of the compiled kernel share one golden window: the
+        // nominal value of every net in every golden cycle, derived once
+        // per campaign by one bit-parallel sweep per 64-cycle block. The
+        // MLMC executors are scalar by design (the correction level is
+        // sampled rarely, the cheap level never strikes the netlist), so
+        // they skip it — which is also what makes `--estimator mlmc`
+        // results trivially identical under both kernels.
+        let window = match options.kernel {
             _ if mlmc_on => None,
             CampaignKernel::Scalar => None,
-            CampaignKernel::Compiled => Some(SharedCycleCache::new(runner.eval.golden.cycles)),
+            CampaignKernel::Compiled => Some(runner.model.golden_window(&runner.eval.golden)),
         };
         // Shared with the plan-cell spin below: a merge loop that stops
         // early can exit before the pilot is fully folded, in which case
@@ -1345,15 +1423,15 @@ pub fn run_campaign_observed(
                     )
                 }
             } else {
-                match &cycle_cache {
-                    Some(cache) => run_chunk_compiled(
+                match &window {
+                    Some(window) => run_chunk_compiled(
                         runner,
                         strategy,
                         seed,
                         start,
                         end,
                         batch,
-                        cache,
+                        window,
                         memo,
                         chunk,
                         ctr,
@@ -1673,16 +1751,15 @@ pub fn run_campaign_observed(
             meta.scheduler.memo_misses,
         );
         let ring: Vec<ProvenanceRecord> = ring.into_iter().collect();
-        if let Err(e) = trace::write_trace(
+        trace::write_trace(
             path,
             &sink,
             &result.counters,
             &result.kernel_counters,
             &ring,
             &success_log,
-        ) {
-            eprintln!("failed to write trace {}: {e}", path.display());
-        }
+        )
+        .map_err(|e| CampaignError::artifact("trace", path, &e))?;
     }
 
     hub.registry.gauge_set("workers", workers as f64);
@@ -1698,12 +1775,11 @@ pub fn run_campaign_observed(
         ),
     );
     hub.flush_events();
-    hub.write_prom();
+    hub.write_prom()?;
 
     if let Some(path) = &options.metrics_path {
-        if let Err(e) = telemetry::write_metrics(path, &result, &meta) {
-            eprintln!("failed to write metrics {}: {e}", path.display());
-        }
+        telemetry::write_metrics(path, &result, &meta)
+            .map_err(|e| CampaignError::artifact("metrics", path, &e))?;
     }
     Ok(result)
 }
@@ -2494,7 +2570,9 @@ mod tests {
         };
         let err = run_campaign_observed(&r, &strat, 2 * CHUNK_RUNS, 3, &resume, &mut NullObserver)
             .unwrap_err();
-        let CampaignError::Checkpoint { path, reason } = &err;
+        let CampaignError::Checkpoint { path, reason } = &err else {
+            panic!("expected a checkpoint error: {err}");
+        };
         assert_eq!(path, &ck);
         assert!(reason.contains("estimator"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);

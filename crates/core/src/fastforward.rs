@@ -89,13 +89,14 @@ struct Snapshot {
 }
 
 /// Per-worker fast-forward state: the exact-cycle snapshot cache and the
-/// resident work system.
+/// resident work system, which restores from a snapshot by overwriting
+/// the RAM pages it owns in place, so a warm resume allocates nothing.
 ///
 /// Like [`crate::flow::FlowScratch`] (which owns one), an instance is only
 /// valid against one evaluation; the campaign engine keeps one per worker.
 #[derive(Debug, Default)]
 pub struct RtlFastForward {
-    snapshots: HashMap<u64, Snapshot>,
+    snapshots: HashMap<u64, Snapshot, WordHash>,
     /// The resident system every resume mutates (restored, never cloned).
     work: Option<Soc>,
     tick: u64,
@@ -138,12 +139,13 @@ impl RtlFastForward {
             work.restore_from(&snap.soc);
             self.stats.checkpoint_cache_hits += 1;
         } else {
-            work.restore_from(checkpoint);
-            while work.cycle <= te {
-                work.step();
-            }
-            // The snapshot is taken pre-fault, so every error pattern at
-            // this `te` starts from it.
+            // Replay a clone of the checkpoint, not the resident system: the
+            // snapshot then shares the checkpoint's unwritten pages, and the
+            // resident system keeps the pages it owns. The snapshot is taken
+            // pre-fault, so every error pattern at this `te` starts from it.
+            let mut snap = checkpoint.clone();
+            snap.run_until_halt(te + 1);
+            work.restore_from(&snap);
             self.stats.checkpoint_cache_misses += 1;
             if self.snapshots.len() >= MAX_SNAPSHOTS {
                 if let Some(&oldest) = self
@@ -160,7 +162,7 @@ impl RtlFastForward {
             self.snapshots.insert(
                 te,
                 Snapshot {
-                    soc: work.clone(),
+                    soc: snap,
                     last_used: self.tick,
                 },
             );

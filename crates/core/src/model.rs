@@ -1,6 +1,8 @@
 //! The evaluation context: system model + workload + golden run.
 
 use std::fmt;
+use std::ops::Range;
+use xlmc_gatesim::bitparallel::{evaluate_combinational, CycleWindow, PackedTraces};
 use xlmc_gatesim::cycle::CycleSim;
 use xlmc_gatesim::glitch::GlitchSim;
 use xlmc_gatesim::transient::{TransientConfig, TransientSim};
@@ -82,6 +84,42 @@ impl SystemModel {
     pub fn with_defaults() -> Result<Self, EvalError> {
         Self::new(TransientConfig::default())
     }
+
+    /// The value trace of every MPU net over `cycles` of `golden` (trace
+    /// cycle `c` is golden cycle `cycles.start + c`): register and input
+    /// values as recorded, everything else by one bit-parallel sweep.
+    pub(crate) fn golden_traces(&self, golden: &GoldenRun, cycles: Range<usize>) -> PackedTraces {
+        let netlist = self.mpu.netlist();
+        let mut traces = PackedTraces::zeroed(netlist, cycles.len());
+        let mut state_bits = Vec::new();
+        let mut inputs = Vec::new();
+        for (c, g) in cycles.enumerate() {
+            self.mpu
+                .state_vector_into(&golden.mpu_states[g], &mut state_bits);
+            for (&dff, &v) in netlist.dffs().iter().zip(&state_bits) {
+                traces.set_value(dff, c, v);
+            }
+            let stim = &golden.stimulus[g];
+            self.mpu
+                .input_values_into(stim.request, stim.cfg_write, &mut inputs);
+            for (&pi, &v) in netlist.inputs().iter().zip(&inputs) {
+                traces.set_value(pi, c, v);
+            }
+        }
+        evaluate_combinational(netlist, &mut traces)
+            .expect("MPU netlist is acyclic by construction");
+        traces
+    }
+
+    /// The nominal value of every MPU net in every cycle of `golden`,
+    /// packed one `u64` per net per 64-cycle block: the compiled kernel's
+    /// stable values. Each block is derived by one bit-parallel sweep, the
+    /// first time a campaign injects in it.
+    pub fn golden_window<'a>(&'a self, golden: &'a GoldenRun) -> CycleWindow<'a> {
+        CycleWindow::new(self.mpu.netlist(), golden.cycles as usize, move |cycles| {
+            self.golden_traces(golden, cycles)
+        })
+    }
 }
 
 /// One attack-evaluation setup: a workload, its recorded golden run and the
@@ -149,6 +187,58 @@ mod tests {
             assert!(e.target_cycle < e.golden.cycles);
             assert!(e.max_cycles > e.golden.cycles);
         }
+    }
+
+    /// The golden window holds, for every net and every cycle of all five
+    /// goals' golden runs, the value the scalar `CycleSim` gives that
+    /// cycle: across every 64-cycle block boundary and through the last,
+    /// partial block.
+    #[test]
+    fn golden_window_matches_cycle_sim_on_every_goal() {
+        let model = SystemModel::with_defaults().unwrap();
+        let netlist = model.mpu.netlist();
+        let (mut state, mut inputs) = (Vec::new(), Vec::new());
+        let mut cv = xlmc_gatesim::CycleValues::default();
+        let mut partial_blocks = 0;
+        for workload in [
+            workloads::illegal_write(),
+            workloads::illegal_read(),
+            workloads::dma_exfiltration(),
+            workloads::trap_escalation(),
+            workloads::instruction_skip(),
+        ] {
+            let name = workload.name;
+            let golden = Evaluation::new(workload).unwrap().golden;
+            let cycles = golden.cycles as usize;
+            assert!(
+                cycles > 64,
+                "{name}: {cycles} cycles cross no block boundary"
+            );
+            partial_blocks += usize::from(!cycles.is_multiple_of(64));
+            let window = model.golden_window(&golden);
+            assert_eq!(window.cycles(), cycles, "{name}");
+            for c in 0..cycles {
+                model
+                    .mpu
+                    .state_vector_into(&golden.mpu_states[c], &mut state);
+                let stim = &golden.stimulus[c];
+                model
+                    .mpu
+                    .input_values_into(stim.request, stim.cfg_write, &mut inputs);
+                model.cycle_sim.eval_into(netlist, &state, &inputs, &mut cv);
+                let (words, bit) = window.block(c);
+                assert_eq!(words.len(), netlist.len());
+                assert_eq!(bit as usize, c % 64);
+                for (id, _) in netlist.iter() {
+                    assert_eq!(
+                        words[id.index()] >> bit & 1 == 1,
+                        cv.value(id),
+                        "{name}: net {id} cycle {c}"
+                    );
+                }
+            }
+        }
+        assert!(partial_blocks > 0, "no golden run ends in a partial block");
     }
 
     #[test]

@@ -1,44 +1,46 @@
-//! Packed strike construction: cached spot footprints, CSR storage.
-//!
-//! The compiled campaign kernel needs each lane's impacted-cell list alive
-//! at the same time. Building 256 separate `Vec`s per sweep would put the
-//! allocator back on the hot path, so the lanes share one flat CSR buffer:
-//! lane `l`'s cells are `cells[offsets[l] .. offsets[l + 1]]`, and the
-//! whole structure is reused sweep after sweep.
+//! Packed strike construction: cached, classified spot footprints.
 //!
 //! A campaign strikes the same few `(center, radius)` spots over and over,
-//! so each spot's footprint is queried once and kept: per distinct radius,
-//! one `(start, len)` slot per center index into a second flat buffer.
+//! so each spot's footprint is queried once and kept, together with what
+//! the strike does to each of its cells: the combinational nets that
+//! pulse, the registers that are upset and the shallowest pulsing level
+//! ([`Footprint`]). A lane of the compiled kernel is then just one or two
+//! footprint indices and a strike moment: nothing per cell is copied or
+//! re-classified per lane, and the whole structure is reused sweep after
+//! sweep without touching the allocator once its spots are cached.
 
-use xlmc_netlist::{GateId, Placement};
+use xlmc_netlist::{Footprint, GateId, GateProgram, Placement};
 
 use crate::sample::AttackSample;
 use crate::spot::RadiationSpot;
 
-/// Marks a footprint slot that has not been queried yet.
-const UNFILLED: (u32, u32) = (u32::MAX, 0);
+/// A footprint's `(start, len)` in the flat buffer; `NONE` marks a slot
+/// not queried yet and a lane without a second spot.
+type Slot = (u32, u32);
+const NONE: Slot = (u32::MAX, 0);
 
-/// The struck-cell lists of one lane batch, CSR layout, reusable.
+/// The strikes of one lane batch, as footprint slots, reusable.
 ///
-/// The footprint cache makes an instance valid against **one placement**:
-/// keep one per worker and campaign, never move it to another model.
+/// The footprint cache makes an instance valid against **one placement
+/// and one gate program**: keep one per worker and campaign, never move it
+/// to another model.
 #[derive(Debug, Clone, Default)]
 pub struct LaneStrikes {
-    offsets: Vec<u32>,
-    cells: Vec<GateId>,
+    /// Per lane: its primary and (double-glitch) secondary footprint.
+    lanes: Vec<[Slot; 2]>,
     times: Vec<f64>,
     query: Vec<GateId>,
-    /// Per distinct radius (by its bits), the footprint slot of each center
-    /// index: a `(start, len)` range of `footprint_cells`.
-    footprints: Vec<(u64, Vec<(u32, u32)>)>,
-    footprint_cells: Vec<GateId>,
+    /// Per distinct radius (by its bits), the footprint of each center
+    /// index.
+    by_spot: Vec<(u64, Vec<Slot>)>,
+    /// Every cached footprint's words, back to back.
+    footprints: Vec<u32>,
 }
 
 impl LaneStrikes {
     /// Drop all lanes (keeps capacity and the footprint cache).
     pub fn clear(&mut self) {
-        self.offsets.clear();
-        self.cells.clear();
+        self.lanes.clear();
         self.times.clear();
     }
 
@@ -47,83 +49,101 @@ impl LaneStrikes {
         self.times.len()
     }
 
-    /// Append one lane: the spot query of `sample` against `placement`
-    /// plus the sample's intra-cycle strike moment.
+    /// Append one lane: the spot query of `sample` against `placement`,
+    /// classified against `program`, plus the sample's intra-cycle strike
+    /// moment.
     pub fn push_sample(
         &mut self,
         sample: &AttackSample,
         placement: &Placement,
+        program: &GateProgram,
         clock_period_ps: f64,
     ) {
-        self.push_sample_with(sample, None, placement, clock_period_ps);
+        self.push_sample_with(sample, None, placement, program, clock_period_ps);
     }
 
     /// [`LaneStrikes::push_sample`] with an optional secondary spot (the
-    /// double-glitch mode): the lane's cell list is the sorted, deduplicated
-    /// union of both spot queries — exactly what the scalar path produces
-    /// when it merges the second spot into its struck buffer.
+    /// double-glitch mode): the lane strikes both footprints, which may
+    /// overlap. Its cells as one list are the sorted, deduplicated union
+    /// ([`LaneStrikes::struck_into`]), which is what the scalar path
+    /// strikes when it merges the second spot into its struck buffer.
     pub fn push_sample_with(
         &mut self,
         sample: &AttackSample,
         second: Option<&RadiationSpot>,
         placement: &Placement,
+        program: &GateProgram,
         clock_period_ps: f64,
     ) {
-        if self.offsets.is_empty() {
-            self.offsets.push(0);
-        }
         let spot = RadiationSpot {
             center: sample.center,
             radius: sample.radius,
         };
-        let (lo, len) = self.footprint(&spot, placement);
-        let primary = lo as usize..(lo + len) as usize;
-        match second {
-            None => self.cells.extend_from_slice(&self.footprint_cells[primary]),
-            Some(extra) => {
-                let (lo2, len2) = self.footprint(extra, placement);
-                let secondary = lo2 as usize..(lo2 + len2) as usize;
-                merge_union(
-                    &self.footprint_cells[primary],
-                    &self.footprint_cells[secondary],
-                    &mut self.cells,
-                );
-            }
-        }
-        self.offsets.push(self.cells.len() as u32);
+        let primary = self.footprint_slot(&spot, placement, program);
+        let secondary = second.map_or(NONE, |s| self.footprint_slot(s, placement, program));
+        self.lanes.push([primary, secondary]);
         self.times.push(sample.strike_time_ps(clock_period_ps));
     }
 
-    /// The cached footprint slot of `spot`, filled from
-    /// [`RadiationSpot::impacted_cells_into`] on first use (so it is
-    /// sorted, like every fresh query).
-    fn footprint(&mut self, spot: &RadiationSpot, placement: &Placement) -> (u32, u32) {
+    /// The cached footprint of `spot`, queried with
+    /// [`RadiationSpot::impacted_cells_into`] and classified on first use.
+    fn footprint_slot(
+        &mut self,
+        spot: &RadiationSpot,
+        placement: &Placement,
+        program: &GateProgram,
+    ) -> Slot {
         let bits = spot.radius.to_bits();
-        let k = match self.footprints.iter().position(|(b, _)| *b == bits) {
+        let k = match self.by_spot.iter().position(|(b, _)| *b == bits) {
             Some(k) => k,
             None => {
-                self.footprints.push((bits, Vec::new()));
-                self.footprints.len() - 1
+                self.by_spot.push((bits, Vec::new()));
+                self.by_spot.len() - 1
             }
         };
-        let slots = &mut self.footprints[k].1;
+        let slots = &mut self.by_spot[k].1;
         let c = spot.center.index();
         if c >= slots.len() {
-            slots.resize(c + 1, UNFILLED);
+            slots.resize(c + 1, NONE);
         }
-        if slots[c] == UNFILLED {
+        if slots[c] == NONE {
             spot.impacted_cells_into(placement, &mut self.query);
-            slots[c] = (self.footprint_cells.len() as u32, self.query.len() as u32);
-            self.footprint_cells.extend_from_slice(&self.query);
+            let start = self.footprints.len();
+            let len = program.classify_into(&self.query, &mut self.footprints);
+            // Spots hit placed cells only, and every placed cell pulses or
+            // upsets, so the footprint names every cell.
+            debug_assert_eq!(len, 2 + self.query.len(), "a struck cell is inert");
+            slots[c] = (start as u32, len as u32);
         }
         slots[c]
     }
 
-    /// Lane `l`'s struck cells.
-    pub fn struck(&self, lane: usize) -> &[GateId] {
-        let lo = self.offsets[lane] as usize;
-        let hi = self.offsets[lane + 1] as usize;
-        &self.cells[lo..hi]
+    fn footprint(&self, (start, len): Slot) -> Footprint<'_> {
+        Footprint::new(&self.footprints[start as usize..(start + len) as usize])
+    }
+
+    /// Lane `l`'s footprints: its primary spot's and, in the double-glitch
+    /// mode, its secondary spot's.
+    pub fn footprints(&self, lane: usize) -> (Footprint<'_>, Option<Footprint<'_>>) {
+        let [primary, secondary] = self.lanes[lane];
+        (
+            self.footprint(primary),
+            (secondary != NONE).then(|| self.footprint(secondary)),
+        )
+    }
+
+    /// Lane `l`'s struck cells as one list, sorted and deduplicated, into
+    /// `out` (cleared first): what the scalar kernel strikes. `program` is
+    /// the one the footprints were classified against.
+    pub fn struck_into(&self, lane: usize, program: &GateProgram, out: &mut Vec<GateId>) {
+        out.clear();
+        let (primary, secondary) = self.footprints(lane);
+        for fp in std::iter::once(primary).chain(secondary) {
+            out.extend(fp.comb_nets().iter().map(|&g| GateId(g)));
+            out.extend(fp.dffs().iter().map(|&i| program.dff_d()[i as usize].0));
+        }
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Lane `l`'s strike moment within the cycle, in picoseconds.
@@ -132,72 +152,27 @@ impl LaneStrikes {
     }
 }
 
-/// Append the union of the sorted lists `a` and `b` to `out`, sorted and
-/// deduplicated: one linear merge in place of concatenate, sort, dedup.
-fn merge_union(a: &[GateId], b: &[GateId], out: &mut Vec<GateId>) {
-    let start = out.len();
-    let (mut i, mut j) = (0, 0);
-    loop {
-        let next = match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) if x <= y => {
-                i += 1;
-                x
-            }
-            (_, Some(&y)) => {
-                j += 1;
-                y
-            }
-            (Some(&x), None) => {
-                i += 1;
-                x
-            }
-            (None, None) => break,
-        };
-        if out.len() == start || out[out.len() - 1] != next {
-            out.push(next);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xlmc_netlist::{CellKind, Netlist};
+    use xlmc_netlist::{CellKind, NetClass, Netlist};
 
-    proptest::proptest! {
-        /// The linear merge appends exactly what concatenate, sort and
-        /// dedup produced, for random sorted footprint pairs (overlapping,
-        /// disjoint, empty, with repeats) behind an existing prefix.
-        #[test]
-        fn merge_union_is_sort_and_dedup_of_the_concatenation(
-            a in proptest::collection::vec(0u32..64, 0..24),
-            b in proptest::collection::vec(0u32..64, 0..24),
-            prefix in proptest::collection::vec(0u32..64, 0..3),
-        ) {
-            let sorted = |v: &[u32]| {
-                let mut v: Vec<GateId> = v.iter().map(|&g| GateId(g)).collect();
-                v.sort_unstable();
-                v
-            };
-            let (a, b, prefix) = (sorted(&a), sorted(&b), sorted(&prefix));
-            let mut query = a.clone();
-            query.extend_from_slice(&b);
-            query.sort_unstable();
-            query.dedup();
-            let mut want = prefix.clone();
-            want.extend_from_slice(&query);
-            let mut got = prefix.clone();
-            merge_union(&a, &b, &mut got);
-            proptest::prop_assert_eq!(got, want);
-        }
+    /// Lane `l`'s cells as one list.
+    fn struck(batch: &LaneStrikes, prog: &GateProgram, lane: usize) -> Vec<GateId> {
+        let mut out = vec![GateId(u32::MAX)];
+        batch.struck_into(lane, prog, &mut out);
+        out
     }
 
     fn chain(cells: usize) -> Netlist {
         let mut n = Netlist::new();
         let a = n.add_input("a");
         let mut prev = a;
-        for _ in 0..cells {
+        for i in 0..cells {
             prev = n.add_gate(CellKind::Buf, &[prev]);
+            if i % 5 == 4 {
+                n.add_dff(format!("q{i}"), prev);
+            }
         }
         n.add_output("y", prev);
         n
@@ -207,6 +182,7 @@ mod tests {
     fn lanes_match_individual_spot_queries() {
         let n = chain(40);
         let p = Placement::new(&n);
+        let prog = n.program().unwrap();
         let period = 1200.0;
         let mut batch = LaneStrikes::default();
         let samples: Vec<AttackSample> = p
@@ -222,7 +198,7 @@ mod tests {
             })
             .collect();
         for s in &samples {
-            batch.push_sample(s, &p, period);
+            batch.push_sample(s, &p, prog, period);
         }
         assert_eq!(batch.lanes(), samples.len());
         for (l, s) in samples.iter().enumerate() {
@@ -231,7 +207,7 @@ mod tests {
                 radius: s.radius,
             }
             .impacted_cells(&p);
-            assert_eq!(batch.struck(l), &want[..], "lane {l}");
+            assert_eq!(struck(&batch, prog, l), want, "lane {l}");
             assert_eq!(batch.strike_time_ps(l), s.strike_time_ps(period));
         }
     }
@@ -240,6 +216,7 @@ mod tests {
     fn clear_resets_lanes_but_reuses_storage() {
         let n = chain(20);
         let p = Placement::new(&n);
+        let prog = n.program().unwrap();
         let mut batch = LaneStrikes::default();
         let s = AttackSample {
             t: 1,
@@ -247,18 +224,19 @@ mod tests {
             radius: 2.0,
             phase: 0,
         };
-        batch.push_sample(&s, &p, 1000.0);
-        let first = batch.struck(0).to_vec();
+        batch.push_sample(&s, &p, prog, 1000.0);
+        let first = struck(&batch, prog, 0);
         batch.clear();
         assert_eq!(batch.lanes(), 0);
-        batch.push_sample(&s, &p, 1000.0);
-        assert_eq!(batch.struck(0), &first[..]);
+        batch.push_sample(&s, &p, prog, 1000.0);
+        assert_eq!(struck(&batch, prog, 0), first);
     }
 
     #[test]
     fn secondary_spot_lane_is_the_sorted_deduped_union() {
         let n = chain(40);
         let p = Placement::new(&n);
+        let prog = n.program().unwrap();
         let mut batch = LaneStrikes::default();
         let s = AttackSample {
             t: 2,
@@ -271,7 +249,7 @@ mod tests {
             center: p.placeable()[12],
             radius: 1.5,
         };
-        batch.push_sample_with(&s, Some(&second), &p, 1000.0);
+        batch.push_sample_with(&s, Some(&second), &p, prog, 1000.0);
         let mut want = RadiationSpot {
             center: s.center,
             radius: s.radius,
@@ -280,32 +258,51 @@ mod tests {
         want.extend(second.impacted_cells(&p));
         want.sort_unstable();
         want.dedup();
-        assert_eq!(batch.struck(0), &want[..]);
+        assert_eq!(struck(&batch, prog, 0), want);
         // A disjoint far-away secondary contributes its own cells.
         let far = RadiationSpot {
             center: p.placeable()[35],
             radius: 0.0,
         };
-        batch.push_sample_with(&s, Some(&far), &p, 1000.0);
-        assert!(batch.struck(1).contains(&p.placeable()[35]));
+        batch.push_sample_with(&s, Some(&far), &p, prog, 1000.0);
+        assert!(struck(&batch, prog, 1).contains(&p.placeable()[35]));
         // And `None` stays byte-identical to the single-spot path.
-        batch.push_sample(&s, &p, 1000.0);
+        batch.push_sample(&s, &p, prog, 1000.0);
         let solo = RadiationSpot {
             center: s.center,
             radius: s.radius,
         }
         .impacted_cells(&p);
-        assert_eq!(batch.struck(2), &solo[..]);
+        assert_eq!(struck(&batch, prog, 2), solo);
+    }
+
+    /// `cells` classified one cell at a time: the combinational nets, the
+    /// registers' `dffs()` positions and the shallowest combinational level.
+    fn per_cell(prog: &GateProgram, cells: &[GateId]) -> (Vec<u32>, Vec<u32>, u32) {
+        let (mut comb, mut dffs, mut shallowest) = (Vec::new(), Vec::new(), u32::MAX);
+        for &g in cells {
+            match prog.net_class(g.index()) {
+                NetClass::Comb => {
+                    comb.push(g.0);
+                    shallowest = shallowest.min(prog.level(g.index()));
+                }
+                NetClass::Dff => dffs.push(prog.dff_index(g.index()).unwrap() as u32),
+                NetClass::Inert => {}
+            }
+        }
+        (comb, dffs, shallowest)
     }
 
     /// The footprint cache is invisible: over many batches that revisit
     /// the same centers, every lane equals a fresh spot query (or the
     /// sorted, deduplicated union of two), for each radius, with and
-    /// without a second spot, unplaced centers included.
+    /// without a second spot, unplaced centers included; and each of its
+    /// footprints carries the per-cell classification of its cells.
     #[test]
     fn cached_footprints_equal_fresh_queries() {
         let n = chain(40);
         let p = Placement::new(&n);
+        let prog = n.program().unwrap();
         let fresh = |spot: &RadiationSpot| {
             let mut out = Vec::new();
             spot.impacted_cells_into(&p, &mut out);
@@ -320,6 +317,7 @@ mod tests {
                 for with_second in [false, true] {
                     batch.clear();
                     let mut want = Vec::new();
+                    let mut secondaries = Vec::new();
                     for (i, &center) in centers.iter().enumerate() {
                         let s = AttackSample {
                             t: 1,
@@ -331,7 +329,8 @@ mod tests {
                             center: centers[(i + pass + 1) % centers.len()],
                             radius: [2.5, 0.0, 1.0][i % 3],
                         });
-                        batch.push_sample_with(&s, second.as_ref(), &p, 1000.0);
+                        batch.push_sample_with(&s, second.as_ref(), &p, prog, 1000.0);
+                        secondaries.push(second);
                         let mut cells = fresh(&RadiationSpot { center, radius });
                         if let Some(extra) = &second {
                             cells.extend(fresh(extra));
@@ -343,7 +342,21 @@ mod tests {
                     assert_eq!(batch.lanes(), want.len());
                     for (l, cells) in want.iter().enumerate() {
                         let ctx = format!("pass {pass} r {radius} second {with_second} lane {l}");
-                        assert_eq!(batch.struck(l), &cells[..], "{ctx}");
+                        assert_eq!(struck(&batch, prog, l), *cells, "{ctx}");
+                        let (primary, secondary) = batch.footprints(l);
+                        let center = centers[l];
+                        let spots = std::iter::once(RadiationSpot { center, radius });
+                        assert_eq!(secondary.is_some(), with_second, "{ctx}");
+                        let extra = secondaries[l];
+                        for (fp, spot) in std::iter::once(primary)
+                            .zip(spots)
+                            .chain(secondary.zip(extra))
+                        {
+                            let (comb, dffs, shallowest) = per_cell(prog, &fresh(&spot));
+                            assert_eq!(fp.comb_nets(), comb, "{ctx}");
+                            assert_eq!(fp.dffs(), dffs, "{ctx}");
+                            assert_eq!(fp.shallowest(), shallowest, "{ctx}");
+                        }
                     }
                 }
             }
@@ -358,15 +371,16 @@ mod tests {
                 radius: 2.5,
                 phase: 0,
             };
-            batch.push_sample(&s, &p, 1000.0);
+            batch.push_sample(&s, &p, prog, 1000.0);
         }
-        assert!(batch.struck(0).is_empty() && batch.struck(1).is_empty());
+        assert!(struck(&batch, prog, 0).is_empty() && struck(&batch, prog, 1).is_empty());
     }
 
     #[test]
     fn empty_lane_from_unplaced_center() {
         let n = chain(10);
         let p = Placement::new(&n);
+        let prog = n.program().unwrap();
         let mut batch = LaneStrikes::default();
         // Input markers are unplaced: the spot query is empty.
         let s = AttackSample {
@@ -375,7 +389,7 @@ mod tests {
             radius: 5.0,
             phase: 0,
         };
-        batch.push_sample(&s, &p, 1000.0);
-        assert!(batch.struck(0).is_empty());
+        batch.push_sample(&s, &p, prog, 1000.0);
+        assert!(struck(&batch, prog, 0).is_empty());
     }
 }

@@ -8,7 +8,12 @@
 //! sweep with word-wide boolean operations produces the packed traces of
 //! every other node — 64 cycles per instruction.
 
+use std::ops::Range;
+use std::sync::OnceLock;
+
 use xlmc_netlist::{CellKind, GateId, Netlist, NetlistError};
+
+use crate::compiled::{CycleGroup, WideMask};
 
 /// Packed per-cycle value traces for every gate of a netlist.
 ///
@@ -82,6 +87,101 @@ impl PackedTraces {
         assert_eq!(values.len(), self.cycles, "trace length mismatch");
         for (c, &v) in values.iter().enumerate() {
             self.set_value(id, c, v);
+        }
+    }
+}
+
+/// Net values over a run, regrouped by 64-cycle block: one `u64` per net
+/// per block, the layout a compiled sweep reads its nominal values from.
+///
+/// Bit `c % 64` of word `f` of block `c / 64` is net `f`'s value in cycle
+/// `c`; [`CycleWindow::group`] hands a sweep one block and one bit. A
+/// block is derived on first use, once, by the window's tracer (any
+/// thread may get there first), so a window costs only the blocks its
+/// users touch.
+pub struct CycleWindow<'a> {
+    nets: usize,
+    cycles: usize,
+    blocks: Vec<OnceLock<Box<[u64]>>>,
+    tracer: Tracer<'a>,
+}
+
+/// Traces the cycles of one block (at most 64) on a window's netlist.
+type Tracer<'a> = Box<dyn Fn(Range<usize>) -> PackedTraces + Send + Sync + 'a>;
+
+impl std::fmt::Debug for CycleWindow<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CycleWindow")
+            .field("nets", &self.nets)
+            .field("cycles", &self.cycles)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> CycleWindow<'a> {
+    /// A window over `cycles` cycles of `netlist`'s nets whose block of
+    /// cycles `r` is `tracer(r)`: the traces of those cycles, trace cycle
+    /// `c` being cycle `r.start + c`.
+    pub fn new(
+        netlist: &Netlist,
+        cycles: usize,
+        tracer: impl Fn(Range<usize>) -> PackedTraces + Send + Sync + 'a,
+    ) -> Self {
+        Self {
+            nets: netlist.len(),
+            cycles,
+            blocks: (0..cycles.div_ceil(64)).map(|_| OnceLock::new()).collect(),
+            tracer: Box::new(tracer),
+        }
+    }
+
+    /// The window of explicit per-cycle values, cycle `c` = `values[c]`.
+    #[cfg(test)]
+    pub(crate) fn from_cycles(netlist: &'a Netlist, values: Vec<crate::CycleValues>) -> Self {
+        let cycles = values.len();
+        Self::new(netlist, cycles, move |r| {
+            let mut block = PackedTraces::zeroed(netlist, r.len());
+            for (c, cv) in values[r].iter().enumerate() {
+                for (id, _) in netlist.iter() {
+                    block.set_value(id, c, cv.value(id));
+                }
+            }
+            block
+        })
+    }
+
+    /// Number of cycles covered.
+    pub fn cycles(&self) -> usize {
+        self.cycles
+    }
+
+    /// The per-net words of cycle `c`'s block and `c`'s bit in them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `c >= self.cycles()`, or when the tracer returns
+    /// traces of another length or netlist.
+    pub fn block(&self, c: usize) -> (&[u64], u32) {
+        assert!(c < self.cycles, "cycle {c} out of range");
+        let b = c / 64;
+        let words = self.blocks[b].get_or_init(|| {
+            let cycles = b * 64..(b * 64 + 64).min(self.cycles);
+            let traces = (self.tracer)(cycles.clone());
+            assert_eq!(traces.cycles(), cycles.len(), "tracer block length");
+            assert_eq!(traces.data.len(), self.nets, "tracer block netlist");
+            traces.data.into_boxed_slice()
+        });
+        (words, (c % 64) as u32)
+    }
+
+    /// The sweep group of `lanes` injecting in cycle `c`, named by `c`.
+    pub fn group(&self, c: usize, lanes: WideMask) -> CycleGroup<'_> {
+        let (words, bit) = self.block(c);
+        CycleGroup {
+            lanes,
+            cycle: c,
+            words,
+            bit,
         }
     }
 }

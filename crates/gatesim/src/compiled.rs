@@ -59,20 +59,31 @@
 //! out as sets (bit masks over DFF indices), so a lane's direct upsets
 //! match the scalar list as a set, not as a sequence.
 
-use xlmc_netlist::{GateProgram, NetClass, Netlist, Opcode};
+use xlmc_netlist::{Footprint, GateProgram, Netlist, Opcode};
 
 use crate::cycle::CycleValues;
 use crate::transient::{StrikeOutcome, TransientConfig, TransientScratch, TransientSim};
 use xlmc_netlist::GateId;
 
-/// One lane's strike: the impacted cells and the particle-hit moment.
+/// One lane's strike: the classified cells it hits and the particle-hit
+/// moment.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchLane<'a> {
-    /// The struck cells of this lane's run (the radiation spot's disc).
-    pub struck: &'a [GateId],
+    /// The footprint of the lane's radiation spot.
+    pub primary: Footprint<'a>,
+    /// The second spot's footprint in the double-glitch mode. It may
+    /// overlap the primary one; a net both strike pulses once.
+    pub secondary: Option<Footprint<'a>>,
     /// The particle-hit moment within the cycle, ps after the launching
     /// clock edge.
     pub strike_time_ps: f64,
+}
+
+impl BatchLane<'_> {
+    /// The lane's one or two footprints.
+    fn footprints(&self) -> impl Iterator<Item = &Footprint<'_>> {
+        std::iter::once(&self.primary).chain(&self.secondary)
+    }
 }
 
 /// Runs per compiled sweep: the lanes of a `[u64; 4]`.
@@ -97,8 +108,12 @@ pub struct CycleGroup<'a> {
     /// A small dense id of the cycle (the injection cycle number). One
     /// scratch must only ever see one set of values under one id.
     pub cycle: usize,
-    /// The cycle's stable net values.
-    pub values: &'a CycleValues,
+    /// The per-net words of the cycle's block: net `f`'s stable value is
+    /// bit [`CycleGroup::bit`] of `words[f]` (see
+    /// [`crate::bitparallel::CycleWindow`]).
+    pub words: &'a [u64],
+    /// The cycle's bit in `words`.
+    pub bit: u32,
 }
 
 /// Per-lane results of one compiled strike sweep.
@@ -301,8 +316,8 @@ fn max_hops(cfg: &TransientConfig, levels: usize) -> Option<usize> {
 /// outcome.
 ///
 /// Nominal values are packed per cycle *slot*: the first sweep that names
-/// a [`CycleGroup::cycle`] gives it the next slot and writes its values
-/// into one bit per net, 64 slots per word. A net's nominal word in a
+/// a [`CycleGroup::cycle`] gives it the next slot and copies its bit of
+/// each net's word into that slot, 64 slots per word. A net's nominal word in a
 /// sweep is then the OR of the lane masks of its set, active slots. A
 /// scratch is therefore valid against one set of cycle values per id:
 /// keep one per worker and campaign.
@@ -330,6 +345,8 @@ pub struct CompiledTransientScratch {
     /// Scalar-kernel buffers for lanes that meet a fading pulse.
     exact: TransientScratch,
     exact_out: StrikeOutcome,
+    exact_values: CycleValues,
+    exact_struck: Vec<GateId>,
     /// Nets the slot words were written for.
     slot_nets: usize,
     /// Per block of 64 slots, per net: bit `s % 64` of
@@ -362,11 +379,8 @@ impl CompiledTransientScratch {
             }
             self.slot_lanes.push([0; LANE_WORDS]);
             let block = &mut self.slot_words[(s / 64) * self.slot_nets..][..self.slot_nets];
-            let bit = 1u64 << (s % 64);
-            for (w, &v) in block.iter_mut().zip(group.values.values()) {
-                if v {
-                    *w |= bit;
-                }
+            for (w, &word) in block.iter_mut().zip(group.words) {
+                *w |= (word >> group.bit & 1) << (s % 64);
             }
             self.slot_of[group.cycle] = s as u32;
         }
@@ -432,20 +446,31 @@ impl TransientSim {
 
         // Lanes whose replay could not settle a fade: run each through the
         // scalar kernel. Upsets were already marked at seeding; the latched
-        // set and the pulse count become the exact ones.
+        // set and the pulse count become the exact ones. Those depend only
+        // on the set of combinational cells struck (not on their order,
+        // repeats, struck registers or inert cells), so the lane's
+        // footprints' combinational nets go in one after the other.
         for_each_lane(faded, |l| {
             let (k, bit) = (l / 64, 1u64 << (l % 64));
-            let values = groups
+            let group = groups
                 .iter()
                 .find(|g| g.lanes[k] & bit != 0)
-                .expect("a striking lane has a cycle-value group")
-                .values;
+                .expect("a striking lane has a cycle-value group");
+            scratch
+                .exact_values
+                .unpack_into(netlist, group.words, group.bit);
             let lane = &lanes[l];
+            scratch.exact_struck.clear();
+            for fp in lane.footprints() {
+                scratch
+                    .exact_struck
+                    .extend(fp.comb_nets().iter().map(|&g| GateId(g)));
+            }
             let logical = outcome.pulses_propagated(l);
             self.strike_with(
                 netlist,
-                values,
-                lane.struck,
+                &scratch.exact_values,
+                &scratch.exact_struck,
                 lane.strike_time_ps,
                 &mut scratch.exact,
                 &mut scratch.exact_out,
@@ -511,7 +536,9 @@ impl TransientSim {
                     m
                 });
                 lanes.iter().enumerate().all(|(l, lane)| {
-                    lane.struck.is_empty() || covered[l / 64] & (1u64 << (l % 64)) != 0
+                    lane.footprints()
+                        .all(|fp| fp.comb_nets().is_empty() && fp.dffs().is_empty())
+                        || covered[l / 64] & (1u64 << (l % 64)) != 0
                 })
             },
             "a striking lane has no cycle-value group"
@@ -526,43 +553,19 @@ impl TransientSim {
             scratch.active[s / 64] |= 1u64 << (s % 64);
         }
 
-        // Seed every lane's struck cells (same rules as the scalar kernel:
-        // DFFs upset, source/marker cells inert, combinational cells pulse)
-        // and mark, from the lane's shallowest seed, the level where its
-        // pulses may start to fade.
+        // Seed every lane's footprints and mark, from the lane's shallowest
+        // seed, the level where its pulses may start to fade.
         let cfg = *self.config();
         let levels = program.levels();
         let hops = max_hops(&cfg, levels);
         scratch.reach.clear();
         scratch.reach.resize(levels + 1, [0; LANE_WORDS]);
         for (l, lane) in lanes.iter().enumerate() {
-            let (word, bit) = (l / 64, 1u64 << (l % 64));
-            let mut shallowest = usize::MAX;
-            for &g in lane.struck {
-                match program.net_class(g.index()) {
-                    NetClass::Dff => {
-                        let i = program.dff_index(g.index()).expect("a Dff net is a DFF");
-                        CompiledStrikeOutcome::mark(&mut outcome.upset, dff_words, l, i);
-                    }
-                    NetClass::Inert => {}
-                    NetClass::Comb => {
-                        let gi = g.index();
-                        let pl = &mut scratch.pulse[gi];
-                        if is_zero(pl) {
-                            scratch.touched.push(gi as u32);
-                        }
-                        if pl[word] & bit == 0 {
-                            outcome.lane_pulses[l] += 1;
-                        }
-                        pl[word] |= bit;
-                        shallowest = shallowest.min(program.level(gi) as usize);
-                    }
-                }
-            }
-            if shallowest != usize::MAX {
-                let from = hops.map_or(0, |h| shallowest + h + 1);
+            let shallowest = seed_lane(lane, l, &mut scratch.pulse, &mut scratch.touched, outcome);
+            if shallowest != u32::MAX {
+                let from = hops.map_or(0, |h| shallowest as usize + h + 1);
                 if from <= levels {
-                    scratch.reach[from][word] |= bit;
+                    scratch.reach[from][l / 64] |= 1u64 << (l % 64);
                 }
             }
             outcome.pulses += outcome.lane_pulses[l];
@@ -712,6 +715,39 @@ impl TransientSim {
     }
 }
 
+/// Seed lane `l` from its footprints, by the scalar kernel's cell rules
+/// as the footprints classified them: upset its registers and pulse its
+/// combinational nets, counting each net once in `lane_pulses` even where
+/// two footprints overlap. Returns the shallowest seeded level,
+/// `u32::MAX` when nothing pulses.
+fn seed_lane(
+    lane: &BatchLane<'_>,
+    l: usize,
+    pulse: &mut [WideMask],
+    touched: &mut Vec<u32>,
+    outcome: &mut CompiledStrikeOutcome,
+) -> u32 {
+    let (word, bit) = (l / 64, 1u64 << (l % 64));
+    let mut shallowest = u32::MAX;
+    for fp in lane.footprints() {
+        for &i in fp.dffs() {
+            CompiledStrikeOutcome::mark(&mut outcome.upset, outcome.dff_words, l, i as usize);
+        }
+        for &g in fp.comb_nets() {
+            let pl = &mut pulse[g as usize];
+            if is_zero(pl) {
+                touched.push(g);
+            }
+            if pl[word] & bit == 0 {
+                outcome.lane_pulses[l] += 1;
+            }
+            pl[word] |= bit;
+        }
+        shallowest = shallowest.min(fp.shallowest());
+    }
+    shallowest
+}
+
 /// Call `f` on every lane of `mask`, ascending.
 #[inline]
 fn for_each_lane(mask: WideMask, mut f: impl FnMut(usize)) {
@@ -745,9 +781,9 @@ fn replay(
         scratch.dead[n as usize] = false;
     }
     scratch.dead_nets.clear();
-    for &g in lane.struck {
-        if program.net_class(g.index()) == NetClass::Comb {
-            scratch.timing[g.index()] = (lane.strike_time_ps, cfg.initial_duration_ps);
+    for fp in lane.footprints() {
+        for &g in fp.comb_nets() {
+            scratch.timing[g as usize] = (lane.strike_time_ps, cfg.initial_duration_ps);
         }
     }
     let (k, bit) = (l / 64, 1u64 << (l % 64));
@@ -880,9 +916,47 @@ fn eval_flips(op: Opcode, fis: &[u32], scratch: &CompiledTransientScratch) -> Wi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitparallel::CycleWindow;
     use crate::cycle::CycleSim;
     use crate::transient::{StrikeOutcome, TransientConfig, TransientScratch};
-    use xlmc_netlist::{CellKind, GateId, Netlist};
+    use xlmc_netlist::{CellKind, GateId, NetClass, Netlist};
+
+    /// One strike's cells classified, owned: what a `LaneStrikes`
+    /// footprint caches.
+    struct Seeds(Vec<u32>);
+
+    impl Seeds {
+        fn of(program: &GateProgram, cells: &[GateId]) -> Self {
+            let mut words = Vec::new();
+            program.classify_into(cells, &mut words);
+            Seeds(words)
+        }
+
+        fn footprint(&self) -> Footprint<'_> {
+            Footprint::new(&self.0)
+        }
+    }
+
+    /// The seeds of each strike's cells.
+    fn seeds_of<'c>(
+        program: &GateProgram,
+        strikes: impl IntoIterator<Item = &'c [GateId]>,
+    ) -> Vec<Seeds> {
+        strikes.into_iter().map(|c| Seeds::of(program, c)).collect()
+    }
+
+    /// Single-spot lanes: lane `l` strikes `seeds[l]` at `times[l]`.
+    fn lanes_of(seeds: &[Seeds], times: impl IntoIterator<Item = f64>) -> Vec<BatchLane<'_>> {
+        seeds
+            .iter()
+            .zip(times)
+            .map(|(s, strike_time_ps)| BatchLane {
+                primary: s.footprint(),
+                secondary: None,
+                strike_time_ps,
+            })
+            .collect()
+    }
 
     struct Xs(u64);
     impl Xs {
@@ -988,31 +1062,16 @@ mod tests {
                 let m = if l % 3 != 0 { &mut mask_a } else { &mut mask_b };
                 m[l / 64] |= 1u64 << (l % 64);
             }
-            let lanes: Vec<BatchLane> = strikes
-                .iter()
-                .map(|(cells, t)| BatchLane {
-                    struck: cells,
-                    strike_time_ps: *t,
-                })
-                .collect();
+            let seeds = seeds_of(program, strikes.iter().map(|(c, _)| &c[..]));
+            let lanes = lanes_of(&seeds, strikes.iter().map(|&(_, t)| t));
+            let window = CycleWindow::from_cycles(&n, vec![cv_a.clone(), cv_b.clone()]);
 
             let mut cscratch = CompiledTransientScratch::default();
             let mut cout = CompiledStrikeOutcome::default();
             ts.strike_compiled_with(
                 &n,
                 program,
-                &[
-                    CycleGroup {
-                        lanes: mask_a,
-                        cycle: 0,
-                        values: &cv_a,
-                    },
-                    CycleGroup {
-                        lanes: mask_b,
-                        cycle: 1,
-                        values: &cv_b,
-                    },
-                ],
+                &[window.group(0, mask_a), window.group(1, mask_b)],
                 &lanes,
                 &mut cscratch,
                 &mut cout,
@@ -1075,13 +1134,9 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let lanes: Vec<BatchLane> = strikes
-                .iter()
-                .map(|cells| BatchLane {
-                    struck: cells,
-                    strike_time_ps: 450.0,
-                })
-                .collect();
+            let seeds = seeds_of(program, strikes.iter().map(|c| &c[..]));
+            let lanes = lanes_of(&seeds, std::iter::repeat(450.0));
+            let window = CycleWindow::from_cycles(&n, vec![cv.clone()]);
 
             let mut cscratch = CompiledTransientScratch::default();
             let mut cout = CompiledStrikeOutcome::default();
@@ -1089,11 +1144,7 @@ mod tests {
             ts.strike_compiled_with(
                 &n,
                 program,
-                &[CycleGroup {
-                    lanes: wide_mask,
-                    cycle: 0,
-                    values: &cv,
-                }],
+                &[window.group(0, wide_mask)],
                 &lanes,
                 &mut cscratch,
                 &mut cout,
@@ -1129,6 +1180,7 @@ mod tests {
         let program = n.program().unwrap();
         let sim = CycleSim::new(&n).unwrap();
         let cv = sim.eval(&n, &vec![true; n.dffs().len()], &[true, false, true, false]);
+        let window = CycleWindow::from_cycles(&n, vec![cv.clone()]);
         let ts = TransientSim::new(&n, tight()).unwrap();
         let candidates: Vec<GateId> = n.iter().map(|(id, _)| id).collect();
         let mut scratch = CompiledTransientScratch::default();
@@ -1142,19 +1194,10 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let lanes: Vec<BatchLane> = strikes
-                .iter()
-                .map(|cells| BatchLane {
-                    struck: cells,
-                    strike_time_ps: 500.0,
-                })
-                .collect();
+            let seeds = seeds_of(program, strikes.iter().map(|c| &c[..]));
+            let lanes = lanes_of(&seeds, std::iter::repeat(500.0));
             let all: WideMask = [!0u64; LANE_WORDS];
-            let groups = [CycleGroup {
-                lanes: all,
-                cycle: 0,
-                values: &cv,
-            }];
+            let groups = [window.group(0, all)];
             ts.strike_compiled_with(&n, program, &groups, &lanes, &mut scratch, &mut out);
             for (l, cells) in strikes.iter().enumerate() {
                 let fresh = ts.strike(&n, &cv, cells, 500.0);
@@ -1206,24 +1249,16 @@ mod tests {
                 (cells, ((l * 37) % 700) as f64)
             })
             .collect();
-        let lanes: Vec<BatchLane> = strikes
-            .iter()
-            .map(|(cells, t)| BatchLane {
-                struck: cells,
-                strike_time_ps: *t,
-            })
-            .collect();
+        let seeds = seeds_of(n.program().unwrap(), strikes.iter().map(|(c, _)| &c[..]));
+        let lanes = lanes_of(&seeds, strikes.iter().map(|&(_, t)| t));
+        let window = CycleWindow::from_cycles(&n, vec![cv.clone()]);
         let mut scratch = CompiledTransientScratch::default();
         let mut out = CompiledStrikeOutcome::default();
         let all: WideMask = [!0u64; LANE_WORDS];
         ts.strike_compiled_with(
             &n,
             n.program().unwrap(),
-            &[CycleGroup {
-                lanes: all,
-                cycle: 0,
-                values: &cv,
-            }],
+            &[window.group(0, all)],
             &lanes,
             &mut scratch,
             &mut out,
@@ -1279,13 +1314,9 @@ mod tests {
                 (cells, rng.below(600) as f64)
             })
             .collect();
-        let lanes: Vec<BatchLane> = strikes
-            .iter()
-            .map(|(cells, t)| BatchLane {
-                struck: cells,
-                strike_time_ps: *t,
-            })
-            .collect();
+        let seeds = seeds_of(program, strikes.iter().map(|(c, _)| &c[..]));
+        let lanes = lanes_of(&seeds, strikes.iter().map(|&(_, t)| t));
+        let window = CycleWindow::from_cycles(&n, vec![cv.clone()]);
         let mut scratch = CompiledTransientScratch::default();
         let mut out = CompiledStrikeOutcome::default();
         let all: WideMask = [!0u64; LANE_WORDS];
@@ -1295,11 +1326,7 @@ mod tests {
             ts.strike_compiled_with(
                 &n,
                 program,
-                &[CycleGroup {
-                    lanes: all,
-                    cycle: 0,
-                    values: &cv,
-                }],
+                &[window.group(0, all)],
                 &lanes,
                 &mut scratch,
                 &mut out,
@@ -1342,23 +1369,15 @@ mod tests {
         strikes: &[(Vec<GateId>, f64)],
     ) -> CompiledStrikeOutcome {
         let ts = TransientSim::new(n, cfg).unwrap();
-        let lanes: Vec<BatchLane> = strikes
-            .iter()
-            .map(|(cells, t)| BatchLane {
-                struck: cells,
-                strike_time_ps: *t,
-            })
-            .collect();
+        let seeds = seeds_of(n.program().unwrap(), strikes.iter().map(|(c, _)| &c[..]));
+        let lanes = lanes_of(&seeds, strikes.iter().map(|&(_, t)| t));
+        let window = CycleWindow::from_cycles(n, vec![cv.clone()]);
         let mut scratch = CompiledTransientScratch::default();
         let mut out = CompiledStrikeOutcome::default();
         ts.strike_compiled_with(
             n,
             n.program().unwrap(),
-            &[CycleGroup {
-                lanes: [!0u64; LANE_WORDS],
-                cycle: 0,
-                values: cv,
-            }],
+            &[window.group(0, [!0u64; LANE_WORDS])],
             &lanes,
             &mut scratch,
             &mut out,
@@ -1625,6 +1644,134 @@ mod tests {
         assert!(latched > 0, "no double-glitch lane latched");
     }
 
+    /// The seeding [`seed_lane`] replaced: each struck cell's class,
+    /// register index and level looked up one cell at a time.
+    fn seed_per_cell(
+        program: &GateProgram,
+        cells: &[GateId],
+        l: usize,
+        pulse: &mut [WideMask],
+        touched: &mut Vec<u32>,
+        outcome: &mut CompiledStrikeOutcome,
+    ) -> u32 {
+        let (word, bit) = (l / 64, 1u64 << (l % 64));
+        let mut shallowest = u32::MAX;
+        for &g in cells {
+            match program.net_class(g.index()) {
+                NetClass::Dff => {
+                    let i = program.dff_index(g.index()).expect("a Dff net is a DFF");
+                    CompiledStrikeOutcome::mark(&mut outcome.upset, outcome.dff_words, l, i);
+                }
+                NetClass::Inert => {}
+                NetClass::Comb => {
+                    let gi = g.index();
+                    if is_zero(&pulse[gi]) {
+                        touched.push(gi as u32);
+                    }
+                    if pulse[gi][word] & bit == 0 {
+                        outcome.lane_pulses[l] += 1;
+                    }
+                    pulse[gi][word] |= bit;
+                    shallowest = shallowest.min(program.level(gi));
+                }
+            }
+        }
+        shallowest
+    }
+
+    /// Seeding a lane from its classified footprints leaves exactly what
+    /// per-cell seeding of the lane's sorted, deduplicated cell union
+    /// leaves: the pulse masks and touched nets, `lane_pulses` (an
+    /// overlapped net counts once), the upset masks and the shallowest
+    /// level. Lanes hold one footprint or two overlapping ones, drawn
+    /// from every cell class, with repeats inside a footprint.
+    #[test]
+    fn footprint_seeding_equals_per_cell_seeding() {
+        for seed in [3u64, 0xF00D, 0xBEEF] {
+            let n = random_netlist(seed * 0x2545, 6, 200);
+            let program = n.program().unwrap();
+            let all: Vec<GateId> = n.iter().map(|(id, _)| id).collect();
+            let mut rng = Xs(seed | 1);
+            let spot = |r: &mut Xs| -> Vec<GateId> {
+                let c = r.below(all.len());
+                let mut cells: Vec<GateId> = (0..r.below(6))
+                    .map(|d| all[(c + d * r.below(3)).min(all.len() - 1)])
+                    .collect();
+                cells.sort_unstable();
+                cells
+            };
+            let spots: Vec<(Vec<GateId>, Option<Vec<GateId>>)> = (0..WIDE_LANES)
+                .map(|l| {
+                    let primary = spot(&mut rng);
+                    let secondary = match l % 3 {
+                        0 => None,
+                        // Overlapping: the primary shifted by up to one cell.
+                        1 => Some(
+                            primary
+                                .iter()
+                                .map(|g| all[(g.index() + l % 2).min(all.len() - 1)])
+                                .collect(),
+                        ),
+                        _ => Some(spot(&mut rng)),
+                    };
+                    (primary, secondary)
+                })
+                .collect();
+            assert!(spots
+                .iter()
+                .any(|(p, s)| s.as_ref().is_some_and(|s| s.iter().any(|g| p.contains(g)))));
+            let primaries = seeds_of(program, spots.iter().map(|(p, _)| &p[..]));
+            let secondaries: Vec<Option<Seeds>> = spots
+                .iter()
+                .map(|(_, s)| s.as_ref().map(|s| Seeds::of(program, s)))
+                .collect();
+
+            let nets = program.nets();
+            let dffs = n.dffs().len();
+            let (mut got, mut want) = (
+                CompiledStrikeOutcome::default(),
+                CompiledStrikeOutcome::default(),
+            );
+            got.clear(WIDE_LANES, dffs);
+            want.clear(WIDE_LANES, dffs);
+            let (mut got_pulse, mut want_pulse) = (
+                vec![[0u64; LANE_WORDS]; nets],
+                vec![[0u64; LANE_WORDS]; nets],
+            );
+            let (mut got_touched, mut want_touched) = (Vec::new(), Vec::new());
+            for l in 0..WIDE_LANES {
+                let lane = BatchLane {
+                    primary: primaries[l].footprint(),
+                    secondary: secondaries[l].as_ref().map(Seeds::footprint),
+                    strike_time_ps: 0.0,
+                };
+                let mut union = spots[l].0.clone();
+                union.extend(spots[l].1.iter().flatten());
+                union.sort_unstable();
+                union.dedup();
+                let shallowest = seed_lane(&lane, l, &mut got_pulse, &mut got_touched, &mut got);
+                let reference = seed_per_cell(
+                    program,
+                    &union,
+                    l,
+                    &mut want_pulse,
+                    &mut want_touched,
+                    &mut want,
+                );
+                let ctx = format!("seed {seed} lane {l}");
+                assert_eq!(shallowest, reference, "{ctx} shallowest level");
+                assert_eq!(got.lane_pulses[l], want.lane_pulses[l], "{ctx} lane_pulses");
+                assert_eq!(got.upset_mask(l), want.upset_mask(l), "{ctx} upset mask");
+            }
+            assert_eq!(got_pulse, want_pulse, "seed {seed} pulse masks");
+            got_touched.sort_unstable();
+            want_touched.sort_unstable();
+            assert_eq!(got_touched, want_touched, "seed {seed} touched nets");
+            assert!(want.lane_pulses.iter().any(|&p| p > 1));
+            assert!((0..WIDE_LANES).any(|l| want.upset_mask(l).iter().any(|&w| w != 0)));
+        }
+    }
+
     /// Cycle slots are packed 64 to a word: sweeps on one scratch that
     /// name more than 64 cycles, revisit earlier ones and put several
     /// groups in one lane word all read each lane's own cycle values.
@@ -1641,6 +1788,7 @@ mod tests {
                 sim.eval(&n, &state, &inputs)
             })
             .collect();
+        let window = CycleWindow::from_cycles(&n, cycles.clone());
         let ts = TransientSim::new(&n, tight()).unwrap();
         let candidates: Vec<GateId> = n.iter().map(|(id, _)| id).collect();
         let mut scratch = CompiledTransientScratch::default();
@@ -1656,11 +1804,7 @@ mod tests {
             let mut groups: Vec<CycleGroup> = Vec::new();
             for (l, &c) in cycle_of.iter().enumerate() {
                 if groups.last().is_none_or(|g| g.cycle != c) {
-                    groups.push(CycleGroup {
-                        lanes: [0; LANE_WORDS],
-                        cycle: c,
-                        values: &cycles[c],
-                    });
+                    groups.push(window.group(c, [0; LANE_WORDS]));
                 }
                 groups.last_mut().unwrap().lanes[l / 64] |= 1u64 << (l % 64);
             }
@@ -1672,13 +1816,8 @@ mod tests {
                     (cells, rng.below(600) as f64)
                 })
                 .collect();
-            let lanes: Vec<BatchLane> = strikes
-                .iter()
-                .map(|(cells, t)| BatchLane {
-                    struck: cells,
-                    strike_time_ps: *t,
-                })
-                .collect();
+            let seeds = seeds_of(program, strikes.iter().map(|(c, _)| &c[..]));
+            let lanes = lanes_of(&seeds, strikes.iter().map(|&(_, t)| t));
             ts.strike_compiled_with(&n, program, &groups, &lanes, &mut scratch, &mut out);
             for (l, (cells, t)) in strikes.iter().enumerate() {
                 ts.strike_with(
@@ -1718,18 +1857,13 @@ mod tests {
         let mut scratch = CompiledTransientScratch::default();
         let mut out = CompiledStrikeOutcome::default();
         let one: WideMask = [1, 0, 0, 0];
+        let window = CycleWindow::from_cycles(&n, vec![cv.clone()]);
+        let seeds = seeds_of(n.program().unwrap(), [&[g][..]]);
         ts.strike_compiled_with(
             &n,
             n.program().unwrap(),
-            &[CycleGroup {
-                lanes: one,
-                cycle: 0,
-                values: &cv,
-            }],
-            &[BatchLane {
-                struck: &[g],
-                strike_time_ps: 0.0,
-            }],
+            &[window.group(0, one)],
+            &lanes_of(&seeds, [0.0]),
             &mut scratch,
             &mut out,
         );

@@ -29,6 +29,21 @@ impl CycleValues {
     pub fn next_state(&self) -> &[bool] {
         &self.next_state
     }
+
+    /// Refill from one cycle of packed values: net `f`'s value is bit
+    /// `bit` of `words[f]` (a [`crate::bitparallel::CycleWindow`] block).
+    pub fn unpack_into(&mut self, netlist: &Netlist, words: &[u64], bit: u32) {
+        assert_eq!(words.len(), netlist.len(), "one word per net");
+        self.values.clear();
+        self.values.extend(words.iter().map(|&w| w >> bit & 1 == 1));
+        self.next_state.clear();
+        self.next_state.extend(
+            netlist
+                .dffs()
+                .iter()
+                .map(|&d| self.values[netlist.gate(d).fanin[0].index()]),
+        );
+    }
 }
 
 /// A reusable levelized simulator for one netlist.

@@ -59,7 +59,7 @@ pub use cell::CellKind;
 pub use cones::{Cone, ConeSet};
 pub use netlist::{Gate, GateId, Netlist, NetlistError, NetlistStats};
 pub use placement::{Placement, Point};
-pub use program::{GateProgram, NetClass, Opcode};
+pub use program::{Footprint, GateProgram, NetClass, Opcode};
 pub use topo::Topology;
 pub use unroll::{UnrolledNetlist, UnrolledRef};
 pub use verilog::{from_verilog, to_verilog};

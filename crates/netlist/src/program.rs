@@ -93,6 +93,54 @@ pub enum NetClass {
     Inert,
 }
 
+/// What one strike does to the cells it hits, sorted once by
+/// [`NetClass`], so a kernel seeding it reads no per-cell class, register
+/// index or level; inert cells are left out.
+///
+/// A view of the words [`GateProgram::classify_into`] appends: a header
+/// `[comb, shallowest]`, then the `comb` combinational nets hit (each
+/// launches a pulse), then the registers hit as positions in
+/// [`Netlist::dffs`] (each is upset). One slice, so handing a footprint to
+/// a kernel reads none of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Footprint<'a> {
+    words: &'a [u32],
+}
+
+impl<'a> Footprint<'a> {
+    /// The footprint encoded in `words`, as
+    /// [`GateProgram::classify_into`] appended them. Reads none of them
+    /// (debug builds check the header); the accessors panic on words
+    /// shorter than their header says.
+    #[inline]
+    pub fn new(words: &'a [u32]) -> Self {
+        debug_assert!(
+            words.len() >= 2 && words[0] as usize <= words.len() - 2,
+            "a footprint is a header and its seeds"
+        );
+        Self { words }
+    }
+
+    /// The combinational nets hit.
+    #[inline]
+    pub fn comb_nets(&self) -> &'a [u32] {
+        &self.words[2..2 + self.words[0] as usize]
+    }
+
+    /// The registers hit, as positions in [`Netlist::dffs`].
+    #[inline]
+    pub fn dffs(&self) -> &'a [u32] {
+        &self.words[2 + self.words[0] as usize..]
+    }
+
+    /// The lowest logic level among the combinational nets hit,
+    /// `u32::MAX` when there are none.
+    #[inline]
+    pub fn shallowest(&self) -> u32 {
+        self.words[1]
+    }
+}
+
 /// The compiled straight-line program of one netlist.
 ///
 /// Ops are sorted by `(logic level, gate id)`, which is a topological
@@ -284,6 +332,28 @@ impl GateProgram {
     #[inline]
     pub fn net_class(&self, f: usize) -> NetClass {
         self.net_class[f]
+    }
+
+    /// Append the [`Footprint`] words of `cells` to `out`: the header,
+    /// then the combinational nets, then the registers' [`Netlist::dffs`]
+    /// positions, each in cell order. Returns how many words it appended.
+    pub fn classify_into(&self, cells: &[GateId], out: &mut Vec<u32>) -> usize {
+        let start = out.len();
+        out.extend([0, u32::MAX]);
+        for &g in cells {
+            if self.net_class[g.index()] == NetClass::Comb {
+                out.push(g.0);
+                out[start + 1] = out[start + 1].min(self.level[g.index()]);
+            }
+        }
+        out[start] = (out.len() - start - 2) as u32;
+        out.extend(
+            cells
+                .iter()
+                .filter(|g| self.net_class[g.index()] == NetClass::Dff)
+                .map(|g| self.dff_pos[g.index()]),
+        );
+        out.len() - start
     }
 
     /// Logic level of net `f`: the longest combinational path to it from

@@ -90,17 +90,35 @@ pub struct StepEvents {
     pub trapped: bool,
 }
 
+type Page = Arc<[u32; PAGE_WORDS]>;
+
 /// RAM as copy-on-write pages shared between clones.
 ///
 /// A clone shares every page with its source; a write copies only the
 /// page it lands in, and only if the page is shared and the value
 /// changes. A clone therefore holds just the pages written since it
-/// diverged, and [`Ram::restore_from`] costs those pages, not the whole
-/// image.
+/// diverged.
+///
+/// A system that is restored over and over (the campaign's resident
+/// resume system) keeps the pages it owns alone: [`Ram::restore_from`]
+/// overwrites them in place instead of dropping them, so the next write
+/// to them copies nothing. Per owned page it records the source page the
+/// content came from and whether the page was written since, so a clean
+/// page restored from the same source costs nothing at all.
 #[derive(Debug, Clone)]
 struct Ram {
-    pages: [Arc<[u32; PAGE_WORDS]>; RAM_PAGES],
+    pages: [Page; RAM_PAGES],
+    /// Per page the system owns alone: the source page its content was
+    /// last copied from (held, so the address cannot be reused by another
+    /// page while the record stands). Boxed on the first in-place restore,
+    /// so systems that are never restored into (checkpoints, snapshots)
+    /// carry one pointer.
+    origin: Option<Box<[Option<Page>; RAM_PAGES]>>,
+    /// Pages written since their last restore, one bit per page.
+    dirty: u32,
 }
+
+const _: () = assert!(RAM_PAGES <= u32::BITS as usize, "one dirty bit per page");
 
 impl Ram {
     fn new(image: &[u32]) -> Self {
@@ -111,6 +129,8 @@ impl Ram {
                 page[..chunk.len()].copy_from_slice(chunk);
                 Arc::new(page)
             }),
+            origin: None,
+            dirty: 0,
         }
     }
 
@@ -121,19 +141,44 @@ impl Ram {
 
     #[inline]
     fn set(&mut self, word: usize, value: u32) {
-        let page = &mut self.pages[word / PAGE_WORDS];
+        let p = word / PAGE_WORDS;
+        let page = &mut self.pages[p];
         if page[word % PAGE_WORDS] != value {
             Arc::make_mut(page)[word % PAGE_WORDS] = value;
+            self.dirty |= 1 << p;
         }
     }
 
-    /// Share `src`'s pages, re-pointing only those not already shared.
+    /// Take `src`'s contents: a page shared with `src` stays, a page this
+    /// RAM owns alone is overwritten in place (unless it still holds, clean,
+    /// the very source page), and any other page is re-shared.
     fn restore_from(&mut self, src: &Ram) {
-        for (dst, page) in self.pages.iter_mut().zip(&src.pages) {
-            if !Arc::ptr_eq(dst, page) {
-                *dst = Arc::clone(page);
+        let origins = self.origin.get_or_insert_with(Default::default);
+        for (p, ((dst, origin), page)) in self
+            .pages
+            .iter_mut()
+            .zip(origins.iter_mut())
+            .zip(&src.pages)
+            .enumerate()
+        {
+            if Arc::ptr_eq(dst, page) {
+                continue;
+            }
+            let clean = self.dirty & (1 << p) == 0;
+            match Arc::get_mut(dst) {
+                Some(own) => {
+                    if !(clean && origin.as_ref().is_some_and(|o| Arc::ptr_eq(o, page))) {
+                        own.copy_from_slice(&page[..]);
+                        *origin = Some(Arc::clone(page));
+                    }
+                }
+                None => {
+                    *dst = Arc::clone(page);
+                    *origin = None;
+                }
             }
         }
+        self.dirty = 0;
     }
 }
 
@@ -273,24 +318,38 @@ impl Soc {
     /// Advance the system by one clock cycle.
     pub fn step(&mut self) -> StepEvents {
         let mut ev = StepEvents::default();
+        self.cycle_body(Some(&mut ev));
+        ev
+    }
+
+    /// One clock cycle, recording into `ev` when there is one (a halted
+    /// system stays put). The one cycle body of [`Soc::step`] and
+    /// [`Soc::run_until_halt`]; inlined into each, so the latter's `None`
+    /// compiles every recording branch away.
+    #[inline(always)]
+    fn cycle_body(&mut self, mut ev: Option<&mut StepEvents>) {
         if self.core.halted {
-            return ev;
+            return;
         }
 
         // 1. Resolve the access issued two cycles ago. The MPU's *registered*
         //    violation is its verdict: it gates the commit and raises the
         //    trap, so latched faults act consistently on both.
         let violation = self.mpu.violation;
-        ev.viol_comb = self.mpu.viol_comb();
+        if let Some(ev) = ev.as_deref_mut() {
+            ev.viol_comb = self.mpu.viol_comb();
+        }
         let mut cfg_write = None;
         if let Some(p) = self.resolving.take() {
             let allowed = !violation;
-            ev.resolved = Some(AccessRecord {
-                cycle: self.cycle,
-                master: p.master,
-                req: p.req,
-                allowed,
-            });
+            if let Some(ev) = ev.as_deref_mut() {
+                ev.resolved = Some(AccessRecord {
+                    cycle: self.cycle,
+                    master: p.master,
+                    req: p.req,
+                    allowed,
+                });
+            }
             match p.op {
                 PendingOp::Write(v) => {
                     if allowed {
@@ -325,15 +384,18 @@ impl Soc {
         //    masked while privileged (the handler runs with violations
         //    disabled, as real trap hardware does) — otherwise a second
         //    in-flight violation would re-enter the handler and clobber EPC.
-        if violation && !self.core.privileged {
+        let trapped = violation && !self.core.privileged;
+        if trapped {
             self.core.trap(TrapCause::MpuFault, self.core.pc);
-            ev.trapped = true;
+        }
+        if let Some(ev) = ev.as_deref_mut() {
+            ev.trapped = trapped;
         }
 
         // 3. Core executes one instruction (unless it trapped this cycle,
         //    is waiting on a load, or halted).
         let mut new_pending: Option<Pending> = None;
-        if !ev.trapped && !self.core.load_pending() && !self.core.halted {
+        if !trapped && !self.core.load_pending() && !self.core.halted {
             let word = self.fetch(self.core.pc);
             let user = !self.core.privileged;
             match self.core.execute(word) {
@@ -391,19 +453,20 @@ impl Soc {
         //    verdict and any configuration write; the pipeline advances.
         let req = new_pending.as_ref().map(|p| p.req);
         self.mpu.step(req, cfg_write);
-        ev.issued = new_pending.as_ref().map(|p| (p.master, p.req));
-        ev.cfg_write = cfg_write;
+        if let Some(ev) = ev {
+            ev.issued = new_pending.as_ref().map(|p| (p.master, p.req));
+            ev.cfg_write = cfg_write;
+        }
         self.resolving = self.in_pipe.take();
         self.in_pipe = new_pending;
         self.cycle += 1;
-        ev
     }
 
     /// Run until the core halts or `max_cycles` elapse; returns the cycle
-    /// count reached.
+    /// count reached. The cycles record no [`StepEvents`].
     pub fn run_until_halt(&mut self, max_cycles: u64) -> u64 {
         while !self.core.halted && self.cycle < max_cycles {
-            self.step();
+            self.cycle_body(None);
         }
         self.cycle
     }

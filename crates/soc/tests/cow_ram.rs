@@ -1,10 +1,65 @@
 //! Copy-on-write RAM: clones, restores and writes behave exactly like a
-//! private flat word array per system.
+//! private flat word array per system, whether a restore re-shares the
+//! source's pages or overwrites pages the system owns in place; a warm
+//! resume of a resident system allocates nothing; and the event-free run
+//! to halt is the `step()` loop, state for state.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use proptest::prelude::*;
 use xlmc_soc::asm::assemble;
 use xlmc_soc::soc::RAM_BYTES;
-use xlmc_soc::Soc;
+use xlmc_soc::{workloads, GoldenRun, MpuBit, Soc};
+
+/// The system allocator, counting the allocations of the calling thread
+/// (tests run on parallel threads; each only sees its own).
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter only observes calls.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: forwarded verbatim.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: forwarded verbatim.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded verbatim; `ptr` came from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // SAFETY: forwarded verbatim.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations the calling thread made while running `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
 
 const WORDS: usize = RAM_BYTES as usize / 4;
 
@@ -31,27 +86,53 @@ proptest! {
 
     /// Random writes across clone → restore chains match a flat model for
     /// the working system, and never reach the source, a checkpoint or a
-    /// snapshot the working system shares pages with.
+    /// snapshot the working system shares pages with. Restores interleave
+    /// three independent sources with the snapshots, so the working
+    /// system alternates between re-shared pages, pages it owns and
+    /// overwrites in place, and clean pages it keeps; after each restore it
+    /// equals a fresh clone of its source. Clones of the working system
+    /// (kept or replacing it) take its pages away from it.
     #[test]
     fn cow_ram_matches_a_flat_model(
-        ops in prop::collection::vec((0u8..10, 0usize..8, 0usize..WORDS, 0u32..3), 1..160)
+        ops in prop::collection::vec((0u8..12, 0usize..8, 0usize..WORDS, 0u32..3), 1..160)
     ) {
         let program = program();
         let source = Soc::new(&program);
         let mut work = source.clone();
         let mut model = flat(&program);
-        // (checkpoint or snapshot, its model at the time it was taken).
-        let mut saved: Vec<(Soc, Vec<u32>)> = vec![(source.clone(), model.clone())];
+        // (checkpoint or snapshot, its model at the time it was taken):
+        // three sources that share no page with each other, then the
+        // working system's snapshots.
+        let mut saved: Vec<(Soc, Vec<u32>)> = (0..3u32)
+            .map(|k| {
+                let mut soc = Soc::new(&program);
+                let mut m = flat(&program);
+                for &w in &HOT[k as usize..] {
+                    soc.set_mem_word((w * 4) as u16, 7 + k);
+                    m[w] = 7 + k;
+                }
+                (soc, m)
+            })
+            .collect();
+        let mut kept_clone: Option<Soc> = None;
         for (kind, hot, any, value) in ops {
             match kind {
                 // Snapshot the working system.
                 0 => saved.push((work.clone(), model.clone())),
-                // Restore from a checkpoint or snapshot.
-                1 => {
+                // Restore from a source, a checkpoint or a snapshot.
+                1 | 10 => {
                     let (soc, m) = &saved[any % saved.len()];
                     work.restore_from(soc);
                     model.clone_from(m);
+                    prop_assert!(work == soc.clone(), "restore differs from a fresh clone");
+                    prop_assert!(image(&work) == *m);
                 }
+                // Keep a clone of the working system alive for a while, or
+                // replace the working system by its clone.
+                11 => match kept_clone.take() {
+                    None => kept_clone = Some(work.clone()),
+                    Some(_) => work = work.clone(),
+                },
                 // Write: values 0..3 repeat, so some writes store what the
                 // page already holds and others restore shared content.
                 _ => {
@@ -65,6 +146,9 @@ proptest! {
         }
         prop_assert!(image(&work) == model, "working system diverged from its model");
         prop_assert!(image(&source) == flat(&program), "source changed");
+        if let Some(clone) = &kept_clone {
+            prop_assert!(clone.halted() == work.halted());
+        }
         for (i, (soc, m)) in saved.iter().enumerate() {
             prop_assert!(image(soc) == *m, "saved state {} changed", i);
         }
@@ -125,4 +209,88 @@ fn cow_ram_equal_unshared_pages_compare_equal() {
     b.set_mem_word(0x400, old);
     assert!(a == b);
     assert!(b == a);
+}
+
+/// A resident system's warm resume — restore a snapshot, inject, run to
+/// halt — allocates nothing, whichever of several snapshots it resumes
+/// from, once each has been resumed once.
+#[test]
+fn warm_resume_allocates_nothing() {
+    for workload in [
+        workloads::illegal_write(),
+        workloads::dma_exfiltration(),
+        workloads::trap_escalation(),
+    ] {
+        let golden = GoldenRun::record(&workload.program, 20_000, 32);
+        let target = golden
+            .first_violation_cycle()
+            .expect("the workload violates");
+        let snapshots: Vec<Soc> = [target - 9, target - 4, target - 1]
+            .into_iter()
+            .map(|te| {
+                let mut snap = golden.nearest_checkpoint(te).clone();
+                snap.run_until_halt(te + 1);
+                snap
+            })
+            .collect();
+        let mut work = golden.nearest_checkpoint(0).clone();
+        let bits = [MpuBit::Violation, MpuBit::Enable, MpuBit::PipeValid];
+        let resume = |work: &mut Soc, snap: &Soc, bit: MpuBit| {
+            work.restore_from(snap);
+            work.mpu.toggle_bit(bit);
+            work.run_until_halt(golden.cycles + 500);
+        };
+        for snap in &snapshots {
+            for &bit in &bits {
+                resume(&mut work, snap, bit);
+            }
+        }
+        for round in 0..3 {
+            for (i, snap) in snapshots.iter().enumerate() {
+                for &bit in &bits {
+                    let n = allocations_in(|| resume(&mut work, snap, bit));
+                    assert_eq!(n, 0, "{} round {round} snapshot {i} {bit:?}", workload.name);
+                }
+            }
+        }
+        // The resumes ran: the faulty run still reaches a halt.
+        assert!(work.halted(), "{}", workload.name);
+    }
+}
+
+/// `run_until_halt`, which records no events, walks exactly the states of
+/// a `step()` loop: cycle by cycle from reset to halt on every goal's
+/// workload, with and without a fault injected mid-run.
+#[test]
+fn event_free_run_matches_the_step_loop() {
+    for workload in [
+        workloads::illegal_write(),
+        workloads::illegal_read(),
+        workloads::dma_exfiltration(),
+        workloads::trap_escalation(),
+        workloads::instruction_skip(),
+    ] {
+        for fault in [None, Some(MpuBit::Violation), Some(MpuBit::Enable)] {
+            let mut stepped = Soc::new(&workload.program);
+            let mut run = stepped.clone();
+            let mut steps = 0u64;
+            while !stepped.halted() && steps < 20_000 {
+                if steps == 40 {
+                    if let Some(bit) = fault {
+                        stepped.mpu.toggle_bit(bit);
+                        run.mpu.toggle_bit(bit);
+                    }
+                }
+                stepped.step();
+                run.run_until_halt(run.cycle + 1);
+                steps += 1;
+                assert!(run == stepped, "{} {fault:?} cycle {steps}", workload.name);
+            }
+            assert!(stepped.halted(), "{} {fault:?}", workload.name);
+            // Once halted, both stay put.
+            stepped.step();
+            run.run_until_halt(run.cycle + 10);
+            assert!(run == stepped);
+        }
+    }
 }

@@ -1,12 +1,13 @@
 //! Engine fault injection: bad checkpoint inputs and I/O failures end a
-//! campaign with a typed [`CampaignError::Checkpoint`] naming the path,
-//! never with a panic, at one worker and at four.
+//! campaign with a typed [`CampaignError`] naming the path, never with a
+//! panic, at one worker and at four.
 //!
 //! Covered: a truncated file, a file that is not JSON, a foreign format
 //! tag, a checkpoint written by a campaign with another seed, strategy,
-//! kernel or estimator, and a checkpoint path whose directory does not
-//! exist (the first write fails; with four workers, the error returns
-//! after they have stopped). A rejected checkpoint is left as it was.
+//! kernel or estimator, a checkpoint path whose directory does not
+//! exist, and a metrics, trace, prom or events path under a regular file
+//! (both found before the first chunk runs). A rejected checkpoint is
+//! left as it was.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -18,7 +19,7 @@ use xlmc::flow::FaultRunner;
 use xlmc::sampling::{
     baseline_distribution, ExperimentConfig, ImportanceSampling, RandomSampling, SamplingStrategy,
 };
-use xlmc::telemetry::NullObserver;
+use xlmc::telemetry::{CampaignObserver, NullObserver, ObserverAction, ProgressEvent};
 use xlmc::{Evaluation, Precharacterization, SystemModel};
 use xlmc_soc::workloads;
 
@@ -83,28 +84,45 @@ fn opts(path: &Path, threads: usize) -> CampaignOptions {
     }
 }
 
+/// Counts the chunk boundaries a campaign merged.
+#[derive(Default)]
+struct Boundaries(usize);
+
+impl CampaignObserver for Boundaries {
+    fn on_progress(&mut self, _event: &ProgressEvent) -> ObserverAction {
+        self.0 += 1;
+        ObserverAction::Continue
+    }
+}
+
 /// Run a campaign that must fail on its checkpoint: the error names
-/// `path`, and its reason contains `what`.
+/// `path`, and its reason contains `what`. Returns how many chunks were
+/// merged before the error.
 fn expect_checkpoint_error(
     strategy: &dyn SamplingStrategy,
     seed: u64,
     options: &CampaignOptions,
     what: &str,
-) {
+) -> usize {
     let f = fixture();
     let path = options.checkpoint_path.clone().unwrap();
-    let err = run_campaign_observed(&runner(f), strategy, RUNS, seed, options, &mut NullObserver)
+    let mut merged = Boundaries::default();
+    let err = run_campaign_observed(&runner(f), strategy, RUNS, seed, options, &mut merged)
         .expect_err("the checkpoint must be rejected");
     let CampaignError::Checkpoint {
         path: named,
         reason,
-    } = &err;
+    } = &err
+    else {
+        panic!("expected a checkpoint error: {err}");
+    };
     assert_eq!(named, &path, "{err}");
     assert!(reason.contains(what), "expected {what:?} in: {err}");
     assert!(
         err.to_string().contains(&path.display().to_string()),
         "the message names the path: {err}"
     );
+    merged.0
 }
 
 /// A valid single-estimator checkpoint of the random strategy after two
@@ -238,9 +256,8 @@ fn wrong_estimator_resume_is_an_error() {
     });
 }
 
-/// The first checkpoint write fails. Under MLMC the write fails at the
-/// first pilot chunk, so four workers waiting on the unpublished plan
-/// must see the stop and exit.
+/// A checkpoint path in a missing directory is found before the first
+/// chunk runs, under either estimator and at one worker or four.
 #[test]
 fn checkpoint_in_a_missing_directory_is_an_error() {
     let f = fixture();
@@ -252,8 +269,101 @@ fn checkpoint_in_a_missing_directory_is_an_error() {
                 estimator,
                 ..opts(&path, threads)
             };
-            expect_checkpoint_error(&random(f), SEED, &options, "cannot be written");
+            let merged = expect_checkpoint_error(&random(f), SEED, &options, "cannot be written");
+            assert_eq!(merged, 0, "{estimator:?} at {threads} threads ran a chunk");
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A metrics, trace, prom or events path that cannot be written (its
+/// directory would sit under a regular file, so not even the trace
+/// writer, which creates missing directories, can make it) ends the
+/// campaign with an artifact error naming it, before the first chunk
+/// runs, at one worker and at four; nothing else is left in the
+/// directory.
+#[test]
+fn unwritable_artifact_path_is_an_error() {
+    let f = fixture();
+    let dir = scratch_dir("artifact");
+    std::fs::write(dir.join("file"), "").unwrap();
+    let path = dir.join("file").join("out.json");
+    type SetPath = fn(&mut CampaignOptions, PathBuf);
+    let cases: [(&str, SetPath); 4] = [
+        ("metrics", |o, p| o.metrics_path = Some(p)),
+        ("trace", |o, p| o.trace_path = Some(p)),
+        ("prom", |o, p| o.prom_path = Some(p)),
+        ("events", |o, p| o.events_path = Some(p)),
+    ];
+    for (what, set) in cases {
+        for threads in [1, 4] {
+            let mut options = CampaignOptions {
+                threads,
+                ..CampaignOptions::default()
+            };
+            set(&mut options, path.clone());
+            let mut merged = Boundaries::default();
+            let err =
+                run_campaign_observed(&runner(f), &random(f), RUNS, SEED, &options, &mut merged)
+                    .expect_err("the artifact path must be rejected");
+            let CampaignError::Artifact {
+                what: named,
+                path: at,
+                reason,
+            } = &err
+            else {
+                panic!("expected an artifact error: {err}");
+            };
+            assert_eq!((*named, at), (what, &path), "{err}");
+            assert!(reason.contains("cannot be written"), "{err}");
+            assert!(
+                err.to_string().contains(&path.display().to_string()),
+                "{err}"
+            );
+            assert_eq!(merged.0, 0, "{what} at {threads} threads ran a chunk");
+        }
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The write probe neither truncates nor removes a file that is already
+/// there, even when the probed temp file is the checkpoint itself (a
+/// `.tmp` checkpoint path): the finished checkpoint resumes unchanged.
+#[test]
+fn the_path_probe_keeps_existing_files() {
+    let f = fixture();
+    let dir = scratch_dir("probe");
+    let ck = dir.join("ck.tmp");
+    let options = opts(&ck, 1);
+    run_campaign_observed(
+        &runner(f),
+        &random(f),
+        2 * CHUNK_RUNS,
+        SEED,
+        &options,
+        &mut NullObserver,
+    )
+    .expect("write the checkpoint");
+    let before = std::fs::read(&ck).unwrap();
+    let metrics = dir.join("m.json");
+    let options = CampaignOptions {
+        metrics_path: Some(metrics.clone()),
+        ..options
+    };
+    let mut merged = Boundaries::default();
+    let result = run_campaign_observed(
+        &runner(f),
+        &random(f),
+        2 * CHUNK_RUNS,
+        SEED,
+        &options,
+        &mut merged,
+    )
+    .expect("resume the finished checkpoint");
+    assert_eq!(result.n, 2 * CHUNK_RUNS);
+    assert_eq!(merged.0, 0, "the whole campaign was resumed");
+    assert_eq!(std::fs::read(&ck).unwrap(), before);
+    assert!(metrics.is_file());
     let _ = std::fs::remove_dir_all(&dir);
 }
