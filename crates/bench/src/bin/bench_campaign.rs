@@ -221,9 +221,45 @@ fn engine_best(
     best.into_iter().map(|b| b.expect("REPEATS >= 1")).collect()
 }
 
+/// The `--bench-json PATH` values, each checked writable before any work
+/// starts: a path that cannot be created ends the binary with exit 2 and
+/// one line naming it. The check creates no file that was not there.
+fn bench_json_paths() -> Vec<String> {
+    let mut paths = Vec::new();
+    let mut argv = std::env::args();
+    while let Some(a) = argv.next() {
+        let path = match a.split_once('=') {
+            Some(("--bench-json", v)) => Some(v.to_owned()),
+            _ if a == "--bench-json" => argv.next(),
+            _ => None,
+        };
+        if let Some(path) = path {
+            let existed = std::path::Path::new(&path).exists();
+            let probe = std::fs::OpenOptions::new()
+                .append(true)
+                .create(true)
+                .open(&path)
+                .and_then(|_| {
+                    if existed {
+                        Ok(())
+                    } else {
+                        std::fs::remove_file(&path)
+                    }
+                });
+            if let Err(e) = probe {
+                eprintln!("error: bench-json {path} cannot be written: {e}");
+                std::process::exit(2);
+            }
+            paths.push(path);
+        }
+    }
+    paths
+}
+
 fn main() {
     // parse_args ignores unknown flags, so `--smoke` passes through.
     let base_opts = CampaignOptions::from_args();
+    let bench_json = bench_json_paths();
     let smoke = std::env::args().any(|a| a == "--smoke");
     let runs = if smoke { SMOKE_RUNS } else { RUNS };
     eprintln!("[bench_campaign] building model and golden runs ...");
@@ -386,17 +422,12 @@ fn main() {
     }
     // `--bench-json PATH`: write the artifact in any mode (CI validates
     // the smoke run's document against schemas/bench.schema.json).
-    let mut argv = std::env::args();
-    while let Some(a) = argv.next() {
-        let path = match a.split_once('=') {
-            Some(("--bench-json", v)) => Some(v.to_owned()),
-            _ if a == "--bench-json" => argv.next(),
-            _ => None,
-        };
-        if let Some(path) = path {
-            std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("[bench_campaign] wrote {path}");
-        }
+    for path in &bench_json {
+        std::fs::write(path, &json).unwrap_or_else(|e| {
+            eprintln!("error: bench-json {path} cannot be written: {e}");
+            std::process::exit(2)
+        });
+        eprintln!("[bench_campaign] wrote {path}");
     }
 
     println!("\n== campaign throughput (importance sampling) ==");

@@ -5,7 +5,8 @@
 //! rejected the same way, as an unknown flag. A corrupt `--checkpoint`
 //! file also exits 2, with one line naming it, once the campaign reads it,
 //! and so does a `--metrics` path in a missing directory, before the first
-//! campaign runs a chunk.
+//! campaign runs a chunk, and a `bench_campaign --bench-json` path in a
+//! missing directory, before the first row.
 
 use std::process::Command;
 
@@ -99,5 +100,33 @@ fn metrics_in_a_missing_directory_exits_two_without_a_panic() {
         )),
         "stderr: {err}"
     );
+    assert!(!dir.exists(), "nothing may be written");
+}
+
+/// A `bench_campaign --bench-json` path in a missing directory ends the
+/// binary with one line naming it and exit status 2, not a panic, before
+/// the first row runs.
+#[test]
+fn bench_json_in_a_missing_directory_exits_two_before_any_row() {
+    let dir = std::env::temp_dir().join(format!("xlmc-cli-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let json = dir.join("bench.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_campaign"))
+        .arg("--smoke")
+        .args(["--bench-json".as_ref(), json.as_os_str()])
+        .output()
+        .expect("spawn bench_campaign");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(!err.contains("panicked at"), "stderr: {err}");
+    assert!(
+        err.starts_with(&format!(
+            "error: bench-json {} cannot be written",
+            json.display()
+        )),
+        "no work may start before the check: {err}"
+    );
+    assert_eq!(err.lines().count(), 1, "stderr: {err}");
+    assert!(out.stdout.is_empty(), "no row may be printed");
     assert!(!dir.exists(), "nothing may be written");
 }

@@ -509,7 +509,7 @@ impl CampaignOptions {
             "  --target-confidence C  confidence for --target-eps, in (0, 1)\n",
             "                         (default 0.95)\n",
             "  --metrics PATH         write the campaign metrics JSON\n",
-            "                         (xlmc-metrics-v8, schemas/metrics.schema.json)\n",
+            "                         (xlmc-metrics-v9, schemas/metrics.schema.json)\n",
             "  --events PATH          stream the lifecycle event log as JSONL\n",
             "                         (schemas/events.schema.json), one flushed line\n",
             "                         per event; results are bit-identical on or off\n",
@@ -1722,9 +1722,10 @@ pub fn run_campaign_observed(
         sink.print_self_time(strategy.name());
         let ff = &meta.fast_forward_stats;
         eprintln!(
-            "[fast-forward] resumes {} | snapshot hits {} / misses {} (hit rate {:.1}%) | \
-             evictions {}",
+            "[fast-forward] resumes {} | MPU-resolved {} | snapshot hits {} / misses {} \
+             (hit rate {:.1}%) | evictions {}",
             ff.rtl_resumes,
+            ff.module_resolved,
             ff.checkpoint_cache_hits,
             ff.checkpoint_cache_misses,
             100.0 * ff.checkpoint_hit_rate(),

@@ -2,16 +2,19 @@
 //!
 //! A conclusion-memo miss used to pay the full RTL tail: restore the nearest
 //! golden checkpoint, `step()` up to the injection cycle, write the errors
-//! back, then simulate to halt (paper §5.1). This module shortens the
-//! positioning half of that tail without changing a single result bit:
+//! back, then simulate the whole system to halt (paper §5.1). This module
+//! shortens that tail without changing a single result bit:
 //!
-//! * [`RtlFastForward`] — a per-worker **exact-cycle snapshot cache**:
-//!   campaigns revisit a small set of injection cycles `t ≤ t_max`, so the
-//!   system state at *exactly* the start of cycle `te + 1` (injection cycle
-//!   executed, fault not yet applied) is kept per visited `te`, turning
-//!   restore-and-replay into a single `restore_from`. The faulty tail then
-//!   runs to halt; [`reference_verdict`] is the uncached oracle it is
-//!   tested against.
+//! * [`RtlFastForward`] — MPU first, then a per-worker **exact-cycle
+//!   snapshot cache**. The faulty MPU steps alone on the golden run's
+//!   recorded stimulus until the rest of the system could see its error
+//!   ([`xlmc_soc::GoldenRun::step_faulty_mpu`]); an error that reconverges
+//!   first takes the golden verdict with no system simulation at all.
+//!   Otherwise the golden system state at *exactly* the start of the stop
+//!   cycle `c` is kept per visited `c`, turning restore-and-replay into a
+//!   single `restore_from`. The faulty tail then runs to halt;
+//!   [`reference_verdict`] is the uncached whole-system oracle it is tested
+//!   against.
 //!
 //! * [`ConclusionMemo`] — the `(te, faulty_bits) → verdict` memo, one per
 //!   campaign worker. The verdict is a pure function of its key (the
@@ -35,6 +38,7 @@ use std::time::Instant;
 use crate::flow::{Concluded, DffMask};
 use crate::metrics::LatencyHist;
 use crate::model::Evaluation;
+use xlmc_soc::golden::MpuStop;
 use xlmc_soc::{MpuBit, Soc};
 
 /// LRU bound on the exact-cycle snapshot cache (per worker), as a count.
@@ -54,6 +58,9 @@ const MAX_SNAPSHOTS: usize = 127;
 pub struct FastForwardStats {
     /// RTL resumes performed (memo misses reaching the RTL path).
     pub rtl_resumes: u64,
+    /// Resumes the MPU settled alone: the error reconverged before the
+    /// rest of the system could see it, so the verdict is the golden one.
+    pub module_resolved: u64,
     /// Resumes positioned by a single snapshot restore.
     pub checkpoint_cache_hits: u64,
     /// Resumes that paid restore-and-replay (and then seeded the cache).
@@ -66,6 +73,7 @@ impl FastForwardStats {
     /// Accumulate another worker's counters.
     pub fn add(&mut self, other: &FastForwardStats) {
         self.rtl_resumes += other.rtl_resumes;
+        self.module_resolved += other.module_resolved;
         self.checkpoint_cache_hits += other.checkpoint_cache_hits;
         self.checkpoint_cache_misses += other.checkpoint_cache_misses;
         self.checkpoint_cache_evictions += other.checkpoint_cache_evictions;
@@ -123,17 +131,38 @@ impl RtlFastForward {
         std::mem::take(&mut self.restore_hist)
     }
 
-    /// The full RTL tail of one conclusion: position the work system at the
-    /// start of cycle `te + 1` (snapshot restore on a cache hit,
-    /// restore-and-replay on a miss), write the errors back, and simulate
-    /// to completion.
+    /// The RTL tail of one conclusion, MPU first: the faulty MPU steps
+    /// alone from the start of cycle `te + 1` until the rest of the system
+    /// can see its error
+    /// ([`xlmc_soc::GoldenRun::step_faulty_mpu`]). An error that
+    /// reconverges first takes the golden verdict; otherwise the work
+    /// system is positioned at the stop cycle `c` (snapshot restore on a
+    /// cache hit, restore-and-replay on a miss), takes the faulty MPU, and
+    /// runs to completion. The end of the golden run counts as such a `c`.
     pub(crate) fn resume(&mut self, eval: &Evaluation, te: u64, faulty_bits: &[MpuBit]) -> bool {
         self.stats.rtl_resumes += 1;
-        let checkpoint = eval.golden.nearest_checkpoint(te);
+        let golden = &eval.golden;
+        let start = te + 1;
+        let mut mpu = golden
+            .mpu_states
+            .get(start as usize)
+            .copied()
+            .unwrap_or(golden.final_soc.mpu);
+        for &b in faulty_bits {
+            mpu.toggle_bit(b);
+        }
+        let c = match golden.step_faulty_mpu(&mut mpu, start, golden.cycles, |_| {}) {
+            MpuStop::Reconverged(_) if golden.final_soc.halted() => {
+                self.stats.module_resolved += 1;
+                return eval.workload.goal.succeeded(&golden.final_soc);
+            }
+            MpuStop::Reconverged(c) | MpuStop::Visible(c) | MpuStop::End(c) => c,
+        };
+        let checkpoint = golden.nearest_checkpoint(c);
         let work = self.work.get_or_insert_with(|| checkpoint.clone());
 
         let t_position = Instant::now();
-        if let Some(snap) = self.snapshots.get_mut(&te) {
+        if let Some(snap) = self.snapshots.get_mut(&c) {
             self.tick += 1;
             snap.last_used = self.tick;
             work.restore_from(&snap.soc);
@@ -141,10 +170,11 @@ impl RtlFastForward {
         } else {
             // Replay a clone of the checkpoint, not the resident system: the
             // snapshot then shares the checkpoint's unwritten pages, and the
-            // resident system keeps the pages it owns. The snapshot is taken
-            // pre-fault, so every error pattern at this `te` starts from it.
+            // resident system keeps the pages it owns. The snapshot is the
+            // golden system, so every error that surfaces at `c` starts
+            // from it.
             let mut snap = checkpoint.clone();
-            snap.run_until_halt(te + 1);
+            snap.run_until_halt(c);
             work.restore_from(&snap);
             self.stats.checkpoint_cache_misses += 1;
             if self.snapshots.len() >= MAX_SNAPSHOTS {
@@ -152,7 +182,7 @@ impl RtlFastForward {
                     .snapshots
                     .iter()
                     .min_by_key(|(_, s)| s.last_used)
-                    .map(|(te, _)| te)
+                    .map(|(c, _)| c)
                 {
                     self.snapshots.remove(&oldest);
                     self.stats.checkpoint_cache_evictions += 1;
@@ -160,7 +190,7 @@ impl RtlFastForward {
             }
             self.tick += 1;
             self.snapshots.insert(
-                te,
+                c,
                 Snapshot {
                     soc: snap,
                     last_used: self.tick,
@@ -169,9 +199,7 @@ impl RtlFastForward {
         }
         self.restore_hist.record(t_position.elapsed().as_secs_f64());
 
-        for &b in faulty_bits {
-            work.mpu.toggle_bit(b);
-        }
+        work.mpu = mpu;
         work.run_until_halt(eval.max_cycles);
         eval.workload.goal.succeeded(work)
     }
@@ -389,29 +417,33 @@ mod tests {
     fn snapshot_cache_respects_the_lru_bound() {
         // A full cache evicts its least recently used snapshot: resume one
         // more distinct `te` than the bound holds, touching the first `te`
-        // again so the second is the oldest.
+        // again so the second is the oldest. A flipped registered
+        // violation is visible at once, so each resume is keyed by
+        // `te + 1`.
         const { assert!(MAX_SNAPSHOTS >= 8, "budget must hold a useful working set") };
         let eval = Evaluation::new(xlmc_soc::workloads::illegal_write()).unwrap();
         assert!(
-            eval.golden.cycles > MAX_SNAPSHOTS as u64,
+            eval.golden.cycles > MAX_SNAPSHOTS as u64 + 1,
             "every te must precede halt"
         );
+        let flip = [MpuBit::Violation];
         let mut ff = RtlFastForward::default();
         assert_eq!(ff.stats(), FastForwardStats::default());
-        ff.resume(&eval, 0, &[]);
+        ff.resume(&eval, 0, &flip);
         for te in 1..MAX_SNAPSHOTS as u64 {
-            ff.resume(&eval, te, &[]);
-            ff.resume(&eval, 0, &[]);
+            ff.resume(&eval, te, &flip);
+            ff.resume(&eval, 0, &flip);
         }
         assert_eq!(ff.snapshots.len(), MAX_SNAPSHOTS);
-        ff.resume(&eval, MAX_SNAPSHOTS as u64, &[]);
+        ff.resume(&eval, MAX_SNAPSHOTS as u64, &flip);
         assert_eq!(ff.snapshots.len(), MAX_SNAPSHOTS);
-        assert!(ff.snapshots.contains_key(&0));
-        assert!(!ff.snapshots.contains_key(&1));
+        assert!(ff.snapshots.contains_key(&1));
+        assert!(!ff.snapshots.contains_key(&2));
         let stats = ff.stats();
         assert_eq!(stats.checkpoint_cache_evictions, 1);
         assert_eq!(stats.checkpoint_cache_misses, MAX_SNAPSHOTS as u64 + 1);
         assert_eq!(stats.checkpoint_cache_hits, MAX_SNAPSHOTS as u64 - 1);
+        assert_eq!(stats.module_resolved, 0);
         assert_eq!(
             stats.rtl_resumes,
             stats.checkpoint_cache_hits + stats.checkpoint_cache_misses
@@ -423,6 +455,7 @@ mod tests {
         let mut total = FastForwardStats::default();
         let worker = FastForwardStats {
             rtl_resumes: 10,
+            module_resolved: 2,
             checkpoint_cache_hits: 6,
             checkpoint_cache_misses: 2,
             checkpoint_cache_evictions: 1,
@@ -430,15 +463,102 @@ mod tests {
         total.add(&worker);
         total.add(&worker);
         assert_eq!(total.rtl_resumes, 20);
+        assert_eq!(total.module_resolved, 4);
         assert_eq!(total.checkpoint_cache_evictions, 2);
         assert!((total.checkpoint_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(FastForwardStats::default().checkpoint_hit_rate(), 0.0);
     }
 
-    /// A cached resume — cold (restore-and-replay) or warm (snapshot
-    /// restore) — concludes every error set exactly like the uncached
-    /// reference, for transient pipeline/status flips and sticky config
-    /// flips alike.
+    /// A configuration bit no access check reads, flipped before the
+    /// one configuration-window read of a small privileged program: the
+    /// read returns the flipped word, which the program stores as the
+    /// "leaked secret". The resume escalates at the read and concludes
+    /// what the run-to-halt reference does; flipped after the read, the
+    /// error stays in the MPU to the end of the run.
+    #[test]
+    fn a_configuration_read_escalates_and_matches_the_reference() {
+        use xlmc_soc::workloads::{LEAK_ADDR, SECRET_VALUE};
+        use xlmc_soc::{AttackGoal, GoldenRun, Workload};
+        let src = format!(
+            "
+            li r1, 0x8100
+            li r2, {planted}
+            sw r2, 24(r1)
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            lw r3, 24(r1)
+            sw r3, {leak}(r0)
+            nop
+            nop
+            nop
+            halt
+            ",
+            planted = SECRET_VALUE ^ 0x8,
+            leak = LEAK_ADDR,
+        );
+        let program = xlmc_soc::asm::assemble(&src).unwrap().words;
+        let golden = GoldenRun::record(&program, 5_000, 32);
+        let read = (0..golden.cycles)
+            .find(|&c| golden.stimulus[c as usize].cfg_read)
+            .expect("the program reads the configuration window");
+        let eval = Evaluation {
+            workload: Workload {
+                name: "cfg_read",
+                description: "reads a configuration word into the leak buffer",
+                program,
+                goal: AttackGoal::IllegalRead,
+            },
+            target_cycle: read,
+            max_cycles: golden.cycles + 500,
+            golden,
+        };
+        let flip = [MpuBit::Base(2, 3)];
+        let mut ff = RtlFastForward::default();
+        assert!(ff.resume(&eval, read - 3, &flip), "the read leaks the flip");
+        assert!(reference_verdict(&eval, read - 3, &flip));
+        assert_eq!(ff.snapshots.keys().copied().collect::<Vec<_>>(), [read]);
+        assert!(!ff.resume(&eval, read, &flip));
+        assert!(!reference_verdict(&eval, read, &flip));
+        assert!(ff.snapshots.contains_key(&eval.golden.cycles));
+        assert_eq!(ff.stats().module_resolved, 0);
+    }
+
+    /// Pipeline-bit flips that reconverge before the rest of the system
+    /// sees them are settled by the MPU alone, with the reference verdict.
+    #[test]
+    fn reconverging_pipeline_flips_are_settled_by_the_mpu() {
+        let eval = Evaluation::new(xlmc_soc::workloads::illegal_write()).unwrap();
+        let mut ff = RtlFastForward::default();
+        let mut resumes = 0;
+        for te in eval.target_cycle - 20..eval.target_cycle + 2 {
+            for b in 0..16 {
+                let bits = [MpuBit::PipeAddr(b)];
+                assert_eq!(
+                    ff.resume(&eval, te, &bits),
+                    reference_verdict(&eval, te, &bits),
+                    "PipeAddr({b}) at te {te}"
+                );
+                resumes += 1;
+            }
+        }
+        let stats = ff.stats();
+        assert_eq!(stats.rtl_resumes, resumes);
+        assert!(stats.module_resolved > resumes / 2, "{stats:?}");
+        assert!(stats.checkpoint_cache_misses > 0, "{stats:?}");
+        assert_eq!(
+            stats.checkpoint_cache_hits + stats.checkpoint_cache_misses + stats.module_resolved,
+            stats.rtl_resumes
+        );
+    }
+
+    /// A cached resume — cold (restore-and-replay), warm (snapshot
+    /// restore) or settled by the MPU alone — concludes every error set
+    /// exactly like the uncached reference, for transient pipeline/status
+    /// flips and sticky config flips alike.
     #[test]
     fn cached_resumes_match_the_reference_verdict() {
         let eval = Evaluation::new(xlmc_soc::workloads::illegal_write()).unwrap();
@@ -463,7 +583,11 @@ mod tests {
             }
         }
         let stats = ff.stats();
-        assert_eq!(stats.checkpoint_cache_misses, 2, "{stats:?}");
-        assert_eq!(stats.checkpoint_cache_hits, 2 * bits.len() as u64 - 2);
+        assert_eq!(stats.rtl_resumes, 2 * bits.len() as u64, "{stats:?}");
+        assert_eq!(
+            stats.checkpoint_cache_hits + stats.checkpoint_cache_misses + stats.module_resolved,
+            stats.rtl_resumes,
+            "{stats:?}"
+        );
     }
 }

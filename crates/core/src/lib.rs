@@ -24,7 +24,9 @@
 //!    ([`analytic`]) or RTL resume.
 //! 6. [`estimator`] — the Monte Carlo campaign with convergence statistics
 //!    and per-register SSF attribution; [`harden`] — the countermeasure
-//!    model built on that attribution.
+//!    model built on that attribution; [`exact`] — the exact single-fault
+//!    SSF by enumeration of the whole support, the oracle estimates are
+//!    judged against.
 //!
 //! # Example
 //!
@@ -67,6 +69,7 @@ mod batch;
 mod checkpoint;
 pub mod correlation;
 pub mod estimator;
+pub mod exact;
 pub mod fastforward;
 pub mod flow;
 pub mod harden;

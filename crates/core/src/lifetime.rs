@@ -3,15 +3,16 @@
 //!
 //! For every register in the responding-signal cones, single bit errors are
 //! injected at several points of the synthetic golden run; the faulty RTL
-//! simulation is compared against the recorded golden states cycle by
+//! simulation (the MPU alone while its error is private to it, the whole
+//! system after) is compared against the recorded golden states cycle by
 //! cycle. The **error lifetime** is the number of cycles until the MPU
 //! state re-converges (capped); the **error contamination number** is how
 //! many *other* registers the error ever spreads to. Long-lived,
 //! non-contaminating registers are **memory-type** (evaluated analytically
 //! by the flow); the rest are **computation-type** (sampled).
 
-use xlmc_soc::golden::GoldenRun;
-use xlmc_soc::{MpuBit, Soc};
+use xlmc_soc::golden::{GoldenRun, MpuStop};
+use xlmc_soc::{MpuBit, MpuState, Soc};
 
 /// Censoring cap for the lifetime measurement, in cycles.
 pub const LIFETIME_CAP: u32 = 200;
@@ -74,62 +75,98 @@ fn median(values: &mut [u32]) -> u32 {
     values[values.len() / 2]
 }
 
+/// The observation of one injection over its window, one faulty MPU state
+/// per cycle: the packed XOR with the golden state gives the lifetime (the
+/// first zero) and, OR-ed up to it, the set of bits the error reached.
+struct Observer<'a> {
+    golden_packed: &'a [[u64; 3]],
+    cycles: usize,
+    reached: [u64; 3],
+    lifetime: u32,
+    converged: bool,
+    faulty_viols: usize,
+}
+
+impl Observer<'_> {
+    fn observe(&mut self, mpu: &MpuState) {
+        let golden_state = &self.golden_packed[self.cycles];
+        self.cycles += 1;
+        // Violation activity is counted over the whole window
+        // (alignment-insensitive): fewer faulty violations = suppression.
+        self.faulty_viols += usize::from(mpu.violation);
+        if !self.converged {
+            let packed = mpu.packed();
+            let diff: [u64; 3] = std::array::from_fn(|i| packed[i] ^ golden_state[i]);
+            if diff == [0; 3] {
+                self.lifetime = self.cycles as u32;
+                self.converged = true;
+            }
+            for (r, d) in self.reached.iter_mut().zip(diff) {
+                *r |= d;
+            }
+        }
+    }
+}
+
 /// Inject every bit of [`MpuBit::all`] at the start of `cycle` of the
 /// golden run; entry `b.index()` is the outcome for bit `b`.
 ///
-/// The system state at `cycle` is replayed once and restored into one
-/// resident `Soc` per bit. Each faulty cycle is compared with the golden
-/// one as the XOR of their packed MPU states: zero means re-converged, and
-/// the OR of the XORs up to that point is the set of bits the error
-/// reached.
+/// Each faulty MPU first steps alone ([`GoldenRun::step_faulty_mpu`]). An
+/// error that reconverges there is golden for the rest of the window, so
+/// its remaining violations are the golden ones, read from suffix sums.
+/// An error the rest of the system can see continues in one resident
+/// `Soc`, positioned at the stop cycle from the nearest golden checkpoint.
 fn inject_all(golden: &GoldenRun, cycle: u64) -> Vec<Injection> {
-    let mut snapshot: Soc = golden.nearest_checkpoint(cycle).clone();
-    while snapshot.cycle < cycle {
-        snapshot.step();
-    }
     // The observation window: the golden states after `cycle`, up to the
     // cap or the end of the run (the error outlived the benchmark).
-    let end = (cycle + u64::from(LIFETIME_CAP)).min(golden.cycles - 1) as usize;
-    let window = &golden.mpu_states[cycle as usize + 1..=end];
+    let end = (cycle + u64::from(LIFETIME_CAP)).min(golden.cycles - 1);
+    let window = &golden.mpu_states[cycle as usize + 1..=end as usize];
     let golden_packed: Vec<[u64; 3]> = window.iter().map(|s| s.packed()).collect();
-    let golden_viols = window.iter().filter(|s| s.violation).count();
+    // viols_from[k]: golden violations in window[k..].
+    let mut viols_from = vec![0usize; window.len() + 1];
+    for (k, s) in window.iter().enumerate().rev() {
+        viols_from[k] = viols_from[k + 1] + usize::from(s.violation);
+    }
+    let golden_viols = viols_from[0];
     let viol = MpuBit::Violation.index();
-    let mut soc = snapshot.clone();
+    let mut soc: Option<Soc> = None;
     MpuBit::all()
         .into_iter()
         .map(|bit| {
-            soc.restore_from(&snapshot);
-            soc.mpu.toggle_bit(bit);
-            let mut reached = [0u64; 3];
-            let mut lifetime = LIFETIME_CAP;
-            let mut converged = false;
-            let mut faulty_viols = 0;
-            for (k, golden_state) in (1..).zip(&golden_packed) {
-                soc.step();
-                // Violation activity is counted over the whole window
-                // (alignment-insensitive): fewer faulty violations =
-                // suppression.
-                faulty_viols += usize::from(soc.mpu.violation);
-                if !converged {
-                    let packed = soc.mpu.packed();
-                    let diff: [u64; 3] = std::array::from_fn(|i| packed[i] ^ golden_state[i]);
-                    if diff == [0; 3] {
-                        lifetime = k;
-                        converged = true;
-                    }
-                    for (r, d) in reached.iter_mut().zip(diff) {
-                        *r |= d;
+            let mut mpu = golden.mpu_states[cycle as usize];
+            mpu.toggle_bit(bit);
+            let mut obs = Observer {
+                golden_packed: &golden_packed,
+                cycles: 0,
+                reached: [0; 3],
+                lifetime: LIFETIME_CAP,
+                converged: false,
+                faulty_viols: 0,
+            };
+            match golden.step_faulty_mpu(&mut mpu, cycle, end, |m| obs.observe(m)) {
+                MpuStop::Reconverged(_) => obs.faulty_viols += viols_from[obs.cycles],
+                MpuStop::End(_) => {}
+                MpuStop::Visible(c) => {
+                    let checkpoint = golden.nearest_checkpoint(c);
+                    let soc = soc.get_or_insert_with(|| checkpoint.clone());
+                    soc.restore_from(checkpoint);
+                    soc.run_until_halt(c);
+                    soc.mpu = mpu;
+                    for _ in c..end {
+                        soc.step();
+                        obs.observe(&soc.mpu);
                     }
                 }
             }
+            let mut reached = obs.reached;
             let reached_rs = reached[viol / 64] >> (viol % 64) & 1 == 1;
             reached[bit.index() / 64] &= !(1 << (bit.index() % 64));
             let contamination = reached.iter().map(|w| w.count_ones()).sum();
             (
-                lifetime,
+                obs.lifetime,
                 contamination,
                 reached_rs,
-                faulty_viols < golden_viols,
+                obs.faulty_viols < golden_viols,
             )
         })
         .collect()

@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::ops::Range;
-use xlmc_gatesim::bitparallel::{evaluate_combinational, CycleWindow, PackedTraces};
+use xlmc_gatesim::bitparallel::{evaluate_combinational, transpose64, CycleWindow, PackedTraces};
 use xlmc_gatesim::cycle::CycleSim;
 use xlmc_gatesim::glitch::GlitchSim;
 use xlmc_gatesim::transient::{TransientConfig, TransientSim};
@@ -88,22 +88,39 @@ impl SystemModel {
     /// The value trace of every MPU net over `cycles` of `golden` (trace
     /// cycle `c` is golden cycle `cycles.start + c`): register and input
     /// values as recorded, everything else by one bit-parallel sweep.
+    ///
+    /// Registers and inputs are written a whole word (64 cycles) at a
+    /// time: per block, the packed MPU states and input words of its cycles
+    /// are transposed into one trace word per state bit and per input.
     pub(crate) fn golden_traces(&self, golden: &GoldenRun, cycles: Range<usize>) -> PackedTraces {
         let netlist = self.mpu.netlist();
         let mut traces = PackedTraces::zeroed(netlist, cycles.len());
-        let mut state_bits = Vec::new();
-        let mut inputs = Vec::new();
-        for (c, g) in cycles.enumerate() {
-            self.mpu
-                .state_vector_into(&golden.mpu_states[g], &mut state_bits);
-            for (&dff, &v) in netlist.dffs().iter().zip(&state_bits) {
-                traces.set_value(dff, c, v);
+        let dff_at: Vec<usize> = self.mpu.dff_bits().iter().map(|b| b.index()).collect();
+        // rows[w][c]: word `w` of cycle `c`'s packed state (w < 3) or its
+        // input word (w = 3); after the transpose, rows[w][j] is the trace
+        // word of state bit 64 w + j, or of input j.
+        let mut rows = [[0u64; 64]; 4];
+        for (w, start) in cycles.clone().step_by(64).enumerate() {
+            let block = start..(start + 64).min(cycles.end);
+            for row in &mut rows {
+                row.fill(0);
             }
-            let stim = &golden.stimulus[g];
-            self.mpu
-                .input_values_into(stim.request, stim.cfg_write, &mut inputs);
-            for (&pi, &v) in netlist.inputs().iter().zip(&inputs) {
-                traces.set_value(pi, c, v);
+            for (c, g) in block.enumerate() {
+                let packed = golden.mpu_states[g].packed();
+                for (row, word) in rows.iter_mut().zip(packed) {
+                    row[c] = word;
+                }
+                let stim = &golden.stimulus[g];
+                rows[3][c] = MpuNetlist::input_word(stim.request, stim.cfg_write);
+            }
+            for row in &mut rows {
+                transpose64(row);
+            }
+            for (&dff, &at) in netlist.dffs().iter().zip(&dff_at) {
+                traces.set_word(dff, w, rows[at / 64][at % 64]);
+            }
+            for (&pi, &word) in netlist.inputs().iter().zip(&rows[3]) {
+                traces.set_word(pi, w, word);
             }
         }
         evaluate_combinational(netlist, &mut traces)
@@ -239,6 +256,60 @@ mod tests {
             }
         }
         assert!(partial_blocks > 0, "no golden run ends in a partial block");
+    }
+
+    /// The word-level traces equal the ones written bit by bit from the
+    /// per-cycle state and input vectors, for all five goals' golden runs
+    /// and the synthetic one, over whole runs (ending in a partial block)
+    /// and over a range that starts and ends off the block grid.
+    #[test]
+    fn golden_traces_equal_the_per_bit_ones() {
+        let model = SystemModel::with_defaults().unwrap();
+        let netlist = model.mpu.netlist();
+        let per_bit = |golden: &GoldenRun, cycles: Range<usize>| {
+            let mut traces = PackedTraces::zeroed(netlist, cycles.len());
+            let (mut state, mut inputs) = (Vec::new(), Vec::new());
+            for (c, g) in cycles.enumerate() {
+                model
+                    .mpu
+                    .state_vector_into(&golden.mpu_states[g], &mut state);
+                for (&dff, &v) in netlist.dffs().iter().zip(&state) {
+                    traces.set_value(dff, c, v);
+                }
+                let stim = &golden.stimulus[g];
+                model
+                    .mpu
+                    .input_values_into(stim.request, stim.cfg_write, &mut inputs);
+                for (&pi, &v) in netlist.inputs().iter().zip(&inputs) {
+                    traces.set_value(pi, c, v);
+                }
+            }
+            evaluate_combinational(netlist, &mut traces).unwrap();
+            traces
+        };
+        let mut goldens: Vec<GoldenRun> = [
+            workloads::illegal_write(),
+            workloads::illegal_read(),
+            workloads::dma_exfiltration(),
+            workloads::trap_escalation(),
+            workloads::instruction_skip(),
+        ]
+        .into_iter()
+        .map(|w| Evaluation::new(w).unwrap().golden)
+        .collect();
+        let synth = workloads::synthetic_precharacterization();
+        goldens.push(GoldenRun::record(&synth.program, 20_000, 64));
+        for golden in &goldens {
+            let n = golden.cycles as usize;
+            assert!(!n.is_multiple_of(64) && n > 130, "{n} cycles");
+            for cycles in [0..n, 3..n - 5] {
+                let fast = model.golden_traces(golden, cycles.clone());
+                let slow = per_bit(golden, cycles.clone());
+                for (id, _) in netlist.iter() {
+                    assert_eq!(fast.trace(id), slow.trace(id), "net {id}, {cycles:?}");
+                }
+            }
+        }
     }
 
     #[test]

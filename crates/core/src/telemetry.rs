@@ -204,8 +204,9 @@ impl CampaignObserver for StderrProgress {
 /// counters `timed_lanes` and `resimulated_lanes`; `v8` dropped the
 /// on/off flag and the three counters of the removed reconvergence early
 /// exit from `fast_forward`, which now holds only the snapshot-cache
-/// counters.
-pub const METRICS_FORMAT: &str = "xlmc-metrics-v8";
+/// counters; `v9` added `module_resolved` to `fast_forward`, the resumes
+/// the faulty MPU settled alone.
+pub const METRICS_FORMAT: &str = "xlmc-metrics-v9";
 
 /// Shape of the compiled gate program driving the campaign (all zeros
 /// when the model netlist could not be levelized — never the case for the
@@ -381,9 +382,11 @@ pub fn metrics_json(result: &CampaignResult, meta: &MetricsMeta) -> String {
     let ff = &meta.fast_forward_stats;
     let _ = writeln!(
         s,
-        "  \"fast_forward\": {{\"rtl_resumes\": {}, \"checkpoint_cache_hits\": {}, \
-         \"checkpoint_cache_misses\": {}, \"checkpoint_cache_evictions\": {}}},",
+        "  \"fast_forward\": {{\"rtl_resumes\": {}, \"module_resolved\": {}, \
+         \"checkpoint_cache_hits\": {}, \"checkpoint_cache_misses\": {}, \
+         \"checkpoint_cache_evictions\": {}}},",
         ff.rtl_resumes,
+        ff.module_resolved,
         ff.checkpoint_cache_hits,
         ff.checkpoint_cache_misses,
         ff.checkpoint_cache_evictions,
@@ -500,7 +503,8 @@ mod tests {
             runs_per_sec: 682.6,
             host_cpus: 8,
             fast_forward_stats: FastForwardStats {
-                rtl_resumes: 24,
+                rtl_resumes: 27,
+                module_resolved: 3,
                 checkpoint_cache_hits: 20,
                 checkpoint_cache_misses: 4,
                 checkpoint_cache_evictions: 1,
@@ -580,7 +584,8 @@ mod tests {
         assert_eq!(
             ff,
             [
-                ("rtl_resumes", Some(24)),
+                ("rtl_resumes", Some(27)),
+                ("module_resolved", Some(3)),
                 ("checkpoint_cache_hits", Some(20)),
                 ("checkpoint_cache_misses", Some(4)),
                 ("checkpoint_cache_evictions", Some(1)),

@@ -78,6 +78,19 @@ impl PackedTraces {
         }
     }
 
+    /// Overwrite word `w` of one gate's trace: its values in cycles
+    /// `64 * w ..` as bits `0 ..`. Bits past [`PackedTraces::cycles`] are
+    /// dropped, so they stay zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `w` is past the last word.
+    pub fn set_word(&mut self, id: GateId, w: usize, word: u64) {
+        let valid = self.cycles.saturating_sub(64 * w);
+        let mask = if valid >= 64 { !0 } else { (1 << valid) - 1 };
+        self.trace_mut(id)[w] = word & mask;
+    }
+
     /// Overwrite the full trace of one gate from a bool-per-cycle slice.
     ///
     /// # Panics
@@ -88,6 +101,25 @@ impl PackedTraces {
         for (c, &v) in values.iter().enumerate() {
             self.set_value(id, c, v);
         }
+    }
+}
+
+/// Transpose a 64 x 64 bit matrix in place: bit `j` of `m[i]` becomes bit
+/// `i` of `m[j]`. Turns 64 per-cycle state words into one 64-cycle trace
+/// word per bit with a few hundred word operations.
+pub fn transpose64(m: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask: u64 = 0x0000_0000_ffff_ffff;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((m[k] >> j) ^ m[k + j]) & mask;
+            m[k] ^= t << j;
+            m[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
     }
 }
 

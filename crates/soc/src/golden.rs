@@ -12,6 +12,10 @@
 //!   gate-level netlist's primary-input values for that cycle),
 //! * the resolved data-access trace (for the analytical evaluation), and
 //! * the cycles where the combinational violation fired.
+//!
+//! With the MPU states and stimulus, [`GoldenRun::step_faulty_mpu`] runs a
+//! faulty MPU on its own for as long as the rest of the system cannot see
+//! its error: the module-first half of every fault evaluation.
 
 use crate::mpu::{AccessReq, CfgWrite, MpuState};
 use crate::soc::{AccessRecord, Soc};
@@ -26,6 +30,24 @@ pub struct CycleStimulus {
     pub cfg_write: Option<CfgWrite>,
     /// Whether the combinational violation signal fired this cycle.
     pub viol_comb: bool,
+    /// Whether an allowed read of the MPU configuration window resolved
+    /// this cycle (the bus then reads the configuration registers).
+    pub cfg_read: bool,
+}
+
+/// Where [`GoldenRun::step_faulty_mpu`] stopped, as the cycle whose start
+/// the faulty MPU state stands at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MpuStop {
+    /// The faulty state equals the golden one: the error is gone, and the
+    /// whole system is golden from this cycle on.
+    Reconverged(u64),
+    /// The rest of the system reads the MPU differently from golden in
+    /// this cycle (its registered violation or a configuration-window
+    /// read): only the whole system can go on from here.
+    Visible(u64),
+    /// The end cycle, with the error still private to the MPU.
+    End(u64),
 }
 
 /// The recorded golden run of one benchmark.
@@ -84,6 +106,7 @@ impl GoldenRun {
                 request: ev.issued.map(|(_, r)| r),
                 cfg_write: ev.cfg_write,
                 viol_comb: ev.viol_comb,
+                cfg_read: ev.cfg_read,
             });
             if let Some(rec) = ev.resolved {
                 run.access_trace.push(rec);
@@ -122,12 +145,52 @@ impl GoldenRun {
     pub fn has_cycle(&self, cycle: u64) -> bool {
         cycle < self.cycles
     }
+
+    /// Step a faulty MPU alone on the recorded stimulus, from the start of
+    /// `cycle` up to the start of `end` (at most [`GoldenRun::cycles`]),
+    /// calling `on_step` with each state reached.
+    ///
+    /// The rest of the system reads the MPU in exactly two places of a
+    /// cycle: the registered `violation`, which gates the resolving access
+    /// and raises the trap, and the configuration registers, through an
+    /// allowed read of their window. While both read as in the golden
+    /// cycle, the rest of the system does what it did in the golden run,
+    /// so the MPU sees the recorded request and configuration write, and
+    /// stepping it alone is exact. Stepping stops at the first cycle where
+    /// that fails ([`MpuStop::Visible`]) or where the faulty state equals
+    /// the golden one ([`MpuStop::Reconverged`]).
+    #[inline]
+    pub fn step_faulty_mpu(
+        &self,
+        mpu: &mut MpuState,
+        cycle: u64,
+        end: u64,
+        mut on_step: impl FnMut(&MpuState),
+    ) -> MpuStop {
+        debug_assert!(end <= self.cycles, "stepping past the golden run");
+        let mut c = cycle;
+        while c < end {
+            let golden = &self.mpu_states[c as usize];
+            if mpu == golden {
+                return MpuStop::Reconverged(c);
+            }
+            let stim = &self.stimulus[c as usize];
+            if mpu.violation != golden.violation || (stim.cfg_read && mpu.config != golden.config) {
+                return MpuStop::Visible(c);
+            }
+            mpu.step(stim.request, stim.cfg_write);
+            on_step(mpu);
+            c += 1;
+        }
+        MpuStop::End(c)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::mpu::MpuBit;
 
     fn golden(src: &str) -> GoldenRun {
         GoldenRun::record(&assemble(src).unwrap().words, 5_000, 16)
@@ -232,6 +295,100 @@ mod tests {
         let blocked: Vec<_> = run.access_trace.iter().filter(|a| !a.allowed).collect();
         assert_eq!(blocked.len(), 1);
         assert_eq!(blocked[0].req.addr, 0x7000);
+    }
+
+    /// A privileged program that writes region 2's base (a region no
+    /// access ever matches), waits, reads the word back through the
+    /// configuration window and stores it to RAM.
+    const CFG_READ_SRC: &str = "
+            li r1, 0x8100
+            li r2, 0x51e4
+            sw r2, 24(r1)
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            lw r3, 24(r1)
+            sw r3, 0x4800(r0)
+            nop
+            nop
+            nop
+            halt
+            ";
+
+    #[test]
+    fn a_configuration_read_stops_module_first_stepping() {
+        let run = golden(CFG_READ_SRC);
+        let reads: Vec<u64> = (0..run.cycles)
+            .filter(|&c| run.stimulus[c as usize].cfg_read)
+            .collect();
+        assert_eq!(reads.len(), 1, "one configuration read: {reads:?}");
+        let read = reads[0];
+        let from = read - 4;
+        let bit = MpuBit::Base(2, 3);
+        assert_eq!(run.mpu_states[from as usize].config.regions[2].base, 0x51e4);
+
+        // The flip changes no verdict, so only the read can show it.
+        let mut mpu = run.mpu_states[from as usize];
+        mpu.toggle_bit(bit);
+        let mut steps = 0;
+        let stop = run.step_faulty_mpu(&mut mpu, from, run.cycles, |_| steps += 1);
+        assert_eq!(stop, MpuStop::Visible(read));
+        assert_eq!(steps, read - from);
+
+        // The whole system taking over at the read ends exactly where the
+        // whole-system faulty run from the flip ends, and the read saw it.
+        let mut reference = run.nearest_checkpoint(from).clone();
+        reference.run_until_halt(from);
+        reference.mpu.toggle_bit(bit);
+        reference.run_until_halt(5_000);
+        let mut resumed = run.nearest_checkpoint(read).clone();
+        resumed.run_until_halt(read);
+        resumed.mpu = mpu;
+        resumed.run_until_halt(5_000);
+        assert_eq!(resumed, reference);
+        assert_eq!(reference.mem_word(0x4800), 0x51ec);
+        assert_eq!(run.final_soc.mem_word(0x4800), 0x51e4);
+
+        // Flipped after the read, the error stays private to the MPU to
+        // the end of the run.
+        let mut late = run.mpu_states[read as usize + 1];
+        late.toggle_bit(bit);
+        let stop = run.step_faulty_mpu(&mut late, read + 1, run.cycles, |_| {});
+        assert_eq!(stop, MpuStop::End(run.cycles));
+        assert_eq!(late.config.regions[2].base, 0x51ec);
+    }
+
+    /// A flipped registered violation is visible at once; a flipped
+    /// pipeline bit of an idle cycle is overwritten by the next capture,
+    /// and stepping stops where the state equals the golden one again.
+    #[test]
+    fn module_first_stepping_stops_at_a_visible_verdict_or_reconvergence() {
+        let run = golden(
+            "
+            li r1, 50
+            li r2, 0
+        loop:
+            addi r2, r2, 1
+            bne r2, r1, loop
+            halt
+            ",
+        );
+        let c = run.cycles / 2;
+        let mut mpu = run.mpu_states[c as usize];
+        mpu.toggle_bit(MpuBit::Violation);
+        let stop = run.step_faulty_mpu(&mut mpu, c, run.cycles, |_| {});
+        assert_eq!(stop, MpuStop::Visible(c));
+
+        let mut mpu = run.mpu_states[c as usize];
+        mpu.toggle_bit(MpuBit::PipeAddr(4));
+        let mut seen = Vec::new();
+        let stop = run.step_faulty_mpu(&mut mpu, c, run.cycles, |m| seen.push(*m));
+        assert_eq!(stop, MpuStop::Reconverged(c + 1));
+        assert_eq!(seen, [run.mpu_states[c as usize + 1]]);
+        assert_eq!(mpu, run.mpu_states[c as usize + 1]);
     }
 
     #[test]

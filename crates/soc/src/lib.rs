@@ -50,7 +50,7 @@ pub mod mpu_synth;
 pub mod soc;
 pub mod workloads;
 
-pub use golden::GoldenRun;
+pub use golden::{GoldenRun, MpuStop};
 pub use mpu::{AccessKind, AccessReq, CfgWrite, MpuBit, MpuBitMask, MpuConfig, MpuState};
 pub use mpu_synth::MpuNetlist;
 pub use soc::{AccessRecord, Master, Soc, StepEvents};

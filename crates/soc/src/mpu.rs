@@ -52,6 +52,7 @@ pub enum AccessKind {
 
 impl AccessKind {
     /// 2-bit hardware encoding.
+    #[inline]
     pub fn code(self) -> u8 {
         match self {
             AccessKind::Read => 0,
@@ -61,6 +62,7 @@ impl AccessKind {
     }
 
     /// Decode the 2-bit encoding; code 3 is reserved and decodes to `None`.
+    #[inline]
     pub fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => AccessKind::Read,
@@ -98,6 +100,7 @@ pub struct MpuRegion {
 
 impl MpuRegion {
     /// Whether this region allows a user-mode access of `kind` at `addr`.
+    #[inline]
     pub fn allows(&self, addr: u16, kind: AccessKind) -> bool {
         if self.perms & perm::USER == 0 {
             return false;
@@ -230,7 +233,8 @@ impl MpuBit {
 
     /// Position of this bit in [`MpuBit::all`] (and in
     /// [`MpuState::packed`]), computed without building the list.
-    pub fn index(self) -> usize {
+    #[inline]
+    pub const fn index(self) -> usize {
         const REGION: usize = 2 * ADDR_BITS + 4;
         const PIPE: usize = 1 + NUM_REGIONS * REGION;
         const STICKY: usize = PIPE + ADDR_BITS + 6;
@@ -364,6 +368,7 @@ pub struct MpuState {
 impl MpuState {
     /// The combinational violation signal of the current cycle: the
     /// pipelined request checked against the configuration.
+    #[inline]
     pub fn viol_comb(&self) -> bool {
         if !self.pipe_valid || !self.pipe_user || !self.config.enable {
             return false;
@@ -382,6 +387,7 @@ impl MpuState {
     /// Advance one clock cycle: latch the violation, update sticky status,
     /// apply an optional configuration write, and capture the next request
     /// into the pipeline registers.
+    #[inline]
     pub fn step(&mut self, req: Option<AccessReq>, cfg_write: Option<CfgWrite>) {
         let viol = self.viol_comb();
         if viol {
@@ -410,6 +416,7 @@ impl MpuState {
         }
     }
 
+    #[inline]
     fn apply_cfg_write(&mut self, w: CfgWrite) {
         if w.index == CFG_ENABLE_INDEX {
             self.config.enable = w.data & 1 == 1;
@@ -464,43 +471,78 @@ impl MpuState {
     /// `self.bit(b)`. Two states differ in exactly the bits set in the XOR
     /// of their packed forms, which is how the lifetime measurement
     /// compares a faulty state with the golden one in three word ops.
+    #[inline]
     pub fn packed(&self) -> [u64; 3] {
-        fn put(words: &mut [u64; 3], bit: MpuBit, width: u32, value: u64) {
-            let (i, shift) = (bit.index() / 64, bit.index() % 64);
-            let v = value & ((1u64 << width) - 1);
-            words[i] |= v << shift;
-            if shift as u32 + width > 64 {
-                words[i + 1] |= v >> (64 - shift);
-            }
-        }
+        const REGION: usize = MpuBit::Base(1, 0).index() - MpuBit::Base(0, 0).index();
         let mut w = [0u64; 3];
-        put(&mut w, MpuBit::Enable, 1, u64::from(self.config.enable));
-        for (r, region) in self.config.regions.iter().enumerate() {
-            let r = r as u8;
-            put(&mut w, MpuBit::Base(r, 0), 16, u64::from(region.base));
-            put(&mut w, MpuBit::Limit(r, 0), 16, u64::from(region.limit));
-            put(&mut w, MpuBit::Perms(r, 0), 4, u64::from(region.perms));
-        }
-        put(&mut w, MpuBit::PipeAddr(0), 16, u64::from(self.pipe_addr));
-        put(&mut w, MpuBit::PipeKind(0), 2, u64::from(self.pipe_kind));
-        put(&mut w, MpuBit::PipeUser, 1, u64::from(self.pipe_user));
-        put(&mut w, MpuBit::PipeValid, 1, u64::from(self.pipe_valid));
-        put(&mut w, MpuBit::Violation, 1, u64::from(self.violation));
+        let mut put = |at: usize, width: u32, value: u64| {
+            let (i, shift) = (at / 64, (at % 64) as u32);
+            let v = value & ((1u64 << width) - 1);
+            w[i] |= v << shift;
+            if shift + width > 64 {
+                w[i + 1] |= v >> (64 - shift);
+            }
+        };
         put(
-            &mut w,
-            MpuBit::StickyViol,
+            const { MpuBit::Enable.index() },
+            1,
+            u64::from(self.config.enable),
+        );
+        for (r, region) in self.config.regions.iter().enumerate() {
+            let at = r * REGION;
+            put(
+                at + const { MpuBit::Base(0, 0).index() },
+                16,
+                u64::from(region.base),
+            );
+            put(
+                at + const { MpuBit::Limit(0, 0).index() },
+                16,
+                u64::from(region.limit),
+            );
+            put(
+                at + const { MpuBit::Perms(0, 0).index() },
+                4,
+                u64::from(region.perms),
+            );
+        }
+        put(
+            const { MpuBit::PipeAddr(0).index() },
+            16,
+            u64::from(self.pipe_addr),
+        );
+        put(
+            const { MpuBit::PipeKind(0).index() },
+            2,
+            u64::from(self.pipe_kind),
+        );
+        put(
+            const { MpuBit::PipeUser.index() },
+            1,
+            u64::from(self.pipe_user),
+        );
+        put(
+            const { MpuBit::PipeValid.index() },
+            1,
+            u64::from(self.pipe_valid),
+        );
+        put(
+            const { MpuBit::Violation.index() },
+            1,
+            u64::from(self.violation),
+        );
+        put(
+            const { MpuBit::StickyViol.index() },
             1,
             u64::from(self.sticky_violation),
         );
         put(
-            &mut w,
-            MpuBit::StickyAddr(0),
+            const { MpuBit::StickyAddr(0).index() },
             16,
             u64::from(self.sticky_addr),
         );
         put(
-            &mut w,
-            MpuBit::StickyKind(0),
+            const { MpuBit::StickyKind(0).index() },
             2,
             u64::from(self.sticky_kind),
         );

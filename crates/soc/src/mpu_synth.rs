@@ -252,30 +252,39 @@ impl MpuNetlist {
         cfg: Option<CfgWrite>,
         v: &mut Vec<bool>,
     ) {
+        let word = Self::input_word(req, cfg);
+        debug_assert_eq!(self.netlist.inputs().len(), 2 * ADDR_BITS + 9);
         v.clear();
+        v.extend((0..self.netlist.inputs().len()).map(|i| word >> i & 1 == 1));
+    }
+
+    /// The primary-input values as one word: bit `i` is the value of input
+    /// `i` in [`Netlist::inputs`] order.
+    #[inline]
+    pub fn input_word(req: Option<AccessReq>, cfg: Option<CfgWrite>) -> u64 {
+        const _: () = assert!(2 * ADDR_BITS + 9 <= 64, "the inputs fit one word");
         let (addr, kind, user, valid) = match req {
             Some(r) => (r.addr, r.kind.code(), r.user, true),
             None => (0, 0, false, false),
         };
-        for b in 0..ADDR_BITS {
-            v.push(addr >> b & 1 == 1);
-        }
-        v.push(kind & 1 == 1);
-        v.push(kind & 2 == 2);
-        v.push(user);
-        v.push(valid);
         let (wen, index, wdata) = match cfg {
             Some(w) => (true, w.index, w.data),
             None => (false, 0, 0),
         };
-        v.push(wen);
-        for b in 0..4 {
-            v.push(index >> b & 1 == 1);
+        let mut word = u64::from(addr);
+        let mut at = ADDR_BITS;
+        for (value, width) in [
+            (u64::from(kind), 2),
+            (u64::from(user), 1),
+            (u64::from(valid), 1),
+            (u64::from(wen), 1),
+            (u64::from(index), 4),
+            (u64::from(wdata), ADDR_BITS),
+        ] {
+            word |= (value & ((1 << width) - 1)) << at;
+            at += width;
         }
-        for b in 0..ADDR_BITS {
-            v.push(wdata >> b & 1 == 1);
-        }
-        debug_assert_eq!(v.len(), self.netlist.inputs().len());
+        word
     }
 }
 

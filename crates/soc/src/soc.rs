@@ -88,6 +88,10 @@ pub struct StepEvents {
     pub resolved: Option<AccessRecord>,
     /// Whether the core entered the trap handler this cycle.
     pub trapped: bool,
+    /// Whether an allowed read of the MPU configuration window resolved
+    /// this cycle: besides the registered violation, the one place the
+    /// cycle body reads the MPU.
+    pub cfg_read: bool,
 }
 
 type Page = Arc<[u32; PAGE_WORDS]>;
@@ -377,6 +381,11 @@ impl Soc {
                     self.dma.deliver_read(v);
                     self.dma_outstanding = false;
                 }
+            }
+            if let Some(ev) = ev.as_deref_mut() {
+                ev.cfg_read = allowed
+                    && !matches!(p.op, PendingOp::Write(_))
+                    && cfg_index(p.req.addr).is_some();
             }
         }
 
