@@ -257,8 +257,7 @@ fn bench_json_paths() -> Vec<String> {
 }
 
 fn main() {
-    // parse_args ignores unknown flags, so `--smoke` passes through.
-    let base_opts = CampaignOptions::from_args();
+    let base_opts = CampaignOptions::from_args_with(&[("--smoke", false), ("--bench-json", true)]);
     let bench_json = bench_json_paths();
     let smoke = std::env::args().any(|a| a == "--smoke");
     let runs = if smoke { SMOKE_RUNS } else { RUNS };

@@ -35,6 +35,10 @@ fn main() {
     if jsonl {
         args.remove(0);
     }
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("error: unknown flag {flag}");
+        std::process::exit(2);
+    }
     if args.len() < 2 {
         eprintln!("usage: validate_json [--jsonl] <schema.json> <doc.json> [<doc.json> ...]");
         std::process::exit(2);

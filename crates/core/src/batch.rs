@@ -11,7 +11,9 @@
 //!    [`WIDE_LANES`](xlmc_gatesim::WIDE_LANES) lanes, and propagated
 //!    through
 //!    [`TransientSim::strike_compiled_with`](xlmc_gatesim::transient::TransientSim)
-//!    in one pass over the netlist's compiled program per sweep.
+//!    in one pass over the netlist's compiled program per sweep. A run
+//!    whose `(T_e, center, radius)` group an earlier sweep found untimed
+//!    takes that sweep's result from the [`StrikeMemo`] instead of a lane.
 //! 3. **Conclude + fold** (scalar): each lane's faulty registers, a packed
 //!    set, go through the hardening/classification/resume pipeline with
 //!    its own RNG, and the per-run results are folded into the chunk
@@ -21,18 +23,18 @@
 
 use std::time::Instant;
 
-use xlmc_fault::{AttackSample, LaneStrikes};
+use xlmc_fault::{AttackSample, LaneStrikes, RadiationSpot};
 use xlmc_gatesim::bitparallel::CycleWindow;
 use xlmc_gatesim::{
     BatchLane, CompiledStrikeOutcome, CompiledTransientScratch, CycleGroup, CycleValues,
     StrikeOutcome, TransientScratch, WIDE_LANES,
 };
-use xlmc_netlist::GateId;
+use xlmc_netlist::{GateId, GateProgram};
 
 use crate::estimator::{fold_run, CampaignKernel, ChunkPartial, RunObs};
-use crate::fastforward::{ConclusionMemo, FastForwardStats, RtlFastForward};
 use crate::flow::{DffMask, FaultRunner, StrikeClass};
 use crate::metrics::{LatencyHist, LatencyShard};
+use crate::resume::{ConclusionMemo, ResumeStats, RtlResume};
 use crate::rng::SplitMix64;
 use crate::sampling::SamplingStrategy;
 use crate::trace::{CounterScratch, KernelCounters, TraceSink};
@@ -55,7 +57,6 @@ struct RunRecord {
     analytic: bool,
     /// The post-hardening registers in error.
     regs: DffMask,
-    pulses: usize,
     /// Whether the conclusion was its chunk's first probe of the key.
     first_in_chunk: bool,
 }
@@ -67,13 +68,98 @@ impl RunRecord {
         class: StrikeClass::Masked,
         analytic: false,
         regs: DffMask::EMPTY,
-        pulses: 0,
         first_in_chunk: false,
     };
 }
 
+/// A strike-memo entry of a group no sweep has struck yet.
+const UNSEEN: u16 = 0;
+/// A strike-memo entry of a group whose first lane is in the sweep being
+/// filled; the sweep resolves it before the chunk goes on.
+const PENDING: u16 = u16::MAX - 1;
+/// A strike-memo entry of a timed group: every run of it gets a lane.
+const TIMED: u16 = u16::MAX;
+/// A lane that records nothing in the strike memo.
+const NO_ENTRY: u32 = u32::MAX;
+/// Footprint rows the strike memo grows by.
+const MEMO_ROW_BLOCK: usize = 32;
+
+/// What the compiled sweeps found per `(T_e, footprint)` group, one entry
+/// per group: [`UNSEEN`], [`PENDING`], [`TIMED`], or the group's pulse
+/// count plus one when its lane was untimed.
+///
+/// Whether a lane is timed is decided by the kernel's logical pass from
+/// the golden values at `T_e` and the footprint alone, never from the
+/// strike phase, and an untimed lane latches nothing
+/// ([`CompiledStrikeOutcome::timed`]). So every run of an untimed group
+/// has the footprint's upset DFFs as its registers in error and the
+/// group's pulse count, whatever its phase: later runs of the group skip
+/// the lane and the sweep. A timed group always sweeps, since whether it
+/// latches depends on the phase; so does a pulse count too large for an
+/// entry.
+///
+/// The table is dense, one row per footprint id of the worker's
+/// [`LaneStrikes`] and one column per `T_e` in the range the campaign's
+/// chunks have drawn: a few tens of kilobytes for a whole campaign. One
+/// per worker and campaign, like the footprint ids it is indexed by.
+#[derive(Debug, Default)]
+struct StrikeMemo {
+    /// The `T_e` of column 0.
+    te_lo: u64,
+    /// Columns per row.
+    te_len: usize,
+    table: Vec<u16>,
+    /// Runs concluded from an entry instead of a lane.
+    hits: u64,
+}
+
+impl StrikeMemo {
+    /// Widen the columns to cover `lo..=hi`, keeping every entry.
+    fn cover(&mut self, lo: u64, hi: u64) {
+        let old_hi = (self.te_lo + self.te_len as u64).wrapping_sub(1);
+        if self.te_len > 0 && lo >= self.te_lo && hi <= old_hi {
+            return;
+        }
+        let (lo, hi) = if self.te_len == 0 {
+            (lo, hi)
+        } else {
+            (lo.min(self.te_lo), hi.max(old_hi))
+        };
+        let len = (hi - lo + 1) as usize;
+        let rows = self.table.len().checked_div(self.te_len).unwrap_or(0);
+        let mut table = Vec::with_capacity(rows.next_multiple_of(MEMO_ROW_BLOCK) * len);
+        table.resize(rows * len, UNSEEN);
+        let shift = (self.te_lo.saturating_sub(lo)) as usize;
+        for r in 0..rows {
+            table[r * len + shift..][..self.te_len]
+                .copy_from_slice(&self.table[r * self.te_len..][..self.te_len]);
+        }
+        (self.te_lo, self.te_len, self.table) = (lo, len, table);
+    }
+
+    /// The entry of group `(te, spot)`; `te` must be covered.
+    fn entry(&mut self, te: u64, spot: u32) -> u32 {
+        let rows = spot as usize + 1;
+        if rows * self.te_len > self.table.len() {
+            let cap = rows.next_multiple_of(MEMO_ROW_BLOCK) * self.te_len;
+            self.table.reserve_exact(cap - self.table.len());
+            self.table.resize(rows * self.te_len, UNSEEN);
+        }
+        (spot as usize * self.te_len + (te - self.te_lo) as usize) as u32
+    }
+
+    /// Record a swept lane's finding for its group's entry `e`: the pulse
+    /// count of an untimed lane, `None` for a timed one.
+    fn settle(&mut self, e: u32, untimed_pulses: Option<usize>) {
+        self.table[e as usize] = match untimed_pulses.map(|p| u16::try_from(p + 1)) {
+            Some(Ok(v)) if v < PENDING => v,
+            _ => TIMED,
+        };
+    }
+}
+
 /// Reusable per-worker buffers for [`run_chunk_compiled`]. Like
-/// [`FlowScratch`](crate::flow::FlowScratch), the RTL fast-forward state —
+/// [`FlowScratch`](crate::flow::FlowScratch), the RTL resume state —
 /// and the compiled kernel's cycle slots, named by `T_e` — is valid against
 /// one `(model, evaluation, prechar)` triple only.
 #[derive(Default)]
@@ -85,8 +171,21 @@ pub(crate) struct BatchChunkScratch {
     /// Per-cycle bucket offsets of the stratification pass.
     te_counts: Vec<u32>,
     lane_strikes: LaneStrikes,
+    /// The sweep being filled: per lane, its run and the strike-memo entry
+    /// its result settles ([`NO_ENTRY`] for none).
+    lanes: Vec<(u32, u32)>,
+    /// Runs held until the sweep being filled resolves their group.
+    held: Vec<u32>,
+    /// Held runs whose group is resolved, in `(T_e, index)` order.
+    ready: std::collections::VecDeque<u32>,
+    /// Runs of the sweep being filled that recall their group's result;
+    /// each one's record holds its registers in error until it concludes.
+    recalled: Vec<u32>,
+    /// Per lane of the last sweep: its pulse count.
+    lane_pulses: Vec<usize>,
+    strike_memo: StrikeMemo,
     records: Vec<RunRecord>,
-    ff: RtlFastForward,
+    ff: RtlResume,
     transient: CompiledTransientScratch,
     strike_out: CompiledStrikeOutcome,
     /// Wall-clock latency of each packed transient sweep — pure
@@ -95,13 +194,18 @@ pub(crate) struct BatchChunkScratch {
 }
 
 impl BatchChunkScratch {
-    /// The fast-forward counters accumulated by chunks on this scratch.
-    pub(crate) fn fast_forward_stats(&self) -> FastForwardStats {
+    /// The resume counters accumulated by chunks on this scratch.
+    pub(crate) fn resume_stats(&self) -> ResumeStats {
         self.ff.stats()
     }
 
+    /// Runs concluded from the strike memo instead of a lane.
+    pub(crate) fn strike_memo_hits(&self) -> u64 {
+        self.strike_memo.hits
+    }
+
     /// Drain the latency observations accumulated since the last call
-    /// (kernel sweeps plus fast-forward positioning) into a shard the
+    /// (kernel sweeps plus resume positioning) into a shard the
     /// campaign engine attaches to the finished chunk's partial.
     pub(crate) fn take_latency(&mut self) -> LatencyShard {
         LatencyShard {
@@ -148,7 +252,7 @@ fn draw_and_stratify(
     start: usize,
     end: usize,
     scratch: &mut BatchChunkScratch,
-) {
+) -> Option<(u64, u64)> {
     let m = end - start;
     scratch.draws.clear();
     scratch.te.clear();
@@ -169,18 +273,17 @@ fn draw_and_stratify(
         scratch.te.push(te);
         scratch.draws.push(RunDraw { sample, w, rng });
     }
-    stratify(&scratch.te, &mut scratch.order, &mut scratch.te_counts);
+    stratify(&scratch.te, &mut scratch.order, &mut scratch.te_counts)
 }
 
 /// The in-run indices of `te` in `(T_e, index)` order, by one counting
 /// pass over the chunk's `T_e` range: each run lands in its cycle's bucket
 /// in index order, which is the order a `(T_e, index)` sort gives.
-fn stratify(te: &[Option<u64>], order: &mut Vec<u32>, counts: &mut Vec<u32>) {
+/// Returns that range, `None` when no run is in the run.
+fn stratify(te: &[Option<u64>], order: &mut Vec<u32>, counts: &mut Vec<u32>) -> Option<(u64, u64)> {
     order.clear();
     let mut in_run = te.iter().flatten();
-    let Some(&first) = in_run.next() else {
-        return;
-    };
+    let &first = in_run.next()?;
     let (lo, hi) = in_run.fold((first, first), |(lo, hi), &t| (lo.min(t), hi.max(t)));
     counts.clear();
     counts.resize((hi - lo) as usize + 2, 0);
@@ -198,6 +301,7 @@ fn stratify(te: &[Option<u64>], order: &mut Vec<u32>, counts: &mut Vec<u32>) {
             *slot += 1;
         }
     }
+    Some((lo, hi))
 }
 
 /// The stable-value groups of one compiled sweep over `batch` (whose
@@ -205,10 +309,10 @@ fn stratify(te: &[Option<u64>], order: &mut Vec<u32>, counts: &mut Vec<u32>) {
 fn cycle_groups<'c>(
     cycles: &'c CycleWindow,
     te: &[Option<u64>],
-    batch: &[u32],
+    batch: impl IntoIterator<Item = u32>,
 ) -> Vec<CycleGroup<'c>> {
     let mut groups: Vec<CycleGroup<'c>> = Vec::new();
-    for (lane, &ri) in batch.iter().enumerate() {
+    for (lane, ri) in batch.into_iter().enumerate() {
         let t = te[ri as usize].expect("struck runs inject inside the run");
         let (k, bit) = (lane / 64, 1u64 << (lane % 64));
         match groups.last_mut() {
@@ -223,8 +327,8 @@ fn cycle_groups<'c>(
     groups
 }
 
-/// Harden and conclude run `ri`'s strike — its registers in error `regs`
-/// and the pulses it propagated — into its record.
+/// Harden and conclude run `ri`'s strike, its registers in error `regs`,
+/// into its record.
 fn conclude_lane(
     runner: &FaultRunner<'_>,
     scratch: &mut BatchChunkScratch,
@@ -232,7 +336,6 @@ fn conclude_lane(
     chunk: u32,
     ri: usize,
     mut regs: DffMask,
-    pulses: usize,
 ) {
     let te = scratch.te[ri].expect("struck runs inject inside the run");
     runner.harden(&mut regs, &mut scratch.draws[ri].rng);
@@ -242,7 +345,6 @@ fn conclude_lane(
         class: c.class,
         analytic: c.analytic,
         regs,
-        pulses,
         first_in_chunk,
     };
 }
@@ -271,7 +373,7 @@ fn fold_records(
                 run_index: (start + i) as u64,
                 sample: &scratch.draws[i].sample,
                 te: scratch.te[i],
-                pulses: rec.pulses,
+                pulses: 0,
                 class: rec.class,
                 analytic: rec.analytic,
                 success: rec.success,
@@ -293,7 +395,10 @@ fn fold_records(
 /// strike outcomes, hardening draws and the fold order are all identical;
 /// only the transient propagation is shared across lanes, up to
 /// [`WIDE_LANES`] runs per sweep of the netlist's levelized
-/// [`GateProgram`](xlmc_netlist::GateProgram).
+/// [`GateProgram`](xlmc_netlist::GateProgram), and a run of a group the
+/// worker's [`StrikeMemo`] knows untimed takes the group's result without
+/// a lane. Which runs share a sweep, and so the [`KernelCounters`],
+/// depends on what the worker struck before; no result does.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_chunk_compiled(
     runner: &FaultRunner<'_>,
@@ -313,75 +418,170 @@ pub(crate) fn run_chunk_compiled(
     ctr.begin_chunk();
     let m = end - start;
     let draw_span = sink.span_on(tid, "chunk", "draw");
-    draw_and_stratify(runner, strategy, seed, start, end, scratch);
+    if let Some((lo, hi)) = draw_and_stratify(runner, strategy, seed, start, end, scratch) {
+        scratch.strike_memo.cover(lo, hi);
+    }
     drop(draw_span);
 
     let period = runner.model.transient.config().clock_period_ps;
-    let netlist = runner.model.mpu.netlist();
-    let program = netlist
+    let program = runner
+        .model
+        .mpu
+        .netlist()
         .program()
         .expect("model netlist was levelized at construction");
     let mut kc = KernelCounters::default();
     let mut pulses = 0usize;
-    for b0 in (0..scratch.order.len()).step_by(WIDE_LANES) {
-        let b1 = (b0 + WIDE_LANES).min(scratch.order.len());
-        let batch = &scratch.order[b0..b1];
+    let mut next = 0;
+    loop {
+        // Fill a sweep: first the held runs whose group the last sweep
+        // resolved, then the chunk's runs in `(T_e, index)` order.
         let strike_span = sink.span_on(tid, "chunk", "strike");
         scratch.lane_strikes.clear();
-        for &ri in batch {
-            let ri = ri as usize;
-            // The second-spot entropy word comes off the run's own stream
-            // here — the same stream position as the scalar engine, which
-            // draws it right after the primary spot query and before the
-            // hardening draws in `FaultRunner::harden`.
-            let spot2 = runner
-                .multi_fault
-                .map(|mf| mf.second_spot(scratch.draws[ri].rng.next_u64()));
-            scratch.lane_strikes.push_sample_with(
-                &scratch.draws[ri].sample,
-                spot2.as_ref(),
-                &runner.model.placement,
-                program,
-                period,
-            );
+        scratch.lanes.clear();
+        scratch.recalled.clear();
+        while scratch.lanes.len() < WIDE_LANES {
+            let ri = match scratch.ready.pop_front() {
+                Some(ri) => ri,
+                None if next < scratch.order.len() => {
+                    next += 1;
+                    scratch.order[next - 1]
+                }
+                None => break,
+            };
+            pulses += strike_or_recall(runner, scratch, program, period, ri);
         }
-        let groups = cycle_groups(cycles, &scratch.te, batch);
-        let lanes = batch_lanes(&scratch.lane_strikes);
-        let t_sweep = Instant::now();
-        runner.model.transient.strike_compiled_with(
-            netlist,
-            program,
-            &groups,
-            &lanes,
-            &mut scratch.transient,
-            &mut scratch.strike_out,
-        );
-        scratch.sweep_hist.record(t_sweep.elapsed().as_secs_f64());
-        drop(lanes);
-        kc.lane_batches += 1;
-        kc.lanes_occupied += batch.len();
-        kc.frame_groups += groups.len();
-        kc.gates_visited += scratch.strike_out.gates_visited();
-        kc.timed_lanes += scratch.strike_out.timed_lanes();
-        kc.resimulated_lanes += scratch.strike_out.resimulated_lanes();
-        pulses += scratch.strike_out.pulses_total();
+        if !scratch.lanes.is_empty() {
+            sweep(runner, scratch, cycles, program, &mut kc, &mut pulses);
+        }
         drop(strike_span);
 
         let _conclude_span = sink.span_on(tid, "chunk", "conclude");
-        for lane in 0..b1 - b0 {
-            let ri = scratch.order[b0 + lane];
+        for lane in 0..scratch.lanes.len() {
+            let (ri, e) = scratch.lanes[lane];
+            if e != NO_ENTRY {
+                let untimed = !scratch.strike_out.timed(lane);
+                let pulses = untimed.then(|| scratch.lane_pulses[lane]);
+                scratch.strike_memo.settle(e, pulses);
+            }
             let regs = DffMask::from_words(scratch.strike_out.faulty_words(lane));
-            conclude_lane(runner, scratch, memo, chunk, ri as usize, regs, 0);
+            conclude_lane(runner, scratch, memo, chunk, ri as usize, regs);
         }
+        for k in 0..scratch.recalled.len() {
+            let ri = scratch.recalled[k] as usize;
+            let regs = scratch.records[ri].regs;
+            conclude_lane(runner, scratch, memo, chunk, ri, regs);
+        }
+        if scratch.lanes.is_empty() {
+            break;
+        }
+        let BatchChunkScratch { held, ready, .. } = scratch;
+        ready.extend(held.drain(..));
     }
 
     // Fold in run-index order, exactly like the scalar kernel. The pulse
-    // counter is a chunk sum, so it takes the sweeps' totals rather than
-    // per-lane counts.
+    // counter is a chunk sum, so it takes the sweeps' totals and the
+    // recalled groups' counts rather than per-run counts.
     let _fold_span = sink.span_on(tid, "chunk", "fold");
     let mut p = fold_records(runner, scratch, ctr, start, m, kc, record_provenance);
     p.counters.pulses_propagated += pulses;
     p
+}
+
+/// Give run `ri` a lane in the sweep being filled, or hold it until that
+/// sweep resolves its group, or recall its group's untimed result into
+/// `scratch.recalled`. Returns the pulses a recalled run propagates.
+fn strike_or_recall(
+    runner: &FaultRunner<'_>,
+    scratch: &mut BatchChunkScratch,
+    program: &GateProgram,
+    period: f64,
+    ri: u32,
+) -> usize {
+    let placement = &runner.model.placement;
+    let draw = &mut scratch.draws[ri as usize];
+    if let Some(mf) = runner.multi_fault {
+        // The double glitch bypasses the memo. Its second-spot entropy word
+        // comes off the run's own stream here — the same stream position
+        // as the scalar engine, which draws it right after the primary
+        // spot query and before the hardening draws in
+        // `FaultRunner::harden`.
+        let spot2 = mf.second_spot(draw.rng.next_u64());
+        let lanes = &mut scratch.lane_strikes;
+        lanes.push_sample_with(&draw.sample, Some(&spot2), placement, program, period);
+        scratch.lanes.push((ri, NO_ENTRY));
+        return 0;
+    }
+    let te = scratch.te[ri as usize].expect("struck runs inject inside the run");
+    let spot = RadiationSpot {
+        center: draw.sample.center,
+        radius: draw.sample.radius,
+    };
+    let spot = scratch.lane_strikes.spot_id(&spot, placement, program);
+    let e = scratch.strike_memo.entry(te, spot);
+    let entry = &mut scratch.strike_memo.table[e as usize];
+    let settles = match *entry {
+        UNSEEN => {
+            *entry = PENDING;
+            e
+        }
+        PENDING => {
+            scratch.held.push(ri);
+            return 0;
+        }
+        TIMED => NO_ENTRY,
+        v => {
+            scratch.strike_memo.hits += 1;
+            let upset = scratch.lane_strikes.footprint(spot).dffs().iter();
+            scratch.records[ri as usize].regs = upset.map(|&i| i as usize).collect();
+            scratch.recalled.push(ri);
+            return usize::from(v - 1);
+        }
+    };
+    let time = draw.sample.strike_time_ps(period);
+    scratch.lane_strikes.push_lane(spot, None, time);
+    scratch.lanes.push((ri, settles));
+    0
+}
+
+/// Strike the filled sweep's lanes, count the sweep into `kc` and
+/// `pulses`, and leave each lane's pulse count in `scratch.lane_pulses`
+/// when an untimed lane settles a strike-memo entry.
+fn sweep(
+    runner: &FaultRunner<'_>,
+    scratch: &mut BatchChunkScratch,
+    cycles: &CycleWindow,
+    program: &GateProgram,
+    kc: &mut KernelCounters,
+    pulses: &mut usize,
+) {
+    let n = scratch.lanes.len();
+    let groups = cycle_groups(cycles, &scratch.te, scratch.lanes.iter().map(|&(ri, _)| ri));
+    let lanes = batch_lanes(&scratch.lane_strikes);
+    let t_sweep = Instant::now();
+    runner.model.transient.strike_compiled_with(
+        runner.model.mpu.netlist(),
+        program,
+        &groups,
+        &lanes,
+        &mut scratch.transient,
+        &mut scratch.strike_out,
+    );
+    scratch.sweep_hist.record(t_sweep.elapsed().as_secs_f64());
+    drop(lanes);
+    let out = &scratch.strike_out;
+    kc.lane_batches += 1;
+    kc.lanes_occupied += n;
+    kc.frame_groups += groups.len();
+    kc.gates_visited += out.gates_visited();
+    kc.timed_lanes += out.timed_lanes();
+    kc.resimulated_lanes += out.resimulated_lanes();
+    *pulses += out.pulses_total();
+    let untimed_entry = |(l, &(_, e)): (usize, &(u32, u32))| e != NO_ENTRY && !out.timed(l);
+    if scratch.lanes.iter().enumerate().any(untimed_entry) {
+        scratch.lane_pulses.resize(n, 0);
+        out.pulses_per_lane(&mut scratch.lane_pulses[..n]);
+    }
 }
 
 /// The kernel lanes of the strikes in `strikes`.
@@ -517,7 +717,7 @@ pub fn gate_path_bench(
                             period,
                         );
                     }
-                    let groups = cycle_groups(&cycles, &scratch.te, batch);
+                    let groups = cycle_groups(&cycles, &scratch.te, batch.iter().copied());
                     let lanes = batch_lanes(&scratch.lane_strikes);
                     runner.model.transient.strike_compiled_with(
                         netlist,
@@ -635,6 +835,35 @@ mod tests {
             stratify(&te, &mut order, &mut counts);
             proptest::prop_assert_eq!(order, want);
         }
+    }
+
+    /// Widening the strike memo's `T_e` range keeps every entry under its
+    /// group, rows grow by footprint id, and a pulse count that does not
+    /// fit an entry is stored as timed.
+    #[test]
+    fn strike_memo_keeps_entries_as_it_grows() {
+        let mut memo = StrikeMemo::default();
+        memo.cover(10, 12);
+        let e = memo.entry(11, 2);
+        memo.settle(e, Some(7));
+        let f = memo.entry(12, 0);
+        memo.settle(f, None);
+        memo.cover(8, 9);
+        memo.cover(8, 15);
+        assert_eq!((memo.te_lo, memo.te_len), (8, 8));
+        let e = memo.entry(11, 2) as usize;
+        assert_eq!(memo.table[e], 8);
+        let f = memo.entry(12, 0) as usize;
+        assert_eq!(memo.table[f], TIMED);
+        let unseen = (memo.table.iter().filter(|&&v| v == UNSEEN)).count();
+        assert_eq!(unseen, memo.table.len() - 2);
+        let g = memo.entry(15, 40);
+        assert_eq!(memo.table.len(), 41 * 8);
+        assert!(memo.table.capacity() <= 64 * 8);
+        memo.settle(g, Some(usize::from(PENDING) - 2));
+        assert_eq!(memo.table[g as usize], PENDING - 1);
+        memo.settle(g, Some(usize::from(PENDING) - 1));
+        assert_eq!(memo.table[g as usize], TIMED);
     }
 
     /// The lane-equivalence property at system level: for every run of a
@@ -945,6 +1174,199 @@ mod tests {
             multi_bit_candidates > 0,
             "some run must put several registers through the filter"
         );
+    }
+
+    /// The strike memo's exactness on `f`'s support: for every
+    /// `(t, center, radius)` group of all five goals whose compiled lane is
+    /// untimed, the scalar kernel at each phase bin gives the footprint's
+    /// DFFs as the registers in error (nothing latched) and the lane's
+    /// pulse count. Debug builds check `t` in {1, 2, 25, 50}; release
+    /// builds every `t`.
+    #[test]
+    fn strike_memo_phase_collapse_oracle() {
+        let model = SystemModel::with_defaults().unwrap();
+        let cfg = ExperimentConfig::default();
+        let f = baseline_distribution(&model, &cfg);
+        let cells = match &f.spatial {
+            xlmc_fault::SpatialDist::UniformOverCells(cells) => cells.clone(),
+            xlmc_fault::SpatialDist::Delta(g) => vec![*g],
+        };
+        let (t_min, t_max) = f.temporal.support();
+        let frames: Vec<i64> = if cfg!(debug_assertions) {
+            vec![1, 2, 25, 50]
+        } else {
+            (t_min..=t_max).collect()
+        };
+        let netlist = model.mpu.netlist();
+        let program = netlist.program().unwrap();
+        let transient = &model.transient;
+        let period = transient.config().clock_period_ps;
+        let mut out = CompiledStrikeOutcome::default();
+        let (mut sscratch, mut sout) = (TransientScratch::default(), StrikeOutcome::default());
+        let (mut struck, mut faulty) = (Vec::new(), Vec::new());
+        let mut pulses = vec![0; WIDE_LANES];
+        for workload in [
+            workloads::illegal_write(),
+            workloads::illegal_read(),
+            workloads::dma_exfiltration(),
+            workloads::trap_escalation(),
+            workloads::instruction_skip(),
+        ] {
+            let eval = Evaluation::new(workload).unwrap();
+            let window = model.golden_window(&eval.golden);
+            // Cycle slots are named by `T_e`: one kernel scratch per run.
+            let mut scratch = CompiledTransientScratch::default();
+            let mut samples = Vec::new();
+            for &t in &frames {
+                for &center in &cells {
+                    for &radius in f.radius.options() {
+                        let s = AttackSample {
+                            t,
+                            center,
+                            radius,
+                            phase: 0,
+                        };
+                        let te = s.injection_cycle(eval.target_cycle);
+                        if te.is_some_and(|te| te < eval.golden.cycles) {
+                            samples.push(s);
+                        }
+                    }
+                }
+            }
+            assert_eq!(samples.len(), frames.len() * cells.len() * 2);
+            let (mut untimed, mut timed) = (0, 0);
+            let mut lane_strikes = LaneStrikes::default();
+            let mut values = CycleValues::default();
+            for batch in samples.chunks(WIDE_LANES) {
+                lane_strikes.clear();
+                for s in batch {
+                    lane_strikes.push_sample(s, &model.placement, program, period);
+                }
+                let te: Vec<Option<u64>> = batch
+                    .iter()
+                    .map(|s| s.injection_cycle(eval.target_cycle))
+                    .collect();
+                let groups = cycle_groups(&window, &te, 0..batch.len() as u32);
+                let lanes = batch_lanes(&lane_strikes);
+                transient.strike_compiled_with(
+                    netlist,
+                    program,
+                    &groups,
+                    &lanes,
+                    &mut scratch,
+                    &mut out,
+                );
+                out.pulses_per_lane(&mut pulses[..batch.len()]);
+                for (l, s) in batch.iter().enumerate() {
+                    if out.timed(l) {
+                        timed += 1;
+                        continue;
+                    }
+                    untimed += 1;
+                    let (words, bit) = window.block(te[l].unwrap() as usize);
+                    values.unpack_into(netlist, words, bit);
+                    lane_strikes.struck_into(l, program, &mut struck);
+                    let (fp, _) = lane_strikes.footprints(l);
+                    let want: Vec<GateId> = fp
+                        .dffs()
+                        .iter()
+                        .map(|&i| netlist.dffs()[i as usize])
+                        .collect();
+                    for phase in 0..xlmc_fault::sample::PHASE_BINS {
+                        let at = AttackSample { phase, ..*s }.strike_time_ps(period);
+                        transient.strike_with(
+                            netlist,
+                            &values,
+                            &struck,
+                            at,
+                            &mut sscratch,
+                            &mut sout,
+                        );
+                        let ctx = format!("{} {s:?} phase {phase}", eval.workload.name);
+                        assert!(sout.latched_dffs.is_empty(), "{ctx}: latched");
+                        sout.faulty_registers_into(&mut faulty);
+                        assert_eq!(faulty, want, "{ctx}: registers in error");
+                        assert_eq!(sout.pulses_propagated, pulses[l], "{ctx}: pulses");
+                    }
+                }
+            }
+            assert!(untimed > 0 && timed > 0, "{untimed} untimed, {timed} timed");
+        }
+    }
+
+    /// Over a whole campaign's chunks on one worker scratch, as the strike
+    /// memo warms up, every compiled partial equals the scalar partial, on
+    /// all five goals under importance sampling: sweeps recall, hold and
+    /// strike in every mix, and late sweeps strike few new groups.
+    #[test]
+    fn warm_strike_memo_chunks_match_scalar_chunks() {
+        let model = SystemModel::with_defaults().unwrap();
+        let cfg = ExperimentConfig::default();
+        let prechar = Precharacterization::run(&model, cfg.t_max, cfg.max_radius());
+        let strat = ImportanceSampling::new(
+            baseline_distribution(&model, &cfg),
+            &model,
+            &prechar,
+            cfg.alpha,
+            cfg.beta,
+            cfg.radius_options.clone(),
+        );
+        let chunks = if cfg!(debug_assertions) { 16 } else { 400 };
+        for workload in [
+            workloads::illegal_write(),
+            workloads::illegal_read(),
+            workloads::dma_exfiltration(),
+            workloads::trap_escalation(),
+            workloads::instruction_skip(),
+        ] {
+            let eval = Evaluation::new(workload).unwrap();
+            let runner = FaultRunner {
+                model: &model,
+                eval: &eval,
+                prechar: &prechar,
+                hardening: None,
+                multi_fault: None,
+            };
+            let window = model.golden_window(&eval.golden);
+            let mut memo = ConclusionMemo::default();
+            let mut scratch = BatchChunkScratch::default();
+            let mut flow = FlowScratch::default();
+            let mut ctr = CounterScratch::default();
+            let sink = TraceSink::disabled();
+            let (mut lanes, mut m) = (0, 0);
+            for chunk in 0..chunks {
+                let (start, end) = (chunk * 512, (chunk + 1) * 512);
+                let c = run_chunk_compiled(
+                    &runner,
+                    &strat,
+                    11,
+                    start,
+                    end,
+                    &mut scratch,
+                    &window,
+                    &mut memo,
+                    chunk as u32,
+                    &mut ctr,
+                    false,
+                    &sink,
+                    0,
+                );
+                let s = crate::estimator::scalar_chunk_for_tests(
+                    &runner, &strat, 11, start, end, &mut flow,
+                );
+                let ctx = format!("{} chunk {chunk}", eval.workload.name);
+                assert!(c.stats.mean() == s.stats.mean(), "{ctx} mean");
+                assert!(c.stats.variance() == s.stats.variance(), "{ctx} var");
+                assert_eq!(c.class_counts, s.class_counts, "{ctx}");
+                assert_eq!(c.attribution, s.attribution, "{ctx}");
+                assert_eq!(c.counters, s.counters, "{ctx}");
+                lanes += c.kernel_counters.lanes_occupied;
+                m += end - start - c.counters.out_of_run;
+            }
+            let hits = scratch.strike_memo_hits() as usize;
+            assert!(hits > 0, "{}: the memo never engaged", eval.workload.name);
+            assert_eq!(lanes + hits, m, "every in-run run is a lane or a hit");
+        }
     }
 
     /// The compiled partial equals the scalar partial field by field at

@@ -17,13 +17,13 @@
 pub use crate::batch::{gate_path_bench, GatePathBench};
 use crate::batch::{run_chunk_compiled, BatchChunkScratch};
 use crate::checkpoint::{CampaignCheckpoint, MergeState};
-use crate::fastforward::{ConclusionMemo, FastForwardStats};
 use crate::flow::{DffMask, FaultRunner, FlowScratch, StrikeClass};
 use crate::json::{bits_str, json_num};
 use crate::metrics::{self, EventLog, LatencyShard, MetricsRegistry, MlmcProgress, StallWatchdog};
 use crate::multilevel::{
     self, MlmcEstimator, MlmcPlan, MlmcScratch, MlmcSummary, SetToSeuMap, LEVEL_GATE, LEVEL_RTL,
 };
+use crate::resume::{ConclusionMemo, ResumeStats};
 use crate::rng::SplitMix64;
 use crate::sampling::SamplingStrategy;
 use crate::stats::RunningStats;
@@ -431,6 +431,10 @@ impl Default for CampaignOptions {
     }
 }
 
+/// A flag a binary owns next to the engine's: its spelling and whether it
+/// takes a value ([`CampaignOptions::from_args_with`]).
+pub type BinaryFlag = (&'static str, bool);
+
 impl CampaignOptions {
     /// Options with an explicit worker count.
     pub fn with_threads(threads: usize) -> Self {
@@ -448,17 +452,25 @@ impl CampaignOptions {
         }
     }
 
-    /// Parse the engine flags from the process arguments (used by the
-    /// figure binaries); anything unrecognized is left for the caller.
+    /// Parse the engine flags from the process arguments of a binary that
+    /// owns no flag of its own (the figure binaries and examples).
     /// `--help`/`-h` prints the flag table and exits 0; an invalid value
-    /// for a recognized flag prints an error and exits with status 2.
+    /// for an engine flag, or any argument the engine does not own, prints
+    /// an error naming it and exits with status 2 before any work.
     pub fn from_args() -> Self {
+        Self::from_args_with(&[])
+    }
+
+    /// [`from_args`](Self::from_args) for a binary with flags of its own:
+    /// `own` lists them with whether each takes a value. The binary reads
+    /// them itself; every other argument the engine does not own exits 2.
+    pub fn from_args_with(own: &[BinaryFlag]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
             println!("{}", Self::usage());
             std::process::exit(0);
         }
-        match Self::parse_args(args) {
+        match Self::parse(args, Some(own)) {
             Ok(opts) => opts,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -509,7 +521,7 @@ impl CampaignOptions {
             "  --target-confidence C  confidence for --target-eps, in (0, 1)\n",
             "                         (default 0.95)\n",
             "  --metrics PATH         write the campaign metrics JSON\n",
-            "                         (xlmc-metrics-v9, schemas/metrics.schema.json)\n",
+            "                         (xlmc-metrics-v10, schemas/metrics.schema.json)\n",
             "  --events PATH          stream the lifecycle event log as JSONL\n",
             "                         (schemas/events.schema.json), one flushed line\n",
             "                         per event; results are bit-identical on or off\n",
@@ -529,7 +541,7 @@ impl CampaignOptions {
             "                         tracing and check its verdict against the\n",
             "                         campaign's provenance record\n",
             "  --help, -h             print this table and exit\n",
-            "Flags the engine does not own are left for the binary itself.",
+            "Any other argument is an error unless the binary owns it.",
         )
         .to_owned()
     }
@@ -545,17 +557,37 @@ impl CampaignOptions {
     where
         I: IntoIterator<Item = String>,
     {
+        Self::parse(args, None)
+    }
+
+    /// [`parse_args`](Self::parse_args), except that with `own` set every
+    /// argument that is neither an engine flag nor one of `own` (with its
+    /// value) is an error naming it.
+    fn parse<I>(args: I, own: Option<&[BinaryFlag]>) -> Result<Self, String>
+    where
+        I: IntoIterator<Item = String>,
+    {
         let mut opts = Self::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             let (flag, mut inline) = match arg.split_once('=') {
-                Some((f, v)) => (f.to_owned(), Some(v.to_owned())),
-                None => (arg, None),
+                Some((f, v)) if f.starts_with("--") => (f.to_owned(), Some(v.to_owned())),
+                _ => (arg, None),
             };
             if Self::REMOVED_FLAGS.contains(&flag.as_str()) {
                 return Err(format!("unknown flag {flag}"));
             }
             if !Self::VALUE_FLAGS.contains(&flag.as_str()) {
+                let Some(own) = own else { continue };
+                match own.iter().find(|(f, _)| *f == flag) {
+                    Some((_, true)) if inline.is_none() => {
+                        it.next()
+                            .ok_or_else(|| format!("{flag} requires a value"))?;
+                    }
+                    Some(_) => {}
+                    None if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+                    None => return Err(format!("unexpected argument {flag}")),
+                }
                 continue;
             }
             let value = inline
@@ -907,13 +939,13 @@ struct Worker {
 }
 
 impl Worker {
-    /// The worker's schedule-dependent totals: its snapshot-cache counters
-    /// and its conclusion memo's (hits, misses).
-    fn totals(&self) -> (FastForwardStats, (u64, u64)) {
-        let mut ff = self.flow.fast_forward_stats();
-        ff.add(&self.batch.fast_forward_stats());
-        ff.add(&self.mlmc.fast_forward_stats());
-        (ff, self.memo.probe_stats())
+    /// The worker's schedule-dependent totals: its snapshot-cache counters,
+    /// its conclusion memo's (hits, misses) and its strike memo's hits.
+    fn totals(&self) -> (ResumeStats, (u64, u64), u64) {
+        let mut ff = self.flow.resume_stats();
+        ff.add(&self.batch.resume_stats());
+        ff.add(&self.mlmc.resume_stats());
+        (ff, self.memo.probe_stats(), self.batch.strike_memo_hits())
     }
 }
 
@@ -1335,8 +1367,8 @@ pub fn run_campaign_observed(
     // Where the merge loop ended: `Ok(None)` once every chunk is merged.
     let mut outcome: Result<Option<StopReason>, CampaignError> = Ok(None);
     // Schedule-dependent totals of every worker (snapshot-cache counters,
-    // conclusion-memo hits and misses) and merge-path scheduling
-    // observability; they surface in the metrics JSON only.
+    // conclusion-memo hits and misses, strike-memo hits) and merge-path
+    // scheduling observability; they surface in the metrics JSON only.
     let mut worker_totals = Vec::new();
     let mut merge_wait_s = 0.0f64;
     let mut reorder_peak = 0usize;
@@ -1611,12 +1643,13 @@ pub fn run_campaign_observed(
 
     let elapsed_s = start_time.elapsed().as_secs_f64();
     let fresh = (ck.state.runs_merged() - resumed_runs) as f64;
-    let mut fast_forward_stats = FastForwardStats::default();
-    let (mut memo_hits, mut memo_misses) = (0, 0);
-    for (ff, (hits, misses)) in &worker_totals {
-        fast_forward_stats.add(ff);
+    let mut resume_stats = ResumeStats::default();
+    let (mut memo_hits, mut memo_misses, mut strike_memo_hits) = (0, 0, 0);
+    for (ff, (hits, misses), strike_hits) in &worker_totals {
+        resume_stats.add(ff);
         memo_hits += hits;
         memo_misses += misses;
+        strike_memo_hits += strike_hits;
     }
     let scheduler = SchedulerStats {
         workers,
@@ -1624,6 +1657,7 @@ pub fn run_campaign_observed(
         reorder_peak,
         memo_hits,
         memo_misses,
+        strike_memo_hits,
     };
     let program = match runner.model.mpu.netlist().program() {
         Ok(p) => ProgramStats {
@@ -1651,7 +1685,7 @@ pub fn run_campaign_observed(
         host_cpus: std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1),
-        fast_forward_stats,
+        resume_stats,
         kernel: options.kernel,
         program,
         scheduler,
@@ -1720,9 +1754,9 @@ pub fn run_campaign_observed(
 
     if let Some(path) = &options.trace_path {
         sink.print_self_time(strategy.name());
-        let ff = &meta.fast_forward_stats;
+        let ff = &meta.resume_stats;
         eprintln!(
-            "[fast-forward] resumes {} | MPU-resolved {} | snapshot hits {} / misses {} \
+            "[resume] resumes {} | MPU-resolved {} | snapshot hits {} / misses {} \
              (hit rate {:.1}%) | evictions {}",
             ff.rtl_resumes,
             ff.module_resolved,
@@ -1733,12 +1767,14 @@ pub fn run_campaign_observed(
         );
         eprintln!(
             "[kernel] {}: {} levels x {} gates, {} lanes/sweep, {} sweeps | \
-             timed lanes {} | re-simulated lanes {}",
+             lanes {} | strike-memo hits {} | timed lanes {} | re-simulated lanes {}",
             meta.kernel.as_arg(),
             meta.program.levels,
             meta.program.gates,
             meta.program.lane_width,
             meta.program.sweeps,
+            result.kernel_counters.lanes_occupied,
+            meta.scheduler.strike_memo_hits,
             result.kernel_counters.timed_lanes,
             result.kernel_counters.resimulated_lanes,
         );

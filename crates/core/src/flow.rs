@@ -18,11 +18,11 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use crate::analytic::{self, AnalyticVerdict};
-use crate::fastforward::{ConclusionMemo, FastForwardStats, RtlFastForward};
 use crate::harden::HardenedVariant;
 use crate::lifetime::RegisterKind;
 use crate::model::{Evaluation, SystemModel};
 use crate::precharacterize::Precharacterization;
+use crate::resume::{ConclusionMemo, ResumeStats, RtlResume};
 use rand::Rng;
 use xlmc_fault::{AttackSample, DoubleGlitch, RadiationSpot};
 use xlmc_gatesim::{CycleValues, StrikeOutcome, TransientScratch};
@@ -274,8 +274,8 @@ pub(crate) struct Concluded {
 /// Holds every transient allocation of the flow, plus state that is valid
 /// **only against one `(model, evaluation, prechar)` triple**: the netlist
 /// cycle values keyed by injection cycle (the golden run makes them a pure
-/// function of `T_e`), the RTL fast-forward state (the exact-cycle snapshot
-/// cache and the resident resume system — see [`RtlFastForward`]), and a
+/// function of `T_e`), the RTL resume state (the exact-cycle snapshot
+/// cache and the resident resume system — see [`RtlResume`]), and a
 /// fallback conclusion memo used when the caller does not supply its own.
 /// Never move one scratch between runners with different models,
 /// evaluations or pre-characterizations; within one campaign the engine
@@ -291,13 +291,13 @@ pub struct FlowScratch {
     strike_out: StrikeOutcome,
     faulty_regs: Vec<GateId>,
     faulty_bits: Vec<MpuBit>,
-    ff: RtlFastForward,
+    ff: RtlResume,
     local_memo: ConclusionMemo,
 }
 
 impl FlowScratch {
-    /// The fast-forward counters accumulated by runs on this scratch.
-    pub fn fast_forward_stats(&self) -> FastForwardStats {
+    /// The resume counters accumulated by runs on this scratch.
+    pub fn resume_stats(&self) -> ResumeStats {
         self.ff.stats()
     }
 
@@ -512,7 +512,7 @@ impl FaultRunner<'_> {
             .glitch(netlist, &prev, &cur, glitch_period_ps);
         let mut regs = self.dff_mask(&flipped);
         self.harden(&mut regs, rng);
-        let mut ff = RtlFastForward::default();
+        let mut ff = RtlResume::default();
         let (c, _) = self.conclude_with(te, regs, &mut ff, &mut ConclusionMemo::default(), None);
         let mut faulty_bits = Vec::new();
         self.bits_into(regs, &mut faulty_bits);
@@ -591,7 +591,7 @@ impl FaultRunner<'_> {
         &self,
         te: u64,
         regs: DffMask,
-        ff: &mut RtlFastForward,
+        ff: &mut RtlResume,
         memo: &mut ConclusionMemo,
         chunk: Option<u32>,
     ) -> (Concluded, bool) {
@@ -608,7 +608,7 @@ impl FaultRunner<'_> {
 
     /// A memo miss of [`FaultRunner::conclude_with`]: classify the registers
     /// and evaluate them analytically or by RTL resume.
-    fn conclude_miss(&self, te: u64, regs: DffMask, ff: &mut RtlFastForward) -> Concluded {
+    fn conclude_miss(&self, te: u64, regs: DffMask, ff: &mut RtlResume) -> Concluded {
         // Only a miss names the architectural bits.
         let mut faulty_bits = std::mem::take(&mut ff.bits);
         self.bits_into(regs, &mut faulty_bits);
@@ -643,8 +643,8 @@ impl FaultRunner<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fastforward::reference_verdict;
     use crate::harden::{HardenedSet, HardeningModel};
+    use crate::resume::reference_verdict;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xlmc_netlist::GateId;
@@ -920,7 +920,7 @@ mod tests {
             let out = r.run(&sample, &mut rng);
             if out.class == StrikeClass::MemoryOnly && out.analytic {
                 let te = out.injection_cycle.unwrap();
-                let cached = RtlFastForward::default().resume(&f.eval, te, &out.faulty_bits);
+                let cached = RtlResume::default().resume(&f.eval, te, &out.faulty_bits);
                 let slow = reference_verdict(&f.eval, te, &out.faulty_bits);
                 assert_eq!(out.success, cached, "cell {cell}: {:?}", out.faulty_bits);
                 assert_eq!(out.success, slow, "cell {cell}: {:?}", out.faulty_bits);
@@ -1035,7 +1035,7 @@ mod tests {
             }
         }
         assert!(checked > 0, "fixture should reach the RTL path");
-        let stats = scratch.fast_forward_stats();
+        let stats = scratch.resume_stats();
         assert!(stats.rtl_resumes > 0, "fixture should reach the RTL path");
         assert!(stats.checkpoint_cache_hits > 0, "repeat pass should hit");
     }

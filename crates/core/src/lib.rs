@@ -70,7 +70,6 @@ mod checkpoint;
 pub mod correlation;
 pub mod estimator;
 pub mod exact;
-pub mod fastforward;
 pub mod flow;
 pub mod harden;
 pub mod json;
@@ -79,6 +78,7 @@ pub mod metrics;
 pub mod model;
 pub mod multilevel;
 pub mod precharacterize;
+pub mod resume;
 pub mod rng;
 pub mod sampling;
 pub mod space;

@@ -200,7 +200,7 @@ pub struct LatencyShard {
     /// (recorded merger-side; empty on the single-thread path where the
     /// merger is the worker).
     pub merge_wait: LatencyHist,
-    /// RTL fast-forward positioning: snapshot-cache restore on a hit, or
+    /// RTL resume positioning: snapshot-cache restore on a hit, or
     /// checkpoint restore + replay on a miss.
     pub snapshot_restore: LatencyHist,
     /// One packed transient sweep of the compiled kernel (empty

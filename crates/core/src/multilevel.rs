@@ -10,7 +10,7 @@
 //! a **cheap level-0 sampler** can skip the netlist entirely: map the
 //! sampled spot, cycle and phase to its SEU set, then run the existing
 //! downstream conclusion machinery (hardening filter, classification,
-//! analytic evaluation or fast-forward RTL resume). Writing `r = w·e_rtl`
+//! analytic evaluation or RTL resume). Writing `r = w·e_rtl`
 //! for the level-0 weighted indicator
 //! and `g = w·e_gate` for the full flow's, the telescoped identity
 //!
@@ -43,10 +43,10 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::estimator::ChunkPartial;
-use crate::fastforward::{ConclusionMemo, FastForwardStats, RtlFastForward};
 use crate::flow::{FaultRunner, FlowScratch, RunVerdict, StrikeClass};
 use crate::model::{Evaluation, SystemModel};
 use crate::precharacterize::Precharacterization;
+use crate::resume::{ConclusionMemo, ResumeStats, RtlResume};
 use crate::rng::SplitMix64;
 use crate::sampling::SamplingStrategy;
 use crate::trace::{CounterScratch, ProvenanceRecord};
@@ -552,7 +552,7 @@ impl MlmcSummary {
 }
 
 /// Per-worker buffers for the MLMC chunk executors: the strike/SEU
-/// scratch and fast-forward state of the level-0 path, plus a full
+/// scratch and RTL resume state of the level-0 path, plus a full
 /// [`FlowScratch`] for the gate half of coupled runs. Like `FlowScratch`,
 /// only valid against one `(model, evaluation, prechar)` triple.
 #[derive(Debug, Default)]
@@ -567,14 +567,14 @@ struct Level0Scratch {
     struck: Vec<GateId>,
     struck2: Vec<GateId>,
     bits: Vec<MpuBit>,
-    ff: RtlFastForward,
+    ff: RtlResume,
 }
 
 impl MlmcScratch {
-    /// Combined fast-forward counters of both paths.
-    pub fn fast_forward_stats(&self) -> FastForwardStats {
+    /// Combined resume counters of both paths.
+    pub fn resume_stats(&self) -> ResumeStats {
         let mut s = self.level0.ff.stats();
-        s.add(&self.flow.fast_forward_stats());
+        s.add(&self.flow.resume_stats());
         s
     }
 

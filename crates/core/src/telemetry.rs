@@ -23,9 +23,9 @@
 pub use crate::json::{json_escape, validate_against_schema, JsonValue};
 
 use crate::estimator::{CampaignKernel, CampaignResult, ClassCounts};
-use crate::fastforward::FastForwardStats;
 use crate::json::json_num;
 use crate::metrics::{LatencySummaries, LatencySummary, MlmcProgress};
+use crate::resume::ResumeStats;
 use crate::trace::{counters_json, CampaignCounters, KernelCounters};
 use std::io;
 use std::path::Path;
@@ -205,8 +205,10 @@ impl CampaignObserver for StderrProgress {
 /// on/off flag and the three counters of the removed reconvergence early
 /// exit from `fast_forward`, which now holds only the snapshot-cache
 /// counters; `v9` added `module_resolved` to `fast_forward`, the resumes
-/// the faulty MPU settled alone.
-pub const METRICS_FORMAT: &str = "xlmc-metrics-v9";
+/// the faulty MPU settled alone; `v10` renamed `fast_forward` to `resume`
+/// and added the scheduler's `strike_memo_hits`, the runs the compiled
+/// kernel's per-worker strike memos concluded without a lane.
+pub const METRICS_FORMAT: &str = "xlmc-metrics-v10";
 
 /// Shape of the compiled gate program driving the campaign (all zeros
 /// when the model netlist could not be levelized — never the case for the
@@ -241,6 +243,11 @@ pub struct SchedulerStats {
     /// Conclusion-memo probes that had to conclude the pattern, summed
     /// over workers.
     pub memo_misses: u64,
+    /// Runs the compiled kernel concluded from a worker's strike memo
+    /// instead of a lane, summed over workers. In a campaign that ran
+    /// every chunk in this invocation, `lanes_occupied + strike_memo_hits
+    /// + out_of_run == n`.
+    pub strike_memo_hits: u64,
 }
 
 /// Campaign-level context the metrics file records alongside the result.
@@ -261,10 +268,10 @@ pub struct MetricsMeta {
     pub runs_per_sec: f64,
     /// Logical CPUs available on the host that ran the campaign.
     pub host_cpus: usize,
-    /// RTL snapshot-cache counters, rendered as the `fast_forward` object
+    /// RTL snapshot-cache counters, rendered as the `resume` object
     /// (schedule-dependent — that is why they live here and not in the
     /// kernel/thread-invariant `CampaignResult`).
-    pub fast_forward_stats: FastForwardStats,
+    pub resume_stats: ResumeStats,
     /// The `--kernel` spelling of the per-chunk executor.
     pub kernel: CampaignKernel,
     /// Shape of the compiled gate program / lane packing.
@@ -372,17 +379,18 @@ pub fn metrics_json(result: &CampaignResult, meta: &MetricsMeta) -> String {
     let _ = writeln!(
         s,
         "  \"scheduler\": {{\"workers\": {}, \"merge_wait_s\": {}, \"reorder_peak\": {}, \
-         \"memo_hits\": {}, \"memo_misses\": {}}},",
+         \"memo_hits\": {}, \"memo_misses\": {}, \"strike_memo_hits\": {}}},",
         sc.workers,
         json_num(sc.merge_wait_s),
         sc.reorder_peak,
         sc.memo_hits,
         sc.memo_misses,
+        sc.strike_memo_hits,
     );
-    let ff = &meta.fast_forward_stats;
+    let ff = &meta.resume_stats;
     let _ = writeln!(
         s,
-        "  \"fast_forward\": {{\"rtl_resumes\": {}, \"module_resolved\": {}, \
+        "  \"resume\": {{\"rtl_resumes\": {}, \"module_resolved\": {}, \
          \"checkpoint_cache_hits\": {}, \"checkpoint_cache_misses\": {}, \
          \"checkpoint_cache_evictions\": {}}},",
         ff.rtl_resumes,
@@ -502,7 +510,7 @@ mod tests {
             elapsed_s: 1.5,
             runs_per_sec: 682.6,
             host_cpus: 8,
-            fast_forward_stats: FastForwardStats {
+            resume_stats: ResumeStats {
                 rtl_resumes: 27,
                 module_resolved: 3,
                 checkpoint_cache_hits: 20,
@@ -522,6 +530,7 @@ mod tests {
                 reorder_peak: 3,
                 memo_hits: 10,
                 memo_misses: 14,
+                strike_memo_hits: 5,
             },
             latency: {
                 let mut shard = crate::metrics::LatencyShard::default();
@@ -576,8 +585,12 @@ mod tests {
             sched.get("memo_misses").and_then(JsonValue::as_u64),
             Some(14)
         );
-        let Some(JsonValue::Obj(ff)) = doc.get("fast_forward") else {
-            panic!("fast_forward must be an object");
+        assert_eq!(
+            sched.get("strike_memo_hits").and_then(JsonValue::as_u64),
+            Some(5)
+        );
+        let Some(JsonValue::Obj(ff)) = doc.get("resume") else {
+            panic!("resume must be an object");
         };
         let ff: Vec<(&str, Option<u64>)> =
             ff.iter().map(|(k, v)| (k.as_str(), v.as_u64())).collect();

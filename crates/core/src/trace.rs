@@ -407,7 +407,7 @@ impl KernelCounters {
 /// the chunk's run outcomes, so scalar (run-index order) and compiled
 /// (lane order folded back to run-index order) agree exactly. Which
 /// run is a conclusion key's first in the chunk comes from the conclusion
-/// memo's stamp ([`crate::fastforward::ConclusionMemo`]); this scratch
+/// memo's stamp ([`crate::resume::ConclusionMemo`]); this scratch
 /// tracks the injection cycles and whether an RTL conclusion was met.
 #[derive(Default)]
 pub(crate) struct CounterScratch {
@@ -699,8 +699,8 @@ pub fn write_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fastforward::{ConclusionKey, ConclusionMemo, WordHash};
     use crate::flow::Concluded;
+    use crate::resume::{ConclusionKey, ConclusionMemo, WordHash};
     use std::collections::HashSet;
 
     /// The chunk-counter model before the memo carried stamps, kept as the

@@ -14,10 +14,8 @@ use xlmc_netlist::{Footprint, GateId, GateProgram, Placement};
 use crate::sample::AttackSample;
 use crate::spot::RadiationSpot;
 
-/// A footprint's `(start, len)` in the flat buffer; `NONE` marks a slot
-/// not queried yet and a lane without a second spot.
-type Slot = (u32, u32);
-const NONE: Slot = (u32::MAX, 0);
+/// A footprint id not assigned yet, and a lane without a second spot.
+const NONE: u32 = u32::MAX;
 
 /// The strikes of one lane batch, as footprint slots, reusable.
 ///
@@ -26,13 +24,15 @@ const NONE: Slot = (u32::MAX, 0);
 /// to another model.
 #[derive(Debug, Clone, Default)]
 pub struct LaneStrikes {
-    /// Per lane: its primary and (double-glitch) secondary footprint.
-    lanes: Vec<[Slot; 2]>,
+    /// Per lane: its primary and (double-glitch) secondary footprint id.
+    lanes: Vec<[u32; 2]>,
     times: Vec<f64>,
     query: Vec<GateId>,
-    /// Per distinct radius (by its bits), the footprint of each center
+    /// Per distinct radius (by its bits), the footprint id of each center
     /// index.
-    by_spot: Vec<(u64, Vec<Slot>)>,
+    by_spot: Vec<(u64, Vec<u32>)>,
+    /// Per footprint id: its `(start, len)` in `footprints`.
+    slots: Vec<(u32, u32)>,
     /// Every cached footprint's words, back to back.
     footprints: Vec<u32>,
 }
@@ -79,20 +79,28 @@ impl LaneStrikes {
             center: sample.center,
             radius: sample.radius,
         };
-        let primary = self.footprint_slot(&spot, placement, program);
-        let secondary = second.map_or(NONE, |s| self.footprint_slot(s, placement, program));
-        self.lanes.push([primary, secondary]);
-        self.times.push(sample.strike_time_ps(clock_period_ps));
+        let primary = self.spot_id(&spot, placement, program);
+        let secondary = second.map(|s| self.spot_id(s, placement, program));
+        self.push_lane(primary, secondary, sample.strike_time_ps(clock_period_ps));
     }
 
-    /// The cached footprint of `spot`, queried with
+    /// Append one lane by footprint ids ([`LaneStrikes::spot_id`]) and
+    /// strike moment.
+    pub fn push_lane(&mut self, primary: u32, secondary: Option<u32>, strike_time_ps: f64) {
+        self.lanes.push([primary, secondary.unwrap_or(NONE)]);
+        self.times.push(strike_time_ps);
+    }
+
+    /// The dense id of `spot`'s cached footprint, queried with
     /// [`RadiationSpot::impacted_cells_into`] and classified on first use.
-    fn footprint_slot(
+    /// Ids count up from 0 in order of first use, one per distinct
+    /// `(center, radius)`, and never change.
+    pub fn spot_id(
         &mut self,
         spot: &RadiationSpot,
         placement: &Placement,
         program: &GateProgram,
-    ) -> Slot {
+    ) -> u32 {
         let bits = spot.radius.to_bits();
         let k = match self.by_spot.iter().position(|(b, _)| *b == bits) {
             Some(k) => k,
@@ -113,12 +121,15 @@ impl LaneStrikes {
             // Spots hit placed cells only, and every placed cell pulses or
             // upsets, so the footprint names every cell.
             debug_assert_eq!(len, 2 + self.query.len(), "a struck cell is inert");
-            slots[c] = (start as u32, len as u32);
+            slots[c] = self.slots.len() as u32;
+            self.slots.push((start as u32, len as u32));
         }
         slots[c]
     }
 
-    fn footprint(&self, (start, len): Slot) -> Footprint<'_> {
+    /// The cached footprint of id `id`.
+    pub fn footprint(&self, id: u32) -> Footprint<'_> {
+        let (start, len) = self.slots[id as usize];
         Footprint::new(&self.footprints[start as usize..(start + len) as usize])
     }
 
@@ -374,6 +385,49 @@ mod tests {
             batch.push_sample(&s, &p, prog, 1000.0);
         }
         assert!(struck(&batch, prog, 0).is_empty() && struck(&batch, prog, 1).is_empty());
+    }
+
+    /// Ids are dense in order of first use, one per `(center, radius)`,
+    /// and a lane pushed by id strikes what the sample would.
+    #[test]
+    fn spot_ids_are_dense_and_stable() {
+        let n = chain(30);
+        let p = Placement::new(&n);
+        let prog = n.program().unwrap();
+        let mut batch = LaneStrikes::default();
+        let spot = |i: usize, radius: f64| RadiationSpot {
+            center: p.placeable()[i],
+            radius,
+        };
+        let mut want = Vec::new();
+        for pass in 0..2 {
+            for (k, (i, r)) in [(3, 0.0), (3, 1.5), (7, 0.0), (3, 0.0)]
+                .into_iter()
+                .enumerate()
+            {
+                let id = batch.spot_id(&spot(i, r), &p, prog);
+                if pass == 0 && k < 3 {
+                    assert_eq!(id as usize, k);
+                    want.push(id);
+                }
+                assert_eq!(id, want[k % 3]);
+            }
+        }
+        batch.push_lane(1, None, 250.0);
+        let sample = AttackSample {
+            t: 1,
+            center: p.placeable()[3],
+            radius: 1.5,
+            phase: 0,
+        };
+        batch.push_sample(&sample, &p, prog, 4000.0);
+        assert_eq!(struck(&batch, prog, 0), struck(&batch, prog, 1));
+        assert_eq!(batch.strike_time_ps(0), 250.0);
+        assert_eq!(
+            batch.spot_id(&spot(7, 0.5), &p, prog),
+            3,
+            "the next new spot"
+        );
     }
 
     #[test]

@@ -133,6 +133,8 @@ pub struct CompiledStrikeOutcome {
     /// Lanes some of whose logged pulses are gone in the exact run: their
     /// pulse count is in `lane_pulses`, not in the log.
     settled: WideMask,
+    /// Lanes whose pulse timing was replayed.
+    timed: WideMask,
     /// Each op that made a new pulse, in program order.
     log_ops: Vec<u32>,
     /// Per lane word: the new-pulse lanes of each `log_ops` entry.
@@ -151,6 +153,7 @@ impl Default for CompiledStrikeOutcome {
             dff_words: 0,
             lane_pulses: vec![0; WIDE_LANES],
             settled: [0; LANE_WORDS],
+            timed: [0; LANE_WORDS],
             log_ops: Vec::new(),
             log_lanes: Default::default(),
             pulses: 0,
@@ -205,10 +208,41 @@ impl CompiledStrikeOutcome {
         self.lane_pulses[lane] + self.log_lanes[k].iter().filter(|&&w| w & bit != 0).count()
     }
 
+    /// [`CompiledStrikeOutcome::pulses_propagated`] of the sweep's first
+    /// `out.len()` lanes into `out`, in one pass over the op log.
+    pub fn pulses_per_lane(&self, out: &mut [usize]) {
+        out.copy_from_slice(&self.lane_pulses[..out.len()]);
+        for (k, column) in self.log_lanes.iter().enumerate() {
+            let lanes = out.len().saturating_sub(k * 64).min(64);
+            if lanes == 0 {
+                break;
+            }
+            let counted = !self.settled[k] & (u64::MAX >> (64 - lanes));
+            for &new in column {
+                let mut w = new & counted;
+                while w != 0 {
+                    out[k * 64 + w.trailing_zeros() as usize] += 1;
+                    w &= w - 1;
+                }
+            }
+        }
+    }
+
     /// [`CompiledStrikeOutcome::pulses_propagated`] summed over the
     /// sweep's lanes.
     pub fn pulses_total(&self) -> usize {
         self.pulses
+    }
+
+    /// Whether lane `l`'s pulse timing was replayed: it pulsed at a D pin
+    /// or travelled more than [`max_hops`] levels from its shallowest
+    /// seed. The logical pass decides this from the stable values and the
+    /// footprints alone, never from the strike moment, and an untimed lane
+    /// latches nothing: its registers in error are its footprints' upset
+    /// DFFs and its pulse count is the logical one, at every strike
+    /// moment.
+    pub fn timed(&self, lane: usize) -> bool {
+        self.timed[lane / 64] & (1u64 << (lane % 64)) != 0
     }
 
     /// Ops popped from the logical pass's dirty-op scan for the whole
@@ -251,6 +285,7 @@ impl CompiledStrikeOutcome {
         self.upset[..used].fill(0);
         self.lane_pulses.iter_mut().for_each(|p| *p = 0);
         self.settled = [0; LANE_WORDS];
+        self.timed = [0; LANE_WORDS];
         self.log_ops.clear();
         self.log_lanes.iter_mut().for_each(Vec::clear);
         self.pulses = 0;
@@ -671,6 +706,7 @@ impl TransientSim {
         for word in timed {
             outcome.timed_lanes += word.count_ones() as usize;
         }
+        outcome.timed = timed;
 
         // Replay each timed lane exactly, then apply latching-window
         // masking at its pulsing D pins.
@@ -1403,9 +1439,52 @@ mod tests {
                 "lane {l} pulses"
             );
             total += sout.pulses_propagated;
+            if !out.timed(l) {
+                assert!(sout.latched_dffs.is_empty(), "untimed lane {l} latched");
+            }
         }
         assert_eq!(out.pulses_total(), total, "sweep pulse total");
+        let mut per_lane = vec![usize::MAX; strikes.len()];
+        out.pulses_per_lane(&mut per_lane);
+        for (l, &p) in per_lane.iter().enumerate() {
+            assert_eq!(p, out.pulses_propagated(l), "lane {l} pulses per lane");
+        }
         out
+    }
+
+    /// An untimed lane's outcome does not depend on its strike moment: at
+    /// every phase-bin center of the cycle the scalar kernel latches
+    /// nothing and propagates the lane's pulse count. This is what lets a
+    /// campaign strike each `(cycle, footprint)` once.
+    #[test]
+    fn untimed_lanes_are_phase_free() {
+        let mut untimed = 0;
+        for seed in 0..4u64 {
+            let n = random_netlist(seed + 90, 6, 120);
+            let (cv, strikes) = random_strikes(&n, seed + 7);
+            for cfg in [TransientConfig::default(), tight()] {
+                let out = assert_matches_scalar(&n, cfg, &cv, &strikes);
+                let ts = TransientSim::new(&n, cfg).unwrap();
+                let (mut sscratch, mut sout) =
+                    (TransientScratch::default(), StrikeOutcome::default());
+                for (l, (cells, _)) in strikes.iter().enumerate() {
+                    if out.timed(l) {
+                        continue;
+                    }
+                    untimed += 1;
+                    for bin in 0..8 {
+                        let t = (f64::from(bin) + 0.5) / 8.0 * cfg.clock_period_ps;
+                        ts.strike_with(&n, &cv, cells, t, &mut sscratch, &mut sout);
+                        assert!(
+                            sout.latched_dffs.is_empty(),
+                            "seed {seed} lane {l} bin {bin}"
+                        );
+                        assert_eq!(sout.pulses_propagated, out.pulses_propagated(l));
+                    }
+                }
+            }
+        }
+        assert!(untimed > 0, "no untimed lane was exercised");
     }
 
     /// 256 random strikes of up to four cells on a random netlist.

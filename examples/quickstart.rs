@@ -26,6 +26,10 @@ use xlmc::{Evaluation, Precharacterization, SystemModel};
 use xlmc_soc::workloads;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // The engine flags (`--threads N`, ...); a bad one exits 2 before any
+    // work.
+    let options = CampaignOptions::from_args();
+
     // 1. The system under evaluation: the microcontroller SoC with its MPU
     //    elaborated to gates and placed.
     let model = SystemModel::with_defaults()?;
@@ -75,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hardening: None,
         multi_fault: None,
     };
-    let result = run_campaign_with(&runner, &strategy, 2_000, 42, &CampaignOptions::from_args());
+    let result = run_campaign_with(&runner, &strategy, 2_000, 42, &options);
 
     // 6. The verdict.
     println!("\nSSF estimate      : {:.5}", result.ssf);

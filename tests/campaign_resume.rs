@@ -170,8 +170,11 @@ fn check_resume_equivalence(
 
     // Second leg: same options, no abort — resumes from the file and must
     // land exactly where the uninterrupted run did.
-    let resumed = run_campaign_observed(&r, strategy, n, SEED, &ck_opts, &mut NullObserver)
+    let mut resumed = run_campaign_observed(&r, strategy, n, SEED, &ck_opts, &mut NullObserver)
         .expect("resumed leg");
+    // The kernel-shape counters count work done: a resumed compiled
+    // campaign starts with cold strike memos and sweeps more lanes.
+    resumed.kernel_counters = reference.kernel_counters;
     assert_eq!(
         resumed, reference,
         "{tag}: resumed result differs from the uninterrupted run"

@@ -16,10 +16,14 @@
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use xlmc::estimator::{replay_run, run_campaign_with, CampaignKernel, CampaignOptions};
+use xlmc::estimator::{
+    replay_run, run_campaign_with, CampaignKernel, CampaignOptions, CampaignResult,
+};
 use xlmc::flow::FaultRunner;
 use xlmc::harden::{DupConfigVote, HardenedVariant};
-use xlmc::sampling::{baseline_distribution, ExperimentConfig, ImportanceSampling, RandomSampling};
+use xlmc::sampling::{
+    baseline_distribution, ExperimentConfig, ImportanceSampling, RandomSampling, SamplingStrategy,
+};
 use xlmc::telemetry::{validate_against_schema, JsonValue};
 use xlmc::trace::TraceSink;
 use xlmc::{Evaluation, Precharacterization, SystemModel};
@@ -68,6 +72,31 @@ fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("xlmc-trace-{}-{name}", std::process::id()))
 }
 
+/// Run a campaign with a metrics file and return its result and the
+/// scheduler's `strike_memo_hits` (summed over the workers' strike memos).
+fn run_with_strike_hits(
+    r: &FaultRunner<'_>,
+    strategy: &dyn SamplingStrategy,
+    n: usize,
+    opts: &CampaignOptions,
+    tag: &str,
+) -> (CampaignResult, u64) {
+    let metrics = scratch(&format!("{tag}.metrics.json"));
+    let opts = CampaignOptions {
+        metrics_path: Some(metrics.clone()),
+        ..opts.clone()
+    };
+    let res = run_campaign_with(r, strategy, n, SEED, &opts);
+    let doc = JsonValue::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&metrics);
+    let hits = doc
+        .get("scheduler")
+        .and_then(|s| s.get("strike_memo_hits"))
+        .and_then(JsonValue::as_u64)
+        .expect("scheduler.strike_memo_hits");
+    (res, hits)
+}
+
 #[test]
 fn warm_campaign_hits_both_memo_layers() {
     // Over two chunks of a t_max = 16 campaign, the per-chunk cycle-value
@@ -112,12 +141,13 @@ fn counter_totals_are_kernel_and_thread_invariant() {
                 threads,
                 ..CampaignOptions::with_kernel(kernel)
             };
-            let res = run_campaign_with(&r, &strategy, RUNS, SEED, &opts);
-            results.push((format!("{kernel:?} t{threads}"), res));
+            let tag = format!("{kernel:?} t{threads}");
+            let (res, hits) = run_with_strike_hits(&r, &strategy, RUNS, &opts, &tag);
+            results.push((tag, res, hits));
         }
     }
-    let (ref first_tag, ref first) = results[0];
-    for (tag, res) in &results[1..] {
+    let (ref first_tag, ref first, _) = results[0];
+    for (tag, res, _) in &results[1..] {
         assert_eq!(
             res.counters, first.counters,
             "hot-path counters diverged between {first_tag} and {tag}"
@@ -129,15 +159,74 @@ fn counter_totals_are_kernel_and_thread_invariant() {
     }
     // The kernel-shape counters DO describe the compiled kernel: a full
     // compiled campaign packs lanes and groups frames.
-    let compiled_t4 = &results.last().unwrap().1;
+    let (_, compiled_t4, strike_hits) = results.last().unwrap();
     assert!(compiled_t4.kernel_counters.lane_batches > 0);
-    // Every run that lands inside the benchmark occupies a lane.
+    // Every run that lands inside the benchmark occupies a lane or takes
+    // its group's result from a worker's strike memo.
     assert_eq!(
-        compiled_t4.kernel_counters.lanes_occupied + compiled_t4.counters.out_of_run,
+        compiled_t4.kernel_counters.lanes_occupied
+            + *strike_hits as usize
+            + compiled_t4.counters.out_of_run,
         RUNS
     );
     assert!(compiled_t4.kernel_counters.frame_groups >= compiled_t4.kernel_counters.lane_batches);
     assert!(compiled_t4.kernel_counters.mean_lane_occupancy() > 1.0);
+}
+
+/// The strike memo engages and changes no result: on a 50k-run importance
+/// campaign at one and four workers, repeats of untimed
+/// `(T_e, center, radius)` groups skip the sweep, every in-run run is a
+/// lane or a strike-memo hit, and every deterministic field equals the
+/// scalar kernel's. The double glitch bypasses the memo.
+#[test]
+fn strike_memo_engages_and_changes_no_result() {
+    let f = fixture();
+    let r = runner(f);
+    let fd = baseline_distribution(&f.model, &f.cfg);
+    let strategy = ImportanceSampling::new(
+        fd.clone(),
+        &f.model,
+        &f.prechar,
+        f.cfg.alpha,
+        f.cfg.beta,
+        f.cfg.radius_options.clone(),
+    );
+    let n = 50 * RUNS;
+    let scalar = run_campaign_with(
+        &r,
+        &strategy,
+        n,
+        SEED,
+        &CampaignOptions::with_kernel(CampaignKernel::Scalar),
+    );
+    for threads in [1usize, 4] {
+        let opts = CampaignOptions {
+            threads,
+            ..CampaignOptions::with_kernel(CampaignKernel::Compiled)
+        };
+        let tag = format!("strike-memo-t{threads}");
+        let (mut res, hits) = run_with_strike_hits(&r, &strategy, n, &opts, &tag);
+        assert!(hits > 0, "{tag}: no strike-memo hit");
+        assert_eq!(
+            res.kernel_counters.lanes_occupied + hits as usize + res.counters.out_of_run,
+            n,
+            "{tag}"
+        );
+        res.kernel_counters = scalar.kernel_counters;
+        assert_eq!(res, scalar, "{tag}: differs from the scalar kernel");
+    }
+    let glitch = xlmc_fault::DoubleGlitch::new(fd.spatial.clone(), fd.radius.clone());
+    let r = FaultRunner {
+        multi_fault: Some(&glitch),
+        ..runner(f)
+    };
+    let opts = CampaignOptions::with_kernel(CampaignKernel::Compiled);
+    let (res, hits) = run_with_strike_hits(&r, &strategy, 4 * RUNS, &opts, "strike-memo-glitch");
+    assert_eq!(hits, 0, "the double glitch bypasses the strike memo");
+    assert_eq!(
+        res.kernel_counters.lanes_occupied + res.counters.out_of_run,
+        4 * RUNS
+    );
 }
 
 /// The counter invariance where the memo is busiest: importance sampling
@@ -213,7 +302,10 @@ fn tracing_is_a_pure_observer_and_the_file_validates() {
         threads: 4,
         ..CampaignOptions::default()
     };
-    let traced = run_campaign_with(&r, &strategy, RUNS, SEED, &opts);
+    let mut traced = run_campaign_with(&r, &strategy, RUNS, SEED, &opts);
+    // The kernel-shape counters count work done, which depends on which
+    // worker's strike memo a chunk meets.
+    traced.kernel_counters = untraced.kernel_counters;
     assert_eq!(traced, untraced, "tracing changed the campaign result");
 
     // The written document validates against the checked-in schema and

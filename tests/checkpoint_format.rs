@@ -87,9 +87,12 @@ fn resuming_the_pinned_checkpoints_gives_the_uninterrupted_result() {
                 ..base.clone()
             };
             let mut first = FirstBoundary::default();
-            let resumed =
+            let mut resumed =
                 run_campaign_observed(&runner, &strategy, RUNS, SEED, &options, &mut first)
                     .expect("the pinned checkpoint resumes");
+            // The kernel-shape counters count work done: the resumed leg
+            // starts with cold strike memos.
+            resumed.kernel_counters = uninterrupted.kernel_counters;
             assert_eq!(
                 first.0,
                 Some(saved_runs + 512),

@@ -175,9 +175,9 @@ fn responding_signal_suppression_is_the_canonical_attack() {
 ///    representable — the runs whose MLMC correction term is provably zero.
 #[test]
 fn three_level_verdict_matrix_stays_pinned() {
-    use xlmc::fastforward::{reference_verdict, ConclusionMemo};
     use xlmc::flow::{FaultRunner, FlowScratch};
     use xlmc::multilevel::{coupled_run_with, MlmcScratch, SetToSeuMap};
+    use xlmc::resume::{reference_verdict, ConclusionMemo};
     use xlmc::rng::SplitMix64;
     use xlmc::sampling::{baseline_distribution, ImportanceSampling, SamplingStrategy};
     use xlmc::Precharacterization;

@@ -7,15 +7,18 @@
 //! kernel or estimator, a checkpoint path whose directory does not
 //! exist, and a metrics, trace, prom or events path under a regular file
 //! (both found before the first chunk runs). A rejected checkpoint is
-//! left as it was.
+//! left as it was. A campaign killed through its observer at a random
+//! chunk boundary resumes from its checkpoint to the uninterrupted result.
 
+use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use xlmc::estimator::{
     run_campaign_observed, CampaignError, CampaignKernel, CampaignOptions, EstimatorKind,
-    CHUNK_RUNS,
+    StopReason, CHUNK_RUNS,
 };
 use xlmc::flow::FaultRunner;
+use xlmc::harden::{DupConfigVote, HardenedVariant};
 use xlmc::sampling::{
     baseline_distribution, ExperimentConfig, ImportanceSampling, RandomSampling, SamplingStrategy,
 };
@@ -366,4 +369,74 @@ fn the_path_probe_keeps_existing_files() {
     assert_eq!(std::fs::read(&ck).unwrap(), before);
     assert!(metrics.is_file());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Aborts the campaign at the first chunk boundary with at least this
+/// many runs merged.
+struct AbortAt(usize);
+
+impl CampaignObserver for AbortAt {
+    fn on_progress(&mut self, event: &ProgressEvent) -> ObserverAction {
+        if event.runs_done >= self.0 {
+            ObserverAction::Abort
+        } else {
+            ObserverAction::Continue
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Kill a checkpointed importance campaign through its observer at a
+    /// random chunk boundary, resume it from the file, and get the
+    /// uninterrupted result in every deterministic field: at one and two
+    /// workers, with no defense and with `dup_config_vote`. The resumed
+    /// leg's per-worker memos (conclusion and strike) start cold, so only
+    /// the kernel-shape counters, which count work done, may differ.
+    #[test]
+    fn kill_and_resume_at_a_random_boundary_is_exact(boundary in 1usize..6) {
+        let f = fixture();
+        let strategy = ImportanceSampling::new(
+            baseline_distribution(&f.model, &f.cfg),
+            &f.model,
+            &f.prechar,
+            f.cfg.alpha,
+            f.cfg.beta,
+            f.cfg.radius_options.clone(),
+        );
+        let vote = HardenedVariant::DupConfigVote(DupConfigVote::new());
+        let n = 6 * CHUNK_RUNS;
+        for hardening in [None, Some(&vote)] {
+            let r = FaultRunner {
+                hardening,
+                ..runner(f)
+            };
+            let reference = run_campaign_observed(
+                &r,
+                &strategy,
+                n,
+                SEED,
+                &CampaignOptions::default(),
+                &mut NullObserver,
+            )
+            .unwrap();
+            for threads in [1, 2] {
+                let tag = format!("kill-{boundary}-t{threads}-{}", hardening.is_some());
+                let dir = scratch_dir(&tag);
+                let options = opts(&dir.join("ck.json"), threads);
+                let mut killed = AbortAt(boundary * CHUNK_RUNS);
+                let partial =
+                    run_campaign_observed(&r, &strategy, n, SEED, &options, &mut killed).unwrap();
+                prop_assert_eq!(partial.stop, StopReason::Aborted, "{}", tag);
+                prop_assert!(partial.n < n, "{}", tag);
+                let mut resumed =
+                    run_campaign_observed(&r, &strategy, n, SEED, &options, &mut NullObserver)
+                        .unwrap();
+                resumed.kernel_counters = reference.kernel_counters;
+                prop_assert_eq!(&resumed, &reference, "{}", tag);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
 }

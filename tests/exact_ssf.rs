@@ -11,19 +11,26 @@
 //! (`t` in {2, 5, 6, 9}) is checked against the uncached run-to-halt
 //! `reference_verdict`.
 //!
-//! The pinned table runs in every build. The verdict cross-check is
-//! `#[ignore]`d in the default run and runs in release in CI
-//! (`cargo test --release -p xlmc-integration --test exact_ssf --
+//! Every shipped strategy's campaign is also checked against the exact
+//! value, within 4 sigma computed exactly from the enumeration.
+//!
+//! The pinned table runs in every build. The verdict cross-check and the
+//! strategy check are `#[ignore]`d in the default run and run in release
+//! in CI (`cargo test --release -p xlmc-integration --test exact_ssf --
 //! --include-ignored`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
+use xlmc::estimator::{run_campaign_with, CampaignKernel, CampaignOptions};
 use xlmc::exact::{enumerate, ExactError};
-use xlmc::fastforward::reference_verdict;
 use xlmc::flow::{FaultRunner, FlowScratch};
 use xlmc::harden::{DupConfigVote, HardenedSet, HardenedVariant, HardeningModel, ScfiFsm};
-use xlmc::sampling::{baseline_distribution, ExperimentConfig};
+use xlmc::resume::reference_verdict;
+use xlmc::sampling::{
+    baseline_distribution, ConeSampling, ExperimentConfig, ImportanceSampling, RandomSampling,
+    SamplingStrategy,
+};
 use xlmc::{Evaluation, Precharacterization, SystemModel};
 use xlmc_fault::sample::PHASE_BINS;
 use xlmc_fault::{AttackDistribution, AttackSample, DoubleGlitch, SpatialDist};
@@ -144,6 +151,87 @@ fn verdicts_on_the_missed_frames_match_the_reference() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Every strategy's campaign lands within 4 sigma of the exact SSF on the
+/// goals whose pre-characterization space holds every successful sample:
+/// `memory_write`, `memory_read` and `dma_exfiltration` with no defense.
+/// For a campaign of `n` runs drawn from `g` with weight `w = f/g`, the
+/// estimator's variance is exactly
+/// `(sum over successful s of f(s) w(s) - SSF^2) / n`, summed here over the
+/// enumeration with `SamplingStrategy::weight`.
+///
+/// `trap_escalation` and `instruction_skip` wait for an unbiased proposal:
+/// some of their successful samples lie outside the space every shipped
+/// strategy but random sampling draws from (12,569 vs 12,299 and 1,564 vs
+/// 1,536 above), so the cone and importance estimates are biased low by
+/// that missed mass and a sigma bound would not hold.
+#[test]
+#[ignore = "three full enumerations and nine campaigns; CI runs it in release with --include-ignored"]
+fn every_strategy_is_within_four_sigma_of_the_exact_value() {
+    let fix = fixture();
+    let cfg = ExperimentConfig::default();
+    let SpatialDist::UniformOverCells(cells) = &fix.f.spatial else {
+        panic!("the baseline spatial distribution is uniform");
+    };
+    let strategies: Vec<Box<dyn SamplingStrategy>> = vec![
+        Box::new(RandomSampling::new(fix.f.clone())),
+        Box::new(ConeSampling::new(
+            fix.f.clone(),
+            &fix.prechar,
+            cfg.radius_options.clone(),
+        )),
+        Box::new(ImportanceSampling::new(
+            fix.f.clone(),
+            &fix.model,
+            &fix.prechar,
+            cfg.alpha,
+            cfg.beta,
+            cfg.radius_options.clone(),
+        )),
+    ];
+    let (n, seed) = (16_384, 0xE5AC7);
+    let mut rng = StdRng::seed_from_u64(0);
+    for (goal, &(name, _, successes, _)) in EXACT.iter().step_by(2).take(3).enumerate() {
+        let r = runner(fix, goal, false);
+        // The successful samples of f's support, as `enumerate` walks it.
+        let mut scratch = FlowScratch::default();
+        let mut wins = Vec::new();
+        let (t_min, t_max) = fix.f.temporal.support();
+        for t in t_min..=t_max {
+            for &center in cells {
+                for &radius in fix.f.radius.options() {
+                    for phase in 0..PHASE_BINS {
+                        let sample = AttackSample {
+                            t,
+                            center,
+                            radius,
+                            phase,
+                        };
+                        if r.run_with(&sample, &mut rng, &mut scratch).success {
+                            wins.push(sample);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(wins.len() as u64, successes, "{name}");
+        let support = 115_200.0;
+        let exact = successes as f64 / support;
+        for strategy in &strategies {
+            let second_moment: f64 = wins.iter().map(|s| strategy.weight(s) / support).sum();
+            let sigma = ((second_moment - exact * exact) / n as f64).sqrt();
+            let opts = CampaignOptions::with_kernel(CampaignKernel::Compiled);
+            let res = run_campaign_with(&r, strategy.as_ref(), n, seed, &opts);
+            assert_eq!(res.n, n);
+            assert!(
+                (res.ssf - exact).abs() <= 4.0 * sigma,
+                "{name} {}: ssf {} vs exact {exact} (sigma {sigma})",
+                strategy.name(),
+                res.ssf
+            );
         }
     }
 }

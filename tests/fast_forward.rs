@@ -1,4 +1,4 @@
-//! RTL fast-forward soundness: the exact-cycle snapshot cache and the
+//! RTL resume soundness: the exact-cycle snapshot cache and the
 //! per-worker conclusion memo are pure accelerations — for any strike, on
 //! any workload, the concluded verdict must be bit-identical to the plain
 //! run-to-halt reference.
@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
-use xlmc::fastforward::reference_verdict;
 use xlmc::flow::{FaultRunner, FlowScratch, StrikeClass};
+use xlmc::resume::reference_verdict;
 use xlmc::sampling::{baseline_distribution, ExperimentConfig};
 use xlmc::{Evaluation, Precharacterization, SystemModel};
 use xlmc_soc::{workloads, MpuBit, Soc};
@@ -139,7 +139,7 @@ fn fast_forward_engages_on_repeated_strikes() {
         let mut rng = StdRng::seed_from_u64(i);
         let _ = runner.run_with(&sample, &mut rng, &mut scratch);
     }
-    let stats = scratch.fast_forward_stats();
+    let stats = scratch.resume_stats();
     assert!(stats.rtl_resumes > 0, "no strike reached an RTL resume");
     assert!(
         stats.checkpoint_cache_hits > 0,

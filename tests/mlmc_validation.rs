@@ -16,10 +16,10 @@
 use std::sync::OnceLock;
 
 use xlmc::estimator::{run_campaign_with, CampaignOptions, EstimatorKind, CHUNK_RUNS};
-use xlmc::fastforward::ConclusionMemo;
 use xlmc::flow::FaultRunner;
 use xlmc::harden::{HardenedSet, HardenedVariant, HardeningModel};
 use xlmc::multilevel::{coupled_run_with, MlmcScratch, SetToSeuMap};
+use xlmc::resume::ConclusionMemo;
 use xlmc::sampling::{baseline_distribution, ExperimentConfig, ImportanceSampling};
 use xlmc::stats::RunningStats;
 use xlmc::{Evaluation, Precharacterization, SystemModel};

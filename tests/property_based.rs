@@ -433,7 +433,7 @@ proptest! {
         strategy_idx in 0usize..3,
     ) {
         use std::sync::OnceLock;
-        use xlmc::fastforward::ConclusionMemo;
+        use xlmc::resume::ConclusionMemo;
         use xlmc::flow::FaultRunner;
         use xlmc::multilevel::{coupled_run_with, MlmcScratch, SetToSeuMap};
         use xlmc::rng::SplitMix64;
