@@ -97,6 +97,11 @@ fn parse_args() -> Args {
     if args.runs == 0 {
         args.runs = if args.smoke { 512 } else { 2048 };
     }
+    // The report is written after the whole sweep: check its path first.
+    if let Err(e) = xlmc::estimator::probe_writable(std::path::Path::new(&args.out), false) {
+        eprintln!("error: out {} cannot be written: {e}", args.out);
+        std::process::exit(2);
+    }
     args
 }
 

@@ -1,7 +1,8 @@
 //! CLI contract over every binary in `src/bin`: an argument nobody owns,
-//! and a bad value of each engine flag, end the binary with exit status 2
-//! and a message naming the flag, before any work starts (no `[setup]`
-//! line, nothing on stdout) and without a panic.
+//! a bad value of each engine flag, and an output path that cannot be
+//! written, end the binary with exit status 2 and a message naming the
+//! flag or the path, before any work starts (no `[setup]` line, nothing on
+//! stdout) and without a panic.
 
 use std::process::Command;
 
@@ -57,6 +58,19 @@ const BINARIES: &[(&str, &str, bool)] = &[
     ),
     ("validate_json", env!("CARGO_BIN_EXE_validate_json"), false),
 ];
+
+/// The output-path flags a binary owns next to the engine's.
+fn own_output_flags(name: &str) -> &'static [&'static str] {
+    match name {
+        "bench_campaign" => &["--bench-json"],
+        "scenario_matrix" => &["--out"],
+        _ => &[],
+    }
+}
+
+/// The engine flags that name an output path.
+const ENGINE_OUTPUT_FLAGS: &[&str] =
+    &["--metrics", "--checkpoint", "--events", "--prom", "--trace"];
 
 /// A value each engine flag rejects; path flags accept any string.
 fn bad_value(flag: &str) -> Option<&'static str> {
@@ -130,4 +144,42 @@ fn bad_engine_flag_values_exit_two_in_every_engine_binary() {
             assert_rejected(name, bin, &[flag], flag);
         }
     }
+}
+
+/// Every output-path flag of every binary, pointed into a directory that
+/// does not exist, exits 2 naming the path before any work; nothing is
+/// created. The trace writer makes missing directories itself, so its
+/// path is put under a regular file instead, where no directory can be
+/// made.
+#[test]
+fn output_paths_that_cannot_be_written_exit_two_in_every_binary() {
+    let dir = std::env::temp_dir().join(format!("xlmc-cli-paths-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("file"), "").unwrap();
+    let missing = dir.join("no-such-dir").join("out.json");
+    let under_file = dir.join("file").join("out.json");
+    for &(name, bin, engine) in BINARIES {
+        let engine_flags = if engine { ENGINE_OUTPUT_FLAGS } else { &[] };
+        for &flag in engine_flags.iter().chain(own_output_flags(name)) {
+            let path = if flag == "--trace" {
+                &under_file
+            } else {
+                &missing
+            };
+            let path = path.to_str().unwrap();
+            assert_rejected(name, bin, &[flag, path], path);
+            assert_rejected(name, bin, &[&format!("{flag}={path}")], path);
+        }
+    }
+    assert!(
+        !dir.join("no-such-dir").exists(),
+        "a missing directory was made"
+    );
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        1,
+        "a file was left"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

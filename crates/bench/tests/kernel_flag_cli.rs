@@ -77,8 +77,8 @@ fn corrupt_checkpoint_exits_two_without_a_panic() {
 }
 
 /// A `--metrics` path in a missing directory ends the binary with one line
-/// naming the (tagged) path and exit status 2, not a panic, before the
-/// first campaign runs a chunk.
+/// naming the path and exit status 2, not a panic, before any work: the
+/// per-campaign tagged files would sit in the same directory.
 #[test]
 fn metrics_in_a_missing_directory_exits_two_without_a_panic() {
     let dir = std::env::temp_dir().join(format!("xlmc-cli-metrics-{}", std::process::id()));
@@ -91,15 +91,15 @@ fn metrics_in_a_missing_directory_exits_two_without_a_panic() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {err}");
     assert!(!err.contains("panicked at"), "stderr: {err}");
-    let tagged = dir.join("m.fig10a-comb-random.json");
-    let last = err.lines().last().unwrap_or_default();
     assert!(
-        last.starts_with(&format!(
+        err.starts_with(&format!(
             "error: metrics {} cannot be written",
-            tagged.display()
+            metrics.display()
         )),
-        "stderr: {err}"
+        "no work may start before the check: {err}"
     );
+    assert_eq!(err.lines().count(), 1, "stderr: {err}");
+    assert!(out.stdout.is_empty(), "no result may be printed");
     assert!(!dir.exists(), "nothing may be written");
 }
 

@@ -108,6 +108,83 @@ impl MergeState {
         self.boundaries.push((chunk_end, self.current_ssf()));
     }
 
+    /// Check the redundancy the merge state carries, so that a corrupt
+    /// file is refused instead of resumed into a different result: every
+    /// boundary ends its chunk, every run is counted once by the
+    /// accumulators, the class split, the conclusion split and the
+    /// counters, and the last boundary holds the current estimate. A
+    /// value stored only once (a Welford `m2`, a weight sum, an
+    /// attribution weight) cannot be checked this way.
+    fn check_consistent(&self, chunk_runs: usize, requested_runs: usize) -> Result<(), String> {
+        let runs = self.runs_merged();
+        for (k, &(end, _)) in self.boundaries.iter().enumerate() {
+            let want = (k + 1).saturating_mul(chunk_runs).min(requested_runs);
+            if end != want {
+                return Err(format!("boundary {k} ends at run {end}, not {want}"));
+            }
+        }
+        let counted = match self.estimator {
+            EstimatorKind::Single => self.stats.count(),
+            EstimatorKind::Mlmc => {
+                let n1 = self.level1_diff.count();
+                if self.level1_gate.count() != n1 || self.level1_rtl.count() != n1 {
+                    return Err("level-1 streams disagree on their count".to_owned());
+                }
+                if self.chunk_levels.len() != self.merged_chunks {
+                    return Err("chunk_levels does not cover the merged chunks".to_owned());
+                }
+                self.level0.count().saturating_add(n1)
+            }
+        };
+        // Sums of values read from the file: an overflow is a mismatch.
+        let sum = |xs: &[usize]| xs.iter().try_fold(0usize, |a, &x| a.checked_add(x));
+        let cc = &self.class_counts;
+        let c = &self.counters;
+        let hit = sum(&[cc.memory_only, cc.mixed]);
+        let checks = [
+            ("sample count", counted == runs as u64),
+            (
+                "class counts",
+                sum(&[cc.masked, hit.unwrap_or(usize::MAX)]) == Some(runs),
+            ),
+            (
+                "analytic/rtl split",
+                sum(&[self.analytic_runs, self.rtl_runs]) == hit,
+            ),
+            ("successes", self.successes <= runs),
+            (
+                "first success",
+                self.first_success.is_none_or(|i| i < runs as u64),
+            ),
+            (
+                "cycle memo counters",
+                sum(&[c.cycle_memo_hits, c.cycle_memo_misses, c.out_of_run]) == Some(runs),
+            ),
+            (
+                "conclusion memo counters",
+                sum(&[c.conclusion_memo_hits, c.conclusion_memo_misses]) == hit,
+            ),
+            (
+                "conclusion counters",
+                sum(&[c.conclusions_analytic, c.conclusions_rtl]) == Some(c.conclusion_memo_misses),
+            ),
+            (
+                "resident-system counters",
+                sum(&[c.soc_clones, c.soc_restores]) == Some(c.conclusions_rtl),
+            ),
+            (
+                "last boundary",
+                self.boundaries
+                    .last()
+                    .is_none_or(|&(_, mean)| mean.to_bits() == self.current_ssf().to_bits()),
+            ),
+        ];
+        match checks.iter().find(|(_, ok)| !ok) {
+            Some((what, _)) => Err(format!("inconsistent {what} for {runs} merged runs")),
+            None => Ok(()),
+        }
+    }
+
     pub(crate) fn runs_merged(&self) -> usize {
         self.boundaries.last().map_or(0, |&(runs, _)| runs)
     }
@@ -338,6 +415,9 @@ impl CampaignCheckpoint {
                 mismatches.join(", ")
             )));
         }
+        (saved.state)
+            .check_consistent(saved.chunk_runs, saved.requested_runs)
+            .map_err(|e| err(format!("is not a valid checkpoint: {e}")))?;
         self.state = saved.state;
         Ok(())
     }
@@ -673,6 +753,54 @@ mod tests {
             let ck = CampaignCheckpoint::from_json(src).unwrap();
             assert_eq!(ck.state.estimator.as_arg(), name);
             assert_eq!(ck.to_json(), src, "{name}");
+        }
+    }
+
+    /// Both pinned files carry consistent redundancy; a count, a boundary
+    /// or the last boundary's estimate changed alone is refused.
+    #[test]
+    fn checkpoint_consistency_catches_single_field_changes() {
+        let single = include_str!("../../../tests/fixtures/checkpoint_single_4_chunks.json");
+        let mlmc = include_str!("../../../tests/fixtures/checkpoint_mlmc_mid_pilot.json");
+        for src in [single, mlmc] {
+            let ck = CampaignCheckpoint::from_json(src).unwrap();
+            assert_eq!(
+                ck.state.check_consistent(ck.chunk_runs, ck.requested_runs),
+                Ok(())
+            );
+        }
+        for (from, to, what) in [
+            ("\"masked\": 935", "\"masked\": 934", "class counts"),
+            ("[1536, ", "[1535, ", "boundary 2 ends at run 1535"),
+            ("\"count\": 2048", "\"count\": 2049", "sample count"),
+            (
+                "\"rtl_runs\": 300",
+                "\"rtl_runs\": 301",
+                "analytic/rtl split",
+            ),
+            (
+                "\"masked\": 935",
+                "\"masked\": 18446744073709551615",
+                "class counts",
+            ),
+            (
+                "\"soc_restores\": 277",
+                "\"soc_restores\": 276",
+                "resident-system",
+            ),
+            (
+                "[2048, \"0x3f90000000000001\"]",
+                "[2048, \"0x3f90000000000000\"]",
+                "last boundary",
+            ),
+        ] {
+            assert!(single.contains(from), "{from}");
+            let ck = CampaignCheckpoint::from_json(&single.replacen(from, to, 1)).unwrap();
+            let err = ck
+                .state
+                .check_consistent(ck.chunk_runs, ck.requested_runs)
+                .unwrap_err();
+            assert!(err.contains(what), "{what}: {err}");
         }
     }
 

@@ -182,7 +182,8 @@ impl std::error::Error for CampaignError {}
 /// created, after creating the missing directories above it when
 /// `create_dirs` (the trace writer does so itself). The probe never
 /// truncates a file, and removes the temp file only when it made it.
-fn probe_writable(path: &Path, create_dirs: bool) -> std::io::Result<()> {
+/// Binaries call it on their own output paths before any work.
+pub fn probe_writable(path: &Path, create_dirs: bool) -> std::io::Result<()> {
     if let Some(dir) = path
         .parent()
         .filter(|d| create_dirs && !d.as_os_str().is_empty())
@@ -203,9 +204,9 @@ fn probe_writable(path: &Path, create_dirs: bool) -> std::io::Result<()> {
 }
 
 /// Check every artifact path of `options` before the first chunk runs, so
-/// an unwritable one ends the campaign at once with an error naming it
-/// (the events log is created by [`TelemetryHub::new`], also before the
-/// first chunk).
+/// an unwritable one ends the campaign at once with an error naming it.
+/// The binaries run the same check on their arguments, before any work
+/// ([`CampaignOptions::from_args_with`]).
 fn check_artifact_paths(options: &CampaignOptions) -> Result<(), CampaignError> {
     if let Some(path) = &options.checkpoint_path {
         probe_writable(path, false)
@@ -215,6 +216,7 @@ fn check_artifact_paths(options: &CampaignOptions) -> Result<(), CampaignError> 
         ("metrics", &options.metrics_path),
         ("trace", &options.trace_path),
         ("prom", &options.prom_path),
+        ("events", &options.events_path),
     ] {
         if let Some(path) = path {
             probe_writable(path, what == "trace")
@@ -464,13 +466,22 @@ impl CampaignOptions {
     /// [`from_args`](Self::from_args) for a binary with flags of its own:
     /// `own` lists them with whether each takes a value. The binary reads
     /// them itself; every other argument the engine does not own exits 2.
+    /// So does an output path that cannot be written (a checkpoint,
+    /// metrics, prom or events file in a missing directory, a trace whose
+    /// directory cannot be made): the binary tags it per campaign in the
+    /// same directory, so the untagged path answers for every campaign.
     pub fn from_args_with(own: &[BinaryFlag]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
             println!("{}", Self::usage());
             std::process::exit(0);
         }
-        match Self::parse(args, Some(own)) {
+        let checked = Self::parse(args, Some(own)).and_then(|opts| {
+            check_artifact_paths(&opts)
+                .map(|()| opts)
+                .map_err(|e| e.to_string())
+        });
+        match checked {
             Ok(opts) => opts,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -521,7 +532,7 @@ impl CampaignOptions {
             "  --target-confidence C  confidence for --target-eps, in (0, 1)\n",
             "                         (default 0.95)\n",
             "  --metrics PATH         write the campaign metrics JSON\n",
-            "                         (xlmc-metrics-v10, schemas/metrics.schema.json)\n",
+            "                         (xlmc-metrics-v11, schemas/metrics.schema.json)\n",
             "  --events PATH          stream the lifecycle event log as JSONL\n",
             "                         (schemas/events.schema.json), one flushed line\n",
             "                         per event; results are bit-identical on or off\n",
@@ -1756,10 +1767,12 @@ pub fn run_campaign_observed(
         sink.print_self_time(strategy.name());
         let ff = &meta.resume_stats;
         eprintln!(
-            "[resume] resumes {} | MPU-resolved {} | snapshot hits {} / misses {} \
-             (hit rate {:.1}%) | evictions {}",
+            "[resume] resumes {} | MPU-resolved {} | MPU steps {} | idle skipped {} | \
+             snapshot hits {} / misses {} (hit rate {:.1}%) | evictions {}",
             ff.rtl_resumes,
             ff.module_resolved,
+            ff.mpu_steps,
+            ff.idle_skipped,
             ff.checkpoint_cache_hits,
             ff.checkpoint_cache_misses,
             100.0 * ff.checkpoint_hit_rate(),

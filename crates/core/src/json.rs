@@ -28,7 +28,10 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// A non-negative integer literal, kept exact: an `f64` holds every
+    /// integer only up to 2^53, and seeds and counters are `u64`.
+    Int(u64),
+    /// Any other JSON number (parsed as `f64`).
     Num(f64),
     /// A string.
     Str(String),
@@ -63,6 +66,7 @@ impl JsonValue {
     /// The value as a finite `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(n) => Some(*n as f64),
             JsonValue::Num(x) => Some(*x),
             _ => None,
         }
@@ -71,6 +75,7 @@ impl JsonValue {
     /// The value as a non-negative integer, if it is one exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            JsonValue::Int(n) => Some(*n),
             JsonValue::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
                 Some(*x as u64)
             }
@@ -99,6 +104,7 @@ impl JsonValue {
         match self {
             JsonValue::Null => "null",
             JsonValue::Bool(_) => "boolean",
+            JsonValue::Int(_) => "integer",
             JsonValue::Num(x) if x.fract() == 0.0 => "integer",
             JsonValue::Num(_) => "number",
             JsonValue::Str(_) => "string",
@@ -196,6 +202,9 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 *pos += 1;
             }
             let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(JsonValue::Int(n));
+            }
             text.parse::<f64>()
                 .map(JsonValue::Num)
                 .map_err(|_| format!("invalid number {text:?} at byte {start}"))
@@ -423,6 +432,23 @@ mod tests {
         assert!(validate_against_schema(&bad_item, &schema).is_err());
     }
 
+    /// Integer literals stay exact past 2^53, where an `f64` would round
+    /// them (`u64::MAX` to 2^64); signed, fractional and exponent forms
+    /// stay floats.
+    #[test]
+    fn integer_literals_are_exact_above_two_to_the_53() {
+        for n in [0, 1, (1u64 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let v = JsonValue::parse(&n.to_string()).unwrap();
+            assert_eq!(v, JsonValue::Int(n));
+            assert_eq!(v.as_u64(), Some(n));
+        }
+        let too_big = JsonValue::parse("18446744073709551616").unwrap();
+        assert_eq!(too_big.as_u64(), None, "2^64 is not a u64");
+        assert_eq!(JsonValue::parse("-3").unwrap(), JsonValue::Num(-3.0));
+        assert_eq!(JsonValue::parse("3.0").unwrap().as_u64(), Some(3));
+        assert_eq!(JsonValue::parse("1e3").unwrap().as_u64(), Some(1000));
+    }
+
     #[test]
     fn bits_str_round_trips_every_float() {
         for x in [0.0, -0.0, 0.1 + 0.2, f64::MIN_POSITIVE, 1.0 / 3.0, -7e300] {
@@ -558,7 +584,8 @@ mod tests {
         let leaf = prop_oneof![
             Just(JsonValue::Null),
             any::<bool>().prop_map(JsonValue::Bool),
-            (-1_000_000_000i64..1_000_000_000).prop_map(|i| JsonValue::Num(i as f64 / 64.0)),
+            (-1_000_000_000i64..1_000_000_000).prop_map(|i| number(i as f64 / 64.0)),
+            any::<u64>().prop_map(JsonValue::Int),
             arb_string(12).prop_map(JsonValue::Str),
         ];
         if depth == 0 {
@@ -581,11 +608,22 @@ mod tests {
         .boxed()
     }
 
+    /// A number as the parser reads its [`json_num`] text: integral
+    /// non-negative values are exact integer literals.
+    fn number(x: f64) -> JsonValue {
+        if x >= 0.0 && x.fract() == 0.0 {
+            JsonValue::Int(x as u64)
+        } else {
+            JsonValue::Num(x)
+        }
+    }
+
     /// Render a [`JsonValue`] back to text with the writer helpers.
     fn render(v: &JsonValue) -> String {
         match v {
             JsonValue::Null => "null".to_owned(),
             JsonValue::Bool(b) => b.to_string(),
+            JsonValue::Int(n) => n.to_string(),
             JsonValue::Num(x) => json_num(*x),
             JsonValue::Str(s) => format!("\"{}\"", json_escape(s)),
             JsonValue::Arr(items) => {

@@ -78,6 +78,8 @@ fn median(values: &mut [u32]) -> u32 {
 /// The observation of one injection over its window, one faulty MPU state
 /// per cycle: the packed XOR with the golden state gives the lifetime (the
 /// first zero) and, OR-ed up to it, the set of bits the error reached.
+/// A state may stand for a run of `n` cycles, over which the golden state
+/// stands still too (an idle run, [`GoldenRun::step_faulty_mpu`]).
 struct Observer<'a> {
     golden_packed: &'a [[u64; 3]],
     cycles: usize,
@@ -88,17 +90,18 @@ struct Observer<'a> {
 }
 
 impl Observer<'_> {
-    fn observe(&mut self, mpu: &MpuState) {
+    fn observe(&mut self, mpu: &MpuState, n: u64) {
         let golden_state = &self.golden_packed[self.cycles];
-        self.cycles += 1;
+        let first = self.cycles + 1;
+        self.cycles += n as usize;
         // Violation activity is counted over the whole window
         // (alignment-insensitive): fewer faulty violations = suppression.
-        self.faulty_viols += usize::from(mpu.violation);
+        self.faulty_viols += n as usize * usize::from(mpu.violation);
         if !self.converged {
             let packed = mpu.packed();
             let diff: [u64; 3] = std::array::from_fn(|i| packed[i] ^ golden_state[i]);
             if diff == [0; 3] {
-                self.lifetime = self.cycles as u32;
+                self.lifetime = first as u32;
                 self.converged = true;
             }
             for (r, d) in self.reached.iter_mut().zip(diff) {
@@ -111,7 +114,8 @@ impl Observer<'_> {
 /// Inject every bit of [`MpuBit::all`] at the start of `cycle` of the
 /// golden run; entry `b.index()` is the outcome for bit `b`.
 ///
-/// Each faulty MPU first steps alone ([`GoldenRun::step_faulty_mpu`]). An
+/// Each faulty MPU first steps alone ([`GoldenRun::step_faulty_mpu`]),
+/// jumping over the golden run's idle cycles. An
 /// error that reconverges there is golden for the rest of the window, so
 /// its remaining violations are the golden ones, read from suffix sums.
 /// An error the rest of the system can see continues in one resident
@@ -143,7 +147,10 @@ fn inject_all(golden: &GoldenRun, cycle: u64) -> Vec<Injection> {
                 converged: false,
                 faulty_viols: 0,
             };
-            match golden.step_faulty_mpu(&mut mpu, cycle, end, |m| obs.observe(m)) {
+            match golden
+                .step_faulty_mpu(&mut mpu, cycle, end, |m, n| obs.observe(m, n))
+                .0
+            {
                 MpuStop::Reconverged(_) => obs.faulty_viols += viols_from[obs.cycles],
                 MpuStop::End(_) => {}
                 MpuStop::Visible(c) => {
@@ -154,7 +161,7 @@ fn inject_all(golden: &GoldenRun, cycle: u64) -> Vec<Injection> {
                     soc.mpu = mpu;
                     for _ in c..end {
                         soc.step();
-                        obs.observe(&soc.mpu);
+                        obs.observe(&soc.mpu, 1);
                     }
                 }
             }

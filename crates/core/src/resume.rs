@@ -8,8 +8,10 @@
 //! * [`RtlResume`] — MPU first, then a per-worker **exact-cycle
 //!   snapshot cache**. The faulty MPU steps alone on the golden run's
 //!   recorded stimulus until the rest of the system could see its error
-//!   ([`xlmc_soc::GoldenRun::step_faulty_mpu`]); an error that reconverges
-//!   first takes the golden verdict with no system simulation at all.
+//!   ([`xlmc_soc::GoldenRun::step_faulty_mpu`], which jumps over idle
+//!   cycles); an error that reconverges first, or is still private to the
+//!   MPU when the golden run halts, takes the golden verdict with no
+//!   system simulation at all.
 //!   Otherwise the golden system state at *exactly* the start of the stop
 //!   cycle `c` is kept per visited `c`, turning restore-and-replay into a
 //!   single `restore_from`. The faulty tail then runs to halt;
@@ -58,9 +60,14 @@ const MAX_SNAPSHOTS: usize = 127;
 pub struct ResumeStats {
     /// RTL resumes performed (memo misses reaching the RTL path).
     pub rtl_resumes: u64,
-    /// Resumes the MPU settled alone: the error reconverged before the
-    /// rest of the system could see it, so the verdict is the golden one.
+    /// Resumes the MPU settled alone, with the golden verdict: the error
+    /// reconverged before the rest of the system could see it, or was
+    /// still private to the MPU when the golden run halted.
     pub module_resolved: u64,
+    /// Cycles the faulty MPU was stepped alone, over every resume.
+    pub mpu_steps: u64,
+    /// Idle cycles the MPU-only stepping jumped over instead of stepping.
+    pub idle_skipped: u64,
     /// Resumes positioned by a single snapshot restore.
     pub checkpoint_cache_hits: u64,
     /// Resumes that paid restore-and-replay (and then seeded the cache).
@@ -74,6 +81,8 @@ impl ResumeStats {
     pub fn add(&mut self, other: &ResumeStats) {
         self.rtl_resumes += other.rtl_resumes;
         self.module_resolved += other.module_resolved;
+        self.mpu_steps += other.mpu_steps;
+        self.idle_skipped += other.idle_skipped;
         self.checkpoint_cache_hits += other.checkpoint_cache_hits;
         self.checkpoint_cache_misses += other.checkpoint_cache_misses;
         self.checkpoint_cache_evictions += other.checkpoint_cache_evictions;
@@ -135,10 +144,14 @@ impl RtlResume {
     /// alone from the start of cycle `te + 1` until the rest of the system
     /// can see its error
     /// ([`xlmc_soc::GoldenRun::step_faulty_mpu`]). An error that
-    /// reconverges first takes the golden verdict; otherwise the work
-    /// system is positioned at the stop cycle `c` (snapshot restore on a
-    /// cache hit, restore-and-replay on a miss), takes the faulty MPU, and
-    /// runs to completion. The end of the golden run counts as such a `c`.
+    /// reconverges first takes the golden verdict, and so does one still
+    /// private to the MPU at the end of a golden run that halted: the rest
+    /// of the system then ran and halted exactly as in the golden run, and
+    /// the goal predicate reads memory and the core, never the MPU.
+    /// Otherwise the work system is positioned at the stop cycle `c`
+    /// (snapshot restore on a cache hit, restore-and-replay on a miss),
+    /// takes the faulty MPU, and runs to completion. The end of a golden
+    /// run that hit the cycle cap counts as such a `c`.
     pub(crate) fn resume(&mut self, eval: &Evaluation, te: u64, faulty_bits: &[MpuBit]) -> bool {
         self.stats.rtl_resumes += 1;
         let golden = &eval.golden;
@@ -151,13 +164,16 @@ impl RtlResume {
         for &b in faulty_bits {
             mpu.toggle_bit(b);
         }
-        let c = match golden.step_faulty_mpu(&mut mpu, start, golden.cycles, |_| {}) {
-            MpuStop::Reconverged(_) if golden.final_soc.halted() => {
-                self.stats.module_resolved += 1;
-                return eval.workload.goal.succeeded(&golden.final_soc);
-            }
+        let (stop, skipped) = golden.step_faulty_mpu(&mut mpu, start, golden.cycles, |_, _| {});
+        let c = match stop {
             MpuStop::Reconverged(c) | MpuStop::Visible(c) | MpuStop::End(c) => c,
         };
+        self.stats.mpu_steps += c - start - skipped;
+        self.stats.idle_skipped += skipped;
+        if !matches!(stop, MpuStop::Visible(_)) && golden.final_soc.halted() {
+            self.stats.module_resolved += 1;
+            return eval.workload.goal.succeeded(&golden.final_soc);
+        }
         let checkpoint = golden.nearest_checkpoint(c);
         let work = self.work.get_or_insert_with(|| checkpoint.clone());
 
@@ -456,6 +472,8 @@ mod tests {
         let worker = ResumeStats {
             rtl_resumes: 10,
             module_resolved: 2,
+            mpu_steps: 30,
+            idle_skipped: 12,
             checkpoint_cache_hits: 6,
             checkpoint_cache_misses: 2,
             checkpoint_cache_evictions: 1,
@@ -464,6 +482,7 @@ mod tests {
         total.add(&worker);
         assert_eq!(total.rtl_resumes, 20);
         assert_eq!(total.module_resolved, 4);
+        assert_eq!((total.mpu_steps, total.idle_skipped), (60, 24));
         assert_eq!(total.checkpoint_cache_evictions, 2);
         assert!((total.checkpoint_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(ResumeStats::default().checkpoint_hit_rate(), 0.0);
@@ -474,7 +493,8 @@ mod tests {
     /// read returns the flipped word, which the program stores as the
     /// "leaked secret". The resume escalates at the read and concludes
     /// what the run-to-halt reference does; flipped after the read, the
-    /// error stays in the MPU to the end of the run.
+    /// error stays in the MPU to the end of the run and takes the golden
+    /// verdict.
     #[test]
     fn a_configuration_read_escalates_and_matches_the_reference() {
         use xlmc_soc::workloads::{LEAK_ADDR, SECRET_VALUE};
@@ -523,8 +543,17 @@ mod tests {
         assert_eq!(ff.snapshots.keys().copied().collect::<Vec<_>>(), [read]);
         assert!(!ff.resume(&eval, read, &flip));
         assert!(!reference_verdict(&eval, read, &flip));
-        assert!(ff.snapshots.contains_key(&eval.golden.cycles));
-        assert_eq!(ff.stats().module_resolved, 0);
+        // Still private when the golden run halts: settled by the MPU
+        // alone, with no snapshot of the end of the run.
+        assert_eq!(ff.snapshots.len(), 1);
+        let stats = ff.stats();
+        assert_eq!(stats.module_resolved, 1);
+        assert_eq!(
+            stats.mpu_steps + stats.idle_skipped,
+            2 + (eval.golden.cycles - read - 1),
+            "{stats:?}"
+        );
+        assert!(stats.idle_skipped > 0, "{stats:?}");
     }
 
     /// Pipeline-bit flips that reconverge before the rest of the system

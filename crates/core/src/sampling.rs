@@ -17,6 +17,7 @@
 
 use crate::model::SystemModel;
 use crate::precharacterize::Precharacterization;
+use crate::rng::SplitMix64;
 use rand::Rng;
 use xlmc_fault::sample::PHASE_BINS;
 use xlmc_fault::{AttackDistribution, AttackSample, RadiusDist, SpatialDist, TemporalDist};
@@ -137,10 +138,11 @@ pub trait SamplingStrategy: Send + Sync {
     fn draw(&self, rng: &mut dyn rand::RngCore) -> AttackSample;
     /// The importance weight `f(s) / g(s)` of a drawn sample.
     fn weight(&self, sample: &AttackSample) -> f64;
-    /// Draw one sample together with its weight: the campaign hot path.
+    /// Draw one sample together with its weight: the campaign hot path,
+    /// on the per-run [`SplitMix64`] stream every campaign draws from.
     /// Bit-identical to `draw` followed by `weight`, and leaves `rng` at the
     /// same position; strategies override it to reuse what the draw found.
-    fn draw_weighted(&self, rng: &mut dyn rand::RngCore) -> (AttackSample, f64) {
+    fn draw_weighted(&self, rng: &mut SplitMix64) -> (AttackSample, f64) {
         let sample = self.draw(rng);
         let w = self.weight(&sample);
         (sample, w)
@@ -175,9 +177,14 @@ impl SamplingStrategy for RandomSampling {
     fn weight(&self, _sample: &AttackSample) -> f64 {
         1.0
     }
+
+    fn draw_weighted(&self, rng: &mut SplitMix64) -> (AttackSample, f64) {
+        (self.f.sample(rng), 1.0)
+    }
 }
 
-/// One timing distance of a cone-restricted strategy.
+/// One timing distance of a cone-restricted strategy, as its builder
+/// hands it to [`FramedStrategy::new`].
 #[derive(Debug, Clone)]
 struct Frame {
     t: i64,
@@ -212,19 +219,90 @@ impl Frame {
             total: acc,
         }
     }
+}
 
-    fn cell_weight(&self, g: GateId) -> Option<f64> {
-        self.cells.binary_search(&g).ok().map(|i| self.weights[i])
+/// A guide table over a non-decreasing cumulative table `cum`: the draw's
+/// `partition_point(|&c| c <= x)` without a binary search.
+///
+/// `x` falls in bucket `⌊x · scale⌋` (clamped to the last), and `start[b]`
+/// counts the entries of `cum` whose own bucket is below `b`. Every such
+/// entry is below any `x` of bucket `b`, because the bucket map is
+/// non-decreasing in `x`; so `start[b]` never passes the answer, and a
+/// forward scan from it while `cum[i] <= x` stops exactly at the answer,
+/// after at most the entries of bucket `b`. The scan compares the same
+/// `f64` values the binary search did, so the index is the same for every
+/// `x`, rounding included. With two buckets per entry, most buckets hold
+/// at most one entry: the first step of the scan is a branch-free
+/// increment, and the loop after it rarely runs.
+#[derive(Debug, Clone)]
+struct Guide {
+    scale: f64,
+    start: Vec<u16>,
+}
+
+impl Guide {
+    /// Buckets per entry of the table.
+    const BUCKETS_PER_ENTRY: usize = 2;
+
+    /// The guide of `cum`, whose last entry is its total.
+    fn new(cum: &[f64]) -> Self {
+        assert!(
+            cum.windows(2).all(|w| w[0] <= w[1]),
+            "cumulative weights must be non-decreasing"
+        );
+        let total = cum.last().copied().unwrap_or(0.0);
+        let buckets = (cum.len() * Self::BUCKETS_PER_ENTRY).max(1);
+        let mut guide = Self {
+            scale: buckets as f64 / total,
+            start: vec![0; buckets],
+        };
+        // The bucket map is non-decreasing along `cum`: one merge pass.
+        let mut below = 0;
+        for b in 0..buckets {
+            while below < cum.len() && guide.bucket(cum[below]) < b {
+                below += 1;
+            }
+            guide.start[b] = u16::try_from(below).expect("at most 65,535 entries per table");
+        }
+        guide
     }
 
-    /// Draw a cell; returns its index into `cells`.
-    fn draw_cell(&self, mut rng: &mut dyn rand::RngCore) -> usize {
-        // Reborrow: `Rng`'s generic methods need a `Sized` receiver.
-        let x = (&mut rng).gen_range(0.0..self.total);
-        self.cum
-            .partition_point(|&c| c <= x)
-            .min(self.cells.len() - 1)
+    #[inline]
+    fn bucket(&self, x: f64) -> usize {
+        ((x * self.scale) as usize).min(self.start.len() - 1)
     }
+
+    /// `cum.partition_point(|&c| c <= x).min(cum.len() - 1)`, for the
+    /// `cum` the guide was built over.
+    #[inline]
+    fn find(&self, cum: &[f64], x: f64) -> usize {
+        // A `start` past the last entry (all weights zero) answers the
+        // last entry, like the binary search.
+        let mut i = usize::from(self.start[self.bucket(x)]).min(cum.len() - 1);
+        i += usize::from(cum[i] <= x);
+        while i < cum.len() && cum[i] <= x {
+            i += 1;
+        }
+        i.min(cum.len() - 1)
+    }
+}
+
+/// The cells of a frame with everything the draw and the weight read of
+/// them. Frames whose tables are bit-equal share one: the deep frames of
+/// the sample space hold the same cells, and their weights repeat once
+/// every lifetime threshold is passed.
+#[derive(Debug, Clone)]
+struct Table {
+    /// Sorted candidate cells.
+    cells: Vec<GateId>,
+    /// `w / grand_total` per cell, in place of the raw weight `w`: the
+    /// first operation of `g(s)`, done once.
+    mass: Vec<f64>,
+    /// Cumulative raw weights.
+    cum: Vec<f64>,
+    /// The last entry of `cum`: the frame's total weight.
+    total: f64,
+    guide: Guide,
 }
 
 /// Shared machinery of the cone-restricted strategies.
@@ -235,17 +313,22 @@ struct FramedStrategy {
     /// `f`'s center mass, and [`SpatialDist::pmf`] is a linear scan over
     /// the sub-block — a binary search here keeps `weight` O(log n).
     f_support: Vec<GateId>,
-    /// Ascending by `t` (asserted in [`FramedStrategy::new`]).
-    frames: Vec<Frame>,
-    /// Per frame, `f_T(t) · f_P(center)` when every cell of the frame lies
-    /// in `f`'s support (the center mass is then the same for all of
-    /// them); `None` sends the frame's draws to [`FramedStrategy::weight`].
-    frame_f_mass: Vec<Option<f64>>,
+    /// `(t, index into tables)` per frame, ascending by `t` (asserted in
+    /// [`FramedStrategy::new`]).
+    frames: Vec<(i64, usize)>,
+    tables: Vec<Table>,
     frame_cum: Vec<f64>,
+    frame_guide: Guide,
     grand_total: f64,
     radius: RadiusDist,
-    /// `(f_R(r), g_R(r))` per radius option, indexed like `radius.options()`.
-    radius_mass: Vec<(f64, f64)>,
+    /// `g_R(r)` per radius option, indexed like `radius.options()`.
+    g_radius: Vec<f64>,
+    /// Per (frame, radius option), at `frame * options + option`, the
+    /// weight's numerator `f(s) = f_T(t) · f_P(center) · f_R(r) /
+    /// PHASE_BINS` when every cell of the frame lies in `f`'s support (the
+    /// center mass is then the same for all of them); `None` sends the
+    /// frame's draws to [`FramedStrategy::weight`].
+    f_mass: Vec<Option<f64>>,
 }
 
 impl FramedStrategy {
@@ -264,34 +347,64 @@ impl FramedStrategy {
             frames.windows(2).all(|w| w[0].t < w[1].t),
             "frames must be ascending by t"
         );
+        let grand_total = acc;
         let f_support = spatial_support(&f);
         let center_mass = match &f.spatial {
             SpatialDist::UniformOverCells(cells) => 1.0 / cells.len() as f64,
             SpatialDist::Delta(_) => 1.0,
         };
-        let frame_f_mass = frames
+        let bins = f64::from(PHASE_BINS);
+        let f_radius: Vec<f64> = radius.options().iter().map(|&r| f.radius.pmf(r)).collect();
+        let f_mass = frames
             .iter()
-            .map(|fr| {
-                fr.cells
-                    .iter()
-                    .all(|g| f_support.binary_search(g).is_ok())
-                    .then(|| f.temporal.pmf(fr.t) * center_mass)
+            .flat_map(|fr| {
+                let on_support = fr.cells.iter().all(|g| f_support.binary_search(g).is_ok());
+                let mass = on_support.then(|| f.temporal.pmf(fr.t) * center_mass);
+                f_radius.iter().map(move |&fr| mass.map(|m| m * fr / bins))
             })
             .collect();
-        let radius_mass = radius
-            .options()
-            .iter()
-            .map(|&r| (f.radius.pmf(r), radius.pmf(r)))
+        let g_radius = radius.options().iter().map(|&r| radius.pmf(r)).collect();
+        let mut tables: Vec<Table> = Vec::new();
+        let frames = frames
+            .into_iter()
+            .map(|fr| {
+                let mut mass = fr.weights;
+                for w in &mut mass {
+                    *w /= grand_total;
+                }
+                let bit_eq = |a: &[f64], b: &[f64]| {
+                    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+                };
+                let same = |t: &Table| {
+                    t.total.to_bits() == fr.total.to_bits()
+                        && t.cells == fr.cells
+                        && bit_eq(&t.cum, &fr.cum)
+                        && bit_eq(&t.mass, &mass)
+                };
+                let table = tables.iter().position(same).unwrap_or_else(|| {
+                    tables.push(Table {
+                        guide: Guide::new(&fr.cum),
+                        cells: fr.cells,
+                        mass,
+                        cum: fr.cum,
+                        total: fr.total,
+                    });
+                    tables.len() - 1
+                });
+                (fr.t, table)
+            })
             .collect();
         Self {
+            frame_guide: Guide::new(&frame_cum),
             f,
             f_support,
             frames,
-            frame_f_mass,
+            tables,
             frame_cum,
-            grand_total: acc,
+            grand_total,
             radius,
-            radius_mass,
+            g_radius,
+            f_mass,
         }
     }
 
@@ -314,44 +427,44 @@ impl FramedStrategy {
 
     /// `g(s)` of the strategy.
     fn pmf(&self, s: &AttackSample) -> f64 {
-        let Ok(idx) = self.frames.binary_search_by_key(&s.t, |fr| fr.t) else {
+        let Ok(idx) = self.frames.binary_search_by_key(&s.t, |&(t, _)| t) else {
             return 0.0;
         };
-        let frame = &self.frames[idx];
-        let Some(w) = frame.cell_weight(s.center) else {
+        let table = &self.tables[self.frames[idx].1];
+        let Ok(ci) = table.cells.binary_search(&s.center) else {
             return 0.0;
         };
         if s.phase >= PHASE_BINS {
             return 0.0;
         }
-        w / self.grand_total * self.radius.pmf(s.radius) / f64::from(PHASE_BINS)
+        table.mass[ci] * self.radius.pmf(s.radius) / f64::from(PHASE_BINS)
     }
 
     /// The draw shared by `draw` and `draw_weighted`: the sample plus the
     /// frame, cell and radius indices it was drawn at.
-    fn draw_indexed(&self, mut rng: &mut dyn rand::RngCore) -> (AttackSample, [usize; 3]) {
-        let x = (&mut rng).gen_range(0.0..self.grand_total);
-        let fi = self
-            .frame_cum
-            .partition_point(|&c| c <= x)
-            .min(self.frames.len() - 1);
-        let frame = &self.frames[fi];
-        let ci = frame.draw_cell(rng);
-        let ri = self.radius.sample_index(&mut rng);
+    #[inline]
+    fn draw_indexed<R: Rng>(&self, rng: &mut R) -> (AttackSample, [usize; 3]) {
+        let x = rng.gen_range(0.0..self.grand_total);
+        let fi = self.frame_guide.find(&self.frame_cum, x);
+        let (t, table) = self.frames[fi];
+        let table = &self.tables[table];
+        let x = rng.gen_range(0.0..table.total);
+        let ci = table.guide.find(&table.cum, x);
+        let ri = self.radius.sample_index(rng);
         let sample = AttackSample {
-            t: frame.t,
-            center: frame.cells[ci],
+            t,
+            center: table.cells[ci],
             radius: self.radius.options()[ri],
-            phase: (&mut rng).gen_range(0..PHASE_BINS),
+            phase: rng.gen_range(0..PHASE_BINS),
         };
         (sample, [fi, ci, ri])
     }
 
-    fn draw(&self, rng: &mut dyn rand::RngCore) -> AttackSample {
-        self.draw_indexed(rng).0
+    fn draw(&self, mut rng: &mut dyn rand::RngCore) -> AttackSample {
+        self.draw_indexed(&mut rng).0
     }
 
-    fn draw_weighted(&self, rng: &mut dyn rand::RngCore) -> (AttackSample, f64) {
+    fn draw_weighted(&self, rng: &mut SplitMix64) -> (AttackSample, f64) {
         let (s, idx) = self.draw_indexed(rng);
         let w = self.weight_at(&s, idx);
         (s, w)
@@ -361,18 +474,18 @@ impl FramedStrategy {
     /// radius indices `idx`: the same `f64` operations on the same operands
     /// in the same order as [`FramedStrategy::f_pmf`] and
     /// [`FramedStrategy::pmf`], without the four binary searches that
-    /// re-find them.
+    /// re-find them, and with the leading operations of both done once per
+    /// cell (`mass`) and per frame and radius (`f_mass`).
+    #[inline]
     fn weight_at(&self, s: &AttackSample, [fi, ci, ri]: [usize; 3]) -> f64 {
-        let Some(f_mass) = self.frame_f_mass[fi] else {
+        let Some(f) = self.f_mass[fi * self.g_radius.len() + ri] else {
             return self.weight(s);
         };
-        let (f_radius, g_radius) = self.radius_mass[ri];
-        let bins = f64::from(PHASE_BINS);
-        let g = self.frames[fi].weights[ci] / self.grand_total * g_radius / bins;
+        let g = self.tables[self.frames[fi].1].mass[ci] * self.g_radius[ri] / f64::from(PHASE_BINS);
         if g < f64::MIN_POSITIVE {
             return 0.0;
         }
-        f_mass * f_radius / bins / g
+        f / g
     }
 
     fn weight(&self, s: &AttackSample) -> f64 {
@@ -392,7 +505,7 @@ impl FramedStrategy {
     fn t_marginal(&self) -> Vec<(i64, f64)> {
         self.frames
             .iter()
-            .map(|fr| (fr.t, fr.total / self.grand_total))
+            .map(|&(t, table)| (t, self.tables[table].total / self.grand_total))
             .collect()
     }
 }
@@ -452,7 +565,7 @@ impl SamplingStrategy for ConeSampling {
         self.inner.weight(sample)
     }
 
-    fn draw_weighted(&self, rng: &mut dyn rand::RngCore) -> (AttackSample, f64) {
+    fn draw_weighted(&self, rng: &mut SplitMix64) -> (AttackSample, f64) {
         self.inner.draw_weighted(rng)
     }
 }
@@ -611,7 +724,7 @@ impl SamplingStrategy for ImportanceSampling {
         self.inner.weight(sample)
     }
 
-    fn draw_weighted(&self, rng: &mut dyn rand::RngCore) -> (AttackSample, f64) {
+    fn draw_weighted(&self, rng: &mut SplitMix64) -> (AttackSample, f64) {
         self.inner.draw_weighted(rng)
     }
 }
@@ -721,17 +834,19 @@ mod tests {
                 radius_options.clone(),
             );
             let want = reference_frames(&f, &model, &prechar, cfg.alpha, cfg.beta, &radius_options);
-            let got = &is.inner.frames;
+            let got = &is.inner;
             assert_eq!(
-                got.len(),
+                got.frames.len(),
                 want.len(),
                 "t_max {t_max}, radii {radius_options:?}"
             );
-            for (g, w) in got.iter().zip(&want) {
+            for (&(t, table), w) in got.frames.iter().zip(&want) {
                 let what = format!("t {} at t_max {t_max}, radii {radius_options:?}", w.t);
-                assert_eq!(g.t, w.t, "{what}");
+                let g = &got.tables[table];
+                let mass: Vec<f64> = w.weights.iter().map(|x| x / got.grand_total).collect();
+                assert_eq!(t, w.t, "{what}");
                 assert_eq!(g.cells, w.cells, "{what}");
-                assert_eq!(bits(&g.weights), bits(&w.weights), "{what}");
+                assert_eq!(bits(&g.mass), bits(&mass), "{what}");
                 assert_eq!(bits(&g.cum), bits(&w.cum), "{what}");
                 assert_eq!(g.total.to_bits(), w.total.to_bits(), "{what}");
             }
@@ -902,10 +1017,7 @@ mod tests {
         assert_eq!(strat.weight(&s), 0.0, "denormal g must skip, not blow up");
         // The draw-index path has the same guard. A cell of denormal mass
         // is never drawn, so hand it the cell's indices directly.
-        assert!(
-            strat.frame_f_mass[0].is_some(),
-            "fixture frame is on f's support"
-        );
+        assert!(strat.f_mass[0].is_some(), "fixture frame is on f's support");
         assert_eq!(strat.weight_at(&s, [0, 0, 0]), 0.0, "draw-index guard");
     }
 
@@ -942,8 +1054,8 @@ mod tests {
         #[test]
         fn draw_weighted_is_draw_then_weight(seed in proptest::prelude::any::<u64>()) {
             for strat in weighted_fixture() {
-                let mut a = StdRng::seed_from_u64(seed);
-                let mut b = StdRng::seed_from_u64(seed);
+                let mut a = SplitMix64::seed_from_u64(seed);
+                let mut b = SplitMix64::seed_from_u64(seed);
                 for _ in 0..32 {
                     let want = strat.draw(&mut a);
                     let w = strat.weight(&want);
@@ -952,6 +1064,136 @@ mod tests {
                     proptest::prop_assert_eq!(gw.to_bits(), w.to_bits(), "{}", strat.name());
                 }
                 proptest::prop_assert_eq!(a.next_u64(), b.next_u64(), "{} rng", strat.name());
+            }
+        }
+    }
+
+    /// The cumulative table of `weights`, as [`Frame::from_weights`] sums it.
+    fn cumulative(weights: &[f64]) -> Vec<f64> {
+        Frame::from_weights(1, vec![GateId(0); weights.len()], weights.to_vec()).cum
+    }
+
+    proptest::proptest! {
+        /// The guide table's index is the binary search's at every entry
+        /// of the table, at the neighbouring `f64` on either side of it,
+        /// at both ends and past them, and at random points: for tables
+        /// with repeated entries (zero weights, down to an all-zero table),
+        /// denormal and huge weight spreads, and a single entry.
+        #[test]
+        fn guide_tables_find_the_partition_point_at_every_boundary(
+            picks in proptest::collection::vec((0u8..6, 0u32..1 << 24), 1..300),
+            points in proptest::collection::vec(0u32..1 << 24, 16..17),
+        ) {
+            let unit = |u: u32| f64::from(u) / f64::from(1u32 << 24);
+            let weights: Vec<f64> = picks
+                .iter()
+                .map(|&(kind, u)| (kind, unit(u)))
+                .map(|(kind, u)| match kind {
+                    0 => 0.0,
+                    1 => f64::MIN_POSITIVE * 1e-6 * (1.0 + u),
+                    2 => 1.0,
+                    3 => 1e12 * u,
+                    _ => 1.0 + 40.0 * u,
+                })
+                .collect();
+            let cum = cumulative(&weights);
+            let total = *cum.last().unwrap();
+            let guide = Guide::new(&cum);
+            let want = |x: f64| cum.partition_point(|&c| c <= x).min(cum.len() - 1);
+            let mut xs = vec![0.0, total, total.next_up(), 2.0 * total, f64::MAX];
+            for &c in &cum {
+                xs.extend([c.next_down(), c, c.next_up()]);
+            }
+            xs.extend(points.iter().map(|&u| unit(u) * total));
+            for x in xs.into_iter().filter(|&x| x >= 0.0) {
+                proptest::prop_assert_eq!(guide.find(&cum, x), want(x), "x = {:e}", x);
+            }
+        }
+    }
+
+    #[test]
+    fn guide_tables_of_zero_weights_answer_the_last_entry() {
+        for n in [1, 2, 7] {
+            let cum = cumulative(&vec![0.0; n]);
+            let guide = Guide::new(&cum);
+            for x in [0.0, f64::MIN_POSITIVE, 1.0, f64::MAX] {
+                assert_eq!(guide.find(&cum, x), n - 1, "{n} entries, x {x:e}");
+            }
+        }
+    }
+
+    /// The draw and weight of the binary-search strategy the guide tables
+    /// and per-cell masses replaced, from the raw frames: frame and cell by
+    /// `partition_point` over the cumulative weights, `g` from the raw
+    /// weight. Kept as the oracle of [`FramedStrategy`].
+    fn reference_draw_weighted(
+        frames: &[Frame],
+        strat: &FramedStrategy,
+        rng: &mut dyn RngCore,
+    ) -> (AttackSample, f64) {
+        let mut rng = rng;
+        let frame_cum = cumulative(&frames.iter().map(|fr| fr.total).collect::<Vec<_>>());
+        let grand_total = *frame_cum.last().unwrap();
+        let x = (&mut rng).gen_range(0.0..grand_total);
+        let fi = frame_cum.partition_point(|&c| c <= x).min(frames.len() - 1);
+        let frame = &frames[fi];
+        let x = (&mut rng).gen_range(0.0..frame.total);
+        let ci = frame
+            .cum
+            .partition_point(|&c| c <= x)
+            .min(frame.cells.len() - 1);
+        let ri = strat.radius.sample_index(&mut rng);
+        let s = AttackSample {
+            t: frame.t,
+            center: frame.cells[ci],
+            radius: strat.radius.options()[ri],
+            phase: (&mut rng).gen_range(0..PHASE_BINS),
+        };
+        let bins = f64::from(PHASE_BINS);
+        let g = frame.weights[ci] / grand_total * strat.radius.pmf(s.radius) / bins;
+        let w = if g < f64::MIN_POSITIVE {
+            0.0
+        } else {
+            strat.f_pmf(&s) / g
+        };
+        (s, w)
+    }
+
+    #[test]
+    fn draws_and_weights_equal_the_binary_search_reference() {
+        let model = SystemModel::with_defaults().unwrap();
+        for (t_max, radius_options) in [
+            (6, vec![0.0, 1.0]),
+            (50, vec![0.0, 1.0]),
+            (8, vec![2.0, 0.0, 1.0]),
+        ] {
+            let cfg = ExperimentConfig {
+                t_max,
+                radius_options: radius_options.clone(),
+                ..Default::default()
+            };
+            let prechar = Precharacterization::run(&model, cfg.t_max, cfg.max_radius());
+            let f = baseline_distribution(&model, &cfg);
+            let frames =
+                reference_frames(&f, &model, &prechar, cfg.alpha, cfg.beta, &radius_options);
+            let strat = FramedStrategy::new(
+                f.clone(),
+                frames.clone(),
+                RadiusDist::uniform(radius_options.clone()),
+            );
+            for seed in 0..2_000u64 {
+                let mut a = SplitMix64::for_run(seed, t_max as u64);
+                let mut b = a.clone();
+                let mut c = a.clone();
+                let (want, want_w) = reference_draw_weighted(&frames, &strat, &mut a);
+                let (got, got_w) = strat.draw_weighted(&mut b);
+                let what = format!("seed {seed}, t_max {t_max}");
+                assert_eq!(got, want, "{what}");
+                assert_eq!(got_w.to_bits(), want_w.to_bits(), "{what}");
+                assert_eq!(strat.draw(&mut c), want, "{what}");
+                assert_eq!(strat.weight(&want).to_bits(), want_w.to_bits(), "{what}");
+                let next = [a.next_u64(), b.next_u64(), c.next_u64()];
+                assert!(next.iter().all(|&n| n == next[0]), "{what}: rng positions");
             }
         }
     }
@@ -981,12 +1223,16 @@ mod tests {
             ],
             radius,
         );
-        assert!(strat.frame_f_mass[0].is_some());
-        assert!(strat.frame_f_mass[1].is_none(), "off-support frame");
+        let radii = cfg.radius_options.len();
+        assert!(strat.f_mass[..radii].iter().all(Option::is_some));
+        assert!(
+            strat.f_mass[radii..].iter().all(Option::is_none),
+            "off-support frame"
+        );
         let mut seen = [false; 2];
         for seed in 0..400u64 {
-            let mut a = StdRng::seed_from_u64(seed);
-            let mut b = StdRng::seed_from_u64(seed);
+            let mut a = SplitMix64::seed_from_u64(seed);
+            let mut b = SplitMix64::seed_from_u64(seed);
             let want = strat.draw(&mut a);
             let (got, w) = strat.draw_weighted(&mut b);
             assert_eq!(got, want, "seed {seed}");

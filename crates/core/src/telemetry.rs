@@ -207,8 +207,12 @@ impl CampaignObserver for StderrProgress {
 /// counters; `v9` added `module_resolved` to `fast_forward`, the resumes
 /// the faulty MPU settled alone; `v10` renamed `fast_forward` to `resume`
 /// and added the scheduler's `strike_memo_hits`, the runs the compiled
-/// kernel's per-worker strike memos concluded without a lane.
-pub const METRICS_FORMAT: &str = "xlmc-metrics-v10";
+/// kernel's per-worker strike memos concluded without a lane; `v11` added
+/// `mpu_steps` and `idle_skipped` to `resume`, the cycles the faulty MPU
+/// was stepped alone and the idle cycles it jumped, and `module_resolved`
+/// now also counts errors still private to the MPU when the golden run
+/// halts.
+pub const METRICS_FORMAT: &str = "xlmc-metrics-v11";
 
 /// Shape of the compiled gate program driving the campaign (all zeros
 /// when the model netlist could not be levelized — never the case for the
@@ -391,10 +395,13 @@ pub fn metrics_json(result: &CampaignResult, meta: &MetricsMeta) -> String {
     let _ = writeln!(
         s,
         "  \"resume\": {{\"rtl_resumes\": {}, \"module_resolved\": {}, \
+         \"mpu_steps\": {}, \"idle_skipped\": {}, \
          \"checkpoint_cache_hits\": {}, \"checkpoint_cache_misses\": {}, \
          \"checkpoint_cache_evictions\": {}}},",
         ff.rtl_resumes,
         ff.module_resolved,
+        ff.mpu_steps,
+        ff.idle_skipped,
         ff.checkpoint_cache_hits,
         ff.checkpoint_cache_misses,
         ff.checkpoint_cache_evictions,
@@ -513,6 +520,8 @@ mod tests {
             resume_stats: ResumeStats {
                 rtl_resumes: 27,
                 module_resolved: 3,
+                mpu_steps: 41,
+                idle_skipped: 17,
                 checkpoint_cache_hits: 20,
                 checkpoint_cache_misses: 4,
                 checkpoint_cache_evictions: 1,
@@ -599,6 +608,8 @@ mod tests {
             [
                 ("rtl_resumes", Some(27)),
                 ("module_resolved", Some(3)),
+                ("mpu_steps", Some(41)),
+                ("idle_skipped", Some(17)),
                 ("checkpoint_cache_hits", Some(20)),
                 ("checkpoint_cache_misses", Some(4)),
                 ("checkpoint_cache_evictions", Some(1)),

@@ -15,7 +15,8 @@
 //!
 //! With the MPU states and stimulus, [`GoldenRun::step_faulty_mpu`] runs a
 //! faulty MPU on its own for as long as the rest of the system cannot see
-//! its error: the module-first half of every fault evaluation.
+//! its error: the module-first half of every fault evaluation. It jumps
+//! over the golden run's *idle* cycles, where the MPU does nothing.
 
 use crate::mpu::{AccessReq, CfgWrite, MpuState};
 use crate::soc::{AccessRecord, Soc};
@@ -72,6 +73,13 @@ pub struct GoldenRun {
     pub final_soc: Soc,
     /// Number of cycles executed (halt or the cap).
     pub cycles: u64,
+    /// Bit `c` is set when cycle `c` is idle: `c ≥ 1`, cycle `c - 1`
+    /// issued no request and raised no combinational violation, and cycle
+    /// `c` issues no request, commits no configuration write and reads no
+    /// configuration word. The golden MPU then starts `c` with an empty
+    /// pipeline and a clear `violation`, and stepping it through `c`
+    /// changes nothing.
+    idle: Vec<u64>,
 }
 
 impl GoldenRun {
@@ -94,6 +102,7 @@ impl GoldenRun {
             trap_cycles: Vec::new(),
             final_soc: soc.clone(),
             cycles: 0,
+            idle: Vec::new(),
         };
         while !soc.halted() && soc.cycle < max_cycles {
             if soc.cycle.is_multiple_of(interval) {
@@ -120,7 +129,45 @@ impl GoldenRun {
         }
         run.cycles = soc.cycle;
         run.final_soc = soc;
+        run.idle = vec![0; run.stimulus.len().div_ceil(64)];
+        for (c, pair) in run.stimulus.windows(2).enumerate() {
+            let (prev, now) = (&pair[0], &pair[1]);
+            if prev.request.is_none()
+                && !prev.viol_comb
+                && now.request.is_none()
+                && now.cfg_write.is_none()
+                && !now.cfg_read
+            {
+                run.idle[(c + 1) / 64] |= 1 << ((c + 1) % 64);
+            }
+        }
         run
+    }
+
+    /// Whether cycle `c` is idle (see `idle`).
+    #[cfg(test)]
+    fn is_idle(&self, c: u64) -> bool {
+        self.idle
+            .get((c / 64) as usize)
+            .is_some_and(|w| w >> (c % 64) & 1 == 1)
+    }
+
+    /// The number of consecutive idle cycles from `c` on, up to `end`.
+    #[inline]
+    fn idle_run(&self, c: u64, end: u64) -> u64 {
+        let mut at = c;
+        while at < end {
+            let Some(word) = self.idle.get((at / 64) as usize) else {
+                break;
+            };
+            let shift = at % 64;
+            let ones = u64::from((word >> shift).trailing_ones());
+            at += ones;
+            if ones < 64 - shift {
+                break;
+            }
+        }
+        at.min(end) - c
     }
 
     /// The latest checkpoint at or before `cycle`, for fault-run restart.
@@ -148,7 +195,9 @@ impl GoldenRun {
 
     /// Step a faulty MPU alone on the recorded stimulus, from the start of
     /// `cycle` up to the start of `end` (at most [`GoldenRun::cycles`]),
-    /// calling `on_step` with each state reached.
+    /// calling `on_step(state, n)` with each state reached and the number
+    /// `n` of cycles it stands for. Returns where stepping stopped and how
+    /// many of the cycles before it were idle cycles skipped.
     ///
     /// The rest of the system reads the MPU in exactly two places of a
     /// cycle: the registered `violation`, which gates the resolving access
@@ -159,30 +208,49 @@ impl GoldenRun {
     /// stepping it alone is exact. Stepping stops at the first cycle where
     /// that fails ([`MpuStop::Visible`]) or where the faulty state equals
     /// the golden one ([`MpuStop::Reconverged`]).
+    ///
+    /// Past the start cycle, a faulty state that enters an idle cycle (no
+    /// request in it or the cycle before, no violation raised the cycle
+    /// before, no configuration write or read) has the empty pipeline the
+    /// idle request of
+    /// the cycle before left in it, and, having passed the checks, the
+    /// golden clear `violation`: stepping it through the cycle changes
+    /// nothing, exactly as for the golden state. Both states therefore
+    /// stand still over a run of idle cycles, every check in it gives the
+    /// answer the first one gave, and the run is skipped in one call of
+    /// `on_step` with `n` the run's length.
     #[inline]
     pub fn step_faulty_mpu(
         &self,
         mpu: &mut MpuState,
         cycle: u64,
         end: u64,
-        mut on_step: impl FnMut(&MpuState),
-    ) -> MpuStop {
+        mut on_step: impl FnMut(&MpuState, u64),
+    ) -> (MpuStop, u64) {
         debug_assert!(end <= self.cycles, "stepping past the golden run");
         let mut c = cycle;
+        let mut skipped = 0;
         while c < end {
             let golden = &self.mpu_states[c as usize];
             if mpu == golden {
-                return MpuStop::Reconverged(c);
+                return (MpuStop::Reconverged(c), skipped);
             }
             let stim = &self.stimulus[c as usize];
             if mpu.violation != golden.violation || (stim.cfg_read && mpu.config != golden.config) {
-                return MpuStop::Visible(c);
+                return (MpuStop::Visible(c), skipped);
             }
-            mpu.step(stim.request, stim.cfg_write);
-            on_step(mpu);
-            c += 1;
+            let idle = if c > cycle { self.idle_run(c, end) } else { 0 };
+            if idle > 0 {
+                on_step(mpu, idle);
+                skipped += idle;
+                c += idle;
+            } else {
+                mpu.step(stim.request, stim.cfg_write);
+                on_step(mpu, 1);
+                c += 1;
+            }
         }
-        MpuStop::End(c)
+        (MpuStop::End(c), skipped)
     }
 }
 
@@ -334,7 +402,7 @@ mod tests {
         let mut mpu = run.mpu_states[from as usize];
         mpu.toggle_bit(bit);
         let mut steps = 0;
-        let stop = run.step_faulty_mpu(&mut mpu, from, run.cycles, |_| steps += 1);
+        let (stop, _) = run.step_faulty_mpu(&mut mpu, from, run.cycles, |_, n| steps += n);
         assert_eq!(stop, MpuStop::Visible(read));
         assert_eq!(steps, read - from);
 
@@ -356,7 +424,7 @@ mod tests {
         // the end of the run.
         let mut late = run.mpu_states[read as usize + 1];
         late.toggle_bit(bit);
-        let stop = run.step_faulty_mpu(&mut late, read + 1, run.cycles, |_| {});
+        let (stop, _) = run.step_faulty_mpu(&mut late, read + 1, run.cycles, |_, _| {});
         assert_eq!(stop, MpuStop::End(run.cycles));
         assert_eq!(late.config.regions[2].base, 0x51ec);
     }
@@ -379,16 +447,169 @@ mod tests {
         let c = run.cycles / 2;
         let mut mpu = run.mpu_states[c as usize];
         mpu.toggle_bit(MpuBit::Violation);
-        let stop = run.step_faulty_mpu(&mut mpu, c, run.cycles, |_| {});
+        let (stop, _) = run.step_faulty_mpu(&mut mpu, c, run.cycles, |_, _| {});
         assert_eq!(stop, MpuStop::Visible(c));
 
         let mut mpu = run.mpu_states[c as usize];
         mpu.toggle_bit(MpuBit::PipeAddr(4));
         let mut seen = Vec::new();
-        let stop = run.step_faulty_mpu(&mut mpu, c, run.cycles, |m| seen.push(*m));
+        let (stop, _) = run.step_faulty_mpu(&mut mpu, c, run.cycles, |m, n| seen.push((*m, n)));
         assert_eq!(stop, MpuStop::Reconverged(c + 1));
-        assert_eq!(seen, [run.mpu_states[c as usize + 1]]);
+        assert_eq!(seen, [(run.mpu_states[c as usize + 1], 1)]);
         assert_eq!(mpu, run.mpu_states[c as usize + 1]);
+    }
+
+    /// The per-cycle stepper [`GoldenRun::step_faulty_mpu`] replaced: the
+    /// same checks and steps with no idle skip, one `on_step` call per
+    /// cycle. Kept as the oracle of the skip.
+    fn step_per_cycle(
+        run: &GoldenRun,
+        mpu: &mut MpuState,
+        cycle: u64,
+        end: u64,
+        mut on_step: impl FnMut(&MpuState),
+    ) -> MpuStop {
+        let mut c = cycle;
+        while c < end {
+            let golden = &run.mpu_states[c as usize];
+            if mpu == golden {
+                return MpuStop::Reconverged(c);
+            }
+            let stim = &run.stimulus[c as usize];
+            if mpu.violation != golden.violation || (stim.cfg_read && mpu.config != golden.config) {
+                return MpuStop::Visible(c);
+            }
+            mpu.step(stim.request, stim.cfg_write);
+            on_step(mpu);
+            c += 1;
+        }
+        MpuStop::End(c)
+    }
+
+    /// Every start cycle of `run` × every single bit flip and every flip
+    /// of a bit with its neighbour in [`MpuBit::all`] order: the skipping
+    /// stepper stops where the per-cycle one does, in the same state,
+    /// having reported the same state for every cycle, and it skipped
+    /// every idle cycle after the start and before the stop. Returns the
+    /// number of cases and of skipped cycles.
+    fn assert_idle_skip_is_exact(run: &GoldenRun) -> (u64, u64) {
+        let bits = MpuBit::all();
+        let (mut cases, mut skipped_total) = (0, 0);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for cycle in 0..run.cycles {
+            for (i, &bit) in bits.iter().enumerate() {
+                for pair in [None, Some(bits[(i + 1) % bits.len()])] {
+                    let mut flipped = run.mpu_states[cycle as usize];
+                    flipped.toggle_bit(bit);
+                    if let Some(b) = pair {
+                        flipped.toggle_bit(b);
+                    }
+                    let (mut a, mut b) = (flipped, flipped);
+                    want.clear();
+                    got.clear();
+                    let stop = step_per_cycle(run, &mut a, cycle, run.cycles, |m| want.push(*m));
+                    let (skip_stop, skipped) =
+                        run.step_faulty_mpu(&mut b, cycle, run.cycles, |m, n| {
+                            got.extend(std::iter::repeat_n(*m, n as usize));
+                        });
+                    let what = format!("{bit:?} + {pair:?} at cycle {cycle}");
+                    assert_eq!(skip_stop, stop, "{what}");
+                    assert_eq!(b, a, "{what}");
+                    assert_eq!(got, want, "{what}");
+                    let stop_at = match stop {
+                        MpuStop::Reconverged(c) | MpuStop::Visible(c) | MpuStop::End(c) => c,
+                    };
+                    let idle_passed = (cycle + 1..stop_at).filter(|&c| run.is_idle(c)).count();
+                    assert_eq!(skipped, idle_passed as u64, "{what}");
+                    cases += 1;
+                    skipped_total += skipped;
+                }
+            }
+        }
+        (cases, skipped_total)
+    }
+
+    /// The idle bitset is the rule its doc states, computed from the
+    /// recorded stimulus cycle by cycle, and the golden MPU stands still
+    /// over every idle cycle.
+    fn assert_idle_rule(run: &GoldenRun) {
+        assert!(!run.is_idle(0));
+        for c in 1..run.cycles as usize {
+            let (prev, now) = (&run.stimulus[c - 1], &run.stimulus[c]);
+            let idle = prev.request.is_none()
+                && !prev.viol_comb
+                && now.request.is_none()
+                && now.cfg_write.is_none()
+                && !now.cfg_read;
+            assert_eq!(run.is_idle(c as u64), idle, "cycle {c}");
+            if idle && c + 1 < run.cycles as usize {
+                assert_eq!(run.mpu_states[c], run.mpu_states[c + 1], "cycle {c}");
+            }
+        }
+        assert!(!run.is_idle(run.cycles));
+    }
+
+    fn workload_golden(w: &crate::workloads::Workload) -> GoldenRun {
+        GoldenRun::record(&w.program, 20_000, 32)
+    }
+
+    #[test]
+    fn golden_idle_skip_equals_per_cycle_stepping_on_every_goal() {
+        use crate::workloads;
+        for w in [
+            workloads::illegal_write(),
+            workloads::illegal_read(),
+            workloads::dma_exfiltration(),
+            workloads::trap_escalation(),
+            workloads::instruction_skip(),
+        ] {
+            let run = workload_golden(&w);
+            assert_idle_rule(&run);
+            let (cases, skipped) = assert_idle_skip_is_exact(&run);
+            assert!(skipped > 0, "{}: {cases} cases skipped nothing", w.name);
+        }
+    }
+
+    /// The synthetic pre-characterization run under the same oracle: twice
+    /// a goal's cycles, with errors that stay private for most of them, so
+    /// it runs in release builds only.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release build only: use --release")]
+    fn golden_idle_skip_equals_per_cycle_stepping_on_the_synthetic_run() {
+        let w = crate::workloads::synthetic_precharacterization();
+        let run = GoldenRun::record(&w.program, 20_000, 64);
+        assert_idle_rule(&run);
+        let (_, skipped) = assert_idle_skip_is_exact(&run);
+        assert!(skipped > 0);
+    }
+
+    /// The premise of settling end-of-run-private errors from the golden
+    /// verdict: no goal's success predicate reads the MPU, so flipping any
+    /// MPU bit of a goal's final golden system leaves its verdict as is.
+    #[test]
+    fn golden_goal_verdicts_ignore_the_final_mpu() {
+        use crate::workloads;
+        for w in [
+            workloads::illegal_write(),
+            workloads::illegal_read(),
+            workloads::dma_exfiltration(),
+            workloads::trap_escalation(),
+            workloads::instruction_skip(),
+        ] {
+            let run = workload_golden(&w);
+            assert!(run.final_soc.halted(), "{}", w.name);
+            let verdict = w.goal.succeeded(&run.final_soc);
+            for (i, &bit) in MpuBit::all().iter().enumerate() {
+                for pair in [None, MpuBit::all().get(i + 1).copied()] {
+                    let mut soc = run.final_soc.clone();
+                    soc.mpu.toggle_bit(bit);
+                    if let Some(b) = pair {
+                        soc.mpu.toggle_bit(b);
+                    }
+                    assert_eq!(w.goal.succeeded(&soc), verdict, "{}: {bit:?}", w.name);
+                }
+            }
+        }
     }
 
     #[test]

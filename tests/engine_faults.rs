@@ -8,9 +8,11 @@
 //! exist, and a metrics, trace, prom or events path under a regular file
 //! (both found before the first chunk runs). A rejected checkpoint is
 //! left as it was. A campaign killed through its observer at a random
-//! chunk boundary resumes from its checkpoint to the uninterrupted result.
+//! chunk boundary resumes from its checkpoint to the uninterrupted result,
+//! at any seed (a seed above 2^53 included). Every single-bit flip of a
+//! valid checkpoint resumes to the uninterrupted result or is refused.
 
-use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
+use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use xlmc::estimator::{
@@ -371,6 +373,144 @@ fn the_path_probe_keeps_existing_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A campaign seeded above 2^53, killed after two of its four chunks,
+/// resumes from its checkpoint to the uninterrupted result: the seed is
+/// read back exactly, not through an `f64`.
+#[test]
+fn a_checkpoint_seeded_above_two_to_the_53_resumes_exactly() {
+    let f = fixture();
+    let dir = scratch_dir("big-seed");
+    let path = dir.join("ck.json");
+    let seed = u64::MAX;
+    let reference = run_campaign_observed(
+        &runner(f),
+        &random(f),
+        RUNS,
+        seed,
+        &CampaignOptions::default(),
+        &mut NullObserver,
+    )
+    .unwrap();
+    let partial = run_campaign_observed(
+        &runner(f),
+        &random(f),
+        RUNS,
+        seed,
+        &opts(&path, 1),
+        &mut AbortAt(2 * CHUNK_RUNS),
+    )
+    .unwrap();
+    assert_eq!(partial.stop, StopReason::Aborted);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains(&format!("\"seed\": {seed},")), "{text}");
+    let mut resumed = run_campaign_observed(
+        &runner(f),
+        &random(f),
+        RUNS,
+        seed,
+        &opts(&path, 1),
+        &mut NullObserver,
+    )
+    .expect("the checkpoint resumes");
+    resumed.kernel_counters = reference.kernel_counters;
+    assert_eq!(resumed, reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Members whose values a checkpoint stores once, with nothing else in the
+/// file to check them against: a bit flip inside one of them can resume
+/// to a result that differs in that value.
+const UNCHECKED: &[&str] = &[
+    "m2_bits",
+    "w_sum_bits",
+    "w_sq_sum_bits",
+    "bit",
+    "w_bits",
+    "boundaries",
+    "successes",
+    "first_success",
+    "pulses_propagated",
+    "lane_batches",
+    "lanes_occupied",
+    "frame_groups",
+    "gates_visited",
+    "timed_lanes",
+    "resimulated_lanes",
+];
+
+/// The object member whose value holds byte `at` of a checkpoint: the key
+/// of the nearest `"key": ` before it.
+fn member_at(text: &[u8], at: usize) -> String {
+    let head = &text[..at];
+    let colon = (0..head.len().saturating_sub(2))
+        .rev()
+        .find(|&i| &head[i..i + 3] == b"\": ")
+        .unwrap_or(0);
+    let open = head[..colon]
+        .iter()
+        .rposition(|&b| b == b'"')
+        .map_or(0, |i| i + 1);
+    String::from_utf8_lossy(&head[open..colon]).into_owned()
+}
+
+/// Every single-bit flip of every byte of a valid checkpoint, resumed:
+/// the resume never panics, and either gives the uninterrupted result bit
+/// for bit or ends in a checkpoint error naming the path. The one
+/// exception is a flip inside a value the file stores without redundancy
+/// ([`UNCHECKED`]), which the format cannot tell from a genuine value;
+/// every count, boundary and header field is cross-checked.
+#[test]
+fn every_bit_flip_of_a_checkpoint_resumes_exactly_or_is_an_error() {
+    let f = fixture();
+    let dir = scratch_dir("bit-flips");
+    let valid = std::fs::read(valid_checkpoint(&dir)).unwrap();
+    let path = dir.join("flipped.json");
+    let resume = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        run_campaign_observed(
+            &runner(f),
+            &random(f),
+            2 * CHUNK_RUNS,
+            SEED,
+            &opts(&path, 1),
+            &mut NullObserver,
+        )
+    };
+    let reference = resume(&valid).expect("the valid checkpoint resumes");
+    assert_eq!(reference.n, 2 * CHUNK_RUNS);
+    let (mut refused, mut exact, mut unchecked) = (0, 0, 0);
+    for at in 0..valid.len() {
+        for bit in 0..8 {
+            let mut bytes = valid.clone();
+            bytes[at] ^= 1 << bit;
+            let what = format!(
+                "byte {at} ({:?} -> {:?}) in {:?}",
+                valid[at] as char,
+                bytes[at] as char,
+                member_at(&valid, at)
+            );
+            match resume(&bytes) {
+                Err(CampaignError::Checkpoint { path: named, .. }) => {
+                    assert_eq!(named, path, "{what}");
+                    refused += 1;
+                }
+                Err(e) => panic!("{what}: {e}"),
+                Ok(r) if r == reference => exact += 1,
+                Ok(_) => {
+                    assert!(
+                        UNCHECKED.contains(&member_at(&valid, at).as_str()),
+                        "{what} resumed to another result"
+                    );
+                    unchecked += 1;
+                }
+            }
+        }
+    }
+    assert!(refused > exact + unchecked, "{refused} {exact} {unchecked}");
+    eprintln!("{refused} refused, {exact} exact, {unchecked} in unchecked values");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Aborts the campaign at the first chunk boundary with at least this
 /// many runs merged.
 struct AbortAt(usize);
@@ -388,14 +528,18 @@ impl CampaignObserver for AbortAt {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Kill a checkpointed importance campaign through its observer at a
-    /// random chunk boundary, resume it from the file, and get the
+    /// Kill a checkpointed importance campaign on a random seed through its
+    /// observer at a random chunk boundary, resume it from the file, and
+    /// get the
     /// uninterrupted result in every deterministic field: at one and two
     /// workers, with no defense and with `dup_config_vote`. The resumed
     /// leg's per-worker memos (conclusion and strike) start cold, so only
     /// the kernel-shape counters, which count work done, may differ.
     #[test]
-    fn kill_and_resume_at_a_random_boundary_is_exact(boundary in 1usize..6) {
+    fn kill_and_resume_at_a_random_boundary_is_exact(
+        boundary in 1usize..6,
+        seed in any::<u64>(),
+    ) {
         let f = fixture();
         let strategy = ImportanceSampling::new(
             baseline_distribution(&f.model, &f.cfg),
@@ -416,7 +560,7 @@ proptest! {
                 &r,
                 &strategy,
                 n,
-                SEED,
+                seed,
                 &CampaignOptions::default(),
                 &mut NullObserver,
             )
@@ -427,11 +571,11 @@ proptest! {
                 let options = opts(&dir.join("ck.json"), threads);
                 let mut killed = AbortAt(boundary * CHUNK_RUNS);
                 let partial =
-                    run_campaign_observed(&r, &strategy, n, SEED, &options, &mut killed).unwrap();
+                    run_campaign_observed(&r, &strategy, n, seed, &options, &mut killed).unwrap();
                 prop_assert_eq!(partial.stop, StopReason::Aborted, "{}", tag);
                 prop_assert!(partial.n < n, "{}", tag);
                 let mut resumed =
-                    run_campaign_observed(&r, &strategy, n, SEED, &options, &mut NullObserver)
+                    run_campaign_observed(&r, &strategy, n, seed, &options, &mut NullObserver)
                         .unwrap();
                 resumed.kernel_counters = reference.kernel_counters;
                 prop_assert_eq!(&resumed, &reference, "{}", tag);
