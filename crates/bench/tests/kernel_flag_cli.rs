@@ -57,7 +57,7 @@ fn corrupt_checkpoint_exits_two_without_a_panic() {
     let ck = dir.join("ck.json");
     // The binary's first campaign resumes from its tagged path.
     let tagged = dir.join("ck.fig10a-comb-random.json");
-    std::fs::write(&tagged, "{\"format\": \"xlmc-checkpoint-v3\", \"seed\": ").unwrap();
+    std::fs::write(&tagged, "{\"format\": \"xlmc-checkpoint-v4\", \"seed\": ").unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_fig10_outcome_split"))
         .args(["--checkpoint".as_ref(), ck.as_os_str()])
         .output()

@@ -12,8 +12,9 @@
 //!    through
 //!    [`TransientSim::strike_compiled_with`](xlmc_gatesim::transient::TransientSim)
 //!    in one pass over the netlist's compiled program per sweep. A run
-//!    whose `(T_e, center, radius)` group an earlier sweep found untimed
-//!    takes that sweep's result from the [`StrikeMemo`] instead of a lane.
+//!    whose outcome the [`StrikeMemo`] already knows takes no lane: from
+//!    a settled handle it writes its record at once, and under stochastic
+//!    hardening an untimed group's run takes its registers.
 //! 3. **Conclude + fold** (scalar): each lane's faulty registers, a packed
 //!    set, go through the hardening/classification/resume pipeline with
 //!    its own RNG, and the per-run results are folded into the chunk
@@ -23,6 +24,7 @@
 
 use std::time::Instant;
 
+use xlmc_fault::sample::PHASE_BINS;
 use xlmc_fault::{AttackSample, LaneStrikes, RadiationSpot};
 use xlmc_gatesim::bitparallel::CycleWindow;
 use xlmc_gatesim::{
@@ -33,8 +35,8 @@ use xlmc_netlist::{GateId, GateProgram};
 
 use crate::estimator::{fold_run, CampaignKernel, ChunkPartial, RunObs};
 use crate::flow::{DffMask, FaultRunner, StrikeClass};
-use crate::metrics::{LatencyHist, LatencyShard};
-use crate::resume::{ConclusionMemo, ResumeStats, RtlResume};
+use crate::metrics::{LatencyHist, LatencyShard, PhaseTimes};
+use crate::resume::{ConclusionMemo, ResumeStats, RtlResume, Slot};
 use crate::rng::SplitMix64;
 use crate::sampling::SamplingStrategy;
 use crate::trace::{CounterScratch, KernelCounters, TraceSink};
@@ -62,6 +64,17 @@ struct RunRecord {
 }
 
 impl RunRecord {
+    /// The record of a run concluded at `slot`, first in its chunk or not.
+    fn of(slot: &Slot, first_in_chunk: bool) -> Self {
+        Self {
+            success: slot.verdict.success,
+            class: slot.verdict.class,
+            analytic: slot.verdict.analytic,
+            regs: slot.regs,
+            first_in_chunk,
+        }
+    }
+
     /// The record of a run without a strike.
     const MASKED: Self = Self {
         success: false,
@@ -72,45 +85,79 @@ impl RunRecord {
     };
 }
 
-/// A strike-memo entry of a group no sweep has struck yet.
-const UNSEEN: u16 = 0;
-/// A strike-memo entry of a group whose first lane is in the sweep being
-/// filled; the sweep resolves it before the chunk goes on.
-const PENDING: u16 = u16::MAX - 1;
-/// A strike-memo entry of a timed group: every run of it gets a lane.
-const TIMED: u16 = u16::MAX;
 /// A lane that records nothing in the strike memo.
 const NO_ENTRY: u32 = u32::MAX;
 /// Footprint rows the strike memo grows by.
 const MEMO_ROW_BLOCK: usize = 32;
+/// The conclusion slot of a settled outcome whose registers the hardening
+/// left empty: masked, with no conclusion-memo probe.
+const MASKED_SLOT: u32 = u32::MAX;
 
-/// What the compiled sweeps found per `(T_e, footprint)` group, one entry
-/// per group: [`UNSEEN`], [`PENDING`], [`TIMED`], or the group's pulse
-/// count plus one when its lane was untimed.
+/// What the strike memo knows of one `(T_e, footprint)` group, or of one
+/// phase bin of a timed group.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Outcome {
+    /// No sweep has struck it yet.
+    #[default]
+    Unseen,
+    /// Its first lane is in the sweep being filled, which settles it
+    /// before the chunk goes on.
+    Pending,
+    /// Every run of it ends the same way: its pulse count, and the
+    /// conclusion-memo slot of its post-hardening registers
+    /// ([`MASKED_SLOT`] for none). Only where the outcome is a fixed
+    /// function of the sample ([`FaultRunner::outcome_is_fixed`]).
+    Settled { pulses: u16, slot: u32 },
+    /// An untimed group under stochastic hardening: its pulse count. Each
+    /// run takes the footprint's upset DFFs as its registers and draws its
+    /// own hardening filter.
+    Untimed { pulses: u16 },
+    /// A timed group whose outcome is fixed: the row of its per-phase
+    /// outcomes.
+    Timed { row: u32 },
+    /// Every run of it takes a lane: a timed group under stochastic
+    /// hardening, or a pulse count too large for an entry.
+    Sweep,
+}
+
+const _: () = assert!(std::mem::size_of::<Outcome>() == 8);
+
+/// The outcome memo of the compiled kernel: what the sweeps found per
+/// `(T_e, footprint)` group, and, once a group's first lane is concluded,
+/// a handle to how its runs end.
 ///
 /// Whether a lane is timed is decided by the kernel's logical pass from
 /// the golden values at `T_e` and the footprint alone, never from the
 /// strike phase, and an untimed lane latches nothing
 /// ([`CompiledStrikeOutcome::timed`]). So every run of an untimed group
 /// has the footprint's upset DFFs as its registers in error and the
-/// group's pulse count, whatever its phase: later runs of the group skip
-/// the lane and the sweep. A timed group always sweeps, since whether it
-/// latches depends on the phase; so does a pulse count too large for an
-/// entry.
+/// group's pulse count, whatever its phase; a timed group's registers and
+/// pulses are a function of its phase bin. Where the hardening is absent
+/// or deterministic and there is one glitch spot, the post-hardening
+/// registers, and so the conclusion, follow too: a later run of the group
+/// (of the same phase, for a timed group) writes its record from the
+/// [`Outcome::Settled`] handle, a conclusion-memo slot, with no lane,
+/// filter or hash probe. Under stochastic hardening an untimed group's
+/// runs skip only the lane, and a timed group always sweeps.
 ///
 /// The table is dense, one row per footprint id of the worker's
 /// [`LaneStrikes`] and one column per `T_e` in the range the campaign's
-/// chunks have drawn: a few tens of kilobytes for a whole campaign. One
-/// per worker and campaign, like the footprint ids it is indexed by.
+/// chunks have drawn: a hundred kilobytes or so for a whole campaign. One
+/// per worker and campaign, like the footprint ids it is indexed by and
+/// the conclusion memo its slots name.
 #[derive(Debug, Default)]
 struct StrikeMemo {
     /// The `T_e` of column 0.
     te_lo: u64,
     /// Columns per row.
     te_len: usize,
-    table: Vec<u16>,
-    /// Runs concluded from an entry instead of a lane.
+    table: Vec<Outcome>,
+    /// Per timed group with a fixed outcome, its outcome per phase bin.
+    phases: Vec<[Outcome; PHASE_BINS as usize]>,
+    /// Runs concluded without a lane.
     hits: u64,
+    /// Of those, runs whose record came from a [`Outcome::Settled`] handle.
+    handle_recalls: u64,
 }
 
 impl StrikeMemo {
@@ -128,7 +175,7 @@ impl StrikeMemo {
         let len = (hi - lo + 1) as usize;
         let rows = self.table.len().checked_div(self.te_len).unwrap_or(0);
         let mut table = Vec::with_capacity(rows.next_multiple_of(MEMO_ROW_BLOCK) * len);
-        table.resize(rows * len, UNSEEN);
+        table.resize(rows * len, Outcome::Unseen);
         let shift = (self.te_lo.saturating_sub(lo)) as usize;
         for r in 0..rows {
             table[r * len + shift..][..self.te_len]
@@ -143,18 +190,45 @@ impl StrikeMemo {
         if rows * self.te_len > self.table.len() {
             let cap = rows.next_multiple_of(MEMO_ROW_BLOCK) * self.te_len;
             self.table.reserve_exact(cap - self.table.len());
-            self.table.resize(rows * self.te_len, UNSEEN);
+            self.table.resize(rows * self.te_len, Outcome::Unseen);
         }
         (spot as usize * self.te_len + (te - self.te_lo) as usize) as u32
     }
 
-    /// Record a swept lane's finding for its group's entry `e`: the pulse
-    /// count of an untimed lane, `None` for a timed one.
-    fn settle(&mut self, e: u32, untimed_pulses: Option<usize>) {
-        self.table[e as usize] = match untimed_pulses.map(|p| u16::try_from(p + 1)) {
-            Some(Ok(v)) if v < PENDING => v,
-            _ => TIMED,
+    /// The outcome a run of phase `phase` meets at entry `e`: the group's,
+    /// or its phase bin's for a timed group with a fixed outcome.
+    fn outcome(&mut self, e: u32, phase: u8) -> &mut Outcome {
+        match self.table[e as usize] {
+            Outcome::Timed { row } => &mut self.phases[row as usize][usize::from(phase)],
+            _ => &mut self.table[e as usize],
+        }
+    }
+
+    /// Record what a swept lane of phase `phase` found for entry `e`: its
+    /// pulse count, whether it was timed, and, when the outcome is fixed,
+    /// the conclusion slot of its registers (`None` under stochastic
+    /// hardening).
+    fn settle(&mut self, e: u32, phase: u8, pulses: usize, timed: bool, slot: Option<u32>) {
+        let pulses = u16::try_from(pulses).ok();
+        let settled = match (slot, pulses) {
+            (Some(slot), Some(pulses)) => Outcome::Settled { pulses, slot },
+            (None, Some(pulses)) if !timed => Outcome::Untimed { pulses },
+            _ => Outcome::Sweep,
         };
+        let entry = &mut self.table[e as usize];
+        if *entry == Outcome::Pending && timed && slot.is_some() {
+            // A timed group's first lane: its other phases start unseen.
+            let mut row = [Outcome::Unseen; PHASE_BINS as usize];
+            row[usize::from(phase)] = settled;
+            *entry = Outcome::Timed {
+                row: u32::try_from(self.phases.len()).expect("timed groups beyond u32"),
+            };
+            self.phases.push(row);
+            return;
+        }
+        let at = self.outcome(e, phase);
+        debug_assert_eq!(*at, Outcome::Pending, "a lane settles a pending outcome");
+        *at = settled;
     }
 }
 
@@ -178,8 +252,9 @@ pub(crate) struct BatchChunkScratch {
     held: Vec<u32>,
     /// Held runs whose group is resolved, in `(T_e, index)` order.
     ready: std::collections::VecDeque<u32>,
-    /// Runs of the sweep being filled that recall their group's result;
-    /// each one's record holds its registers in error until it concludes.
+    /// Runs of the sweep being filled that recall an untimed group's
+    /// registers under stochastic hardening; each one's record holds its
+    /// registers in error until it concludes.
     recalled: Vec<u32>,
     /// Per lane of the last sweep: its pulse count.
     lane_pulses: Vec<usize>,
@@ -191,6 +266,8 @@ pub(crate) struct BatchChunkScratch {
     /// Wall-clock latency of each packed transient sweep — pure
     /// telemetry, harvested per chunk into the chunk partial.
     sweep_hist: LatencyHist,
+    /// Wall time per chunk phase, harvested with `sweep_hist`.
+    phases: PhaseTimes,
 }
 
 impl BatchChunkScratch {
@@ -204,6 +281,12 @@ impl BatchChunkScratch {
         self.strike_memo.hits
     }
 
+    /// Of [`strike_memo_hits`](Self::strike_memo_hits), the runs whose
+    /// record came from a settled outcome handle.
+    pub(crate) fn handle_recalls(&self) -> u64 {
+        self.strike_memo.handle_recalls
+    }
+
     /// Drain the latency observations accumulated since the last call
     /// (kernel sweeps plus resume positioning) into a shard the
     /// campaign engine attaches to the finished chunk's partial.
@@ -211,6 +294,7 @@ impl BatchChunkScratch {
         LatencyShard {
             kernel_sweep: std::mem::take(&mut self.sweep_hist),
             snapshot_restore: self.ff.take_restore_latency(),
+            phases: std::mem::take(&mut self.phases),
             ..LatencyShard::default()
         }
     }
@@ -328,7 +412,8 @@ fn cycle_groups<'c>(
 }
 
 /// Harden and conclude run `ri`'s strike, its registers in error `regs`,
-/// into its record.
+/// into its record. Returns the conclusion-memo slot of its post-hardening
+/// registers, [`MASKED_SLOT`] for none.
 fn conclude_lane(
     runner: &FaultRunner<'_>,
     scratch: &mut BatchChunkScratch,
@@ -336,17 +421,19 @@ fn conclude_lane(
     chunk: u32,
     ri: usize,
     mut regs: DffMask,
-) {
+) -> u32 {
     let te = scratch.te[ri].expect("struck runs inject inside the run");
     runner.harden(&mut regs, &mut scratch.draws[ri].rng);
-    let (c, first_in_chunk) = runner.conclude_with(te, regs, &mut scratch.ff, memo, Some(chunk));
-    scratch.records[ri] = RunRecord {
-        success: c.success,
-        class: c.class,
-        analytic: c.analytic,
-        regs,
-        first_in_chunk,
-    };
+    match runner.conclude_slot(te, regs, &mut scratch.ff, memo, Some(chunk)) {
+        Some((slot, first)) => {
+            scratch.records[ri] = RunRecord::of(memo.slot(slot), first);
+            slot
+        }
+        None => {
+            scratch.records[ri] = RunRecord::MASKED;
+            MASKED_SLOT
+        }
+    }
 }
 
 /// Fold the chunk's buffered records into a partial, in run-index order.
@@ -395,10 +482,12 @@ fn fold_records(
 /// strike outcomes, hardening draws and the fold order are all identical;
 /// only the transient propagation is shared across lanes, up to
 /// [`WIDE_LANES`] runs per sweep of the netlist's levelized
-/// [`GateProgram`](xlmc_netlist::GateProgram), and a run of a group the
-/// worker's [`StrikeMemo`] knows untimed takes the group's result without
-/// a lane. Which runs share a sweep, and so the [`KernelCounters`],
-/// depends on what the worker struck before; no result does.
+/// [`GateProgram`](xlmc_netlist::GateProgram), and a run whose outcome the
+/// worker's [`StrikeMemo`] already knows takes it without a lane. Which
+/// runs share a sweep, and so the [`KernelCounters`], depends on what the
+/// worker struck before; no result does. `memo` must be the conclusion
+/// memo of every earlier chunk on `scratch`: the strike memo's handles
+/// are its slots.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_chunk_compiled(
     runner: &FaultRunner<'_>,
@@ -417,11 +506,13 @@ pub(crate) fn run_chunk_compiled(
 ) -> ChunkPartial {
     ctr.begin_chunk();
     let m = end - start;
+    let mut clock = Instant::now();
     let draw_span = sink.span_on(tid, "chunk", "draw");
     if let Some((lo, hi)) = draw_and_stratify(runner, strategy, seed, start, end, scratch) {
         scratch.strike_memo.cover(lo, hi);
     }
     drop(draw_span);
+    scratch.phases.draw_s += lap(&mut clock);
 
     let period = runner.model.transient.config().clock_period_ps;
     let program = runner
@@ -430,6 +521,7 @@ pub(crate) fn run_chunk_compiled(
         .netlist()
         .program()
         .expect("model netlist was levelized at construction");
+    let fixed = runner.outcome_is_fixed();
     let mut kc = KernelCounters::default();
     let mut pulses = 0usize;
     let mut next = 0;
@@ -449,29 +541,35 @@ pub(crate) fn run_chunk_compiled(
                 }
                 None => break,
             };
-            pulses += strike_or_recall(runner, scratch, program, period, ri);
+            pulses += strike_or_recall(runner, scratch, memo, chunk, program, period, ri);
         }
+        scratch.phases.lanes_s += lap(&mut clock);
         if !scratch.lanes.is_empty() {
             sweep(runner, scratch, cycles, program, &mut kc, &mut pulses);
         }
         drop(strike_span);
+        scratch.phases.sweep_s += lap(&mut clock);
 
-        let _conclude_span = sink.span_on(tid, "chunk", "conclude");
+        let conclude_span = sink.span_on(tid, "chunk", "conclude");
         for lane in 0..scratch.lanes.len() {
             let (ri, e) = scratch.lanes[lane];
-            if e != NO_ENTRY {
-                let untimed = !scratch.strike_out.timed(lane);
-                let pulses = untimed.then(|| scratch.lane_pulses[lane]);
-                scratch.strike_memo.settle(e, pulses);
-            }
             let regs = DffMask::from_words(scratch.strike_out.faulty_words(lane));
-            conclude_lane(runner, scratch, memo, chunk, ri as usize, regs);
+            let slot = conclude_lane(runner, scratch, memo, chunk, ri as usize, regs);
+            if e != NO_ENTRY {
+                let phase = scratch.draws[ri as usize].sample.phase;
+                let timed = scratch.strike_out.timed(lane);
+                let pulses = scratch.lane_pulses[lane];
+                let slot = fixed.then_some(slot);
+                scratch.strike_memo.settle(e, phase, pulses, timed, slot);
+            }
         }
         for k in 0..scratch.recalled.len() {
             let ri = scratch.recalled[k] as usize;
             let regs = scratch.records[ri].regs;
             conclude_lane(runner, scratch, memo, chunk, ri, regs);
         }
+        drop(conclude_span);
+        scratch.phases.conclude_s += lap(&mut clock);
         if scratch.lanes.is_empty() {
             break;
         }
@@ -482,18 +580,32 @@ pub(crate) fn run_chunk_compiled(
     // Fold in run-index order, exactly like the scalar kernel. The pulse
     // counter is a chunk sum, so it takes the sweeps' totals and the
     // recalled groups' counts rather than per-run counts.
-    let _fold_span = sink.span_on(tid, "chunk", "fold");
+    let fold_span = sink.span_on(tid, "chunk", "fold");
     let mut p = fold_records(runner, scratch, ctr, start, m, kc, record_provenance);
     p.counters.pulses_propagated += pulses;
+    drop(fold_span);
+    scratch.phases.fold_s += lap(&mut clock);
     p
 }
 
+/// The seconds since `clock`, which moves to now.
+fn lap(clock: &mut Instant) -> f64 {
+    let now = Instant::now();
+    let s = now.duration_since(*clock).as_secs_f64();
+    *clock = now;
+    s
+}
+
 /// Give run `ri` a lane in the sweep being filled, or hold it until that
-/// sweep resolves its group, or recall its group's untimed result into
-/// `scratch.recalled`. Returns the pulses a recalled run propagates.
+/// sweep resolves its group, or recall its outcome: from a settled handle
+/// straight into its record, or, under stochastic hardening, an untimed
+/// group's registers into `scratch.recalled`. Returns the pulses a
+/// recalled run propagates.
 fn strike_or_recall(
     runner: &FaultRunner<'_>,
     scratch: &mut BatchChunkScratch,
+    memo: &mut ConclusionMemo,
+    chunk: u32,
     program: &GateProgram,
     period: f64,
     ri: u32,
@@ -519,23 +631,36 @@ fn strike_or_recall(
     };
     let spot = scratch.lane_strikes.spot_id(&spot, placement, program);
     let e = scratch.strike_memo.entry(te, spot);
-    let entry = &mut scratch.strike_memo.table[e as usize];
-    let settles = match *entry {
-        UNSEEN => {
-            *entry = PENDING;
+    let outcome = scratch.strike_memo.outcome(e, draw.sample.phase);
+    let settles = match *outcome {
+        Outcome::Unseen => {
+            *outcome = Outcome::Pending;
             e
         }
-        PENDING => {
+        Outcome::Pending => {
             scratch.held.push(ri);
             return 0;
         }
-        TIMED => NO_ENTRY,
-        v => {
+        Outcome::Sweep => NO_ENTRY,
+        Outcome::Timed { .. } => unreachable!("a timed entry resolves to its phase bin"),
+        Outcome::Settled { pulses, slot } => {
+            scratch.strike_memo.hits += 1;
+            scratch.strike_memo.handle_recalls += 1;
+            scratch.records[ri as usize] = match slot {
+                MASKED_SLOT => RunRecord::MASKED,
+                slot => {
+                    let (slot, first) = memo.recall(slot, chunk);
+                    RunRecord::of(slot, first)
+                }
+            };
+            return usize::from(pulses);
+        }
+        Outcome::Untimed { pulses } => {
             scratch.strike_memo.hits += 1;
             let upset = scratch.lane_strikes.footprint(spot).dffs().iter();
             scratch.records[ri as usize].regs = upset.map(|&i| i as usize).collect();
             scratch.recalled.push(ri);
-            return usize::from(v - 1);
+            return usize::from(pulses);
         }
     };
     let time = draw.sample.strike_time_ps(period);
@@ -546,7 +671,7 @@ fn strike_or_recall(
 
 /// Strike the filled sweep's lanes, count the sweep into `kc` and
 /// `pulses`, and leave each lane's pulse count in `scratch.lane_pulses`
-/// when an untimed lane settles a strike-memo entry.
+/// when a lane settles a strike-memo entry.
 fn sweep(
     runner: &FaultRunner<'_>,
     scratch: &mut BatchChunkScratch,
@@ -577,8 +702,7 @@ fn sweep(
     kc.timed_lanes += out.timed_lanes();
     kc.resimulated_lanes += out.resimulated_lanes();
     *pulses += out.pulses_total();
-    let untimed_entry = |(l, &(_, e)): (usize, &(u32, u32))| e != NO_ENTRY && !out.timed(l);
-    if scratch.lanes.iter().enumerate().any(untimed_entry) {
+    if scratch.lanes.iter().any(|&(_, e)| e != NO_ENTRY) {
         scratch.lane_pulses.resize(n, 0);
         out.pulses_per_lane(&mut scratch.lane_pulses[..n]);
     }
@@ -838,39 +962,146 @@ mod tests {
     }
 
     /// Widening the strike memo's `T_e` range keeps every entry under its
-    /// group, rows grow by footprint id, and a pulse count that does not
-    /// fit an entry is stored as timed.
+    /// group, rows grow by footprint id, a timed group's first lane opens
+    /// its per-phase row, and an outcome that cannot be kept is swept.
     #[test]
     fn strike_memo_keeps_entries_as_it_grows() {
         let mut memo = StrikeMemo::default();
+        let settle = |memo: &mut StrikeMemo, e, phase, pulses, timed, slot| {
+            *memo.outcome(e, phase) = Outcome::Pending;
+            memo.settle(e, phase, pulses, timed, slot);
+        };
         memo.cover(10, 12);
         let e = memo.entry(11, 2);
-        memo.settle(e, Some(7));
+        settle(&mut memo, e, 0, 7, false, Some(3));
         let f = memo.entry(12, 0);
-        memo.settle(f, None);
+        settle(&mut memo, f, 5, 9, true, Some(4));
         memo.cover(8, 9);
         memo.cover(8, 15);
         assert_eq!((memo.te_lo, memo.te_len), (8, 8));
-        let e = memo.entry(11, 2) as usize;
-        assert_eq!(memo.table[e], 8);
-        let f = memo.entry(12, 0) as usize;
-        assert_eq!(memo.table[f], TIMED);
-        let unseen = (memo.table.iter().filter(|&&v| v == UNSEEN)).count();
+        // An untimed group answers every phase; a timed one per phase.
+        let e = memo.entry(11, 2);
+        let untimed = Outcome::Settled { pulses: 7, slot: 3 };
+        assert_eq!(memo.table[e as usize], untimed);
+        assert_eq!(*memo.outcome(e, 6), untimed);
+        let f = memo.entry(12, 0);
+        assert_eq!(memo.table[f as usize], Outcome::Timed { row: 0 });
+        assert_eq!(*memo.outcome(f, 5), Outcome::Settled { pulses: 9, slot: 4 });
+        assert_eq!(*memo.outcome(f, 4), Outcome::Unseen);
+        settle(&mut memo, f, 4, 2, true, Some(MASKED_SLOT));
+        let masked = Outcome::Settled {
+            pulses: 2,
+            slot: MASKED_SLOT,
+        };
+        assert_eq!(*memo.outcome(f, 4), masked);
+        assert_eq!(memo.phases.len(), 1);
+        let unseen = (memo.table.iter().filter(|&&v| v == Outcome::Unseen)).count();
         assert_eq!(unseen, memo.table.len() - 2);
         let g = memo.entry(15, 40);
         assert_eq!(memo.table.len(), 41 * 8);
         assert!(memo.table.capacity() <= 64 * 8);
-        memo.settle(g, Some(usize::from(PENDING) - 2));
-        assert_eq!(memo.table[g as usize], PENDING - 1);
-        memo.settle(g, Some(usize::from(PENDING) - 1));
-        assert_eq!(memo.table[g as usize], TIMED);
+        // Stochastic hardening keeps an untimed group's pulses and sweeps a
+        // timed one; so does a pulse count too large for an entry.
+        settle(&mut memo, g, 1, usize::from(u16::MAX), false, None);
+        assert_eq!(
+            memo.table[g as usize],
+            Outcome::Untimed { pulses: u16::MAX }
+        );
+        let h = memo.entry(14, 40);
+        settle(&mut memo, h, 1, 3, true, None);
+        assert_eq!(memo.table[h as usize], Outcome::Sweep);
+        let k = memo.entry(13, 40);
+        settle(&mut memo, k, 1, usize::from(u16::MAX) + 1, false, Some(0));
+        assert_eq!(memo.table[k as usize], Outcome::Sweep);
+        assert_eq!(memo.phases.len(), 1);
+    }
+
+    /// One run's observables as the lane-equivalence tests compare them:
+    /// `(success, class, analytic, post-hardening bits, weight)`.
+    type Observed = (bool, StrikeClass, bool, Vec<xlmc_soc::MpuBit>, f64);
+
+    /// Runs `0..n` of `strat` at `seed` on the scalar engine, one at a time.
+    fn scalar_runs(
+        runner: &FaultRunner<'_>,
+        strat: &dyn SamplingStrategy,
+        seed: u64,
+        n: usize,
+    ) -> Vec<Observed> {
+        let mut flow = FlowScratch::default();
+        (0..n)
+            .map(|i| {
+                let mut rng = SplitMix64::for_run(seed, i as u64);
+                let sample = strat.draw(&mut rng);
+                let w = strat.weight(&sample);
+                let out = runner.run_with(&sample, &mut rng, &mut flow);
+                let bits = out.faulty_bits.to_vec();
+                (out.success, out.class, out.analytic, bits, w)
+            })
+            .collect()
+    }
+
+    /// Runs `0..n` of `strat` at `seed` through one compiled scratch and
+    /// conclusion memo twice, as chunks 0 and 1, so the second pass meets
+    /// every group the first one settled. Returns both passes' runs and the
+    /// runs the second pass took from an outcome handle.
+    fn compiled_twice(
+        runner: &FaultRunner<'_>,
+        strat: &dyn SamplingStrategy,
+        seed: u64,
+        n: usize,
+    ) -> ([Vec<Observed>; 2], u64) {
+        let window = runner.model.golden_window(&runner.eval.golden);
+        let mut memo = ConclusionMemo::default();
+        let mut scratch = BatchChunkScratch::default();
+        let mut ctr = CounterScratch::default();
+        let sink = TraceSink::disabled();
+        let mut pass = |chunk| {
+            run_chunk_compiled(
+                runner,
+                strat,
+                seed,
+                0,
+                n,
+                &mut scratch,
+                &window,
+                &mut memo,
+                chunk,
+                &mut ctr,
+                false,
+                &sink,
+                0,
+            );
+            let runs = (0..n).map(|i| scratch.recorded(runner, i)).collect();
+            (runs, scratch.handle_recalls())
+        };
+        let (first, before) = pass(0);
+        let (second, after) = pass(1);
+        ([first, second], after - before)
+    }
+
+    /// Both compiled passes of [`compiled_twice`] equal `want` run by run,
+    /// and outcome handles engage exactly where the outcome is fixed.
+    fn check_twice(
+        runner: &FaultRunner<'_>,
+        strat: &dyn SamplingStrategy,
+        seed: u64,
+        want: &[Observed],
+        ctx: &str,
+    ) {
+        let (passes, recalls) = compiled_twice(runner, strat, seed, want.len());
+        for (pass, got) in passes.iter().enumerate() {
+            for (i, (got, want)) in got.iter().zip(want).enumerate() {
+                assert_eq!(got, want, "{ctx} pass {pass} run {i}");
+            }
+        }
+        assert_eq!(recalls > 0, runner.outcome_is_fixed(), "{ctx}: {recalls}");
     }
 
     /// The lane-equivalence property at system level: for every run of a
     /// full chunk, the compiled kernel's (outcome, weight) is bit-identical
     /// to the scalar engine's — across all three sampling strategies, with
     /// and without the randomized hardening countermeasure (which exercises
-    /// the per-lane RNG hand-off).
+    /// the per-lane RNG hand-off), cold and with every group settled.
     #[test]
     fn compiled_chunk_runs_match_scalar_runs_across_strategies() {
         let f = fixture();
@@ -888,46 +1119,13 @@ mod tests {
             };
             for strat in strategies(&f) {
                 for seed in [3u64, 77] {
-                    let n = 200;
-                    let cache = runner.model.golden_window(&runner.eval.golden);
-                    let mut memo = ConclusionMemo::default();
-                    let mut cscratch = BatchChunkScratch::default();
-                    let mut ctr = CounterScratch::default();
-                    let sink = TraceSink::disabled();
-                    run_chunk_compiled(
-                        &runner,
-                        strat.as_ref(),
-                        seed,
-                        0,
-                        n,
-                        &mut cscratch,
-                        &cache,
-                        &mut memo,
-                        0,
-                        &mut ctr,
-                        false,
-                        &sink,
-                        0,
+                    let want = scalar_runs(&runner, strat.as_ref(), seed, 200);
+                    let ctx = format!(
+                        "strategy {} seed {seed} hardened {}",
+                        strat.name(),
+                        hardening.is_some()
                     );
-
-                    let mut flow = FlowScratch::default();
-                    for i in 0..n {
-                        let mut rng = SplitMix64::for_run(seed, i as u64);
-                        let sample = strat.draw(&mut rng);
-                        let w = strat.weight(&sample);
-                        let out = runner.run_with(&sample, &mut rng, &mut flow);
-                        let (cs, cc, ca, cbits, cw) = cscratch.recorded(&runner, i);
-                        let ctx = format!(
-                            "strategy {} seed {seed} run {i} hardened {}",
-                            strat.name(),
-                            hardening.is_some()
-                        );
-                        assert_eq!(cs, out.success, "{ctx}");
-                        assert_eq!(cc, out.class, "{ctx}");
-                        assert_eq!(ca, out.analytic, "{ctx}");
-                        assert_eq!(cbits, out.faulty_bits, "{ctx}");
-                        assert!(cw == w, "{ctx}: weight {cw} != {w}");
-                    }
+                    check_twice(&runner, strat.as_ref(), seed, &want, &ctx);
                 }
             }
         }
@@ -965,47 +1163,14 @@ mod tests {
                     multi_fault: None,
                 };
                 let strat = RandomSampling::new(baseline_distribution(&model, &cfg));
-                let seed = 41u64;
                 // 300 runs crosses the 256-lane boundary.
-                let n = 300;
-                let cache = runner.model.golden_window(&runner.eval.golden);
-                let mut memo = ConclusionMemo::default();
-                let mut cscratch = BatchChunkScratch::default();
-                let mut ctr = CounterScratch::default();
-                let sink = TraceSink::disabled();
-                run_chunk_compiled(
-                    &runner,
-                    &strat,
-                    seed,
-                    0,
-                    n,
-                    &mut cscratch,
-                    &cache,
-                    &mut memo,
-                    0,
-                    &mut ctr,
-                    false,
-                    &sink,
-                    0,
+                let want = scalar_runs(&runner, &strat, 41, 300);
+                let ctx = format!(
+                    "workload {} hardened {}",
+                    runner.eval.workload.name,
+                    hardening.is_some()
                 );
-                let mut flow = FlowScratch::default();
-                for i in 0..n {
-                    let mut rng = SplitMix64::for_run(seed, i as u64);
-                    let sample = strat.draw(&mut rng);
-                    let w = strat.weight(&sample);
-                    let out = runner.run_with(&sample, &mut rng, &mut flow);
-                    let (cs, cc, ca, cbits, cw) = cscratch.recorded(&runner, i);
-                    let ctx = format!(
-                        "workload {} run {i} hardened {}",
-                        runner.eval.workload.name,
-                        hardening.is_some()
-                    );
-                    assert_eq!(cs, out.success, "{ctx}");
-                    assert_eq!(cc, out.class, "{ctx}");
-                    assert_eq!(ca, out.analytic, "{ctx}");
-                    assert_eq!(cbits, out.faulty_bits, "{ctx}");
-                    assert!(cw == w, "{ctx}: weight {cw} != {w}");
-                }
+                check_twice(&runner, &strat, 41, &want, &ctx);
             }
         }
     }
@@ -1014,7 +1179,8 @@ mod tests {
     /// the scalar engine run by run: the second-spot entropy word is drawn
     /// at the same per-run stream position in both kernels, so lane
     /// packing never perturbs the second strike (or the hardening draws
-    /// that follow it on the same stream).
+    /// that follow it on the same stream). The double glitch takes no
+    /// outcome handle.
     #[test]
     fn kernels_match_scalar_under_double_glitch() {
         let f = fixture();
@@ -1033,51 +1199,19 @@ mod tests {
                 multi_fault: Some(&glitch),
             };
             let strat = RandomSampling::new(fd.clone());
-            let seed = 23u64;
-            let n = 300;
-            let cache = runner.model.golden_window(&runner.eval.golden);
-            let mut memo = ConclusionMemo::default();
-            let mut scratch = BatchChunkScratch::default();
-            let mut ctr = CounterScratch::default();
-            let sink = TraceSink::disabled();
-            run_chunk_compiled(
-                &runner,
-                &strat,
-                seed,
-                0,
-                n,
-                &mut scratch,
-                &cache,
-                &mut memo,
-                0,
-                &mut ctr,
-                false,
-                &sink,
-                0,
-            );
-            let mut flow = FlowScratch::default();
-            for i in 0..n {
-                let mut rng = SplitMix64::for_run(seed, i as u64);
-                let sample = strat.draw(&mut rng);
-                let w = strat.weight(&sample);
-                let out = runner.run_with(&sample, &mut rng, &mut flow);
-                let (cs, cc, ca, cbits, cw) = scratch.recorded(&runner, i);
-                let ctx = format!("hardened={} run {i}", hardening.is_some());
-                assert_eq!(cs, out.success, "{ctx}");
-                assert_eq!(cc, out.class, "{ctx}");
-                assert_eq!(ca, out.analytic, "{ctx}");
-                assert_eq!(cbits, out.faulty_bits, "{ctx}");
-                assert!(cw == w, "{ctx}: weight {cw} != {w}");
-            }
+            let want = scalar_runs(&runner, &strat, 23, 300);
+            let ctx = format!("hardened={}", hardening.is_some());
+            check_twice(&runner, &strat, 23, &want, &ctx);
         }
     }
 
     /// The compiled engine reproduces the scalar engine run by run on all
-    /// five goals under the deterministic voter (the sweep grid's defense)
-    /// and the stochastic SCFI code, with one and two glitch spots. Both
-    /// keep the hardening filter's draw order: one `flip_survives` per
-    /// candidate bit in ascending DFF `GateId` order, checked against that
-    /// filter applied to the unhardened strike's bits.
+    /// five goals under the deterministic voter (the sweep grid's defense,
+    /// whose runs take outcome handles) and the stochastic SCFI code (whose
+    /// runs do not), with one and two glitch spots. Both keep the hardening
+    /// filter's draw order: one `flip_survives` per candidate bit in
+    /// ascending DFF `GateId` order, checked against that filter applied to
+    /// the unhardened strike's bits.
     #[test]
     fn compiled_hardening_order_matches_scalar_on_every_goal() {
         let model = SystemModel::with_defaults().unwrap();
@@ -1112,61 +1246,34 @@ mod tests {
                     };
                     let strat = RandomSampling::new(fd.clone());
                     let (seed, n) = (57u64, 300);
-                    let cache = runner.model.golden_window(&runner.eval.golden);
-                    let mut memo = ConclusionMemo::default();
-                    let mut cscratch = BatchChunkScratch::default();
-                    let mut ctr = CounterScratch::default();
-                    let sink = TraceSink::disabled();
-                    run_chunk_compiled(
-                        &runner,
-                        &strat,
-                        seed,
-                        0,
-                        n,
-                        &mut cscratch,
-                        &cache,
-                        &mut memo,
-                        0,
-                        &mut ctr,
-                        false,
-                        &sink,
-                        0,
-                    );
                     let bare = FaultRunner {
                         hardening: None,
                         ..runner
                     };
+                    let want = scalar_runs(&runner, &strat, seed, n);
+                    let ctx = format!(
+                        "workload {} {} double={}",
+                        runner.eval.workload.name,
+                        defense.name(),
+                        multi_fault.is_some()
+                    );
                     let mut flow = FlowScratch::default();
-                    for i in 0..n {
-                        let mut rng = SplitMix64::for_run(seed, i as u64);
-                        let sample = strat.draw(&mut rng);
-                        let w = strat.weight(&sample);
+                    for (i, want) in want.iter().enumerate() {
                         // The filter's oracle: the unhardened strike's bits
                         // by DFF gate id, one survival draw per candidate
                         // right after the strike's own stream use.
-                        let mut filter_rng = rng.clone();
-                        let mut want = bare
-                            .run_with(&sample, &mut filter_rng, &mut flow)
+                        let mut rng = SplitMix64::for_run(seed, i as u64);
+                        let sample = strat.draw(&mut rng);
+                        let mut filtered = bare
+                            .run_with(&sample, &mut rng, &mut flow)
                             .faulty_bits
                             .to_vec();
-                        want.sort_by_key(|&b| model.mpu.dff(b));
-                        multi_bit_candidates += usize::from(want.len() > 1);
-                        want.retain(|&b| defense.flip_survives(b, &mut filter_rng));
-                        let out = runner.run_with(&sample, &mut rng, &mut flow);
-                        let (cs, cc, ca, cbits, cw) = cscratch.recorded(&runner, i);
-                        let ctx = format!(
-                            "workload {} {} double={} run {i}",
-                            runner.eval.workload.name,
-                            defense.name(),
-                            multi_fault.is_some()
-                        );
-                        assert_eq!(cc, out.class, "{ctx}");
-                        assert_eq!(cs, out.success, "{ctx}");
-                        assert_eq!(ca, out.analytic, "{ctx}");
-                        assert_eq!(cbits, out.faulty_bits, "{ctx}");
-                        assert_eq!(cbits, want, "{ctx}");
-                        assert!(cw == w, "{ctx}: weight {cw} != {w}");
+                        filtered.sort_by_key(|&b| model.mpu.dff(b));
+                        multi_bit_candidates += usize::from(filtered.len() > 1);
+                        filtered.retain(|&b| defense.flip_survives(b, &mut rng));
+                        assert_eq!(want.3, filtered, "{ctx} run {i}");
                     }
+                    check_twice(&runner, &strat, seed, &want, &ctx);
                 }
             }
         }
@@ -1176,12 +1283,15 @@ mod tests {
         );
     }
 
-    /// The strike memo's exactness on `f`'s support: for every
-    /// `(t, center, radius)` group of all five goals whose compiled lane is
+    /// The outcome memo's exactness on `f`'s support, on all five goals.
+    /// For every `(t, center, radius)` group whose compiled lane is
     /// untimed, the scalar kernel at each phase bin gives the footprint's
     /// DFFs as the registers in error (nothing latched) and the lane's
-    /// pulse count. Debug builds check `t` in {1, 2, 25, 50}; release
-    /// builds every `t`.
+    /// pulse count: one outcome for the whole group. For every timed
+    /// group, the compiled lane of each phase bin gives the scalar
+    /// kernel's registers in error and pulse count at that phase: one
+    /// outcome per phase bin. Debug builds check `t` in {1, 2, 25, 50};
+    /// release builds every `t`.
     #[test]
     fn strike_memo_phase_collapse_oracle() {
         let model = SystemModel::with_defaults().unwrap();
@@ -1203,7 +1313,7 @@ mod tests {
         let period = transient.config().clock_period_ps;
         let mut out = CompiledStrikeOutcome::default();
         let (mut sscratch, mut sout) = (TransientScratch::default(), StrikeOutcome::default());
-        let (mut struck, mut faulty) = (Vec::new(), Vec::new());
+        let (mut struck, mut faulty, mut lane_faulty) = (Vec::new(), Vec::new(), Vec::new());
         let mut pulses = vec![0; WIDE_LANES];
         for workload in [
             workloads::illegal_write(),
@@ -1234,10 +1344,14 @@ mod tests {
                 }
             }
             assert_eq!(samples.len(), frames.len() * cells.len() * 2);
-            let (mut untimed, mut timed) = (0, 0);
+            let mut timed = Vec::new();
             let mut lane_strikes = LaneStrikes::default();
             let mut values = CycleValues::default();
-            for batch in samples.chunks(WIDE_LANES) {
+            // Strike `batch` in one sweep; per lane, its `T_e`.
+            let mut sweep_batch = |batch: &[AttackSample],
+                                   lane_strikes: &mut LaneStrikes,
+                                   out: &mut CompiledStrikeOutcome,
+                                   pulses: &mut [usize]| {
                 lane_strikes.clear();
                 for s in batch {
                     lane_strikes.push_sample(s, &model.placement, program, period);
@@ -1247,22 +1361,25 @@ mod tests {
                     .map(|s| s.injection_cycle(eval.target_cycle))
                     .collect();
                 let groups = cycle_groups(&window, &te, 0..batch.len() as u32);
-                let lanes = batch_lanes(&lane_strikes);
+                let lanes = batch_lanes(lane_strikes);
                 transient.strike_compiled_with(
                     netlist,
                     program,
                     &groups,
                     &lanes,
                     &mut scratch,
-                    &mut out,
+                    out,
                 );
                 out.pulses_per_lane(&mut pulses[..batch.len()]);
+                te
+            };
+            for batch in samples.chunks(WIDE_LANES) {
+                let te = sweep_batch(batch, &mut lane_strikes, &mut out, &mut pulses);
                 for (l, s) in batch.iter().enumerate() {
                     if out.timed(l) {
-                        timed += 1;
+                        timed.push(*s);
                         continue;
                     }
-                    untimed += 1;
                     let (words, bit) = window.block(te[l].unwrap() as usize);
                     values.unpack_into(netlist, words, bit);
                     lane_strikes.struck_into(l, program, &mut struck);
@@ -1272,7 +1389,7 @@ mod tests {
                         .iter()
                         .map(|&i| netlist.dffs()[i as usize])
                         .collect();
-                    for phase in 0..xlmc_fault::sample::PHASE_BINS {
+                    for phase in 0..PHASE_BINS {
                         let at = AttackSample { phase, ..*s }.strike_time_ps(period);
                         transient.strike_with(
                             netlist,
@@ -1290,14 +1407,43 @@ mod tests {
                     }
                 }
             }
-            assert!(untimed > 0 && timed > 0, "{untimed} untimed, {timed} timed");
+            let untimed = samples.len() - timed.len();
+            assert!(
+                untimed > 0 && !timed.is_empty(),
+                "{untimed} untimed, {}",
+                timed.len()
+            );
+            // Every phase bin of every timed group, consecutive so each
+            // group's `T_e` stays contiguous in a sweep.
+            let per_phase: Vec<AttackSample> = timed
+                .iter()
+                .flat_map(|s| (0..PHASE_BINS).map(move |phase| AttackSample { phase, ..*s }))
+                .collect();
+            for batch in per_phase.chunks(WIDE_LANES) {
+                let te = sweep_batch(batch, &mut lane_strikes, &mut out, &mut pulses);
+                for (l, s) in batch.iter().enumerate() {
+                    let ctx = format!("{} {s:?}", eval.workload.name);
+                    assert!(out.timed(l), "{ctx}: timed at every phase");
+                    let (words, bit) = window.block(te[l].unwrap() as usize);
+                    values.unpack_into(netlist, words, bit);
+                    lane_strikes.struck_into(l, program, &mut struck);
+                    let at = s.strike_time_ps(period);
+                    transient.strike_with(netlist, &values, &struck, at, &mut sscratch, &mut sout);
+                    sout.faulty_registers_into(&mut faulty);
+                    out.faulty_registers_into(netlist, l, &mut lane_faulty);
+                    assert_eq!(lane_faulty, faulty, "{ctx}: registers in error");
+                    assert_eq!(sout.pulses_propagated, pulses[l], "{ctx}: pulses");
+                }
+            }
         }
     }
 
     /// Over a whole campaign's chunks on one worker scratch, as the strike
     /// memo warms up, every compiled partial equals the scalar partial, on
-    /// all five goals under importance sampling: sweeps recall, hold and
-    /// strike in every mix, and late sweeps strike few new groups.
+    /// all five goals under importance sampling, with no defense and the
+    /// voter (outcome handles) and the stochastic SCFI code (register
+    /// recalls): sweeps recall, hold and strike in every mix, and late
+    /// sweeps strike few new groups.
     #[test]
     fn warm_strike_memo_chunks_match_scalar_chunks() {
         let model = SystemModel::with_defaults().unwrap();
@@ -1311,6 +1457,8 @@ mod tests {
             cfg.beta,
             cfg.radius_options.clone(),
         );
+        let vote = HardenedVariant::DupConfigVote(DupConfigVote::new());
+        let scfi = HardenedVariant::ScfiFsm(ScfiFsm::with_miss_rate(0.5));
         let chunks = if cfg!(debug_assertions) { 16 } else { 400 };
         for workload in [
             workloads::illegal_write(),
@@ -1320,52 +1468,66 @@ mod tests {
             workloads::instruction_skip(),
         ] {
             let eval = Evaluation::new(workload).unwrap();
-            let runner = FaultRunner {
-                model: &model,
-                eval: &eval,
-                prechar: &prechar,
-                hardening: None,
-                multi_fault: None,
-            };
-            let window = model.golden_window(&eval.golden);
-            let mut memo = ConclusionMemo::default();
-            let mut scratch = BatchChunkScratch::default();
-            let mut flow = FlowScratch::default();
-            let mut ctr = CounterScratch::default();
-            let sink = TraceSink::disabled();
-            let (mut lanes, mut m) = (0, 0);
-            for chunk in 0..chunks {
-                let (start, end) = (chunk * 512, (chunk + 1) * 512);
-                let c = run_chunk_compiled(
-                    &runner,
-                    &strat,
-                    11,
-                    start,
-                    end,
-                    &mut scratch,
-                    &window,
-                    &mut memo,
-                    chunk as u32,
-                    &mut ctr,
-                    false,
-                    &sink,
-                    0,
+            for hardening in [None, Some(&vote), Some(&scfi)] {
+                let runner = FaultRunner {
+                    model: &model,
+                    eval: &eval,
+                    prechar: &prechar,
+                    hardening,
+                    multi_fault: None,
+                };
+                let window = model.golden_window(&eval.golden);
+                let mut memo = ConclusionMemo::default();
+                let mut scratch = BatchChunkScratch::default();
+                let mut flow = FlowScratch::default();
+                let mut ctr = CounterScratch::default();
+                let sink = TraceSink::disabled();
+                let (mut lanes, mut m) = (0, 0);
+                let name = format!(
+                    "{} {}",
+                    eval.workload.name,
+                    hardening.map_or("none", HardenedVariant::name)
                 );
-                let s = crate::estimator::scalar_chunk_for_tests(
-                    &runner, &strat, 11, start, end, &mut flow,
+                for chunk in 0..chunks {
+                    let (start, end) = (chunk * 512, (chunk + 1) * 512);
+                    let c = run_chunk_compiled(
+                        &runner,
+                        &strat,
+                        11,
+                        start,
+                        end,
+                        &mut scratch,
+                        &window,
+                        &mut memo,
+                        chunk as u32,
+                        &mut ctr,
+                        false,
+                        &sink,
+                        0,
+                    );
+                    let s = crate::estimator::scalar_chunk_for_tests(
+                        &runner, &strat, 11, start, end, &mut flow,
+                    );
+                    let ctx = format!("{name} chunk {chunk}");
+                    assert!(c.stats.mean() == s.stats.mean(), "{ctx} mean");
+                    assert!(c.stats.variance() == s.stats.variance(), "{ctx} var");
+                    assert_eq!(c.class_counts, s.class_counts, "{ctx}");
+                    assert_eq!(c.attribution, s.attribution, "{ctx}");
+                    assert_eq!(c.counters, s.counters, "{ctx}");
+                    lanes += c.kernel_counters.lanes_occupied;
+                    m += end - start - c.counters.out_of_run;
+                }
+                let hits = scratch.strike_memo_hits() as usize;
+                let recalls = scratch.handle_recalls() as usize;
+                assert!(hits > 0, "{name}: the memo never engaged");
+                assert_eq!(
+                    lanes + hits,
+                    m,
+                    "{name}: every in-run run is a lane or a hit"
                 );
-                let ctx = format!("{} chunk {chunk}", eval.workload.name);
-                assert!(c.stats.mean() == s.stats.mean(), "{ctx} mean");
-                assert!(c.stats.variance() == s.stats.variance(), "{ctx} var");
-                assert_eq!(c.class_counts, s.class_counts, "{ctx}");
-                assert_eq!(c.attribution, s.attribution, "{ctx}");
-                assert_eq!(c.counters, s.counters, "{ctx}");
-                lanes += c.kernel_counters.lanes_occupied;
-                m += end - start - c.counters.out_of_run;
+                let want = if runner.outcome_is_fixed() { hits } else { 0 };
+                assert_eq!(recalls, want, "{name}: handle recalls");
             }
-            let hits = scratch.strike_memo_hits() as usize;
-            assert!(hits > 0, "{}: the memo never engaged", eval.workload.name);
-            assert_eq!(lanes + hits, m, "every in-run run is a lane or a hit");
         }
     }
 

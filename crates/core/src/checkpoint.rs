@@ -6,11 +6,13 @@
 //! streams derive from `(seed, run_index)` alone, so re-running chunks
 //! `merged_chunks..` folds exactly the bits an uninterrupted campaign
 //! would. Every `f64` is stored as its IEEE-754 bit pattern
-//! (`xlmc-checkpoint-v3`, pinned by `schemas/checkpoint.schema.json`), and
+//! (`xlmc-checkpoint-v4`, pinned by `schemas/checkpoint.schema.json`), and
 //! writes go through a temp file + rename, so a crash mid-write leaves the
-//! previous snapshot intact. A checkpoint that cannot be read, parsed,
-//! matched to the campaign or written is a [`CampaignError::Checkpoint`]
-//! naming its path.
+//! previous snapshot intact. The last member is a checksum of the body
+//! before it, so a value the file stores only once (a Welford `m2`, a
+//! weight sum) cannot change unseen. A checkpoint that cannot be read,
+//! parsed, checked, matched to the campaign or written is a
+//! [`CampaignError::Checkpoint`] naming its path.
 
 use crate::estimator::{
     CampaignError, CampaignKernel, CampaignResult, ChunkPartial, ClassCounts, EstimatorKind,
@@ -24,7 +26,18 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use xlmc_soc::MpuBit;
 
-const CHECKPOINT_FORMAT: &str = "xlmc-checkpoint-v3";
+/// The format tag. `v4` added the body checksum; earlier versions are
+/// refused.
+const CHECKPOINT_FORMAT: &str = "xlmc-checkpoint-v4";
+
+/// FNV-1a over a checkpoint's serialized body. A change of any one byte of
+/// the body always changes it (each step is a bijection of the state), and
+/// wider changes collide with probability 2^-64.
+fn checksum(body: &str) -> u64 {
+    body.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
 
 /// The merged campaign prefix: every statistic folded from chunks
 /// `0..merged_chunks`, in chunk order. Restoring it and folding the
@@ -431,8 +444,17 @@ impl CampaignCheckpoint {
             .map_err(|e| CampaignError::checkpoint(path, format!("cannot be written: {e}")))
     }
 
-    /// Serialize to the on-disk JSON form.
+    /// Serialize to the on-disk JSON form: the body, then its checksum.
     pub(crate) fn to_json(&self) -> String {
+        let body = self.body_json();
+        format!(
+            "{body},\n  \"checksum\": \"{:#018x}\"\n}}\n",
+            checksum(&body)
+        )
+    }
+
+    /// Every member but the checksum, without the closing brace.
+    fn body_json(&self) -> String {
         use std::fmt::Write as _;
         let st = &self.state;
         let mut s = String::with_capacity(1024 + 32 * st.boundaries.len());
@@ -497,13 +519,28 @@ impl CampaignCheckpoint {
         let first = st
             .first_success
             .map_or("null".to_owned(), |i| i.to_string());
-        let _ = writeln!(s, "  \"first_success\": {first}\n}}");
+        let _ = write!(s, "  \"first_success\": {first}");
         s
     }
 
-    /// Deserialize the on-disk JSON form, rejecting foreign formats and
-    /// internally inconsistent state.
+    /// Deserialize the on-disk JSON form, rejecting foreign formats,
+    /// internally inconsistent state and a body its checksum does not
+    /// match. The checksum is compared with the body as this build writes
+    /// it, so a file that parses to the state it was written from passes.
     pub(crate) fn from_json(src: &str) -> Result<Self, String> {
+        let (ck, stored) = Self::parse(src)?;
+        let body = checksum(&ck.body_json());
+        if stored != body {
+            return Err(format!(
+                "checksum {stored:#018x} does not match its body ({body:#018x}): the file is corrupt"
+            ));
+        }
+        Ok(ck)
+    }
+
+    /// [`from_json`](Self::from_json) without the checksum comparison:
+    /// the checkpoint and the checksum the file stores.
+    fn parse(src: &str) -> Result<(Self, u64), String> {
         let doc = JsonValue::parse(src)?;
         let format = doc.get("format").and_then(JsonValue::as_str).unwrap_or("");
         if format != CHECKPOINT_FORMAT {
@@ -602,7 +639,11 @@ impl CampaignCheckpoint {
         state.successes = get_u64(&doc, "successes")? as usize;
         state.w_sum = bits_field(&doc, "w_sum_bits")?;
         state.w_sq_sum = bits_field(&doc, "w_sq_sum_bits")?;
-        Ok(Self {
+        let stored = (field(&doc, "checksum")?.as_str())
+            .and_then(|s| s.strip_prefix("0x"))
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+            .ok_or("checksum: expected a 0x-prefixed hex string")?;
+        let ck = Self {
             seed: get_u64(&doc, "seed")?,
             requested_runs: get_u64(&doc, "requested_runs")? as usize,
             chunk_runs: get_u64(&doc, "chunk_runs")? as usize,
@@ -611,7 +652,8 @@ impl CampaignCheckpoint {
                 .to_owned(),
             kernel,
             state,
-        })
+        };
+        Ok((ck, stored))
     }
 }
 
@@ -733,7 +775,7 @@ mod tests {
         assert!(!err.contains("kernel"), "{err}");
     }
 
-    /// The `xlmc-checkpoint-v3` bytes are pinned by two files written by an
+    /// The `xlmc-checkpoint-v4` bytes are pinned by two files written by an
     /// earlier build: a single-estimator campaign after 4 chunks and an
     /// MLMC campaign in the middle of its pilot. Both parse and serialize
     /// back to the identical bytes (`tests/checkpoint_format.rs` resumes
@@ -795,13 +837,39 @@ mod tests {
             ),
         ] {
             assert!(single.contains(from), "{from}");
-            let ck = CampaignCheckpoint::from_json(&single.replacen(from, to, 1)).unwrap();
+            let (ck, _) = CampaignCheckpoint::parse(&single.replacen(from, to, 1)).unwrap();
             let err = ck
                 .state
                 .check_consistent(ck.chunk_runs, ck.requested_runs)
                 .unwrap_err();
             assert!(err.contains(what), "{what}: {err}");
         }
+    }
+
+    /// A value changed alone, even one the file stores only once, no
+    /// longer matches the checksum; a checksum changed alone no longer
+    /// matches the body; a v3 file, which has none, is a foreign format.
+    #[test]
+    fn checkpoint_checksum_catches_any_changed_value() {
+        let single = include_str!("../../../tests/fixtures/checkpoint_single_4_chunks.json");
+        let (ck, stored) = CampaignCheckpoint::parse(single).unwrap();
+        assert_eq!(stored, checksum(&ck.body_json()));
+        assert!(single.starts_with(&ck.body_json()));
+        let m2 = "\"m2_bits\": \"0x";
+        let at = single.find(m2).unwrap() + m2.len();
+        let stored_hex = format!("{stored:016x}");
+        for (from, to) in [
+            (&single[at..at + 4], "4040"),
+            ("\"successes\": 32", "\"successes\": 31"),
+            (stored_hex.as_str(), "0123456789abcdef"),
+        ] {
+            assert!(single.contains(from), "{from}");
+            let err = CampaignCheckpoint::from_json(&single.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains("checksum"), "{from}: {err}");
+        }
+        let v3 = single.replace(CHECKPOINT_FORMAT, "xlmc-checkpoint-v3");
+        let err = CampaignCheckpoint::from_json(&v3).unwrap_err();
+        assert!(err.contains("unsupported checkpoint format"), "{err}");
     }
 
     /// The per-level MLMC object is present exactly when the estimator is

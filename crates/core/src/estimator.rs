@@ -532,7 +532,7 @@ impl CampaignOptions {
             "  --target-confidence C  confidence for --target-eps, in (0, 1)\n",
             "                         (default 0.95)\n",
             "  --metrics PATH         write the campaign metrics JSON\n",
-            "                         (xlmc-metrics-v11, schemas/metrics.schema.json)\n",
+            "                         (xlmc-metrics-v12, schemas/metrics.schema.json)\n",
             "  --events PATH          stream the lifecycle event log as JSONL\n",
             "                         (schemas/events.schema.json), one flushed line\n",
             "                         per event; results are bit-identical on or off\n",
@@ -951,12 +951,20 @@ struct Worker {
 
 impl Worker {
     /// The worker's schedule-dependent totals: its snapshot-cache counters,
-    /// its conclusion memo's (hits, misses) and its strike memo's hits.
-    fn totals(&self) -> (ResumeStats, (u64, u64), u64) {
+    /// and its memos' counters as a one-worker [`SchedulerStats`].
+    fn totals(&self) -> (ResumeStats, SchedulerStats) {
         let mut ff = self.flow.resume_stats();
         ff.add(&self.batch.resume_stats());
         ff.add(&self.mlmc.resume_stats());
-        (ff, self.memo.probe_stats(), self.batch.strike_memo_hits())
+        let (memo_hits, memo_misses) = self.memo.probe_stats();
+        let memos = SchedulerStats {
+            memo_hits,
+            memo_misses,
+            strike_memo_hits: self.batch.strike_memo_hits(),
+            handle_recalls: self.batch.handle_recalls(),
+            ..SchedulerStats::default()
+        };
+        (ff, memos)
     }
 }
 
@@ -1655,21 +1663,19 @@ pub fn run_campaign_observed(
     let elapsed_s = start_time.elapsed().as_secs_f64();
     let fresh = (ck.state.runs_merged() - resumed_runs) as f64;
     let mut resume_stats = ResumeStats::default();
-    let (mut memo_hits, mut memo_misses, mut strike_memo_hits) = (0, 0, 0);
-    for (ff, (hits, misses), strike_hits) in &worker_totals {
-        resume_stats.add(ff);
-        memo_hits += hits;
-        memo_misses += misses;
-        strike_memo_hits += strike_hits;
-    }
-    let scheduler = SchedulerStats {
+    let mut scheduler = SchedulerStats {
         workers,
         merge_wait_s,
         reorder_peak,
-        memo_hits,
-        memo_misses,
-        strike_memo_hits,
+        ..SchedulerStats::default()
     };
+    for (ff, memos) in &worker_totals {
+        resume_stats.add(ff);
+        scheduler.memo_hits += memos.memo_hits;
+        scheduler.memo_misses += memos.memo_misses;
+        scheduler.strike_memo_hits += memos.strike_memo_hits;
+        scheduler.handle_recalls += memos.handle_recalls;
+    }
     let program = match runner.model.mpu.netlist().program() {
         Ok(p) => ProgramStats {
             levels: p.levels(),
@@ -1701,6 +1707,7 @@ pub fn run_campaign_observed(
         program,
         scheduler,
         latency: hub.registry.latency.summaries(),
+        phases: hub.registry.latency.phases,
     };
     let result = ck
         .state
@@ -1780,7 +1787,8 @@ pub fn run_campaign_observed(
         );
         eprintln!(
             "[kernel] {}: {} levels x {} gates, {} lanes/sweep, {} sweeps | \
-             lanes {} | strike-memo hits {} | timed lanes {} | re-simulated lanes {}",
+             lanes {} | strike-memo hits {} (handle recalls {}) | timed lanes {} | \
+             re-simulated lanes {}",
             meta.kernel.as_arg(),
             meta.program.levels,
             meta.program.gates,
@@ -1788,6 +1796,7 @@ pub fn run_campaign_observed(
             meta.program.sweeps,
             result.kernel_counters.lanes_occupied,
             meta.scheduler.strike_memo_hits,
+            meta.scheduler.handle_recalls,
             result.kernel_counters.timed_lanes,
             result.kernel_counters.resimulated_lanes,
         );

@@ -269,6 +269,15 @@ pub(crate) struct Concluded {
     pub(crate) analytic: bool,
 }
 
+impl Concluded {
+    /// The verdict of a strike that left no register in error.
+    pub(crate) const MASKED: Self = Self {
+        success: false,
+        class: StrikeClass::Masked,
+        analytic: false,
+    };
+}
+
 /// Reusable per-worker buffers for [`FaultRunner::run_with`].
 ///
 /// Holds every transient allocation of the flow, plus state that is valid
@@ -596,14 +605,35 @@ impl FaultRunner<'_> {
         chunk: Option<u32>,
     ) -> (Concluded, bool) {
         if regs.is_empty() {
-            let masked = Concluded {
-                success: false,
-                class: StrikeClass::Masked,
-                analytic: false,
-            };
-            return (masked, false);
+            return (Concluded::MASKED, false);
         }
         memo.get_or_conclude((te, regs), chunk, || self.conclude_miss(te, regs, ff))
+    }
+
+    /// [`FaultRunner::conclude_with`] returning the memo slot of the
+    /// conclusion instead of its verdict; `None` for registers the
+    /// hardening left empty, which are masked without a probe.
+    pub(crate) fn conclude_slot(
+        &self,
+        te: u64,
+        regs: DffMask,
+        ff: &mut RtlResume,
+        memo: &mut ConclusionMemo,
+        chunk: Option<u32>,
+    ) -> Option<(u32, bool)> {
+        (!regs.is_empty())
+            .then(|| memo.probe((te, regs), chunk, || self.conclude_miss(te, regs, ff)))
+    }
+
+    /// Whether a run's outcome is a fixed function of its sample: one
+    /// glitch spot and no hardening or a deterministic one
+    /// (`dup_config_vote`), so no draw after the sample decides anything.
+    pub(crate) fn outcome_is_fixed(&self) -> bool {
+        self.multi_fault.is_none()
+            && matches!(
+                self.hardening,
+                None | Some(HardenedVariant::DupConfigVote(_))
+            )
     }
 
     /// A memo miss of [`FaultRunner::conclude_with`]: classify the registers

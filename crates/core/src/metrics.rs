@@ -208,6 +208,9 @@ pub struct LatencyShard {
     pub kernel_sweep: LatencyHist,
     /// One crash-safe checkpoint write (temp file + rename).
     pub checkpoint_write: LatencyHist,
+    /// Seconds the compiled kernel's chunks spent in each phase (zero
+    /// under `--kernel scalar` and MLMC).
+    pub phases: PhaseTimes,
 }
 
 impl LatencyShard {
@@ -218,6 +221,7 @@ impl LatencyShard {
         self.snapshot_restore.merge(&other.snapshot_restore);
         self.kernel_sweep.merge(&other.kernel_sweep);
         self.checkpoint_write.merge(&other.checkpoint_write);
+        self.phases.add(&other.phases);
     }
 
     /// The histograms with their stable metric names.
@@ -240,6 +244,52 @@ impl LatencyShard {
             kernel_sweep: self.kernel_sweep.summary(),
             checkpoint_write: self.checkpoint_write.summary(),
         }
+    }
+}
+
+/// Wall time a compiled chunk spends in each of its phases, summed over
+/// chunks: where a campaign's time goes, without a trace. Each phase is
+/// timed from its start to the next one's, so the five add up to at most
+/// the chunks' wall time.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseTimes {
+    /// Drawing and stratifying the chunk's samples.
+    pub draw_s: f64,
+    /// Filling sweeps: lane build, strike-memo lookups and recalls.
+    pub lanes_s: f64,
+    /// The packed kernel sweeps.
+    pub sweep_s: f64,
+    /// Hardening and concluding the swept lanes (and the recalled runs
+    /// that still need it).
+    pub conclude_s: f64,
+    /// Folding the chunk's records in run order.
+    pub fold_s: f64,
+}
+
+impl PhaseTimes {
+    /// Add another chunk's times.
+    pub fn add(&mut self, other: &PhaseTimes) {
+        self.draw_s += other.draw_s;
+        self.lanes_s += other.lanes_s;
+        self.sweep_s += other.sweep_s;
+        self.conclude_s += other.conclude_s;
+        self.fold_s += other.fold_s;
+    }
+
+    /// The sums with their stable metric names.
+    pub fn iter_named(&self) -> [(&'static str, f64); 5] {
+        [
+            ("draw_s", self.draw_s),
+            ("lanes_s", self.lanes_s),
+            ("sweep_s", self.sweep_s),
+            ("conclude_s", self.conclude_s),
+            ("fold_s", self.fold_s),
+        ]
+    }
+
+    /// The five sums added up.
+    pub fn total_s(&self) -> f64 {
+        self.iter_named().iter().map(|&(_, s)| s).sum()
     }
 }
 
@@ -652,8 +702,12 @@ mod tests {
         b.chunk_wall.record(0.5);
         b.snapshot_restore.record(1e-4);
         b.kernel_sweep.record(2e-5);
+        b.phases.sweep_s = 2e-5;
+        b.phases.fold_s = 0.25;
         a.absorb(&b);
         a.absorb(&b);
+        assert_eq!(a.phases.sweep_s, 4e-5);
+        assert!((a.phases.total_s() - 0.50004).abs() < 1e-12);
         assert_eq!(a.chunk_wall.count(), 2);
         assert_eq!(a.snapshot_restore.count(), 2);
         assert_eq!(a.kernel_sweep.count(), 2);

@@ -23,7 +23,9 @@
 //!   hardening filter consumes RNG *before* the key is formed), so private
 //!   per-worker memos are result-invariant. The key is the exact
 //!   [`ConclusionKey`] — four words, no hash stands in for it — so entries
-//!   cannot collide and lookups never allocate.
+//!   cannot collide and lookups never allocate. Entries sit in a slab of
+//!   slots that never move, so the compiled kernel's outcome memo keeps a
+//!   slot number per settled strike group and recalls it without hashing.
 //!
 //! Each memo entry is also stamped with the chunk that last probed it,
 //! which is all the chunk-local [`crate::trace::CampaignCounters`] model
@@ -32,9 +34,8 @@
 //! schedule-dependent cache counters live in [`ResumeStats`] and
 //! surface through the metrics JSON, never through `CampaignResult`.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Instant;
 
 use crate::flow::{Concluded, DffMask};
@@ -271,6 +272,37 @@ impl Hasher for WordHasher {
 /// The stamp of an entry no counted probe has touched yet.
 const UNSTAMPED: u32 = u32::MAX;
 
+/// An empty bucket of the [`ConclusionMemo`] index.
+const EMPTY_BUCKET: u32 = 0;
+
+/// One concluded pattern of a [`ConclusionMemo`]: its key, its verdict and
+/// the chunk that last probed it. A slot never moves once concluded, so its
+/// number is a stable handle to the outcome.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    /// The post-hardening registers of the key.
+    pub(crate) regs: DffMask,
+    /// The injection cycle of the key.
+    te: u32,
+    /// The chunk that last probed the slot, or [`UNSTAMPED`].
+    stamp: u32,
+    /// The verdict of the key.
+    pub(crate) verdict: Concluded,
+}
+
+impl Slot {
+    /// Stamp the slot for a probe from chunk `chunk`: whether it is the
+    /// chunk's first. Unstamped probes (`None`) leave the stamp alone and
+    /// report `false`.
+    fn stamp(&mut self, chunk: Option<u32>) -> bool {
+        let Some(c) = chunk else { return false };
+        assert_ne!(c, UNSTAMPED, "chunk index out of stamp range");
+        let first = self.stamp != c;
+        self.stamp = c;
+        first
+    }
+}
+
 /// A worker's `(te, faulty_bits) → verdict` conclusion memo, each entry
 /// stamped with the chunk that last probed it.
 ///
@@ -283,9 +315,18 @@ const UNSTAMPED: u32 = u32::MAX;
 /// per-chunk totals that flag feeds depend only on the multiset of keys in
 /// the chunk — not on the order lanes are concluded in, nor on which
 /// entries earlier chunks left behind.
+///
+/// Entries live in a slab of [`Slot`]s that never move, behind an
+/// open-addressed index of slot numbers (linear probing, at most half
+/// full), so a caller that has probed a key once can keep the slot number
+/// and [`recall`](Self::recall) it later without hashing. The index holds
+/// four bytes a bucket; the key is compared in the slab.
 #[derive(Debug, Default)]
 pub struct ConclusionMemo {
-    map: HashMap<ConclusionKey, (Concluded, u32), WordHash>,
+    /// Per bucket, a slot number plus one, or [`EMPTY_BUCKET`]; the length
+    /// is zero or a power of two.
+    index: Vec<u32>,
+    slots: Vec<Slot>,
     hits: u64,
     misses: u64,
 }
@@ -301,43 +342,106 @@ impl ConclusionMemo {
         chunk: Option<u32>,
         conclude: impl FnOnce() -> Concluded,
     ) -> (Concluded, bool) {
-        let stamp = chunk.map_or(UNSTAMPED, |c| {
-            assert_ne!(c, UNSTAMPED, "chunk index out of stamp range");
-            c
-        });
-        match self.map.entry(key) {
-            Entry::Occupied(e) => {
-                self.hits += 1;
-                let (verdict, last) = e.into_mut();
-                let first = stamp != UNSTAMPED && *last != stamp;
-                if first {
-                    *last = stamp;
+        let (slot, first) = self.probe(key, chunk, conclude);
+        (self.slots[slot as usize].verdict, first)
+    }
+
+    /// [`get_or_conclude`](Self::get_or_conclude) returning the key's slot
+    /// number instead of its verdict.
+    pub(crate) fn probe(
+        &mut self,
+        (te, regs): ConclusionKey,
+        chunk: Option<u32>,
+        conclude: impl FnOnce() -> Concluded,
+    ) -> (u32, bool) {
+        let te = u32::try_from(te).expect("injection cycle beyond u32");
+        if 2 * (self.slots.len() + 1) > self.index.len() {
+            self.grow();
+        }
+        let mask = self.index.len() - 1;
+        let mut b = bucket_of(te, &regs) & mask;
+        loop {
+            match self.index[b] {
+                EMPTY_BUCKET => break,
+                s => {
+                    let slot = &mut self.slots[s as usize - 1];
+                    if slot.te == te && slot.regs == regs {
+                        self.hits += 1;
+                        return (s - 1, slot.stamp(chunk));
+                    }
                 }
-                (*verdict, first)
             }
-            Entry::Vacant(e) => {
-                self.misses += 1;
-                let verdict = conclude();
-                e.insert((verdict, stamp));
-                (verdict, stamp != UNSTAMPED)
+            b = (b + 1) & mask;
+        }
+        self.misses += 1;
+        // Bucket values are slot numbers plus one.
+        assert!(
+            self.slots.len() < u32::MAX as usize,
+            "conclusion memo beyond u32 slots"
+        );
+        let n = self.slots.len() as u32;
+        self.slots.push(Slot {
+            regs,
+            te,
+            stamp: chunk.unwrap_or(UNSTAMPED),
+            verdict: conclude(),
+        });
+        self.index[b] = n + 1;
+        (n, chunk.is_some())
+    }
+
+    /// The slot `slot` a probe returned, stamped as a probe of its key from
+    /// chunk `chunk` would stamp it, and whether that is the chunk's first:
+    /// a probe without the hashing. Counts as no probe.
+    pub(crate) fn recall(&mut self, slot: u32, chunk: u32) -> (&Slot, bool) {
+        let s = &mut self.slots[slot as usize];
+        let first = s.stamp(Some(chunk));
+        (s, first)
+    }
+
+    /// Slot `slot`, as a probe returned it.
+    pub(crate) fn slot(&self, slot: u32) -> &Slot {
+        &self.slots[slot as usize]
+    }
+
+    /// Double the index (or make the first one) and re-place every slot.
+    fn grow(&mut self) {
+        let len = (2 * self.index.len()).max(64);
+        self.index.clear();
+        self.index.resize(len, EMPTY_BUCKET);
+        for (n, s) in self.slots.iter().enumerate() {
+            let mut b = bucket_of(s.te, &s.regs) & (len - 1);
+            while self.index[b] != EMPTY_BUCKET {
+                b = (b + 1) & (len - 1);
             }
+            self.index[b] = n as u32 + 1;
         }
     }
 
     /// Number of concluded patterns held.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// Whether the memo holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 
-    /// `(hits, misses)` over every probe of this memo.
+    /// `(hits, misses)` over every probe of this memo; recalls are not
+    /// probes.
     pub(crate) fn probe_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+}
+
+/// The index bucket of a key before masking: a [`WordHasher`] fold of its
+/// words.
+fn bucket_of(te: u32, regs: &DffMask) -> usize {
+    let mut h = WordHasher::default();
+    h.write_u64(u64::from(te));
+    regs.hash(&mut h);
+    h.finish() as usize
 }
 
 #[cfg(test)]
@@ -397,6 +501,77 @@ mod tests {
         assert_eq!(probe(&mut memo, fresh, Some(1), true), (true, true, false));
         assert_eq!(memo.len(), 3);
         assert_eq!(memo.probe_stats(), (7, 3));
+    }
+
+    proptest::proptest! {
+        /// A caller that keeps each key's slot from its first probe and
+        /// recalls it later sees the same `(verdict, first_in_chunk)`
+        /// sequence as one that probes every time, over chunks in any
+        /// order with uncounted probes between; the memo's hash probes drop
+        /// by exactly the recalls.
+        #[test]
+        fn slot_recalls_match_probes(
+            probes in proptest::collection::vec(
+                (0u32..4, 0u64..3, 0usize..4, proptest::prelude::any::<bool>()),
+                1..120,
+            ),
+        ) {
+            let (mut probed, mut recalled) = (ConclusionMemo::default(), ConclusionMemo::default());
+            let mut slots = HashMap::new();
+            let mut recalls = 0;
+            for (i, &(chunk, te, reg, counted)) in probes.iter().enumerate() {
+                let key = key_of(te, &[reg, 64 + reg]);
+                let success = (te + reg as u64).is_multiple_of(2);
+                let chunk = counted.then_some(chunk);
+                let (want, want_first) = probed.get_or_conclude(key, chunk, || concluded(success));
+                let (got, got_first) = match (slots.get(&key), chunk) {
+                    (Some(&slot), Some(c)) => {
+                        recalls += 1;
+                        let (s, first) = recalled.recall(slot, c);
+                        (s.verdict, first)
+                    }
+                    _ => {
+                        let (slot, first) = recalled.probe(key, chunk, || concluded(success));
+                        slots.insert(key, slot);
+                        let s = recalled.slot(slot);
+                        proptest::prop_assert_eq!((s.te, s.regs), (te as u32, key.1));
+                        (s.verdict, first)
+                    }
+                };
+                proptest::prop_assert_eq!(
+                    (got.success, got.class, got.analytic, got_first),
+                    (want.success, want.class, want.analytic, want_first),
+                    "probe {}", i
+                );
+            }
+            let ((hits, misses), (rhits, rmisses)) = (probed.probe_stats(), recalled.probe_stats());
+            proptest::prop_assert_eq!((hits, misses), (rhits + recalls, rmisses));
+            proptest::prop_assert_eq!(probed.len(), recalled.len());
+        }
+    }
+
+    /// Slots stay put while the index grows past many doublings, and every
+    /// key still finds its own slot.
+    #[test]
+    fn slots_are_stable_as_the_index_grows() {
+        let mut memo = ConclusionMemo::default();
+        let keys: Vec<ConclusionKey> = (0..3000u64)
+            .map(|i| key_of(i % 50, &[(i / 50) as usize % 170, 171]))
+            .collect();
+        let slots: Vec<u32> = keys
+            .iter()
+            .map(|&k| memo.probe(k, Some(0), || concluded(k.0 % 3 == 0)).0)
+            .collect();
+        assert_eq!(memo.len(), 3000);
+        assert!(memo.index.len() >= 2 * memo.len());
+        for (k, &slot) in keys.iter().zip(&slots) {
+            let (again, first) = memo.probe(*k, Some(0), || unreachable!("held"));
+            assert_eq!((again, first), (slot, false));
+            let s = memo.slot(slot);
+            assert_eq!((u64::from(s.te), s.regs), *k);
+            assert_eq!(s.verdict.success, k.0 % 3 == 0);
+        }
+        assert_eq!(memo.probe_stats(), (3000, 3000));
     }
 
     #[test]

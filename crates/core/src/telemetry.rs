@@ -24,7 +24,7 @@ pub use crate::json::{json_escape, validate_against_schema, JsonValue};
 
 use crate::estimator::{CampaignKernel, CampaignResult, ClassCounts};
 use crate::json::json_num;
-use crate::metrics::{LatencySummaries, LatencySummary, MlmcProgress};
+use crate::metrics::{LatencySummaries, LatencySummary, MlmcProgress, PhaseTimes};
 use crate::resume::ResumeStats;
 use crate::trace::{counters_json, CampaignCounters, KernelCounters};
 use std::io;
@@ -211,8 +211,10 @@ impl CampaignObserver for StderrProgress {
 /// `mpu_steps` and `idle_skipped` to `resume`, the cycles the faulty MPU
 /// was stepped alone and the idle cycles it jumped, and `module_resolved`
 /// now also counts errors still private to the MPU when the golden run
-/// halts.
-pub const METRICS_FORMAT: &str = "xlmc-metrics-v11";
+/// halts; `v12` added the `timing.phases` sums, the compiled chunks' wall
+/// time per phase, and the scheduler's `handle_recalls`, the strike-memo
+/// hits whose record came from a settled outcome handle.
+pub const METRICS_FORMAT: &str = "xlmc-metrics-v12";
 
 /// Shape of the compiled gate program driving the campaign (all zeros
 /// when the model netlist could not be levelized — never the case for the
@@ -252,6 +254,10 @@ pub struct SchedulerStats {
     /// every chunk in this invocation, `lanes_occupied + strike_memo_hits
     /// + out_of_run == n`.
     pub strike_memo_hits: u64,
+    /// Of `strike_memo_hits`, the runs whose record came straight from a
+    /// settled outcome handle (a conclusion-memo slot), with no register
+    /// rebuild, hardening pass or hash probe.
+    pub handle_recalls: u64,
 }
 
 /// Campaign-level context the metrics file records alongside the result.
@@ -285,6 +291,8 @@ pub struct MetricsMeta {
     /// Quantile digests of the engine latency histograms (chunk wall,
     /// merge wait, snapshot restore, kernel sweep, checkpoint write).
     pub latency: LatencySummaries,
+    /// The compiled chunks' wall time per phase, summed.
+    pub phases: PhaseTimes,
 }
 
 /// Render the finished campaign as the metrics JSON document.
@@ -342,7 +350,12 @@ pub fn metrics_json(result: &CampaignResult, meta: &MetricsMeta) -> String {
             if i + 1 < digests.len() { "," } else { "" },
         );
     }
-    s.push_str("  }},\n");
+    s.push_str("  }, \"phases\": {");
+    for (i, (name, sum)) in meta.phases.iter_named().iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        let _ = write!(s, "{sep}\"{name}\": {}", json_num(*sum));
+    }
+    s.push_str("}},\n");
     let _ = writeln!(s, "  \"host_cpus\": {},", meta.host_cpus);
     let _ = writeln!(s, "  \"kernel\": \"{}\",", meta.kernel.as_arg());
     let _ = writeln!(s, "  \"estimator\": \"{}\",", result.estimator.as_arg());
@@ -383,13 +396,15 @@ pub fn metrics_json(result: &CampaignResult, meta: &MetricsMeta) -> String {
     let _ = writeln!(
         s,
         "  \"scheduler\": {{\"workers\": {}, \"merge_wait_s\": {}, \"reorder_peak\": {}, \
-         \"memo_hits\": {}, \"memo_misses\": {}, \"strike_memo_hits\": {}}},",
+         \"memo_hits\": {}, \"memo_misses\": {}, \"strike_memo_hits\": {}, \
+         \"handle_recalls\": {}}},",
         sc.workers,
         json_num(sc.merge_wait_s),
         sc.reorder_peak,
         sc.memo_hits,
         sc.memo_misses,
         sc.strike_memo_hits,
+        sc.handle_recalls,
     );
     let ff = &meta.resume_stats;
     let _ = writeln!(
@@ -540,6 +555,7 @@ mod tests {
                 memo_hits: 10,
                 memo_misses: 14,
                 strike_memo_hits: 5,
+                handle_recalls: 4,
             },
             latency: {
                 let mut shard = crate::metrics::LatencyShard::default();
@@ -547,6 +563,13 @@ mod tests {
                 shard.chunk_wall.record(0.034);
                 shard.checkpoint_write.record(0.002);
                 shard.summaries()
+            },
+            phases: PhaseTimes {
+                draw_s: 0.01,
+                lanes_s: 0.005,
+                sweep_s: 0.004,
+                conclude_s: 0.02,
+                fold_s: 0.003,
             },
         };
         let doc = JsonValue::parse(&metrics_json(&result, &meta)).unwrap();
@@ -598,6 +621,10 @@ mod tests {
             sched.get("strike_memo_hits").and_then(JsonValue::as_u64),
             Some(5)
         );
+        assert_eq!(
+            sched.get("handle_recalls").and_then(JsonValue::as_u64),
+            Some(4)
+        );
         let Some(JsonValue::Obj(ff)) = doc.get("resume") else {
             panic!("resume must be an object");
         };
@@ -633,6 +660,23 @@ mod tests {
                 .and_then(|h| h.get("count"))
                 .and_then(JsonValue::as_u64),
             Some(0)
+        );
+        let Some(JsonValue::Obj(phases)) = timing.get("phases") else {
+            panic!("timing.phases must be an object");
+        };
+        let phases: Vec<(&str, Option<f64>)> = phases
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_f64()))
+            .collect();
+        assert_eq!(
+            phases,
+            [
+                ("draw_s", Some(0.01)),
+                ("lanes_s", Some(0.005)),
+                ("sweep_s", Some(0.004)),
+                ("conclude_s", Some(0.02)),
+                ("fold_s", Some(0.003)),
+            ]
         );
         assert!(
             doc.get("elapsed_s").is_none(),

@@ -20,7 +20,7 @@ use xlmc::estimator::{
     replay_run, run_campaign_with, CampaignKernel, CampaignOptions, CampaignResult,
 };
 use xlmc::flow::FaultRunner;
-use xlmc::harden::{DupConfigVote, HardenedVariant};
+use xlmc::harden::{DupConfigVote, HardenedSet, HardenedVariant, HardeningModel};
 use xlmc::sampling::{
     baseline_distribution, ExperimentConfig, ImportanceSampling, RandomSampling, SamplingStrategy,
 };
@@ -73,14 +73,15 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// Run a campaign with a metrics file and return its result and the
-/// scheduler's `strike_memo_hits` (summed over the workers' strike memos).
+/// scheduler's `strike_memo_hits` and `handle_recalls` (summed over the
+/// workers' strike memos).
 fn run_with_strike_hits(
     r: &FaultRunner<'_>,
     strategy: &dyn SamplingStrategy,
     n: usize,
     opts: &CampaignOptions,
     tag: &str,
-) -> (CampaignResult, u64) {
+) -> (CampaignResult, u64, u64) {
     let metrics = scratch(&format!("{tag}.metrics.json"));
     let opts = CampaignOptions {
         metrics_path: Some(metrics.clone()),
@@ -89,12 +90,17 @@ fn run_with_strike_hits(
     let res = run_campaign_with(r, strategy, n, SEED, &opts);
     let doc = JsonValue::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
     let _ = std::fs::remove_file(&metrics);
-    let hits = doc
-        .get("scheduler")
-        .and_then(|s| s.get("strike_memo_hits"))
-        .and_then(JsonValue::as_u64)
-        .expect("scheduler.strike_memo_hits");
-    (res, hits)
+    let scheduler = |key| {
+        doc.get("scheduler")
+            .and_then(|s| s.get(key))
+            .and_then(JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("scheduler.{key}"))
+    };
+    (
+        res,
+        scheduler("strike_memo_hits"),
+        scheduler("handle_recalls"),
+    )
 }
 
 #[test]
@@ -142,7 +148,7 @@ fn counter_totals_are_kernel_and_thread_invariant() {
                 ..CampaignOptions::with_kernel(kernel)
             };
             let tag = format!("{kernel:?} t{threads}");
-            let (res, hits) = run_with_strike_hits(&r, &strategy, RUNS, &opts, &tag);
+            let (res, hits, _) = run_with_strike_hits(&r, &strategy, RUNS, &opts, &tag);
             results.push((tag, res, hits));
         }
     }
@@ -205,7 +211,8 @@ fn strike_memo_engages_and_changes_no_result() {
             ..CampaignOptions::with_kernel(CampaignKernel::Compiled)
         };
         let tag = format!("strike-memo-t{threads}");
-        let (mut res, hits) = run_with_strike_hits(&r, &strategy, n, &opts, &tag);
+        let (mut res, hits, recalls) = run_with_strike_hits(&r, &strategy, n, &opts, &tag);
+        assert_eq!(recalls, hits, "{tag}: every hit is a handle recall");
         assert!(hits > 0, "{tag}: no strike-memo hit");
         assert_eq!(
             res.kernel_counters.lanes_occupied + hits as usize + res.counters.out_of_run,
@@ -221,7 +228,7 @@ fn strike_memo_engages_and_changes_no_result() {
         ..runner(f)
     };
     let opts = CampaignOptions::with_kernel(CampaignKernel::Compiled);
-    let (res, hits) = run_with_strike_hits(&r, &strategy, 4 * RUNS, &opts, "strike-memo-glitch");
+    let (res, hits, _) = run_with_strike_hits(&r, &strategy, 4 * RUNS, &opts, "strike-memo-glitch");
     assert_eq!(hits, 0, "the double glitch bypasses the strike memo");
     assert_eq!(
         res.kernel_counters.lanes_occupied + res.counters.out_of_run,
@@ -285,6 +292,59 @@ fn counters_stay_invariant_under_hardening_and_double_glitch() {
             res.attribution, first.attribution,
             "attribution diverged between {first_tag} and {tag}"
         );
+    }
+}
+
+/// Outcome handles change no counter. With no defense and with the voter
+/// the compiled kernel's strike-memo hits all come from handles; under the
+/// stochastic uniform hardening none does. At one and two workers every
+/// `CampaignCounters` field, the estimate and the attribution equal the
+/// scalar kernel's.
+#[test]
+fn outcome_handles_keep_every_counter() {
+    let f = fixture();
+    let strategy = ImportanceSampling::new(
+        baseline_distribution(&f.model, &f.cfg),
+        &f.model,
+        &f.prechar,
+        f.cfg.alpha,
+        f.cfg.beta,
+        f.cfg.radius_options.clone(),
+    );
+    let vote = HardenedVariant::DupConfigVote(DupConfigVote::new());
+    let uniform = HardenedVariant::Uniform(HardenedSet::new(
+        [xlmc_soc::MpuBit::Violation, xlmc_soc::MpuBit::Enable],
+        HardeningModel::default(),
+    ));
+    let n = 8 * RUNS;
+    for (hardening, fixed) in [(None, true), (Some(&vote), true), (Some(&uniform), false)] {
+        let r = FaultRunner {
+            hardening,
+            ..runner(f)
+        };
+        let scalar = run_campaign_with(
+            &r,
+            &strategy,
+            n,
+            SEED,
+            &CampaignOptions::with_kernel(CampaignKernel::Scalar),
+        );
+        for threads in [1usize, 2] {
+            let opts = CampaignOptions {
+                threads,
+                ..CampaignOptions::with_kernel(CampaignKernel::Compiled)
+            };
+            let tag = format!(
+                "{} t{threads}",
+                hardening.map_or("none", HardenedVariant::name)
+            );
+            let (mut res, hits, recalls) = run_with_strike_hits(&r, &strategy, n, &opts, &tag);
+            assert!(hits > 0, "{tag}: no strike-memo hit");
+            assert_eq!(recalls, if fixed { hits } else { 0 }, "{tag}");
+            assert_eq!(res.counters, scalar.counters, "{tag}: counters");
+            res.kernel_counters = scalar.kernel_counters;
+            assert_eq!(res, scalar, "{tag}: differs from the scalar kernel");
+        }
     }
 }
 

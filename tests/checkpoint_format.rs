@@ -1,10 +1,12 @@
-//! The `xlmc-checkpoint-v3` format, pinned by two files written by an
+//! The `xlmc-checkpoint-v4` format, pinned by two files written by an
 //! earlier build of the engine (`tests/fixtures/`): a single-estimator
 //! campaign after 4 of its 8 chunks, and an MLMC campaign in the middle
-//! of its 4-chunk pilot (2 chunks merged, no plan frozen yet). Resuming
-//! either gives the uninterrupted campaign's result, bit for bit; that
-//! the files re-serialize to the identical bytes is pinned by
-//! `checkpoint::tests` in the core crate.
+//! of its 4-chunk pilot (2 chunks merged, no plan frozen yet). Each was
+//! written by a campaign aborted through its observer one chunk past its
+//! last checkpoint. Resuming either gives the uninterrupted campaign's
+//! result, bit for bit; that the files re-serialize to the identical bytes
+//! and carry their body's checksum is pinned by `checkpoint::tests` in the
+//! core crate.
 
 use std::path::PathBuf;
 use xlmc::estimator::{
