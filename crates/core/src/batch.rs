@@ -1,31 +1,36 @@
 //! Packed campaign chunk execution over the compiled transient kernel.
 //!
-//! One chunk of runs is executed in three phases:
+//! One chunk of runs is executed in five phases, each timed into the
+//! chunk's [`PhaseTimes`]:
 //!
-//! 1. **Draw** (scalar): each run's sample, weight and RNG come from
-//!    `SplitMix64::for_run(seed, run_index)` exactly as in the scalar
-//!    engine — lane packing never touches the per-run random streams.
-//! 2. **Strike** (packed): in-run samples are stratified by injection
-//!    cycle (in `(T_e, run_index)` order so runs sharing a frame land in
-//!    the same sweep), grouped into sweeps of up to
-//!    [`WIDE_LANES`](xlmc_gatesim::WIDE_LANES) lanes, and propagated
-//!    through
+//! 1. **Draw**: the strategy's
+//!    [`draw_chunk`](crate::sampling::SamplingStrategy::draw_chunk) gives
+//!    each run its sample, weight and RNG from `SplitMix64::for_run(seed,
+//!    run_index)`, exactly as in the scalar engine — lane packing never
+//!    touches the per-run random streams. In-run samples are then
+//!    stratified by injection cycle, in `(T_e, run_index)` order, so runs
+//!    sharing a frame land in the same sweep.
+//! 2. **Lanes**: sweeps of up to [`WIDE_LANES`](xlmc_gatesim::WIDE_LANES)
+//!    lanes are filled in that order. A run whose outcome the
+//!    [`StrikeMemo`] already knows takes no lane: from a settled handle it
+//!    writes its record at once, and under stochastic hardening an
+//!    untimed group's run takes its registers.
+//! 3. **Sweep**: each sweep propagates its lanes through
 //!    [`TransientSim::strike_compiled_with`](xlmc_gatesim::transient::TransientSim)
-//!    in one pass over the netlist's compiled program per sweep. A run
-//!    whose outcome the [`StrikeMemo`] already knows takes no lane: from
-//!    a settled handle it writes its record at once, and under stochastic
-//!    hardening an untimed group's run takes its registers.
-//! 3. **Conclude + fold** (scalar): each lane's faulty registers, a packed
-//!    set, go through the hardening/classification/resume pipeline with
-//!    its own RNG, and the per-run results are folded into the chunk
-//!    partial **in run-index order**, so the Welford/Chan statistics are
-//!    bit-identical to the scalar engine's at any thread count and any
-//!    lane assignment.
+//!    in one pass over the netlist's compiled program.
+//! 4. **Conclude**: each lane's faulty registers, a packed set, go through
+//!    the hardening/classification/resume pipeline with its own RNG, into
+//!    the run's record: its verdict flags and conclusion-memo slot.
+//! 5. **Fold**: the records are folded into the chunk partial by
+//!    [`fold_chunk`], the scalar engine's fold, which takes the
+//!    floating-point sums **in run-index order**, so the Welford/Chan
+//!    statistics are bit-identical to the scalar engine's at any thread
+//!    count and any lane assignment.
 
 use std::time::Instant;
 
 use xlmc_fault::sample::PHASE_BINS;
-use xlmc_fault::{AttackSample, LaneStrikes, RadiationSpot};
+use xlmc_fault::{LaneStrikes, RadiationSpot};
 use xlmc_gatesim::bitparallel::CycleWindow;
 use xlmc_gatesim::{
     BatchLane, CompiledStrikeOutcome, CompiledTransientScratch, CycleGroup, CycleValues,
@@ -33,65 +38,18 @@ use xlmc_gatesim::{
 };
 use xlmc_netlist::{GateId, GateProgram};
 
-use crate::estimator::{fold_run, CampaignKernel, ChunkPartial, RunObs};
-use crate::flow::{DffMask, FaultRunner, StrikeClass};
+use crate::estimator::{fold_chunk, lap, CampaignKernel, ChunkPartial, ChunkRuns};
+use crate::flow::{DffMask, FaultRunner, RunRecord, MASKED_SLOT};
 use crate::metrics::{LatencyHist, LatencyShard, PhaseTimes};
-use crate::resume::{ConclusionMemo, ResumeStats, RtlResume, Slot};
-use crate::rng::SplitMix64;
+use crate::resume::{ConclusionMemo, ResumeStats, RtlResume};
 use crate::sampling::SamplingStrategy;
 use crate::trace::{CounterScratch, KernelCounters, TraceSink};
 use rand::RngCore;
-
-/// One run's scalar-phase products: the drawn sample, its importance
-/// weight, and the RNG state *after* the draw (the only later consumer is
-/// the hardening filter, which runs lane-by-lane in the conclude phase).
-struct RunDraw {
-    sample: AttackSample,
-    w: f64,
-    rng: SplitMix64,
-}
-
-/// One run's concluded outcome, buffered until the run-order fold.
-#[derive(Clone, Copy)]
-struct RunRecord {
-    success: bool,
-    class: StrikeClass,
-    analytic: bool,
-    /// The post-hardening registers in error.
-    regs: DffMask,
-    /// Whether the conclusion was its chunk's first probe of the key.
-    first_in_chunk: bool,
-}
-
-impl RunRecord {
-    /// The record of a run concluded at `slot`, first in its chunk or not.
-    fn of(slot: &Slot, first_in_chunk: bool) -> Self {
-        Self {
-            success: slot.verdict.success,
-            class: slot.verdict.class,
-            analytic: slot.verdict.analytic,
-            regs: slot.regs,
-            first_in_chunk,
-        }
-    }
-
-    /// The record of a run without a strike.
-    const MASKED: Self = Self {
-        success: false,
-        class: StrikeClass::Masked,
-        analytic: false,
-        regs: DffMask::EMPTY,
-        first_in_chunk: false,
-    };
-}
 
 /// A lane that records nothing in the strike memo.
 const NO_ENTRY: u32 = u32::MAX;
 /// Footprint rows the strike memo grows by.
 const MEMO_ROW_BLOCK: usize = 32;
-/// The conclusion slot of a settled outcome whose registers the hardening
-/// left empty: masked, with no conclusion-memo probe.
-const MASKED_SLOT: u32 = u32::MAX;
 
 /// What the strike memo knows of one `(T_e, footprint)` group, or of one
 /// phase bin of a timed group.
@@ -238,8 +196,7 @@ impl StrikeMemo {
 /// one `(model, evaluation, prechar)` triple only.
 #[derive(Default)]
 pub(crate) struct BatchChunkScratch {
-    draws: Vec<RunDraw>,
-    te: Vec<Option<u64>>,
+    runs: ChunkRuns,
     /// In-chunk indices of in-run samples, in `(T_e, index)` order.
     order: Vec<u32>,
     /// Per-cycle bucket offsets of the stratification pass.
@@ -253,21 +210,18 @@ pub(crate) struct BatchChunkScratch {
     /// Held runs whose group is resolved, in `(T_e, index)` order.
     ready: std::collections::VecDeque<u32>,
     /// Runs of the sweep being filled that recall an untimed group's
-    /// registers under stochastic hardening; each one's record holds its
-    /// registers in error until it concludes.
-    recalled: Vec<u32>,
+    /// registers under stochastic hardening, each with its registers in
+    /// error.
+    recalled: Vec<(u32, DffMask)>,
     /// Per lane of the last sweep: its pulse count.
     lane_pulses: Vec<usize>,
     strike_memo: StrikeMemo,
-    records: Vec<RunRecord>,
     ff: RtlResume,
     transient: CompiledTransientScratch,
     strike_out: CompiledStrikeOutcome,
     /// Wall-clock latency of each packed transient sweep — pure
     /// telemetry, harvested per chunk into the chunk partial.
     sweep_hist: LatencyHist,
-    /// Wall time per chunk phase, harvested with `sweep_hist`.
-    phases: PhaseTimes,
 }
 
 impl BatchChunkScratch {
@@ -294,7 +248,6 @@ impl BatchChunkScratch {
         LatencyShard {
             kernel_sweep: std::mem::take(&mut self.sweep_hist),
             snapshot_restore: self.ff.take_restore_latency(),
-            phases: std::mem::take(&mut self.phases),
             ..LatencyShard::default()
         }
     }
@@ -306,25 +259,7 @@ impl std::fmt::Debug for BatchChunkScratch {
     }
 }
 
-#[cfg(test)]
-impl BatchChunkScratch {
-    /// Run `i` of the last executed chunk, as
-    /// `(success, class, analytic, faulty_bits, weight)` — the per-run
-    /// observables the lane-equivalence tests compare against the scalar
-    /// engine.
-    fn recorded(
-        &self,
-        runner: &FaultRunner<'_>,
-        i: usize,
-    ) -> (bool, StrikeClass, bool, Vec<xlmc_soc::MpuBit>, f64) {
-        let r = &self.records[i];
-        let mut bits = Vec::new();
-        runner.bits_into(r.regs, &mut bits);
-        (r.success, r.class, r.analytic, bits, self.draws[i].w)
-    }
-}
-
-/// Phase 1: scalar draws identical to the scalar engine, then
+/// Phase 1: the chunk's draws, identical to the scalar engine's, then
 /// stratification by injection cycle. Same-frame runs
 /// share batches (fewer value groups per batch), and the `(T_e, index)`
 /// order keeps the grouping a pure function of the chunk contents —
@@ -337,27 +272,19 @@ fn draw_and_stratify(
     end: usize,
     scratch: &mut BatchChunkScratch,
 ) -> Option<(u64, u64)> {
-    let m = end - start;
-    scratch.draws.clear();
-    scratch.te.clear();
-    if scratch.records.len() < m {
-        scratch.records.resize(m, RunRecord::MASKED);
-    }
-    let golden_cycles = runner.eval.golden.cycles;
-    for i in 0..m {
-        let mut rng = SplitMix64::for_run(seed, (start + i) as u64);
-        let (sample, w) = strategy.draw_weighted(&mut rng);
-        let te = sample
-            .injection_cycle(runner.eval.target_cycle)
-            .filter(|&te| te < golden_cycles);
-        if te.is_none() {
-            // Out-of-run: masked without a strike, like the scalar path.
-            scratch.records[i] = RunRecord::MASKED;
-        }
-        scratch.te.push(te);
-        scratch.draws.push(RunDraw { sample, w, rng });
-    }
-    stratify(&scratch.te, &mut scratch.order, &mut scratch.te_counts)
+    let ChunkRuns { draws, te, records } = &mut scratch.runs;
+    strategy.draw_chunk(seed, start as u64..end as u64, draws);
+    let (target, golden_cycles) = (runner.eval.target_cycle, runner.eval.golden.cycles);
+    te.clear();
+    te.extend(draws.iter().map(|d| {
+        let te = d.sample.injection_cycle(target);
+        te.filter(|&te| te < golden_cycles)
+    }));
+    // Out-of-run: masked without a strike, like the scalar path. Every
+    // in-run record is written when its run concludes.
+    records.clear();
+    records.resize(draws.len(), RunRecord::MASKED);
+    stratify(te, &mut scratch.order, &mut scratch.te_counts)
 }
 
 /// The in-run indices of `te` in `(T_e, index)` order, by one counting
@@ -422,57 +349,12 @@ fn conclude_lane(
     ri: usize,
     mut regs: DffMask,
 ) -> u32 {
-    let te = scratch.te[ri].expect("struck runs inject inside the run");
-    runner.harden(&mut regs, &mut scratch.draws[ri].rng);
-    match runner.conclude_slot(te, regs, &mut scratch.ff, memo, Some(chunk)) {
-        Some((slot, first)) => {
-            scratch.records[ri] = RunRecord::of(memo.slot(slot), first);
-            slot
-        }
-        None => {
-            scratch.records[ri] = RunRecord::MASKED;
-            MASKED_SLOT
-        }
-    }
-}
-
-/// Fold the chunk's buffered records into a partial, in run-index order.
-fn fold_records(
-    runner: &FaultRunner<'_>,
-    scratch: &mut BatchChunkScratch,
-    ctr: &mut CounterScratch,
-    start: usize,
-    m: usize,
-    kc: KernelCounters,
-    record_provenance: bool,
-) -> ChunkPartial {
-    let mut p = ChunkPartial {
-        level: crate::multilevel::LEVEL_GATE,
-        kernel_counters: kc,
-        ..ChunkPartial::default()
-    };
-    for i in 0..m {
-        let rec = &scratch.records[i];
-        fold_run(
-            &mut p,
-            ctr,
-            RunObs {
-                run_index: (start + i) as u64,
-                sample: &scratch.draws[i].sample,
-                te: scratch.te[i],
-                pulses: 0,
-                class: rec.class,
-                analytic: rec.analytic,
-                success: rec.success,
-                w: scratch.draws[i].w,
-                regs: rec.regs,
-                first_in_chunk: rec.first_in_chunk,
-                dff_bits: runner.model.mpu.dff_bits(),
-            },
-            record_provenance,
-        );
-    }
-    p
+    let runs = &mut scratch.runs;
+    let te = runs.te[ri].expect("struck runs inject inside the run");
+    runner.harden(&mut regs, &mut runs.draws[ri].rng);
+    let record = runner.conclude_with(te, regs, &mut scratch.ff, memo, Some(chunk));
+    runs.records[ri] = record;
+    record.slot
 }
 
 /// Execute runs `start..end` through the 256-wide compiled-program kernel.
@@ -504,15 +386,14 @@ pub(crate) fn run_chunk_compiled(
     sink: &TraceSink,
     tid: u32,
 ) -> ChunkPartial {
-    ctr.begin_chunk();
-    let m = end - start;
     let mut clock = Instant::now();
+    let mut phases = PhaseTimes::default();
     let draw_span = sink.span_on(tid, "chunk", "draw");
     if let Some((lo, hi)) = draw_and_stratify(runner, strategy, seed, start, end, scratch) {
         scratch.strike_memo.cover(lo, hi);
     }
     drop(draw_span);
-    scratch.phases.draw_s += lap(&mut clock);
+    phases.draw_s = lap(&mut clock);
 
     let period = runner.model.transient.config().clock_period_ps;
     let program = runner
@@ -543,12 +424,12 @@ pub(crate) fn run_chunk_compiled(
             };
             pulses += strike_or_recall(runner, scratch, memo, chunk, program, period, ri);
         }
-        scratch.phases.lanes_s += lap(&mut clock);
+        phases.lanes_s += lap(&mut clock);
         if !scratch.lanes.is_empty() {
             sweep(runner, scratch, cycles, program, &mut kc, &mut pulses);
         }
         drop(strike_span);
-        scratch.phases.sweep_s += lap(&mut clock);
+        phases.sweep_s += lap(&mut clock);
 
         let conclude_span = sink.span_on(tid, "chunk", "conclude");
         for lane in 0..scratch.lanes.len() {
@@ -556,7 +437,7 @@ pub(crate) fn run_chunk_compiled(
             let regs = DffMask::from_words(scratch.strike_out.faulty_words(lane));
             let slot = conclude_lane(runner, scratch, memo, chunk, ri as usize, regs);
             if e != NO_ENTRY {
-                let phase = scratch.draws[ri as usize].sample.phase;
+                let phase = scratch.runs.draws[ri as usize].sample.phase;
                 let timed = scratch.strike_out.timed(lane);
                 let pulses = scratch.lane_pulses[lane];
                 let slot = fixed.then_some(slot);
@@ -564,12 +445,11 @@ pub(crate) fn run_chunk_compiled(
             }
         }
         for k in 0..scratch.recalled.len() {
-            let ri = scratch.recalled[k] as usize;
-            let regs = scratch.records[ri].regs;
-            conclude_lane(runner, scratch, memo, chunk, ri, regs);
+            let (ri, regs) = scratch.recalled[k];
+            conclude_lane(runner, scratch, memo, chunk, ri as usize, regs);
         }
         drop(conclude_span);
-        scratch.phases.conclude_s += lap(&mut clock);
+        phases.conclude_s += lap(&mut clock);
         if scratch.lanes.is_empty() {
             break;
         }
@@ -577,23 +457,18 @@ pub(crate) fn run_chunk_compiled(
         ready.extend(held.drain(..));
     }
 
-    // Fold in run-index order, exactly like the scalar kernel. The pulse
-    // counter is a chunk sum, so it takes the sweeps' totals and the
-    // recalled groups' counts rather than per-run counts.
+    // The scalar kernel's fold. The pulse counter takes the sweeps' totals
+    // and the recalled groups' counts rather than per-run counts.
     let fold_span = sink.span_on(tid, "chunk", "fold");
-    let mut p = fold_records(runner, scratch, ctr, start, m, kc, record_provenance);
-    p.counters.pulses_propagated += pulses;
+    let dff_bits = runner.model.mpu.dff_bits();
+    let first = start as u64;
+    let mut p = fold_chunk(ctr, &scratch.runs, first, memo, dff_bits, record_provenance);
+    p.counters.pulses_propagated = pulses;
+    p.kernel_counters = kc;
     drop(fold_span);
-    scratch.phases.fold_s += lap(&mut clock);
+    phases.fold_s = lap(&mut clock);
+    p.latency.phases = phases;
     p
-}
-
-/// The seconds since `clock`, which moves to now.
-fn lap(clock: &mut Instant) -> f64 {
-    let now = Instant::now();
-    let s = now.duration_since(*clock).as_secs_f64();
-    *clock = now;
-    s
 }
 
 /// Give run `ri` a lane in the sweep being filled, or hold it until that
@@ -611,7 +486,7 @@ fn strike_or_recall(
     ri: u32,
 ) -> usize {
     let placement = &runner.model.placement;
-    let draw = &mut scratch.draws[ri as usize];
+    let draw = &mut scratch.runs.draws[ri as usize];
     if let Some(mf) = runner.multi_fault {
         // The double glitch bypasses the memo. Its second-spot entropy word
         // comes off the run's own stream here — the same stream position
@@ -624,7 +499,7 @@ fn strike_or_recall(
         scratch.lanes.push((ri, NO_ENTRY));
         return 0;
     }
-    let te = scratch.te[ri as usize].expect("struck runs inject inside the run");
+    let te = scratch.runs.te[ri as usize].expect("struck runs inject inside the run");
     let spot = RadiationSpot {
         center: draw.sample.center,
         radius: draw.sample.radius,
@@ -646,11 +521,11 @@ fn strike_or_recall(
         Outcome::Settled { pulses, slot } => {
             scratch.strike_memo.hits += 1;
             scratch.strike_memo.handle_recalls += 1;
-            scratch.records[ri as usize] = match slot {
+            scratch.runs.records[ri as usize] = match slot {
                 MASKED_SLOT => RunRecord::MASKED,
                 slot => {
-                    let (slot, first) = memo.recall(slot, chunk);
-                    RunRecord::of(slot, first)
+                    let (s, first) = memo.recall(slot, chunk);
+                    RunRecord::concluded(slot, s.verdict, first)
                 }
             };
             return usize::from(pulses);
@@ -658,8 +533,8 @@ fn strike_or_recall(
         Outcome::Untimed { pulses } => {
             scratch.strike_memo.hits += 1;
             let upset = scratch.lane_strikes.footprint(spot).dffs().iter();
-            scratch.records[ri as usize].regs = upset.map(|&i| i as usize).collect();
-            scratch.recalled.push(ri);
+            let regs = upset.map(|&i| i as usize).collect();
+            scratch.recalled.push((ri, regs));
             return usize::from(pulses);
         }
     };
@@ -681,7 +556,11 @@ fn sweep(
     pulses: &mut usize,
 ) {
     let n = scratch.lanes.len();
-    let groups = cycle_groups(cycles, &scratch.te, scratch.lanes.iter().map(|&(ri, _)| ri));
+    let groups = cycle_groups(
+        cycles,
+        &scratch.runs.te,
+        scratch.lanes.iter().map(|&(ri, _)| ri),
+    );
     let lanes = batch_lanes(&scratch.lane_strikes);
     let t_sweep = Instant::now();
     runner.model.transient.strike_compiled_with(
@@ -775,7 +654,7 @@ pub fn gate_path_bench(
     let mut scalar_values: Vec<Option<CycleValues>> = vec![None; cycles.cycles()];
     if kernel == CampaignKernel::Scalar {
         for &ri in &scratch.order {
-            let te = scratch.te[ri as usize].unwrap() as usize;
+            let te = scratch.runs.te[ri as usize].unwrap() as usize;
             let (words, bit) = cycles.block(te);
             scalar_values[te]
                 .get_or_insert_with(CycleValues::default)
@@ -802,10 +681,10 @@ pub fn gate_path_bench(
             CampaignKernel::Scalar => {
                 for &ri in &scratch.order {
                     let ri = ri as usize;
-                    let te = scratch.te[ri].unwrap();
+                    let te = scratch.runs.te[ri].unwrap();
                     scratch.lane_strikes.clear();
                     scratch.lane_strikes.push_sample(
-                        &scratch.draws[ri].sample,
+                        &scratch.runs.draws[ri].sample,
                         &runner.model.placement,
                         program,
                         period,
@@ -835,13 +714,13 @@ pub fn gate_path_bench(
                     scratch.lane_strikes.clear();
                     for &ri in batch {
                         scratch.lane_strikes.push_sample(
-                            &scratch.draws[ri as usize].sample,
+                            &scratch.runs.draws[ri as usize].sample,
                             &runner.model.placement,
                             program,
                             period,
                         );
                     }
-                    let groups = cycle_groups(&cycles, &scratch.te, batch.iter().copied());
+                    let groups = cycle_groups(&cycles, &scratch.runs.te, batch.iter().copied());
                     let lanes = batch_lanes(&scratch.lane_strikes);
                     runner.model.transient.strike_compiled_with(
                         netlist,
@@ -886,13 +765,15 @@ pub fn gate_path_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowScratch;
+    use crate::flow::{FlowScratch, StrikeClass};
     use crate::harden::{DupConfigVote, HardenedSet, HardenedVariant, HardeningModel, ScfiFsm};
     use crate::model::{Evaluation, SystemModel};
     use crate::precharacterize::Precharacterization;
+    use crate::rng::SplitMix64;
     use crate::sampling::{
         baseline_distribution, ConeSampling, ExperimentConfig, ImportanceSampling, RandomSampling,
     };
+    use xlmc_fault::AttackSample;
     use xlmc_soc::workloads;
 
     struct Fixture {
@@ -1040,6 +921,29 @@ mod tests {
             .collect()
     }
 
+    /// Run `i` of the last chunk executed on `scratch` as the
+    /// lane-equivalence tests compare it; `memo` is the chunk's conclusion
+    /// memo.
+    fn recorded(
+        scratch: &BatchChunkScratch,
+        runner: &FaultRunner<'_>,
+        memo: &ConclusionMemo,
+        i: usize,
+    ) -> Observed {
+        let r = &scratch.runs.records[i];
+        let mut bits = Vec::new();
+        if r.slot != MASKED_SLOT {
+            runner.bits_into(memo.slot(r.slot).regs, &mut bits);
+        }
+        (
+            r.success,
+            r.class,
+            r.analytic,
+            bits,
+            scratch.runs.draws[i].w,
+        )
+    }
+
     /// Runs `0..n` of `strat` at `seed` through one compiled scratch and
     /// conclusion memo twice, as chunks 0 and 1, so the second pass meets
     /// every group the first one settled. Returns both passes' runs and the
@@ -1071,7 +975,9 @@ mod tests {
                 &sink,
                 0,
             );
-            let runs = (0..n).map(|i| scratch.recorded(runner, i)).collect();
+            let runs = (0..n)
+                .map(|i| recorded(&scratch, runner, &memo, i))
+                .collect();
             (runs, scratch.handle_recalls())
         };
         let (first, before) = pass(0);
@@ -1529,6 +1435,165 @@ mod tests {
                 assert_eq!(recalls, want, "{name}: handle recalls");
             }
         }
+    }
+
+    /// Every field of two chunk partials, `f64`s by bits.
+    fn assert_same_partial(got: &ChunkPartial, want: &ChunkPartial, ctx: &str) {
+        let raw = |s: &crate::stats::RunningStats| {
+            let (n, mean, m2) = s.to_raw();
+            (n, mean.to_bits(), m2.to_bits())
+        };
+        let attribution = |p: &ChunkPartial| {
+            let mut map = std::collections::BTreeMap::new();
+            p.attribution.merge_into(&mut map);
+            map.into_iter()
+                .map(|(b, w)| (b, w.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let weights = |p: &ChunkPartial| {
+            let w: Vec<u64> = p.provenance.iter().map(|r| r.weight.to_bits()).collect();
+            (w, p.w_sum.to_bits(), p.w_sq_sum.to_bits())
+        };
+        assert_eq!(got.level, want.level, "{ctx}: level");
+        assert_eq!(raw(&got.stats), raw(&want.stats), "{ctx}: stats");
+        assert_eq!(raw(&got.gate_stats), raw(&want.gate_stats), "{ctx}");
+        assert_eq!(raw(&got.rtl_stats), raw(&want.rtl_stats), "{ctx}");
+        assert_eq!(got.class_counts, want.class_counts, "{ctx}: classes");
+        assert_eq!(got.analytic_runs, want.analytic_runs, "{ctx}: analytic");
+        assert_eq!(got.rtl_runs, want.rtl_runs, "{ctx}: rtl");
+        assert_eq!(got.successes, want.successes, "{ctx}: successes");
+        assert_eq!(attribution(got), attribution(want), "{ctx}: attribution");
+        assert_eq!(weights(got), weights(want), "{ctx}: weights");
+        assert_eq!(got.counters, want.counters, "{ctx}: counters");
+        assert_eq!(got.kernel_counters, want.kernel_counters, "{ctx}");
+        assert_eq!(got.first_success, want.first_success, "{ctx}");
+        assert_eq!(got.provenance, want.provenance, "{ctx}: provenance");
+    }
+
+    /// The chunk fold equals the per-run fold it replaced, field by field
+    /// and `f64`s by bits, on the compiled chunks of all five goals under
+    /// no defense, the voter, the uniform hardened set, the SCFI code and
+    /// the double glitch: a cold chunk, then warm ones on the same worker's
+    /// memos (outcome handles engaged where the outcome is fixed), each
+    /// folded with provenance off and on. The kernel's own partial is the
+    /// fold without provenance plus its pulse and kernel counters.
+    #[test]
+    fn fold_chunk_matches_the_per_run_fold() {
+        let model = SystemModel::with_defaults().unwrap();
+        let cfg = ExperimentConfig::default();
+        let prechar = Precharacterization::run(&model, cfg.t_max, cfg.max_radius());
+        let fd = baseline_distribution(&model, &cfg);
+        let strat = ImportanceSampling::new(
+            fd.clone(),
+            &model,
+            &prechar,
+            cfg.alpha,
+            cfg.beta,
+            cfg.radius_options.clone(),
+        );
+        let glitch = xlmc_fault::DoubleGlitch::new(fd.spatial.clone(), fd.radius.clone());
+        let vote = HardenedVariant::DupConfigVote(DupConfigVote::new());
+        let uniform = HardenedVariant::Uniform(HardenedSet::new(
+            [xlmc_soc::MpuBit::Violation, xlmc_soc::MpuBit::Enable],
+            HardeningModel::default(),
+        ));
+        let scfi = HardenedVariant::ScfiFsm(ScfiFsm::with_miss_rate(0.5));
+        let cases = [
+            ("none", None, None),
+            ("dup_config_vote", Some(&vote), None),
+            ("uniform", Some(&uniform), None),
+            ("scfi_fsm", Some(&scfi), None),
+            ("double", None, Some(&glitch)),
+        ];
+        let dff_bits = model.mpu.dff_bits();
+        let mut attributed = 0;
+        for workload in [
+            workloads::illegal_write(),
+            workloads::illegal_read(),
+            workloads::dma_exfiltration(),
+            workloads::trap_escalation(),
+            workloads::instruction_skip(),
+        ] {
+            let eval = Evaluation::new(workload).unwrap();
+            let window = model.golden_window(&eval.golden);
+            for (defense, hardening, multi_fault) in cases {
+                let runner = FaultRunner {
+                    model: &model,
+                    eval: &eval,
+                    prechar: &prechar,
+                    hardening,
+                    multi_fault,
+                };
+                let mut memo = ConclusionMemo::default();
+                let mut scratch = BatchChunkScratch::default();
+                let mut ctr = CounterScratch::default();
+                let sink = TraceSink::disabled();
+                for chunk in 0..3u32 {
+                    let start = chunk as usize * 512;
+                    let kernel = run_chunk_compiled(
+                        &runner,
+                        &strat,
+                        5,
+                        start,
+                        start + 512,
+                        &mut scratch,
+                        &window,
+                        &mut memo,
+                        chunk,
+                        &mut ctr,
+                        false,
+                        &sink,
+                        0,
+                    );
+                    let runs = &scratch.runs;
+                    for provenance in [false, true] {
+                        let ctx = format!(
+                            "{} {defense} chunk {chunk} provenance {provenance}",
+                            eval.workload.name
+                        );
+                        let mut fresh = CounterScratch::default();
+                        let first = start as u64;
+                        let got = fold_chunk(&mut fresh, runs, first, &memo, dff_bits, provenance);
+                        let mut want = ChunkPartial {
+                            level: crate::multilevel::LEVEL_GATE,
+                            ..ChunkPartial::default()
+                        };
+                        fresh.begin_chunk();
+                        for (i, r) in runs.records.iter().enumerate() {
+                            let regs = match r.slot {
+                                MASKED_SLOT => DffMask::EMPTY,
+                                slot => memo.slot(slot).regs,
+                            };
+                            crate::estimator::fold_run(
+                                &mut want,
+                                &mut fresh,
+                                (start + i) as u64,
+                                &runs.draws[i],
+                                runs.te[i],
+                                r,
+                                regs,
+                                dff_bits,
+                                provenance,
+                            );
+                        }
+                        assert_same_partial(&got, &want, &ctx);
+                        if !provenance {
+                            want.counters.pulses_propagated = kernel.counters.pulses_propagated;
+                            want.kernel_counters = kernel.kernel_counters;
+                            assert_same_partial(&kernel, &want, &format!("{ctx} kernel"));
+                        }
+                    }
+                    attributed += usize::from(kernel.successes > 0);
+                }
+                let name = format!("{} {defense}", eval.workload.name);
+                let recalls = scratch.handle_recalls() > 0;
+                assert_eq!(recalls, runner.outcome_is_fixed(), "{name}: handles");
+            }
+        }
+        assert!(
+            attributed >= 50,
+            "{attributed} of 75 chunks attribute a success"
+        );
     }
 
     /// The compiled partial equals the scalar partial field by field at

@@ -17,15 +17,16 @@
 pub use crate::batch::{gate_path_bench, GatePathBench};
 use crate::batch::{run_chunk_compiled, BatchChunkScratch};
 use crate::checkpoint::{CampaignCheckpoint, MergeState};
-use crate::flow::{DffMask, FaultRunner, FlowScratch, StrikeClass};
+use crate::flow::{DffMask, FaultRunner, FlowScratch, RunRecord};
 use crate::json::{bits_str, json_num};
-use crate::metrics::{self, EventLog, LatencyShard, MetricsRegistry, MlmcProgress, StallWatchdog};
+use crate::metrics::{
+    self, EventLog, LatencyShard, MetricsRegistry, MlmcProgress, PhaseTimes, StallWatchdog,
+};
 use crate::multilevel::{
     self, MlmcEstimator, MlmcPlan, MlmcScratch, MlmcSummary, SetToSeuMap, LEVEL_GATE, LEVEL_RTL,
 };
 use crate::resume::{ConclusionMemo, ResumeStats};
-use crate::rng::SplitMix64;
-use crate::sampling::SamplingStrategy;
+use crate::sampling::{draw_run, RunDraw, SamplingStrategy};
 use crate::stats::RunningStats;
 use crate::telemetry::{
     self, CampaignObserver, MetricsMeta, NullObserver, ObserverAction, ProgramStats, ProgressEvent,
@@ -41,7 +42,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-use xlmc_fault::AttackSample;
 use xlmc_soc::MpuBit;
 
 /// Runs per shard. Fixed — independent of the thread count and of the
@@ -794,87 +794,182 @@ impl ChunkAttribution {
     }
 }
 
-/// Everything `fold_run` needs to know about one executed run.
-pub(crate) struct RunObs<'a> {
-    pub(crate) run_index: u64,
-    pub(crate) sample: &'a AttackSample,
-    pub(crate) te: Option<u64>,
-    pub(crate) pulses: usize,
-    pub(crate) class: StrikeClass,
-    pub(crate) analytic: bool,
-    pub(crate) success: bool,
-    pub(crate) w: f64,
-    /// The post-hardening registers in error.
-    pub(crate) regs: DffMask,
-    /// Whether the run's conclusion was its chunk's first probe of the
-    /// `(te, regs)` key ([`ConclusionMemo::get_or_conclude`]).
-    pub(crate) first_in_chunk: bool,
-    /// The bit of each DFF index ([`xlmc_soc::MpuNetlist::dff_bits`]).
-    pub(crate) dff_bits: &'a [MpuBit],
+/// A chunk's per-run buffers, in run order: each run's draw, injection
+/// cycle `T_e` (`None` out of the run) and record. Both kernels fill one
+/// and fold it with [`fold_chunk`].
+#[derive(Debug, Default)]
+pub(crate) struct ChunkRuns {
+    pub(crate) draws: Vec<RunDraw>,
+    pub(crate) te: Vec<Option<u64>>,
+    pub(crate) records: Vec<RunRecord>,
 }
 
-/// Fold one run's outcome into a shard partial. Both kernels route every
-/// run through this single accumulator (in run-index order), so the
-/// Welford push sequence — and with it every campaign statistic and
-/// counter — cannot drift between the scalar and compiled engines.
+/// The gate-level partial of a chunk's runs, the first of them run
+/// `start`. Both kernels fold every chunk through this one accumulator,
+/// so every campaign statistic and counter is the same function of the
+/// runs in either kernel.
+///
+/// Only the floating-point sums depend on the order of the runs: the
+/// Welford stream, Σw and Σw² take the runs in run-index order, and so
+/// does each register's attribution sum. Everything else is a count over
+/// the chunk: the strike classes, the runs concluded analytically, the
+/// conclusion-memo hits and misses (a miss is a run whose key was its
+/// chunk's first probe), and the RTL conclusions, the first of which
+/// clones the SoC and every later one restores it. A success reads its
+/// registers from `memo`, the conclusion memo its record's slot names.
+/// The cycle-memo counts take each in-run `T_e` once per chunk, marked
+/// in `ctr`'s bitset; pulse and kernel counters are left to the kernel.
+pub(crate) fn fold_chunk(
+    ctr: &mut CounterScratch,
+    runs: &ChunkRuns,
+    start: u64,
+    memo: &ConclusionMemo,
+    dff_bits: &[MpuBit],
+    record_provenance: bool,
+) -> ChunkPartial {
+    let mut p = ChunkPartial {
+        level: multilevel::LEVEL_GATE,
+        ..ChunkPartial::default()
+    };
+    let ChunkRuns { draws, te, records } = runs;
+    let m = records.len();
+    debug_assert!(
+        draws.len() == m && te.len() == m,
+        "one draw and T_e per record"
+    );
+    let mut class = [0usize; 3];
+    let (mut analytic, mut first, mut first_analytic) = (0, 0, 0);
+    for r in records {
+        class[r.class as usize] += 1;
+        analytic += usize::from(r.analytic);
+        first += usize::from(r.first_in_chunk);
+        first_analytic += usize::from(r.first_in_chunk & r.analytic);
+    }
+    for (i, (r, d)) in records.iter().zip(draws).enumerate() {
+        p.w_sum += d.w;
+        p.w_sq_sum += d.w * d.w;
+        let x = if r.success {
+            if p.first_success.is_none() {
+                p.first_success = Some(start + i as u64);
+            }
+            p.successes += 1;
+            p.attribution.add(memo.slot(r.slot).regs, d.w, dff_bits);
+            d.w
+        } else {
+            0.0
+        };
+        p.stats.push(x);
+    }
+    let in_run = te.iter().filter(|t| t.is_some()).count();
+    ctr.begin_chunk();
+    let cycles = ctr.distinct_cycles(te);
+    // Only a concluded key is probed, so masked runs are never first.
+    let concluded = class[1] + class[2];
+    let rtl_first = first - first_analytic;
+    p.class_counts = ClassCounts {
+        masked: class[0],
+        memory_only: class[1],
+        mixed: class[2],
+    };
+    p.analytic_runs = analytic;
+    p.rtl_runs = concluded - analytic;
+    let c = &mut p.counters;
+    c.out_of_run = m - in_run;
+    c.cycle_memo_misses = cycles;
+    c.cycle_memo_hits = in_run - cycles;
+    c.conclusion_memo_misses = first;
+    c.conclusion_memo_hits = concluded - first;
+    c.conclusions_analytic = first_analytic;
+    c.conclusions_rtl = rtl_first;
+    c.soc_clones = rtl_first.min(1);
+    c.soc_restores = rtl_first - c.soc_clones;
+    if record_provenance {
+        let runs = draws.iter().zip(te).zip(records);
+        p.provenance.extend(
+            (start..)
+                .zip(runs)
+                .map(|(i, ((d, &te), r))| ProvenanceRecord {
+                    run_index: i,
+                    t: d.sample.t,
+                    center: d.sample.center,
+                    radius: d.sample.radius,
+                    phase: d.sample.phase,
+                    te,
+                    weight: d.w,
+                    class: r.class,
+                    success: r.success,
+                    analytic: r.analytic,
+                }),
+        );
+    }
+    p
+}
+
+/// The per-run fold [`fold_chunk`] replaced: one run's record into the
+/// partial, every counter bumped run by run through
+/// [`CounterScratch::record_run`]. Kept as the test oracle of the chunk
+/// fold; `regs` are the run's post-hardening registers.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_run(
     p: &mut ChunkPartial,
     ctr: &mut CounterScratch,
-    obs: RunObs<'_>,
+    run_index: u64,
+    draw: &RunDraw,
+    te: Option<u64>,
+    r: &RunRecord,
+    regs: DffMask,
+    dff_bits: &[MpuBit],
     record_provenance: bool,
 ) {
-    match obs.class {
+    use crate::flow::StrikeClass;
+    match r.class {
         StrikeClass::Masked => p.class_counts.masked += 1,
         StrikeClass::MemoryOnly => p.class_counts.memory_only += 1,
         StrikeClass::Mixed => p.class_counts.mixed += 1,
     }
-    if obs.class != StrikeClass::Masked {
-        if obs.analytic {
+    if r.class != StrikeClass::Masked {
+        if r.analytic {
             p.analytic_runs += 1;
         } else {
             p.rtl_runs += 1;
         }
     }
-    ctr.record_run(
-        &mut p.counters,
-        obs.te,
-        obs.regs,
-        obs.first_in_chunk,
-        obs.analytic,
-        obs.pulses,
-    );
-    p.w_sum += obs.w;
-    p.w_sq_sum += obs.w * obs.w;
-    let x = if obs.success {
+    ctr.record_run(&mut p.counters, te, regs, r.first_in_chunk, r.analytic, 0);
+    p.w_sum += draw.w;
+    p.w_sq_sum += draw.w * draw.w;
+    let x = if r.success {
         p.successes += 1;
         if p.first_success.is_none() {
-            p.first_success = Some(obs.run_index);
+            p.first_success = Some(run_index);
         }
-        p.attribution.add(obs.regs, obs.w, obs.dff_bits);
-        obs.w
+        p.attribution.add(regs, draw.w, dff_bits);
+        draw.w
     } else {
         0.0
     };
     p.stats.push(x);
     if record_provenance {
         p.provenance.push(ProvenanceRecord {
-            run_index: obs.run_index,
-            t: obs.sample.t,
-            center: obs.sample.center,
-            radius: obs.sample.radius,
-            phase: obs.sample.phase,
-            te: obs.te,
-            weight: obs.w,
-            class: obs.class,
-            success: obs.success,
-            analytic: obs.analytic,
+            run_index,
+            t: draw.sample.t,
+            center: draw.sample.center,
+            radius: draw.sample.radius,
+            phase: draw.sample.phase,
+            te,
+            weight: draw.w,
+            class: r.class,
+            success: r.success,
+            analytic: r.analytic,
         });
     }
 }
 
-/// Execute runs `start..end` of the campaign, one at a time. Each run's
-/// generator comes from `(seed, run_index)` alone, so a shard computes the
-/// same partial on any worker.
+/// Execute runs `start..end` of the campaign, one at a time, on the scalar
+/// kernel. Each run's generator comes from `(seed, run_index)` alone, so a
+/// shard computes the same partial on any worker. The chunk's phases are
+/// timed as whole laps: the draw, every run's strike and conclusion, and
+/// the fold.
 #[allow(clippy::too_many_arguments)]
 fn run_chunk(
     runner: &FaultRunner<'_>,
@@ -883,41 +978,43 @@ fn run_chunk(
     start: usize,
     end: usize,
     scratch: &mut FlowScratch,
+    runs: &mut ChunkRuns,
     memo: &mut ConclusionMemo,
     chunk: u32,
     ctr: &mut CounterScratch,
     record_provenance: bool,
 ) -> ChunkPartial {
-    ctr.begin_chunk();
-    let mut p = ChunkPartial {
-        level: multilevel::LEVEL_GATE,
-        ..ChunkPartial::default()
-    };
-    for i in start..end {
-        let mut rng = SplitMix64::for_run(seed, i as u64);
-        let (sample, w) = strategy.draw_weighted(&mut rng);
-        let outcome = runner.run_shared(&sample, &mut rng, scratch, Some(memo), Some(chunk));
-        p.kernel_counters.gates_visited += outcome.gates_visited;
-        fold_run(
-            &mut p,
-            ctr,
-            RunObs {
-                run_index: i as u64,
-                sample: &sample,
-                te: outcome.injection_cycle,
-                pulses: outcome.pulses_propagated,
-                class: outcome.class,
-                analytic: outcome.analytic,
-                success: outcome.success,
-                w,
-                regs: outcome.regs,
-                first_in_chunk: outcome.first_in_chunk,
-                dff_bits: runner.model.mpu.dff_bits(),
-            },
-            record_provenance,
-        );
+    let mut clock = Instant::now();
+    let mut phases = PhaseTimes::default();
+    strategy.draw_chunk(seed, start as u64..end as u64, &mut runs.draws);
+    phases.draw_s = lap(&mut clock);
+    let ChunkRuns { draws, te, records } = runs;
+    te.clear();
+    records.clear();
+    let (mut pulses, mut gates) = (0, 0);
+    for d in draws.iter_mut() {
+        let v = runner.run_shared(&d.sample, &mut d.rng, scratch, Some(memo), Some(chunk));
+        pulses += v.pulses_propagated;
+        gates += v.gates_visited;
+        te.push(v.injection_cycle);
+        records.push(v.record);
     }
+    phases.conclude_s = lap(&mut clock);
+    let dff_bits = runner.model.mpu.dff_bits();
+    let mut p = fold_chunk(ctr, runs, start as u64, memo, dff_bits, record_provenance);
+    p.counters.pulses_propagated = pulses;
+    p.kernel_counters.gates_visited = gates;
+    phases.fold_s = lap(&mut clock);
+    p.latency.phases = phases;
     p
+}
+
+/// The seconds since `clock`, which moves to now.
+pub(crate) fn lap(clock: &mut Instant) -> f64 {
+    let now = Instant::now();
+    let s = now.duration_since(*clock).as_secs_f64();
+    *clock = now;
+    s
 }
 
 /// The scalar chunk executor, exposed to the crate's lane-equivalence
@@ -933,8 +1030,9 @@ pub(crate) fn scalar_chunk_for_tests(
 ) -> ChunkPartial {
     let mut ctr = CounterScratch::default();
     let mut memo = ConclusionMemo::default();
+    let mut runs = ChunkRuns::default();
     run_chunk(
-        runner, strategy, seed, start, end, scratch, &mut memo, 0, &mut ctr, false,
+        runner, strategy, seed, start, end, scratch, &mut runs, &mut memo, 0, &mut ctr, false,
     )
 }
 
@@ -943,6 +1041,7 @@ pub(crate) fn scalar_chunk_for_tests(
 #[derive(Default)]
 struct Worker {
     flow: FlowScratch,
+    runs: ChunkRuns,
     batch: BatchChunkScratch,
     mlmc: MlmcScratch,
     memo: ConclusionMemo,
@@ -1414,6 +1513,7 @@ pub fn run_campaign_observed(
         let run_one = |c: usize, w: &mut Worker, tid: u32| -> ChunkPartial {
             let Worker {
                 flow,
+                runs,
                 batch,
                 mlmc,
                 memo,
@@ -1497,6 +1597,7 @@ pub fn run_campaign_observed(
                         start,
                         end,
                         flow,
+                        runs,
                         memo,
                         chunk,
                         ctr,
@@ -1886,10 +1987,9 @@ pub fn replay_run(
     sink: &TraceSink,
 ) -> ProvenanceRecord {
     let _run = sink.span_args(0, "replay", "replay-run", &[("run", run_index as f64)]);
-    let mut rng = SplitMix64::for_run(seed, run_index);
-    let (sample, w) = {
+    let RunDraw { sample, w, mut rng } = {
         let _draw = sink.span("replay", "draw");
-        strategy.draw_weighted(&mut rng)
+        draw_run(strategy, seed, run_index)
     };
     let mut scratch = FlowScratch::default();
     let outcome = {

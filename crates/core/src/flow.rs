@@ -205,52 +205,81 @@ impl Hash for DffMask {
     }
 }
 
-/// One run's outcome on the campaign path: a [`RunView`] that keeps the
-/// post-hardening registers as a packed set. Bits are named only where a
-/// caller asks for them.
+/// One run's outcome on the campaign path: its [`RunRecord`] plus what
+/// only the strike knows, with the post-hardening registers as a packed
+/// set. Bits are named only where a caller asks for them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RunVerdict {
-    pub(crate) success: bool,
-    pub(crate) class: StrikeClass,
-    pub(crate) analytic: bool,
+    pub(crate) record: RunRecord,
     pub(crate) regs: DffMask,
     pub(crate) injection_cycle: Option<u64>,
     pub(crate) pulses_propagated: usize,
     pub(crate) gates_visited: usize,
-    /// Whether this was its chunk's first probe of the `(te, regs)` key.
-    pub(crate) first_in_chunk: bool,
 }
 
 impl RunVerdict {
     /// The verdict of a sample that injects outside the golden run.
     pub(crate) fn out_of_run() -> Self {
         Self {
-            success: false,
-            class: StrikeClass::Masked,
-            analytic: false,
+            record: RunRecord::MASKED,
             regs: DffMask::EMPTY,
             injection_cycle: None,
             pulses_propagated: 0,
             gates_visited: 0,
-            first_in_chunk: false,
         }
     }
 
-    /// The verdict of `regs` concluded as `c` at cycle `te`, with the
-    /// memo's first-in-chunk flag.
-    pub(crate) fn concluded(
-        te: u64,
-        regs: DffMask,
-        (c, first_in_chunk): (Concluded, bool),
-    ) -> Self {
+    /// The verdict of `regs` concluded as `record` at cycle `te`.
+    pub(crate) fn concluded(te: u64, regs: DffMask, record: RunRecord) -> Self {
         Self {
-            success: c.success,
-            class: c.class,
-            analytic: c.analytic,
+            record,
             regs,
             injection_cycle: Some(te),
             pulses_propagated: 0,
             gates_visited: 0,
+        }
+    }
+}
+
+/// The conclusion-memo slot of a run whose hardening left no register in
+/// error: masked, with no probe.
+pub(crate) const MASKED_SLOT: u32 = u32::MAX;
+
+/// One run's concluded outcome, as a chunk keeps it for the run-order
+/// fold: the verdict's flags and a handle to the [`ConclusionMemo`] slot
+/// of its `(T_e, post-hardening registers)` key, which holds the registers
+/// for the few runs that read them (a success's attribution). Eight bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RunRecord {
+    /// The memo slot of the run's key, [`MASKED_SLOT`] for none.
+    pub(crate) slot: u32,
+    pub(crate) class: StrikeClass,
+    pub(crate) success: bool,
+    pub(crate) analytic: bool,
+    /// Whether the conclusion was its chunk's first probe of the key.
+    pub(crate) first_in_chunk: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<RunRecord>() == 8);
+
+impl RunRecord {
+    /// The record of a run with no register in error.
+    pub(crate) const MASKED: Self = Self {
+        slot: MASKED_SLOT,
+        class: StrikeClass::Masked,
+        success: false,
+        analytic: false,
+        first_in_chunk: false,
+    };
+
+    /// The record of a run concluded as `verdict` at memo slot `slot`,
+    /// first in its chunk or not.
+    pub(crate) fn concluded(slot: u32, verdict: Concluded, first_in_chunk: bool) -> Self {
+        Self {
+            slot,
+            class: verdict.class,
+            success: verdict.success,
+            analytic: verdict.analytic,
             first_in_chunk,
         }
     }
@@ -267,15 +296,6 @@ pub(crate) struct Concluded {
     pub(crate) success: bool,
     pub(crate) class: StrikeClass,
     pub(crate) analytic: bool,
-}
-
-impl Concluded {
-    /// The verdict of a strike that left no register in error.
-    pub(crate) const MASKED: Self = Self {
-        success: false,
-        class: StrikeClass::Masked,
-        analytic: false,
-    };
 }
 
 /// Reusable per-worker buffers for [`FaultRunner::run_with`].
@@ -395,10 +415,10 @@ impl FaultRunner<'_> {
         let v = self.run_shared(sample, rng, scratch, None, None);
         self.bits_into(v.regs, &mut scratch.faulty_bits);
         RunView {
-            success: v.success,
-            class: v.class,
+            success: v.record.success,
+            class: v.record.class,
             faulty_bits: &scratch.faulty_bits,
-            analytic: v.analytic,
+            analytic: v.record.analytic,
             injection_cycle: v.injection_cycle,
             pulses_propagated: v.pulses_propagated,
             gates_visited: v.gates_visited,
@@ -407,7 +427,7 @@ impl FaultRunner<'_> {
 
     /// [`FaultRunner::run_with`] against a worker's conclusion memo (falls
     /// back to the scratch-local one when `memo` is `None`), probing it for
-    /// chunk `chunk` (see [`ConclusionMemo::get_or_conclude`]). The verdict
+    /// chunk `chunk` (see [`ConclusionMemo::probe`]). The verdict
     /// is a pure function of `(T_e, post-hardening bits)` — the hardening
     /// filter consumes RNG before the key is formed — so which memo serves
     /// a run never changes a result bit.
@@ -487,11 +507,11 @@ impl FaultRunner<'_> {
         strike_out.faulty_registers_into(faulty_regs);
         let mut regs = self.dff_mask(faulty_regs);
         self.harden(&mut regs, rng);
-        let concluded = self.conclude_with(te, regs, ff, memo, chunk);
+        let record = self.conclude_with(te, regs, ff, memo, chunk);
         RunVerdict {
             pulses_propagated: strike_out.pulses_propagated,
             gates_visited: strike_out.gates_visited,
-            ..RunVerdict::concluded(te, regs, concluded)
+            ..RunVerdict::concluded(te, regs, record)
         }
     }
 
@@ -522,7 +542,7 @@ impl FaultRunner<'_> {
         let mut regs = self.dff_mask(&flipped);
         self.harden(&mut regs, rng);
         let mut ff = RtlResume::default();
-        let (c, _) = self.conclude_with(te, regs, &mut ff, &mut ConclusionMemo::default(), None);
+        let c = self.conclude_with(te, regs, &mut ff, &mut ConclusionMemo::default(), None);
         let mut faulty_bits = Vec::new();
         self.bits_into(regs, &mut faulty_bits);
         AttackOutcome {
@@ -592,10 +612,11 @@ impl FaultRunner<'_> {
     /// resume of the post-hardening registers `regs` at cycle `te`.
     ///
     /// Memoized on `(te, regs)` in `memo`, probed for chunk `chunk`: returns
-    /// the verdict and whether this was the chunk's first probe of the key
-    /// (see [`ConclusionMemo::get_or_conclude`]). Because the verdict is a
-    /// pure function of `(T_e, bits)`, the memo cannot change any result.
-    /// Only a miss names the architectural bits.
+    /// the run's record, with the key's slot and whether this was the
+    /// chunk's first probe of the key (see [`ConclusionMemo::probe`]).
+    /// Registers the hardening left empty are masked without a probe.
+    /// Because the verdict is a pure function of `(T_e, bits)`, the memo
+    /// cannot change any result. Only a miss names the architectural bits.
     pub(crate) fn conclude_with(
         &self,
         te: u64,
@@ -603,26 +624,12 @@ impl FaultRunner<'_> {
         ff: &mut RtlResume,
         memo: &mut ConclusionMemo,
         chunk: Option<u32>,
-    ) -> (Concluded, bool) {
+    ) -> RunRecord {
         if regs.is_empty() {
-            return (Concluded::MASKED, false);
+            return RunRecord::MASKED;
         }
-        memo.get_or_conclude((te, regs), chunk, || self.conclude_miss(te, regs, ff))
-    }
-
-    /// [`FaultRunner::conclude_with`] returning the memo slot of the
-    /// conclusion instead of its verdict; `None` for registers the
-    /// hardening left empty, which are masked without a probe.
-    pub(crate) fn conclude_slot(
-        &self,
-        te: u64,
-        regs: DffMask,
-        ff: &mut RtlResume,
-        memo: &mut ConclusionMemo,
-        chunk: Option<u32>,
-    ) -> Option<(u32, bool)> {
-        (!regs.is_empty())
-            .then(|| memo.probe((te, regs), chunk, || self.conclude_miss(te, regs, ff)))
+        let (slot, first) = memo.probe((te, regs), chunk, || self.conclude_miss(te, regs, ff));
+        RunRecord::concluded(slot, memo.slot(slot).verdict, first)
     }
 
     /// Whether a run's outcome is a fixed function of its sample: one

@@ -208,8 +208,8 @@ pub struct LatencyShard {
     pub kernel_sweep: LatencyHist,
     /// One crash-safe checkpoint write (temp file + rename).
     pub checkpoint_write: LatencyHist,
-    /// Seconds the compiled kernel's chunks spent in each phase (zero
-    /// under `--kernel scalar` and MLMC).
+    /// Seconds the single estimator's chunks spent in each phase (zero
+    /// under MLMC; the scalar kernel has no lane or sweep phase).
     pub phases: PhaseTimes,
 }
 
@@ -247,10 +247,12 @@ impl LatencyShard {
     }
 }
 
-/// Wall time a compiled chunk spends in each of its phases, summed over
-/// chunks: where a campaign's time goes, without a trace. Each phase is
-/// timed from its start to the next one's, so the five add up to at most
-/// the chunks' wall time.
+/// Wall time a chunk of the single estimator spends in each of its
+/// phases, summed over chunks: where a campaign's time goes, without a
+/// trace. Each phase is timed from its start to the next one's, so the
+/// five add up to at most the chunks' wall time. The scalar kernel strikes
+/// and concludes run by run: it times both as `conclude_s` and leaves
+/// `lanes_s` and `sweep_s` at zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
     /// Drawing and stratifying the chunk's samples.
@@ -260,7 +262,8 @@ pub struct PhaseTimes {
     /// The packed kernel sweeps.
     pub sweep_s: f64,
     /// Hardening and concluding the swept lanes (and the recalled runs
-    /// that still need it).
+    /// that still need it); under the scalar kernel, every run's strike
+    /// and conclusion.
     pub conclude_s: f64,
     /// Folding the chunk's records in run order.
     pub fold_s: f64,

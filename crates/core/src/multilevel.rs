@@ -47,8 +47,7 @@ use crate::flow::{FaultRunner, FlowScratch, RunVerdict, StrikeClass};
 use crate::model::{Evaluation, SystemModel};
 use crate::precharacterize::Precharacterization;
 use crate::resume::{ConclusionMemo, ResumeStats, RtlResume};
-use crate::rng::SplitMix64;
-use crate::sampling::SamplingStrategy;
+use crate::sampling::{draw_run, RunDraw, SamplingStrategy};
 use crate::trace::{CounterScratch, ProvenanceRecord};
 use rand::Rng;
 use xlmc_fault::{AttackSample, RadiationSpot};
@@ -559,6 +558,7 @@ impl MlmcSummary {
 pub struct MlmcScratch {
     level0: Level0Scratch,
     flow: FlowScratch,
+    draws: Vec<RunDraw>,
 }
 
 /// The buffers and resume state of the level-0 path ([`level0_view`]).
@@ -670,39 +670,34 @@ pub(crate) fn run_chunk_level0(
         level: LEVEL_RTL,
         ..ChunkPartial::default()
     };
-    for i in start..end {
-        let mut rng = SplitMix64::for_run(seed, i as u64);
-        let (sample, w) = strategy.draw_weighted(&mut rng);
-        let view = level0_view(
-            runner,
-            map,
-            &sample,
-            &mut rng,
-            &mut scratch.level0,
-            memo,
-            Some(chunk),
-        );
-        if replay == Some(i as u64) {
+    let MlmcScratch { level0, draws, .. } = scratch;
+    strategy.draw_chunk(seed, start as u64..end as u64, draws);
+    for (i, d) in (start as u64..).zip(draws.iter_mut()) {
+        let RunDraw { sample, w, rng } = d;
+        let (sample, w) = (*sample, *w);
+        let view = level0_view(runner, map, &sample, rng, level0, memo, Some(chunk));
+        let record = view.record;
+        if replay == Some(i) {
             p.provenance.push(ProvenanceRecord {
-                run_index: i as u64,
+                run_index: i,
                 t: sample.t,
                 center: sample.center,
                 radius: sample.radius,
                 phase: sample.phase,
                 te: view.injection_cycle,
                 weight: w,
-                class: view.class,
-                success: view.success,
-                analytic: view.analytic,
+                class: record.class,
+                success: record.success,
+                analytic: record.analytic,
             });
         }
-        match view.class {
+        match record.class {
             StrikeClass::Masked => p.class_counts.masked += 1,
             StrikeClass::MemoryOnly => p.class_counts.memory_only += 1,
             StrikeClass::Mixed => p.class_counts.mixed += 1,
         }
-        if view.class != StrikeClass::Masked {
-            if view.analytic {
+        if record.class != StrikeClass::Masked {
+            if record.analytic {
                 p.analytic_runs += 1;
             } else {
                 p.rtl_runs += 1;
@@ -712,13 +707,13 @@ pub(crate) fn run_chunk_level0(
             &mut p.counters,
             view.injection_cycle,
             view.regs,
-            view.first_in_chunk,
-            view.analytic,
+            record.first_in_chunk,
+            record.analytic,
             0,
         );
         p.w_sum += w;
         p.w_sq_sum += w * w;
-        let x = if view.success {
+        let x = if record.success {
             p.successes += 1;
             w
         } else {
@@ -756,26 +751,31 @@ pub(crate) fn run_chunk_level1(
         level: LEVEL_GATE,
         ..ChunkPartial::default()
     };
-    let MlmcScratch { level0, flow } = scratch;
-    for i in start..end {
-        let mut rng = SplitMix64::for_run(seed, i as u64);
-        let (sample, w) = strategy.draw_weighted(&mut rng);
+    let MlmcScratch {
+        level0,
+        flow,
+        draws,
+    } = scratch;
+    strategy.draw_chunk(seed, start as u64..end as u64, draws);
+    for (i, d) in (start as u64..).zip(draws.iter_mut()) {
+        let RunDraw { sample, w, rng } = d;
+        let (sample, w) = (*sample, *w);
         // Twin streams: the gate half keeps the original (single-estimator)
         // stream, the RTL twin replays the identical post-draw state — so
         // both halves see the same hardening draws and the correction term
         // isolates the genuine cross-level model gap.
         let mut rng_rtl = rng.clone();
-        let gate = runner.run_shared(&sample, &mut rng, flow, Some(&mut *memo), Some(chunk));
+        let gate = runner.run_shared(&sample, rng, flow, Some(&mut *memo), Some(chunk));
         // The twin's probe stays out of the chunk's counters, which count
         // the gate half's keys only.
-        let rtl = level0_view(runner, map, &sample, &mut rng_rtl, level0, memo, None);
-        match gate.class {
+        let rtl = level0_view(runner, map, &sample, &mut rng_rtl, level0, memo, None).record;
+        match gate.record.class {
             StrikeClass::Masked => p.class_counts.masked += 1,
             StrikeClass::MemoryOnly => p.class_counts.memory_only += 1,
             StrikeClass::Mixed => p.class_counts.mixed += 1,
         }
-        if gate.class != StrikeClass::Masked {
-            if gate.analytic {
+        if gate.record.class != StrikeClass::Masked {
+            if gate.record.analytic {
                 p.analytic_runs += 1;
             } else {
                 p.rtl_runs += 1;
@@ -785,19 +785,19 @@ pub(crate) fn run_chunk_level1(
             &mut p.counters,
             gate.injection_cycle,
             gate.regs,
-            gate.first_in_chunk,
-            gate.analytic,
+            gate.record.first_in_chunk,
+            gate.record.analytic,
             gate.pulses_propagated,
         );
         p.kernel_counters.gates_visited += gate.gates_visited;
         p.w_sum += w;
         p.w_sq_sum += w * w;
-        let g = if gate.success { w } else { 0.0 };
+        let g = if gate.record.success { w } else { 0.0 };
         let r = if rtl.success { w } else { 0.0 };
-        if gate.success {
+        if gate.record.success {
             p.successes += 1;
             if p.first_success.is_none() {
-                p.first_success = Some(i as u64);
+                p.first_success = Some(i);
             }
             p.attribution.add(gate.regs, w, runner.model.mpu.dff_bits());
         }
@@ -806,16 +806,16 @@ pub(crate) fn run_chunk_level1(
         p.rtl_stats.push(r);
         if record_provenance {
             p.provenance.push(ProvenanceRecord {
-                run_index: i as u64,
+                run_index: i,
                 t: sample.t,
                 center: sample.center,
                 radius: sample.radius,
                 phase: sample.phase,
                 te: gate.injection_cycle,
                 weight: w,
-                class: gate.class,
-                success: gate.success,
-                analytic: gate.analytic,
+                class: gate.record.class,
+                success: gate.record.success,
+                analytic: gate.record.analytic,
             });
         }
     }
@@ -896,14 +896,16 @@ pub fn coupled_run_with(
     scratch: &mut MlmcScratch,
     memo: &mut ConclusionMemo,
 ) -> PairedRecord {
-    let mut rng = SplitMix64::for_run(seed, run_index);
-    let (sample, weight) = strategy.draw_weighted(&mut rng);
+    let RunDraw {
+        sample,
+        w: weight,
+        mut rng,
+    } = draw_run(strategy, seed, run_index);
     let mut rng_rtl = rng.clone();
-    let MlmcScratch { level0, flow } = scratch;
-    let gate_success = runner
-        .run_shared(&sample, &mut rng, flow, Some(&mut *memo), None)
-        .success;
-    let rtl_success = level0_view(runner, map, &sample, &mut rng_rtl, level0, memo, None).success;
+    let MlmcScratch { level0, flow, .. } = scratch;
+    let gate = runner.run_shared(&sample, &mut rng, flow, Some(&mut *memo), None);
+    let rtl = level0_view(runner, map, &sample, &mut rng_rtl, level0, memo, None);
+    let (gate_success, rtl_success) = (gate.record.success, rtl.record.success);
     PairedRecord {
         run_index,
         weight,
@@ -925,8 +927,11 @@ pub fn replay_run_level0(
     seed: u64,
     run_index: u64,
 ) -> ProvenanceRecord {
-    let mut rng = SplitMix64::for_run(seed, run_index);
-    let (sample, weight) = strategy.draw_weighted(&mut rng);
+    let RunDraw {
+        sample,
+        w: weight,
+        mut rng,
+    } = draw_run(strategy, seed, run_index);
     let view = level0_view(
         runner,
         map,
@@ -944,9 +949,9 @@ pub fn replay_run_level0(
         phase: sample.phase,
         te: view.injection_cycle,
         weight,
-        class: view.class,
-        success: view.success,
-        analytic: view.analytic,
+        class: view.record.class,
+        success: view.record.success,
+        analytic: view.record.analytic,
     }
 }
 
@@ -954,6 +959,7 @@ pub fn replay_run_level0(
 mod tests {
     use super::*;
     use crate::model::Evaluation;
+    use crate::rng::SplitMix64;
     use crate::sampling::{baseline_distribution, ExperimentConfig, ImportanceSampling};
     use xlmc_soc::workloads;
 

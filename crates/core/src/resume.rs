@@ -332,10 +332,9 @@ pub struct ConclusionMemo {
 }
 
 impl ConclusionMemo {
-    /// The verdict of `key`, computed by `conclude` on a miss, and whether
-    /// this is the first probe of `key` in chunk `chunk`. Probes with
-    /// `chunk` `None` (the MLMC level-1 twin, solo replays) feed no
-    /// counter: they leave stamps alone and report `false`.
+    /// [`probe`](Self::probe) returning the key's verdict instead of its
+    /// slot number.
+    #[cfg(test)]
     pub(crate) fn get_or_conclude(
         &mut self,
         key: ConclusionKey,
@@ -346,8 +345,10 @@ impl ConclusionMemo {
         (self.slots[slot as usize].verdict, first)
     }
 
-    /// [`get_or_conclude`](Self::get_or_conclude) returning the key's slot
-    /// number instead of its verdict.
+    /// The slot number of `key`, concluded by `conclude` on a miss, and
+    /// whether this is the first probe of `key` in chunk `chunk`. Probes
+    /// with `chunk` `None` (the MLMC level-1 twin, solo replays) feed no
+    /// counter: they leave stamps alone and report `false`.
     pub(crate) fn probe(
         &mut self,
         (te, regs): ConclusionKey,

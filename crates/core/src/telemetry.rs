@@ -211,9 +211,10 @@ impl CampaignObserver for StderrProgress {
 /// `mpu_steps` and `idle_skipped` to `resume`, the cycles the faulty MPU
 /// was stepped alone and the idle cycles it jumped, and `module_resolved`
 /// now also counts errors still private to the MPU when the golden run
-/// halts; `v12` added the `timing.phases` sums, the compiled chunks' wall
-/// time per phase, and the scheduler's `handle_recalls`, the strike-memo
-/// hits whose record came from a settled outcome handle.
+/// halts; `v12` added the `timing.phases` sums, the single estimator's
+/// chunk wall time per phase (the scalar kernel fills the draw, conclude
+/// and fold sums only), and the scheduler's `handle_recalls`, the
+/// strike-memo hits whose record came from a settled outcome handle.
 pub const METRICS_FORMAT: &str = "xlmc-metrics-v12";
 
 /// Shape of the compiled gate program driving the campaign (all zeros
@@ -291,7 +292,7 @@ pub struct MetricsMeta {
     /// Quantile digests of the engine latency histograms (chunk wall,
     /// merge wait, snapshot restore, kernel sweep, checkpoint write).
     pub latency: LatencySummaries,
-    /// The compiled chunks' wall time per phase, summed.
+    /// The single estimator's chunk wall time per phase, summed.
     pub phases: PhaseTimes,
 }
 

@@ -402,13 +402,15 @@ impl KernelCounters {
 }
 
 /// Per-worker scratch implementing the chunk-local counter model: reset at
-/// each chunk start, then fed every run in fold order. First occurrence of
-/// a key within the chunk is a miss, repeats are hits — a pure function of
-/// the chunk's run outcomes, so scalar (run-index order) and compiled
-/// (lane order folded back to run-index order) agree exactly. Which
-/// run is a conclusion key's first in the chunk comes from the conclusion
-/// memo's stamp ([`crate::resume::ConclusionMemo`]); this scratch
-/// tracks the injection cycles and whether an RTL conclusion was met.
+/// each chunk start, then given the chunk's injection cycles
+/// ([`distinct_cycles`](Self::distinct_cycles), from the single
+/// estimator's chunk fold) or, in the MLMC chunks, every run in fold order
+/// ([`record_run`](Self::record_run)). First occurrence of a key within
+/// the chunk is a miss, repeats are hits — a pure function of the chunk's
+/// run outcomes, so scalar and compiled chunks agree exactly. Which run is
+/// a conclusion key's first in the chunk comes from the conclusion memo's
+/// stamp ([`crate::resume::ConclusionMemo`]); this scratch tracks the
+/// injection cycles and whether an RTL conclusion was met.
 #[derive(Default)]
 pub(crate) struct CounterScratch {
     /// Injection cycles seen this chunk, one bit per `T_e`.
@@ -443,6 +445,12 @@ impl CounterScratch {
         }
         *word |= bit;
         true
+    }
+
+    /// How many distinct in-run cycles `te` holds that the chunk has not
+    /// seen yet, marking them seen: the chunk's cycle-memo misses.
+    pub(crate) fn distinct_cycles(&mut self, te: &[Option<u64>]) -> usize {
+        te.iter().flatten().filter(|&&t| self.first_te(t)).count()
     }
 
     /// Fold one run's outcome into the chunk's counters; `first_in_chunk`

@@ -240,7 +240,7 @@ fn resume_is_bit_identical_under_importance_sampling() {
 /// bit-identical result of the uninterrupted run. The whole-struct
 /// `assert_eq!` covers the `MlmcSummary`: per-level Welford states, the
 /// plan ratio and the chunk-level tags all round-trip through the
-/// `xlmc-checkpoint-v3` file.
+/// `xlmc-checkpoint-v4` file.
 #[test]
 fn mlmc_resume_is_bit_identical_across_levels() {
     use xlmc::estimator::EstimatorKind;

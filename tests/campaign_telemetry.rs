@@ -473,10 +473,13 @@ fn aborted_campaign_leaves_a_valid_events_stream() {
     let _ = std::fs::remove_file(&prom);
 }
 
-/// The metrics file's `timing.phases` accounts for a compiled campaign's
-/// chunks: on ~20k runs every phase (draw, lane build and recall, kernel
-/// sweep, conclude, fold) took some time, and the five sums add up to no
-/// more than the chunks' wall time.
+/// The metrics file's `timing.phases` accounts for a campaign's chunks on
+/// either kernel, on ~20k runs. The compiled kernel times five phases
+/// (draw, lane build and recall, kernel sweep, conclude, fold), each
+/// nonzero. The scalar kernel times three, from whole-chunk laps: the
+/// draw, every run's strike and conclusion as `conclude_s`, and the fold;
+/// it has no lanes or sweeps. The sums never exceed the chunks' wall time,
+/// and the scalar kernel's laps cover it to within 5%.
 #[test]
 fn phase_times_cover_the_compiled_chunks() {
     let f = fixture();
@@ -488,35 +491,57 @@ fn phase_times_cover_the_compiled_chunks() {
         f.cfg.beta,
         f.cfg.radius_options.clone(),
     );
-    let metrics = scratch("phases.metrics.json");
-    let opts = CampaignOptions {
-        metrics_path: Some(metrics.clone()),
-        ..CampaignOptions::with_kernel(CampaignKernel::Compiled)
-    };
-    let res = run_campaign_with(&runner(f), &strategy, 40 * 512, SEED, &opts);
-    assert_eq!(res.n, 40 * 512);
-    let doc = JsonValue::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-    let _ = std::fs::remove_file(&metrics);
-    let timing = doc.get("timing").unwrap();
-    let wall = timing
-        .get("latency")
-        .and_then(|l| l.get("chunk_wall"))
-        .and_then(|h| h.get("sum_s"))
-        .and_then(JsonValue::as_f64)
-        .unwrap();
-    let Some(JsonValue::Obj(phases)) = timing.get("phases") else {
-        panic!("timing.phases must be an object");
-    };
-    let names: Vec<&str> = phases.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(
-        names,
-        ["draw_s", "lanes_s", "sweep_s", "conclude_s", "fold_s"]
-    );
-    let mut total = 0.0;
-    for (name, v) in phases {
-        let s = v.as_f64().unwrap();
-        assert!(s > 0.0, "{name}: {s}");
-        total += s;
+    for (kernel, timed) in [
+        (
+            CampaignKernel::Compiled,
+            &["draw_s", "lanes_s", "sweep_s", "conclude_s", "fold_s"][..],
+        ),
+        (
+            CampaignKernel::Scalar,
+            &["draw_s", "conclude_s", "fold_s"][..],
+        ),
+    ] {
+        let metrics = scratch(&format!("phases.{kernel:?}.metrics.json"));
+        let opts = CampaignOptions {
+            metrics_path: Some(metrics.clone()),
+            ..CampaignOptions::with_kernel(kernel)
+        };
+        let res = run_campaign_with(&runner(f), &strategy, 40 * 512, SEED, &opts);
+        assert_eq!(res.n, 40 * 512);
+        let doc = JsonValue::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let _ = std::fs::remove_file(&metrics);
+        let timing = doc.get("timing").unwrap();
+        let wall = timing
+            .get("latency")
+            .and_then(|l| l.get("chunk_wall"))
+            .and_then(|h| h.get("sum_s"))
+            .and_then(JsonValue::as_f64)
+            .unwrap();
+        let Some(JsonValue::Obj(phases)) = timing.get("phases") else {
+            panic!("timing.phases must be an object");
+        };
+        let names: Vec<&str> = phases.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            names,
+            ["draw_s", "lanes_s", "sweep_s", "conclude_s", "fold_s"]
+        );
+        let mut total = 0.0;
+        for (name, v) in phases {
+            let s = v.as_f64().unwrap();
+            let ctx = format!("{kernel:?} {name}: {s}");
+            assert_eq!(s > 0.0, timed.contains(&name.as_str()), "{ctx}");
+            total += s;
+        }
+        assert!(
+            total <= wall,
+            "{kernel:?}: phases {total} s > chunk wall {wall} s"
+        );
+        if kernel == CampaignKernel::Scalar {
+            let ratio = total / wall;
+            assert!(
+                ratio >= 0.95,
+                "scalar phases cover {ratio} of the chunk wall"
+            );
+        }
     }
-    assert!(total <= wall, "phases {total} s > chunk wall {wall} s");
 }
