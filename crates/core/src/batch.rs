@@ -1,36 +1,51 @@
-//! Packed campaign chunk execution over the compiled transient kernel.
+//! Packed campaign execution over the compiled transient kernel.
 //!
-//! One chunk of runs is executed in five phases, each timed into the
-//! chunk's [`PhaseTimes`]:
+//! A worker executes a *window* of chunks: up to [`WINDOW_CHUNKS`]
+//! chunks whose runs fill sweeps together, concluded together and then
+//! folded one chunk at a time, in chunk order. Each phase is timed into
+//! the window's [`PhaseTimes`]:
 //!
 //! 1. **Draw**: the strategy's
 //!    [`draw_chunk`](crate::sampling::SamplingStrategy::draw_chunk) gives
-//!    each run its sample, weight and RNG from `SplitMix64::for_run(seed,
-//!    run_index)`, exactly as in the scalar engine — lane packing never
-//!    touches the per-run random streams. In-run samples are then
-//!    stratified by injection cycle, in `(T_e, run_index)` order, so runs
-//!    sharing a frame land in the same sweep.
+//!    each run of a chunk its sample, weight and RNG from
+//!    `SplitMix64::for_run(seed, run_index)`, exactly as in the scalar
+//!    engine — lane packing never touches the per-run random streams.
+//!    The chunk's in-run samples are then stratified by injection cycle,
+//!    in `(T_e, run_index)` order, so runs sharing a frame land in the same
+//!    sweep.
 //! 2. **Lanes**: sweeps of up to [`WIDE_LANES`](xlmc_gatesim::WIDE_LANES)
 //!    lanes are filled in that order. A run whose outcome the
 //!    [`StrikeMemo`] already knows takes no lane: from a settled handle it
 //!    writes its record at once, and under stochastic hardening an
-//!    untimed group's run takes its registers.
+//!    untimed group's run takes its registers. When a chunk's runs are
+//!    used up and the sweep still has room, the worker claims and draws
+//!    the next chunk into the window, until the window holds
+//!    [`WINDOW_CHUNKS`] chunks or has filled a sweep. Once groups repeat,
+//!    most runs take no lane, and the window keeps the sweeps full instead
+//!    of sweeping a few lanes per chunk.
 //! 3. **Sweep**: each sweep propagates its lanes through
 //!    [`TransientSim::strike_compiled_with`](xlmc_gatesim::transient::TransientSim)
 //!    in one pass over the netlist's compiled program.
 //! 4. **Conclude**: each lane's faulty registers, a packed set, go through
 //!    the hardening/classification/resume pipeline with its own RNG, into
 //!    the run's record: its verdict flags and conclusion-memo slot.
-//! 5. **Fold**: the records are folded into the chunk partial by
+//! 5. **Fold**: each chunk's records are folded into its own partial by
 //!    [`fold_chunk`], the scalar engine's fold, which takes the
-//!    floating-point sums **in run-index order**, so the Welford/Chan
-//!    statistics are bit-identical to the scalar engine's at any thread
-//!    count and any lane assignment.
+//!    floating-point sums **in run-index order** and counts each
+//!    conclusion key's first run in the chunk as it folds, so the
+//!    Welford/Chan statistics and every counter are bit-identical to the
+//!    scalar engine's at any thread count, lane assignment and window.
+//!
+//! Between its draw and its fold a run keeps only its weight and its
+//! 8-byte record; its draw and injection cycle are kept only while it
+//! waits on a lane, a sweep or its conclusion.
 
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::time::Instant;
 
 use xlmc_fault::sample::PHASE_BINS;
-use xlmc_fault::{LaneStrikes, RadiationSpot};
+use xlmc_fault::{AttackSample, LaneStrikes, RadiationSpot};
 use xlmc_gatesim::bitparallel::CycleWindow;
 use xlmc_gatesim::{
     BatchLane, CompiledStrikeOutcome, CompiledTransientScratch, CycleGroup, CycleValues,
@@ -38,14 +53,18 @@ use xlmc_gatesim::{
 };
 use xlmc_netlist::{GateId, GateProgram};
 
-use crate::estimator::{fold_chunk, lap, CampaignKernel, ChunkPartial, ChunkRuns};
-use crate::flow::{DffMask, FaultRunner, RunRecord, MASKED_SLOT};
+use crate::estimator::{fold_chunk, lap, CampaignKernel, ChunkCycles, ChunkPartial, ChunkRuns};
+use crate::flow::{DffMask, FaultRunner, RunRecord};
 use crate::metrics::{LatencyHist, LatencyShard, PhaseTimes};
 use crate::resume::{ConclusionMemo, ResumeStats, RtlResume};
-use crate::sampling::SamplingStrategy;
-use crate::trace::{CounterScratch, KernelCounters, TraceSink};
+use crate::sampling::{RunDraw, SamplingStrategy};
+use crate::trace::{KernelCounters, TraceSink};
 use rand::RngCore;
 
+/// Chunks a worker sweeps together at most. A window's runs wait for its
+/// last chunk's sweeps before any of its chunks folds, so a larger window
+/// holds more runs and, past an early stop, discards more.
+const WINDOW_CHUNKS: usize = 8;
 /// A lane that records nothing in the strike memo.
 const NO_ENTRY: u32 = u32::MAX;
 /// Footprint rows the strike memo grows by.
@@ -59,13 +78,14 @@ enum Outcome {
     #[default]
     Unseen,
     /// Its first lane is in the sweep being filled, which settles it
-    /// before the chunk goes on.
+    /// before the window goes on.
     Pending,
-    /// Every run of it ends the same way: its pulse count, and the
-    /// conclusion-memo slot of its post-hardening registers
-    /// ([`MASKED_SLOT`] for none). Only where the outcome is a fixed
+    /// Every run of it ends the same way: its pulse count, and its record:
+    /// the conclusion-memo slot of its post-hardening registers
+    /// ([`MASKED_SLOT`](crate::flow::MASKED_SLOT) for none) and the verdict byte
+    /// ([`RunRecord::verdict_bits`]). Only where the outcome is a fixed
     /// function of the sample ([`FaultRunner::outcome_is_fixed`]).
-    Settled { pulses: u16, slot: u32 },
+    Settled { pulses: u16, verdict: u8, slot: u32 },
     /// An untimed group under stochastic hardening: its pulse count. Each
     /// run takes the footprint's upset DFFs as its registers and draws its
     /// own hardening filter.
@@ -164,17 +184,20 @@ impl StrikeMemo {
 
     /// Record what a swept lane of phase `phase` found for entry `e`: its
     /// pulse count, whether it was timed, and, when the outcome is fixed,
-    /// the conclusion slot of its registers (`None` under stochastic
-    /// hardening).
-    fn settle(&mut self, e: u32, phase: u8, pulses: usize, timed: bool, slot: Option<u32>) {
+    /// its run's record (`None` under stochastic hardening).
+    fn settle(&mut self, e: u32, phase: u8, pulses: usize, timed: bool, record: Option<RunRecord>) {
         let pulses = u16::try_from(pulses).ok();
-        let settled = match (slot, pulses) {
-            (Some(slot), Some(pulses)) => Outcome::Settled { pulses, slot },
+        let settled = match (record, pulses) {
+            (Some(r), Some(pulses)) => Outcome::Settled {
+                pulses,
+                verdict: r.verdict_bits(),
+                slot: r.slot,
+            },
             (None, Some(pulses)) if !timed => Outcome::Untimed { pulses },
             _ => Outcome::Sweep,
         };
         let entry = &mut self.table[e as usize];
-        if *entry == Outcome::Pending && timed && slot.is_some() {
+        if *entry == Outcome::Pending && timed && record.is_some() {
             // A timed group's first lane: its other phases start unseen.
             let mut row = [Outcome::Unseen; PHASE_BINS as usize];
             row[usize::from(phase)] = settled;
@@ -190,29 +213,68 @@ impl StrikeMemo {
     }
 }
 
-/// Reusable per-worker buffers for [`run_chunk_compiled`]. Like
+/// One chunk of a window: the campaign chunk, its first run, where its
+/// runs start in the window's [`ChunkRuns`], its cycle-memo counts, and
+/// the pulses its runs propagated.
+#[derive(Debug, Clone, Copy)]
+struct WindowChunk {
+    chunk: u32,
+    start: usize,
+    at: usize,
+    cycles: ChunkCycles,
+    pulses: usize,
+}
+
+/// A run still waiting on a lane, a sweep or its conclusion whose draw
+/// the window keeps: its index in the window, its injection cycle and its
+/// draw.
+#[derive(Debug)]
+struct Deferred {
+    wi: u32,
+    te: u64,
+    draw: RunDraw,
+}
+
+/// The flag of a run reference to the last chunk drawn: `DRAWN | index`
+/// names the run at that in-chunk index, any other reference an entry of
+/// the sweep's `deferred` runs.
+const DRAWN: u32 = 1 << 31;
+
+/// Reusable per-worker buffers for [`run_window_compiled`]. Like
 /// [`FlowScratch`](crate::flow::FlowScratch), the RTL resume state —
 /// and the compiled kernel's cycle slots, named by `T_e` — is valid against
 /// one `(model, evaluation, prechar)` triple only.
 #[derive(Default)]
 pub(crate) struct BatchChunkScratch {
+    /// The window's fold state, its chunks end to end, and the draws and
+    /// `T_e` of the last chunk drawn.
     runs: ChunkRuns,
-    /// In-chunk indices of in-run samples, in `(T_e, index)` order.
+    /// The window's chunks, in the order they were claimed.
+    window: Vec<WindowChunk>,
+    /// In-chunk indices of the last chunk's in-run samples, in
+    /// `(T_e, index)` order, and how many of them the sweeps have taken.
     order: Vec<u32>,
+    taken: usize,
     /// Per-cycle bucket offsets of the stratification pass.
     te_counts: Vec<u32>,
     lane_strikes: LaneStrikes,
-    /// The sweep being filled: per lane, its run and the strike-memo entry
-    /// its result settles ([`NO_ENTRY`] for none).
+    /// The runs of the sweep being filled that take a lane or recall
+    /// registers and are not in the last chunk drawn.
+    deferred: Vec<Deferred>,
+    /// The sweep being filled: per lane, its run reference (see
+    /// [`DRAWN`]) and the footprint id of the strike-memo entry its result
+    /// settles ([`NO_ENTRY`] for none).
     lanes: Vec<(u32, u32)>,
     /// Runs held until the sweep being filled resolves their group.
-    held: Vec<u32>,
-    /// Held runs whose group is resolved, in `(T_e, index)` order.
-    ready: std::collections::VecDeque<u32>,
-    /// Runs of the sweep being filled that recall an untimed group's
-    /// registers under stochastic hardening, each with its registers in
-    /// error.
+    held: Vec<Deferred>,
+    /// Held runs whose group is resolved, in the order they were held.
+    ready: VecDeque<Deferred>,
+    /// Runs of the sweep being filled, by reference, that recall an
+    /// untimed group's registers under stochastic hardening, each with its
+    /// registers in error.
     recalled: Vec<(u32, DffMask)>,
+    /// Per lane of the last sweep: its window run and injection cycle.
+    lane_runs: Vec<(u32, u64)>,
     /// Per lane of the last sweep: its pulse count.
     lane_pulses: Vec<usize>,
     strike_memo: StrikeMemo,
@@ -220,7 +282,7 @@ pub(crate) struct BatchChunkScratch {
     transient: CompiledTransientScratch,
     strike_out: CompiledStrikeOutcome,
     /// Wall-clock latency of each packed transient sweep — pure
-    /// telemetry, harvested per chunk into the chunk partial.
+    /// telemetry, harvested per window into its first partial.
     sweep_hist: LatencyHist,
 }
 
@@ -243,12 +305,68 @@ impl BatchChunkScratch {
 
     /// Drain the latency observations accumulated since the last call
     /// (kernel sweeps plus resume positioning) into a shard the
-    /// campaign engine attaches to the finished chunk's partial.
+    /// campaign engine attaches to a finished partial.
     pub(crate) fn take_latency(&mut self) -> LatencyShard {
         LatencyShard {
             kernel_sweep: std::mem::take(&mut self.sweep_hist),
             snapshot_restore: self.ff.take_restore_latency(),
             ..LatencyShard::default()
+        }
+    }
+
+    /// The window index and injection cycle of run reference `r`.
+    fn run_at(&self, r: u32) -> (u32, u64) {
+        if r & DRAWN != 0 {
+            let ri = (r & !DRAWN) as usize;
+            let at = self.window.last().expect("a chunk drawn").at as u32;
+            let te = self.runs.te[ri].expect("struck runs inject inside the run");
+            (at + ri as u32, te)
+        } else {
+            let run = &self.deferred[r as usize];
+            (run.wi, run.te)
+        }
+    }
+
+    /// Note each lane's window run and injection cycle in `lane_runs`.
+    fn note_lane_runs(&mut self) {
+        let mut runs = std::mem::take(&mut self.lane_runs);
+        runs.clear();
+        runs.extend(self.lanes.iter().map(|&(r, _)| self.run_at(r)));
+        self.lane_runs = runs;
+    }
+
+    /// The draw of run reference `r`.
+    fn draw_mut(&mut self, r: u32) -> &mut RunDraw {
+        if r & DRAWN != 0 {
+            &mut self.runs.draws[(r & !DRAWN) as usize]
+        } else {
+            &mut self.deferred[r as usize].draw
+        }
+    }
+
+    /// Keep the draws of the sweep's lanes and recalls that are still in
+    /// the last chunk drawn, which the next draw overwrites.
+    fn keep_drawn_lanes(&mut self) {
+        let Self {
+            runs,
+            window,
+            deferred,
+            lanes,
+            recalled,
+            ..
+        } = self;
+        let at = window.last().expect("a chunk drawn").at as u32;
+        let refs = lanes.iter_mut().map(|l| &mut l.0);
+        for r in refs.chain(recalled.iter_mut().map(|x| &mut x.0)) {
+            if *r & DRAWN != 0 {
+                let ri = *r & !DRAWN;
+                deferred.push(Deferred {
+                    wi: at + ri,
+                    te: runs.te[ri as usize].expect("struck runs inject inside the run"),
+                    draw: runs.draws[ri as usize].clone(),
+                });
+                *r = (deferred.len() - 1) as u32;
+            }
         }
     }
 }
@@ -259,48 +377,76 @@ impl std::fmt::Debug for BatchChunkScratch {
     }
 }
 
-/// Phase 1: the chunk's draws, identical to the scalar engine's, then
-/// stratification by injection cycle. Same-frame runs
-/// share batches (fewer value groups per batch), and the `(T_e, index)`
-/// order keeps the grouping a pure function of the chunk contents —
-/// independent of threads and lane assignment.
-fn draw_and_stratify(
+/// The position in `window` of the chunk holding window run `wi`.
+fn chunk_of(window: &[WindowChunk], wi: u32) -> usize {
+    window.partition_point(|c| c.at <= wi as usize) - 1
+}
+
+/// Phase 1 for one chunk: draw chunk `chunk`, runs `range`, into the
+/// window exactly as the scalar engine draws it, then stratify its in-run
+/// samples by injection cycle into `scratch.order`, widening the strike
+/// memo to their `T_e` range. Same-frame runs share sweeps (fewer value
+/// groups per sweep), and the `(T_e, index)` order keeps the grouping a
+/// pure function of the chunk's contents — independent of threads and
+/// lane assignment. The chunk's cycle-memo counts are taken here, from
+/// its `T_e`, which the window does not keep.
+fn draw_next(
     runner: &FaultRunner<'_>,
     strategy: &dyn SamplingStrategy,
     seed: u64,
-    start: usize,
-    end: usize,
+    (chunk, range): (usize, Range<usize>),
     scratch: &mut BatchChunkScratch,
-) -> Option<(u64, u64)> {
-    let ChunkRuns { draws, te, records } = &mut scratch.runs;
-    strategy.draw_chunk(seed, start as u64..end as u64, draws);
+    record_provenance: bool,
+) {
+    let runs = &mut scratch.runs;
+    let at = runs.w.len();
+    strategy.draw_chunk(seed, range.start as u64..range.end as u64, &mut runs.draws);
     let (target, golden_cycles) = (runner.eval.target_cycle, runner.eval.golden.cycles);
-    te.clear();
-    te.extend(draws.iter().map(|d| {
+    runs.te.clear();
+    runs.te.extend(runs.draws.iter().map(|d| {
         let te = d.sample.injection_cycle(target);
         te.filter(|&te| te < golden_cycles)
     }));
+    runs.keep_drawn(record_provenance);
     // Out-of-run: masked without a strike, like the scalar path. Every
     // in-run record is written when its run concludes.
-    records.clear();
-    records.resize(draws.len(), RunRecord::MASKED);
-    stratify(te, &mut scratch.order, &mut scratch.te_counts)
+    runs.records.resize(runs.w.len(), RunRecord::MASKED);
+    let (cycles, span) = stratify(&runs.te, &mut scratch.order, &mut scratch.te_counts);
+    if let Some((lo, hi)) = span {
+        scratch.strike_memo.cover(lo, hi);
+    }
+    scratch.taken = 0;
+    scratch.window.push(WindowChunk {
+        chunk: u32::try_from(chunk).expect("chunk index fits a memo stamp"),
+        start: range.start,
+        at,
+        cycles,
+        pulses: 0,
+    });
 }
 
 /// The in-run indices of `te` in `(T_e, index)` order, by one counting
 /// pass over the chunk's `T_e` range: each run lands in its cycle's bucket
 /// in index order, which is the order a `(T_e, index)` sort gives.
-/// Returns that range, `None` when no run is in the run.
-fn stratify(te: &[Option<u64>], order: &mut Vec<u32>, counts: &mut Vec<u32>) -> Option<(u64, u64)> {
+/// Returns the chunk's cycle-memo counts, read off the buckets, and that
+/// range, `None` when no run is in the run.
+fn stratify(
+    te: &[Option<u64>],
+    order: &mut Vec<u32>,
+    counts: &mut Vec<u32>,
+) -> (ChunkCycles, Option<(u64, u64)>) {
     order.clear();
     let mut in_run = te.iter().flatten();
-    let &first = in_run.next()?;
+    let Some(&first) = in_run.next() else {
+        return (ChunkCycles::default(), None);
+    };
     let (lo, hi) = in_run.fold((first, first), |(lo, hi), &t| (lo.min(t), hi.max(t)));
     counts.clear();
     counts.resize((hi - lo) as usize + 2, 0);
     for &t in te.iter().flatten() {
         counts[(t - lo) as usize + 1] += 1;
     }
+    let distinct = counts.iter().filter(|&&c| c != 0).count();
     for b in 1..counts.len() {
         counts[b] += counts[b - 1];
     }
@@ -312,23 +458,24 @@ fn stratify(te: &[Option<u64>], order: &mut Vec<u32>, counts: &mut Vec<u32>) -> 
             *slot += 1;
         }
     }
-    Some((lo, hi))
+    (ChunkCycles::new(order.len(), distinct), Some((lo, hi)))
 }
 
-/// The stable-value groups of one compiled sweep over `batch` (whose
-/// equal cycles are contiguous after [`stratify`]), named by `T_e`.
+/// The stable-value groups of one compiled sweep whose lanes inject at
+/// cycles `te`, in lane order: one group per distinct cycle. Each chunk's
+/// equal cycles are contiguous after stratification, so a lane mostly
+/// joins the last group; a cycle met again in the next chunk of a window
+/// joins its earlier group.
 fn cycle_groups<'c>(
     cycles: &'c CycleWindow,
-    te: &[Option<u64>],
-    batch: impl IntoIterator<Item = u32>,
+    te: impl IntoIterator<Item = u64>,
 ) -> Vec<CycleGroup<'c>> {
     let mut groups: Vec<CycleGroup<'c>> = Vec::new();
-    for (lane, ri) in batch.into_iter().enumerate() {
-        let t = te[ri as usize].expect("struck runs inject inside the run");
+    for (lane, t) in te.into_iter().enumerate() {
         let (k, bit) = (lane / 64, 1u64 << (lane % 64));
-        match groups.last_mut() {
-            Some(g) if g.cycle == t as usize => g.lanes[k] |= bit,
-            _ => {
+        match groups.iter_mut().rev().find(|g| g.cycle == t as usize) {
+            Some(g) => g.lanes[k] |= bit,
+            None => {
                 let mut lanes = [0; 4];
                 lanes[k] = bit;
                 groups.push(cycles.group(t as usize, lanes));
@@ -338,60 +485,68 @@ fn cycle_groups<'c>(
     groups
 }
 
-/// Harden and conclude run `ri`'s strike, its registers in error `regs`,
-/// into its record. Returns the conclusion-memo slot of its post-hardening
-/// registers, [`MASKED_SLOT`] for none.
-fn conclude_lane(
+/// Harden and conclude the strike of the sweep's run `r` (a reference,
+/// see [`DRAWN`]), its registers in error `regs`, into its record, which
+/// it returns.
+fn conclude_run(
     runner: &FaultRunner<'_>,
     scratch: &mut BatchChunkScratch,
     memo: &mut ConclusionMemo,
-    chunk: u32,
-    ri: usize,
+    r: u32,
     mut regs: DffMask,
-) -> u32 {
-    let runs = &mut scratch.runs;
-    let te = runs.te[ri].expect("struck runs inject inside the run");
-    runner.harden(&mut regs, &mut runs.draws[ri].rng);
-    let record = runner.conclude_with(te, regs, &mut scratch.ff, memo, Some(chunk));
-    runs.records[ri] = record;
-    record.slot
+) -> RunRecord {
+    let (wi, te) = scratch.run_at(r);
+    runner.harden(&mut regs, &mut scratch.draw_mut(r).rng);
+    let record = runner.conclude_with(te, regs, &mut scratch.ff, memo);
+    scratch.runs.records[wi as usize] = record;
+    record
 }
 
-/// Execute runs `start..end` through the 256-wide compiled-program kernel.
+/// Execute a window of chunks through the 256-wide compiled-program
+/// kernel: the chunks `claim` hands out, the first one at once and each
+/// further one while the window holds fewer than [`WINDOW_CHUNKS`], none
+/// of its sweeps has been full and the sweep being filled has room.
+/// Pushes one partial per chunk to `out`, in the order the chunks were
+/// claimed; nothing when `claim` has no chunk. A window stops growing at
+/// its first full sweep: more chunks would then fill no emptier sweep,
+/// only add runs that an early stop throws away.
 ///
-/// Produces the same [`ChunkPartial`] as the scalar
-/// [`run_chunk`](crate::estimator) bit-for-bit: per-run samples, weights,
-/// strike outcomes, hardening draws and the fold order are all identical;
-/// only the transient propagation is shared across lanes, up to
-/// [`WIDE_LANES`] runs per sweep of the netlist's levelized
+/// Each partial equals the scalar [`run_chunk`](crate::estimator)'s for
+/// its chunk bit-for-bit: per-run samples, weights, strike outcomes,
+/// hardening draws and the fold order are all identical; only the
+/// transient propagation is shared across lanes, up to [`WIDE_LANES`] runs
+/// of any chunks of the window per sweep of the netlist's levelized
 /// [`GateProgram`](xlmc_netlist::GateProgram), and a run whose outcome the
 /// worker's [`StrikeMemo`] already knows takes it without a lane. Which
 /// runs share a sweep, and so the [`KernelCounters`], depends on what the
-/// worker struck before; no result does. `memo` must be the conclusion
-/// memo of every earlier chunk on `scratch`: the strike memo's handles
-/// are its slots.
+/// worker struck before and on the window; no result does. The window's
+/// kernel counters and phase times other than the folds go to its first
+/// partial. `memo` must be the conclusion memo of every earlier window on
+/// `scratch`: the strike memo's handles are its slots.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chunk_compiled(
+pub(crate) fn run_window_compiled(
     runner: &FaultRunner<'_>,
     strategy: &dyn SamplingStrategy,
     seed: u64,
-    start: usize,
-    end: usize,
+    claim: &mut dyn FnMut() -> Option<(usize, Range<usize>)>,
     scratch: &mut BatchChunkScratch,
     cycles: &CycleWindow,
     memo: &mut ConclusionMemo,
-    chunk: u32,
-    ctr: &mut CounterScratch,
     record_provenance: bool,
     sink: &TraceSink,
     tid: u32,
-) -> ChunkPartial {
+    out: &mut Vec<(usize, ChunkPartial)>,
+) {
     let mut clock = Instant::now();
+    let Some(first) = claim() else {
+        return;
+    };
     let mut phases = PhaseTimes::default();
+    scratch.runs.clear();
+    scratch.window.clear();
+    let window_span = sink.span_on(tid, "campaign", "window");
     let draw_span = sink.span_on(tid, "chunk", "draw");
-    if let Some((lo, hi)) = draw_and_stratify(runner, strategy, seed, start, end, scratch) {
-        scratch.strike_memo.cover(lo, hi);
-    }
+    draw_next(runner, strategy, seed, first, scratch, record_provenance);
     drop(draw_span);
     phases.draw_s = lap(&mut clock);
 
@@ -404,49 +559,72 @@ pub(crate) fn run_chunk_compiled(
         .expect("model netlist was levelized at construction");
     let fixed = runner.outcome_is_fixed();
     let mut kc = KernelCounters::default();
-    let mut pulses = 0usize;
-    let mut next = 0;
+    let mut claimable = true;
     loop {
         // Fill a sweep: first the held runs whose group the last sweep
-        // resolved, then the chunk's runs in `(T_e, index)` order.
+        // resolved, then the runs of the window's last chunk in
+        // `(T_e, index)` order, then the next chunk's.
         let strike_span = sink.span_on(tid, "chunk", "strike");
         scratch.lane_strikes.clear();
         scratch.lanes.clear();
         scratch.recalled.clear();
+        scratch.deferred.clear();
         while scratch.lanes.len() < WIDE_LANES {
-            let ri = match scratch.ready.pop_front() {
-                Some(ri) => ri,
-                None if next < scratch.order.len() => {
-                    next += 1;
-                    scratch.order[next - 1]
-                }
-                None => break,
+            let Some(run) = scratch.ready.pop_front() else {
+                break;
             };
-            pulses += strike_or_recall(runner, scratch, memo, chunk, program, period, ri);
+            let k = chunk_of(&scratch.window, run.wi);
+            let at = (run.wi, run.te, run.draw.sample);
+            scratch.deferred.push(run);
+            let r = (scratch.deferred.len() - 1) as u32;
+            let pulses = strike_or_recall(runner, scratch, program, period, r, at);
+            scratch.window[k].pulses += pulses;
+        }
+        while scratch.lanes.len() < WIDE_LANES {
+            if scratch.taken < scratch.order.len() {
+                fill_from_last(runner, scratch, program, period);
+            } else if claimable && kc.lane_batches == 0 && scratch.window.len() < WINDOW_CHUNKS {
+                // The window's sweeps have room: take the next chunk in.
+                phases.lanes_s += lap(&mut clock);
+                let draw_span = sink.span_on(tid, "chunk", "draw");
+                scratch.keep_drawn_lanes();
+                match claim() {
+                    Some(next) => {
+                        draw_next(runner, strategy, seed, next, scratch, record_provenance)
+                    }
+                    None => claimable = false,
+                }
+                drop(draw_span);
+                phases.draw_s += lap(&mut clock);
+            } else {
+                break;
+            }
         }
         phases.lanes_s += lap(&mut clock);
         if !scratch.lanes.is_empty() {
-            sweep(runner, scratch, cycles, program, &mut kc, &mut pulses);
+            sweep(runner, scratch, cycles, program, &mut kc);
         }
         drop(strike_span);
         phases.sweep_s += lap(&mut clock);
 
         let conclude_span = sink.span_on(tid, "chunk", "conclude");
         for lane in 0..scratch.lanes.len() {
-            let (ri, e) = scratch.lanes[lane];
+            let (r, spot) = scratch.lanes[lane];
             let regs = DffMask::from_words(scratch.strike_out.faulty_words(lane));
-            let slot = conclude_lane(runner, scratch, memo, chunk, ri as usize, regs);
-            if e != NO_ENTRY {
-                let phase = scratch.runs.draws[ri as usize].sample.phase;
+            let record = conclude_run(runner, scratch, memo, r, regs);
+            if spot != NO_ENTRY {
+                let (_, te) = scratch.lane_runs[lane];
+                let e = scratch.strike_memo.entry(te, spot);
                 let timed = scratch.strike_out.timed(lane);
                 let pulses = scratch.lane_pulses[lane];
-                let slot = fixed.then_some(slot);
-                scratch.strike_memo.settle(e, phase, pulses, timed, slot);
+                let record = fixed.then_some(record);
+                let phase = scratch.draw_mut(r).sample.phase;
+                scratch.strike_memo.settle(e, phase, pulses, timed, record);
             }
         }
         for k in 0..scratch.recalled.len() {
-            let (ri, regs) = scratch.recalled[k];
-            conclude_lane(runner, scratch, memo, chunk, ri as usize, regs);
+            let (r, regs) = scratch.recalled[k];
+            conclude_run(runner, scratch, memo, r, regs);
         }
         drop(conclude_span);
         phases.conclude_s += lap(&mut clock);
@@ -456,134 +634,232 @@ pub(crate) fn run_chunk_compiled(
         let BatchChunkScratch { held, ready, .. } = scratch;
         ready.extend(held.drain(..));
     }
+    drop(window_span);
 
-    // The scalar kernel's fold. The pulse counter takes the sweeps' totals
-    // and the recalled groups' counts rather than per-run counts.
-    let fold_span = sink.span_on(tid, "chunk", "fold");
+    // The scalar kernel's fold, chunk by chunk. The pulse counter takes
+    // the sweeps' totals and the recalled groups' counts rather than
+    // per-run counts.
     let dff_bits = runner.model.mpu.dff_bits();
-    let first = start as u64;
-    let mut p = fold_chunk(ctr, &scratch.runs, first, memo, dff_bits, record_provenance);
-    p.counters.pulses_propagated = pulses;
-    p.kernel_counters = kc;
-    drop(fold_span);
-    phases.fold_s = lap(&mut clock);
-    p.latency.phases = phases;
-    p
+    let end = scratch.runs.w.len();
+    for k in 0..scratch.window.len() {
+        let c = scratch.window[k];
+        let chunk_span = sink.span_args(tid, "campaign", "chunk", &[("chunk", f64::from(c.chunk))]);
+        let fold_span = sink.span_on(tid, "chunk", "fold");
+        let runs = c.at..scratch.window.get(k + 1).map_or(end, |n| n.at);
+        let mut p = fold_chunk(
+            &scratch.runs,
+            runs,
+            c.start as u64,
+            c.cycles,
+            memo,
+            c.chunk,
+            dff_bits,
+            record_provenance,
+        );
+        p.counters.pulses_propagated = c.pulses;
+        if k == 0 {
+            p.kernel_counters = kc;
+            p.latency.phases = phases;
+        }
+        drop(fold_span);
+        drop(chunk_span);
+        p.latency.phases.fold_s = lap(&mut clock);
+        out.push((c.chunk as usize, p));
+    }
 }
 
-/// Give run `ri` a lane in the sweep being filled, or hold it until that
-/// sweep resolves its group, or recall its outcome: from a settled handle
-/// straight into its record, or, under stochastic hardening, an untimed
-/// group's registers into `scratch.recalled`. Returns the pulses a
-/// recalled run propagates.
+/// One chunk, runs `start..end`, as a window of its own: its partial.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_chunk_compiled(
+    runner: &FaultRunner<'_>,
+    strategy: &dyn SamplingStrategy,
+    seed: u64,
+    start: usize,
+    end: usize,
+    scratch: &mut BatchChunkScratch,
+    cycles: &CycleWindow,
+    memo: &mut ConclusionMemo,
+    chunk: u32,
+    record_provenance: bool,
+    sink: &TraceSink,
+    tid: u32,
+) -> ChunkPartial {
+    let mut once = Some((chunk as usize, start..end));
+    let mut out = Vec::new();
+    run_window_compiled(
+        runner,
+        strategy,
+        seed,
+        &mut || once.take(),
+        scratch,
+        cycles,
+        memo,
+        record_provenance,
+        sink,
+        tid,
+        &mut out,
+    );
+    out.pop().expect("one chunk, one partial").1
+}
+
+/// Fill the sweep from the runs of the window's last chunk, in
+/// `(T_e, index)` order, until it is full or they are used up; their
+/// recalled pulses go to that chunk.
+fn fill_from_last(
+    runner: &FaultRunner<'_>,
+    scratch: &mut BatchChunkScratch,
+    program: &GateProgram,
+    period: f64,
+) {
+    let last = scratch.window.len() - 1;
+    let at = scratch.window[last].at as u32;
+    let (mut taken, mut pulses) = (scratch.taken, 0);
+    while scratch.lanes.len() < WIDE_LANES && taken < scratch.order.len() {
+        let ri = scratch.order[taken] as usize;
+        taken += 1;
+        let (wi, te) = (at + ri as u32, scratch.runs.te[ri]);
+        let te = te.expect("struck runs inject inside the run");
+        let sample = scratch.runs.draws[ri].sample;
+        let r = DRAWN | ri as u32;
+        pulses += strike_or_recall(runner, scratch, program, period, r, (wi, te, sample));
+    }
+    scratch.taken = taken;
+    scratch.window[last].pulses += pulses;
+}
+
+/// Give the run of reference `r` (see [`DRAWN`]), run `wi` of the window,
+/// injecting at `te` and drawn as `sample`, a lane in the sweep being
+/// filled, or hold it until that sweep resolves its group, or recall its
+/// outcome: from a settled handle straight into its record, or, under
+/// stochastic hardening, an untimed group's registers into
+/// `scratch.recalled`. Returns the pulses a recalled run propagates.
+#[inline(always)]
 fn strike_or_recall(
     runner: &FaultRunner<'_>,
     scratch: &mut BatchChunkScratch,
-    memo: &mut ConclusionMemo,
-    chunk: u32,
     program: &GateProgram,
     period: f64,
-    ri: u32,
+    r: u32,
+    (wi, te, sample): (u32, u64, AttackSample),
 ) -> usize {
     let placement = &runner.model.placement;
-    let draw = &mut scratch.runs.draws[ri as usize];
     if let Some(mf) = runner.multi_fault {
         // The double glitch bypasses the memo. Its second-spot entropy word
         // comes off the run's own stream here — the same stream position
         // as the scalar engine, which draws it right after the primary
         // spot query and before the hardening draws in
         // `FaultRunner::harden`.
-        let spot2 = mf.second_spot(draw.rng.next_u64());
+        let spot2 = mf.second_spot(scratch.draw_mut(r).rng.next_u64());
         let lanes = &mut scratch.lane_strikes;
-        lanes.push_sample_with(&draw.sample, Some(&spot2), placement, program, period);
-        scratch.lanes.push((ri, NO_ENTRY));
+        lanes.push_sample_with(&sample, Some(&spot2), placement, program, period);
+        scratch.lanes.push((r, NO_ENTRY));
         return 0;
     }
-    let te = scratch.runs.te[ri as usize].expect("struck runs inject inside the run");
     let spot = RadiationSpot {
-        center: draw.sample.center,
-        radius: draw.sample.radius,
+        center: sample.center,
+        radius: sample.radius,
     };
     let spot = scratch.lane_strikes.spot_id(&spot, placement, program);
     let e = scratch.strike_memo.entry(te, spot);
-    let outcome = scratch.strike_memo.outcome(e, draw.sample.phase);
+    let outcome = scratch.strike_memo.outcome(e, sample.phase);
     let settles = match *outcome {
         Outcome::Unseen => {
             *outcome = Outcome::Pending;
-            e
+            spot
         }
         Outcome::Pending => {
-            scratch.held.push(ri);
+            let draw = scratch.draw_mut(r).clone();
+            scratch.held.push(Deferred { wi, te, draw });
             return 0;
         }
         Outcome::Sweep => NO_ENTRY,
         Outcome::Timed { .. } => unreachable!("a timed entry resolves to its phase bin"),
-        Outcome::Settled { pulses, slot } => {
+        Outcome::Settled {
+            pulses,
+            verdict,
+            slot,
+        } => {
             scratch.strike_memo.hits += 1;
             scratch.strike_memo.handle_recalls += 1;
-            scratch.runs.records[ri as usize] = match slot {
-                MASKED_SLOT => RunRecord::MASKED,
-                slot => {
-                    let (s, first) = memo.recall(slot, chunk);
-                    RunRecord::concluded(slot, s.verdict, first)
-                }
-            };
+            scratch.runs.records[wi as usize] = RunRecord::from_verdict_bits(slot, verdict);
             return usize::from(pulses);
         }
         Outcome::Untimed { pulses } => {
             scratch.strike_memo.hits += 1;
             let upset = scratch.lane_strikes.footprint(spot).dffs().iter();
             let regs = upset.map(|&i| i as usize).collect();
-            scratch.recalled.push((ri, regs));
+            scratch.recalled.push((r, regs));
             return usize::from(pulses);
         }
     };
-    let time = draw.sample.strike_time_ps(period);
+    let time = sample.strike_time_ps(period);
     scratch.lane_strikes.push_lane(spot, None, time);
-    scratch.lanes.push((ri, settles));
+    scratch.lanes.push((r, settles));
     0
 }
 
-/// Strike the filled sweep's lanes, count the sweep into `kc` and
-/// `pulses`, and leave each lane's pulse count in `scratch.lane_pulses`
-/// when a lane settles a strike-memo entry.
+/// Strike the filled sweep's lanes, count the sweep into `kc` and each
+/// chunk's pulses, and leave each lane's pulse count in
+/// `scratch.lane_pulses` when a lane settles a strike-memo entry.
 fn sweep(
     runner: &FaultRunner<'_>,
     scratch: &mut BatchChunkScratch,
     cycles: &CycleWindow,
     program: &GateProgram,
     kc: &mut KernelCounters,
-    pulses: &mut usize,
 ) {
     let n = scratch.lanes.len();
-    let groups = cycle_groups(
-        cycles,
-        &scratch.runs.te,
-        scratch.lanes.iter().map(|&(ri, _)| ri),
+    scratch.note_lane_runs();
+    let groups = cycle_groups(cycles, scratch.lane_runs.iter().map(|&(_, te)| te));
+    // The chunks of the first and last window runs among the lanes.
+    let (first, last) = (scratch.lane_runs.iter())
+        .fold((u32::MAX, 0), |(lo, hi), &(wi, _)| (lo.min(wi), hi.max(wi)));
+    let (lo, hi) = (
+        chunk_of(&scratch.window, first),
+        chunk_of(&scratch.window, last),
     );
-    let lanes = batch_lanes(&scratch.lane_strikes);
+    let BatchChunkScratch {
+        window,
+        lanes,
+        lane_runs,
+        lane_pulses,
+        lane_strikes,
+        transient,
+        strike_out: out,
+        sweep_hist,
+        ..
+    } = scratch;
+    let batch = batch_lanes(lane_strikes);
     let t_sweep = Instant::now();
     runner.model.transient.strike_compiled_with(
         runner.model.mpu.netlist(),
         program,
         &groups,
-        &lanes,
-        &mut scratch.transient,
-        &mut scratch.strike_out,
+        &batch,
+        transient,
+        out,
     );
-    scratch.sweep_hist.record(t_sweep.elapsed().as_secs_f64());
-    drop(lanes);
-    let out = &scratch.strike_out;
+    sweep_hist.record(t_sweep.elapsed().as_secs_f64());
+    drop(batch);
     kc.lane_batches += 1;
     kc.lanes_occupied += n;
     kc.frame_groups += groups.len();
     kc.gates_visited += out.gates_visited();
     kc.timed_lanes += out.timed_lanes();
     kc.resimulated_lanes += out.resimulated_lanes();
-    *pulses += out.pulses_total();
-    if scratch.lanes.iter().any(|&(_, e)| e != NO_ENTRY) {
-        scratch.lane_pulses.resize(n, 0);
-        out.pulses_per_lane(&mut scratch.lane_pulses[..n]);
+    // One chunk takes the sweep's total, several each their lanes' counts.
+    if lo != hi || lanes.iter().any(|&(_, e)| e != NO_ENTRY) {
+        lane_pulses.resize(n, 0);
+        out.pulses_per_lane(&mut lane_pulses[..n]);
+    }
+    if lo == hi {
+        window[lo].pulses += out.pulses_total();
+    } else {
+        for (&(wi, _), &pulses) in lane_runs.iter().zip(lane_pulses.iter()) {
+            let k = chunk_of(window, wi);
+            window[k].pulses += pulses;
+        }
     }
 }
 
@@ -643,7 +919,7 @@ pub fn gate_path_bench(
     passes: usize,
 ) -> GatePathBench {
     let mut scratch = BatchChunkScratch::default();
-    draw_and_stratify(runner, strategy, seed, 0, runs, &mut scratch);
+    draw_next(runner, strategy, seed, (0, 0..runs), &mut scratch, false);
     let cycles = runner.model.golden_window(&runner.eval.golden);
 
     let period = runner.model.transient.config().clock_period_ps;
@@ -720,7 +996,10 @@ pub fn gate_path_bench(
                             period,
                         );
                     }
-                    let groups = cycle_groups(&cycles, &scratch.runs.te, batch.iter().copied());
+                    let te = batch
+                        .iter()
+                        .map(|&ri| scratch.runs.te[ri as usize].unwrap());
+                    let groups = cycle_groups(&cycles, te);
                     let lanes = batch_lanes(&scratch.lane_strikes);
                     runner.model.transient.strike_compiled_with(
                         netlist,
@@ -765,7 +1044,7 @@ pub fn gate_path_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{FlowScratch, StrikeClass};
+    use crate::flow::{FlowScratch, StrikeClass, MASKED_SLOT};
     use crate::harden::{DupConfigVote, HardenedSet, HardenedVariant, HardeningModel, ScfiFsm};
     use crate::model::{Evaluation, SystemModel};
     use crate::precharacterize::Precharacterization;
@@ -773,6 +1052,7 @@ mod tests {
     use crate::sampling::{
         baseline_distribution, ConeSampling, ExperimentConfig, ImportanceSampling, RandomSampling,
     };
+    use crate::trace::CounterScratch;
     use xlmc_fault::AttackSample;
     use xlmc_soc::workloads;
 
@@ -822,7 +1102,8 @@ mod tests {
     proptest::proptest! {
         /// The counting pass orders in-run indices exactly like the
         /// `(T_e, index)` comparison sort it replaced, out-of-run entries
-        /// left out, on random `T_e` vectors with repeats and wide spans.
+        /// left out, on random `T_e` vectors with repeats and wide spans,
+        /// and its cycle-memo counts are the counter scratch's.
         #[test]
         fn stratify_matches_the_comparison_sort(
             draws in proptest::collection::vec((0u32..4, 0u64..40), 0..200),
@@ -837,8 +1118,10 @@ mod tests {
                 .collect();
             want.sort_unstable_by_key(|&i| (te[i as usize].unwrap(), i));
             let (mut order, mut counts) = (vec![7], Vec::new());
-            stratify(&te, &mut order, &mut counts);
+            let (cycles, _) = stratify(&te, &mut order, &mut counts);
             proptest::prop_assert_eq!(order, want);
+            let counted = ChunkCycles::of(&mut CounterScratch::default(), &te);
+            proptest::prop_assert_eq!(cycles, counted);
         }
     }
 
@@ -848,33 +1131,48 @@ mod tests {
     #[test]
     fn strike_memo_keeps_entries_as_it_grows() {
         let mut memo = StrikeMemo::default();
-        let settle = |memo: &mut StrikeMemo, e, phase, pulses, timed, slot| {
+        let settle = |memo: &mut StrikeMemo, e, phase, pulses, timed, record| {
             *memo.outcome(e, phase) = Outcome::Pending;
-            memo.settle(e, phase, pulses, timed, slot);
+            memo.settle(e, phase, pulses, timed, record);
+        };
+        let record = |slot| RunRecord {
+            slot,
+            class: StrikeClass::Mixed,
+            success: slot % 2 == 1,
+            analytic: false,
+        };
+        let settled = |pulses, slot| {
+            let r: RunRecord = if slot == MASKED_SLOT {
+                RunRecord::MASKED
+            } else {
+                record(slot)
+            };
+            assert_eq!(RunRecord::from_verdict_bits(slot, r.verdict_bits()), r);
+            Outcome::Settled {
+                pulses,
+                verdict: r.verdict_bits(),
+                slot,
+            }
         };
         memo.cover(10, 12);
         let e = memo.entry(11, 2);
-        settle(&mut memo, e, 0, 7, false, Some(3));
+        settle(&mut memo, e, 0, 7, false, Some(record(3)));
         let f = memo.entry(12, 0);
-        settle(&mut memo, f, 5, 9, true, Some(4));
+        settle(&mut memo, f, 5, 9, true, Some(record(4)));
         memo.cover(8, 9);
         memo.cover(8, 15);
         assert_eq!((memo.te_lo, memo.te_len), (8, 8));
         // An untimed group answers every phase; a timed one per phase.
         let e = memo.entry(11, 2);
-        let untimed = Outcome::Settled { pulses: 7, slot: 3 };
+        let untimed = settled(7, 3);
         assert_eq!(memo.table[e as usize], untimed);
         assert_eq!(*memo.outcome(e, 6), untimed);
         let f = memo.entry(12, 0);
         assert_eq!(memo.table[f as usize], Outcome::Timed { row: 0 });
-        assert_eq!(*memo.outcome(f, 5), Outcome::Settled { pulses: 9, slot: 4 });
+        assert_eq!(*memo.outcome(f, 5), settled(9, 4));
         assert_eq!(*memo.outcome(f, 4), Outcome::Unseen);
-        settle(&mut memo, f, 4, 2, true, Some(MASKED_SLOT));
-        let masked = Outcome::Settled {
-            pulses: 2,
-            slot: MASKED_SLOT,
-        };
-        assert_eq!(*memo.outcome(f, 4), masked);
+        settle(&mut memo, f, 4, 2, true, Some(RunRecord::MASKED));
+        assert_eq!(*memo.outcome(f, 4), settled(2, MASKED_SLOT));
         assert_eq!(memo.phases.len(), 1);
         let unseen = (memo.table.iter().filter(|&&v| v == Outcome::Unseen)).count();
         assert_eq!(unseen, memo.table.len() - 2);
@@ -892,7 +1190,14 @@ mod tests {
         settle(&mut memo, h, 1, 3, true, None);
         assert_eq!(memo.table[h as usize], Outcome::Sweep);
         let k = memo.entry(13, 40);
-        settle(&mut memo, k, 1, usize::from(u16::MAX) + 1, false, Some(0));
+        settle(
+            &mut memo,
+            k,
+            1,
+            usize::from(u16::MAX) + 1,
+            false,
+            Some(record(0)),
+        );
         assert_eq!(memo.table[k as usize], Outcome::Sweep);
         assert_eq!(memo.phases.len(), 1);
     }
@@ -935,13 +1240,7 @@ mod tests {
         if r.slot != MASKED_SLOT {
             runner.bits_into(memo.slot(r.slot).regs, &mut bits);
         }
-        (
-            r.success,
-            r.class,
-            r.analytic,
-            bits,
-            scratch.runs.draws[i].w,
-        )
+        (r.success, r.class, r.analytic, bits, scratch.runs.w[i])
     }
 
     /// Runs `0..n` of `strat` at `seed` through one compiled scratch and
@@ -957,7 +1256,6 @@ mod tests {
         let window = runner.model.golden_window(&runner.eval.golden);
         let mut memo = ConclusionMemo::default();
         let mut scratch = BatchChunkScratch::default();
-        let mut ctr = CounterScratch::default();
         let sink = TraceSink::disabled();
         let mut pass = |chunk| {
             run_chunk_compiled(
@@ -970,7 +1268,6 @@ mod tests {
                 &window,
                 &mut memo,
                 chunk,
-                &mut ctr,
                 false,
                 &sink,
                 0,
@@ -1266,7 +1563,7 @@ mod tests {
                     .iter()
                     .map(|s| s.injection_cycle(eval.target_cycle))
                     .collect();
-                let groups = cycle_groups(&window, &te, 0..batch.len() as u32);
+                let groups = cycle_groups(&window, te.iter().map(|t| t.unwrap()));
                 let lanes = batch_lanes(lane_strikes);
                 transient.strike_compiled_with(
                     netlist,
@@ -1386,7 +1683,6 @@ mod tests {
                 let mut memo = ConclusionMemo::default();
                 let mut scratch = BatchChunkScratch::default();
                 let mut flow = FlowScratch::default();
-                let mut ctr = CounterScratch::default();
                 let sink = TraceSink::disabled();
                 let (mut lanes, mut m) = (0, 0);
                 let name = format!(
@@ -1406,7 +1702,6 @@ mod tests {
                         &window,
                         &mut memo,
                         chunk as u32,
-                        &mut ctr,
                         false,
                         &sink,
                         0,
@@ -1473,10 +1768,12 @@ mod tests {
     /// The chunk fold equals the per-run fold it replaced, field by field
     /// and `f64`s by bits, on the compiled chunks of all five goals under
     /// no defense, the voter, the uniform hardened set, the SCFI code and
-    /// the double glitch: a cold chunk, then warm ones on the same worker's
-    /// memos (outcome handles engaged where the outcome is fixed), each
-    /// folded with provenance off and on. The kernel's own partial is the
-    /// fold without provenance plus its pulse and kernel counters.
+    /// the double glitch: a cold chunk, then a window of two warm ones on
+    /// the same worker's memos (outcome handles engaged where the outcome
+    /// is fixed), each folded again with provenance off and on and counted
+    /// against a per-chunk set of the keys seen. The kernel's own partial
+    /// is the fold with provenance plus its pulse and kernel counters; the
+    /// kernel counters are the window's, on its first partial.
     #[test]
     fn fold_chunk_matches_the_per_run_fold() {
         let model = SystemModel::with_defaults().unwrap();
@@ -1526,64 +1823,95 @@ mod tests {
                 };
                 let mut memo = ConclusionMemo::default();
                 let mut scratch = BatchChunkScratch::default();
-                let mut ctr = CounterScratch::default();
                 let sink = TraceSink::disabled();
-                for chunk in 0..3u32 {
-                    let start = chunk as usize * 512;
-                    let kernel = run_chunk_compiled(
-                        &runner,
-                        &strat,
-                        5,
-                        start,
-                        start + 512,
-                        &mut scratch,
-                        &window,
-                        &mut memo,
-                        chunk,
-                        &mut ctr,
-                        false,
-                        &sink,
-                        0,
-                    );
-                    let runs = &scratch.runs;
-                    for provenance in [false, true] {
-                        let ctx = format!(
-                            "{} {defense} chunk {chunk} provenance {provenance}",
-                            eval.workload.name
+                // Chunk 0 alone, then chunks 1 and 2 in as many windows as
+                // their sweeps make.
+                for chunks in [0..1usize, 1..3] {
+                    let mut claim = chunks.clone().map(|c| (c, c * 512..(c + 1) * 512));
+                    let mut parts = Vec::new();
+                    while let Some(next) = claim.next() {
+                        let mut first = Some(next);
+                        parts.clear();
+                        run_window_compiled(
+                            &runner,
+                            &strat,
+                            5,
+                            &mut || first.take().or_else(|| claim.next()),
+                            &mut scratch,
+                            &window,
+                            &mut memo,
+                            true,
+                            &sink,
+                            0,
+                            &mut parts,
                         );
-                        let mut fresh = CounterScratch::default();
-                        let first = start as u64;
-                        let got = fold_chunk(&mut fresh, runs, first, &memo, dff_bits, provenance);
-                        let mut want = ChunkPartial {
-                            level: crate::multilevel::LEVEL_GATE,
-                            ..ChunkPartial::default()
-                        };
-                        fresh.begin_chunk();
-                        for (i, r) in runs.records.iter().enumerate() {
-                            let regs = match r.slot {
-                                MASKED_SLOT => DffMask::EMPTY,
-                                slot => memo.slot(slot).regs,
-                            };
-                            crate::estimator::fold_run(
-                                &mut want,
-                                &mut fresh,
-                                (start + i) as u64,
-                                &runs.draws[i],
-                                runs.te[i],
-                                r,
-                                regs,
-                                dff_bits,
-                                provenance,
-                            );
-                        }
-                        assert_same_partial(&got, &want, &ctx);
-                        if !provenance {
-                            want.counters.pulses_propagated = kernel.counters.pulses_propagated;
-                            want.kernel_counters = kernel.kernel_counters;
-                            assert_same_partial(&kernel, &want, &format!("{ctx} kernel"));
+                        for (k, (chunk, kernel)) in parts.iter().enumerate() {
+                            let (start, at) = (chunk * 512, k * 512);
+                            let runs = &scratch.runs;
+                            for provenance in [false, true] {
+                                let ctx = format!(
+                                    "{} {defense} chunk {chunk} provenance {provenance}",
+                                    eval.workload.name
+                                );
+                                // A fold of its own, after the kernel's: a stamp
+                                // no other fold uses.
+                                let refold = 1000 + 2 * *chunk as u32 + u32::from(provenance);
+                                let te: Vec<Option<u64>> = runs.traced[at..at + 512]
+                                    .iter()
+                                    .map(|&(_, te)| te)
+                                    .collect();
+                                let mut fresh = CounterScratch::default();
+                                let got = fold_chunk(
+                                    runs,
+                                    at..at + 512,
+                                    start as u64,
+                                    ChunkCycles::of(&mut fresh, &te),
+                                    &mut memo,
+                                    refold,
+                                    dff_bits,
+                                    provenance,
+                                );
+                                let mut want = ChunkPartial {
+                                    level: crate::multilevel::LEVEL_GATE,
+                                    ..ChunkPartial::default()
+                                };
+                                fresh.begin_chunk();
+                                let mut seen = std::collections::HashSet::new();
+                                for i in at..at + 512 {
+                                    let r = &runs.records[i];
+                                    let regs = match r.slot {
+                                        MASKED_SLOT => DffMask::EMPTY,
+                                        slot => memo.slot(slot).regs,
+                                    };
+                                    let draw = RunDraw {
+                                        sample: runs.traced[i].0,
+                                        w: runs.w[i],
+                                        rng: SplitMix64::for_run(5, (start + i - at) as u64),
+                                    };
+                                    crate::estimator::fold_run(
+                                        &mut want,
+                                        &mut fresh,
+                                        (start + i - at) as u64,
+                                        &draw,
+                                        runs.traced[i].1,
+                                        r,
+                                        regs,
+                                        r.slot != MASKED_SLOT && seen.insert(r.slot),
+                                        dff_bits,
+                                        provenance,
+                                    );
+                                }
+                                assert_same_partial(&got, &want, &ctx);
+                                if provenance {
+                                    want.counters.pulses_propagated =
+                                        kernel.counters.pulses_propagated;
+                                    want.kernel_counters = kernel.kernel_counters;
+                                    assert_same_partial(kernel, &want, &format!("{ctx} kernel"));
+                                }
+                            }
+                            attributed += usize::from(kernel.successes > 0);
                         }
                     }
-                    attributed += usize::from(kernel.successes > 0);
                 }
                 let name = format!("{} {defense}", eval.workload.name);
                 let recalls = scratch.handle_recalls() > 0;
@@ -1594,6 +1922,140 @@ mod tests {
             attributed >= 50,
             "{attributed} of 75 chunks attribute a success"
         );
+    }
+
+    /// The conclusion-memo counters are taken as each chunk folds, so the
+    /// order a window's runs were concluded in does not move them. The
+    /// runs of a window of chunks are concluded run index by run index,
+    /// each across the chunks in reverse chunk order, so a key met in
+    /// chunks k and k+1 is probed by k+1, then k, then k+1 again; then the
+    /// chunks fold in order on the one memo. Each chunk's
+    /// `conclusion_memo_{hits,misses}`, `conclusions_{analytic,rtl}` and
+    /// `soc_{clones,restores}`, and every other counter, equal the per-run
+    /// fold's with a per-chunk set of the keys seen, on all five goals
+    /// under no defense, the voter and the SCFI code.
+    #[test]
+    fn window_folds_count_keys_whatever_the_conclusion_order() {
+        let model = SystemModel::with_defaults().unwrap();
+        let cfg = ExperimentConfig::default();
+        let prechar = Precharacterization::run(&model, cfg.t_max, cfg.max_radius());
+        let strat = ImportanceSampling::new(
+            baseline_distribution(&model, &cfg),
+            &model,
+            &prechar,
+            cfg.alpha,
+            cfg.beta,
+            cfg.radius_options.clone(),
+        );
+        let vote = HardenedVariant::DupConfigVote(DupConfigVote::new());
+        let scfi = HardenedVariant::ScfiFsm(ScfiFsm::with_miss_rate(0.5));
+        let dff_bits = model.mpu.dff_bits();
+        let (chunks, seed) = (3usize, 19u64);
+        let mut shared = 0;
+        for workload in [
+            workloads::illegal_write(),
+            workloads::illegal_read(),
+            workloads::dma_exfiltration(),
+            workloads::trap_escalation(),
+            workloads::instruction_skip(),
+        ] {
+            let eval = Evaluation::new(workload).unwrap();
+            for hardening in [None, Some(&vote), Some(&scfi)] {
+                let runner = FaultRunner {
+                    model: &model,
+                    eval: &eval,
+                    prechar: &prechar,
+                    hardening,
+                    multi_fault: None,
+                };
+                let name = format!(
+                    "{} {}",
+                    eval.workload.name,
+                    hardening.map_or("none", HardenedVariant::name)
+                );
+                let mut memo = ConclusionMemo::default();
+                let mut flow = FlowScratch::default();
+                let mut runs = ChunkRuns::default();
+                let mut draws = Vec::new();
+                for c in 0..chunks {
+                    strat.draw_chunk(
+                        seed,
+                        (c * 512) as u64..((c + 1) * 512) as u64,
+                        &mut runs.draws,
+                    );
+                    draws.append(&mut runs.draws);
+                }
+                runs.w.extend(draws.iter().map(|d| d.w));
+                runs.records.resize(draws.len(), RunRecord::MASKED);
+                let mut te = vec![None; draws.len()];
+                let mut regs = vec![DffMask::EMPTY; draws.len()];
+                let mut chunks_of_slot = std::collections::HashMap::new();
+                for i in (0..512).rev() {
+                    for c in (0..chunks).rev() {
+                        let k = c * 512 + i;
+                        let d = &mut draws[k];
+                        let v =
+                            runner.run_shared(&d.sample, &mut d.rng, &mut flow, Some(&mut memo));
+                        (runs.records[k], te[k], regs[k]) = (v.record, v.injection_cycle, v.regs);
+                        if v.record.slot != MASKED_SLOT {
+                            let seen = chunks_of_slot.entry(v.record.slot).or_insert(0u32);
+                            *seen |= 1 << c;
+                        }
+                    }
+                }
+                shared += chunks_of_slot
+                    .values()
+                    .filter(|m| m.count_ones() > 1)
+                    .count();
+                for c in 0..chunks {
+                    let range = c * 512..(c + 1) * 512;
+                    let mut ctr = CounterScratch::default();
+                    let cycles = ChunkCycles::of(&mut ctr, &te[range.clone()]);
+                    let start = range.start as u64;
+                    let got = fold_chunk(
+                        &runs,
+                        range.clone(),
+                        start,
+                        cycles,
+                        &mut memo,
+                        c as u32,
+                        dff_bits,
+                        false,
+                    );
+                    let mut want = ChunkPartial::default();
+                    ctr.begin_chunk();
+                    let mut seen = std::collections::HashSet::new();
+                    for k in range {
+                        let r = &runs.records[k];
+                        let first = r.slot != MASKED_SLOT && seen.insert(r.slot);
+                        crate::estimator::fold_run(
+                            &mut want, &mut ctr, k as u64, &draws[k], te[k], r, regs[k], first,
+                            dff_bits, false,
+                        );
+                    }
+                    let ctx = format!("{name} chunk {c}");
+                    let (g, w) = (&got.counters, &want.counters);
+                    assert_eq!(
+                        (g.conclusion_memo_hits, g.conclusion_memo_misses),
+                        (w.conclusion_memo_hits, w.conclusion_memo_misses),
+                        "{ctx}: conclusion memo"
+                    );
+                    assert_eq!(
+                        (g.conclusions_analytic, g.conclusions_rtl),
+                        (w.conclusions_analytic, w.conclusions_rtl),
+                        "{ctx}: conclusions"
+                    );
+                    assert_eq!(
+                        (g.soc_clones, g.soc_restores),
+                        (w.soc_clones, w.soc_restores),
+                        "{ctx}: SoC"
+                    );
+                    assert_eq!(g, w, "{ctx}: counters");
+                    assert_eq!(got.class_counts, want.class_counts, "{ctx}");
+                }
+            }
+        }
+        assert!(shared > 0, "some key must be concluded in two chunks");
     }
 
     /// The compiled partial equals the scalar partial field by field at
@@ -1613,7 +2075,6 @@ mod tests {
         let mut memo = ConclusionMemo::default();
         let mut cscratch = BatchChunkScratch::default();
         let mut flow = FlowScratch::default();
-        let mut ctr = CounterScratch::default();
         let sink = TraceSink::disabled();
         // One memo across the chunks, as a worker keeps it.
         for (chunk, (start, len)) in [
@@ -1638,7 +2099,6 @@ mod tests {
                 &cache,
                 &mut memo,
                 chunk as u32,
-                &mut ctr,
                 false,
                 &sink,
                 0,

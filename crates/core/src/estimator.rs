@@ -15,9 +15,9 @@
 //! the thread count or kernel.
 
 pub use crate::batch::{gate_path_bench, GatePathBench};
-use crate::batch::{run_chunk_compiled, BatchChunkScratch};
+use crate::batch::{run_window_compiled, BatchChunkScratch};
 use crate::checkpoint::{CampaignCheckpoint, MergeState};
-use crate::flow::{DffMask, FaultRunner, FlowScratch, RunRecord};
+use crate::flow::{DffMask, FaultRunner, FlowScratch, RunRecord, StrikeClass};
 use crate::json::{bits_str, json_num};
 use crate::metrics::{
     self, EventLog, LatencyShard, MetricsRegistry, MlmcProgress, PhaseTimes, StallWatchdog,
@@ -37,11 +37,13 @@ use crate::trace::{
     PROVENANCE_RING_CAP,
 };
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
+use xlmc_fault::AttackSample;
 use xlmc_soc::MpuBit;
 
 /// Runs per shard. Fixed — independent of the thread count and of the
@@ -532,7 +534,7 @@ impl CampaignOptions {
             "  --target-confidence C  confidence for --target-eps, in (0, 1)\n",
             "                         (default 0.95)\n",
             "  --metrics PATH         write the campaign metrics JSON\n",
-            "                         (xlmc-metrics-v12, schemas/metrics.schema.json)\n",
+            "                         (xlmc-metrics-v13, schemas/metrics.schema.json)\n",
             "  --events PATH          stream the lifecycle event log as JSONL\n",
             "                         (schemas/events.schema.json), one flushed line\n",
             "                         per event; results are bit-identical on or off\n",
@@ -794,36 +796,92 @@ impl ChunkAttribution {
     }
 }
 
-/// A chunk's per-run buffers, in run order: each run's draw, injection
-/// cycle `T_e` (`None` out of the run) and record. Both kernels fill one
-/// and fold it with [`fold_chunk`].
+/// A chunk's runs as both kernels keep them for [`fold_chunk`]. `draws`
+/// and `te` hold the last chunk drawn: each run's draw and injection cycle
+/// `T_e` (`None` out of the run). The rest is the fold state of every run
+/// kept, in run order: its weight and record and, when provenance is
+/// recorded, its sample and `T_e`. The scalar kernel keeps its chunk; the
+/// compiled kernel keeps a window of chunks end to end, eight bytes of
+/// weight and eight of record a run.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkRuns {
     pub(crate) draws: Vec<RunDraw>,
     pub(crate) te: Vec<Option<u64>>,
+    pub(crate) w: Vec<f64>,
     pub(crate) records: Vec<RunRecord>,
+    pub(crate) traced: Vec<(AttackSample, Option<u64>)>,
 }
 
-/// The gate-level partial of a chunk's runs, the first of them run
-/// `start`. Both kernels fold every chunk through this one accumulator,
-/// so every campaign statistic and counter is the same function of the
-/// runs in either kernel.
+impl ChunkRuns {
+    /// Forget the fold state of every run (keeps allocations).
+    pub(crate) fn clear(&mut self) {
+        self.w.clear();
+        self.records.clear();
+        self.traced.clear();
+    }
+
+    /// Keep the weights of the last chunk drawn and, when provenance is
+    /// recorded, its samples and `T_e`, which must be known.
+    pub(crate) fn keep_drawn(&mut self, record_provenance: bool) {
+        self.w.extend(self.draws.iter().map(|d| d.w));
+        if record_provenance {
+            let te = self.te.iter().copied();
+            self.traced
+                .extend(self.draws.iter().map(|d| d.sample).zip(te));
+        }
+    }
+}
+
+/// A chunk's cycle-memo counts, from its runs' `T_e` alone: the runs in
+/// the run, and how many distinct `T_e` they hold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ChunkCycles {
+    in_run: usize,
+    distinct: usize,
+}
+
+impl ChunkCycles {
+    /// `in_run` runs in the run, at `distinct` distinct `T_e`.
+    pub(crate) fn new(in_run: usize, distinct: usize) -> Self {
+        Self { in_run, distinct }
+    }
+
+    /// The counts of a chunk's `te`, marked in `ctr`'s bitset.
+    pub(crate) fn of(ctr: &mut CounterScratch, te: &[Option<u64>]) -> Self {
+        ctr.begin_chunk();
+        Self {
+            in_run: te.iter().filter(|t| t.is_some()).count(),
+            distinct: ctr.distinct_cycles(te),
+        }
+    }
+}
+
+/// The gate-level partial of chunk `chunk`, whose runs are `runs[range]`,
+/// the first of them run `start`, with cycle-memo counts `cycles`. Both
+/// kernels fold every chunk through this one accumulator, so every
+/// campaign statistic and counter is the same function of the runs in
+/// either kernel.
 ///
 /// Only the floating-point sums depend on the order of the runs: the
 /// Welford stream, Σw and Σw² take the runs in run-index order, and so
 /// does each register's attribution sum. Everything else is a count over
 /// the chunk: the strike classes, the runs concluded analytically, the
-/// conclusion-memo hits and misses (a miss is a run whose key was its
-/// chunk's first probe), and the RTL conclusions, the first of which
-/// clones the SoC and every later one restores it. A success reads its
-/// registers from `memo`, the conclusion memo its record's slot names.
-/// The cycle-memo counts take each in-run `T_e` once per chunk, marked
-/// in `ctr`'s bitset; pulse and kernel counters are left to the kernel.
+/// conclusion-memo hits and misses (a miss is a run that is its chunk's
+/// first of its key), and the RTL conclusions, the first of which clones
+/// the SoC and every later one restores it. Which run is a key's first is
+/// learnt here, by stamping each concluded run's slot in `memo`, the
+/// conclusion memo its record names, in run order
+/// ([`ConclusionMemo::stamp`]); so it does not depend on the order the
+/// runs were concluded in. A success reads its registers from `memo`.
+/// Pulse and kernel counters are left to the kernel.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_chunk(
-    ctr: &mut CounterScratch,
     runs: &ChunkRuns,
+    range: Range<usize>,
     start: u64,
-    memo: &ConclusionMemo,
+    cycles: ChunkCycles,
+    memo: &mut ConclusionMemo,
+    chunk: u32,
     dff_bits: &[MpuBit],
     record_provenance: bool,
 ) -> ChunkPartial {
@@ -831,52 +889,48 @@ pub(crate) fn fold_chunk(
         level: multilevel::LEVEL_GATE,
         ..ChunkPartial::default()
     };
-    let ChunkRuns { draws, te, records } = runs;
+    let (w, records) = (&runs.w[range.clone()], &runs.records[range.clone()]);
     let m = records.len();
-    debug_assert!(
-        draws.len() == m && te.len() == m,
-        "one draw and T_e per record"
-    );
-    let mut class = [0usize; 3];
+    debug_assert_eq!(w.len(), m, "one weight per record");
+    let (mut masked, mut memory_only) = (0, 0);
     let (mut analytic, mut first, mut first_analytic) = (0, 0, 0);
     for r in records {
-        class[r.class as usize] += 1;
+        masked += usize::from(r.class == StrikeClass::Masked);
+        memory_only += usize::from(r.class == StrikeClass::MemoryOnly);
         analytic += usize::from(r.analytic);
-        first += usize::from(r.first_in_chunk);
-        first_analytic += usize::from(r.first_in_chunk & r.analytic);
+        let f = memo.stamp(r.slot, chunk);
+        first += usize::from(f);
+        first_analytic += usize::from(f & r.analytic);
     }
-    for (i, (r, d)) in records.iter().zip(draws).enumerate() {
-        p.w_sum += d.w;
-        p.w_sq_sum += d.w * d.w;
+    for (i, (r, &w)) in records.iter().zip(w).enumerate() {
+        p.w_sum += w;
+        p.w_sq_sum += w * w;
         let x = if r.success {
             if p.first_success.is_none() {
                 p.first_success = Some(start + i as u64);
             }
             p.successes += 1;
-            p.attribution.add(memo.slot(r.slot).regs, d.w, dff_bits);
-            d.w
+            p.attribution.add(memo.slot(r.slot).regs, w, dff_bits);
+            w
         } else {
             0.0
         };
         p.stats.push(x);
     }
-    let in_run = te.iter().filter(|t| t.is_some()).count();
-    ctr.begin_chunk();
-    let cycles = ctr.distinct_cycles(te);
     // Only a concluded key is probed, so masked runs are never first.
-    let concluded = class[1] + class[2];
+    let concluded = m - masked;
     let rtl_first = first - first_analytic;
     p.class_counts = ClassCounts {
-        masked: class[0],
-        memory_only: class[1],
-        mixed: class[2],
+        masked,
+        memory_only,
+        mixed: concluded - memory_only,
     };
     p.analytic_runs = analytic;
     p.rtl_runs = concluded - analytic;
     let c = &mut p.counters;
-    c.out_of_run = m - in_run;
-    c.cycle_memo_misses = cycles;
-    c.cycle_memo_hits = in_run - cycles;
+    c.out_of_run = m - cycles.in_run;
+    c.cycle_memo_misses = cycles.distinct;
+    c.cycle_memo_hits = cycles.in_run - cycles.distinct;
     c.conclusion_memo_misses = first;
     c.conclusion_memo_hits = concluded - first;
     c.conclusions_analytic = first_analytic;
@@ -884,18 +938,18 @@ pub(crate) fn fold_chunk(
     c.soc_clones = rtl_first.min(1);
     c.soc_restores = rtl_first - c.soc_clones;
     if record_provenance {
-        let runs = draws.iter().zip(te).zip(records);
+        let runs = runs.traced[range].iter().zip(w).zip(records);
         p.provenance.extend(
             (start..)
                 .zip(runs)
-                .map(|(i, ((d, &te), r))| ProvenanceRecord {
+                .map(|(i, ((&(s, te), &w), r))| ProvenanceRecord {
                     run_index: i,
-                    t: d.sample.t,
-                    center: d.sample.center,
-                    radius: d.sample.radius,
-                    phase: d.sample.phase,
+                    t: s.t,
+                    center: s.center,
+                    radius: s.radius,
+                    phase: s.phase,
                     te,
-                    weight: d.w,
+                    weight: w,
                     class: r.class,
                     success: r.success,
                     analytic: r.analytic,
@@ -908,7 +962,8 @@ pub(crate) fn fold_chunk(
 /// The per-run fold [`fold_chunk`] replaced: one run's record into the
 /// partial, every counter bumped run by run through
 /// [`CounterScratch::record_run`]. Kept as the test oracle of the chunk
-/// fold; `regs` are the run's post-hardening registers.
+/// fold; `regs` are the run's post-hardening registers and `first` says
+/// whether the run is its chunk's first of its conclusion key.
 #[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_run(
@@ -919,6 +974,7 @@ pub(crate) fn fold_run(
     te: Option<u64>,
     r: &RunRecord,
     regs: DffMask,
+    first: bool,
     dff_bits: &[MpuBit],
     record_provenance: bool,
 ) {
@@ -935,7 +991,7 @@ pub(crate) fn fold_run(
             p.rtl_runs += 1;
         }
     }
-    ctr.record_run(&mut p.counters, te, regs, r.first_in_chunk, r.analytic, 0);
+    ctr.record_run(&mut p.counters, te, regs, first, r.analytic, 0);
     p.w_sum += draw.w;
     p.w_sq_sum += draw.w * draw.w;
     let x = if r.success {
@@ -988,20 +1044,34 @@ fn run_chunk(
     let mut phases = PhaseTimes::default();
     strategy.draw_chunk(seed, start as u64..end as u64, &mut runs.draws);
     phases.draw_s = lap(&mut clock);
-    let ChunkRuns { draws, te, records } = runs;
+    runs.clear();
+    let ChunkRuns {
+        draws, te, records, ..
+    } = runs;
     te.clear();
-    records.clear();
     let (mut pulses, mut gates) = (0, 0);
     for d in draws.iter_mut() {
-        let v = runner.run_shared(&d.sample, &mut d.rng, scratch, Some(memo), Some(chunk));
+        let v = runner.run_shared(&d.sample, &mut d.rng, scratch, Some(memo));
         pulses += v.pulses_propagated;
         gates += v.gates_visited;
         te.push(v.injection_cycle);
         records.push(v.record);
     }
     phases.conclude_s = lap(&mut clock);
+    runs.keep_drawn(record_provenance);
+    let cycles = ChunkCycles::of(ctr, &runs.te);
     let dff_bits = runner.model.mpu.dff_bits();
-    let mut p = fold_chunk(ctr, runs, start as u64, memo, dff_bits, record_provenance);
+    let range = 0..runs.records.len();
+    let mut p = fold_chunk(
+        runs,
+        range,
+        start as u64,
+        cycles,
+        memo,
+        chunk,
+        dff_bits,
+        record_provenance,
+    );
     p.counters.pulses_propagated = pulses;
     p.kernel_counters.gates_visited = gates;
     phases.fold_s = lap(&mut clock);
@@ -1037,7 +1107,8 @@ pub(crate) fn scalar_chunk_for_tests(
 }
 
 /// One campaign worker's state: the scratch of every chunk executor, the
-/// worker's conclusion memo and its chunk-counter scratch.
+/// worker's conclusion memo, its chunk-counter scratch, and the runs of
+/// every partial it produced.
 #[derive(Default)]
 struct Worker {
     flow: FlowScratch,
@@ -1046,12 +1117,14 @@ struct Worker {
     mlmc: MlmcScratch,
     memo: ConclusionMemo,
     ctr: CounterScratch,
+    executed_runs: u64,
 }
 
 impl Worker {
     /// The worker's schedule-dependent totals: its snapshot-cache counters,
-    /// and its memos' counters as a one-worker [`SchedulerStats`].
-    fn totals(&self) -> (ResumeStats, SchedulerStats) {
+    /// its memos' counters as a one-worker [`SchedulerStats`], and the runs
+    /// of the partials it produced.
+    fn totals(&self) -> (ResumeStats, SchedulerStats, u64) {
         let mut ff = self.flow.resume_stats();
         ff.add(&self.batch.resume_stats());
         ff.add(&self.mlmc.resume_stats());
@@ -1063,7 +1136,7 @@ impl Worker {
             handle_recalls: self.batch.handle_recalls(),
             ..SchedulerStats::default()
         };
-        (ff, memos)
+        (ff, memos, self.executed_runs)
     }
 }
 
@@ -1413,7 +1486,7 @@ pub fn run_campaign_observed(
 ) -> Result<CampaignResult, CampaignError> {
     let start_time = Instant::now();
     let chunks = n.div_ceil(CHUNK_RUNS);
-    let chunk_bounds = |c: usize| (c * CHUNK_RUNS, ((c + 1) * CHUNK_RUNS).min(n));
+    let chunk_bounds = |c: usize| c * CHUNK_RUNS..((c + 1) * CHUNK_RUNS).min(n);
 
     let mut ck = CampaignCheckpoint {
         seed,
@@ -1510,7 +1583,14 @@ pub fn run_campaign_observed(
         // the plan is never published and waiting workers must bail instead.
         let stop_flag = AtomicBool::new(false);
         let stop_flag = &stop_flag;
-        let run_one = |c: usize, w: &mut Worker, tid: u32| -> ChunkPartial {
+        // Execute the next window of chunks claimed from `claim` into
+        // `out`, in chunk order: several chunks swept together under the
+        // compiled single estimator, one chunk otherwise. Nothing when no
+        // chunk is left.
+        let run_window = |claim: &mut dyn FnMut() -> Option<(usize, Range<usize>)>,
+                          w: &mut Worker,
+                          tid: u32,
+                          out: &mut Vec<(usize, ChunkPartial)>| {
             let Worker {
                 flow,
                 runs,
@@ -1518,114 +1598,134 @@ pub fn run_campaign_observed(
                 mlmc,
                 memo,
                 ctr,
+                executed_runs,
             } = w;
-            let (start, end) = chunk_bounds(c);
-            let chunk = u32::try_from(c).expect("chunk index fits a memo stamp");
-            let _span = sink.span_args(tid, "campaign", "chunk", &[("chunk", c as f64)]);
-            let chunk_t0 = Instant::now();
-            let mut p = if let Some(map) = &seu_map {
-                let level = if c < MlmcEstimator::PILOT_CHUNKS {
-                    MlmcEstimator::pilot_level(c)
-                } else {
-                    // The plan is published by the merge step once the
-                    // pilot prefix is folded; chunk indices are claimed in
-                    // order, so the pilot is always in flight ahead of this
-                    // wait. The wait can only end without a plan when the
-                    // merge loop stopped mid-pilot — the returned
-                    // placeholder is behind the merge cursor and never folds.
-                    let plan = loop {
-                        if let Some(p) = plan_cell.get() {
-                            break p;
+            let window_t0 = Instant::now();
+            match (&seu_map, &window) {
+                (None, Some(window)) => run_window_compiled(
+                    runner,
+                    strategy,
+                    seed,
+                    claim,
+                    batch,
+                    window,
+                    memo,
+                    record_provenance,
+                    &sink,
+                    tid,
+                    out,
+                ),
+                _ => {
+                    let Some((c, range)) = claim() else { return };
+                    let (start, end) = (range.start, range.end);
+                    let chunk = u32::try_from(c).expect("chunk index fits a memo stamp");
+                    let _span = sink.span_args(tid, "campaign", "chunk", &[("chunk", c as f64)]);
+                    let p = if let Some(map) = &seu_map {
+                        let level = if c < MlmcEstimator::PILOT_CHUNKS {
+                            MlmcEstimator::pilot_level(c)
+                        } else {
+                            // The plan is published by the merge step once
+                            // the pilot prefix is folded; chunk indices are
+                            // claimed in order, so the pilot is always in
+                            // flight ahead of this wait. The wait can only
+                            // end without a plan when the merge loop stopped
+                            // mid-pilot, and then the chunk is dropped.
+                            let plan = loop {
+                                if let Some(p) = plan_cell.get() {
+                                    break p;
+                                }
+                                if stop_flag.load(Ordering::Relaxed) {
+                                    return;
+                                }
+                                std::thread::yield_now();
+                            };
+                            plan.level_of_chunk(c)
+                        };
+                        if level == LEVEL_RTL {
+                            multilevel::run_chunk_level0(
+                                runner,
+                                strategy,
+                                map,
+                                seed,
+                                start,
+                                end,
+                                mlmc,
+                                memo,
+                                chunk,
+                                ctr,
+                                options.replay,
+                            )
+                        } else {
+                            multilevel::run_chunk_level1(
+                                runner,
+                                strategy,
+                                map,
+                                seed,
+                                start,
+                                end,
+                                mlmc,
+                                memo,
+                                chunk,
+                                ctr,
+                                record_provenance,
+                            )
                         }
-                        if stop_flag.load(Ordering::Relaxed) {
-                            return ChunkPartial::default();
-                        }
-                        std::thread::yield_now();
+                    } else {
+                        run_chunk(
+                            runner,
+                            strategy,
+                            seed,
+                            start,
+                            end,
+                            flow,
+                            runs,
+                            memo,
+                            chunk,
+                            ctr,
+                            record_provenance,
+                        )
                     };
-                    plan.level_of_chunk(c)
-                };
-                if level == LEVEL_RTL {
-                    multilevel::run_chunk_level0(
-                        runner,
-                        strategy,
-                        map,
-                        seed,
-                        start,
-                        end,
-                        mlmc,
-                        memo,
-                        chunk,
-                        ctr,
-                        options.replay,
-                    )
-                } else {
-                    multilevel::run_chunk_level1(
-                        runner,
-                        strategy,
-                        map,
-                        seed,
-                        start,
-                        end,
-                        mlmc,
-                        memo,
-                        chunk,
-                        ctr,
-                        record_provenance,
-                    )
+                    out.push((c, p));
                 }
-            } else {
-                match &window {
-                    Some(window) => run_chunk_compiled(
-                        runner,
-                        strategy,
-                        seed,
-                        start,
-                        end,
-                        batch,
-                        window,
-                        memo,
-                        chunk,
-                        ctr,
-                        record_provenance,
-                        &sink,
-                        tid,
-                    ),
-                    None => run_chunk(
-                        runner,
-                        strategy,
-                        seed,
-                        start,
-                        end,
-                        flow,
-                        runs,
-                        memo,
-                        chunk,
-                        ctr,
-                        record_provenance,
-                    ),
-                }
-            };
-            // Harvest worker-side latency into the partial: the shard
-            // rides the same in-order merge the statistics use, keeping
-            // the telemetry deterministic in shape (counts differ only
-            // in wall-clock values, never in which chunk they tag).
-            p.latency.absorb(&flow.take_latency());
-            p.latency.absorb(&batch.take_latency());
-            p.latency.absorb(&mlmc.take_latency());
-            p.latency
-                .chunk_wall
-                .record(chunk_t0.elapsed().as_secs_f64());
-            p
+            }
+            *executed_runs += out.iter().map(|(_, p)| p.stats.count()).sum::<u64>();
+            // Harvest worker-side latency into the window's first partial:
+            // the shard rides the same in-order merge the statistics use,
+            // keeping the telemetry deterministic in shape (counts differ
+            // only in wall-clock values, never in which chunk they tag).
+            if let Some((_, p)) = out.first_mut() {
+                p.latency.absorb(&flow.take_latency());
+                p.latency.absorb(&batch.take_latency());
+                p.latency.absorb(&mlmc.take_latency());
+                p.latency
+                    .chunk_wall
+                    .record(window_t0.elapsed().as_secs_f64());
+            }
         };
 
         workers = threads;
         if threads <= 1 {
-            // One worker: no thread, each chunk runs inline and merges at once.
+            // One worker: no thread, each window runs inline and its chunks
+            // merge at once, in order; a stop drops the window's rest.
             let mut worker = Worker::default();
-            for c in start_chunk..chunks {
-                outcome = merger.merge(c, run_one(c, &mut worker, 0), observer);
-                if !matches!(outcome, Ok(None)) {
+            let mut next = start_chunk;
+            let mut claim = || {
+                (next < chunks).then(|| {
+                    next += 1;
+                    (next - 1, chunk_bounds(next - 1))
+                })
+            };
+            let mut parts = Vec::new();
+            'windows: loop {
+                run_window(&mut claim, &mut worker, 0, &mut parts);
+                if parts.is_empty() {
                     break;
+                }
+                for (c, p) in parts.drain(..) {
+                    outcome = merger.merge(c, p, observer);
+                    if !matches!(outcome, Ok(None)) {
+                        break 'windows;
+                    }
                 }
             }
             worker_totals.push(worker.totals());
@@ -1641,9 +1741,9 @@ pub fn run_campaign_observed(
                     Instant::now(),
                 ));
             }
-            // Which chunk each worker is currently executing
-            // (`usize::MAX` = idle/between chunks) — the state dump a
-            // worker_stalled event reports.
+            // The chunk each worker last claimed for the window it is
+            // executing (`usize::MAX` = idle/between windows) — the state
+            // dump a worker_stalled event reports.
             let worker_states: Vec<AtomicUsize> =
                 (0..threads).map(|_| AtomicUsize::new(usize::MAX)).collect();
             let worker_states = &worker_states;
@@ -1655,23 +1755,34 @@ pub fn run_campaign_observed(
                     .enumerate()
                     .map(|(w, my_chunk)| {
                         let tx = tx.clone();
-                        let run_one = &run_one;
+                        let run_window = &run_window;
                         let next = &next;
                         let tid = (w + 1) as u32;
                         s.spawn(move || {
                             let mut worker = Worker::default();
-                            while !stop_flag.load(Ordering::Relaxed) {
+                            let mut claim = || {
+                                if stop_flag.load(Ordering::Relaxed) {
+                                    return None;
+                                }
                                 let c = next.fetch_add(1, Ordering::Relaxed);
-                                if c >= chunks {
+                                (c < chunks).then(|| {
+                                    my_chunk.store(c, Ordering::Relaxed);
+                                    (c, chunk_bounds(c))
+                                })
+                            };
+                            let mut parts = Vec::new();
+                            'windows: loop {
+                                run_window(&mut claim, &mut worker, tid, &mut parts);
+                                my_chunk.store(usize::MAX, Ordering::Relaxed);
+                                if parts.is_empty() {
                                     break;
                                 }
-                                my_chunk.store(c, Ordering::Relaxed);
-                                let p = run_one(c, &mut worker, tid);
-                                my_chunk.store(usize::MAX, Ordering::Relaxed);
-                                // A send fails only when the merge loop
-                                // has stopped and dropped the receiver.
-                                if tx.send((c, p)).is_err() {
-                                    break;
+                                for part in parts.drain(..) {
+                                    // A send fails only when the merge loop
+                                    // has stopped and dropped the receiver.
+                                    if tx.send(part).is_err() {
+                                        break 'windows;
+                                    }
                                 }
                             }
                             worker.totals()
@@ -1770,13 +1881,19 @@ pub fn run_campaign_observed(
         reorder_peak,
         ..SchedulerStats::default()
     };
-    for (ff, memos) in &worker_totals {
+    let mut executed = 0;
+    for (ff, memos, runs) in &worker_totals {
         resume_stats.add(ff);
         scheduler.memo_hits += memos.memo_hits;
         scheduler.memo_misses += memos.memo_misses;
         scheduler.strike_memo_hits += memos.strike_memo_hits;
         scheduler.handle_recalls += memos.handle_recalls;
+        executed += runs;
     }
+    // Every run a worker executed that the merge did not take: past an
+    // early stop, an abort or an error, in another worker's chunks or in
+    // the rest of a window.
+    scheduler.discarded_runs = executed - (ck.state.runs_merged() - resumed_runs) as u64;
     let program = match runner.model.mpu.netlist().program() {
         Ok(p) => ProgramStats {
             levels: p.levels(),
@@ -1903,12 +2020,13 @@ pub fn run_campaign_observed(
         );
         eprintln!(
             "[scheduler] {} workers | merge wait {:.3}s | reorder peak {} | \
-             memo hits {} / misses {}",
+             memo hits {} / misses {} | discarded runs {}",
             meta.scheduler.workers,
             meta.scheduler.merge_wait_s,
             meta.scheduler.reorder_peak,
             meta.scheduler.memo_hits,
             meta.scheduler.memo_misses,
+            meta.scheduler.discarded_runs,
         );
         let ring: Vec<ProvenanceRecord> = ring.into_iter().collect();
         trace::write_trace(

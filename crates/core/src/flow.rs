@@ -256,8 +256,6 @@ pub(crate) struct RunRecord {
     pub(crate) class: StrikeClass,
     pub(crate) success: bool,
     pub(crate) analytic: bool,
-    /// Whether the conclusion was its chunk's first probe of the key.
-    pub(crate) first_in_chunk: bool,
 }
 
 const _: () = assert!(std::mem::size_of::<RunRecord>() == 8);
@@ -269,18 +267,36 @@ impl RunRecord {
         class: StrikeClass::Masked,
         success: false,
         analytic: false,
-        first_in_chunk: false,
     };
 
-    /// The record of a run concluded as `verdict` at memo slot `slot`,
-    /// first in its chunk or not.
-    pub(crate) fn concluded(slot: u32, verdict: Concluded, first_in_chunk: bool) -> Self {
+    /// The record's verdict in one byte: its class, success and analytic
+    /// flags.
+    pub(crate) fn verdict_bits(&self) -> u8 {
+        self.class as u8 | u8::from(self.success) << 2 | u8::from(self.analytic) << 3
+    }
+
+    /// The record of memo slot `slot` with verdict byte `bits`
+    /// ([`verdict_bits`](Self::verdict_bits)).
+    pub(crate) fn from_verdict_bits(slot: u32, bits: u8) -> Self {
+        Self {
+            slot,
+            class: match bits & 3 {
+                0 => StrikeClass::Masked,
+                1 => StrikeClass::MemoryOnly,
+                _ => StrikeClass::Mixed,
+            },
+            success: bits & 4 != 0,
+            analytic: bits & 8 != 0,
+        }
+    }
+
+    /// The record of a run concluded as `verdict` at memo slot `slot`.
+    pub(crate) fn concluded(slot: u32, verdict: Concluded) -> Self {
         Self {
             slot,
             class: verdict.class,
             success: verdict.success,
             analytic: verdict.analytic,
-            first_in_chunk,
         }
     }
 }
@@ -412,7 +428,7 @@ impl FaultRunner<'_> {
         rng: &mut impl Rng,
         scratch: &'s mut FlowScratch,
     ) -> RunView<'s> {
-        let v = self.run_shared(sample, rng, scratch, None, None);
+        let v = self.run_shared(sample, rng, scratch, None);
         self.bits_into(v.regs, &mut scratch.faulty_bits);
         RunView {
             success: v.record.success,
@@ -426,8 +442,7 @@ impl FaultRunner<'_> {
     }
 
     /// [`FaultRunner::run_with`] against a worker's conclusion memo (falls
-    /// back to the scratch-local one when `memo` is `None`), probing it for
-    /// chunk `chunk` (see [`ConclusionMemo::probe`]). The verdict
+    /// back to the scratch-local one when `memo` is `None`). The verdict
     /// is a pure function of `(T_e, post-hardening bits)` — the hardening
     /// filter consumes RNG before the key is formed — so which memo serves
     /// a run never changes a result bit.
@@ -437,7 +452,6 @@ impl FaultRunner<'_> {
         rng: &mut impl Rng,
         scratch: &mut FlowScratch,
         memo: Option<&mut ConclusionMemo>,
-        chunk: Option<u32>,
     ) -> RunVerdict {
         let golden = &self.eval.golden;
         let te = match sample.injection_cycle(self.eval.target_cycle) {
@@ -507,7 +521,7 @@ impl FaultRunner<'_> {
         strike_out.faulty_registers_into(faulty_regs);
         let mut regs = self.dff_mask(faulty_regs);
         self.harden(&mut regs, rng);
-        let record = self.conclude_with(te, regs, ff, memo, chunk);
+        let record = self.conclude_with(te, regs, ff, memo);
         RunVerdict {
             pulses_propagated: strike_out.pulses_propagated,
             gates_visited: strike_out.gates_visited,
@@ -542,7 +556,7 @@ impl FaultRunner<'_> {
         let mut regs = self.dff_mask(&flipped);
         self.harden(&mut regs, rng);
         let mut ff = RtlResume::default();
-        let c = self.conclude_with(te, regs, &mut ff, &mut ConclusionMemo::default(), None);
+        let c = self.conclude_with(te, regs, &mut ff, &mut ConclusionMemo::default());
         let mut faulty_bits = Vec::new();
         self.bits_into(regs, &mut faulty_bits);
         AttackOutcome {
@@ -611,10 +625,10 @@ impl FaultRunner<'_> {
     /// memory / computation classification, analytic evaluation or RTL
     /// resume of the post-hardening registers `regs` at cycle `te`.
     ///
-    /// Memoized on `(te, regs)` in `memo`, probed for chunk `chunk`: returns
-    /// the run's record, with the key's slot and whether this was the
-    /// chunk's first probe of the key (see [`ConclusionMemo::probe`]).
-    /// Registers the hardening left empty are masked without a probe.
+    /// Memoized on `(te, regs)` in `memo`: returns the run's record, with
+    /// the key's slot, which the chunk's fold stamps
+    /// ([`ConclusionMemo::stamp`]). Registers the hardening left empty are
+    /// masked without a probe.
     /// Because the verdict is a pure function of `(T_e, bits)`, the memo
     /// cannot change any result. Only a miss names the architectural bits.
     pub(crate) fn conclude_with(
@@ -623,13 +637,12 @@ impl FaultRunner<'_> {
         regs: DffMask,
         ff: &mut RtlResume,
         memo: &mut ConclusionMemo,
-        chunk: Option<u32>,
     ) -> RunRecord {
         if regs.is_empty() {
             return RunRecord::MASKED;
         }
-        let (slot, first) = memo.probe((te, regs), chunk, || self.conclude_miss(te, regs, ff));
-        RunRecord::concluded(slot, memo.slot(slot).verdict, first)
+        let slot = memo.probe((te, regs), || self.conclude_miss(te, regs, ff));
+        RunRecord::concluded(slot, memo.slot(slot).verdict)
     }
 
     /// Whether a run's outcome is a fixed function of its sample: one

@@ -596,8 +596,6 @@ impl MlmcScratch {
 /// draws happen after the strategy's draw, before the conclusion), so a
 /// clone of the post-draw stream couples the two levels. The map's bits
 /// come sorted as [`MpuBit`]s and the survival draws follow that order.
-/// `chunk` names the chunk whose counters see the probe, `None` when none
-/// do (the level-1 twin, solo replays).
 fn level0_view(
     runner: &FaultRunner<'_>,
     map: &SetToSeuMap,
@@ -605,7 +603,6 @@ fn level0_view(
     rng: &mut impl Rng,
     scratch: &mut Level0Scratch,
     memo: &mut ConclusionMemo,
-    chunk: Option<u32>,
 ) -> RunVerdict {
     let Level0Scratch {
         struck,
@@ -638,7 +635,7 @@ fn level0_view(
         bits.retain(|&b| h.flip_survives(b, rng));
     }
     let regs = runner.bits_mask(bits);
-    RunVerdict::concluded(te, regs, runner.conclude_with(te, regs, ff, memo, chunk))
+    RunVerdict::concluded(te, regs, runner.conclude_with(te, regs, ff, memo))
 }
 
 /// Execute runs `start..end` at level 0. Shares the worker's conclusion
@@ -675,7 +672,7 @@ pub(crate) fn run_chunk_level0(
     for (i, d) in (start as u64..).zip(draws.iter_mut()) {
         let RunDraw { sample, w, rng } = d;
         let (sample, w) = (*sample, *w);
-        let view = level0_view(runner, map, &sample, rng, level0, memo, Some(chunk));
+        let view = level0_view(runner, map, &sample, rng, level0, memo);
         let record = view.record;
         if replay == Some(i) {
             p.provenance.push(ProvenanceRecord {
@@ -707,7 +704,7 @@ pub(crate) fn run_chunk_level0(
             &mut p.counters,
             view.injection_cycle,
             view.regs,
-            record.first_in_chunk,
+            memo.stamp(record.slot, chunk),
             record.analytic,
             0,
         );
@@ -765,10 +762,11 @@ pub(crate) fn run_chunk_level1(
         // both halves see the same hardening draws and the correction term
         // isolates the genuine cross-level model gap.
         let mut rng_rtl = rng.clone();
-        let gate = runner.run_shared(&sample, rng, flow, Some(&mut *memo), Some(chunk));
-        // The twin's probe stays out of the chunk's counters, which count
-        // the gate half's keys only.
-        let rtl = level0_view(runner, map, &sample, &mut rng_rtl, level0, memo, None).record;
+        let gate = runner.run_shared(&sample, rng, flow, Some(&mut *memo));
+        // The twin's key stays out of the chunk's counters, which count
+        // the gate half's keys only: only the gate half's slot is stamped.
+        let first = memo.stamp(gate.record.slot, chunk);
+        let rtl = level0_view(runner, map, &sample, &mut rng_rtl, level0, memo).record;
         match gate.record.class {
             StrikeClass::Masked => p.class_counts.masked += 1,
             StrikeClass::MemoryOnly => p.class_counts.memory_only += 1,
@@ -785,7 +783,7 @@ pub(crate) fn run_chunk_level1(
             &mut p.counters,
             gate.injection_cycle,
             gate.regs,
-            gate.record.first_in_chunk,
+            first,
             gate.record.analytic,
             gate.pulses_propagated,
         );
@@ -903,8 +901,8 @@ pub fn coupled_run_with(
     } = draw_run(strategy, seed, run_index);
     let mut rng_rtl = rng.clone();
     let MlmcScratch { level0, flow, .. } = scratch;
-    let gate = runner.run_shared(&sample, &mut rng, flow, Some(&mut *memo), None);
-    let rtl = level0_view(runner, map, &sample, &mut rng_rtl, level0, memo, None);
+    let gate = runner.run_shared(&sample, &mut rng, flow, Some(&mut *memo));
+    let rtl = level0_view(runner, map, &sample, &mut rng_rtl, level0, memo);
     let (gate_success, rtl_success) = (gate.record.success, rtl.record.success);
     PairedRecord {
         run_index,
@@ -939,7 +937,6 @@ pub fn replay_run_level0(
         &mut rng,
         &mut Level0Scratch::default(),
         &mut ConclusionMemo::default(),
-        None,
     );
     ProvenanceRecord {
         run_index,

@@ -27,9 +27,9 @@
 //!   slots that never move, so the compiled kernel's outcome memo keeps a
 //!   slot number per settled strike group and recalls it without hashing.
 //!
-//! Each memo entry is also stamped with the chunk that last probed it,
-//! which is all the chunk-local [`crate::trace::CampaignCounters`] model
-//! needs (a key's first probe in a chunk is that chunk's miss), so the
+//! Each memo entry is also stamped with the chunk whose fold last counted
+//! it, which is all the chunk-local [`crate::trace::CampaignCounters`]
+//! model needs (a key's first run in a chunk is that chunk's miss), so the
 //! counters stay kernel/thread-invariant without a second key set; the
 //! schedule-dependent cache counters live in [`ResumeStats`] and
 //! surface through the metrics JSON, never through `CampaignResult`.
@@ -269,92 +269,68 @@ impl Hasher for WordHasher {
     }
 }
 
-/// The stamp of an entry no counted probe has touched yet.
+/// The stamp of an entry no chunk fold has counted yet.
 const UNSTAMPED: u32 = u32::MAX;
 
 /// An empty bucket of the [`ConclusionMemo`] index.
 const EMPTY_BUCKET: u32 = 0;
 
-/// One concluded pattern of a [`ConclusionMemo`]: its key, its verdict and
-/// the chunk that last probed it. A slot never moves once concluded, so its
-/// number is a stable handle to the outcome.
+/// One concluded pattern of a [`ConclusionMemo`]: its key and its verdict.
+/// A slot never moves once concluded, so its number is a stable handle to
+/// the outcome.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slot {
     /// The post-hardening registers of the key.
     pub(crate) regs: DffMask,
     /// The injection cycle of the key.
     te: u32,
-    /// The chunk that last probed the slot, or [`UNSTAMPED`].
-    stamp: u32,
     /// The verdict of the key.
     pub(crate) verdict: Concluded,
 }
 
-impl Slot {
-    /// Stamp the slot for a probe from chunk `chunk`: whether it is the
-    /// chunk's first. Unstamped probes (`None`) leave the stamp alone and
-    /// report `false`.
-    fn stamp(&mut self, chunk: Option<u32>) -> bool {
-        let Some(c) = chunk else { return false };
-        assert_ne!(c, UNSTAMPED, "chunk index out of stamp range");
-        let first = self.stamp != c;
-        self.stamp = c;
-        first
-    }
-}
-
 /// A worker's `(te, faulty_bits) → verdict` conclusion memo, each entry
-/// stamped with the chunk that last probed it.
+/// stamped with the chunk whose fold last counted it.
 ///
 /// The verdict is a pure function of the key (RNG is consumed before the
 /// key is formed), so every worker keeping its own memo yields the same
 /// campaign results as any sharing would; a worker only recomputes the
 /// misses another worker already paid. The stamp makes the memo serve the
-/// chunk-local counter model too: a probe is the chunk's first for its key
-/// when the entry is fresh or its stamp names another chunk, and the
-/// per-chunk totals that flag feeds depend only on the multiset of keys in
-/// the chunk — not on the order lanes are concluded in, nor on which
-/// entries earlier chunks left behind.
+/// chunk-local counter model too. A chunk's fold [`stamp`](Self::stamp)s
+/// the slot of each concluded run in run order, and a run is the chunk's
+/// first of its key when the slot's stamp names another chunk. Probes
+/// never stamp. So the per-chunk totals depend only on the multiset of
+/// keys in the chunk: not on the order the lanes of one chunk or of a
+/// window of chunks are concluded in, nor on which entries earlier chunks
+/// left behind. (A stamp taken at probe time would only hold while one
+/// chunk is in flight: probes by chunks k+1, k, k+1 of one key would count
+/// chunk k+1's key twice.)
 ///
 /// Entries live in a slab of [`Slot`]s that never move, behind an
 /// open-addressed index of slot numbers (linear probing, at most half
 /// full), so a caller that has probed a key once can keep the slot number
-/// and [`recall`](Self::recall) it later without hashing. The index holds
-/// four bytes a bucket; the key is compared in the slab.
+/// and read it later with [`slot`](Self::slot) without hashing. The index
+/// holds four bytes a bucket; the key is compared in the slab. The stamps
+/// sit apart from the slab, four bytes a slot, so a fold touches a small
+/// dense table.
 #[derive(Debug, Default)]
 pub struct ConclusionMemo {
     /// Per bucket, a slot number plus one, or [`EMPTY_BUCKET`]; the length
     /// is zero or a power of two.
     index: Vec<u32>,
     slots: Vec<Slot>,
+    /// Per slot, the chunk whose fold last counted it, or [`UNSTAMPED`].
+    stamps: Vec<u32>,
     hits: u64,
     misses: u64,
 }
 
 impl ConclusionMemo {
-    /// [`probe`](Self::probe) returning the key's verdict instead of its
-    /// slot number.
-    #[cfg(test)]
-    pub(crate) fn get_or_conclude(
-        &mut self,
-        key: ConclusionKey,
-        chunk: Option<u32>,
-        conclude: impl FnOnce() -> Concluded,
-    ) -> (Concluded, bool) {
-        let (slot, first) = self.probe(key, chunk, conclude);
-        (self.slots[slot as usize].verdict, first)
-    }
-
-    /// The slot number of `key`, concluded by `conclude` on a miss, and
-    /// whether this is the first probe of `key` in chunk `chunk`. Probes
-    /// with `chunk` `None` (the MLMC level-1 twin, solo replays) feed no
-    /// counter: they leave stamps alone and report `false`.
+    /// The slot number of `key`, concluded by `conclude` on a miss.
     pub(crate) fn probe(
         &mut self,
         (te, regs): ConclusionKey,
-        chunk: Option<u32>,
         conclude: impl FnOnce() -> Concluded,
-    ) -> (u32, bool) {
+    ) -> u32 {
         let te = u32::try_from(te).expect("injection cycle beyond u32");
         if 2 * (self.slots.len() + 1) > self.index.len() {
             self.grow();
@@ -365,10 +341,10 @@ impl ConclusionMemo {
             match self.index[b] {
                 EMPTY_BUCKET => break,
                 s => {
-                    let slot = &mut self.slots[s as usize - 1];
+                    let slot = &self.slots[s as usize - 1];
                     if slot.te == te && slot.regs == regs {
                         self.hits += 1;
-                        return (s - 1, slot.stamp(chunk));
+                        return s - 1;
                     }
                 }
             }
@@ -381,23 +357,36 @@ impl ConclusionMemo {
             "conclusion memo beyond u32 slots"
         );
         let n = self.slots.len() as u32;
+        if self.slots.len() == self.slots.capacity() {
+            // Grow by a quarter, not double: the slab lives as long as the
+            // campaign, and its spare capacity would too.
+            let more = self.slots.len() / 4 + 64;
+            self.slots.reserve_exact(more);
+            self.stamps.reserve_exact(more);
+        }
         self.slots.push(Slot {
             regs,
             te,
-            stamp: chunk.unwrap_or(UNSTAMPED),
             verdict: conclude(),
         });
+        self.stamps.push(UNSTAMPED);
         self.index[b] = n + 1;
-        (n, chunk.is_some())
+        n
     }
 
-    /// The slot `slot` a probe returned, stamped as a probe of its key from
-    /// chunk `chunk` would stamp it, and whether that is the chunk's first:
-    /// a probe without the hashing. Counts as no probe.
-    pub(crate) fn recall(&mut self, slot: u32, chunk: u32) -> (&Slot, bool) {
-        let s = &mut self.slots[slot as usize];
-        let first = s.stamp(Some(chunk));
-        (s, first)
+    /// Count a run of slot `slot` in chunk `chunk`'s fold: whether it is
+    /// the chunk's first run of the slot's key. A masked run
+    /// ([`MASKED_SLOT`](crate::flow::MASKED_SLOT)) probed no key and is
+    /// never first.
+    pub(crate) fn stamp(&mut self, slot: u32, chunk: u32) -> bool {
+        debug_assert_ne!(chunk, UNSTAMPED, "chunk index out of stamp range");
+        // No slot is numbered `MASKED_SLOT`, `u32::MAX`.
+        let Some(s) = self.stamps.get_mut(slot as usize) else {
+            return false;
+        };
+        let first = *s != chunk;
+        *s = chunk;
+        first
     }
 
     /// Slot `slot`, as a probe returned it.
@@ -429,8 +418,8 @@ impl ConclusionMemo {
         self.slots.is_empty()
     }
 
-    /// `(hits, misses)` over every probe of this memo; recalls are not
-    /// probes.
+    /// `(hits, misses)` over every probe of this memo; reading a kept slot
+    /// is no probe.
     pub(crate) fn probe_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -448,7 +437,7 @@ fn bucket_of(te: u32, regs: &DffMask) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::StrikeClass;
+    use crate::flow::{StrikeClass, MASKED_SLOT};
 
     /// The key of the registers with DFF indices `regs` at cycle `te`.
     fn key_of(te: u64, regs: &[usize]) -> ConclusionKey {
@@ -463,7 +452,8 @@ mod tests {
         }
     }
 
-    /// Probe `key` for chunk `chunk`, concluding `success` on a miss;
+    /// Probe `key`, concluding `success` on a miss, and count it in chunk
+    /// `chunk`'s fold (`None`: an uncounted probe, as the MLMC twin's);
     /// `(verdict success, first in chunk, whether it was computed)`.
     fn probe(
         memo: &mut ConclusionMemo,
@@ -472,11 +462,12 @@ mod tests {
         success: bool,
     ) -> (bool, bool, bool) {
         let mut computed = false;
-        let (c, first) = memo.get_or_conclude(key, chunk, || {
+        let slot = memo.probe(key, || {
             computed = true;
             concluded(success)
         });
-        (c.success, first, computed)
+        let first = chunk.is_some_and(|c| memo.stamp(slot, c));
+        (memo.slot(slot).verdict.success, first, computed)
     }
 
     #[test]
@@ -490,7 +481,7 @@ mod tests {
         assert_eq!(probe(&mut memo, other, Some(0), false), (false, true, true));
         assert_eq!(probe(&mut memo, key, Some(0), false), (true, false, false));
         assert_eq!(memo.len(), 2);
-        // The next chunk's first probe of a held key is a first again, but
+        // The next chunk's first run of a held key is a first again, but
         // never a recompute.
         assert_eq!(probe(&mut memo, key, Some(1), false), (true, true, false));
         assert_eq!(probe(&mut memo, key, Some(1), false), (true, false, false));
@@ -502,14 +493,39 @@ mod tests {
         assert_eq!(probe(&mut memo, fresh, Some(1), true), (true, true, false));
         assert_eq!(memo.len(), 3);
         assert_eq!(memo.probe_stats(), (7, 3));
+        // A masked run names no slot and is never first.
+        assert!(!memo.stamp(MASKED_SLOT, 2));
+    }
+
+    /// Stamps are taken by the fold, so the order in which a window's
+    /// chunks probe a key does not count it twice: probes by chunks 1, 0
+    /// and 1 again, then the folds of chunks 0 and 1 in order, each see
+    /// the key's first run once.
+    #[test]
+    fn interleaved_probes_count_each_chunk_once() {
+        let mut memo = ConclusionMemo::default();
+        let key = key_of(4, &[3, 90]);
+        let probes: Vec<(u32, u32)> = [1u32, 0, 1]
+            .iter()
+            .map(|&c| (c, memo.probe(key, || concluded(true))))
+            .collect();
+        assert_eq!(memo.probe_stats(), (2, 1));
+        for chunk in 0..2 {
+            let firsts = probes
+                .iter()
+                .filter(|&&(c, _)| c == chunk)
+                .filter(|&&(_, slot)| memo.stamp(slot, chunk))
+                .count();
+            assert_eq!(firsts, 1, "chunk {chunk}");
+        }
     }
 
     proptest::proptest! {
         /// A caller that keeps each key's slot from its first probe and
-        /// recalls it later sees the same `(verdict, first_in_chunk)`
-        /// sequence as one that probes every time, over chunks in any
-        /// order with uncounted probes between; the memo's hash probes drop
-        /// by exactly the recalls.
+        /// reads it later sees the same verdicts, and stamped the same
+        /// way the same first-in-chunk flags, as one that probes every
+        /// time, over chunks in any order with uncounted probes between;
+        /// the memo's hash probes drop by exactly the kept-slot reads.
         #[test]
         fn slot_recalls_match_probes(
             probes in proptest::collection::vec(
@@ -524,21 +540,24 @@ mod tests {
                 let key = key_of(te, &[reg, 64 + reg]);
                 let success = (te + reg as u64).is_multiple_of(2);
                 let chunk = counted.then_some(chunk);
-                let (want, want_first) = probed.get_or_conclude(key, chunk, || concluded(success));
-                let (got, got_first) = match (slots.get(&key), chunk) {
-                    (Some(&slot), Some(c)) => {
+                let want_slot = probed.probe(key, || concluded(success));
+                let want_first = chunk.is_some_and(|c| probed.stamp(want_slot, c));
+                let want = probed.slot(want_slot).verdict;
+                let slot = match (slots.get(&key), chunk) {
+                    (Some(&slot), Some(_)) => {
                         recalls += 1;
-                        let (s, first) = recalled.recall(slot, c);
-                        (s.verdict, first)
+                        slot
                     }
                     _ => {
-                        let (slot, first) = recalled.probe(key, chunk, || concluded(success));
+                        let slot = recalled.probe(key, || concluded(success));
                         slots.insert(key, slot);
                         let s = recalled.slot(slot);
                         proptest::prop_assert_eq!((s.te, s.regs), (te as u32, key.1));
-                        (s.verdict, first)
+                        slot
                     }
                 };
+                let got_first = chunk.is_some_and(|c| recalled.stamp(slot, c));
+                let got = recalled.slot(slot).verdict;
                 proptest::prop_assert_eq!(
                     (got.success, got.class, got.analytic, got_first),
                     (want.success, want.class, want.analytic, want_first),
@@ -561,13 +580,13 @@ mod tests {
             .collect();
         let slots: Vec<u32> = keys
             .iter()
-            .map(|&k| memo.probe(k, Some(0), || concluded(k.0 % 3 == 0)).0)
+            .map(|&k| memo.probe(k, || concluded(k.0 % 3 == 0)))
             .collect();
         assert_eq!(memo.len(), 3000);
         assert!(memo.index.len() >= 2 * memo.len());
         for (k, &slot) in keys.iter().zip(&slots) {
-            let (again, first) = memo.probe(*k, Some(0), || unreachable!("held"));
-            assert_eq!((again, first), (slot, false));
+            let again = memo.probe(*k, || unreachable!("held"));
+            assert_eq!(again, slot);
             let s = memo.slot(slot);
             assert_eq!((u64::from(s.te), s.regs), *k);
             assert_eq!(s.verdict.success, k.0 % 3 == 0);

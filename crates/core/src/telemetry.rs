@@ -214,8 +214,11 @@ impl CampaignObserver for StderrProgress {
 /// halts; `v12` added the `timing.phases` sums, the single estimator's
 /// chunk wall time per phase (the scalar kernel fills the draw, conclude
 /// and fold sums only), and the scheduler's `handle_recalls`, the
-/// strike-memo hits whose record came from a settled outcome handle.
-pub const METRICS_FORMAT: &str = "xlmc-metrics-v12";
+/// strike-memo hits whose record came from a settled outcome handle;
+/// `v13` added the scheduler's `discarded_runs`, the runs workers executed
+/// that the merge did not take (past an early stop, an abort or an error,
+/// in other workers' chunks or in the rest of a compiled window).
+pub const METRICS_FORMAT: &str = "xlmc-metrics-v13";
 
 /// Shape of the compiled gate program driving the campaign (all zeros
 /// when the model netlist could not be levelized — never the case for the
@@ -259,6 +262,11 @@ pub struct SchedulerStats {
     /// settled outcome handle (a conclusion-memo slot), with no register
     /// rebuild, hardening pass or hash probe.
     pub handle_recalls: u64,
+    /// Runs the workers drew, struck or concluded that the merge did not
+    /// take: the chunks past an early stop, an abort or an error, in other
+    /// workers' hands or in the rest of a compiled window. 0 for a campaign
+    /// that ran to its end.
+    pub discarded_runs: u64,
 }
 
 /// Campaign-level context the metrics file records alongside the result.
@@ -398,7 +406,7 @@ pub fn metrics_json(result: &CampaignResult, meta: &MetricsMeta) -> String {
         s,
         "  \"scheduler\": {{\"workers\": {}, \"merge_wait_s\": {}, \"reorder_peak\": {}, \
          \"memo_hits\": {}, \"memo_misses\": {}, \"strike_memo_hits\": {}, \
-         \"handle_recalls\": {}}},",
+         \"handle_recalls\": {}, \"discarded_runs\": {}}},",
         sc.workers,
         json_num(sc.merge_wait_s),
         sc.reorder_peak,
@@ -406,6 +414,7 @@ pub fn metrics_json(result: &CampaignResult, meta: &MetricsMeta) -> String {
         sc.memo_misses,
         sc.strike_memo_hits,
         sc.handle_recalls,
+        sc.discarded_runs,
     );
     let ff = &meta.resume_stats;
     let _ = writeln!(
@@ -557,6 +566,7 @@ mod tests {
                 memo_misses: 14,
                 strike_memo_hits: 5,
                 handle_recalls: 4,
+                discarded_runs: 512,
             },
             latency: {
                 let mut shard = crate::metrics::LatencyShard::default();
@@ -625,6 +635,10 @@ mod tests {
         assert_eq!(
             sched.get("handle_recalls").and_then(JsonValue::as_u64),
             Some(4)
+        );
+        assert_eq!(
+            sched.get("discarded_runs").and_then(JsonValue::as_u64),
+            Some(512)
         );
         let Some(JsonValue::Obj(ff)) = doc.get("resume") else {
             panic!("resume must be an object");

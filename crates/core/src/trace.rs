@@ -15,10 +15,11 @@
 //!    across kernels and thread counts, the memo counters are defined
 //!    *chunk-locally* via [`CounterScratch`]: the first occurrence of a key
 //!    within a chunk is a miss, every repeat a hit. The conclusion memo
-//!    itself tells a run whether its key is the chunk's first (each entry
-//!    is stamped with the chunk that last probed it). Totals then depend
-//!    only on the multiset of per-run keys inside each chunk — independent
-//!    of lane order, worker schedule, and cross-chunk cache warmth — so
+//!    itself tells the chunk's fold whether a run's key is the chunk's
+//!    first (each entry is stamped with the chunk whose fold last counted
+//!    it). Totals then depend only on the multiset of per-run keys inside
+//!    each chunk — independent of lane and conclusion order, windows,
+//!    worker schedule, and cross-chunk cache warmth — so
 //!    they are schedule-invariant lower bounds the real caches (which
 //!    persist across chunks) only improve on.
 //! 3. **Per-run provenance** — a [`ProvenanceRecord`] per run (ring buffer
@@ -409,7 +410,8 @@ impl KernelCounters {
 /// the chunk is a miss, repeats are hits — a pure function of the chunk's
 /// run outcomes, so scalar and compiled chunks agree exactly. Which run is
 /// a conclusion key's first in the chunk comes from the conclusion memo's
-/// stamp ([`crate::resume::ConclusionMemo`]); this scratch tracks the
+/// stamp, taken as the chunk folds
+/// ([`crate::resume::ConclusionMemo::stamp`]); this scratch tracks the
 /// injection cycles and whether an RTL conclusion was met.
 #[derive(Default)]
 pub(crate) struct CounterScratch {
@@ -707,7 +709,7 @@ pub fn write_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::Concluded;
+    use crate::flow::{Concluded, MASKED_SLOT};
     use crate::resume::{ConclusionKey, ConclusionMemo, WordHash};
     use std::collections::HashSet;
 
@@ -768,8 +770,10 @@ mod tests {
         }
     }
 
-    /// The engine's model: a worker's conclusion memo flags each run's
-    /// first probe in the chunk, the [`CounterScratch`] folds the flags.
+    /// The engine's model: a worker's conclusion memo holds each run's
+    /// key, the chunk's fold stamps the key's slot to learn whether the run
+    /// is the chunk's first of it, and the [`CounterScratch`] folds the
+    /// flags.
     #[derive(Default)]
     struct StampedCounters {
         memo: ConclusionMemo,
@@ -784,8 +788,9 @@ mod tests {
         }
 
         /// Conclude a run's key as a kernel does: the memo is consulted
-        /// only for in-run, unmasked strikes. Returns the first flag.
-        fn conclude(&mut self, te: Option<u64>, regs: DffMask, analytic: bool) -> bool {
+        /// only for in-run, unmasked strikes. Returns the key's slot,
+        /// [`MASKED_SLOT`] for none.
+        fn conclude(&mut self, te: Option<u64>, regs: DffMask, analytic: bool) -> u32 {
             match te {
                 Some(te) if !regs.is_empty() => {
                     let verdict = Concluded {
@@ -793,11 +798,9 @@ mod tests {
                         class: StrikeClass::Mixed,
                         analytic,
                     };
-                    self.memo
-                        .get_or_conclude((te, regs), Some(self.chunk), || verdict)
-                        .1
+                    self.memo.probe((te, regs), || verdict)
                 }
-                _ => false,
+                _ => MASKED_SLOT,
             }
         }
 
@@ -810,7 +813,8 @@ mod tests {
             analytic: bool,
             pulses: usize,
         ) {
-            let first = self.conclude(te, regs, analytic);
+            let slot = self.conclude(te, regs, analytic);
+            let first = self.memo.stamp(slot, self.chunk);
             self.ctr.record_run(c, te, regs, first, analytic, pulses);
         }
     }
@@ -950,9 +954,10 @@ mod tests {
 
     proptest::proptest! {
         /// The stamped memo and the seen-set oracle agree on every counter
-        /// of every chunk: several chunks over one memo (repeats within and
-        /// across chunks), masked and out-of-run runs, both conclusion
-        /// kinds, lanes concluded in an order other than the fold's,
+        /// of every chunk: a window of several chunks over one memo
+        /// (repeats within and across chunks), masked and out-of-run runs,
+        /// both conclusion kinds, every lane of the window concluded before
+        /// any chunk folds and in an order that interleaves the chunks,
         /// uncounted probes (the MLMC twin's) in between, and a first
         /// chunk past 0, as a resumed campaign has.
         #[test]
@@ -975,38 +980,43 @@ mod tests {
         ) {
             let mut stamped = StampedCounters::default();
             let mut oracle = SeenSetCounters::default();
-            for (k, runs) in chunks.iter().enumerate() {
-                let mask = |idx: &[usize]| idx.iter().copied().collect::<DffMask>();
-                stamped.begin_chunk(first_chunk + k as u32);
-                // Conclude in a shuffled lane order, probing a twin key
-                // without a stamp after each lane.
-                let mut lanes: Vec<usize> = (0..runs.len()).collect();
-                lanes.sort_by_key(|&i| runs[i].1);
-                let mut first = vec![false; runs.len()];
-                for &i in &lanes {
-                    let ((te, idx, _), _, twin) = &runs[i];
-                    let regs = mask(idx);
-                    let analytic = te.is_some_and(|te| analytic_of(te, regs));
-                    first[i] = stamped.conclude(*te, regs, analytic);
-                    if let Some((Some(tt), tidx, _)) = twin {
-                        let tregs = mask(tidx);
-                        if !tregs.is_empty() {
-                            let verdict = Concluded {
-                                success: false,
-                                class: StrikeClass::Mixed,
-                                analytic: analytic_of(*tt, tregs),
-                            };
-                            stamped.memo.get_or_conclude((*tt, tregs), None, || verdict);
-                        }
+            let mask = |idx: &[usize]| idx.iter().copied().collect::<DffMask>();
+            // Conclude the whole window in a shuffled lane order, probing
+            // a twin key without a stamp after each lane.
+            let mut lanes: Vec<(usize, usize)> = chunks
+                .iter()
+                .enumerate()
+                .flat_map(|(k, runs)| (0..runs.len()).map(move |i| (k, i)))
+                .collect();
+            lanes.sort_by_key(|&(k, i)| chunks[k][i].1);
+            let mut slots: Vec<Vec<u32>> = chunks.iter().map(|r| vec![0; r.len()]).collect();
+            for &(k, i) in &lanes {
+                let ((te, idx, _), _, twin) = &chunks[k][i];
+                let regs = mask(idx);
+                let analytic = te.is_some_and(|te| analytic_of(te, regs));
+                slots[k][i] = stamped.conclude(*te, regs, analytic);
+                if let Some((Some(tt), tidx, _)) = twin {
+                    let tregs = mask(tidx);
+                    if !tregs.is_empty() {
+                        let verdict = Concluded {
+                            success: false,
+                            class: StrikeClass::Mixed,
+                            analytic: analytic_of(*tt, tregs),
+                        };
+                        stamped.memo.probe((*tt, tregs), || verdict);
                     }
                 }
-                // Fold in run order.
+            }
+            // Fold each chunk in run order, stamping as it goes.
+            for (k, runs) in chunks.iter().enumerate() {
                 let (mut got, mut want) = (CampaignCounters::default(), CampaignCounters::default());
+                stamped.begin_chunk(first_chunk + k as u32);
                 oracle.begin_chunk();
                 for (i, ((te, idx, pulses), _, _)) in runs.iter().enumerate() {
                     let regs = mask(idx);
                     let analytic = te.is_some_and(|te| analytic_of(te, regs));
-                    stamped.ctr.record_run(&mut got, *te, regs, first[i], analytic, *pulses);
+                    let first = stamped.memo.stamp(slots[k][i], stamped.chunk);
+                    stamped.ctr.record_run(&mut got, *te, regs, first, analytic, *pulses);
                     oracle.record_run(&mut want, *te, regs, analytic, *pulses);
                 }
                 proptest::prop_assert_eq!(got, want, "chunk {}", k);
