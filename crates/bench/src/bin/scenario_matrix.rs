@@ -29,8 +29,8 @@ use xlmc::estimator::{
 };
 use xlmc::flow::FaultRunner;
 use xlmc::harden::{DupConfigVote, HardenedSet, HardenedVariant, HardeningModel, ScfiFsm};
+use xlmc::json::{json_escape, validate_against_schema, JsonValue};
 use xlmc::sampling::{baseline_distribution, ExperimentConfig, ImportanceSampling};
-use xlmc::telemetry::{json_escape, validate_against_schema, JsonValue};
 use xlmc::{Evaluation, Precharacterization, SystemModel};
 use xlmc_fault::DoubleGlitch;
 use xlmc_soc::{workloads, MpuBit, Workload};

@@ -4,7 +4,7 @@
 //! validate_json [--jsonl] <schema.json> <doc.json> [<doc.json> ...]
 //! ```
 //!
-//! Uses the in-tree validator ([`xlmc::telemetry::validate_against_schema`]),
+//! Uses the in-tree validator ([`xlmc::json::validate_against_schema`]),
 //! which supports the subset of JSON Schema the `schemas/` files use.
 //! With `--jsonl` each input is treated as line-delimited JSON and every
 //! non-empty line is validated against the schema on its own (the mode CI
@@ -13,7 +13,7 @@
 //! this over the metrics, trace, and events files the smoke campaign
 //! writes.
 
-use xlmc::telemetry::{validate_against_schema, JsonValue};
+use xlmc::json::{validate_against_schema, JsonValue};
 
 fn read(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| {

@@ -55,9 +55,9 @@ use xlmc_netlist::{GateId, GateProgram};
 
 use crate::estimator::{fold_chunk, lap, CampaignKernel, ChunkCycles, ChunkPartial, ChunkRuns};
 use crate::flow::{DffMask, FaultRunner, RunRecord};
-use crate::metrics::{LatencyHist, LatencyShard, PhaseTimes};
 use crate::resume::{ConclusionMemo, ResumeStats, RtlResume};
 use crate::sampling::{RunDraw, SamplingStrategy};
+use crate::telemetry::{LatencyHist, LatencyShard, PhaseTimes};
 use crate::trace::{KernelCounters, TraceSink};
 use rand::RngCore;
 

@@ -18,10 +18,6 @@ pub use crate::batch::{gate_path_bench, GatePathBench};
 use crate::batch::{run_window_compiled, BatchChunkScratch};
 use crate::checkpoint::{CampaignCheckpoint, MergeState};
 use crate::flow::{DffMask, FaultRunner, FlowScratch, RunRecord, StrikeClass};
-use crate::json::{bits_str, json_num};
-use crate::metrics::{
-    self, EventLog, LatencyShard, MetricsRegistry, MlmcProgress, PhaseTimes, StallWatchdog,
-};
 use crate::multilevel::{
     self, MlmcEstimator, MlmcPlan, MlmcScratch, MlmcSummary, SetToSeuMap, LEVEL_GATE, LEVEL_RTL,
 };
@@ -29,8 +25,8 @@ use crate::resume::{ConclusionMemo, ResumeStats};
 use crate::sampling::{draw_run, RunDraw, SamplingStrategy};
 use crate::stats::RunningStats;
 use crate::telemetry::{
-    self, CampaignObserver, MetricsMeta, NullObserver, ObserverAction, ProgramStats, ProgressEvent,
-    SchedulerStats,
+    self, Boundary, CampaignObserver, LatencyShard, MetricsMeta, MlmcProgress, NullObserver,
+    ObserverAction, PhaseTimes, ProgramStats, ProgressEvent, SchedulerStats, TelemetrySink,
 };
 use crate::trace::{
     self, CampaignCounters, CounterScratch, KernelCounters, ProvenanceRecord, TraceSink,
@@ -42,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use xlmc_fault::AttackSample;
 use xlmc_soc::MpuBit;
 
@@ -155,7 +151,7 @@ impl CampaignError {
         }
     }
 
-    fn artifact(what: &'static str, path: &Path, e: &std::io::Error) -> Self {
+    pub(crate) fn artifact(what: &'static str, path: &Path, e: &std::io::Error) -> Self {
         CampaignError::Artifact {
             what,
             path: path.to_owned(),
@@ -403,8 +399,8 @@ pub struct CampaignOptions {
     /// `schemas/events.schema.json`. A pure observer — results are
     /// bit-identical with the log on or off.
     pub events_path: Option<PathBuf>,
-    /// Where to write the Prometheus text exposition (`--prom`): the
-    /// metrics registry rendered atomically (temp + rename) at checkpoint
+    /// Where to write the Prometheus text exposition (`--prom`): the last
+    /// progress record rendered atomically (temp + rename) at checkpoint
     /// cadence and once at the end. Also a pure observer.
     pub prom_path: Option<PathBuf>,
     /// Stall watchdog budget in seconds (`--stall-timeout`): if the
@@ -756,7 +752,7 @@ pub(crate) struct ChunkPartial {
     pub(crate) provenance: Vec<ProvenanceRecord>,
     /// Worker-side latency observations (chunk wall time, kernel sweeps,
     /// snapshot restores). Pure telemetry: taken out before the fold and
-    /// absorbed into the merger's registry, never into the statistics.
+    /// absorbed into the merger's telemetry sink, never into the statistics.
     pub(crate) latency: LatencyShard,
 }
 
@@ -1140,91 +1136,6 @@ impl Worker {
     }
 }
 
-/// Least wall time between two cadence-boundary rewrites of the `--prom`
-/// exposition. A rewrite (temp file + rename) costs ~0.2 ms on a 2-CPU
-/// Xeon host: at every checkpoint-cadence boundary that was ~17% of a warm
-/// compiled campaign, while a textfile scraper polls every few seconds.
-const PROM_MIN_INTERVAL: Duration = Duration::from_secs(1);
-
-/// The merger-side telemetry fan-out: one [`MetricsRegistry`] feeding the
-/// streaming event log (`--events`), the Prometheus exposition (`--prom`)
-/// and the stall watchdog (`--stall-timeout`). A pure observer — it only
-/// reads the merged state, after the fold, so enabling any surface cannot
-/// change a result bit.
-struct TelemetryHub {
-    registry: MetricsRegistry,
-    events: Option<EventLog>,
-    prom_path: Option<PathBuf>,
-    prom_labels: Vec<(&'static str, String)>,
-    /// When the exposition was last rewritten.
-    prom_written: Option<Instant>,
-    watchdog: Option<StallWatchdog>,
-    plan_emitted: bool,
-}
-
-impl TelemetryHub {
-    fn new(
-        options: &CampaignOptions,
-        strategy: &str,
-        plan_already_frozen: bool,
-    ) -> Result<Self, CampaignError> {
-        let events = match options.events_path.as_deref() {
-            Some(p) => {
-                Some(EventLog::create(p).map_err(|e| CampaignError::artifact("events", p, &e))?)
-            }
-            None => None,
-        };
-        Ok(Self {
-            registry: MetricsRegistry::new(),
-            events,
-            prom_path: options.prom_path.clone(),
-            prom_labels: vec![
-                ("strategy", strategy.to_owned()),
-                ("kernel", options.kernel.as_arg().to_owned()),
-                ("estimator", options.estimator.as_arg().to_owned()),
-            ],
-            prom_written: None,
-            watchdog: None,
-            plan_emitted: plan_already_frozen,
-        })
-    }
-
-    /// Append one event line (no-op without `--events`).
-    fn emit(&mut self, event: &str, elapsed_s: f64, extra: &str) {
-        if let Some(log) = self.events.as_mut() {
-            log.emit(event, elapsed_s, extra);
-        }
-    }
-
-    fn flush_events(&mut self) {
-        if let Some(log) = self.events.as_mut() {
-            log.flush();
-        }
-    }
-
-    /// Rewrite the Prometheus exposition (no-op without `--prom`).
-    fn write_prom(&mut self) -> Result<(), CampaignError> {
-        if let Some(path) = &self.prom_path {
-            metrics::write_prom(path, &self.registry, &self.prom_labels)
-                .map_err(|e| CampaignError::artifact("prom", path, &e))?;
-            self.prom_written = Some(Instant::now());
-        }
-        Ok(())
-    }
-
-    /// [`write_prom`](Self::write_prom) at a cadence boundary, unless the
-    /// last rewrite is younger than [`PROM_MIN_INTERVAL`].
-    fn write_prom_at_boundary(&mut self) -> Result<(), CampaignError> {
-        if self
-            .prom_written
-            .is_none_or(|t| t.elapsed() >= PROM_MIN_INTERVAL)
-        {
-            self.write_prom()?;
-        }
-        Ok(())
-    }
-}
-
 /// Run a campaign of `n` attacks with the given strategy and seed
 /// (sequential; see [`run_campaign_with`] for the threaded form).
 pub fn run_campaign(
@@ -1272,8 +1183,7 @@ struct Merger<'a> {
     /// Where the merge step publishes the MLMC plan once the pilot is
     /// folded; workers claiming a post-pilot chunk wait on it.
     plan_cell: &'a OnceLock<MlmcPlan>,
-    hub: TelemetryHub,
-    start_time: Instant,
+    telemetry: TelemetrySink,
     /// The merged prefix this invocation resumed from, in chunks and runs.
     start_chunk: usize,
     resumed_runs: usize,
@@ -1299,7 +1209,7 @@ impl Merger<'_> {
         let (level, stats) = (p.level, p.stats);
         let end = ((chunk + 1) * CHUNK_RUNS).min(self.ck.requested_runs);
         self.ck.state.fold(p, end);
-        self.hub.registry.latency.absorb(&latency);
+        self.telemetry.latency.absorb(&latency);
         if let Some(ratio) = self.ck.state.plan_ratio {
             let _ = self.plan_cell.set(MlmcPlan { ratio });
         }
@@ -1315,13 +1225,13 @@ impl Merger<'_> {
     }
 
     /// Everything that happens at a merged chunk boundary, after the fold.
-    /// One [`ProgressEvent`] is built first; the registry, the
-    /// `chunk_merged` and `early_stop` events, the observer and the
-    /// stopping rule all read it. Then a due checkpoint is written (and at
-    /// the same cadence the event log is flushed and the prom exposition
-    /// rewritten). A stop decision precedes the checkpoint write, so a
-    /// checkpoint's cursor never passes the first stopping boundary and a
-    /// resumed campaign re-derives the exact same stop point.
+    /// One [`ProgressEvent`] is built first; the telemetry sink keeps it
+    /// and the observer and the stopping rule read it. Then a due
+    /// checkpoint is written (and at the same cadence the event log is
+    /// flushed and the prom exposition rewritten). A stop decision precedes
+    /// the checkpoint write, so a checkpoint's cursor never passes the
+    /// first stopping boundary and a resumed campaign re-derives the exact
+    /// same stop point.
     fn boundary(
         &mut self,
         chunk: usize,
@@ -1331,8 +1241,7 @@ impl Merger<'_> {
     ) -> Result<Option<StopReason>, CampaignError> {
         let options = self.options;
         let state = &self.ck.state;
-        let hub = &mut self.hub;
-        let elapsed_s = self.start_time.elapsed().as_secs_f64();
+        let elapsed_s = self.telemetry.elapsed_s();
         let runs_done = state.runs_merged();
         let sample_variance = state.current_sample_variance();
         let event = ProgressEvent {
@@ -1359,67 +1268,26 @@ impl Merger<'_> {
                 n0: state.level0.count(),
                 n1: state.level1_diff.count(),
             }),
-            chunk_wall: hub.registry.latency.chunk_wall.summary(),
+            chunk_wall: self.telemetry.latency.chunk_wall.summary(),
         };
-        let reg = &mut hub.registry;
-        reg.counter_set("runs_total", runs_done as u64);
-        reg.counter_set("chunks_merged_total", state.merged_chunks as u64);
-        reg.counter_set("successes_total", state.successes as u64);
-        reg.gauge_set("ssf", event.ssf);
-        reg.gauge_set("sample_variance", event.sample_variance);
-        reg.gauge_set("ess", event.ess);
-        reg.gauge_set("elapsed_seconds", elapsed_s);
-        reg.gauge_set("runs_per_sec", event.runs_per_sec);
-        if let Some(bound) = event.lln_bound {
-            reg.gauge_set("lln_bound", bound);
-        }
-        if hub.events.is_some() {
-            // The chunk's exact Welford triple rides along as IEEE-754
-            // bits, so the final SSF is rebuildable from the log alone.
-            let (count, mean, m2) = stats.to_raw();
-            let extra = format!(
-                ", \"chunk\": {chunk}, \"level\": {level}, \"runs_done\": {runs_done}, \
-                 \"count\": {count}, \"mean_bits\": {}, \"m2_bits\": {}, \"ssf_bits\": {}",
-                bits_str(mean),
-                bits_str(m2),
-                bits_str(event.ssf),
-            );
-            hub.emit("chunk_merged", elapsed_s, &extra);
-        }
-        if !hub.plan_emitted {
-            if let Some(ratio) = state.plan_ratio {
-                hub.plan_emitted = true;
-                hub.emit(
-                    "plan_frozen",
-                    elapsed_s,
-                    &format!(
-                        ", \"chunk\": {}, \"ratio\": {}",
-                        state.merged_chunks,
-                        json_num(ratio)
-                    ),
-                );
-            }
-        }
-        if let Some(wd) = hub.watchdog.as_mut() {
-            wd.note_progress(Instant::now());
-        }
-        if observer.on_progress(&event) == ObserverAction::Abort {
+        let event = self.telemetry.merged(Boundary {
+            event,
+            chunk,
+            level,
+            stats,
+            successes: state.successes,
+            plan_ratio: state.plan_ratio,
+        });
+        let lln_bound = event.lln_bound;
+        if observer.on_progress(event) == ObserverAction::Abort {
             return Ok(Some(StopReason::Aborted));
         }
-        if let (Some(eps), Some(bound)) = (options.target_eps, event.lln_bound) {
+        if let Some(bound) = lln_bound {
             if runs_done >= EARLY_STOP_MIN_RUNS
                 && state.levels_ready()
                 && bound <= 1.0 - options.target_confidence
             {
-                hub.emit(
-                    "early_stop",
-                    elapsed_s,
-                    &format!(
-                        ", \"runs_done\": {runs_done}, \"lln_bound\": {}, \"target_eps\": {}",
-                        json_num(bound),
-                        json_num(eps)
-                    ),
-                );
+                self.telemetry.early_stop();
                 return Ok(Some(StopReason::TargetEps));
             }
         }
@@ -1430,24 +1298,10 @@ impl Merger<'_> {
             if let Some(path) = &options.checkpoint_path {
                 let t_ck = Instant::now();
                 self.ck.save(path)?;
-                hub.registry
-                    .latency
-                    .checkpoint_write
-                    .record(t_ck.elapsed().as_secs_f64());
-                hub.registry.counter_add("checkpoints_written_total", 1);
-                hub.emit(
-                    "checkpoint_written",
-                    self.start_time.elapsed().as_secs_f64(),
-                    &format!(
-                        ", \"runs_done\": {runs_done}, \"merged_chunks\": {}",
-                        state.merged_chunks
-                    ),
-                );
+                self.telemetry
+                    .checkpoint_written(t_ck.elapsed().as_secs_f64());
             }
-            // Durability point: events pushed to the OS, prom rewritten
-            // (at most once per PROM_MIN_INTERVAL).
-            hub.flush_events();
-            hub.write_prom_at_boundary()?;
+            self.telemetry.cadence()?;
         }
         Ok(None)
     }
@@ -1519,18 +1373,15 @@ pub fn run_campaign_observed(
     let start_chunk = ck.state.merged_chunks;
     let resumed_runs = ck.state.runs_merged();
 
-    let mut hub = TelemetryHub::new(options, strategy.name(), ck.state.plan_ratio.is_some())?;
-    hub.emit(
-        "campaign_started",
-        0.0,
-        &format!(
-            ", \"seed\": {seed}, \"requested_runs\": {n}, \"kernel\": \"{}\", \
-             \"estimator\": \"{}\", \"threads\": {}, \"resumed_runs\": {resumed_runs}",
-            options.kernel.as_arg(),
-            options.estimator.as_arg(),
-            options.effective_threads(),
-        ),
-    );
+    let telemetry = TelemetrySink::start(
+        options,
+        strategy.name(),
+        seed,
+        n,
+        resumed_runs,
+        ck.state.plan_ratio.is_some(),
+        start_time,
+    )?;
 
     // Span tracing never feeds the statistics (it only reads the clock),
     // and provenance is copied *out* of the fold — so neither can change a
@@ -1546,8 +1397,7 @@ pub fn run_campaign_observed(
         ck,
         options,
         plan_cell: &plan_cell,
-        hub,
-        start_time,
+        telemetry,
         start_chunk,
         resumed_runs,
         ring: VecDeque::new(),
@@ -1732,15 +1582,8 @@ pub fn run_campaign_observed(
         } else {
             // Arm the stall watchdog only where stalls are observable:
             // the threaded merge loop, which can wait on recv while
-            // workers grind. Needs the event log (the stall report is an
-            // event) and a positive budget.
-            let hub = &mut merger.hub;
-            if hub.events.is_some() && options.stall_timeout_s > 0.0 {
-                hub.watchdog = Some(StallWatchdog::new(
-                    Duration::from_secs_f64(options.stall_timeout_s),
-                    Instant::now(),
-                ));
-            }
+            // workers grind.
+            merger.telemetry.arm_watchdog(options.stall_timeout_s);
             // The chunk each worker last claimed for the window it is
             // executing (`usize::MAX` = idle/between windows) — the state
             // dump a worker_stalled event reports.
@@ -1800,48 +1643,21 @@ pub fn run_campaign_observed(
                     // blocking forever unobserved (`Duration::MAX` waits
                     // like `recv`).
                     let received = loop {
-                        let hub = &mut merger.hub;
-                        let budget = hub
-                            .watchdog
-                            .as_ref()
-                            .map_or(Duration::MAX, StallWatchdog::budget);
-                        let stalled_for = match rx.recv_timeout(budget) {
+                        match rx.recv_timeout(merger.telemetry.stall_budget()) {
                             Ok(msg) => break Some(msg),
                             Err(RecvTimeoutError::Disconnected) => break None,
-                            Err(RecvTimeoutError::Timeout) => {
-                                match hub
-                                    .watchdog
-                                    .as_mut()
-                                    .and_then(|wd| wd.check(Instant::now()))
-                                {
-                                    Some(stalled_for) => stalled_for,
-                                    None => continue,
-                                }
-                            }
-                        };
-                        hub.registry.counter_add("stalls_total", 1);
-                        let dump: Vec<String> = worker_states
-                            .iter()
-                            .map(|st| match st.load(Ordering::Relaxed) {
-                                usize::MAX => "null".to_owned(),
-                                c => c.to_string(),
-                            })
-                            .collect();
-                        let extra = format!(
-                            ", \"stalled_for_s\": {}, \"budget_s\": {}, \"merge_cursor\": {}, \
-                             \"worker_chunks\": [{}]",
-                            json_num(stalled_for.as_secs_f64()),
-                            json_num(options.stall_timeout_s),
-                            merger.ck.state.merged_chunks,
-                            dump.join(", "),
-                        );
-                        hub.emit("worker_stalled", start_time.elapsed().as_secs_f64(), &extra);
-                        hub.flush_events();
+                            Err(RecvTimeoutError::Timeout) => merger.telemetry.check_stall(
+                                merger.ck.state.merged_chunks,
+                                worker_states.iter().map(|st| {
+                                    Some(st.load(Ordering::Relaxed)).filter(|&c| c != usize::MAX)
+                                }),
+                            ),
+                        }
                     };
                     let Some((c, p)) = received else { break };
                     let waited = wait.elapsed().as_secs_f64();
                     merge_wait_s += waited;
-                    merger.hub.registry.latency.merge_wait.record(waited);
+                    merger.telemetry.latency.merge_wait.record(waited);
                     pending.insert(c, p);
                     reorder_peak = reorder_peak.max(pending.len());
                     while let Some(p) = pending.remove(&merger.ck.state.merged_chunks) {
@@ -1865,7 +1681,7 @@ pub fn run_campaign_observed(
     let stop = outcome?.unwrap_or(StopReason::Completed);
     let Merger {
         ck,
-        mut hub,
+        mut telemetry,
         ring,
         success_log,
         replay_capture,
@@ -1924,8 +1740,7 @@ pub fn run_campaign_observed(
         kernel: options.kernel,
         program,
         scheduler,
-        latency: hub.registry.latency.summaries(),
-        phases: hub.registry.latency.phases,
+        latency: telemetry.latency.clone(),
     };
     let result = ck
         .state
@@ -1974,11 +1789,7 @@ pub fn run_campaign_observed(
                     "replay of run {idx} diverged from the campaign's provenance record"
                 );
                 eprintln!("[replay] verdict matches the campaign's record for run {idx}");
-                hub.emit(
-                    "replay_verified",
-                    start_time.elapsed().as_secs_f64(),
-                    &format!(", \"run\": {idx}, \"level\": {level}"),
-                );
+                telemetry.replay_verified(idx, level);
             }
             None => eprintln!(
                 "[replay] run {idx} was not executed by this campaign invocation \
@@ -1990,44 +1801,7 @@ pub fn run_campaign_observed(
 
     if let Some(path) = &options.trace_path {
         sink.print_self_time(strategy.name());
-        let ff = &meta.resume_stats;
-        eprintln!(
-            "[resume] resumes {} | MPU-resolved {} | MPU steps {} | idle skipped {} | \
-             snapshot hits {} / misses {} (hit rate {:.1}%) | evictions {}",
-            ff.rtl_resumes,
-            ff.module_resolved,
-            ff.mpu_steps,
-            ff.idle_skipped,
-            ff.checkpoint_cache_hits,
-            ff.checkpoint_cache_misses,
-            100.0 * ff.checkpoint_hit_rate(),
-            ff.checkpoint_cache_evictions,
-        );
-        eprintln!(
-            "[kernel] {}: {} levels x {} gates, {} lanes/sweep, {} sweeps | \
-             lanes {} | strike-memo hits {} (handle recalls {}) | timed lanes {} | \
-             re-simulated lanes {}",
-            meta.kernel.as_arg(),
-            meta.program.levels,
-            meta.program.gates,
-            meta.program.lane_width,
-            meta.program.sweeps,
-            result.kernel_counters.lanes_occupied,
-            meta.scheduler.strike_memo_hits,
-            meta.scheduler.handle_recalls,
-            result.kernel_counters.timed_lanes,
-            result.kernel_counters.resimulated_lanes,
-        );
-        eprintln!(
-            "[scheduler] {} workers | merge wait {:.3}s | reorder peak {} | \
-             memo hits {} / misses {} | discarded runs {}",
-            meta.scheduler.workers,
-            meta.scheduler.merge_wait_s,
-            meta.scheduler.reorder_peak,
-            meta.scheduler.memo_hits,
-            meta.scheduler.memo_misses,
-            meta.scheduler.discarded_runs,
-        );
+        eprint!("{}", telemetry::summary_lines(&result, &meta));
         let ring: Vec<ProvenanceRecord> = ring.into_iter().collect();
         trace::write_trace(
             path,
@@ -2040,25 +1814,7 @@ pub fn run_campaign_observed(
         .map_err(|e| CampaignError::artifact("trace", path, &e))?;
     }
 
-    hub.registry.gauge_set("workers", workers as f64);
-    hub.emit(
-        "campaign_finished",
-        start_time.elapsed().as_secs_f64(),
-        &format!(
-            ", \"stop_reason\": \"{}\", \"n\": {}, \"ssf_bits\": {}, \"successes\": {}",
-            result.stop.as_str(),
-            result.n,
-            bits_str(result.ssf),
-            result.successes,
-        ),
-    );
-    hub.flush_events();
-    hub.write_prom()?;
-
-    if let Some(path) = &options.metrics_path {
-        telemetry::write_metrics(path, &result, &meta)
-            .map_err(|e| CampaignError::artifact("metrics", path, &e))?;
-    }
+    telemetry.finish(&result, &meta, options.metrics_path.as_deref())?;
     Ok(result)
 }
 

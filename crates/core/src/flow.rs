@@ -348,10 +348,10 @@ impl FlowScratch {
 
     /// Drain latency observations (snapshot-restore timings) accumulated
     /// since the last call into a shard for the chunk partial.
-    pub(crate) fn take_latency(&mut self) -> crate::metrics::LatencyShard {
-        crate::metrics::LatencyShard {
+    pub(crate) fn take_latency(&mut self) -> crate::telemetry::LatencyShard {
+        crate::telemetry::LatencyShard {
             snapshot_restore: self.ff.take_restore_latency(),
-            ..crate::metrics::LatencyShard::default()
+            ..crate::telemetry::LatencyShard::default()
         }
     }
 }

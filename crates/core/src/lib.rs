@@ -74,7 +74,6 @@ pub mod flow;
 pub mod harden;
 pub mod json;
 pub mod lifetime;
-pub mod metrics;
 pub mod model;
 pub mod multilevel;
 pub mod precharacterize;

@@ -580,10 +580,10 @@ impl MlmcScratch {
 
     /// Drain latency observations from both the level-0 resume state and
     /// the nested gate-path scratch into one shard for the chunk partial.
-    pub(crate) fn take_latency(&mut self) -> crate::metrics::LatencyShard {
-        let mut shard = crate::metrics::LatencyShard {
+    pub(crate) fn take_latency(&mut self) -> crate::telemetry::LatencyShard {
+        let mut shard = crate::telemetry::LatencyShard {
             snapshot_restore: self.level0.ff.take_restore_latency(),
-            ..crate::metrics::LatencyShard::default()
+            ..crate::telemetry::LatencyShard::default()
         };
         shard.absorb(&self.flow.take_latency());
         shard

@@ -39,8 +39,8 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Instant;
 
 use crate::flow::{Concluded, DffMask};
-use crate::metrics::LatencyHist;
 use crate::model::Evaluation;
+use crate::telemetry::LatencyHist;
 use xlmc_soc::golden::MpuStop;
 use xlmc_soc::{MpuBit, Soc};
 
@@ -136,7 +136,7 @@ impl RtlResume {
 
     /// Drain the positioning-phase latency histogram accumulated since
     /// the last call (the campaign engine harvests this per chunk into
-    /// the chunk partial's [`crate::metrics::LatencyShard`]).
+    /// the chunk partial's [`crate::telemetry::LatencyShard`]).
     pub fn take_restore_latency(&mut self) -> LatencyHist {
         std::mem::take(&mut self.restore_hist)
     }

@@ -8,9 +8,8 @@
 //! * a compact gate graph with a small standard-cell library ([`CellKind`]),
 //! * structural construction combinators for datapath logic
 //!   ([`builder::BusBuilder`]: comparators, adders, reduction trees, muxes),
-//! * sequential-aware graph analysis: topological ordering ([`Topology`]),
-//!   time-frame fanin/fanout cones ([`cones`]) and explicit unrolling
-//!   ([`unroll`]),
+//! * sequential-aware graph analysis: topological ordering ([`Topology`])
+//!   and time-frame fanin/fanout cones ([`cones`]),
 //! * a connectivity-aware grid [`placement`] with radius queries used by the
 //!   radiation spot model, and
 //! * a per-cell area model used by the hardening overhead study.
@@ -51,8 +50,6 @@ pub mod netlist;
 pub mod placement;
 pub mod program;
 pub mod topo;
-pub mod unroll;
-pub mod verilog;
 
 pub use builder::BusBuilder;
 pub use cell::CellKind;
@@ -61,5 +58,3 @@ pub use netlist::{Gate, GateId, Netlist, NetlistError, NetlistStats};
 pub use placement::{Placement, Point};
 pub use program::{Footprint, GateProgram, NetClass, Opcode};
 pub use topo::Topology;
-pub use unroll::{UnrolledNetlist, UnrolledRef};
-pub use verilog::{from_verilog, to_verilog};

@@ -21,13 +21,11 @@ use xlmc::estimator::{
     StopReason, EARLY_STOP_MIN_RUNS,
 };
 use xlmc::flow::FaultRunner;
+use xlmc::json::{validate_against_schema, JsonValue};
 use xlmc::sampling::{
     baseline_distribution, ExperimentConfig, ImportanceSampling, RandomSampling, SamplingStrategy,
 };
-use xlmc::telemetry::{
-    validate_against_schema, CampaignObserver, JsonValue, NullObserver, ObserverAction,
-    ProgressEvent,
-};
+use xlmc::telemetry::{CampaignObserver, NullObserver, ObserverAction, ProgressEvent};
 use xlmc::{Evaluation, Precharacterization, SystemModel};
 use xlmc_soc::workloads;
 

@@ -13,18 +13,19 @@
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
+use std::time::Duration;
 use xlmc::estimator::{
     run_campaign_observed, run_campaign_with, CampaignKernel, CampaignOptions, EstimatorKind,
-    StopReason,
+    StopReason, CHUNK_RUNS,
 };
 use xlmc::flow::FaultRunner;
-use xlmc::json::f64_from_bits_str;
+use xlmc::json::{f64_from_bits_str, validate_against_schema, JsonValue};
 use xlmc::sampling::{
     baseline_distribution, ExperimentConfig, ImportanceSampling, RandomSampling, SamplingStrategy,
 };
 use xlmc::stats::RunningStats;
 use xlmc::telemetry::{
-    validate_against_schema, CampaignObserver, JsonValue, ObserverAction, ProgressEvent,
+    progress_line, CampaignObserver, ObserverAction, ProgressEvent, StderrProgress,
 };
 use xlmc::{Evaluation, Precharacterization, SystemModel};
 use xlmc_soc::workloads;
@@ -544,4 +545,190 @@ fn phase_times_cover_the_compiled_chunks() {
             );
         }
     }
+}
+
+/// Keeps the last boundary record the observers saw.
+#[derive(Default)]
+struct LastEvent(Option<ProgressEvent>);
+
+impl CampaignObserver for LastEvent {
+    fn on_progress(&mut self, event: &ProgressEvent) -> ObserverAction {
+        self.0 = Some(event.clone());
+        ObserverAction::Continue
+    }
+}
+
+/// The early-stopping campaign both tests below run: random sampling to
+/// eps 0.05 at 95%, which stops well before its 4,096 runs.
+fn early_stop_options(threads: usize) -> CampaignOptions {
+    CampaignOptions {
+        threads,
+        target_eps: Some(0.05),
+        target_confidence: 0.95,
+        ..CampaignOptions::default()
+    }
+}
+
+/// The value of the one sample of prom family `name`.
+fn prom_value(text: &str, name: &str) -> f64 {
+    let line = text
+        .lines()
+        .find(|l| l.starts_with(&format!("xlmc_{name}{{")))
+        .unwrap_or_else(|| panic!("no xlmc_{name} sample in:\n{text}"));
+    line.rsplit(' ').next().unwrap().parse().unwrap()
+}
+
+/// One record, every surface: in an early-stopped campaign at one and two
+/// workers, the metrics JSON, the last `chunk_merged` line, the
+/// `campaign_finished` line and the final prom snapshot all report the
+/// last `ProgressEvent` the observer saw and the returned `CampaignResult`.
+#[test]
+fn every_surface_renders_the_last_boundary_record() {
+    let f = fixture();
+    let r = runner(f);
+    let strategy = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
+    let n = 4_096;
+    for threads in [1usize, 2] {
+        let tag = format!("surfaces-t{threads}");
+        let metrics = scratch(&format!("{tag}.metrics.json"));
+        let (mut opts, events_path, prom) = with_telemetry(&early_stop_options(threads), &tag);
+        opts.metrics_path = Some(metrics.clone());
+        let mut last = LastEvent::default();
+        let result =
+            run_campaign_observed(&r, &strategy, n, SEED, &opts, &mut last).expect("campaign");
+        let ev = last.0.expect("at least one boundary");
+        assert_eq!(result.stop, StopReason::TargetEps, "{tag}");
+        assert!(result.n < n, "{tag}: should stop early");
+        assert_eq!(ev.runs_done, result.n, "{tag}");
+        assert_eq!(ev.ssf.to_bits(), result.ssf.to_bits(), "{tag}");
+        assert_eq!(ev.ess.to_bits(), result.ess.to_bits(), "{tag}");
+        assert_eq!(ev.class_counts, result.class_counts, "{tag}");
+
+        let doc = JsonValue::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let num = |key: &str| doc.get(key).and_then(JsonValue::as_f64).unwrap();
+        assert_eq!(
+            doc.get("n").and_then(JsonValue::as_u64),
+            Some(ev.runs_done as u64)
+        );
+        assert_eq!(num("ssf").to_bits(), ev.ssf.to_bits(), "{tag}");
+        assert_eq!(
+            num("sample_variance").to_bits(),
+            ev.sample_variance.to_bits(),
+            "{tag}"
+        );
+        assert_eq!(num("ess").to_bits(), ev.ess.to_bits(), "{tag}");
+        assert_eq!(
+            doc.get("successes").and_then(JsonValue::as_u64),
+            Some(result.successes as u64)
+        );
+        assert_eq!(
+            doc.get("stop_reason").and_then(JsonValue::as_str),
+            Some("target_eps")
+        );
+        let classes = doc.get("class_counts").unwrap();
+        let class = |key: &str| classes.get(key).and_then(JsonValue::as_u64).unwrap() as usize;
+        assert_eq!(
+            (class("masked"), class("memory_only"), class("mixed")),
+            (
+                ev.class_counts.masked,
+                ev.class_counts.memory_only,
+                ev.class_counts.mixed
+            ),
+            "{tag}"
+        );
+
+        let events = read_events(&events_path);
+        check_stream(&events, &tag);
+        let merged = events
+            .iter()
+            .rfind(|e| event_name(e) == "chunk_merged")
+            .expect("a chunk_merged line");
+        assert_eq!(
+            merged.get("runs_done").and_then(JsonValue::as_u64),
+            Some(ev.runs_done as u64)
+        );
+        assert_eq!(bits_field(merged, "ssf_bits").to_bits(), ev.ssf.to_bits());
+        let finished = events.last().unwrap();
+        assert_eq!(
+            finished.get("stop_reason").and_then(JsonValue::as_str),
+            Some("target_eps")
+        );
+        assert_eq!(
+            finished.get("n").and_then(JsonValue::as_u64),
+            Some(ev.runs_done as u64)
+        );
+        assert_eq!(bits_field(finished, "ssf_bits").to_bits(), ev.ssf.to_bits());
+        assert_eq!(
+            finished.get("successes").and_then(JsonValue::as_u64),
+            Some(result.successes as u64)
+        );
+
+        let text = std::fs::read_to_string(&prom).expect("read prom file");
+        assert_eq!(prom_value(&text, "runs_total") as usize, ev.runs_done);
+        assert_eq!(
+            prom_value(&text, "chunks_merged_total") as usize,
+            ev.runs_done.div_ceil(CHUNK_RUNS)
+        );
+        assert_eq!(
+            prom_value(&text, "successes_total") as usize,
+            result.successes
+        );
+        assert_eq!(prom_value(&text, "ssf").to_bits(), ev.ssf.to_bits());
+        assert_eq!(prom_value(&text, "ess").to_bits(), ev.ess.to_bits());
+
+        for path in [&metrics, &events_path, &prom] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// Feeds a progress printer and keeps the last record it was given.
+struct Tee<'a> {
+    progress: StderrProgress<&'a mut Vec<u8>>,
+    last: LastEvent,
+}
+
+impl CampaignObserver for Tee<'_> {
+    fn on_progress(&mut self, event: &ProgressEvent) -> ObserverAction {
+        self.last.on_progress(event);
+        self.progress.on_progress(event)
+    }
+
+    fn on_finish(&mut self, result: &xlmc::estimator::CampaignResult) {
+        self.progress.on_finish(result);
+    }
+}
+
+/// A campaign that stops early still prints its final estimate: the
+/// progress printer, rate-limited to one line an hour, prints the first
+/// boundary at once and the stopping boundary when the campaign finishes.
+#[test]
+fn early_stop_prints_the_final_progress_line() {
+    let f = fixture();
+    let r = runner(f);
+    let strategy = RandomSampling::new(baseline_distribution(&f.model, &f.cfg));
+    let n = 4_096;
+    let mut out = Vec::new();
+    let mut tee = Tee {
+        progress: StderrProgress::with_writer("eps", Duration::from_secs(3600), &mut out),
+        last: LastEvent::default(),
+    };
+    let result = run_campaign_observed(&r, &strategy, n, SEED, &early_stop_options(1), &mut tee)
+        .expect("campaign");
+    assert_eq!(result.stop, StopReason::TargetEps);
+    let ev = tee.last.0.expect("at least one boundary");
+    let text = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "first and final boundary:\n{text}");
+    assert!(lines[0].starts_with(&format!("[eps] {CHUNK_RUNS}/{n} runs ")));
+    assert_eq!(lines[1], progress_line("eps", &ev));
+    assert!(
+        lines[1].starts_with(&format!(
+            "[eps] {}/{n} runs  ssf={:.5}  ",
+            result.n, result.ssf
+        )),
+        "{}",
+        lines[1]
+    );
+    assert!(lines[1].contains("  lln="), "{}", lines[1]);
 }

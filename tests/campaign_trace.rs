@@ -21,10 +21,10 @@ use xlmc::estimator::{
 };
 use xlmc::flow::FaultRunner;
 use xlmc::harden::{DupConfigVote, HardenedSet, HardenedVariant, HardeningModel};
+use xlmc::json::{validate_against_schema, JsonValue};
 use xlmc::sampling::{
     baseline_distribution, ExperimentConfig, ImportanceSampling, RandomSampling, SamplingStrategy,
 };
-use xlmc::telemetry::{validate_against_schema, JsonValue};
 use xlmc::trace::TraceSink;
 use xlmc::{Evaluation, Precharacterization, SystemModel};
 use xlmc_soc::workloads;

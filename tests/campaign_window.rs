@@ -20,8 +20,9 @@ use xlmc::estimator::{
 };
 use xlmc::flow::FaultRunner;
 use xlmc::harden::{DupConfigVote, HardenedSet, HardenedVariant, HardeningModel, ScfiFsm};
+use xlmc::json::JsonValue;
 use xlmc::sampling::{baseline_distribution, ExperimentConfig, ImportanceSampling};
-use xlmc::telemetry::{CampaignObserver, JsonValue, ObserverAction, ProgressEvent};
+use xlmc::telemetry::{CampaignObserver, ObserverAction, ProgressEvent};
 use xlmc::{Evaluation, Precharacterization, SystemModel};
 use xlmc_fault::DoubleGlitch;
 use xlmc_soc::workloads;

@@ -270,34 +270,3 @@ fn three_level_verdict_matrix_stays_pinned() {
         );
     }
 }
-
-/// The elaborated MPU survives a structural-Verilog round trip: the parsed
-/// netlist behaves identically on real workload stimulus. This is the
-/// "export for external EDA tools" feature proving itself against the
-/// cross-level traces.
-#[test]
-fn mpu_netlist_survives_verilog_roundtrip() {
-    let model = SystemModel::with_defaults().unwrap();
-    let eval = Evaluation::new(workloads::illegal_write()).unwrap();
-    let text = xlmc_netlist::to_verilog(model.mpu.netlist(), "mpu");
-    let parsed = xlmc_netlist::from_verilog(&text).expect("emitted subset must parse");
-    assert_eq!(parsed.dffs().len(), model.mpu.netlist().dffs().len());
-    assert_eq!(parsed.inputs().len(), model.mpu.netlist().inputs().len());
-
-    // Drive both netlists with the golden stimulus; all flop states must
-    // agree every cycle. Input/dff orders are preserved by construction
-    // (declaration order round-trips).
-    let orig_sim = CycleSim::new(model.mpu.netlist()).unwrap();
-    let parsed_sim = CycleSim::new(&parsed).unwrap();
-    let mut a = model.mpu.state_vector(&eval.golden.mpu_states[0]);
-    let mut b = a.clone();
-    for c in 0..eval.golden.cycles.min(150) as usize {
-        let stim = &eval.golden.stimulus[c];
-        let inputs = model.mpu.input_values(stim.request, stim.cfg_write);
-        let cva = orig_sim.eval(model.mpu.netlist(), &a, &inputs);
-        let cvb = parsed_sim.eval(&parsed, &b, &inputs);
-        a = cva.next_state().to_vec();
-        b = cvb.next_state().to_vec();
-        assert_eq!(a, b, "verilog round trip diverged at cycle {c}");
-    }
-}

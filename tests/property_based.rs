@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use xlmc_gatesim::bitparallel::{evaluate_combinational, PackedTraces};
 use xlmc_gatesim::cycle::CycleSim;
-use xlmc_netlist::{CellKind, GateId, Netlist, Placement, Topology, UnrolledNetlist};
+use xlmc_netlist::{CellKind, GateId, Netlist, Placement, Topology};
 use xlmc_soc::isa::{Csr, Instr, Reg};
 
 // ---------------------------------------------------------------------------
@@ -136,59 +136,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Sequential cycle simulation agrees with the explicit time-frame
-    /// unrolling on random circuits and random stimulus.
-    #[test]
-    fn unrolling_matches_sequential_simulation(
-        n in netlist_strategy(),
-        stim in prop::collection::vec(any::<[bool; 3]>(), 3),
-    ) {
-        let frames = stim.len() as u32;
-        let unrolled = UnrolledNetlist::new(&n, frames);
-        let sim = CycleSim::new(&n).unwrap();
-
-        // Sequential run from all-zero state.
-        let init = vec![false; n.dffs().len()];
-        let seq = sim.run(&n, &init, frames as usize, |c| stim[c].to_vec());
-
-        // Unrolled combinational evaluation (frame f = cycle frames-1-f).
-        let un = unrolled.netlist();
-        let usim = CycleSim::new(un).unwrap();
-        let mut values: HashMap<GateId, bool> = HashMap::new();
-        for (cycle, bits) in stim.iter().enumerate() {
-            let frame = frames - 1 - cycle as u32;
-            for (i, &b) in bits.iter().enumerate() {
-                let src = n.resolve(&format!("in{i}")).unwrap();
-                values.insert(unrolled.resolve(src, frame).unwrap(), b);
-            }
-        }
-        for &(_, init_input) in unrolled.initial_state_inputs() {
-            values.insert(init_input, false);
-        }
-        let inputs: Vec<bool> = un
-            .inputs()
-            .iter()
-            .map(|g| *values.get(g).expect("all unrolled inputs assigned"))
-            .collect();
-        let cv = usim.eval(un, &[], &inputs);
-
-        // Every original gate's value in every cycle must agree.
-        for cycle in 0..frames {
-            let frame = frames - 1 - cycle;
-            for (id, gate) in n.iter() {
-                if gate.kind == CellKind::Output {
-                    continue;
-                }
-                let uid = unrolled.resolve(id, frame).unwrap();
-                prop_assert_eq!(
-                    seq[cycle as usize].value(id),
-                    cv.value(uid),
-                    "gate {} cycle {}", id, cycle
-                );
-            }
-        }
-    }
 
     /// Bit-parallel trace evaluation agrees with scalar simulation.
     #[test]
